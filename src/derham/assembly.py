@@ -2,6 +2,11 @@
 
 Shared DoFs are generated from global subsimplex data, so identifying them
 across cells is a dictionary lookup; there are no orientation sign tables.
+Everything per cell is a float matrix product: a space's DoFs are rows over
+the cell's barycentric coefficients, its local DoF matrix is those rows times
+the shape coefficients, and a local operator is the target rows times the
+coefficients of the mapped shape functions times the source dual basis.
+The scatter compares entries that two cells reach, all at once.
 Assembly itself is deterministic and single-threaded; assembled spaces and
 operator matrices are immutable afterwards and safe to share.  Rank
 decisions use a relative singular-value cutoff (forms.RANK_RTOL).
@@ -17,10 +22,9 @@ from itertools import combinations
 import numpy as np
 
 from . import elements
-from .elements import (element_def, entity_dofs, shape_basis,
-                       tangential_bubble_span, zero_trace_dim)
-from .forms import (FormPolynomial, RANK_RTOL, _coefficient_matrix,
-                    dim_trimmed, full_basis, monomials)
+from .elements import (dof_rows, element_def, entity_dofs, shape_basis,
+                       shape_coeffs, tangential_bubble_span, zero_trace_dim)
+from .forms import FormPolynomial, RANK_RTOL, _coefficient_matrix, coeffs, monomials
 from .mesh import SimplicialMesh
 
 DD_TOL = 1e-10
@@ -89,6 +93,7 @@ class GlobalSpace:
             self.cell_global.append(np.array(gidx, dtype=int))
         self.dim = len(self.dofs)
         self._shapes = {}
+        self._rows = {}
         self._duals = {}
         self._local_mats = {}
 
@@ -98,16 +103,18 @@ class GlobalSpace:
             self._shapes[ci] = shape_basis(self.el, self.mesh.cell_simplex(ci))
         return self._shapes[ci]
 
+    def dof_rows(self, ci, p=None):
+        """The cell's DoF functionals as rows over degree-p coefficients."""
+        p = self.el.p if p is None else p
+        if (ci, p) not in self._rows:
+            cverts = tuple(int(v) for v in self.mesh.cells[ci])
+            self._rows[(ci, p)] = dof_rows(self.cell_dof_objs[ci], self.mesh.cell_simplex(ci),
+                                           cverts, self.el.k, p)
+        return self._rows[(ci, p)]
+
     def local_matrix(self, ci):
         if ci not in self._local_mats:
-            basis = self.shapes(ci)
-            dofs = self.cell_dof_objs[ci]
-            cverts = tuple(int(v) for v in self.mesh.cells[ci])
-            M = np.empty((len(dofs), len(basis)))
-            for j, b in enumerate(basis):
-                for i, dof in enumerate(dofs):
-                    M[i, j] = dof.apply(b, cverts)
-            self._local_mats[ci] = M
+            self._local_mats[ci] = self.dof_rows(ci) @ shape_coeffs(self.el, self.shapes(ci))
         return self._local_mats[ci]
 
     def dual_coeffs(self, ci):
@@ -130,11 +137,11 @@ class GlobalSpace:
         out = np.zeros(self.dim)
         seen = np.zeros(self.dim, dtype=bool)
         for ci, form in cell_forms.items():
-            cverts = tuple(int(v) for v in self.mesh.cells[ci])
-            for dof, gi in zip(self.cell_dof_objs[ci], self.cell_global[ci]):
-                if not seen[gi]:
-                    out[gi] = dof.apply(form, cverts)
-                    seen[gi] = True
+            p = max(self.el.p, form.max_degree())
+            gidx = self.cell_global[ci]
+            new = ~seen[gidx]
+            out[gidx[new]] = (self.dof_rows(ci, p) @ coeffs(form, p))[new]
+            seen[gidx] = True
         return out
 
     def constant_coefficients(self):
@@ -239,34 +246,37 @@ def assemble_local_operator(src, dst, fmap, consistency_tol=1e-7):
     """Matrix of a cell-local linear map between assembled spaces.
 
     Column j holds the target DoFs of ``fmap`` applied to the j-th global
-    dual function.  Entries reachable from two cells are compared; a
-    disagreement means the image violates the target continuity.
+    dual function: per cell, the images of the shape functions are written
+    as coefficients X (elevated to the target degree) and the target DoF
+    rows are applied, ``rows @ X @ dual_coeffs``.  Entries reachable from two
+    cells are compared; a disagreement means the image violates the target
+    continuity.
     """
     mesh = src.mesh
-    D = np.zeros((dst.dim, src.dim))
-    filled = {}
+    flat, vals, scales = [], [], []
     for ci in range(len(mesh.cells)):
-        cverts = tuple(int(v) for v in mesh.cells[ci])
-        shapes = src.shapes(ci)
-        images = [fmap(f.as_float()) for f in shapes]
-        dst_dofs = dst.cell_dof_objs[ci]
-        A = np.empty((len(dst_dofs), len(images)))
-        for m, g in enumerate(images):
-            for i, dof in enumerate(dst_dofs):
-                A[i, m] = dof.apply(g, cverts)
-        Dloc = A @ src.dual_coeffs(ci)
-        scale = max(np.abs(Dloc).max(), 1.0)
-        for i_loc, gi in enumerate(dst.cell_global[ci]):
-            for j_loc, gj in enumerate(src.cell_global[ci]):
-                v = Dloc[i_loc, j_loc]
-                if (gi, gj) in filled:
-                    if abs(v - D[gi, gj]) > consistency_tol * scale:
-                        raise RuntimeError(
-                            f"operator entry disagrees across cells at ({gi},{gj}): "
-                            f"{D[gi, gj]} vs {v}; wrong family pairing?")
-                else:
-                    D[gi, gj] = v
-                    filled[(gi, gj)] = True
+        images = [fmap(f.as_float()) for f in src.shapes(ci)]
+        p = max([dst.el.p] + [g.max_degree() for g in images])
+        X = np.column_stack([coeffs(g, p) for g in images])
+        Dloc = dst.dof_rows(ci, p) @ X @ src.dual_coeffs(ci)
+        flat.append((dst.cell_global[ci][:, None] * src.dim
+                     + src.cell_global[ci][None, :]).ravel())
+        vals.append(Dloc.ravel())
+        scales.append(np.full(Dloc.size, max(np.abs(Dloc).max(), 1.0)))
+    order = np.argsort(np.concatenate(flat), kind="stable")
+    flat, vals, scales = (np.concatenate(a)[order] for a in (flat, vals, scales))
+    # the first cell to reach an entry sets it; later cells must agree with it
+    first = np.r_[True, flat[1:] != flat[:-1]]
+    ref = vals[np.maximum.accumulate(np.where(first, np.arange(len(flat)), 0))]
+    bad = ~first & (np.abs(vals - ref) > consistency_tol * scales)
+    if bad.any():
+        pos = np.flatnonzero(bad)[np.argmin(order[bad])]   # first one in cell order
+        gi, gj = divmod(int(flat[pos]), src.dim)
+        raise RuntimeError(
+            f"operator entry disagrees across cells at ({gi},{gj}): "
+            f"{ref[pos]} vs {vals[pos]}; wrong family pairing?")
+    D = np.zeros((dst.dim, src.dim))
+    D.flat[flat[first]] = vals[first]
     return OperatorMatrix(src, dst, D)
 
 
@@ -432,20 +442,11 @@ class BrokenSpace:
         self.alphas = monomials(n + 1, p)
         self.block = len(self.keys) * len(self.alphas)
         self.size = self.block * len(mesh.cells)
-        self._index = {}
-        for ki, key in enumerate(self.keys):
-            for ai, a in enumerate(self.alphas):
-                self._index[(key, a)] = ki * len(self.alphas) + ai
 
     def coeffs(self, ci, form):
         """Coefficient vector of one cell's form inside the global stack."""
-        from .forms import poly_homogenize
         v = np.zeros(self.size)
-        off = ci * self.block
-        for key, poly in form.comps.items():
-            hom = poly_homogenize(poly, self.mesh.dim + 1, self.p)
-            for e, c in hom.items():
-                v[off + self._index[(key, e)]] = float(c)
+        v[ci * self.block:(ci + 1) * self.block] = coeffs(form, self.p)
         return v
 
     def matrix_of_space(self, space):

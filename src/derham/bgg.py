@@ -95,6 +95,56 @@ class BGGContext:
         else:
             self.dK0 = None
 
+    def identity_residual(self):
+        """Max entry of D1 S0 + S1 D0 relative to the term magnitudes."""
+        a = self.dK1 @ self.S0
+        b = self.S1 @ self.dV0
+        scale = max(np.abs(a).max(), np.abs(b).max(), 1.0)
+        return float(np.abs(a + b).max() / scale)
+
+    def xi_complex(self):
+        """Rank-nullity exactness of the product complex at window p.
+
+        The chain has three slots; the kernel of the first block operator is
+        three-dimensional on contractible meshes (a constant vector field plus
+        the matching linear skew potential).
+        """
+        H, St, DG, FN = (self.hermite.dim, self.stenberg.dim, self.dg.dim,
+                         self.pressure.dim)
+        dim_xi1 = 2 * H + 2 * St
+        dim_xi2 = FN + 2 * DG
+
+        if self.dK0 is not None:
+            arg_dim = self.argyris.dim
+            A0 = np.block([[self.dK0, -self.S0],
+                           [np.zeros((2 * St, arg_dim)), self.dV0]])
+            dim_xi0 = arg_dim + 2 * H
+        else:
+            # below the nodal range the skew 0-form slot is the constraint-defined
+            # smooth scalar space; ranks are computed on its spanning columns
+            per_cell, N = _constrained_smooth_scalar_span(self.mesh, self.p + 3)
+            dK0 = _constrained_grad_dofs(self.mesh, per_cell, N, self.hermite)
+            A0 = np.block([[dK0, -self.S0],
+                           [np.zeros((2 * St, N.shape[1])), self.dV0]])
+            dim_xi0 = N.shape[1] + 2 * H
+
+        A1 = np.block([[self.dK1, -self.S1],
+                       [np.zeros((2 * DG, 2 * H)), self.dV1]])
+
+        comp = np.abs(A1 @ A0).max()
+        scale = max(np.abs(A1).max() * np.abs(A0).max(), 1.0)
+        r0 = rank_of(A0)
+        r1 = rank_of(A1)
+        return {
+            "dims": [dim_xi0, dim_xi1, dim_xi2],
+            "ranks": [r0, r1],
+            "kernel0": dim_xi0 - r0,
+            "composition_rel": float(comp / scale),
+            "exact_middle": (dim_xi1 - r1) == r0,
+            "onto_end": r1 == dim_xi2,
+            "exact": (dim_xi0 - r0) == 3 and (dim_xi1 - r1) == r0 and r1 == dim_xi2,
+        }
+
 
 def s0_operator(mesh, p):
     """Isomorphism between the vector 0-form pair and the skew 1-form pair."""
@@ -110,11 +160,7 @@ def s1_operator(mesh, p):
 
 def verify_bgg_identity(mesh, p):
     """Max entry of D1 S0 + S1 D0 relative to the term magnitudes."""
-    ctx = BGGContext(mesh, p)
-    a = ctx.dK1 @ ctx.S0
-    b = ctx.S1 @ ctx.dV0
-    scale = max(np.abs(a).max(), np.abs(b).max(), 1.0)
-    return float(np.abs(a + b).max() / scale)
+    return BGGContext(mesh, p).identity_residual()
 
 
 # ---------------------------------------------------------------------------
@@ -200,48 +246,8 @@ def _constrained_grad_dofs(mesh, per_cell, N, hermite):
 
 
 def xi_complex(mesh, p):
-    """Rank-nullity exactness of the product complex at window p.
-
-    The chain has three slots; the kernel of the first block operator is
-    three-dimensional on contractible meshes (a constant vector field plus
-    the matching linear skew potential).
-    """
-    ctx = BGGContext(mesh, p)
-    H, St, DG, FN = (ctx.hermite.dim, ctx.stenberg.dim, ctx.dg.dim,
-                     ctx.pressure.dim)
-    dim_xi1 = 2 * H + 2 * St
-    dim_xi2 = FN + 2 * DG
-
-    if ctx.dK0 is not None:
-        arg_dim = ctx.argyris.dim
-        A0 = np.block([[ctx.dK0, -ctx.S0],
-                       [np.zeros((2 * St, arg_dim)), ctx.dV0]])
-        dim_xi0 = arg_dim + 2 * H
-    else:
-        # below the nodal range the skew 0-form slot is the constraint-defined
-        # smooth scalar space; ranks are computed on its spanning columns
-        per_cell, N = _constrained_smooth_scalar_span(mesh, p + 3)
-        dK0 = _constrained_grad_dofs(mesh, per_cell, N, ctx.hermite)
-        A0 = np.block([[dK0, -ctx.S0],
-                       [np.zeros((2 * St, N.shape[1])), ctx.dV0]])
-        dim_xi0 = N.shape[1] + 2 * H
-
-    A1 = np.block([[ctx.dK1, -ctx.S1],
-                   [np.zeros((2 * DG, 2 * H)), ctx.dV1]])
-
-    comp = np.abs(A1 @ A0).max()
-    scale = max(np.abs(A1).max() * np.abs(A0).max(), 1.0)
-    r0 = rank_of(A0)
-    r1 = rank_of(A1)
-    return {
-        "dims": [dim_xi0, dim_xi1, dim_xi2],
-        "ranks": [r0, r1],
-        "kernel0": dim_xi0 - r0,
-        "composition_rel": float(comp / scale),
-        "exact_middle": (dim_xi1 - r1) == r0,
-        "onto_end": r1 == dim_xi2,
-        "exact": (dim_xi0 - r0) == 3 and (dim_xi1 - r1) == r0 and r1 == dim_xi2,
-    }
+    """Rank-nullity exactness of the product complex at window p."""
+    return BGGContext(mesh, p).xi_complex()
 
 
 def xi_commuting_residual(mesh, p):

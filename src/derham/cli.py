@@ -164,8 +164,9 @@ def cmd_bc(args):
 
 def cmd_bgg(args):
     m = _load_mesh(args.mesh)
-    resid = bgg.verify_bgg_identity(m, args.p)
-    xi = bgg.xi_complex(m, args.p)
+    ctx = bgg.BGGContext(m, args.p)
+    resid = ctx.identity_residual()
+    xi = ctx.xi_complex()
     stress_p = max(args.p, 3)
     st = bgg.huzhang_stress(stress_p)
     out = {

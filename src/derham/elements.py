@@ -6,20 +6,25 @@ Nedelec second kind / BDM / DG, 1 = Hermite-grade vertex continuity,
 H(div) element in 3D and 'minus' for the trimmed (first-kind) H(div) space.
 
 All moment DoFs are normalized by the measure of their subsimplex, and
-every integral is exact (barycentric formula).  DoFs attached to a shared
-subsimplex are generated from global mesh data only, so two cells sharing
-a face produce identical functionals and assembly needs no sign fixes.
+every integral uses the closed barycentric formula.  A DoF is evaluated as a
+float row over the cell's coefficient space (``DoF.row``), so DoF matrices
+are matrix products.  DoFs attached to a shared subsimplex are generated
+from global mesh data only, so two cells sharing a face produce identical
+functionals and assembly needs no sign fixes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
-from .forms import (FormPolynomial, Simplex, dim_full, dim_trimmed, full_basis,
-                    independent_subset, monomials, poly_mul, span_rank,
+from .forms import (FormPolynomial, Simplex, _coefficient_matrix, coeffs,
+                    derivative_matrix, dim_full, dim_trimmed, eval_row,
+                    full_basis, independent_subset, moment_row, monomials,
+                    poly_mul, proxy_matrix, restriction_matrix,
                     trimmed_basis, RANK_RTOL)
 from .mesh import SimplicialMesh
 
@@ -33,13 +38,75 @@ KRONECKER_TOL = 1e-8
 
 @dataclass
 class DoF:
+    """A DoF functional attached to a subsimplex, as a row over coefficients.
+
+    Every functional composes the same steps: contract the vector proxy with
+    ``weight``, differentiate along ``directions``, trace onto ``sub`` (None
+    keeps the cell), then evaluate at ``point`` or take the measure-normalized
+    moment against a test form.  Subclasses fix which steps apply; ``row``
+    turns them into one float row over the cell's degree-p coefficients.
+    """
     entity_dim: int
     entity_verts: tuple
     klass: str
     shared: bool
 
+    weight = None
+    directions = ()
+    sub = None
+    point = None
+
+    def test_form(self, domain):
+        """The moment's test form on ``domain`` (None for point functionals)."""
+        return None
+
+    def row(self, cell, cell_verts, k, p, maps=None):
+        """Row of the functional over degree-p k-form coefficients on ``cell``.
+
+        ``maps`` memoizes the coefficient-space maps across the DoFs of one
+        cell; pass the same dict for every DoF of a block.
+        """
+        maps = {} if maps is None else maps
+
+        def cached(key, build):
+            if key not in maps:
+                maps[key] = build()
+            return maps[key]
+
+        steps = []
+        if self.weight is not None:
+            steps.append(cached(("proxy", k, tuple(self.weight), p),
+                                lambda: proxy_matrix(cell.dim, k, self.weight, p)))
+            k = 0
+        for direction in self.directions:
+            steps.append(cached(("deriv", k, tuple(direction), p),
+                                lambda: derivative_matrix(cell, direction, k, p)))
+            p -= 1
+        domain = cell
+        if self.sub is not None:
+            vmap = _vmap(self.entity_verts, cell_verts)
+            steps.append(cached(("trace", id(self.sub), k, p),
+                                lambda: restriction_matrix(cell, self.sub, vmap, k, p)))
+            domain = self.sub
+        if self.point is not None:
+            out = eval_row(domain, self.point, p)
+        else:
+            out = moment_row(self.test_form(domain), k, p)
+        for step in reversed(steps):
+            out = out @ step
+        return out
+
     def apply(self, u, cell_verts):
-        raise NotImplementedError
+        """Value of the functional on a form on the cell."""
+        p = u.max_degree()
+        return float(self.row(u.simplex, cell_verts, u.k, p) @ coeffs(u, p))
+
+
+def dof_rows(dofs, cell, cell_verts, k, p):
+    """Rows of a cell's DoF list stacked into a matrix."""
+    maps = {}
+    n = math.comb(p + cell.dim, cell.dim) * math.comb(cell.dim, k)
+    return np.array([dof.row(cell, cell_verts, k, p, maps) for dof in dofs]).reshape(-1, n)
 
 
 @dataclass
@@ -47,22 +114,12 @@ class PointEval(DoF):
     point: np.ndarray = None
     weight: np.ndarray = None   # None for scalars; proxy weight otherwise
 
-    def apply(self, u, cell_verts):
-        f = u if self.weight is None else u.proxy_contract(self.weight)
-        return float(f.eval(self.point[None, :])[()].item()) if () in f.comps else 0.0
-
 
 @dataclass
 class PointDeriv(DoF):
     point: np.ndarray = None
     directions: tuple = ()
     weight: np.ndarray = None
-
-    def apply(self, u, cell_verts):
-        f = u if self.weight is None else u.proxy_contract(self.weight)
-        for d in self.directions:
-            f = f.directional_derivative(d)
-        return float(f.eval(self.point[None, :])[()].item()) if () in f.comps else 0.0
 
 
 def _vmap(entity_verts, cell_verts):
@@ -75,44 +132,24 @@ class ScalarMoment(DoF):
     sub: Simplex = None
     q: dict = None
 
-    def apply(self, u, cell_verts):
-        tr = u.restrict(self.sub, _vmap(self.entity_verts, cell_verts))
-        if () not in tr.comps:
-            return 0.0
-        prod = FormPolynomial(self.sub, 0, {(): poly_mul(tr.comps[()], self.q)})
-        return float(prod.integrate_scalar() / self.sub.measure)
+    def test_form(self, domain):
+        return FormPolynomial(domain, 0, {(): self.q})
 
 
 @dataclass
-class NormalDerivMoment(DoF):
+class NormalDerivMoment(ScalarMoment):
     """(1/|s|) * integral over s of (directional derivative of u) * q."""
-    sub: Simplex = None
-    q: dict = None
     direction: np.ndarray = None
 
-    def apply(self, u, cell_verts):
-        du = u.directional_derivative(self.direction)
-        tr = du.restrict(self.sub, _vmap(self.entity_verts, cell_verts))
-        if () not in tr.comps:
-            return 0.0
-        prod = FormPolynomial(self.sub, 0, {(): poly_mul(tr.comps[()], self.q)})
-        return float(prod.integrate_scalar() / self.sub.measure)
+    @property
+    def directions(self):
+        return (self.direction,)
 
 
 @dataclass
-class ComponentMoment(DoF):
+class ComponentMoment(ScalarMoment):
     """(1/|s|) * integral over s of (vector-proxy of u . weight) * q."""
-    sub: Simplex = None
-    q: dict = None
     weight: np.ndarray = None
-
-    def apply(self, u, cell_verts):
-        f = u.proxy_contract(self.weight)
-        tr = f.restrict(self.sub, _vmap(self.entity_verts, cell_verts))
-        if () not in tr.comps:
-            return 0.0
-        prod = FormPolynomial(self.sub, 0, {(): poly_mul(tr.comps[()], self.q)})
-        return float(prod.integrate_scalar() / self.sub.measure)
 
 
 @dataclass
@@ -121,9 +158,8 @@ class TraceWedgeMoment(DoF):
     sub: Simplex = None
     eta: FormPolynomial = None
 
-    def apply(self, u, cell_verts):
-        tr = u.restrict(self.sub, _vmap(self.entity_verts, cell_verts))
-        return float(tr.wedge(self.eta).integrate() / self.sub.measure)
+    def test_form(self, domain):
+        return self.eta
 
 
 @dataclass
@@ -131,11 +167,8 @@ class CellWedgeMoment(DoF):
     """(1/|t|) * integral over the cell of u wedge eta (no restriction)."""
     eta: FormPolynomial = None
 
-    def apply(self, u, cell_verts):
-        w = u.wedge(self.eta)
-        if w.k == 0:
-            return float(w.integrate_scalar() / u.simplex.measure)
-        return float(w.integrate() / u.simplex.measure)
+    def test_form(self, domain):
+        return self.eta
 
 
 # ---------------------------------------------------------------------------
@@ -396,27 +429,13 @@ def entity_dofs(el, mesh, d, idx):
 
 def _interior_component_moment(cell, everts, weight, q, klass):
     """Interior (u . e_i) moments for the 2D r=2 vector element."""
-    n = cell.dim
-    # represent as a wedge with the top-degree form q * (e_i paired via proxy):
-    # for a 1-form u in 2D, u wedge (w dy) picks components; easiest is a
-    # dedicated functional evaluating the contraction directly.
-    dof = _InteriorComponent(n, tuple(everts), klass, False)
-    dof.weight = np.asarray(weight, float)
-    dof.q = dict(q)
-    return dof
+    return _InteriorComponent(cell.dim, tuple(everts), klass, False,
+                              q=dict(q), weight=np.asarray(weight, float))
 
 
 @dataclass
-class _InteriorComponent(DoF):
-    weight: np.ndarray = None
-    q: dict = None
-
-    def apply(self, u, cell_verts):
-        f = u.proxy_contract(self.weight)
-        if () not in f.comps:
-            return 0.0
-        prod = FormPolynomial(u.simplex, 0, {(): poly_mul(f.comps[()], self.q)})
-        return float(prod.integrate_scalar() / u.simplex.measure)
+class _InteriorComponent(ComponentMoment):
+    """(1/|t|) * integral over the cell of (vector-proxy of u . weight) * q."""
 
 
 def cell_dofs(el, mesh, ci, cache=None):
@@ -443,17 +462,19 @@ def _single_cell_mesh(simplex_vertices):
     return SimplicialMesh(verts, [tuple(range(len(verts)))])
 
 
+def shape_coeffs(el, basis):
+    """Coefficient columns of the shape basis ``shape_basis(el, cell)``."""
+    return _coefficient_matrix(basis, el.p)[0]
+
+
 def dof_matrix(el, simplex_vertices):
-    """Square DoF-by-shape matrix on one simplex (exact integrals, float)."""
+    """Square DoF-by-shape matrix on one simplex: DoF rows times shape coefficients."""
     mesh = _single_cell_mesh(simplex_vertices)
     cell = mesh.cell_simplex(0)
     dofs = cell_dofs(el, mesh, 0)
     basis = shape_basis(el, cell)
     cverts = tuple(int(v) for v in mesh.cells[0])
-    M = np.empty((len(dofs), len(basis)))
-    for j, b in enumerate(basis):
-        for i, dof in enumerate(dofs):
-            M[i, j] = dof.apply(b, cverts)
+    M = dof_rows(dofs, cell, cverts, el.k, el.p) @ shape_coeffs(el, basis)
     return M, dofs, basis
 
 

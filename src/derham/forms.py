@@ -4,12 +4,15 @@ Coefficients are kept in barycentric monomials.  Arithmetic is duck-typed:
 polynomials built from Fractions/ints stay exact (so d(d(u)) cancels at the
 coefficient level), while float inputs degrade gracefully to floats.  All
 integrals use the closed barycentric formula; there is no quadrature anywhere.
+The float coefficient-space maps at the end of the module carry the same
+operations (values, derivatives, traces, moments) as matrices.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -41,7 +44,8 @@ class Simplex:
     ``vertices`` is an (m+1, m) array.  Subsimplices of a mesh cell are
     expressed in an orthonormal chart (origin + tangent frame), so tangential
     traces keep their metric meaning.  Exact rational copies of the geometry
-    back the barycentric gradients, the measure and the integral formula.
+    back the measure, the integral formula and (built on first use) the
+    barycentric gradients.
     """
 
     def __init__(self, vertices, chart_origin=None, chart_tangents=None):
@@ -57,11 +61,6 @@ class Simplex:
         if det == 0:
             raise ValueError("degenerate simplex (zero volume)")
         self._measure = abs(det) / Fraction(math.factorial(self.dim))
-        # lambda_j(x) = a_j + g_j . x, solved exactly from [1 | x_i] lam = e_i
-        rows = [[Fraction(1)] + vf[i] for i in range(self.dim + 1)]
-        inv = _fraction_matrix_inverse(rows)
-        self._bary_affine = [(inv[0][j], tuple(inv[i + 1][j] for i in range(self.dim)))
-                             for j in range(self.dim + 1)]
 
     @staticmethod
     def _det(rows):
@@ -92,6 +91,14 @@ class Simplex:
         origin = amb[0]
         intrinsic = (amb - origin) @ tan.T
         return cls(intrinsic, chart_origin=origin, chart_tangents=tan)
+
+    @cached_property
+    def _bary_affine(self):
+        """lambda_j(x) = a_j + g_j . x, solved exactly from [1 | x_i] lam = e_i."""
+        rows = [[Fraction(1)] + [Fraction(float(x)) for x in row] for row in self.vertices]
+        inv = _fraction_matrix_inverse(rows)
+        return [(inv[0][j], tuple(inv[i + 1][j] for i in range(self.dim)))
+                for j in range(self.dim + 1)]
 
     @property
     def measure(self):
@@ -159,24 +166,12 @@ def poly_mul(a, b):
     return out
 
 
-def poly_homogenize(a, nvars, target):
-    """Multiply by (sum lambda)^d so every exponent has total degree target."""
-    out = {}
-    ones = {tuple(int(i == j) for i in range(nvars)): 1 for j in range(nvars)}
-    for ea, ca in a.items():
-        d = target - sum(ea)
-        if d < 0:
-            raise ValueError("cannot homogenize downward")
-        term = {ea: ca}
-        for _ in range(d):
-            term = poly_mul(term, ones)
-        for k, v in term.items():
-            w = out.get(k, 0) + v
-            if w == 0:
-                out.pop(k, None)
-            else:
-                out[k] = w
-    return out
+def _merge_sign(k1, k2):
+    """Sign of the permutation sorting the axis tuple k1 + k2 (dy_k1 ^ dy_k2)."""
+    merged = k1 + k2
+    inversions = sum(1 for i in range(len(merged)) for j in range(i + 1, len(merged))
+                     if merged[i] > merged[j])
+    return -1 if inversions % 2 else 1
 
 
 def monomials(nvars, degree):
@@ -339,15 +334,8 @@ class FormPolynomial:
             for k2, p2 in other.comps.items():
                 if set(k1) & set(k2):
                     continue
-                merged = k1 + k2
-                order = tuple(sorted(merged))
-                perm = list(merged)
-                sign = 1
-                for i in range(len(perm)):
-                    for j in range(len(perm) - 1 - i):
-                        if perm[j] > perm[j + 1]:
-                            perm[j], perm[j + 1] = perm[j + 1], perm[j]
-                            sign = -sign
+                order = tuple(sorted(k1 + k2))
+                sign = _merge_sign(k1, k2)
                 prod = poly_mul(p1, p2)
                 tgt = out.setdefault(order, {})
                 for e, c in prod.items():
@@ -572,22 +560,186 @@ def _coefficient_matrix(forms, p):
     """Stack form coefficients (homogenized to degree p) into a dense matrix."""
     if not forms:
         return np.zeros((0, 0)), [], []
-    simplex = forms[0].simplex
+    m = forms[0].simplex.dim
+    mat = np.column_stack([coeffs(f, p) for f in forms])
+    return mat, list(combinations(range(m), forms[0].k)), monomials(m + 1, p)
+
+
+# ---------------------------------------------------------------------------
+# coefficient-space maps (float)
+#
+# A degree-p k-form on an m-simplex is a vector of barycentric monomial
+# coefficients, key-major: entry key_pos * N + alpha_pos with keys
+# combinations(range(m), k), alphas monomials(m + 1, p), N = len(alphas).
+# The Bernstein basis of full_basis is this basis scaled by multinomials.
+# DoF rows and operator images are products of the maps below.
+# ---------------------------------------------------------------------------
+
+_FACT = np.array([float(math.factorial(i)) for i in range(171)])
+
+
+def _frozen(a):
+    """Mark a cached array read-only: callers share it."""
+    a.setflags(write=False)
+    return a
+
+
+@lru_cache(maxsize=None)
+def exponent_array(nvars, degree):
+    """monomials(nvars, degree) as an integer array, one row per exponent."""
+    return _frozen(np.array(monomials(nvars, degree), dtype=int).reshape(-1, nvars))
+
+
+@lru_cache(maxsize=None)
+def _exponent_index(nvars, degree):
+    return {a: i for i, a in enumerate(monomials(nvars, degree))}
+
+
+@lru_cache(maxsize=None)
+def multinomials(nvars, degree):
+    """p!/alpha! for every exponent: the Bernstein scaling of full_basis."""
+    exps = exponent_array(nvars, degree)
+    return _frozen(_FACT[degree] / np.prod(_FACT[exps], axis=1))
+
+
+@lru_cache(maxsize=None)
+def elevation(nvars, p, q):
+    """Multiplication by (sum lambda)^(q-p): degree-p to degree-q coefficients."""
+    out = np.zeros((math.comb(q + nvars - 1, nvars - 1), math.comb(p + nvars - 1, nvars - 1)))
+    index = _exponent_index(nvars, q)
+    lifts = exponent_array(nvars, q - p)
+    weights = multinomials(nvars, q - p)
+    for col, a in enumerate(exponent_array(nvars, p)):
+        rows = [index[tuple(x)] for x in a + lifts]
+        out[rows, col] = weights
+    return _frozen(out)
+
+
+def _poly_coeffs(poly, nvars, p):
+    """Coefficient vector of a scalar polynomial dict homogenized to degree p."""
+    out = np.zeros(math.comb(p + nvars - 1, nvars - 1))
+    index = _exponent_index(nvars, p)
+    for e, c in poly.items():
+        deg = sum(e)
+        if deg == p:
+            out[index[e]] += float(c)
+        elif deg < p:
+            out += float(c) * elevation(nvars, deg, p)[:, _exponent_index(nvars, deg)[e]]
+        else:
+            raise ValueError("cannot homogenize downward")
+    return out
+
+
+def coeffs(form, p):
+    """Coefficient vector of a form, homogenized to degree p (see layout above)."""
+    m = form.simplex.dim
+    keys = list(combinations(range(m), form.k))
+    n = math.comb(p + m, m)
+    out = np.zeros(len(keys) * n)
+    for key, poly in form.comps.items():
+        pos = keys.index(key)
+        out[pos * n:(pos + 1) * n] = _poly_coeffs(poly, m + 1, p)
+    return out
+
+
+def derivative_matrix(simplex, direction, k, p):
+    """Directional derivative of each component: degree p to degree p-1."""
     m = simplex.dim
-    k = forms[0].k
+    slopes = simplex.grad_bary_float() @ np.asarray(direction, float)
+    lower = _exponent_index(m + 1, p - 1)
+    D = np.zeros((len(lower), len(exponent_array(m + 1, p))))
+    for col, a in enumerate(monomials(m + 1, p)):
+        for j in range(m + 1):
+            if a[j]:
+                D[lower[a[:j] + (a[j] - 1,) + a[j + 1:]], col] = a[j] * slopes[j]
+    return np.kron(np.eye(math.comb(m, k)), D)
+
+
+def proxy_matrix(m, k, w, p):
+    """Contraction of the vector proxy with w: k-form to 0-form coefficients.
+
+    The per-key factors are those of FormPolynomial.proxy_contract.
+    """
+    w = np.asarray(w, float)
     keys = list(combinations(range(m), k))
-    alphas = monomials(m + 1, p)
-    index = {}
-    for ki, key in enumerate(keys):
-        for ai, a in enumerate(alphas):
-            index[(key, a)] = ki * len(alphas) + ai
-    mat = np.zeros((len(keys) * len(alphas), len(forms)))
-    for col, f in enumerate(forms):
-        for key, poly in f.comps.items():
-            hom = poly_homogenize(poly, m + 1, p)
-            for e, c in hom.items():
-                mat[index[(key, e)], col] = float(c)
-    return mat, keys, alphas
+    if k == 1:
+        factors = [w[key[0]] for key in keys]
+    elif k == m - 1 and m >= 2:
+        missing = [next(i for i in range(m) if i not in key) for key in keys]
+        factors = [w[i] * (-1) ** i for i in missing]
+    elif k in (0, m):
+        factors = [w[0]] * len(keys)
+    else:
+        raise ValueError("no vector proxy for this form degree")
+    return np.kron(np.array(factors)[None, :], np.eye(math.comb(p + m, m)))
+
+
+@lru_cache(maxsize=None)
+def _trace_columns(nvars, vertex_map, p):
+    """Parent index of each child exponent of degree p, lifted through the map."""
+    child = exponent_array(len(vertex_map), p)
+    lifted = np.zeros((len(child), nvars), dtype=int)
+    lifted[:, list(vertex_map)] = child
+    index = _exponent_index(nvars, p)
+    return _frozen(np.array([index[tuple(a)] for a in lifted], dtype=int))
+
+
+def restriction_matrix(parent, child, vertex_map, k, p):
+    """Trace onto a subsimplex (FormPolynomial.restrict on coefficients)."""
+    m, d = parent.dim, child.dim
+    tan = child.chart_tangents
+    if parent.chart_tangents is not None:
+        tan = tan @ parent.chart_tangents.T
+    ckeys = list(combinations(range(d), k))
+    pkeys = list(combinations(range(m), k))
+    if k:
+        dets = np.linalg.det(np.array([[tan[np.ix_(ckey, pkey)] for pkey in pkeys]
+                                       for ckey in ckeys]))
+    else:
+        dets = np.ones((1, 1))
+    cols = _trace_columns(m + 1, tuple(vertex_map), p)
+    nc, nm = len(cols), math.comb(p + m, m)
+    R = np.zeros((len(ckeys) * nc, len(pkeys) * nm))
+    rows = np.arange(nc)
+    for i in range(len(ckeys)):
+        for j in range(len(pkeys)):
+            R[i * nc + rows, j * nm + cols] = dets[i, j]
+    return R
+
+
+def eval_row(simplex, point, p):
+    """Values of every degree-p monomial at one intrinsic point."""
+    lam = simplex.barycentric(np.asarray(point, float)[None, :])[0]
+    return np.prod(lam ** exponent_array(simplex.dim + 1, p), axis=1)
+
+
+@lru_cache(maxsize=None)
+def _moment_gram(nvars, p, q):
+    """(1/|s|) * integral of lambda^beta * lambda^gamma, beta of degree p, gamma of q."""
+    d = nvars - 1
+    total = exponent_array(nvars, p)[:, None, :] + exponent_array(nvars, q)[None, :, :]
+    return _frozen(_FACT[d] * np.prod(_FACT[total], axis=2) / _FACT[p + q + d])
+
+
+def moment_row(test, k, p):
+    """Row of u -> (1/|s|) * integral over s of u wedge test, u a degree-p k-form.
+
+    ``test`` is a form on s; k + test.k is 0 (scalar moment) or s.dim.
+    """
+    d = test.simplex.dim
+    if k + test.k not in (0, d):
+        raise ValueError("moment pairing must be scalar or top-degree")
+    q = test.max_degree()
+    n = math.comb(p + d, d)
+    keys = list(combinations(range(d), k))
+    row = np.zeros(len(keys) * n)
+    gram = _moment_gram(d + 1, p, q)
+    for tkey, poly in test.comps.items():
+        weights = gram @ _poly_coeffs(poly, d + 1, q)
+        for pos, key in enumerate(keys):
+            if not set(key) & set(tkey):
+                row[pos * n:(pos + 1) * n] += _merge_sign(key, tkey) * weights
+    return row
 
 
 def koszul(form):

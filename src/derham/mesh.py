@@ -66,6 +66,11 @@ class SimplicialMesh:
         self.dim = self.vertices.shape[1]
         if self.dim not in (1, 2, 3):
             raise ValueError("only dimensions 1..3 are supported")
+        nonfinite = np.flatnonzero(~np.isfinite(self.vertices).all(axis=1))
+        if nonfinite.size:
+            vi = int(nonfinite[0])
+            raise ValueError(f"vertex {vi} has a non-finite coordinate "
+                             f"{self.vertices[vi].tolist()}")
         cells = [tuple(sorted(int(i) for i in c)) for c in cells]
         if not cells:
             raise ValueError("mesh needs at least one cell")

@@ -74,6 +74,17 @@ def test_verify_corrupt_mesh(tmp_path, capsys):
     assert "cannot parse" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_verify_nonfinite_coordinate(tmp_path, capsys, token):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"dim": 2, "vertices": [[0, 0], [1, 0], [0, %s]], "cells": [[0, 1, 2]]}'
+                   % token)
+    rc = main(["verify", "--mesh", str(bad), "--row", "1", "--p", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "cannot parse" in err and "vertex 2 has a non-finite coordinate" in err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--row", "1"])
@@ -110,6 +121,20 @@ def test_bgg_report(square_path, capsys):
     assert data["identity_residual"] < 1e-10
     assert data["xi"]["exact"] is True
     assert data["stress"]["interior_identity"] is True
+
+
+def test_bgg_builds_one_context(square_path, monkeypatch, capsys):
+    from derham import bgg
+    builds = []
+    init = bgg.BGGContext.__init__
+
+    def counted(self, *args):
+        builds.append(args)
+        init(self, *args)
+    monkeypatch.setattr(bgg.BGGContext, "__init__", counted)
+    assert main(["bgg", "--mesh", square_path, "--p", "1"]) == 0
+    capsys.readouterr()
+    assert len(builds) == 1
 
 
 def test_compare_grid(capsys):

@@ -1,0 +1,113 @@
+"""DoF rows and operators against term-by-term FormPolynomial references."""
+
+from itertools import combinations
+
+import numpy as np
+import pytest
+
+from conftest import random_simplex
+from dof_reference import reference_operator, reference_value
+from derham import assembly, bgg
+from derham.elements import (CellWedgeMoment, ComponentMoment, NormalDerivMoment,
+                             PointDeriv, PointEval, ScalarMoment, TraceWedgeMoment,
+                             _InteriorComponent, cell_dofs, element_def)
+from derham.forms import FormPolynomial, coeffs, monomials
+from derham.mesh import SimplicialMesh
+
+# (DoF class, element (r, p, k, n) that carries it)
+CLASS_CASES = [
+    (PointEval, (0, 3, 0, 2)),
+    (PointEval, (1, 3, 1, 3)),           # proxy weight
+    (PointDeriv, (1, 3, 0, 3)),
+    (PointDeriv, (2, 4, 1, 2)),          # proxy weight, then derivative
+    (ScalarMoment, (0, 4, 0, 3)),        # edges and faces
+    (NormalDerivMoment, (2, 5, 0, 2)),
+    (ComponentMoment, (2, 4, 1, 2)),
+    (ComponentMoment, ("hz", 3, 2, 3)),  # edge normals in 3D
+    (TraceWedgeMoment, (1, 3, 1, 3)),
+    (TraceWedgeMoment, (0, 2, 2, 3)),
+    (CellWedgeMoment, (0, 3, 0, 2)),
+    (CellWedgeMoment, (0, 3, 1, 3)),
+    (_InteriorComponent, (2, 4, 1, 2)),
+]
+
+
+def _random_form(cell, k, degree, rng):
+    keys = combinations(range(cell.dim), k)
+    return FormPolynomial(cell, k, {key: {a: rng.normal() for a in monomials(cell.dim + 1, degree)}
+                                    for key in keys})
+
+
+@pytest.mark.parametrize("cls,family", CLASS_CASES,
+                         ids=["-".join(map(str, (c.__name__,) + f)) for c, f in CLASS_CASES])
+def test_row_matches_form_algebra(cls, family):
+    r, p, k, n = family
+    rng = np.random.default_rng([ord(c) for c in f"{cls.__name__}{family}"])
+    mesh = SimplicialMesh(random_simplex(n, rng), [tuple(range(n + 1))])
+    cell = mesh.cell_simplex(0)
+    cverts = tuple(range(n + 1))
+    dofs = [d for d in cell_dofs(element_def(r, p, k, n), mesh, 0) if type(d) is cls]
+    assert dofs
+    for degree in (p, p - 1, p - 2):     # forms of lower degree are elevated
+        u = _random_form(cell, k, degree, rng)
+        new = np.array([dof.row(cell, cverts, k, p) @ coeffs(u, p) for dof in dofs])
+        ref = np.array([reference_value(dof, u, cverts) for dof in dofs])
+        np.testing.assert_allclose(new, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+        # DoF.apply works at the form's own degree
+        assert abs(dofs[0].apply(u, cverts) - ref[0]) <= 1e-12 * max(np.abs(ref).max(), 1.0)
+
+
+def _assert_operator_matches(src, dst, fmap):
+    new = assembly.assemble_local_operator(src, dst, fmap).array
+    ref = reference_operator(src, dst, fmap)
+    assert np.abs(new - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _d(f):
+    return f.exterior_derivative()
+
+
+@pytest.mark.parametrize("mesh_name", ["tet", "tet2", "tet3"])
+@pytest.mark.parametrize("r,p", [(0, 3), (1, 2), (2, 2)])
+def test_3d_row_operators_match_reference(meshes, mesh_name, r, p):
+    spaces = [assembly.assemble_space(meshes[mesh_name], *s)
+              for s in assembly.family_row(3, r, p)]
+    for src, dst in zip(spaces, spaces[1:]):
+        _assert_operator_matches(src, dst, _d)
+
+
+def test_mixed_row_operators_match_reference(meshes):
+    # the third slot is the trimmed ("minus") space
+    spaces = [assembly.assemble_space(meshes["tet2"], *s)
+              for s in assembly.family_row(3, "mixed", 3)]
+    assert spaces[2].el.r == "minus"
+    for src, dst in zip(spaces, spaces[1:]):
+        _assert_operator_matches(src, dst, _d)
+
+
+@pytest.mark.parametrize("which", ["embed", "skew_trace", "grad"])
+def test_bgg_maps_match_reference(meshes, which):
+    ctx = bgg.BGGContext(meshes["square"], 2)
+    src, dst, fmap = {
+        "embed": (ctx.hermite, ctx.pressure,
+                  lambda f: bgg._embed_component(f, 1).exterior_derivative()),
+        "skew_trace": (ctx.stenberg, ctx.pressure, lambda f: bgg._skew_trace(f, 0)),
+        "grad": (ctx.argyris, ctx.hermite, lambda f: bgg._grad_component(f, 1)),
+    }[which]
+    _assert_operator_matches(src, dst, fmap)
+
+
+def test_image_below_target_degree_is_elevated(meshes):
+    # d of quadratic scalars is linear; the target holds degree 2
+    src = assembly.assemble_space(meshes["tri3"], 0, 2, 0)
+    dst = assembly.assemble_space(meshes["tri3"], 0, 2, 1)
+    _assert_operator_matches(src, dst, _d)
+
+
+def test_cross_cell_disagreement_reports_first_entry(meshes):
+    # gradients of Lagrange functions have two-valued vertex data; the first
+    # disagreeing entry in cell order is named, with both values
+    src = assembly.assemble_space(meshes["square"], 0, 2, 0)
+    dst = assembly.assemble_space(meshes["square"], 1, 2, 1)
+    with pytest.raises(RuntimeError, match=r"disagrees across cells at \(0,0\): -4.0 vs 0.0"):
+        assembly.assemble_local_operator(src, dst, _d)

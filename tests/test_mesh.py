@@ -43,6 +43,12 @@ def test_degenerate_cell_rejected():
         build_mesh([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], [(0, 1, 2)])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_nonfinite_vertex_rejected(bad):
+    with pytest.raises(ValueError, match="vertex 2 has a non-finite coordinate"):
+        SimplicialMesh([[0.0, 0.0], [1.0, 0.0], [bad, 1.0]], [(0, 1, 2)])
+
+
 def test_duplicate_cell_rejected():
     with pytest.raises(ValueError, match="duplicate"):
         build_mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [(0, 1, 2), (2, 1, 0)])
