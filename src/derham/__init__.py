@@ -8,26 +8,22 @@ jet and bubble sequences, and the 2D symmetric-stress construction.
 
 from .assembly import (assemble_d, assemble_space, dim_formula, dof_savings,
                        family_row, homogeneous_row_report, mixed_sequence,
-                       restrict_homogeneous, space_equal, verify_exactness)
+                       restrict_homogeneous, space_equal, verify_decomposition,
+                       verify_exactness)
 from .elements import (dof_matrix, dual_basis, element_def, jet_complex_ranks,
-                       subsimplex_bubble_dims, unisolvence_check,
-                       verify_decomposition)
+                       subsimplex_bubble_dims, unisolvence_check)
 from .forms import (FormPolynomial, Simplex, SpaceBasis, dim_full,
-                    dim_trimmed, integrate_monomial, space_basis,
-                    trimmed_basis)
-from .mesh import (SimplicialMesh, build_mesh, classify_boundary,
-                   cube_center_fan_grid, euler_characteristic)
+                    dim_trimmed, space_basis, trimmed_basis)
+from .mesh import SimplicialMesh, cube_center_fan_grid
 
 __all__ = [
     "FormPolynomial", "Simplex", "SimplicialMesh", "SpaceBasis",
-    "assemble_d", "assemble_space", "build_mesh", "classify_boundary",
-    "cube_center_fan_grid", "dim_formula", "dim_full", "dim_trimmed",
-    "dof_matrix", "dof_savings", "dual_basis", "element_def",
-    "euler_characteristic", "family_row", "homogeneous_row_report",
-    "integrate_monomial", "jet_complex_ranks", "mixed_sequence",
-    "restrict_homogeneous", "space_basis", "space_equal",
-    "subsimplex_bubble_dims", "trimmed_basis", "unisolvence_check",
-    "verify_exactness",
+    "assemble_d", "assemble_space", "cube_center_fan_grid", "dim_formula",
+    "dim_full", "dim_trimmed", "dof_matrix", "dof_savings", "dual_basis",
+    "element_def", "family_row", "homogeneous_row_report",
+    "jet_complex_ranks", "mixed_sequence", "restrict_homogeneous",
+    "space_basis", "space_equal", "subsimplex_bubble_dims", "trimmed_basis",
+    "unisolvence_check", "verify_decomposition", "verify_exactness",
 ]
 
 __version__ = "0.1.0"

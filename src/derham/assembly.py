@@ -21,31 +21,15 @@ from itertools import combinations
 
 import numpy as np
 
-from . import elements
 from .elements import (dof_rows, element_def, entity_dofs, shape_basis,
                        shape_coeffs, tangential_bubble_span, zero_trace_dim)
-from .forms import FormPolynomial, RANK_RTOL, _coefficient_matrix, coeffs, monomials
+from .forms import (FormPolynomial, RANK_RTOL, _coefficient_matrix, coeffs,
+                    eval_row, moment_row, monomials, nullspace, rank_of,
+                    restriction_matrix)
 from .mesh import SimplicialMesh
 
 DD_TOL = 1e-10
 CONTAINMENT_TOL = 1e-8
-
-
-def rank_of(mat, rtol=RANK_RTOL):
-    if mat.size == 0:
-        return 0
-    sv = np.linalg.svd(mat, compute_uv=False)
-    if sv[0] == 0:
-        return 0
-    return int(np.sum(sv > rtol * sv[0]))
-
-
-def nullspace(mat, rtol=RANK_RTOL):
-    if mat.size == 0:
-        return np.eye(mat.shape[1] if mat.ndim == 2 else 0)
-    u, s, vt = np.linalg.svd(mat, full_matrices=True)
-    rank = int(np.sum(s > rtol * s[0])) if s.size and s[0] > 0 else 0
-    return vt[rank:].T
 
 
 class GlobalSpace:
@@ -122,6 +106,11 @@ class GlobalSpace:
         if ci not in self._duals:
             self._duals[ci] = np.linalg.inv(self.local_matrix(ci))
         return self._duals[ci]
+
+    def dual_fields(self, ci, p=None):
+        """Coefficients of the local dual basis at degree p, one column per DoF."""
+        p = self.el.p if p is None else p
+        return _coefficient_matrix(self.shapes(ci), p)[0] @ self.dual_coeffs(ci)
 
     def dual_form(self, ci, local_index):
         C = self.dual_coeffs(ci)
@@ -455,8 +444,7 @@ class BrokenSpace:
         mat = np.zeros((self.size, space.dim))
         for ci in range(len(self.mesh.cells)):
             cols = space.cell_global[ci]
-            S, _, _ = _coefficient_matrix([f.as_float() for f in space.shapes(ci)], self.p)
-            mat[ci * self.block:(ci + 1) * self.block, cols] = S @ space.dual_coeffs(ci)
+            mat[ci * self.block:(ci + 1) * self.block, cols] = space.dual_fields(ci, self.p)
         return mat
 
     def matrix_of_forms(self, cell_form_lists):
@@ -568,12 +556,9 @@ def homogeneous_constraints(space, classification):
         r = np.zeros(space.dim)
         for ci in range(len(mesh.cells)):
             cell = mesh.cell_simplex(ci)
-            ints = np.array([float(b.as_float().wedge(
-                FormPolynomial(cell, 0, {(): {(0,) * (mesh.dim + 1): 1.0}})).integrate())
-                for b in space.shapes(ci)])
-            vals = ints @ space.dual_coeffs(ci)
-            for i_loc, gi in enumerate(space.cell_global[ci]):
-                r[gi] = vals[i_loc]
+            one = FormPolynomial(cell, 0, {(): {(0,) * (mesh.dim + 1): 1.0}})
+            integral = float(cell.measure) * moment_row(one, el.k, el.p)
+            r[space.cell_global[ci]] += integral @ space.dual_fields(ci)
         rows.append(r)
     elif mesh.dim == 3 and el.r == 2 and el.k == 0:
         for fi in bfaces:
@@ -804,8 +789,7 @@ def _vector_lift_columns(br, scalar_space, ncomp):
     cols = np.zeros((br.size, ncomp * scalar_space.dim))
     nalpha = len(br.alphas)
     for ci in range(len(mesh.cells)):
-        S, _, _ = _coefficient_matrix([f.as_float() for f in scalar_space.shapes(ci)], br.p)
-        vals = S @ scalar_space.dual_coeffs(ci)   # (nalpha, nloc)
+        vals = scalar_space.dual_fields(ci, br.p)   # (nalpha, nloc)
         for comp in range(ncomp):
             key_pos = br.keys.index((comp,))
             rows = slice(ci * br.block + key_pos * nalpha,
@@ -820,6 +804,8 @@ def interpolation_split_residual(mesh, p, seed=0, n_samples=25):
     Realizes the interpolation onto the vector-Hermite space that copies all
     shared DoFs of u, keeps interior moments, and zeroes face-normal parts;
     the remainder must be a tangential-trace-free bubble on every cell.
+    Everything is per-cell coefficients: the key blocks of a 1-form are its
+    proxy components, scalar DoFs are rows, traces are restriction matrices.
     """
     rng = np.random.default_rng(seed)
     target = assemble_space(mesh, 2, p, 1)
@@ -827,51 +813,30 @@ def interpolation_split_residual(mesh, p, seed=0, n_samples=25):
     worst = 0.0
     for trial in range(2):
         x = rng.normal(size=target.dim)
-        comp_vecs = []
-        for comp in range(3):
-            y = np.zeros(scalar.dim)
-            done = np.zeros(scalar.dim, dtype=bool)
-            for ci in range(len(mesh.cells)):
-                u = FormPolynomial(mesh.cell_simplex(ci), 1)
-                for i_loc, gi in enumerate(target.cell_global[ci]):
-                    if x[gi] != 0.0:
-                        u = u + target.dual_form(ci, i_loc).scale(x[gi])
-                cverts = tuple(int(v) for v in mesh.cells[ci])
-                for dof, gi in zip(scalar.cell_dof_objs[ci], scalar.cell_global[ci]):
-                    if done[gi]:
-                        continue
-                    done[gi] = True
-                    e = np.zeros(3)
-                    e[comp] = 1.0
-                    if dof.entity_dim == 2:
-                        fi = mesh.simplex_id(dof.entity_verts)
-                        nu = mesh.frame(2, fi).normals[0]
-                        e = e - (e @ nu) * nu
-                    scalar_form = u.contract_vector(e)
-                    y[gi] = dof.apply(scalar_form, cverts)
-            comp_vecs.append(y)
+        u = [target.dual_fields(ci) @ x[target.cell_global[ci]] for ci in range(len(mesh.cells))]
+        # scalar DoFs of the three components; face DoFs see the tangential part
+        y = np.zeros((scalar.dim, 3))
+        done = np.zeros(scalar.dim, dtype=bool)
+        for ci in range(len(mesh.cells)):
+            vals = scalar.dof_rows(ci) @ u[ci].reshape(3, -1).T
+            for l, dof in enumerate(scalar.cell_dof_objs[ci]):
+                if dof.entity_dim == 2:
+                    nu = mesh.frame(2, mesh.simplex_id(dof.entity_verts)).normals[0]
+                    vals[l] -= (vals[l] @ nu) * nu
+            gidx = scalar.cell_global[ci]
+            new = ~done[gidx]
+            y[gidx[new]] = vals[new]
+            done[gidx] = True
         for ci in range(len(mesh.cells)):
             cell = mesh.cell_simplex(ci)
-            u = FormPolynomial(cell, 1)
-            for i_loc, gi in enumerate(target.cell_global[ci]):
-                if x[gi] != 0.0:
-                    u = u + target.dual_form(ci, i_loc).scale(x[gi])
-            for comp in range(3):
-                g = FormPolynomial(cell, 0)
-                for i_loc, gi in enumerate(scalar.cell_global[ci]):
-                    if comp_vecs[comp][gi] != 0.0:
-                        g = g + scalar.dual_form(ci, i_loc).scale(comp_vecs[comp][gi])
-                u = u + FormPolynomial(cell, 1, {(comp,): g.comps.get((), {})}).scale(-1.0)
-            scale = 1.0
-            for fpos, fverts in enumerate(combinations(tuple(int(v) for v in mesh.cells[ci]), 3)):
-                fi = mesh.simplex_id(fverts)
-                sub = mesh.sub_simplex(2, fi)
-                vmap = [tuple(int(v) for v in mesh.cells[ci]).index(v) for v in fverts]
-                tr = u.restrict(sub, vmap)
+            cverts = tuple(int(v) for v in mesh.cells[ci])
+            rest = u[ci] - (scalar.dual_fields(ci) @ y[scalar.cell_global[ci]]).T.ravel()
+            for fverts in combinations(cverts, 3):
+                sub = mesh.sub_simplex(2, mesh.simplex_id(fverts))
+                trace = restriction_matrix(cell, sub, [cverts.index(v) for v in fverts], 1, p) @ rest
                 pts = sub.random_points(n_samples, rng)
-                vals = tr.eval(pts)
-                for v in vals.values():
-                    worst = max(worst, np.abs(v).max() / scale)
+                values = np.array([eval_row(sub, pt, p) for pt in pts]) @ trace.reshape(2, -1).T
+                worst = max(worst, np.abs(values).max())
     return worst
 
 

@@ -19,10 +19,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .assembly import (assemble_d, assemble_local_operator, assemble_space,
-                       nullspace, rank_of)
-from .forms import (FormPolynomial, dim_trimmed, full_basis, monomials,
-                    poly_mul)
+from .assembly import assemble_d, assemble_local_operator, assemble_space
+from .forms import (FormPolynomial, derivative_matrix, dim_trimmed, eval_row,
+                    jet_rows, moment_gram, monomials, multinomials, nullspace,
+                    rank_of, restriction_matrix)
 from .mesh import SimplicialMesh
 
 
@@ -122,8 +122,8 @@ class BGGContext:
         else:
             # below the nodal range the skew 0-form slot is the constraint-defined
             # smooth scalar space; ranks are computed on its spanning columns
-            per_cell, N = _constrained_smooth_scalar_span(self.mesh, self.p + 3)
-            dK0 = _constrained_grad_dofs(self.mesh, per_cell, N, self.hermite)
+            N = _constrained_smooth_scalar_span(self.mesh, self.p + 3)
+            dK0 = _constrained_grad_dofs(self.mesh, N, self.hermite)
             A0 = np.block([[dK0, -self.S0],
                            [np.zeros((2 * St, N.shape[1])), self.dV0]])
             dim_xi0 = N.shape[1] + 2 * H
@@ -146,18 +146,6 @@ class BGGContext:
         }
 
 
-def s0_operator(mesh, p):
-    """Isomorphism between the vector 0-form pair and the skew 1-form pair."""
-    ctx = BGGContext(mesh, p)
-    return ctx.S0
-
-
-def s1_operator(mesh, p):
-    """Trace map onto the skew 2-form space; surjective."""
-    ctx = BGGContext(mesh, p)
-    return ctx.S1
-
-
 def verify_bgg_identity(mesh, p):
     """Max entry of D1 S0 + S1 D0 relative to the term magnitudes."""
     return BGGContext(mesh, p).identity_residual()
@@ -171,76 +159,58 @@ def _constrained_smooth_scalar_span(mesh, p):
     """Spanning basis of {piecewise P_p: C^1 across edges, C^2 at vertices}.
 
     Used for the skew 0-form slot when p < 5, where no unisolvent nodal DoF
-    set exists; the space itself is still well defined.
+    set exists; the space itself is still well defined.  Columns are stacked
+    per-cell monomial coefficients of degree p.
     """
     ncells = len(mesh.cells)
-    per_cell = [full_basis(mesh.cell_simplex(ci), p, 0) for ci in range(ncells)]
-    nloc = len(per_cell[0])
-    size = ncells * nloc
-    rows = []
+    nloc = math.comb(p + 2, 2)
+    cells = [mesh.cell_simplex(ci) for ci in range(ncells)]
+    cverts = [tuple(int(v) for v in c) for c in mesh.cells]
 
+    def jump(first, second, blocks):
+        """Rows: blocks[first] on the first cell minus blocks[second] on the second."""
+        out = np.zeros((len(blocks[first]), ncells * nloc))
+        out[:, first * nloc:(first + 1) * nloc] = blocks[first]
+        out[:, second * nloc:(second + 1) * nloc] = -blocks[second]
+        return out
+
+    rows = []
     # C^0 and C^1 across interior edges: trace and normal-derivative jumps
-    for ei in range(len(mesh.skeleton[1])):
+    for ei, everts in enumerate(mesh.skeleton[1]):
         cof = mesh.cofaces[1][ei]
         if len(cof) != 2:
             continue
         sub = mesh.sub_simplex(1, ei)
-        everts = mesh.skeleton[1][ei]
         nu = mesh.frame(1, ei).normals[0]
-        for deg_shift, deriv in ((0, None), (1, nu)):
-            deg = p - deg_shift
-            coeff = {}
-            for ci in cof:
-                cverts = tuple(int(v) for v in mesh.cells[ci])
-                vmap = [cverts.index(v) for v in everts]
-                sgn = 1.0 if ci == cof[0] else -1.0
-                for j, b in enumerate(per_cell[ci]):
-                    g = b if deriv is None else b.directional_derivative(deriv)
-                    tr = g.restrict(sub, vmap)
-                    for e, c in tr.comps.get((), {}).items():
-                        key = e
-                        row = coeff.setdefault(key, np.zeros(size))
-                        row[ci * nloc + j] += sgn * float(c)
-            rows.extend(coeff.values())
+        value, normal = {}, {}
+        for ci in cof:
+            vmap = [cverts[ci].index(v) for v in everts]
+            value[ci] = restriction_matrix(cells[ci], sub, vmap, 0, p)
+            normal[ci] = (restriction_matrix(cells[ci], sub, vmap, 0, p - 1)
+                          @ derivative_matrix(cells[ci], nu, 0, p))
+        rows += [jump(*cof, value), jump(*cof, normal)]
     # C^2 at vertices: second derivatives agree across all incident cells
-    axes = [np.eye(2)[i] for i in range(2)]
-    for vi in range(len(mesh.skeleton[0])):
-        cof = mesh.cofaces[0][vi]
-        if len(cof) < 2:
-            continue
-        pt = mesh.vertices[vi]
-        for (i1, i2) in ((0, 0), (0, 1), (1, 1)):
-            base = cof[0]
-            for other in cof[1:]:
-                row = np.zeros(size)
-                for ci, sgn in ((base, 1.0), (other, -1.0)):
-                    for j, b in enumerate(per_cell[ci]):
-                        g = b.directional_derivative(axes[i1]).directional_derivative(axes[i2])
-                        v = g.eval(pt[None, :])[()].item() if () in g.comps else 0.0
-                        row[ci * nloc + j] += sgn * v
-                rows.append(row)
-    A = np.array(rows) if rows else np.zeros((0, size))
-    N = nullspace(A)
-    return per_cell, N
+    for vi, cof in enumerate(mesh.cofaces[0]):
+        second = {ci: jet_rows(cells[ci], mesh.vertices[vi], p, 2) for ci in cof}
+        rows += [jump(cof[0], other, second) for other in cof[1:]]
+    A = np.vstack(rows) if rows else np.zeros((0, ncells * nloc))
+    return nullspace(A)
 
 
-def _constrained_grad_dofs(mesh, per_cell, N, hermite):
+def _constrained_grad_dofs(mesh, N, hermite):
     """Hermite-pair DoF vectors of the gradients of constrained scalars."""
-    ncells = len(mesh.cells)
-    nloc = len(per_cell[0])
+    q = hermite.el.p + 1
+    nloc = math.comb(q + 2, 2)
     blocks = []
-    for comp in (0, 1):
+    for axis in np.eye(2):
         out = np.zeros((hermite.dim, N.shape[1]))
-        for col in range(N.shape[1]):
-            forms = {}
-            for ci in range(ncells):
-                f = FormPolynomial(mesh.cell_simplex(ci), 0)
-                for j in range(nloc):
-                    c = N[ci * nloc + j, col]
-                    if c != 0.0:
-                        f = f + per_cell[ci][j].as_float().scale(c)
-                forms[ci] = _grad_component(f, comp)
-            out[:, col] = hermite.apply_global_dofs(forms)
+        seen = np.zeros(hermite.dim, dtype=bool)
+        for ci in range(len(mesh.cells)):
+            grad = derivative_matrix(mesh.cell_simplex(ci), axis, 0, q)
+            gidx = hermite.cell_global[ci]
+            new = ~seen[gidx]
+            out[gidx[new]] = (hermite.dof_rows(ci) @ grad @ N[ci * nloc:(ci + 1) * nloc])[new]
+            seen[gidx] = True
         blocks.append(out)
     return np.vstack(blocks)
 
@@ -276,47 +246,67 @@ def xi_commuting_residual(mesh, p):
 # symmetric stress element
 # ---------------------------------------------------------------------------
 
-def _matrix_monomials(cell, p, sym=False):
-    """Basis of matrix-valued polynomials as (component, scalar form) pairs."""
-    comps = [(0, 0), (0, 1), (1, 0), (1, 1)] if not sym else [(0, 0), (0, 1), (1, 1)]
-    basis = []
-    for comp in comps:
-        for b in full_basis(cell, p, 0):
-            basis.append((comp, b))
-    return basis
+# entries m_ab of a 2x2 matrix field, in block order
+_ENTRIES = ((0, 0), (0, 1), (1, 0), (1, 1))
+# a symmetric field (s00, s01, s11) written as the four entries
+_SYM = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 
 
-def _sym_bubble_tests(mesh, p):
-    """Symmetric matrix polynomials with vanishing boundary normal trace."""
-    cell = mesh.cell_simplex(0)
-    basis = _matrix_monomials(cell, p, sym=True)
-    cverts = tuple(int(v) for v in mesh.cells[0])
-    rows = {}
-    for j, (comp, b) in enumerate(basis):
-        for ei in range(3):
-            sub = mesh.sub_simplex(1, ei)
-            everts = mesh.skeleton[1][ei]
-            vmap = [cverts.index(v) for v in everts]
-            nu = mesh.frame(1, ei).normals[0]
-            # (M nu)_i trace: components: row i of M dotted with nu
-            for i in range(2):
-                a, bb = comp
-                # m_ab contributes to (M nu)_i when i == a (factor nu_b),
-                # plus the symmetric copy when a != bb and i == bb (factor nu_a)
-                factor = 0.0
-                if i == a:
-                    factor += nu[bb]
-                if a != bb and i == bb:
-                    factor += nu[a]
-                if factor == 0.0:
-                    continue
-                tr = b.restrict(sub, vmap)
-                for e, c in tr.comps.get((), {}).items():
-                    key = (ei, i, e)
-                    rows.setdefault(key, np.zeros(len(basis)))[j] += factor * float(c)
-    A = np.array(list(rows.values()))
-    N = nullspace(A)
-    return basis, N
+def _entry(a, b, nq):
+    """Coefficients of the entry m_ab in a matrix field with nq per entry."""
+    return slice((2 * a + b) * nq, (2 * a + b + 1) * nq)
+
+
+def _stress_rows(mesh, ci, q):
+    """The stress DoFs of one cell as rows over its degree-q matrix fields.
+
+    A matrix field is four blocks of barycentric coefficients, one per entry
+    m_ab in the order of _ENTRIES.  The rows are: every entry at each vertex;
+    on each edge, the moments of (M nu)_i against the degree q-2 monomials;
+    the moments of the skew part m10 - m01 against the monomials vanishing at
+    the vertices; the Frobenius moments against the symmetric fields with
+    zero normal trace.  Moments are normalized by the measure.  Returns
+    (F, slots), one slot label per row.
+    """
+    cell = mesh.cell_simplex(ci)
+    cverts = tuple(int(v) for v in mesh.cells[ci])
+    nq = math.comb(q + 2, 2)
+
+    def entries(blocks):
+        """Rows over the four entry blocks from {entry: rows over that entry}."""
+        height = next(iter(blocks.values())).shape[0]
+        out = np.zeros((height, 4 * nq))
+        for (a, b), rows in blocks.items():
+            out[:, _entry(a, b, nq)] = rows
+        return out
+
+    rows, slots = [], []
+    for vi in cverts:
+        value = eval_row(cell, mesh.vertices[vi], q)[None, :]
+        for ab in _ENTRIES:
+            rows.append(entries({ab: value}))
+            slots.append(("vertex", vi, ab))
+    edge_tests = monomials(2, q - 2)
+    edge_gram = moment_gram(2, q, q - 2).T
+    traces = []
+    for everts in combinations(cverts, 2):
+        ei = mesh.simplex_id(everts)
+        R = restriction_matrix(cell, mesh.sub_simplex(1, ei),
+                               [cverts.index(v) for v in everts], 0, q)
+        nu = mesh.frame(1, ei).normals[0]
+        for i in range(2):
+            traces.append(entries({(i, 0): nu[0] * R, (i, 1): nu[1] * R}))
+            rows.append(edge_gram @ traces[-1])
+            slots += [("edge", ei, i, mono) for mono in edge_tests]
+    gram = moment_gram(3, q, q)
+    skew = [pos for pos, a in enumerate(monomials(3, q)) if max(a) < q]
+    rows.append(entries({(1, 0): gram[skew], (0, 1): -gram[skew]}))
+    slots += [("skew", ci, monomials(3, q)[pos]) for pos in skew]
+    sym = np.kron(_SYM, np.eye(nq))
+    theta = sym @ nullspace(np.vstack(traces) @ sym)
+    rows.append(theta.T @ np.kron(np.eye(4), gram))
+    slots += [("sym", ci, t) for t in range(theta.shape[1])]
+    return np.vstack(rows), slots
 
 
 @dataclass
@@ -337,115 +327,35 @@ def huzhang_stress(p, vertices=((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))):
 
     DoFs on one triangle: matrix values at vertices, normal-trace moments on
     edges, interior skew moments against vertex-vanishing scalars, interior
-    moments against symmetric normal-trace-free matrix bubbles.
+    moments against symmetric normal-trace-free matrix bubbles.  They are
+    applied to the matrix Bernstein basis, full and symmetric; the symmetric
+    system keeps one vertex row per distinct entry and no skew rows.
     """
     if p < 3:
         raise ValueError("the stress element requires p >= 3 (cubics)")
     mesh = SimplicialMesh(np.asarray(vertices, float), [(0, 1, 2)])
-    cell = mesh.cell_simplex(0)
-    cverts = (0, 1, 2)
-    sym_tests, Nsym = _sym_bubble_tests(mesh, p)
-
-    def apply_dofs(basis, sym):
-        cols = []
-        vtx_targets = [(0, 0), (0, 1), (1, 1)] if sym else \
-                      [(0, 0), (0, 1), (1, 0), (1, 1)]
-        for (comp, b) in basis:
-            a, bb = comp
-            col = []
-            for vi in range(3):
-                pt = mesh.vertices[vi]
-                for target in vtx_targets:
-                    col.append(b.eval(pt[None, :])[()].item()
-                               if comp == target else 0.0)
-            for ei in range(3):
-                sub = mesh.sub_simplex(1, ei)
-                everts = mesh.skeleton[1][ei]
-                nu = mesh.frame(1, ei).normals[0]
-                vmap = [cverts.index(v) for v in everts]
-                tr = b.restrict(sub, vmap)
-                for i in range(2):
-                    factor = nu[bb] if i == a else 0.0
-                    if sym and a != bb and i == bb:
-                        factor += nu[a]
-                    for q in monomials(2, p - 2):
-                        if factor == 0.0:
-                            col.append(0.0)
-                            continue
-                        prod = poly_mul(tr.comps.get((), {}), {q: 1})
-                        val = sum(float(c) * float(sub.integrate_monomial(e))
-                                  for e, c in prod.items())
-                        col.append(factor * val / sub.measure_float)
-            # interior skew moments: (m10 - m01) against vertex-vanishing tests
-            if sym:
-                sgn = 0.0   # symmetric members have no skew part
-            elif comp == (1, 0):
-                sgn = 1.0
-            elif comp == (0, 1):
-                sgn = -1.0
-            else:
-                sgn = 0.0
-            for qa in monomials(3, p):
-                if max(qa) == p:
-                    continue
-                if sgn == 0.0:
-                    col.append(0.0)
-                else:
-                    prod = poly_mul(b.comps[()], {qa: 1})
-                    val = sum(float(c) * float(cell.integrate_monomial(e))
-                              for e, c in prod.items())
-                    col.append(sgn * val / cell.measure_float)
-            # interior symmetric-bubble moments (Frobenius pairing)
-            for t in range(Nsym.shape[1]):
-                val = 0.0
-                for jj, (tcomp, tb) in enumerate(sym_tests):
-                    w = Nsym[jj, t]
-                    if w == 0.0:
-                        continue
-                    mult = _pair_weight(comp, tcomp, sym)
-                    if mult == 0.0:
-                        continue
-                    prod = poly_mul(b.comps[()], tb.comps[()])
-                    val += w * mult * sum(float(c) * float(cell.integrate_monomial(e))
-                                          for e, c in prod.items())
-                col.append(val / cell.measure_float)
-            cols.append(col)
-        return np.array(cols).T
-
-    skew_interior = math.comb(p + 2, 2) - 3
-    full = _matrix_monomials(cell, p, sym=False)
-    M = apply_dofs(full, sym=False)
-    sym_interior = Nsym.shape[1]
+    F, slots = _stress_rows(mesh, 0, p)
+    bernstein = np.diag(multinomials(3, p))
+    M = F @ np.kron(np.eye(4), bernstein)
     sv = np.linalg.svd(_row_normalized(M), compute_uv=False)
     unis = M.shape[0] == M.shape[1] and sv[-1] > 1e-8 * sv[0]
 
-    symb = _matrix_monomials(cell, p, sym=True)
-    Ms = apply_dofs(symb, sym=True)
-    keep = [i for i in range(Ms.shape[0]) if np.abs(Ms[i]).max() > 0.0]
-    Ms = Ms[keep]
+    keep = [s for s, slot in enumerate(slots) if slot[0] != "skew"
+            and not (slot[0] == "vertex" and slot[2] == (1, 0))]
+    Ms = F[keep] @ np.kron(_SYM, bernstein)
     svs = np.linalg.svd(_row_normalized(Ms), compute_uv=False)
     sym_unis = Ms.shape[0] == Ms.shape[1] and svs[-1] > 1e-8 * svs[0]
 
+    skew_interior = sum(slot[0] == "skew" for slot in slots)
+    sym_interior = sum(slot[0] == "sym" for slot in slots)
     identity = (skew_interior + sym_interior) == 2 * dim_trimmed(2, p - 1, 1)
     return StressElementReport(
-        p=p, n_dofs=M.shape[0], dim_shape=len(full),
+        p=p, n_dofs=M.shape[0], dim_shape=M.shape[1],
         skew_interior=skew_interior, sym_interior=sym_interior,
         interior_identity=identity, unisolvent=bool(unis),
         sym_restricted_unisolvent=bool(sym_unis),
         sigma_ratio=float(sv[-1] / sv[0]),
     )
-
-
-def _pair_weight(comp, tcomp, sym_basis):
-    """Frobenius weight of a shape component against a symmetric test one."""
-    a, b = comp
-    ta, tb = tcomp
-    hit = (a, b) == (ta, tb) or (ta != tb and (a, b) == (tb, ta))
-    if not hit:
-        return 0.0
-    if sym_basis and a != b:
-        return 2.0   # the member stands for both off-diagonal entries
-    return 1.0
 
 
 def _row_normalized(M):
@@ -461,124 +371,40 @@ def _row_normalized(M):
 def _grouped_stress_functionals(ctx):
     """The stress-element DoF system on the matrix-valued 1-form space.
 
-    Returns (T, layout): T maps the assembled pair coordinates to grouped DoF
-    values ordered as vertex matrix entries, edge normal-trace moments,
-    interior skew moments, interior symmetric-bubble moments.  T is square
-    and invertible (the grouped system is unisolvent on the same space).
+    Returns (T, slots): T maps the assembled pair coordinates to grouped DoF
+    values, one row per slot, ordered as vertex matrix entries, edge
+    normal-trace moments, then each cell's interior skew and symmetric-bubble
+    moments.  T is square and invertible (the grouped system is unisolvent on
+    the same space).
     """
-    mesh = ctx.mesh
+    mesh, sten = ctx.mesh, ctx.stenberg
     q = ctx.p + 1
-    St = ctx.stenberg.dim
-    sten = ctx.stenberg
+    nq = math.comb(q + 2, 2)
+    per_cell = [_stress_rows(mesh, ci, q) for ci in range(len(mesh.cells))]
+    slots = [("vertex", vi, ab) for vi in range(len(mesh.skeleton[0])) for ab in _ENTRIES]
+    slots += [("edge", ei, i, mono) for ei in range(len(mesh.skeleton[1]))
+              for i in range(2) for mono in monomials(2, q - 2)]
+    slots += [slot for _, cell_slots in per_cell for slot in cell_slots
+              if slot[0] in ("skew", "sym")]
+    index = {slot: s for s, slot in enumerate(slots)}
 
-    slots = []            # (kind, data); shared slots listed once
-    vert_slot = {}
-    for vi in range(len(mesh.skeleton[0])):
-        for ab in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            vert_slot[(vi, ab)] = len(slots)
-            slots.append(("vertex", vi, ab))
-    edge_slot = {}
-    for ei in range(len(mesh.skeleton[1])):
-        for i in range(2):
-            for mono in monomials(2, q - 2):
-                edge_slot[(ei, i, mono)] = len(slots)
-                slots.append(("edge", ei, i, mono))
-    cell_base = {}
-    sym_tests = {}
-    for ci in range(len(mesh.cells)):
-        cell_base[ci] = len(slots)
-        for mono in monomials(3, q):
-            if max(mono) < q:
-                slots.append(("skew", ci, mono))
-        single = SimplicialMesh(mesh.vertices[list(mesh.cells[ci])],
-                                [tuple(range(3))])
-        tests, N = _sym_bubble_tests(single, q)
-        sym_tests[ci] = (tests, N)
-        for t in range(N.shape[1]):
-            slots.append(("sym", ci, t))
-
-    T = np.zeros((len(slots), 2 * St))
+    T = np.zeros((len(slots), 2 * sten.dim))
     filled = np.zeros(len(slots), dtype=bool)
-
-    # shared slots pair only with shared DoFs of their own entity, so one
-    # evaluation from the first containing cell covers every nonzero entry
-    for ci in range(len(mesh.cells)):
-        cell = mesh.cell_simplex(ci)
-        cverts = tuple(int(v) for v in mesh.cells[ci])
-        nloc = len(sten.cell_dof_objs[ci])
-        local_duals = [sten.dual_form(ci, l) for l in range(nloc)]
-        vert_new = [vi for vi in cverts if not filled[vert_slot[(vi, (0, 0))]]]
-        edge_new = [mesh.simplex_id(pair) for pair in combinations(cverts, 2)
-                    if not filled[edge_slot[(mesh.simplex_id(pair), 0,
-                                             monomials(2, q - 2)[0])]]]
-        for row in range(2):
-            for l, g in enumerate(local_duals):
-                col = row * St + sten.cell_global[ci][l]
-                comp0 = g.comps.get((0,), {})
-                comp1 = g.comps.get((1,), {})
-                # vertex matrix entries: (m_row0, m_row1) = (-F_row[1], F_row[0])
-                for vi in vert_new:
-                    pt = mesh.vertices[vi]
-                    vals = g.eval(pt[None, :])
-                    w0 = vals.get((0,), np.zeros(1))[0]
-                    w1 = vals.get((1,), np.zeros(1))[0]
-                    T[vert_slot[(vi, (row, 0))], col] = -w1
-                    T[vert_slot[(vi, (row, 1))], col] = w0
-                # edge normal-trace moments: (M nu)_row = F_row . (nu1, -nu0)
-                for ei in edge_new:
-                    everts = mesh.skeleton[1][ei]
-                    sub = mesh.sub_simplex(1, ei)
-                    nu = mesh.frame(1, ei).normals[0]
-                    vmap = [cverts.index(v) for v in everts]
-                    f = g.contract_vector(np.array([nu[1], -nu[0]]))
-                    tr = f.restrict(sub, vmap)
-                    for mono in monomials(2, q - 2):
-                        prod = poly_mul(tr.comps.get((), {}), {mono: 1})
-                        val = sum(float(c) * float(sub.integrate_monomial(e))
-                                  for e, c in prod.items()) / sub.measure_float
-                        T[edge_slot[(ei, row, mono)], col] = val
-                # interior skew moments: m10 - m01 = -(w11 + w22)
-                base = cell_base[ci]
-                offset = 0
-                for mono in monomials(3, q):
-                    if max(mono) == q:
-                        continue
-                    comp = comp0 if row == 0 else comp1
-                    prod = poly_mul(comp, {mono: 1})
-                    T[base + offset, col] += -sum(
-                        float(c) * float(cell.integrate_monomial(e))
-                        for e, c in prod.items()) / cell.measure_float
-                    offset += 1
-                # interior symmetric-bubble moments (Frobenius against theta)
-                tests, N = sym_tests[ci]
-                for t in range(N.shape[1]):
-                    val = 0.0
-                    for jj, (tcomp, tb) in enumerate(tests):
-                        wgt = N[jj, t]
-                        if wgt == 0.0:
-                            continue
-                        ta, tb_i = tcomp
-                        theta = {(ta, tb_i): 1.0}
-                        if ta != tb_i:
-                            theta[(tb_i, ta)] = 1.0
-                        fac0 = theta.get((row, 1), 0.0)
-                        fac1 = -theta.get((row, 0), 0.0)
-                        for comp, fac in ((comp0, fac0), (comp1, fac1)):
-                            if fac == 0.0 or not comp:
-                                continue
-                            prod = poly_mul(comp, tb.comps[()])
-                            val += wgt * fac * sum(
-                                float(c) * float(cell.integrate_monomial(e))
-                                for e, c in prod.items()) / cell.measure_float
-                    T[base + offset + t, col] += val
-        for vi in vert_new:
-            for ab in ((0, 0), (0, 1), (1, 0), (1, 1)):
-                filled[vert_slot[(vi, ab)]] = True
-        for ei in edge_new:
-            for i in range(2):
-                for mono in monomials(2, q - 2):
-                    filled[edge_slot[(ei, i, mono)]] = True
-    return T, slots, vert_slot, cell_base
+    # shared slots pair only with shared DoFs of their own entity, so the
+    # first cell containing one sets every nonzero entry of its row
+    for ci, (F, cell_slots) in enumerate(per_cell):
+        rows = np.array([index[slot] for slot in cell_slots])
+        new = ~filled[rows]
+        w = sten.dual_fields(ci)
+        for r in range(2):
+            # pair row r is the 1-form w_r; matrix row r is (m_r0, m_r1) = (-w_r1, w_r0)
+            fields = np.zeros((4 * nq, w.shape[1]))
+            fields[_entry(r, 0, nq)] = -w[nq:]
+            fields[_entry(r, 1, nq)] = w[:nq]
+            cols = r * sten.dim + sten.cell_global[ci]
+            T[np.ix_(rows[new], cols)] = (F[new] @ fields)
+        filled[rows] = True
+    return T, slots
 
 
 def stress_inclusion(ctx):
@@ -588,37 +414,21 @@ def stress_inclusion(ctx):
     skew moments are copied from the input, every edge and symmetric-interior
     DoF is zero.  Normalized so that S1 @ inclusion = identity.
     """
-    mesh = ctx.mesh
-    q = ctx.p + 1
     FN = ctx.pressure
-    T, slots, vert_slot, cell_base = _grouped_stress_functionals(ctx)
-
-    lookup = {}
-    seen = set()
-    for ci in range(len(mesh.cells)):
-        for dof, gi in zip(FN.cell_dof_objs[ci], FN.cell_global[ci]):
-            if gi in seen:
-                continue
-            seen.add(gi)
-            lookup[gi] = (ci, dof)
+    T, slots = _grouped_stress_functionals(ctx)
+    index = {slot: s for s, slot in enumerate(slots)}
     P = np.zeros((len(slots), FN.dim))
-    for gi, (ci, dof) in lookup.items():
-        if dof.entity_dim == 0:
-            vi = int(dof.entity_verts[0])
-            # skew scalar s at the vertex: prescribe m01 = -s, m10 = s
-            P[vert_slot[(vi, (0, 1))], gi] = -1.0
-            P[vert_slot[(vi, (1, 0))], gi] = 1.0
-        else:
-            # interior: match the vertex-vanishing moment, doubled (chi:chi)
-            (alpha, _), = dof.eta.comps[()].items()
-            offset = 0
-            for mono in monomials(3, q):
-                if max(mono) == q:
-                    continue
-                if mono == alpha:
-                    P[cell_base[ci] + offset, gi] = 2.0
-                    break
-                offset += 1
+    for ci in range(len(ctx.mesh.cells)):
+        for dof, gi in zip(FN.cell_dof_objs[ci], FN.cell_global[ci]):
+            if dof.entity_dim == 0:
+                vi = int(dof.entity_verts[0])
+                # skew scalar s at the vertex: prescribe m01 = -s, m10 = s
+                P[index[("vertex", vi, (0, 1))], gi] = -1.0
+                P[index[("vertex", vi, (1, 0))], gi] = 1.0
+            else:
+                # interior: match the vertex-vanishing moment, doubled (chi:chi)
+                (alpha, _), = dof.eta.comps[()].items()
+                P[index[("skew", ci, alpha)], gi] = 2.0
     raw = np.linalg.solve(T, P)
     gauge = ctx.S1 @ raw
     scale = np.trace(gauge) / FN.dim

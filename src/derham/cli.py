@@ -237,15 +237,15 @@ def build_parser():
                                  description="nodal de Rham family verification tool")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, mesh=False):
+    def common(p, mesh=False, fmt=False):
         p.add_argument("--out", default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        if fmt:
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
         if mesh:
             p.add_argument("--mesh", required=True)
 
     t = sub.add_parser("tables", help="family grid with local/global dimensions")
-    common(t, mesh=True)
+    common(t, mesh=True, fmt=True)
     t.add_argument("--p", type=int, default=None)
     t.add_argument("--p-range", default=None)
     t.add_argument("--dim", type=int, default=None)
@@ -267,16 +267,16 @@ def build_parser():
 
     b = sub.add_parser("bc", help="boundary classification and reduced dims")
     common(b, mesh=True)
-    b.add_argument("--r", type=int, default=1)
     b.add_argument("--p", type=int, required=True)
     b.add_argument("--bctol", type=float, default=meshmod.COLLINEAR_TOL)
 
     g = sub.add_parser("bgg", help="elasticity construction report")
     common(g, mesh=True)
+    g.add_argument("--tol", type=float, default=None)
     g.add_argument("--p", type=int, required=True)
 
     c = sub.add_parser("compare", help="classical vs nodal dimension savings")
-    common(c)
+    common(c, fmt=True)
     c.add_argument("--p", type=int, required=True)
     c.add_argument("--grid", required=True, help="nx,ny,nz")
 

@@ -23,9 +23,9 @@ import numpy as np
 
 from .forms import (FormPolynomial, Simplex, _coefficient_matrix, coeffs,
                     derivative_matrix, dim_full, dim_trimmed, eval_row,
-                    full_basis, independent_subset, moment_row, monomials,
-                    poly_mul, proxy_matrix, restriction_matrix,
-                    trimmed_basis, RANK_RTOL)
+                    form_from_coeffs, full_basis, independent_subset, jet_rows,
+                    moment_row, monomials, nullspace, poly_mul, proxy_matrix,
+                    restriction_matrix, trimmed_basis)
 from .mesh import SimplicialMesh
 
 UNISOLVENCE_TOL = 1e-6
@@ -559,47 +559,20 @@ def tangential_bubble_span(simplex, p):
     return out
 
 
-def zero_trace_dim(mesh, p, k, jet_orders=None):
+def zero_trace_dim(mesh, p, k):
     """Dimension of {u in P_p Lambda^k(cell): vanishing boundary traces}.
 
-    On the single cell of ``mesh``, constrains the pullback onto every
-    boundary facet to vanish; ``jet_orders`` additionally constrains vertex
-    jets (scalar case).  Returns (dimension, nullspace basis as forms).
+    On the single cell of ``mesh``, the trace onto every boundary facet must
+    vanish.  Returns (dimension, nullspace basis as forms).
     """
     cell = mesh.cell_simplex(0)
     n = mesh.dim
-    basis = full_basis(cell, p, k)
     cverts = tuple(int(v) for v in mesh.cells[0])
-    rows = []
-    for fi in range(len(mesh.skeleton[n - 1])):
-        sub = mesh.sub_simplex(n - 1, fi)
-        everts = mesh.skeleton[n - 1][fi]
-        vmap = [cverts.index(v) for v in everts]
-        coeff_rows = {}
-        for j, b in enumerate(basis):
-            tr = b.restrict(sub, vmap)
-            for key, poly in tr.comps.items():
-                for e, c in poly.items():
-                    coeff_rows.setdefault((key, e), np.zeros(len(basis)))[j] = float(c)
-        rows.extend(coeff_rows.values())
-    A = np.array(rows) if rows else np.zeros((0, len(basis)))
-    ns = _nullspace(A)
-    forms = []
-    for col in range(ns.shape[1]):
-        f = FormPolynomial(cell, k)
-        for m, b in enumerate(basis):
-            if abs(ns[m, col]) > 1e-14:
-                f = f + b.as_float().scale(ns[m, col])
-        forms.append(f)
-    return ns.shape[1], forms
-
-
-def _nullspace(A, rtol=RANK_RTOL):
-    if A.size == 0:
-        return np.eye(A.shape[1]) if A.ndim == 2 else np.zeros((0, 0))
-    u, s, vt = np.linalg.svd(A, full_matrices=True)
-    rank = int(np.sum(s > rtol * s[0])) if s.size and s[0] > 0 else 0
-    return vt[rank:].T
+    A = np.vstack([restriction_matrix(cell, mesh.sub_simplex(n - 1, fi),
+                                      [cverts.index(v) for v in everts], k, p)
+                   for fi, everts in enumerate(mesh.skeleton[n - 1])])
+    ns = nullspace(A)
+    return ns.shape[1], [form_from_coeffs(cell, k, p, col) for col in ns.T]
 
 
 def bubble_basis(el, simplex_vertices):
@@ -685,21 +658,13 @@ def _edge_value_bubble_dim(degree, vanish_order, zero_mean=False):
     if degree < 0:
         return 0
     edge = Simplex([[0.0], [1.0]])
-    basis = monomials(2, degree)
-    rows = []
-    for a in basis:
-        f = FormPolynomial.monomial(edge, 0, (), a)
-        vals = []
-        for x in (np.array([0.0]), np.array([1.0])):
-            g = f
-            for order in range(vanish_order + 1):
-                vals.append(g.eval(x[None, :])[()].item() if () in g.comps else 0.0)
-                g = g.directional_derivative(np.array([1.0]))
-        if zero_mean:
-            vals.append(float(f.integrate_scalar()))
-        rows.append(vals)
-    A = np.array(rows).T
-    return _nullspace(A).shape[1]
+    rows = [jet_rows(edge, x, degree, order)
+            for x in (np.array([0.0]), np.array([1.0]))
+            for order in range(vanish_order + 1)]
+    if zero_mean:
+        one = FormPolynomial(edge, 0, {(): {(0, 0): 1}})
+        rows.append(moment_row(one, 0, degree)[None, :])
+    return nullspace(np.vstack(rows)).shape[1]
 
 
 def subsimplex_bubble_dims(n, r, p):
@@ -757,52 +722,14 @@ def _scalar_face_bubble_dim(tri_mesh, p, vertex_order, edge_normal):
     if p < 0:
         return 0
     cell = tri_mesh.cell_simplex(0)
-    basis = full_basis(cell, p, 0)
     cverts = tuple(int(v) for v in tri_mesh.cells[0])
-
-    def value_at(form, pt):
-        return form.eval(pt[None, :])[()].item() if () in form.comps else 0.0
-
-    rows = []
-    for j, b in enumerate(basis):
-        col = []
-        for v in range(3):
-            pt = tri_mesh.vertices[v]
-            col.append(value_at(b, pt))
-            if vertex_order >= 1:
-                for e in _axes(2):
-                    col.append(value_at(b.directional_derivative(e), pt))
-            if vertex_order >= 2:
-                for (i1, i2) in combinations_with_replacement(range(2), 2):
-                    ax = _axes(2)
-                    g = b.directional_derivative(ax[i1]).directional_derivative(ax[i2])
-                    col.append(value_at(g, pt))
-        rows.append(col)
-    A = [list(r) for r in rows]
-    # edge traces
-    for ei in range(3):
+    rows = [jet_rows(cell, tri_mesh.vertices[v], p, order)
+            for v in cverts for order in range(vertex_order + 1)]
+    for ei, everts in enumerate(tri_mesh.skeleton[1]):
         sub = tri_mesh.sub_simplex(1, ei)
-        everts = tri_mesh.skeleton[1][ei]
         vmap = [cverts.index(v) for v in everts]
-        fr = tri_mesh.frame(1, ei)
-        for j, b in enumerate(basis):
-            tr = b.restrict(sub, vmap)
-            cdict = tr.comps.get((), {})
-            for e in monomials(2, p):
-                A[j].append(float(cdict.get(e, 0)))
-            if edge_normal:
-                dn = b.directional_derivative(fr.normals[0]).restrict(sub, vmap)
-                ndict = dn.comps.get((), {})
-                for e in monomials(2, max(p - 1, 0)):
-                    A[j].append(float(ndict.get(e, 0)))
-    return _nullspace(np.array(A).T).shape[1]
-
-
-# ---------------------------------------------------------------------------
-# decomposition checks (global; implemented over the assembly layer)
-# ---------------------------------------------------------------------------
-
-def verify_decomposition(n, p, mesh):
-    """Span equality of the nodal space with (continuous part + bubbles)."""
-    from . import assembly
-    return assembly.verify_decomposition(n, p, mesh)
+        rows.append(restriction_matrix(cell, sub, vmap, 0, p))
+        if edge_normal:
+            normal = derivative_matrix(cell, tri_mesh.frame(1, ei).normals[0], 0, p)
+            rows.append(restriction_matrix(cell, sub, vmap, 0, p - 1) @ normal)
+    return nullspace(np.vstack(rows)).shape[1]

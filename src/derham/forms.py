@@ -13,13 +13,33 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import scipy.linalg
 
 # Relative singular-value cutoff for every rank decision in the package.
 RANK_RTOL = 1e-9
+
+
+def _count_above(sv, rtol):
+    """Number of singular values (descending) above rtol times the largest."""
+    return int(np.sum(sv > rtol * sv[0])) if sv.size and sv[0] > 0 else 0
+
+
+def rank_of(mat, rtol=RANK_RTOL):
+    """Numerical rank of a matrix."""
+    if mat.size == 0:
+        return 0
+    return _count_above(np.linalg.svd(mat, compute_uv=False), rtol)
+
+
+def nullspace(mat, rtol=RANK_RTOL):
+    """Orthonormal columns spanning the numerical kernel of a matrix."""
+    if mat.size == 0:
+        return np.eye(mat.shape[1] if mat.ndim == 2 else 0)
+    _, sv, vt = np.linalg.svd(mat, full_matrices=True)
+    return vt[_count_above(sv, rtol):].T
 
 
 def _fraction_matrix_inverse(rows):
@@ -104,10 +124,6 @@ class Simplex:
     def measure(self):
         return self._measure
 
-    @property
-    def measure_float(self):
-        return float(self._measure)
-
     def barycentric(self, points):
         """Barycentric coordinates of intrinsic points, shape (..., m+1)."""
         pts = np.atleast_2d(np.asarray(points, float))
@@ -124,12 +140,6 @@ class Simplex:
         return np.array([[float(x) for x in self._bary_affine[j][1]]
                          for j in range(self.dim + 1)])
 
-    def to_intrinsic(self, ambient_points):
-        if self.chart_tangents is None:
-            return np.asarray(ambient_points, float)
-        pts = np.atleast_2d(np.asarray(ambient_points, float))
-        return (pts - self.chart_origin) @ self.chart_tangents.T
-
     def integrate_monomial(self, alpha):
         """Exact integral of lambda^alpha over the simplex (Fraction * measure)."""
         total = sum(alpha)
@@ -142,11 +152,6 @@ class Simplex:
         """Strictly interior sample points (intrinsic coordinates)."""
         w = rng.dirichlet([2.0] * (self.dim + 1), size=count)
         return w @ self.vertices
-
-
-def integrate_monomial(simplex, alpha):
-    """Module-level alias: exact integral of a barycentric monomial."""
-    return simplex.integrate_monomial(tuple(alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -207,16 +212,8 @@ class FormPolynomial:
 
     # -- construction helpers ------------------------------------------------
     @classmethod
-    def zero(cls, simplex, k):
-        return cls(simplex, k)
-
-    @classmethod
     def monomial(cls, simplex, k, key, alpha, coeff=1):
         return cls(simplex, k, {tuple(key): {tuple(alpha): coeff}})
-
-    def copy(self):
-        return FormPolynomial(self.simplex, self.k,
-                              {k: dict(v) for k, v in self.comps.items()})
 
     # -- algebra ---------------------------------------------------------------
     def __add__(self, other):
@@ -241,10 +238,6 @@ class FormPolynomial:
             return FormPolynomial(self.simplex, self.k)
         return FormPolynomial(self.simplex, self.k,
                               {k: {e: c * v for e, v in p.items()} for k, p in self.comps.items()})
-
-    def mul_scalar_poly(self, poly):
-        return FormPolynomial(self.simplex, self.k,
-                              {k: poly_mul(p, poly) for k, p in self.comps.items()})
 
     def as_float(self):
         return FormPolynomial(self.simplex, self.k,
@@ -347,21 +340,11 @@ class FormPolynomial:
         return FormPolynomial(self.simplex, kk, out)
 
     def integrate(self):
-        """Integral over the simplex; only defined for top-degree forms."""
-        if self.k != self.simplex.dim:
-            raise ValueError("can only integrate a top-degree form")
-        key = tuple(range(self.simplex.dim))
+        """Integral over the simplex of a 0-form or a top-degree form."""
+        if self.k not in (0, self.simplex.dim):
+            raise ValueError("can only integrate a 0-form or a top-degree form")
         total = 0
-        for e, c in self.comps.get(key, {}).items():
-            total += c * self.simplex.integrate_monomial(e)
-        return total
-
-    def integrate_scalar(self):
-        """Integral of a 0-form over the simplex."""
-        if self.k != 0:
-            raise ValueError("expected a 0-form")
-        total = 0
-        for e, c in self.comps.get((), {}).items():
+        for e, c in self.comps.get(tuple(range(self.k)), {}).items():
             total += c * self.simplex.integrate_monomial(e)
         return total
 
@@ -379,34 +362,6 @@ class FormPolynomial:
                 vals += term
             out[key] = vals
         return out
-
-    def eval_vector(self, points):
-        """Proxy values for k=1 forms: array (npts, m) of component values."""
-        if self.k != 1:
-            raise ValueError("eval_vector is for 1-forms")
-        vals = self.eval(points)
-        m = self.simplex.dim
-        out = np.zeros((np.atleast_2d(points).shape[0], m))
-        for (axis,), v in vals.items():
-            out[:, axis] = v
-        return out
-
-    def contract_vector(self, w):
-        """0-form u . w for a k=1 form with a constant intrinsic vector w."""
-        if self.k != 1:
-            raise ValueError("contract_vector is for 1-forms")
-        wf = [Fraction(float(x)) for x in np.asarray(w, float)]
-        out = {}
-        for (axis,), poly in self.comps.items():
-            if wf[axis] == 0:
-                continue
-            for e, c in poly.items():
-                v = out.get(e, 0) + c * wf[axis]
-                if v == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = v
-        return FormPolynomial(self.simplex, 0, {(): out})
 
     def proxy_contract(self, w):
         """Contract the vector proxy of the form with a constant vector.
@@ -551,11 +506,6 @@ def full_basis(simplex, p, k):
     return out
 
 
-def scalar_basis(simplex, p):
-    """Monomial basis of scalar polynomials of degree <= p (as 0-forms)."""
-    return full_basis(simplex, p, 0)
-
-
 def _coefficient_matrix(forms, p):
     """Stack form coefficients (homogenized to degree p) into a dense matrix."""
     if not forms:
@@ -642,6 +592,15 @@ def coeffs(form, p):
     return out
 
 
+def form_from_coeffs(simplex, k, p, vec):
+    """The degree-p k-form with the given coefficient vector (inverse of coeffs)."""
+    alphas = monomials(simplex.dim + 1, p)
+    blocks = np.reshape(vec, (-1, len(alphas)))
+    keys = combinations(range(simplex.dim), k)
+    return FormPolynomial(simplex, k, {key: dict(zip(alphas, block.tolist()))
+                                       for key, block in zip(keys, blocks)})
+
+
 def derivative_matrix(simplex, direction, k, p):
     """Directional derivative of each component: degree p to degree p-1."""
     m = simplex.dim
@@ -713,8 +672,24 @@ def eval_row(simplex, point, p):
     return np.prod(lam ** exponent_array(simplex.dim + 1, p), axis=1)
 
 
+def jet_rows(simplex, point, p, order):
+    """Rows of every axis derivative of the given order at one intrinsic point.
+
+    One row per axis multi-index i1 <= ... <= i_order (order 0: the value),
+    over degree-p scalar coefficients.
+    """
+    axes = np.eye(simplex.dim)
+    rows = []
+    for multi in combinations_with_replacement(range(simplex.dim), order):
+        row = eval_row(simplex, point, p - order)
+        for j, axis in enumerate(multi):
+            row = row @ derivative_matrix(simplex, axes[axis], 0, p - order + 1 + j)
+        rows.append(row)
+    return np.array(rows)
+
+
 @lru_cache(maxsize=None)
-def _moment_gram(nvars, p, q):
+def moment_gram(nvars, p, q):
     """(1/|s|) * integral of lambda^beta * lambda^gamma, beta of degree p, gamma of q."""
     d = nvars - 1
     total = exponent_array(nvars, p)[:, None, :] + exponent_array(nvars, q)[None, :, :]
@@ -733,7 +708,7 @@ def moment_row(test, k, p):
     n = math.comb(p + d, d)
     keys = list(combinations(range(d), k))
     row = np.zeros(len(keys) * n)
-    gram = _moment_gram(d + 1, p, q)
+    gram = moment_gram(d + 1, p, q)
     for tkey, poly in test.comps.items():
         weights = gram @ _poly_coeffs(poly, d + 1, q)
         for pos, key in enumerate(keys):
@@ -839,16 +814,12 @@ def independent_subset(forms, p=None, rtol=RANK_RTOL):
         return []
     deg = p if p is not None else max(f.max_degree() for f in forms)
     mat, _, _ = _coefficient_matrix(forms, deg)
-    sv = np.linalg.svd(mat, compute_uv=False)
-    rank = int(np.sum(sv > rtol * sv[0])) if sv.size else 0
     _, _, piv = scipy.linalg.qr(mat, pivoting=True, mode="economic")
-    return [forms[i] for i in sorted(piv[:rank])]
+    return [forms[i] for i in sorted(piv[:rank_of(mat, rtol)])]
 
 
 def span_rank(forms, p=None, rtol=RANK_RTOL):
     if not forms:
         return 0
     deg = p if p is not None else max(f.max_degree() for f in forms)
-    mat, _, _ = _coefficient_matrix(forms, deg)
-    sv = np.linalg.svd(mat, compute_uv=False)
-    return int(np.sum(sv > rtol * sv[0])) if sv.size and sv[0] > 0 else 0
+    return rank_of(_coefficient_matrix(forms, deg)[0], rtol)

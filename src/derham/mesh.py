@@ -141,9 +141,6 @@ class SimplicialMesh:
     def boundary_simplices(self, d):
         return [i for i, b in enumerate(self.boundary[d]) if b]
 
-    def subsimplices(self, d):
-        return self.skeleton[d]
-
     def euler_characteristic(self):
         return sum((-1) ** d * len(self.skeleton[d]) for d in range(self.dim + 1))
 
@@ -293,23 +290,6 @@ class SimplicialMesh:
     def load(cls, path):
         with open(path) as fh:
             return cls.from_json(fh.read())
-
-
-def build_mesh(vertices, cells):
-    """Construct a mesh; rejects degenerate and duplicate cells by name."""
-    return SimplicialMesh(vertices, cells)
-
-
-def euler_characteristic(mesh):
-    return mesh.euler_characteristic()
-
-
-def classify_boundary(mesh, tol=COLLINEAR_TOL):
-    return mesh.classify_boundary(tol)
-
-
-def simplex_frame(mesh, d, idx):
-    return mesh.frame(d, idx)
 
 
 # ---------------------------------------------------------------------------

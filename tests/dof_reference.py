@@ -25,25 +25,26 @@ def _point(dof, u, cell_verts):
     return float(f.eval(dof.point[None, :])[()].item()) if () in f.comps else 0.0
 
 
-def _scalar_moment(f, dom, q):
+def scalar_moment(f, dom, q):
+    """(1/|dom|) * integral over dom of the 0-form f times the polynomial q."""
     if () not in f.comps:
         return 0.0
     prod = FormPolynomial(dom, 0, {(): poly_mul(f.comps[()], q)})
-    return float(prod.integrate_scalar() / dom.measure)
+    return float(prod.integrate() / dom.measure)
 
 
 def _scalar(dof, u, cell_verts):
-    return _scalar_moment(u.restrict(dof.sub, _vmap(dof, cell_verts)), dof.sub, dof.q)
+    return scalar_moment(u.restrict(dof.sub, _vmap(dof, cell_verts)), dof.sub, dof.q)
 
 
 def _normal_deriv(dof, u, cell_verts):
     du = u.directional_derivative(dof.direction)
-    return _scalar_moment(du.restrict(dof.sub, _vmap(dof, cell_verts)), dof.sub, dof.q)
+    return scalar_moment(du.restrict(dof.sub, _vmap(dof, cell_verts)), dof.sub, dof.q)
 
 
 def _component(dof, u, cell_verts):
     f = u.proxy_contract(dof.weight)
-    return _scalar_moment(f.restrict(dof.sub, _vmap(dof, cell_verts)), dof.sub, dof.q)
+    return scalar_moment(f.restrict(dof.sub, _vmap(dof, cell_verts)), dof.sub, dof.q)
 
 
 def _trace_wedge(dof, u, cell_verts):
@@ -53,12 +54,11 @@ def _trace_wedge(dof, u, cell_verts):
 
 def _cell_wedge(dof, u, cell_verts):
     w = u.wedge(dof.eta)
-    total = w.integrate_scalar() if w.k == 0 else w.integrate()
-    return float(total / u.simplex.measure)
+    return float(w.integrate() / u.simplex.measure)
 
 
 def _interior_component(dof, u, cell_verts):
-    return _scalar_moment(u.proxy_contract(dof.weight), u.simplex, dof.q)
+    return scalar_moment(u.proxy_contract(dof.weight), u.simplex, dof.q)
 
 
 REFERENCE = {

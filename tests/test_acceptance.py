@@ -18,13 +18,13 @@ import pytest
 from conftest import REF, random_simplex
 from derham.assembly import (assemble_d, assemble_space, dim_formula,
                              dof_savings, family_row, homogeneous_row_report,
-                             mixed_sequence, rank_of, verify_exactness,
-                             verify_row, complex_residual)
+                             mixed_sequence, rank_of, verify_decomposition,
+                             verify_exactness, verify_row, complex_residual)
 from derham.bgg import huzhang_stress, verify_bgg_identity, xi_complex
 from derham.elements import (dof_matrix, element_def, jet_complex_ranks,
                              p_min, subsimplex_bubble_dims,
                              tangential_bubble_span, unisolvence_check,
-                             zero_trace_dim, verify_decomposition)
+                             zero_trace_dim)
 from derham.forms import Simplex, span_rank
 from derham.mesh import SimplicialMesh, cube_center_fan_grid
 

@@ -218,6 +218,21 @@ def test_homogeneous_counts_split_edge(meshes):
     assert removed_split == (4 - 3) * E0_sp + 3 * 5 - 1
 
 
+@pytest.mark.parametrize("r,p", [(1, 2), (2, 2)])
+def test_zero_mean_row_integrates(meshes, r, p):
+    # the quotient-by-constants row is the integral functional; a DoF shared
+    # by several cells (vertex values at r=2) collects every cell's part
+    from derham.assembly import homogeneous_constraints
+    from derham.forms import FormPolynomial
+    m = meshes["split"]
+    space = assemble_space(m, r, p, 2)
+    row = homogeneous_constraints(space, m.classify_boundary())
+    one = space.apply_global_dofs({ci: FormPolynomial(m.cell_simplex(ci), 2, {(0, 1): {(0, 0, 0): 1.0}})
+                                   for ci in range(len(m.cells))})
+    assert row.shape == (1, space.dim)
+    assert abs(row[0] @ one - 1.0) < 1e-12
+
+
 def test_homogeneous_3d_scalar_consistency(meshes):
     import math
     # every entity of a single tet is a boundary corner entity, so only the

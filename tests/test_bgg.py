@@ -3,8 +3,7 @@ import pytest
 
 from derham.assembly import rank_of
 from derham.bgg import (BGGContext, huzhang_row_report, huzhang_stress,
-                        s0_operator, s1_operator, verify_bgg_identity,
-                        xi_commuting_residual, xi_complex)
+                        verify_bgg_identity, xi_commuting_residual, xi_complex)
 from derham.forms import dim_trimmed
 from derham.mesh import SimplicialMesh, reference_triangle, two_triangle_square
 
@@ -19,7 +18,7 @@ def perturbed_square(seed=7, scale=0.12):
 # -- connecting maps ------------------------------------------------------------
 
 def test_s0_is_isomorphism():
-    S0 = s0_operator(two_triangle_square(), 1)
+    S0 = BGGContext(two_triangle_square(), 1).S0
     assert S0.shape[0] == S0.shape[1]
     assert rank_of(S0) == S0.shape[0]
     assert np.abs(S0 @ S0.T - np.eye(S0.shape[0])).max() < 1e-14
@@ -37,7 +36,7 @@ def test_s0_constant_field():
 
 
 def test_s1_surjective():
-    S1 = s1_operator(two_triangle_square(), 2)
+    S1 = BGGContext(two_triangle_square(), 2).S1
     assert rank_of(S1) == S1.shape[0]
 
 
@@ -110,7 +109,7 @@ def test_constrained_scalar_span_matches_nodal_space(q):
     from derham.assembly import assemble_space
     from derham.bgg import _constrained_smooth_scalar_span
     for mesh in (reference_triangle(), two_triangle_square()):
-        _, N = _constrained_smooth_scalar_span(mesh, q)
+        N = _constrained_smooth_scalar_span(mesh, q)
         assert N.shape[1] == assemble_space(mesh, 2, q, 0).dim
 
 
@@ -183,7 +182,7 @@ def test_inclusion_clauses():
                             _grouped_stress_functionals)
     ctx = BGGContext(two_triangle_square(), 2)
     ih = stress_inclusion(ctx)
-    T, slots, _, _ = _grouped_stress_functionals(ctx)
+    T, slots = _grouped_stress_functionals(ctx)
     grouped = T @ ih
     for s, slot in enumerate(slots):
         if slot[0] in ("edge", "sym"):

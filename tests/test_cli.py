@@ -91,6 +91,23 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--mesh", "{mesh}", "--row", "1", "--p", "1", "--tol", "1e-3"],
+    ["bc", "--mesh", "{mesh}", "--p", "4", "--r", "2"],
+    ["element", "--r", "0", "--k", "0", "--dim", "2", "--p", "1", "--format", "json"],
+])
+def test_flags_nothing_reads_are_rejected(square_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([a.replace("{mesh}", square_path) for a in argv])
+    assert exc.value.code == 2
+
+
+def test_public_names_resolve():
+    import derham
+    for name in derham.__all__:
+        assert getattr(derham, name) is not None, name
+
+
 def test_element_report(capsys):
     rc = main(["element", "--r", "2", "--k", "1", "--dim", "3", "--p", "4"])
     out = capsys.readouterr().out

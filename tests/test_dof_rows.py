@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from conftest import random_simplex
-from dof_reference import reference_operator, reference_value
+from dof_reference import reference_operator, reference_value, scalar_moment
 from derham import assembly, bgg
 from derham.elements import (CellWedgeMoment, ComponentMoment, NormalDerivMoment,
                              PointDeriv, PointEval, ScalarMoment, TraceWedgeMoment,
                              _InteriorComponent, cell_dofs, element_def)
-from derham.forms import FormPolynomial, coeffs, monomials
+from derham.forms import (FormPolynomial, coeffs, form_from_coeffs, moment_gram,
+                          monomials, rank_of)
 from derham.mesh import SimplicialMesh
 
 # (DoF class, element (r, p, k, n) that carries it)
@@ -111,3 +112,63 @@ def test_cross_cell_disagreement_reports_first_entry(meshes):
     dst = assembly.assemble_space(meshes["square"], 1, 2, 1)
     with pytest.raises(RuntimeError, match=r"disagrees across cells at \(0,0\): -4.0 vs 0.0"):
         assembly.assemble_local_operator(src, dst, _d)
+
+
+# -- stress rows ------------------------------------------------------------------
+
+def _normal_trace(fields, nu, i):
+    """(M nu)_i as a scalar form, from the entries {(a, b): m_ab}."""
+    return fields[(i, 0)].scale(nu[0]) + fields[(i, 1)].scale(nu[1])
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_stress_rows_match_form_algebra(q):
+    rng = np.random.default_rng(40 + q)
+    mesh = SimplicialMesh(random_simplex(2, rng), [(0, 1, 2)])
+    cell = mesh.cell_simplex(0)
+    F, slots = bgg._stress_rows(mesh, 0, q)
+    fields = {ab: FormPolynomial(cell, 0, {(): {a: rng.normal() for a in monomials(3, q)}})
+              for ab in bgg._ENTRIES}
+    new = F @ np.concatenate([coeffs(fields[ab], q) for ab in bgg._ENTRIES])
+    checked = 0
+    for value, slot in zip(new, slots):
+        if slot[0] == "vertex":
+            _, vi, ab = slot
+            ref = fields[ab].eval(mesh.vertices[vi][None, :])[()].item()
+        elif slot[0] == "edge":
+            _, ei, i, mono = slot
+            everts = mesh.skeleton[1][ei]
+            sub = mesh.sub_simplex(1, ei)
+            trace = _normal_trace(fields, mesh.frame(1, ei).normals[0], i).restrict(sub, list(everts))
+            ref = scalar_moment(trace, sub, {mono: 1})
+        elif slot[0] == "skew":
+            ref = scalar_moment(fields[(1, 0)] - fields[(0, 1)], cell, {slot[2]: 1})
+        else:
+            continue
+        assert abs(value - ref) <= 1e-12 * max(abs(ref), 1.0), slot
+        checked += 1
+    assert checked == 12 + 6 * (q - 1) + (q + 1) * (q + 2) // 2 - 3
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_stress_symmetric_tests_have_zero_normal_trace(q):
+    rng = np.random.default_rng(50 + q)
+    mesh = SimplicialMesh(random_simplex(2, rng), [(0, 1, 2)])
+    cell = mesh.cell_simplex(0)
+    F, slots = bgg._stress_rows(mesh, 0, q)
+    sym = F[[s for s, slot in enumerate(slots) if slot[0] == "sym"]]
+    assert len(sym) == rank_of(sym) == 3 * q * (q - 1) // 2
+    # the rows are Frobenius moments (1/|t|) int M : theta; recover each theta
+    nq = len(monomials(3, q))
+    theta = np.linalg.solve(np.kron(np.eye(4), moment_gram(3, q, q)), sym.T)
+    for col in theta.T:
+        fields = {ab: form_from_coeffs(cell, 0, q, col[c * nq:(c + 1) * nq])
+                  for c, ab in enumerate(bgg._ENTRIES)}
+        scale = np.abs(col).max()
+        assert np.abs(col[nq:2 * nq] - col[2 * nq:3 * nq]).max() <= 1e-10 * scale
+        for ei, everts in enumerate(mesh.skeleton[1]):
+            nu = mesh.frame(1, ei).normals[0]
+            for i in range(2):
+                trace = _normal_trace(fields, nu, i).restrict(mesh.sub_simplex(1, ei), list(everts))
+                assert all(abs(c) <= 1e-10 * scale for poly in trace.comps.values()
+                           for c in poly.values())

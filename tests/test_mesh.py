@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from derham.mesh import (SimplicialMesh, build_mesh, cube_center_fan_grid,
+from derham.mesh import (SimplicialMesh, cube_center_fan_grid,
                          interval_mesh, reference_tet, reference_triangle,
                          split_edge_square, two_triangle_square, annulus_mesh)
 
@@ -40,7 +40,7 @@ def test_annulus_euler_zero():
 
 def test_degenerate_cell_rejected():
     with pytest.raises(ValueError, match="degenerate"):
-        build_mesh([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], [(0, 1, 2)])
+        SimplicialMesh([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], [(0, 1, 2)])
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -51,7 +51,7 @@ def test_nonfinite_vertex_rejected(bad):
 
 def test_duplicate_cell_rejected():
     with pytest.raises(ValueError, match="duplicate"):
-        build_mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [(0, 1, 2), (2, 1, 0)])
+        SimplicialMesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [(0, 1, 2), (2, 1, 0)])
 
 
 def test_interior_facets_have_two_cofaces():
