@@ -4,9 +4,10 @@ Shared DoFs are generated from global subsimplex data, so identifying them
 across cells is a dictionary lookup; there are no orientation sign tables.
 Everything per cell is a float matrix product: a space's DoFs are rows over
 the cell's barycentric coefficients, its local DoF matrix is those rows times
-the shape coefficients, and a local operator is the target rows times the
-coefficients of the mapped shape functions times the source dual basis.
-The scatter compares entries that two cells reach, all at once.
+the shape coefficients, and a local operator is ``rows @ fmap(cell) @
+dual_fields``, the target rows times the map as a coefficient matrix times
+the source dual basis.  No FormPolynomial is built on this path.  The
+scatter compares entries that two cells reach, all at once.
 Assembly itself is deterministic and single-threaded; assembled spaces and
 operator matrices are immutable afterwards and safe to share.  Rank
 decisions use a relative singular-value cutoff (forms.RANK_RTOL).
@@ -20,12 +21,13 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
+import scipy.linalg
 
-from .elements import (dof_rows, element_def, entity_dofs, shape_basis,
-                       shape_coeffs, tangential_bubble_span, zero_trace_dim)
-from .forms import (FormPolynomial, RANK_RTOL, _coefficient_matrix, coeffs,
-                    eval_row, moment_row, monomials, nullspace, rank_of,
-                    restriction_matrix)
+from .elements import (cell_dofs, dof_rows, element_def, shape_coeffs,
+                       tangential_bubble_span, zero_trace_dim)
+from .forms import (RANK_RTOL, _coefficient_matrix, coeffs, elevation, eval_row,
+                    exterior_derivative_matrix, moment_gram, monomials,
+                    multinomials, nullspace, rank_of, restriction_matrix)
 from .mesh import SimplicialMesh
 
 DD_TOL = 1e-10
@@ -35,58 +37,29 @@ CONTAINMENT_TOL = 1e-8
 class GlobalSpace:
     """An assembled finite element space on a mesh.
 
-    ``dofs`` lists global DoFs as (dim, entity-or-cell index, slot, shared);
-    per-cell tables give the local DoF objects and their global indices in
-    the canonical cell order.
+    Per-cell tables give the local DoF objects and their global indices in
+    the canonical cell order.  A shared DoF is one cached object, reached by
+    every cell containing its entity; global indices follow first appearance.
     """
 
     def __init__(self, mesh, el):
         self.mesh = mesh
         self.el = el
-        n = mesh.dim
-        if el.n != n:
+        if el.n != mesh.dim:
             raise ValueError("element dimension does not match the mesh")
         cache = {}
         gid = {}
-        self.dofs = []
-        self.cell_dof_objs = []
-        self.cell_global = []
-        for ci in range(len(mesh.cells)):
-            cverts = tuple(int(v) for v in mesh.cells[ci])
-            local, gidx = [], []
-            for d in range(n):
-                for everts in combinations(cverts, d + 1):
-                    idx = mesh.simplex_id(everts)
-                    key = (el.r, el.p, el.k, d, idx)
-                    if key not in cache:
-                        cache[key] = entity_dofs(el, mesh, d, idx)
-                    block = cache[key]
-                    for slot in range(len(block)):
-                        gkey = (d, idx, slot)
-                        if gkey not in gid:
-                            gid[gkey] = len(self.dofs)
-                            self.dofs.append((d, idx, slot, True))
-                        gidx.append(gid[gkey])
-                    local.extend(block)
-            interior = entity_dofs(el, mesh, n, ci)
-            for slot in range(len(interior)):
-                gidx.append(len(self.dofs))
-                self.dofs.append((n, ci, slot, False))
-            local.extend(interior)
-            self.cell_dof_objs.append(local)
-            self.cell_global.append(np.array(gidx, dtype=int))
-        self.dim = len(self.dofs)
+        self.cell_dof_objs = [cell_dofs(el, mesh, ci, cache) for ci in range(len(mesh.cells))]
+        self.cell_global = [np.array([gid.setdefault(id(dof), len(gid)) for dof in local], dtype=int)
+                            for local in self.cell_dof_objs]
+        self.dim = len(gid)
         self._shapes = {}
         self._rows = {}
         self._duals = {}
+        self._fields = {}
         self._local_mats = {}
 
     # -- per-cell data -----------------------------------------------------------
-    def shapes(self, ci):
-        if ci not in self._shapes:
-            self._shapes[ci] = shape_basis(self.el, self.mesh.cell_simplex(ci))
-        return self._shapes[ci]
-
     def dof_rows(self, ci, p=None):
         """The cell's DoF functionals as rows over degree-p coefficients."""
         p = self.el.p if p is None else p
@@ -96,9 +69,14 @@ class GlobalSpace:
                                            cverts, self.el.k, p)
         return self._rows[(ci, p)]
 
+    def _shape_coeffs(self, ci):
+        if ci not in self._shapes:
+            self._shapes[ci] = shape_coeffs(self.el, self.mesh.cell_simplex(ci))
+        return self._shapes[ci]
+
     def local_matrix(self, ci):
         if ci not in self._local_mats:
-            self._local_mats[ci] = self.dof_rows(ci) @ shape_coeffs(self.el, self.shapes(ci))
+            self._local_mats[ci] = self.dof_rows(ci) @ self._shape_coeffs(ci)
         return self._local_mats[ci]
 
     def dual_coeffs(self, ci):
@@ -109,38 +87,42 @@ class GlobalSpace:
 
     def dual_fields(self, ci, p=None):
         """Coefficients of the local dual basis at degree p, one column per DoF."""
+        if ci not in self._fields:
+            self._fields[ci] = self._shape_coeffs(ci) @ self.dual_coeffs(ci)
         p = self.el.p if p is None else p
-        return _coefficient_matrix(self.shapes(ci), p)[0] @ self.dual_coeffs(ci)
+        if p == self.el.p:
+            return self._fields[ci]
+        lift = np.kron(np.eye(math.comb(self.el.n, self.el.k)), elevation(self.el.n + 1, self.el.p, p))
+        return lift @ self._fields[ci]
 
-    def dual_form(self, ci, local_index):
-        C = self.dual_coeffs(ci)
-        basis = self.shapes(ci)
-        f = FormPolynomial(basis[0].simplex, self.el.k)
-        for m, b in enumerate(basis):
-            if C[m, local_index] != 0.0:
-                f = f + b.as_float().scale(C[m, local_index])
-        return f
+    def gather(self, local):
+        """Global DoF values from {ci: local values}, first axis the cell's DoFs.
+
+        The first cell to reach a global DoF sets its value.
+        """
+        out = np.zeros((self.dim,) + np.shape(next(iter(local.values())))[1:])
+        seen = np.zeros(self.dim, dtype=bool)
+        for ci, vals in local.items():
+            gidx = self.cell_global[ci]
+            new = ~seen[gidx]
+            out[gidx[new]] = np.asarray(vals)[new]
+            seen[gidx] = True
+        return out
 
     def apply_global_dofs(self, cell_forms):
         """Evaluate all global DoFs on a function given per cell as a form."""
-        out = np.zeros(self.dim)
-        seen = np.zeros(self.dim, dtype=bool)
-        for ci, form in cell_forms.items():
+        def values(ci, form):
             p = max(self.el.p, form.max_degree())
-            gidx = self.cell_global[ci]
-            new = ~seen[gidx]
-            out[gidx[new]] = (self.dof_rows(ci, p) @ coeffs(form, p))[new]
-            seen[gidx] = True
-        return out
+            return self.dof_rows(ci, p) @ coeffs(form, p)
+        return self.gather({ci: values(ci, form) for ci, form in cell_forms.items()})
 
     def constant_coefficients(self):
         """Global DoF vector of the constant function (0-forms only)."""
         if self.el.k != 0:
             raise ValueError("constants only in 0-form spaces")
-        one = {ci: FormPolynomial(self.mesh.cell_simplex(ci), 0, {(): {(0,) * (self.mesh.dim + 1): 1.0}})
-               for ci in range(len(self.mesh.cells))}
-        # lambda's sum to one; exponent all-zero means the constant 1
-        return self.apply_global_dofs(one)
+        # the lambdas sum to one, so 1 = (sum lambda)^p has multinomial coefficients
+        one = multinomials(self.mesh.dim + 1, self.el.p)
+        return self.gather({ci: self.dof_rows(ci) @ one for ci in range(len(self.mesh.cells))})
 
 
 def assemble_space(mesh, r, p, k):
@@ -234,20 +216,17 @@ class OperatorMatrix:
 def assemble_local_operator(src, dst, fmap, consistency_tol=1e-7):
     """Matrix of a cell-local linear map between assembled spaces.
 
-    Column j holds the target DoFs of ``fmap`` applied to the j-th global
-    dual function: per cell, the images of the shape functions are written
-    as coefficients X (elevated to the target degree) and the target DoF
-    rows are applied, ``rows @ X @ dual_coeffs``.  Entries reachable from two
-    cells are compared; a disagreement means the image violates the target
-    continuity.
+    ``fmap(cell)`` is the map on one cell as a matrix from the source's
+    degree-``src.el.p`` coefficients to the target's degree-``dst.el.p``
+    ones.  Column j holds the target DoFs of the map applied to the j-th
+    global dual function: per cell, ``dst rows @ fmap(cell) @ src dual
+    fields``.  Entries reachable from two cells are compared; a disagreement
+    means the image violates the target continuity.
     """
     mesh = src.mesh
     flat, vals, scales = [], [], []
     for ci in range(len(mesh.cells)):
-        images = [fmap(f.as_float()) for f in src.shapes(ci)]
-        p = max([dst.el.p] + [g.max_degree() for g in images])
-        X = np.column_stack([coeffs(g, p) for g in images])
-        Dloc = dst.dof_rows(ci, p) @ X @ src.dual_coeffs(ci)
+        Dloc = dst.dof_rows(ci) @ fmap(mesh.cell_simplex(ci)) @ src.dual_fields(ci)
         flat.append((dst.cell_global[ci][:, None] * src.dim
                      + src.cell_global[ci][None, :]).ravel())
         vals.append(Dloc.ravel())
@@ -282,42 +261,33 @@ def assemble_d(src, dst, consistency_tol=1e-7):
         raise ValueError(
             f"wrong family pairing: d image has degree {src.el.p - 1} but the "
             f"target only holds degree {dst.el.p}")
-    return assemble_local_operator(src, dst, lambda f: f.exterior_derivative(),
+    return assemble_local_operator(src, dst, _d_map(src, dst),
                                    consistency_tol=consistency_tol)
 
 
-def containment_residual(src, dst, D=None, n_points=30, max_cols=12, seed=0):
-    """Sampled residual of d(dual_j) minus its target-space interpolant."""
+def _d_map(src, dst):
+    """d on one cell, from the source's degree to the target's."""
+    return lambda cell: exterior_derivative_matrix(cell, src.el.k, src.el.p, dst.el.p)
+
+
+def containment_residual(src, dst, D=None):
+    """Largest coefficient of d(dual_j) minus its target-space interpolant.
+
+    Per cell and for every global source column, the coefficients of the d
+    images of the source duals are compared with the target duals times the
+    cell's rows of D, relative to the largest image coefficient.
+    """
     if D is None:
         D = assemble_d(src, dst)
-    rng = np.random.default_rng(seed)
-    mesh = src.mesh
-    cols = list(range(src.dim))
-    if len(cols) > max_cols:
-        cols = list(rng.choice(src.dim, size=max_cols, replace=False))
-    worst = 0.0
-    for j in cols:
-        for ci in range(len(mesh.cells)):
-            loc = np.where(src.cell_global[ci] == j)[0]
-            cell = mesh.cell_simplex(ci)
-            pts = cell.random_points(n_points, rng)
-            if loc.size:
-                df = src.dual_form(ci, loc[0]).exterior_derivative()
-                dvals = df.eval(pts)
-            else:
-                dvals = {}
-            interp = FormPolynomial(cell, dst.el.k)
-            for i_loc, gi in enumerate(dst.cell_global[ci]):
-                c = D.array[gi, j]
-                if c != 0.0:
-                    interp = interp + dst.dual_form(ci, i_loc).scale(c)
-            ivals = interp.eval(pts)
-            scale = max([np.abs(v).max() for v in dvals.values()] + [1.0])
-            for key in set(dvals) | set(ivals):
-                a = dvals.get(key, np.zeros(len(pts)))
-                b = ivals.get(key, np.zeros(len(pts)))
-                worst = max(worst, np.abs(a - b).max() / scale)
-    return worst
+    dmap = _d_map(src, dst)
+    worst, scale = 0.0, 0.0
+    for ci in range(len(src.mesh.cells)):
+        image = np.zeros((dst.dual_fields(ci).shape[0], src.dim))
+        image[:, src.cell_global[ci]] = dmap(src.mesh.cell_simplex(ci)) @ src.dual_fields(ci)
+        interp = dst.dual_fields(ci) @ D.array[dst.cell_global[ci]]
+        worst = max(worst, np.abs(image - interp).max())
+        scale = max(scale, np.abs(image).max())
+    return worst / scale if scale > 0.0 else worst
 
 
 def complex_residual(D2, D1):
@@ -432,12 +402,6 @@ class BrokenSpace:
         self.block = len(self.keys) * len(self.alphas)
         self.size = self.block * len(mesh.cells)
 
-    def coeffs(self, ci, form):
-        """Coefficient vector of one cell's form inside the global stack."""
-        v = np.zeros(self.size)
-        v[ci * self.block:(ci + 1) * self.block] = coeffs(form, self.p)
-        return v
-
     def matrix_of_space(self, space):
         """Stacked coefficients of every global dual function (columns)."""
         assert space.el.k == self.k and space.el.p <= self.p
@@ -446,14 +410,6 @@ class BrokenSpace:
             cols = space.cell_global[ci]
             mat[ci * self.block:(ci + 1) * self.block, cols] = space.dual_fields(ci, self.p)
         return mat
-
-    def matrix_of_forms(self, cell_form_lists):
-        """Columns from per-cell form lists: {ci: [forms supported on ci]}."""
-        cols = []
-        for ci, forms in cell_form_lists.items():
-            for f in forms:
-                cols.append(self.coeffs(ci, f))
-        return np.array(cols).T if cols else np.zeros((self.size, 0))
 
 
 def space_equal(space_a, space_b, rtol=RANK_RTOL):
@@ -554,10 +510,9 @@ def homogeneous_constraints(space, classification):
     elif el.k == mesh.dim:
         # quotient by constants: zero-mean constraint
         r = np.zeros(space.dim)
+        mean = moment_gram(mesh.dim + 1, el.p, 0)[:, 0]
         for ci in range(len(mesh.cells)):
-            cell = mesh.cell_simplex(ci)
-            one = FormPolynomial(cell, 0, {(): {(0,) * (mesh.dim + 1): 1.0}})
-            integral = float(cell.measure) * moment_row(one, el.k, el.p)
+            integral = float(mesh.cell_simplex(ci).measure) * mean
             r[space.cell_global[ci]] += integral @ space.dual_fields(ci)
         rows.append(r)
     elif mesh.dim == 3 and el.r == 2 and el.k == 0:
@@ -734,30 +689,20 @@ def verify_decomposition(n, p, mesh):
             raise ValueError("2D decomposition needs p >= 2")
         target = assemble_space(mesh, 1, p, 1)
         scalar = assemble_space(mesh, 0, p, 0)
-        br = BrokenSpace(mesh, p, 1)
-        comp_cols = _vector_lift_columns(br, scalar, ncomp=2)
-        bubble_cols = []
-        for ci in range(len(mesh.cells)):
-            single = _single_cell(mesh, ci)
-            _, forms = zero_trace_dim(single, p, 1)
-            moved = [_transplant(f, mesh.cell_simplex(ci)) for f in forms]
-            bubble_cols.append((ci, moved))
-        bub = br.matrix_of_forms(dict(bubble_cols))
-        tgt = br.matrix_of_space(target)
+        # a single-cell copy has the same barycentric coefficients
+        bubbles = [zero_trace_dim(_single_cell(mesh, ci), p, 1)[1]
+                   for ci in range(len(mesh.cells))]
     elif n == 3:
         target = assemble_space(mesh, 2, p, 1)
         scalar = assemble_space(mesh, 1, p, 0)
-        br = BrokenSpace(mesh, p, 1)
-        comp_cols = _vector_lift_columns(br, scalar, ncomp=3)
-        bubble_cols = []
-        for ci in range(len(mesh.cells)):
-            cell = mesh.cell_simplex(ci)
-            span = tangential_bubble_span(cell, p)
-            bubble_cols.append((ci, span))
-        bub = br.matrix_of_forms(dict(bubble_cols))
-        tgt = br.matrix_of_space(target)
+        bubbles = [_coefficient_matrix(tangential_bubble_span(mesh.cell_simplex(ci), p), p)
+                   for ci in range(len(mesh.cells))]
     else:
         raise ValueError("decomposition implemented in dimensions 2 and 3")
+    br = BrokenSpace(mesh, p, 1)
+    comp_cols = _vector_lift_columns(br, scalar, ncomp=n)
+    bub = scipy.linalg.block_diag(*bubbles)
+    tgt = br.matrix_of_space(target)
     both = np.hstack([comp_cols, bub])
     r_target = rank_of(tgt)
     r_sum = rank_of(both)
@@ -767,20 +712,15 @@ def verify_decomposition(n, p, mesh):
         "rank_target": r_target,
         "rank_sum": r_sum,
         "rank_union": r_union,
-        "dim_continuous": 2 * scalar.dim if n == 2 else 3 * scalar.dim,
+        "dim_continuous": n * scalar.dim,
         "equal": r_target == target.dim == r_sum == r_union,
-        "continuous_strictly_smaller": (2 if n == 2 else 3) * scalar.dim < target.dim,
+        "continuous_strictly_smaller": n * scalar.dim < target.dim,
     }
 
 
 def _single_cell(mesh, ci):
     verts = mesh.vertices[list(mesh.cells[ci])]
     return SimplicialMesh(verts, [tuple(range(mesh.dim + 1))])
-
-
-def _transplant(form, cell):
-    """Re-attach a form built on a congruent single-cell simplex to the cell."""
-    return FormPolynomial(cell, form.k, {k: dict(v) for k, v in form.comps.items()})
 
 
 def _vector_lift_columns(br, scalar_space, ncomp):
@@ -815,18 +755,15 @@ def interpolation_split_residual(mesh, p, seed=0, n_samples=25):
         x = rng.normal(size=target.dim)
         u = [target.dual_fields(ci) @ x[target.cell_global[ci]] for ci in range(len(mesh.cells))]
         # scalar DoFs of the three components; face DoFs see the tangential part
-        y = np.zeros((scalar.dim, 3))
-        done = np.zeros(scalar.dim, dtype=bool)
+        local = {}
         for ci in range(len(mesh.cells)):
             vals = scalar.dof_rows(ci) @ u[ci].reshape(3, -1).T
             for l, dof in enumerate(scalar.cell_dof_objs[ci]):
                 if dof.entity_dim == 2:
                     nu = mesh.frame(2, mesh.simplex_id(dof.entity_verts)).normals[0]
                     vals[l] -= (vals[l] @ nu) * nu
-            gidx = scalar.cell_global[ci]
-            new = ~done[gidx]
-            y[gidx[new]] = vals[new]
-            done[gidx] = True
+            local[ci] = vals
+        y = scalar.gather(local)
         for ci in range(len(mesh.cells)):
             cell = mesh.cell_simplex(ci)
             cverts = tuple(int(v) for v in mesh.cells[ci])

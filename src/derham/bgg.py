@@ -20,31 +20,34 @@ from itertools import combinations
 import numpy as np
 
 from .assembly import assemble_d, assemble_local_operator, assemble_space
-from .forms import (FormPolynomial, derivative_matrix, dim_trimmed, eval_row,
-                    jet_rows, moment_gram, monomials, multinomials, nullspace,
-                    rank_of, restriction_matrix)
+from .forms import (derivative_matrix, dim_trimmed, eval_row,
+                    exterior_derivative_matrix, jet_rows, moment_gram, monomials,
+                    multinomials, nullspace, rank_of, restriction_matrix)
 from .mesh import SimplicialMesh
 
 
-def _embed_component(f, comp):
+def _embed_component(comp, nq):
     """Scalar 0-form -> 1-form with the scalar in one component."""
-    return FormPolynomial(f.simplex, 1, {(comp,): f.comps.get((), {})})
+    return np.kron(np.eye(2)[:, [comp]], np.eye(nq))
 
 
-def _grad_component(f, comp):
-    """Scalar 0-form -> scalar component of its differential."""
-    df = f.exterior_derivative()
-    return FormPolynomial(f.simplex, 0, {(): df.comps.get((comp,), {})})
+def _grad_component(cell, comp, q):
+    """Scalar 0-form of degree q -> one component of its differential."""
+    return derivative_matrix(cell, np.eye(2)[comp], 0, q)
 
 
-def _skew_trace(f, comp):
+def _skew_trace(comp, nq):
     """Row 1-form -> its contribution to -(w11 + w22) as a 2-form."""
-    poly = f.comps.get((comp,), {})
-    return FormPolynomial(f.simplex, 2, {(0, 1): {e: -c for e, c in poly.items()}})
+    return -np.kron(np.eye(2)[[comp]], np.eye(nq))
 
 
 class BGGContext:
-    """Assembled spaces and operator matrices for one degree window p."""
+    """Assembled spaces and operator matrices for one degree window p.
+
+    The connecting maps are the per-cell coefficient matrices above, sized by
+    the degrees of the spaces: Hermite p + 2, Stenberg and pressure p + 1,
+    Argyris p + 3.
+    """
 
     def __init__(self, mesh, p):
         if mesh.dim != 2:
@@ -57,8 +60,7 @@ class BGGContext:
         self.pressure = assemble_space(mesh, 2, p + 1, 2)
         self.argyris = assemble_space(mesh, 2, p + 3, 0) if p + 3 >= 5 else None
 
-        H, St, DG, FN = (self.hermite.dim, self.stenberg.dim,
-                         self.dg.dim, self.pressure.dim)
+        H, St, DG = self.hermite.dim, self.stenberg.dim, self.dg.dim
         d_h = assemble_d(self.hermite, self.stenberg).array
         d_s = assemble_d(self.stenberg, self.dg).array
 
@@ -68,32 +70,36 @@ class BGGContext:
         self.dV1 = np.block([[d_s, np.zeros((DG, St))],
                              [np.zeros((DG, St)), d_s]])
 
+        def pair(src, dst, fmap):
+            """The operators of fmap(cell, 0) and fmap(cell, 1)."""
+            return [assemble_local_operator(src, dst, lambda cell, c=c: fmap(cell, c)).array
+                    for c in (0, 1)]
+
         # skew-valued d1: pair of scalars as a 1-form into the pressure space
-        b0 = assemble_local_operator(self.hermite, self.pressure,
-                                     lambda f: _embed_component(f, 0).exterior_derivative()).array
-        b1 = assemble_local_operator(self.hermite, self.pressure,
-                                     lambda f: _embed_component(f, 1).exterior_derivative()).array
-        self.dK1 = np.hstack([b0, b1])
+        nh = math.comb(p + 4, 2)
+        self.dK1 = np.hstack(pair(self.hermite, self.pressure, lambda cell, c: (
+            exterior_derivative_matrix(cell, 1, p + 2, p + 1) @ _embed_component(c, nh))))
 
         # S0: signed permutation between the two Hermite pairs
         self.S0 = np.block([[np.zeros((H, H)), -np.eye(H)],
                             [np.eye(H), np.zeros((H, H))]])
         self.S0inv = self.S0.T
 
-        c0 = assemble_local_operator(self.stenberg, self.pressure,
-                                     lambda f: _skew_trace(f, 0)).array
-        c1 = assemble_local_operator(self.stenberg, self.pressure,
-                                     lambda f: _skew_trace(f, 1)).array
-        self.S1 = np.hstack([c0, c1])
+        ns = math.comb(p + 3, 2)
+        self.S1 = np.hstack(pair(self.stenberg, self.pressure,
+                                 lambda cell, c: _skew_trace(c, ns)))
 
         if self.argyris is not None:
-            g0 = assemble_local_operator(self.argyris, self.hermite,
-                                         lambda f: _grad_component(f, 0)).array
-            g1 = assemble_local_operator(self.argyris, self.hermite,
-                                         lambda f: _grad_component(f, 1)).array
-            self.dK0 = np.vstack([g0, g1])
+            self.dK0 = np.vstack(pair(self.argyris, self.hermite,
+                                      lambda cell, c: _grad_component(cell, c, p + 3)))
         else:
             self.dK0 = None
+
+    def _nodal(self, what):
+        """dK0, which needs the nodal skew 0-form space."""
+        if self.dK0 is None:
+            raise ValueError(f"{what} needs p + 3 >= 5")
+        return self.dK0
 
     def identity_residual(self):
         """Max entry of D1 S0 + S1 D0 relative to the term magnitudes."""
@@ -102,6 +108,23 @@ class BGGContext:
         scale = max(np.abs(a).max(), np.abs(b).max(), 1.0)
         return float(np.abs(a + b).max() / scale)
 
+    def xi_operators(self):
+        """The two block operators A0, A1 of the product complex.
+
+        Below the nodal range the skew 0-form slot is the constraint-defined
+        smooth scalar space, and A0 acts on its spanning columns.
+        """
+        St, DG, H = self.stenberg.dim, self.dg.dim, self.hermite.dim
+        dK0 = self.dK0
+        if dK0 is None:
+            N = _constrained_smooth_scalar_span(self.mesh, self.p + 3)
+            dK0 = _constrained_grad_dofs(self.mesh, N, self.hermite)
+        A0 = np.block([[dK0, -self.S0],
+                       [np.zeros((2 * St, dK0.shape[1])), self.dV0]])
+        A1 = np.block([[self.dK1, -self.S1],
+                       [np.zeros((2 * DG, 2 * H)), self.dV1]])
+        return A0, A1
+
     def xi_complex(self):
         """Rank-nullity exactness of the product complex at window p.
 
@@ -109,28 +132,8 @@ class BGGContext:
         three-dimensional on contractible meshes (a constant vector field plus
         the matching linear skew potential).
         """
-        H, St, DG, FN = (self.hermite.dim, self.stenberg.dim, self.dg.dim,
-                         self.pressure.dim)
-        dim_xi1 = 2 * H + 2 * St
-        dim_xi2 = FN + 2 * DG
-
-        if self.dK0 is not None:
-            arg_dim = self.argyris.dim
-            A0 = np.block([[self.dK0, -self.S0],
-                           [np.zeros((2 * St, arg_dim)), self.dV0]])
-            dim_xi0 = arg_dim + 2 * H
-        else:
-            # below the nodal range the skew 0-form slot is the constraint-defined
-            # smooth scalar space; ranks are computed on its spanning columns
-            N = _constrained_smooth_scalar_span(self.mesh, self.p + 3)
-            dK0 = _constrained_grad_dofs(self.mesh, N, self.hermite)
-            A0 = np.block([[dK0, -self.S0],
-                           [np.zeros((2 * St, N.shape[1])), self.dV0]])
-            dim_xi0 = N.shape[1] + 2 * H
-
-        A1 = np.block([[self.dK1, -self.S1],
-                       [np.zeros((2 * DG, 2 * H)), self.dV1]])
-
+        A0, A1 = self.xi_operators()
+        dim_xi0, dim_xi1, dim_xi2 = A0.shape[1], A1.shape[1], A1.shape[0]
         comp = np.abs(A1 @ A0).max()
         scale = max(np.abs(A1).max() * np.abs(A0).max(), 1.0)
         r0 = rank_of(A0)
@@ -145,10 +148,82 @@ class BGGContext:
             "exact": (dim_xi0 - r0) == 3 and (dim_xi1 - r1) == r0 and r1 == dim_xi2,
         }
 
+    def xi_commuting_residual(self):
+        """Residual of the projection squares onto the reduced subcomplex."""
+        dK0 = self._nodal("projection check")
+        H, St, arg = self.hermite.dim, self.stenberg.dim, self.argyris.dim
+        A0, A1 = self.xi_operators()
+        pi0 = np.block([[np.eye(arg), np.zeros((arg, 2 * H))],
+                        [self.S0inv @ dK0, np.zeros((2 * H, 2 * H))]])
+        pi1 = np.block([[np.zeros((2 * H, 2 * H)), np.zeros((2 * H, 2 * St))],
+                        [self.dV0 @ self.S0inv, np.eye(2 * St)]])
+        left = A0 @ pi0 - pi1 @ A0
+        right = A1 @ pi1 - A1
+        scale = max(np.abs(A0).max(), np.abs(A1).max(), 1.0)
+        return float(max(np.abs(left).max(), np.abs(right).max()) / scale)
+
+    def airy(self):
+        """The potential map dV0 S0^-1 dK0: scalars to symmetric matrix fields."""
+        return self.dV0 @ self.S0inv @ self._nodal("the stress row")
+
+    def projection_commutes(self):
+        """Residuals of the squares carrying the reduced row to the stress row.
+
+        The vertical maps are the identity, (id - inclusion . S1), and
+        (omega, mu) -> mu + dV1 . inclusion . omega; both squares must commute.
+        """
+        airy = self.airy()
+        ih = stress_inclusion(self)
+        V = np.eye(2 * self.stenberg.dim) - ih @ self.S1
+        # left square: the potential map composed with the vertical projection
+        left = np.abs(V @ airy - airy).max() / max(np.abs(airy).max(), 1.0)
+        # right square: project then take d versus map into the product and project
+        top = np.vstack([-self.S1, self.dV1])
+        pi_h = np.hstack([self.dV1 @ ih, np.eye(2 * self.dg.dim)])
+        right = np.abs(pi_h @ top - self.dV1 @ V).max() / max(np.abs(self.dV1).max(), 1.0)
+        kernel_resid = np.abs(self.S1 @ V).max()
+        return {"left": float(left), "right": float(right),
+                "projection_into_kernel": float(kernel_resid),
+                "trace_right_inverse": float(np.abs(self.S1 @ ih
+                                                    - np.eye(self.pressure.dim)).max())}
+
+    def huzhang_row_report(self):
+        """Exactness accounting for: smooth scalars -> symmetric stresses -> vectors.
+
+        The stress space is the symmetric kernel of the trace map inside the
+        vector-valued 1-form space; the potential map is dV0 S0^-1 dK0 (the
+        second-order operator sending a scalar to a symmetric matrix field).
+        """
+        airy = self.airy()
+        N_hz = nullspace(self.S1)
+        dim_hz = N_hz.shape[1]
+        # image of the potential map is symmetric: S1 @ airy = -dK1 dK0 = 0
+        sym_resid = float(np.abs(self.S1 @ airy).max() / max(np.abs(airy).max(), 1.0))
+        r_airy = rank_of(airy)
+        r_div = rank_of(self.dV1 @ N_hz)
+        arg = self.argyris.dim
+        return {
+            "dim_potential": arg,
+            "dim_stress": dim_hz,
+            "dim_load": 2 * self.dg.dim,
+            "rank_potential_map": r_airy,
+            "kernel_potential_map": arg - r_airy,
+            "rank_div": r_div,
+            "image_symmetric_resid": sym_resid,
+            "exact": (arg - r_airy == 3
+                      and dim_hz - r_div == r_airy
+                      and r_div == 2 * self.dg.dim),
+        }
+
 
 def verify_bgg_identity(mesh, p):
     """Max entry of D1 S0 + S1 D0 relative to the term magnitudes."""
     return BGGContext(mesh, p).identity_residual()
+
+
+def xi_complex(mesh, p):
+    """Rank-nullity exactness of the product complex at window p."""
+    return BGGContext(mesh, p).xi_complex()
 
 
 # ---------------------------------------------------------------------------
@@ -201,45 +276,9 @@ def _constrained_grad_dofs(mesh, N, hermite):
     """Hermite-pair DoF vectors of the gradients of constrained scalars."""
     q = hermite.el.p + 1
     nloc = math.comb(q + 2, 2)
-    blocks = []
-    for axis in np.eye(2):
-        out = np.zeros((hermite.dim, N.shape[1]))
-        seen = np.zeros(hermite.dim, dtype=bool)
-        for ci in range(len(mesh.cells)):
-            grad = derivative_matrix(mesh.cell_simplex(ci), axis, 0, q)
-            gidx = hermite.cell_global[ci]
-            new = ~seen[gidx]
-            out[gidx[new]] = (hermite.dof_rows(ci) @ grad @ N[ci * nloc:(ci + 1) * nloc])[new]
-            seen[gidx] = True
-        blocks.append(out)
-    return np.vstack(blocks)
-
-
-def xi_complex(mesh, p):
-    """Rank-nullity exactness of the product complex at window p."""
-    return BGGContext(mesh, p).xi_complex()
-
-
-def xi_commuting_residual(mesh, p):
-    """Residual of the projection squares onto the reduced subcomplex."""
-    ctx = BGGContext(mesh, p)
-    if ctx.dK0 is None:
-        raise ValueError("projection check needs the nodal skew 0-form space")
-    H, St, DG, FN = (ctx.hermite.dim, ctx.stenberg.dim, ctx.dg.dim,
-                     ctx.pressure.dim)
-    arg = ctx.argyris.dim
-    A0 = np.block([[ctx.dK0, -ctx.S0],
-                   [np.zeros((2 * St, arg)), ctx.dV0]])
-    A1 = np.block([[ctx.dK1, -ctx.S1],
-                   [np.zeros((2 * DG, 2 * H)), ctx.dV1]])
-    pi0 = np.block([[np.eye(arg), np.zeros((arg, 2 * H))],
-                    [ctx.S0inv @ ctx.dK0, np.zeros((2 * H, 2 * H))]])
-    pi1 = np.block([[np.zeros((2 * H, 2 * H)), np.zeros((2 * H, 2 * St))],
-                    [ctx.dV0 @ ctx.S0inv, np.eye(2 * St)]])
-    left = A0 @ pi0 - pi1 @ A0
-    right = A1 @ pi1 - A1
-    scale = max(np.abs(A0).max(), np.abs(A1).max(), 1.0)
-    return float(max(np.abs(left).max(), np.abs(right).max()) / scale)
+    return np.vstack([hermite.gather({
+        ci: hermite.dof_rows(ci) @ _grad_component(mesh.cell_simplex(ci), comp, q)
+        @ N[ci * nloc:(ci + 1) * nloc] for ci in range(len(mesh.cells))}) for comp in (0, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -435,65 +474,3 @@ def stress_inclusion(ctx):
     if abs(scale) < 1e-12 or np.abs(gauge - scale * np.eye(FN.dim)).max() > 1e-8 * abs(scale):
         raise RuntimeError("inclusion failed to invert the trace map")
     return raw / scale
-
-
-def projection_commutes(mesh, p):
-    """Residuals of the squares carrying the reduced row to the stress row.
-
-    The vertical maps are the identity, (id - inclusion . S1), and
-    (omega, mu) -> mu + dV1 . inclusion . omega; both squares must commute.
-    """
-    ctx = BGGContext(mesh, p)
-    if ctx.dK0 is None:
-        raise ValueError("stress projection needs p + 3 >= 5")
-    ih = stress_inclusion(ctx)
-    airy = ctx.dV0 @ ctx.S0inv @ ctx.dK0
-    V = np.eye(2 * ctx.stenberg.dim) - ih @ ctx.S1
-    # left square: the potential map composed with the vertical projection
-    left = np.abs(V @ airy - airy).max() / max(np.abs(airy).max(), 1.0)
-    # right square: project then take d versus map into the product and project
-    top = np.vstack([-ctx.S1, ctx.dV1])
-    pi_h = np.hstack([ctx.dV1 @ ih, np.eye(2 * ctx.dg.dim)])
-    right = np.abs(pi_h @ top - ctx.dV1 @ V).max() / max(np.abs(ctx.dV1).max(), 1.0)
-    kernel_resid = np.abs(ctx.S1 @ V).max()
-    return {"left": float(left), "right": float(right),
-            "projection_into_kernel": float(kernel_resid),
-            "trace_right_inverse": float(np.abs(ctx.S1 @ ih - np.eye(ctx.pressure.dim)).max())}
-
-
-# ---------------------------------------------------------------------------
-# the assembled stress row
-# ---------------------------------------------------------------------------
-
-def huzhang_row_report(mesh, p):
-    """Exactness accounting for: smooth scalars -> symmetric stresses -> vectors.
-
-    The stress space is the symmetric kernel of the trace map inside the
-    vector-valued 1-form space; the potential map is dV0 S0^-1 dK0 (the
-    second-order operator sending a scalar to a symmetric matrix field).
-    """
-    ctx = BGGContext(mesh, p)
-    if ctx.dK0 is None:
-        raise ValueError("stress row needs p + 3 >= 5")
-    airy = ctx.dV0 @ ctx.S0inv @ ctx.dK0
-    N_hz = nullspace(ctx.S1)
-    dim_hz = N_hz.shape[1]
-    # image of the potential map is symmetric: S1 @ airy = -dK1 dK0 = 0
-    sym_resid = float(np.abs(ctx.S1 @ airy).max() /
-                      max(np.abs(airy).max(), 1.0))
-    r_airy = rank_of(airy)
-    div_on_hz = ctx.dV1 @ N_hz
-    r_div = rank_of(div_on_hz)
-    report = {
-        "dim_potential": ctx.argyris.dim,
-        "dim_stress": dim_hz,
-        "dim_load": 2 * ctx.dg.dim,
-        "rank_potential_map": r_airy,
-        "kernel_potential_map": ctx.argyris.dim - r_airy,
-        "rank_div": r_div,
-        "image_symmetric_resid": sym_resid,
-        "exact": (ctx.argyris.dim - r_airy == 3
-                  and dim_hz - r_div == r_airy
-                  and r_div == 2 * ctx.dg.dim),
-    }
-    return report

@@ -24,8 +24,8 @@ import numpy as np
 from .forms import (FormPolynomial, Simplex, _coefficient_matrix, coeffs,
                     derivative_matrix, dim_full, dim_trimmed, eval_row,
                     form_from_coeffs, full_basis, independent_subset, jet_rows,
-                    moment_row, monomials, nullspace, poly_mul, proxy_matrix,
-                    restriction_matrix, trimmed_basis)
+                    moment_row, monomials, multinomials, nullspace, poly_mul,
+                    proxy_matrix, restriction_matrix, trimmed_basis)
 from .mesh import SimplicialMesh
 
 UNISOLVENCE_TOL = 1e-6
@@ -462,9 +462,15 @@ def _single_cell_mesh(simplex_vertices):
     return SimplicialMesh(verts, [tuple(range(len(verts)))])
 
 
-def shape_coeffs(el, basis):
-    """Coefficient columns of the shape basis ``shape_basis(el, cell)``."""
-    return _coefficient_matrix(basis, el.p)[0]
+def shape_coeffs(el, cell):
+    """Coefficient columns of the shape basis ``shape_basis(el, cell)``.
+
+    The full Bernstein basis is the monomial basis scaled by multinomials, the
+    same matrix on every cell; the trimmed basis is stacked from its forms.
+    """
+    if el.r == "minus":
+        return _coefficient_matrix(trimmed_basis(cell, el.p, el.k), el.p)
+    return np.kron(np.eye(math.comb(el.n, el.k)), np.diag(multinomials(el.n + 1, el.p)))
 
 
 def dof_matrix(el, simplex_vertices):
@@ -472,10 +478,9 @@ def dof_matrix(el, simplex_vertices):
     mesh = _single_cell_mesh(simplex_vertices)
     cell = mesh.cell_simplex(0)
     dofs = cell_dofs(el, mesh, 0)
-    basis = shape_basis(el, cell)
     cverts = tuple(int(v) for v in mesh.cells[0])
-    M = dof_rows(dofs, cell, cverts, el.k, el.p) @ shape_coeffs(el, basis)
-    return M, dofs, basis
+    M = dof_rows(dofs, cell, cverts, el.k, el.p) @ shape_coeffs(el, cell)
+    return M, dofs, shape_basis(el, cell)
 
 
 def unisolvence_check(el, simplex_vertices, tol=UNISOLVENCE_TOL):
@@ -563,7 +568,7 @@ def zero_trace_dim(mesh, p, k):
     """Dimension of {u in P_p Lambda^k(cell): vanishing boundary traces}.
 
     On the single cell of ``mesh``, the trace onto every boundary facet must
-    vanish.  Returns (dimension, nullspace basis as forms).
+    vanish.  Returns (dimension, nullspace basis as coefficient columns).
     """
     cell = mesh.cell_simplex(0)
     n = mesh.dim
@@ -572,7 +577,7 @@ def zero_trace_dim(mesh, p, k):
                                       [cverts.index(v) for v in everts], k, p)
                    for fi, everts in enumerate(mesh.skeleton[n - 1])])
     ns = nullspace(A)
-    return ns.shape[1], [form_from_coeffs(cell, k, p, col) for col in ns.T]
+    return ns.shape[1], ns
 
 
 def bubble_basis(el, simplex_vertices):
@@ -587,8 +592,8 @@ def bubble_basis(el, simplex_vertices):
         span = tangential_bubble_span(cell, el.p)
         return independent_subset(span, p=el.p)
     if el.n == 2 and el.k == 1:
-        _, forms = zero_trace_dim(mesh, el.p, 1)
-        return forms
+        _, cols = zero_trace_dim(mesh, el.p, 1)
+        return [form_from_coeffs(cell, 1, el.p, col) for col in cols.T]
     raise ValueError("bubble bases implemented for k=1 in dimensions 2 and 3")
 
 

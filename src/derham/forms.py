@@ -5,7 +5,9 @@ polynomials built from Fractions/ints stay exact (so d(d(u)) cancels at the
 coefficient level), while float inputs degrade gracefully to floats.  All
 integrals use the closed barycentric formula; there is no quadrature anywhere.
 The float coefficient-space maps at the end of the module carry the same
-operations (values, derivatives, traces, moments) as matrices.
+operations (values, derivatives, d, traces, moments) as matrices; the
+program computes with those, and FormPolynomial serves as DoF test forms,
+as the export format and as the exact reference of the tests.
 """
 
 from __future__ import annotations
@@ -507,12 +509,8 @@ def full_basis(simplex, p, k):
 
 
 def _coefficient_matrix(forms, p):
-    """Stack form coefficients (homogenized to degree p) into a dense matrix."""
-    if not forms:
-        return np.zeros((0, 0)), [], []
-    m = forms[0].simplex.dim
-    mat = np.column_stack([coeffs(f, p) for f in forms])
-    return mat, list(combinations(range(m), forms[0].k)), monomials(m + 1, p)
+    """Stack form coefficients (homogenized to degree p) as columns."""
+    return np.column_stack([coeffs(f, p) for f in forms]) if forms else np.zeros((0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +520,7 @@ def _coefficient_matrix(forms, p):
 # coefficients, key-major: entry key_pos * N + alpha_pos with keys
 # combinations(range(m), k), alphas monomials(m + 1, p), N = len(alphas).
 # The Bernstein basis of full_basis is this basis scaled by multinomials.
-# DoF rows and operator images are products of the maps below.
+# DoF rows and operators are products of the maps below.
 # ---------------------------------------------------------------------------
 
 _FACT = np.array([float(math.factorial(i)) for i in range(171)])
@@ -555,6 +553,8 @@ def multinomials(nvars, degree):
 @lru_cache(maxsize=None)
 def elevation(nvars, p, q):
     """Multiplication by (sum lambda)^(q-p): degree-p to degree-q coefficients."""
+    if q < p:
+        raise ValueError("cannot homogenize downward")
     out = np.zeros((math.comb(q + nvars - 1, nvars - 1), math.comb(p + nvars - 1, nvars - 1)))
     index = _exponent_index(nvars, q)
     lifts = exponent_array(nvars, q - p)
@@ -601,17 +601,53 @@ def form_from_coeffs(simplex, k, p, vec):
                                        for key, block in zip(keys, blocks)})
 
 
+@lru_cache(maxsize=None)
+def _lowering(nvars, p):
+    """(row, col, j, alpha_j) of each entry of d/d(lambda_j): degree p to p - 1."""
+    lower = _exponent_index(nvars, p - 1)
+    entries = [(lower[a[:j] + (a[j] - 1,) + a[j + 1:]], col, j, a[j])
+               for col, a in enumerate(monomials(nvars, p)) for j in range(nvars) if a[j]]
+    return _frozen(np.array(entries, dtype=int).reshape(-1, 4).T)
+
+
+def _partial(simplex, slopes, p):
+    """Scalar derivative, degree p to p - 1, given slopes[j] = d(lambda_j)."""
+    m = simplex.dim
+    rows, cols, j, a = _lowering(m + 1, p)
+    D = np.zeros((math.comb(p - 1 + m, m), math.comb(p + m, m)))
+    D[rows, cols] = a * slopes[j]
+    return D
+
+
 def derivative_matrix(simplex, direction, k, p):
     """Directional derivative of each component: degree p to degree p-1."""
-    m = simplex.dim
     slopes = simplex.grad_bary_float() @ np.asarray(direction, float)
-    lower = _exponent_index(m + 1, p - 1)
-    D = np.zeros((len(lower), len(exponent_array(m + 1, p))))
-    for col, a in enumerate(monomials(m + 1, p)):
-        for j in range(m + 1):
-            if a[j]:
-                D[lower[a[:j] + (a[j] - 1,) + a[j + 1:]], col] = a[j] * slopes[j]
-    return np.kron(np.eye(math.comb(m, k)), D)
+    return np.kron(np.eye(math.comb(simplex.dim, k)), _partial(simplex, slopes, p))
+
+
+def exterior_derivative_matrix(simplex, k, p, q):
+    """d from degree-p k-forms to degree-q (k+1)-forms, q >= p - 1.
+
+    The signs are those of FormPolynomial.exterior_derivative:
+    d(u dy_K) = sum over axes a of (du/dy_a) dy_a ^ dy_K.
+    """
+    m = simplex.dim
+    if k >= m:
+        raise ValueError("exterior derivative of a top-degree form")
+    grads = simplex.grad_bary_float()
+    lift = elevation(m + 1, p - 1, q)
+    src = list(combinations(range(m), k))
+    dst = {key: i for i, key in enumerate(combinations(range(m), k + 1))}
+    ns, nd = math.comb(p + m, m), math.comb(q + m, m)
+    out = np.zeros((len(dst) * nd, len(src) * ns))
+    for axis in range(m):
+        block = lift @ _partial(simplex, grads[:, axis], p)
+        for i, key in enumerate(src):
+            if axis not in key:
+                j = dst[tuple(sorted(key + (axis,)))]
+                sign = -1.0 if sum(x < axis for x in key) % 2 else 1.0
+                out[j * nd:(j + 1) * nd, i * ns:(i + 1) * ns] = sign * block
+    return out
 
 
 def proxy_matrix(m, k, w, p):
@@ -764,12 +800,12 @@ def trimmed_basis(simplex, p, k):
         if not kf.is_zero():
             span.append(kf)
     target = dim_trimmed(m, p, k)
-    mat, _, _ = _coefficient_matrix(span, p)
+    mat = _coefficient_matrix(span, p)
     _, _, piv = scipy.linalg.qr(mat, pivoting=True, mode="economic")
     smax = np.linalg.svd(mat, compute_uv=False)[0]
     chosen = sorted(piv[:target])
     basis = [span[i] for i in chosen]
-    check, _, _ = _coefficient_matrix(basis, p)
+    check = _coefficient_matrix(basis, p)
     sv = np.linalg.svd(check, compute_uv=False)
     if len(sv) < target or sv[-1] <= RANK_RTOL * smax:
         raise RuntimeError("trimmed space extraction lost rank")
@@ -813,7 +849,7 @@ def independent_subset(forms, p=None, rtol=RANK_RTOL):
     if not forms:
         return []
     deg = p if p is not None else max(f.max_degree() for f in forms)
-    mat, _, _ = _coefficient_matrix(forms, deg)
+    mat = _coefficient_matrix(forms, deg)
     _, _, piv = scipy.linalg.qr(mat, pivoting=True, mode="economic")
     return [forms[i] for i in sorted(piv[:rank_of(mat, rtol)])]
 
@@ -822,4 +858,4 @@ def span_rank(forms, p=None, rtol=RANK_RTOL):
     if not forms:
         return 0
     deg = p if p is not None else max(f.max_degree() for f in forms)
-    return rank_of(_coefficient_matrix(forms, deg)[0], rtol)
+    return rank_of(_coefficient_matrix(forms, deg), rtol)

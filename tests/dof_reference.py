@@ -10,7 +10,7 @@ import numpy as np
 
 from derham.elements import (CellWedgeMoment, ComponentMoment, NormalDerivMoment,
                              PointDeriv, PointEval, ScalarMoment, TraceWedgeMoment,
-                             _InteriorComponent)
+                             _InteriorComponent, shape_basis)
 from derham.forms import FormPolynomial, poly_mul
 
 
@@ -81,14 +81,15 @@ def reference_value(dof, u, cell_verts):
 def reference_operator(src, dst, fmap):
     """assemble_local_operator's matrix with every entry computed term by term.
 
-    The local DoF matrices, their inverses and the image DoFs all come from
-    ``reference_value``; the first cell reaching an entry sets it.
+    ``fmap`` maps a form to a form.  The local DoF matrices, their inverses
+    and the image DoFs all come from ``reference_value``; the first cell
+    reaching an entry sets it.
     """
     D = np.zeros((dst.dim, src.dim))
     filled = np.zeros(D.shape, dtype=bool)
     for ci in range(len(src.mesh.cells)):
         cverts = tuple(int(v) for v in src.mesh.cells[ci])
-        shapes = src.shapes(ci)
+        shapes = shape_basis(src.el, src.mesh.cell_simplex(ci))
         M = np.array([[reference_value(dof, b, cverts) for b in shapes]
                       for dof in src.cell_dof_objs[ci]])
         images = [fmap(b.as_float()) for b in shapes]

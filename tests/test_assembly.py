@@ -89,6 +89,18 @@ def test_containment_residual_small(meshes):
     assert containment_residual(src, dst) < 1e-8
 
 
+@pytest.mark.parametrize("r", [0, 1, 2])
+def test_containment_detects_a_moved_entry(meshes, r):
+    from derham.assembly import CONTAINMENT_TOL, OperatorMatrix
+    spaces = [assemble_space(meshes["square"], *s) for s in family_row(2, r, 2)]
+    for src, dst in zip(spaces, spaces[1:]):
+        D = assemble_d(src, dst)
+        assert containment_residual(src, dst, D) < CONTAINMENT_TOL
+        moved = D.array.copy()
+        moved[np.unravel_index(np.argmax(np.abs(moved)), moved.shape)] += 1e-3
+        assert containment_residual(src, dst, OperatorMatrix(src, dst, moved)) > CONTAINMENT_TOL
+
+
 def test_wrong_pairing_rejected(meshes):
     m = meshes["square"]
     src = assemble_space(m, 1, 4, 0)

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from derham.assembly import rank_of
-from derham.bgg import (BGGContext, huzhang_row_report, huzhang_stress,
-                        verify_bgg_identity, xi_commuting_residual, xi_complex)
+from derham.bgg import BGGContext, huzhang_stress, verify_bgg_identity, xi_complex
 from derham.forms import dim_trimmed
 from derham.mesh import SimplicialMesh, reference_triangle, two_triangle_square
 
@@ -100,7 +99,7 @@ def test_xi_annulus_deficiency():
 
 
 def test_commuting_projections():
-    assert xi_commuting_residual(two_triangle_square(), 2) < 1e-9
+    assert BGGContext(two_triangle_square(), 2).xi_commuting_residual() < 1e-9
 
 
 @pytest.mark.parametrize("q", [5, 6])
@@ -160,7 +159,7 @@ def test_stress_on_random_triangle():
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_stress_row_exact(p):
-    rep = huzhang_row_report(two_triangle_square(), p)
+    rep = BGGContext(two_triangle_square(), p).huzhang_row_report()
     assert rep["image_symmetric_resid"] < 1e-10
     assert rep["kernel_potential_map"] == 3
     assert rep["exact"], rep
@@ -168,8 +167,7 @@ def test_stress_row_exact(p):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_projection_squares_commute(p):
-    from derham.bgg import projection_commutes
-    rep = projection_commutes(two_triangle_square(), p)
+    rep = BGGContext(two_triangle_square(), p).projection_commutes()
     assert rep["trace_right_inverse"] < 1e-10
     assert rep["left"] < 1e-10 and rep["right"] < 1e-10
     assert rep["projection_into_kernel"] < 1e-10

@@ -8,10 +8,12 @@ import pytest
 from conftest import random_simplex
 from dof_reference import reference_operator, reference_value, scalar_moment
 from derham import assembly, bgg
-from derham.elements import (CellWedgeMoment, ComponentMoment, NormalDerivMoment,
-                             PointDeriv, PointEval, ScalarMoment, TraceWedgeMoment,
-                             _InteriorComponent, cell_dofs, element_def)
-from derham.forms import (FormPolynomial, coeffs, form_from_coeffs, moment_gram,
+from derham.elements import (_P_MIN, CellWedgeMoment, ComponentMoment,
+                             NormalDerivMoment, PointDeriv, PointEval, ScalarMoment,
+                             TraceWedgeMoment, _InteriorComponent, cell_dofs, element_def,
+                             shape_basis, shape_coeffs)
+from derham.forms import (FormPolynomial, Simplex, _coefficient_matrix, coeffs,
+                          exterior_derivative_matrix, form_from_coeffs, moment_gram,
                           monomials, rank_of)
 from derham.mesh import SimplicialMesh
 
@@ -58,14 +60,39 @@ def test_row_matches_form_algebra(cls, family):
         assert abs(dofs[0].apply(u, cverts) - ref[0]) <= 1e-12 * max(np.abs(ref).max(), 1.0)
 
 
-def _assert_operator_matches(src, dst, fmap):
+def _assert_operator_matches(src, dst, fmap, ref_map):
+    """The coefficient map ``fmap`` against the form-level map ``ref_map``."""
     new = assembly.assemble_local_operator(src, dst, fmap).array
-    ref = reference_operator(src, dst, fmap)
+    ref = reference_operator(src, dst, ref_map)
     assert np.abs(new - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def _d(f):
     return f.exterior_derivative()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_exterior_derivative_matrix_matches_form_d(n):
+    rng = np.random.default_rng(60 + n)
+    cell = Simplex(random_simplex(n, rng))
+    for k in range(n):
+        for p in range(1, 5):
+            u = _random_form(cell, k, p, rng)
+            for q in (p - 1, p + 1):
+                ref = coeffs(u.exterior_derivative(), q)
+                new = exterior_derivative_matrix(cell, k, p, q) @ coeffs(u, p)
+                assert np.abs(new - ref).max() <= 1e-12 * np.abs(ref).max(), (k, p, q)
+
+
+@pytest.mark.parametrize("family", sorted(_P_MIN, key=str), ids=str)
+def test_shape_coeffs_match_shape_basis(family):
+    r, k, n = family
+    rng = np.random.default_rng([n, k])
+    cell = Simplex(random_simplex(n, rng))
+    for p in (_P_MIN[family], _P_MIN[family] + 1):
+        el = element_def(r, p, k, n)
+        ref = _coefficient_matrix(shape_basis(el, cell), p)
+        assert np.array_equal(shape_coeffs(el, cell), ref), p
 
 
 @pytest.mark.parametrize("mesh_name", ["tet", "tet2", "tet3"])
@@ -74,7 +101,7 @@ def test_3d_row_operators_match_reference(meshes, mesh_name, r, p):
     spaces = [assembly.assemble_space(meshes[mesh_name], *s)
               for s in assembly.family_row(3, r, p)]
     for src, dst in zip(spaces, spaces[1:]):
-        _assert_operator_matches(src, dst, _d)
+        _assert_operator_matches(src, dst, assembly._d_map(src, dst), _d)
 
 
 def test_mixed_row_operators_match_reference(meshes):
@@ -83,26 +110,45 @@ def test_mixed_row_operators_match_reference(meshes):
               for s in assembly.family_row(3, "mixed", 3)]
     assert spaces[2].el.r == "minus"
     for src, dst in zip(spaces, spaces[1:]):
-        _assert_operator_matches(src, dst, _d)
+        _assert_operator_matches(src, dst, assembly._d_map(src, dst), _d)
+
+
+def _embed_form(f, comp):
+    """Scalar 0-form -> 1-form with the scalar in one component."""
+    return FormPolynomial(f.simplex, 1, {(comp,): f.comps.get((), {})})
+
+
+def _grad_form(f, comp):
+    """Scalar 0-form -> scalar component of its differential."""
+    return FormPolynomial(f.simplex, 0, {(): f.exterior_derivative().comps.get((comp,), {})})
+
+
+def _skew_trace_form(f, comp):
+    """Row 1-form -> its contribution to -(w11 + w22) as a 2-form."""
+    return FormPolynomial(f.simplex, 2, {(0, 1): {e: -c for e, c in f.comps.get((comp,), {}).items()}})
 
 
 @pytest.mark.parametrize("which", ["embed", "skew_trace", "grad"])
 def test_bgg_maps_match_reference(meshes, which):
+    # at p = 2 the Hermite, Stenberg/pressure and Argyris degrees are 4, 3, 5
     ctx = bgg.BGGContext(meshes["square"], 2)
-    src, dst, fmap = {
+    src, dst, fmap, ref_map = {
         "embed": (ctx.hermite, ctx.pressure,
-                  lambda f: bgg._embed_component(f, 1).exterior_derivative()),
-        "skew_trace": (ctx.stenberg, ctx.pressure, lambda f: bgg._skew_trace(f, 0)),
-        "grad": (ctx.argyris, ctx.hermite, lambda f: bgg._grad_component(f, 1)),
+                  lambda cell: exterior_derivative_matrix(cell, 1, 4, 3) @ bgg._embed_component(1, 15),
+                  lambda f: _embed_form(f, 1).exterior_derivative()),
+        "skew_trace": (ctx.stenberg, ctx.pressure, lambda cell: bgg._skew_trace(0, 10),
+                       lambda f: _skew_trace_form(f, 0)),
+        "grad": (ctx.argyris, ctx.hermite, lambda cell: bgg._grad_component(cell, 1, 5),
+                 lambda f: _grad_form(f, 1)),
     }[which]
-    _assert_operator_matches(src, dst, fmap)
+    _assert_operator_matches(src, dst, fmap, ref_map)
 
 
 def test_image_below_target_degree_is_elevated(meshes):
     # d of quadratic scalars is linear; the target holds degree 2
     src = assembly.assemble_space(meshes["tri3"], 0, 2, 0)
     dst = assembly.assemble_space(meshes["tri3"], 0, 2, 1)
-    _assert_operator_matches(src, dst, _d)
+    _assert_operator_matches(src, dst, assembly._d_map(src, dst), _d)
 
 
 def test_cross_cell_disagreement_reports_first_entry(meshes):
@@ -111,7 +157,7 @@ def test_cross_cell_disagreement_reports_first_entry(meshes):
     src = assembly.assemble_space(meshes["square"], 0, 2, 0)
     dst = assembly.assemble_space(meshes["square"], 1, 2, 1)
     with pytest.raises(RuntimeError, match=r"disagrees across cells at \(0,0\): -4.0 vs 0.0"):
-        assembly.assemble_local_operator(src, dst, _d)
+        assembly.assemble_local_operator(src, dst, assembly._d_map(src, dst))
 
 
 # -- stress rows ------------------------------------------------------------------
