@@ -466,7 +466,8 @@ def stress_inclusion(ctx):
                 P[index[("vertex", vi, (1, 0))], gi] = 1.0
             else:
                 # interior: match the vertex-vanishing moment, doubled (chi:chi)
-                (alpha, _), = dof.eta.comps[()].items()
+                _, q, unit = dof.test
+                alpha = monomials(3, q)[int(np.flatnonzero(unit)[0])]
                 P[index[("skew", ci, alpha)], gi] = 2.0
     raw = np.linalg.solve(T, P)
     gauge = ctx.S1 @ raw

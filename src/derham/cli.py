@@ -46,8 +46,11 @@ def _emit(text, out):
 
 def _p_values(args):
     if args.p_range:
-        lo, hi = args.p_range.split(":")
-        return list(range(int(lo), int(hi) + 1))
+        try:
+            lo, hi = (int(x) for x in args.p_range.split(":"))
+        except ValueError:
+            raise SystemExit(f"error: --p-range expects LO:HI integers (got {args.p_range!r})")
+        return list(range(lo, hi + 1))
     if args.p is None:
         raise SystemExit("error: provide --p or --p-range")
     return [args.p]
@@ -95,7 +98,13 @@ def cmd_verify(args):
     m = _load_mesh(args.mesh)
     betti = None
     if args.betti:
-        betti = [int(x) for x in args.betti.split(",")]
+        try:
+            betti = [int(x) for x in args.betti.split(",")]
+        except ValueError:
+            raise SystemExit(
+                f"error: --betti expects comma-separated integers (got {args.betti!r})")
+    if args.row not in ("0", "1", "2", "mixed"):
+        raise SystemExit(f"error: --row must be 0, 1, 2 or mixed (got {args.row!r})")
     try:
         if args.row == "mixed":
             rep = mixed_sequence(m, args.p)
@@ -130,21 +139,20 @@ def cmd_element(args):
     dofs = elements.cell_dofs(el, single, 0)
     for i, dof in enumerate(dofs):
         cls = "shared" if dof.shared else "per-cell"
-        q = getattr(dof, "q", None)
-        eta = getattr(dof, "eta", None)
-        if q is not None:
-            deg = f" test-deg {max(sum(e) for e in q)}"
-        elif eta is not None and not eta.is_zero():
-            deg = f" test-deg {eta.max_degree()}"
-        else:
-            deg = ""
+        deg = "" if dof.test is None else f" test-deg {dof.test[1]}"
         lines.append(f"dof {i:3d}: dim {dof.entity_dim} simplex {dof.entity_verts} "
                      f"{dof.klass}{deg} [{cls}]")
     _emit("\n".join(lines) + "\n", args.out)
     return 0 if rep["pass"] else 1
 
 
+def _positive_p(command, p):
+    if p < 1:
+        raise SystemExit(f"error: {command} needs --p >= 1 (got --p {p})")
+
+
 def cmd_bc(args):
+    _positive_p("bc", args.p)
     m = _load_mesh(args.mesh)
     if m.dim != 2:
         raise SystemExit("error: boundary-count reports are two-dimensional")
@@ -163,6 +171,7 @@ def cmd_bc(args):
 
 
 def cmd_bgg(args):
+    _positive_p("bgg", args.p)
     m = _load_mesh(args.mesh)
     ctx = bgg.BGGContext(m, args.p)
     resid = ctx.identity_residual()
@@ -190,7 +199,11 @@ def cmd_compare(args):
         nx, ny, nz = (int(x) for x in args.grid.split(","))
     except ValueError:
         raise SystemExit("error: --grid expects three comma-separated sizes")
-    m = cube_center_fan_grid(nx, ny, nz)
+    _positive_p("compare", args.p)
+    try:
+        m = cube_center_fan_grid(nx, ny, nz)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
     rep = dof_savings(args.p, m)
     ok = rep["dim_classical"] == rep["closed_classical"]
     if rep["dim_nodal"] is not None:

@@ -8,9 +8,10 @@ H(div) element in 3D and 'minus' for the trimmed (first-kind) H(div) space.
 All moment DoFs are normalized by the measure of their subsimplex, and
 every integral uses the closed barycentric formula.  A DoF is evaluated as a
 float row over the cell's coefficient space (``DoF.row``), so DoF matrices
-are matrix products.  DoFs attached to a shared subsimplex are generated
-from global mesh data only, so two cells sharing a face produce identical
-functionals and assembly needs no sign fixes.
+are matrix products.  A moment's test form is a coefficient vector; trimmed
+test spaces come from ``forms.trimmed_coeffs``.  DoFs attached to a shared
+subsimplex are generated from global mesh data only, so two cells sharing a
+face produce identical functionals and assembly needs no sign fixes.
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
-from .forms import (FormPolynomial, Simplex, _coefficient_matrix, coeffs,
+from .forms import (FormPolynomial, Simplex, bernstein_tests, coeffs,
                     derivative_matrix, dim_full, dim_trimmed, eval_row,
                     form_from_coeffs, full_basis, independent_subset, jet_rows,
                     moment_row, monomials, multinomials, nullspace, poly_mul,
-                    proxy_matrix, restriction_matrix, trimmed_basis)
+                    proxy_matrix, restriction_matrix, trimmed_basis, trimmed_coeffs)
 from .mesh import SimplicialMesh
 
 UNISOLVENCE_TOL = 1e-6
@@ -43,8 +44,9 @@ class DoF:
     Every functional composes the same steps: contract the vector proxy with
     ``weight``, differentiate along ``directions``, trace onto ``sub`` (None
     keeps the cell), then evaluate at ``point`` or take the measure-normalized
-    moment against a test form.  Subclasses fix which steps apply; ``row``
-    turns them into one float row over the cell's degree-p coefficients.
+    moment against the test form ``test``, held as (form degree, polynomial
+    degree, coefficients).  Subclasses fix which steps apply; ``row`` turns
+    them into one float row over the cell's degree-p coefficients.
     """
     entity_dim: int
     entity_verts: tuple
@@ -55,10 +57,7 @@ class DoF:
     directions = ()
     sub = None
     point = None
-
-    def test_form(self, domain):
-        """The moment's test form on ``domain`` (None for point functionals)."""
-        return None
+    test = None
 
     def row(self, cell, cell_verts, k, p, maps=None):
         """Row of the functional over degree-p k-form coefficients on ``cell``.
@@ -91,7 +90,7 @@ class DoF:
         if self.point is not None:
             out = eval_row(domain, self.point, p)
         else:
-            out = moment_row(self.test_form(domain), k, p)
+            out = moment_row(domain.dim, self.test, k, p)
         for step in reversed(steps):
             out = out @ step
         return out
@@ -128,12 +127,9 @@ def _vmap(entity_verts, cell_verts):
 
 @dataclass
 class ScalarMoment(DoF):
-    """(1/|s|) * integral over s of (scalar u) * q."""
+    """(1/|s|) * integral over s of (scalar u) * q, q a 0-form test."""
     sub: Simplex = None
-    q: dict = None
-
-    def test_form(self, domain):
-        return FormPolynomial(domain, 0, {(): self.q})
+    test: tuple = None
 
 
 @dataclass
@@ -156,19 +152,13 @@ class ComponentMoment(ScalarMoment):
 class TraceWedgeMoment(DoF):
     """(1/|s|) * integral over s of Tr(u) wedge eta, eta a test form on s."""
     sub: Simplex = None
-    eta: FormPolynomial = None
-
-    def test_form(self, domain):
-        return self.eta
+    test: tuple = None
 
 
 @dataclass
 class CellWedgeMoment(DoF):
     """(1/|t|) * integral over the cell of u wedge eta (no restriction)."""
-    eta: FormPolynomial = None
-
-    def test_form(self, domain):
-        return self.eta
+    test: tuple = None
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +240,19 @@ def shape_basis(el, simplex):
     return full_basis(simplex, el.p, el.k)
 
 
-def _qpolys(sub, deg):
-    """Scalar test monomials of total degree deg on a subsimplex."""
-    return [({a: 1}) for a in monomials(sub.dim + 1, deg)] if deg >= 0 else []
+def _monomial_tests(d, deg, k=0, key=0):
+    """Test forms lambda^a dy_K on a d-simplex, one per monomial a of degree
+    deg, K the key-th k-axis tuple, as (k, deg, coefficients) triples."""
+    if deg < 0:
+        return []
+    n = math.comb(deg + d, d)
+    units = np.eye(math.comb(d, k) * n)[key * n:(key + 1) * n]
+    return [(k, deg, unit) for unit in units]
+
+
+def _vertex_vanishing_tests(d, deg):
+    """The scalar monomial tests of degree deg that vanish at every vertex."""
+    return [t for t, a in zip(_monomial_tests(d, deg), monomials(d + 1, deg)) if max(a) < deg]
 
 
 def _axes(n):
@@ -307,76 +307,62 @@ def entity_dofs(el, mesh, d, idx):
     if d == 1 and d < n:
         if k == 0:
             if r == 0:
-                degq = p - 2
-                for q in _qpolys(sub, degq):
-                    out.append(ScalarMoment(1, everts, "edge-moment", shared, sub=sub, q=q))
+                for t in _monomial_tests(1, p - 2):
+                    out.append(ScalarMoment(1, everts, "edge-moment", shared, sub=sub, test=t))
             elif r == 1:
-                for q in _qpolys(sub, p - 4):
-                    out.append(ScalarMoment(1, everts, "edge-moment", shared, sub=sub, q=q))
+                for t in _monomial_tests(1, p - 4):
+                    out.append(ScalarMoment(1, everts, "edge-moment", shared, sub=sub, test=t))
             elif r == 2:
                 fr = mesh.frame(1, idx)
                 for i, nu in enumerate(fr.normals):
-                    for q in _qpolys(sub, p - 5):
+                    for t in _monomial_tests(1, p - 5):
                         out.append(NormalDerivMoment(1, everts, f"edge-nderiv{i}", shared,
-                                                     sub=sub, q=q, direction=nu))
-                for q in _qpolys(sub, p - 6):
-                    out.append(ScalarMoment(1, everts, "edge-moment", shared, sub=sub, q=q))
+                                                     sub=sub, test=t, direction=nu))
+                for t in _monomial_tests(1, p - 6):
+                    out.append(ScalarMoment(1, everts, "edge-moment", shared, sub=sub, test=t))
         elif k == 1:
             if r in (0, 1):
-                degq = p if r == 0 else p - 2
-                for q in _qpolys(sub, degq):
-                    eta = FormPolynomial(sub, 0, {(): q})
+                for t in _monomial_tests(1, p if r == 0 else p - 2):
                     out.append(TraceWedgeMoment(1, everts, "edge-trace", shared,
-                                                sub=sub, eta=eta))
+                                                sub=sub, test=t))
             elif r == 2:
                 for i, e in enumerate(_axes(n)):
-                    for q in _qpolys(sub, p - 4):
+                    for t in _monomial_tests(1, p - 4):
                         out.append(ComponentMoment(1, everts, f"edge-c{i}", shared,
-                                                   sub=sub, q=q, weight=e))
+                                                   sub=sub, test=t, weight=e))
         elif k == 2 and r == "hz":
             fr = mesh.frame(1, idx)
             for i, nu in enumerate(fr.normals):
-                for q in _qpolys(sub, p - 2):
+                for t in _monomial_tests(1, p - 2):
                     out.append(ComponentMoment(1, everts, f"edge-normal{i}", shared,
-                                               sub=sub, q=q, weight=nu))
+                                               sub=sub, test=t, weight=nu))
         return out
 
     if d == 2 and d < n:
         # faces of tetrahedra
         if k == 0:
-            degq = {0: p - 3, 1: p - 3, 2: p - 6}[r]
-            for q in _qpolys(sub, degq):
-                out.append(ScalarMoment(2, everts, "face-moment", shared, sub=sub, q=q))
+            for t in _monomial_tests(2, {0: p - 3, 1: p - 3, 2: p - 6}[r]):
+                out.append(ScalarMoment(2, everts, "face-moment", shared, sub=sub, test=t))
         elif k == 1:
             if r in (0, 1):
-                for eta in trimmed_basis(sub, p - 1, 1):
+                for t in trimmed_coeffs(sub, p - 1, 1)[1]:
                     out.append(TraceWedgeMoment(2, everts, "face-trace", shared,
-                                                sub=sub, eta=eta))
+                                                sub=sub, test=t))
             elif r == 2:
                 for axis in range(2):
-                    for q in _qpolys(sub, p - 3):
-                        eta = FormPolynomial(sub, 1, {(axis,): q})
+                    for t in _monomial_tests(2, p - 3, k=1, key=axis):
                         out.append(TraceWedgeMoment(2, everts, f"face-t{axis}", shared,
-                                                    sub=sub, eta=eta))
+                                                    sub=sub, test=t))
         elif k == 2:
             if r in (0, 1, "minus"):
-                degq = p if r in (0, 1) else p - 1
-                for q in _qpolys(sub, degq):
-                    eta = FormPolynomial(sub, 0, {(): q})
-                    out.append(TraceWedgeMoment(2, everts, "face-normal", shared,
-                                                sub=sub, eta=eta))
+                tests = _monomial_tests(2, p if r in (0, 1) else p - 1)
             elif r == 2:
-                for a in monomials(3, p):
-                    if max(a) == p:   # skip pure vertex monomials: q = 0 at vertices
-                        continue
-                    eta = FormPolynomial(sub, 0, {(): {a: 1}})
-                    out.append(TraceWedgeMoment(2, everts, "face-normal", shared,
-                                                sub=sub, eta=eta))
-            elif r == "hz":
-                for q in _qpolys(sub, p - 3):
-                    eta = FormPolynomial(sub, 0, {(): q})
-                    out.append(TraceWedgeMoment(2, everts, "face-normal", shared,
-                                                sub=sub, eta=eta))
+                tests = _vertex_vanishing_tests(2, p)   # pure vertex monomials are nodal
+            else:
+                tests = _monomial_tests(2, p - 3)
+            for t in tests:
+                out.append(TraceWedgeMoment(2, everts, "face-normal", shared,
+                                            sub=sub, test=t))
         return out
 
     # cell-interior DoFs (d == n); idx is the cell index, one block per cell
@@ -389,48 +375,23 @@ def entity_dofs(el, mesh, d, idx):
             degq = p - 3 if n == 2 else p - 4
         else:
             degq = p - 6 if n <= 2 else p - 4
-        for a in monomials(n + 1, degq):
-            eta = FormPolynomial(cell, 0, {(): {a: 1}})
-            out.append(CellWedgeMoment(n, everts, "interior", False, eta=eta))
+        tests = _monomial_tests(n, degq)
     elif k == n and n == 1:
-        degq = {0: p, 1: p - 2, 2: p - 4}[r]
-        for a in monomials(2, degq):
-            eta = FormPolynomial(cell, 0, {(): {a: 1}})
-            out.append(CellWedgeMoment(n, everts, "interior", False, eta=eta))
+        tests = _monomial_tests(1, {0: p, 1: p - 2, 2: p - 4}[r])
     elif k == n:
-        if el.r == 2 and n == 2:
-            test_alphas = [a for a in monomials(3, p) if max(a) < p]
-        else:
-            test_alphas = monomials(n + 1, p)
-        for a in test_alphas:
-            eta = FormPolynomial(cell, 0, {(): {a: 1}})
-            out.append(CellWedgeMoment(n, everts, "interior", False, eta=eta))
+        tests = _vertex_vanishing_tests(2, p) if r == 2 and n == 2 else _monomial_tests(n, p)
+    elif k == 1 and n == 2 and r == 2:
+        return [_InteriorComponent(2, everts, f"interior-c{i}", False, test=t, weight=e)
+                for i, e in enumerate(_axes(2)) for t in _monomial_tests(2, p - 3)]
     elif k == 1 and n == 2:
-        if r in (0, 1):
-            for eta in trimmed_basis(cell, p - 1, 1):
-                out.append(CellWedgeMoment(2, everts, "interior", False, eta=eta))
-        elif r == 2:
-            for i, e in enumerate(_axes(2)):
-                for a in monomials(3, p - 3):
-                    out.append(_interior_component_moment(cell, everts, e, {a: 1},
-                                                          f"interior-c{i}"))
+        tests = trimmed_coeffs(cell, p - 1, 1)[1]
     elif k == 1 and n == 3:
-        for eta in trimmed_basis(cell, p - 2, 2):
-            out.append(CellWedgeMoment(3, everts, "interior", False, eta=eta))
+        tests = trimmed_coeffs(cell, p - 2, 2)[1]
+    elif k == 2 and n == 3 and r == "minus":
+        tests = bernstein_tests(3, 1, p - 2)
     elif k == 2 and n == 3:
-        if r == "minus":
-            for eta in full_basis(cell, p - 2, 1):
-                out.append(CellWedgeMoment(3, everts, "interior", False, eta=eta))
-        else:
-            for eta in trimmed_basis(cell, p - 1, 1):
-                out.append(CellWedgeMoment(3, everts, "interior", False, eta=eta))
-    return out
-
-
-def _interior_component_moment(cell, everts, weight, q, klass):
-    """Interior (u . e_i) moments for the 2D r=2 vector element."""
-    return _InteriorComponent(cell.dim, tuple(everts), klass, False,
-                              q=dict(q), weight=np.asarray(weight, float))
+        tests = trimmed_coeffs(cell, p - 1, 1)[1]
+    return [CellWedgeMoment(n, everts, "interior", False, test=t) for t in tests]
 
 
 @dataclass
@@ -466,10 +427,10 @@ def shape_coeffs(el, cell):
     """Coefficient columns of the shape basis ``shape_basis(el, cell)``.
 
     The full Bernstein basis is the monomial basis scaled by multinomials, the
-    same matrix on every cell; the trimmed basis is stacked from its forms.
+    same matrix on every cell; the trimmed basis comes from ``trimmed_coeffs``.
     """
     if el.r == "minus":
-        return _coefficient_matrix(trimmed_basis(cell, el.p, el.k), el.p)
+        return trimmed_coeffs(cell, el.p, el.k)[0]
     return np.kron(np.eye(math.comb(el.n, el.k)), np.diag(multinomials(el.n + 1, el.p)))
 
 
@@ -667,8 +628,7 @@ def _edge_value_bubble_dim(degree, vanish_order, zero_mean=False):
             for x in (np.array([0.0]), np.array([1.0]))
             for order in range(vanish_order + 1)]
     if zero_mean:
-        one = FormPolynomial(edge, 0, {(): {(0, 0): 1}})
-        rows.append(moment_row(one, 0, degree)[None, :])
+        rows.append(moment_row(1, (0, 0, np.ones(1)), 0, degree)[None, :])
     return nullspace(np.vstack(rows)).shape[1]
 
 

@@ -5,9 +5,10 @@ polynomials built from Fractions/ints stay exact (so d(d(u)) cancels at the
 coefficient level), while float inputs degrade gracefully to floats.  All
 integrals use the closed barycentric formula; there is no quadrature anywhere.
 The float coefficient-space maps at the end of the module carry the same
-operations (values, derivatives, d, traces, moments) as matrices; the
-program computes with those, and FormPolynomial serves as DoF test forms,
-as the export format and as the exact reference of the tests.
+operations (values, derivatives, d, traces, moments) as matrices, and the
+trimmed spaces are built as coefficient columns; the program computes with
+those, and FormPolynomial serves as the export format and as the exact
+reference of the tests.
 """
 
 from __future__ import annotations
@@ -594,7 +595,7 @@ def coeffs(form, p):
 
 def form_from_coeffs(simplex, k, p, vec):
     """The degree-p k-form with the given coefficient vector (inverse of coeffs)."""
-    alphas = monomials(simplex.dim + 1, p)
+    alphas = list(_exponent_index(simplex.dim + 1, p))
     blocks = np.reshape(vec, (-1, len(alphas)))
     keys = combinations(range(simplex.dim), k)
     return FormPolynomial(simplex, k, {key: dict(zip(alphas, block.tolist()))
@@ -732,84 +733,127 @@ def moment_gram(nvars, p, q):
     return _frozen(_FACT[d] * np.prod(_FACT[total], axis=2) / _FACT[p + q + d])
 
 
-def moment_row(test, k, p):
-    """Row of u -> (1/|s|) * integral over s of u wedge test, u a degree-p k-form.
+def moment_row(d, test, k, p):
+    """Row of u -> (1/|s|) * integral over s of u wedge eta, u a degree-p k-form.
 
-    ``test`` is a form on s; k + test.k is 0 (scalar moment) or s.dim.
+    s is a d-simplex and ``test`` is eta as (form degree, polynomial degree q,
+    coefficients at degree q); k plus its form degree is 0 (scalar moment)
+    or d.
     """
-    d = test.simplex.dim
-    if k + test.k not in (0, d):
+    tk, q, vec = test
+    if k + tk not in (0, d):
         raise ValueError("moment pairing must be scalar or top-degree")
-    q = test.max_degree()
     n = math.comb(p + d, d)
     keys = list(combinations(range(d), k))
     row = np.zeros(len(keys) * n)
     gram = moment_gram(d + 1, p, q)
-    for tkey, poly in test.comps.items():
-        weights = gram @ _poly_coeffs(poly, d + 1, q)
+    for tkey, block in zip(combinations(range(d), tk), np.reshape(vec, (-1, math.comb(q + d, d)))):
+        if not block.any():
+            continue
+        weights = gram @ block
         for pos, key in enumerate(keys):
             if not set(key) & set(tkey):
                 row[pos * n:(pos + 1) * n] += _merge_sign(key, tkey) * weights
     return row
 
 
-def koszul(form):
-    """Contraction with the position field (intrinsic chart coordinates)."""
-    simplex = form.simplex
+# ---------------------------------------------------------------------------
+# trimmed spaces: P-_p Lambda^k = P_{p-1} Lambda^k + kappa H_{p-1} Lambda^{k+1}
+# (Arnold-Falk-Winther, Acta Numerica 2006), as coefficient columns
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _koszul_pattern(m, p, k):
+    """(row, col, j, axis, sign) of each entry of the Koszul map kappa.
+
+    kappa contracts a form with the position field x = sum_j V[j] lambda_j:
+    kappa(lambda^a dy_K) = sum over positions i of K of
+    (-1)^i x_{K[i]} lambda^a dy_{K without K[i]}.  Columns are the
+    degree-(p-1) (k+1)-form monomials, rows the degree-p k-form
+    coefficients; the entry's value is sign * V[j, axis] for the chart
+    vertex coordinates V.
+    """
+    dst = {key: i for i, key in enumerate(combinations(range(m), k))}
+    lower = monomials(m + 1, p - 1)
+    index = _exponent_index(m + 1, p)
+    nl, nh = len(lower), math.comb(p + m, m)
+    entries = [(dst[key[:i] + key[i + 1:]] * nh + index[a[:j] + (a[j] + 1,) + a[j + 1:]],
+                ks * nl + ai, j, axis, -1 if i % 2 else 1)
+               for ks, key in enumerate(combinations(range(m), k + 1))
+               for ai, a in enumerate(lower)
+               for i, axis in enumerate(key)
+               for j in range(m + 1)]
+    return _frozen(np.array(entries, dtype=int).reshape(-1, 5).T)
+
+
+@lru_cache(maxsize=None)
+def _bernstein_block(m, k, p, q):
+    """The degree-p Bernstein k-forms of full_basis on an m-simplex as
+    coefficient columns at degree q >= p."""
+    block = elevation(m + 1, p, q) * multinomials(m + 1, p)
+    return _frozen(np.kron(np.eye(math.comb(m, k)), block))
+
+
+def _trimmed_span(simplex, p, k):
+    """Spanning columns of P-_p Lambda^k at degree p, 0 < k < m.
+
+    The Bernstein basis of P_{p-1} Lambda^k comes first, then the Koszul
+    images of the degree-(p-1) Bernstein (k+1)-forms, all-zero images
+    dropped.  Returns (span, number of P_{p-1} columns).
+    """
     m = simplex.dim
-    if form.k == 0:
-        raise ValueError("koszul of a 0-form")
-    # x_i as barycentric-linear polynomial: x_i = sum_j V[j, i] lambda_j
-    vf = [[Fraction(float(x)) for x in row] for row in simplex.vertices]
-    coords = []
-    for i in range(m):
-        coords.append({tuple(int(j == jj) for jj in range(m + 1)): vf[j][i]
-                       for j in range(m + 1) if vf[j][i] != 0})
-    out = FormPolynomial(simplex, form.k - 1)
-    for key, poly in form.comps.items():
-        for pos, axis in enumerate(key):
-            rest = tuple(x for x in key if x != axis)
-            sign = (-1) ** pos
-            piece = poly_mul(poly, coords[axis])
-            if not piece:
-                continue
-            term = FormPolynomial(simplex, form.k - 1,
-                                  {rest: {e: sign * c for e, c in piece.items()}})
-            out = out + term
-    return out
+    rows, cols, j, axis, sign = _koszul_pattern(m, p, k)
+    scale = np.tile(multinomials(m + 1, p - 1), math.comb(m, k + 1))
+    K = np.zeros((math.comb(m, k) * math.comb(p + m, m), len(scale)))
+    K[rows, cols] = sign * simplex.vertices[j, axis] * scale[cols] + 0.0   # no -0.0
+    lower = _bernstein_block(m, k, p - 1, p)
+    return np.hstack([lower, K[:, K.any(axis=0)]]), lower.shape[1]
 
 
-def trimmed_basis(simplex, p, k):
-    """Basis of the trimmed space via the Koszul spanning construction.
+def bernstein_tests(m, k, p):
+    """The degree-p Bernstein k-forms of full_basis on an m-simplex as
+    (k, p, coefficients) triples, the test-form layout of ``moment_row``."""
+    if p < 0:
+        return []
+    return [(k, p, row) for row in np.diag(np.tile(multinomials(m + 1, p), math.comb(m, k)))]
 
-    Spans monomials of degree p-1 plus Koszul contractions of degree-(p-1)
-    (k+1)-form monomials, then extracts a maximal independent subset by
-    pivoted QR.  For k=0 this is the full space; for k=m it is the full
-    (p-1)-degree top-form space.
+
+def trimmed_coeffs(simplex, p, k):
+    """Basis of the trimmed space P-_p Lambda^k on one simplex, as coefficients.
+
+    Spans the degree-(p-1) Bernstein forms plus the Koszul images of the
+    degree-(p-1) Bernstein (k+1)-forms, then keeps a maximal independent
+    subset by pivoted QR.  For k=0 the space is the full degree-p space, for
+    k=m the full degree-(p-1) top-form space.
+
+    Returns (cols, tests): cols[:, i] holds basis form i at degree p, and
+    tests[i] = (k, q, coefficients at degree q) holds it at its native degree
+    q (p - 1 for a P_{p-1} form, p for a Koszul image), the layout that
+    ``moment_row`` takes.
     """
     m = simplex.dim
     if p < 1:
-        return []
-    if k == 0:
-        return full_basis(simplex, p, 0)
-    if k == m:
-        return full_basis(simplex, p - 1, m)
-    span = full_basis(simplex, p - 1, k)
-    for f in full_basis(simplex, p - 1, k + 1):
-        kf = koszul(f)
-        if not kf.is_zero():
-            span.append(kf)
+        return np.zeros((dim_full(m, p, k), 0)), []
+    if k in (0, m):
+        q = p if k == 0 else p - 1
+        return _bernstein_block(m, k, q, p), bernstein_tests(m, k, q)
+    span, n_lower = _trimmed_span(simplex, p, k)
     target = dim_trimmed(m, p, k)
-    mat = _coefficient_matrix(span, p)
-    _, _, piv = scipy.linalg.qr(mat, pivoting=True, mode="economic")
-    smax = np.linalg.svd(mat, compute_uv=False)[0]
-    chosen = sorted(piv[:target])
-    basis = [span[i] for i in chosen]
-    check = _coefficient_matrix(basis, p)
-    sv = np.linalg.svd(check, compute_uv=False)
+    _, _, piv = scipy.linalg.qr(span, pivoting=True, mode="economic")
+    smax = np.linalg.svd(span, compute_uv=False)[0]
+    chosen = np.sort(piv[:target])
+    cols = span[:, chosen]
+    sv = np.linalg.svd(cols, compute_uv=False)
     if len(sv) < target or sv[-1] <= RANK_RTOL * smax:
         raise RuntimeError("trimmed space extraction lost rank")
-    return basis
+    lower = bernstein_tests(m, k, p - 1)
+    tests = [lower[i] if i < n_lower else (k, p, span[:, i]) for i in chosen]
+    return cols, tests
+
+
+def trimmed_basis(simplex, p, k):
+    """The basis of ``trimmed_coeffs`` as forms of their native degree."""
+    return [form_from_coeffs(simplex, *test) for test in trimmed_coeffs(simplex, p, k)[1]]
 
 
 class SpaceBasis:

@@ -1,17 +1,23 @@
-"""Reference DoF values and operators computed on FormPolynomial algebra.
+"""Reference DoF values, operators and trimmed spans on FormPolynomial algebra.
 
 Each DoF functional is evaluated term by term (proxy contraction, directional
 derivatives, restrict, wedge, integrate) in the exact arithmetic of
 ``derham.forms``; the program computes the same numbers as float row
-products.  Tests compare the two.
+products.  The trimmed spaces are spanned by the exact Koszul contraction of
+Fraction forms; the program builds them as float coefficient columns.  Tests
+compare the two.
 """
 
+from fractions import Fraction
+
 import numpy as np
+import scipy.linalg
 
 from derham.elements import (CellWedgeMoment, ComponentMoment, NormalDerivMoment,
                              PointDeriv, PointEval, ScalarMoment, TraceWedgeMoment,
                              _InteriorComponent, shape_basis)
-from derham.forms import FormPolynomial, poly_mul
+from derham.forms import (RANK_RTOL, FormPolynomial, _coefficient_matrix, dim_trimmed,
+                          form_from_coeffs, full_basis, poly_mul)
 
 
 def _vmap(dof, cell_verts):
@@ -33,32 +39,41 @@ def scalar_moment(f, dom, q):
     return float(prod.integrate() / dom.measure)
 
 
+def _test(dof, dom):
+    """The DoF's test form as a FormPolynomial on ``dom``."""
+    return form_from_coeffs(dom, *dof.test)
+
+
+def _q(dof, dom):
+    return _test(dof, dom).comps.get((), {})
+
+
 def _scalar(dof, u, cell_verts):
-    return scalar_moment(u.restrict(dof.sub, _vmap(dof, cell_verts)), dof.sub, dof.q)
+    return scalar_moment(u.restrict(dof.sub, _vmap(dof, cell_verts)), dof.sub, _q(dof, dof.sub))
 
 
 def _normal_deriv(dof, u, cell_verts):
     du = u.directional_derivative(dof.direction)
-    return scalar_moment(du.restrict(dof.sub, _vmap(dof, cell_verts)), dof.sub, dof.q)
+    return scalar_moment(du.restrict(dof.sub, _vmap(dof, cell_verts)), dof.sub, _q(dof, dof.sub))
 
 
 def _component(dof, u, cell_verts):
     f = u.proxy_contract(dof.weight)
-    return scalar_moment(f.restrict(dof.sub, _vmap(dof, cell_verts)), dof.sub, dof.q)
+    return scalar_moment(f.restrict(dof.sub, _vmap(dof, cell_verts)), dof.sub, _q(dof, dof.sub))
 
 
 def _trace_wedge(dof, u, cell_verts):
     tr = u.restrict(dof.sub, _vmap(dof, cell_verts))
-    return float(tr.wedge(dof.eta).integrate() / dof.sub.measure)
+    return float(tr.wedge(_test(dof, dof.sub)).integrate() / dof.sub.measure)
 
 
 def _cell_wedge(dof, u, cell_verts):
-    w = u.wedge(dof.eta)
+    w = u.wedge(_test(dof, u.simplex))
     return float(w.integrate() / u.simplex.measure)
 
 
 def _interior_component(dof, u, cell_verts):
-    return scalar_moment(u.proxy_contract(dof.weight), u.simplex, dof.q)
+    return scalar_moment(u.proxy_contract(dof.weight), u.simplex, _q(dof, u.simplex))
 
 
 REFERENCE = {
@@ -101,3 +116,49 @@ def reference_operator(src, dst, fmap):
         D[np.ix_(rows, cols)] = np.where(block, Dloc, D[np.ix_(rows, cols)])
         filled[np.ix_(rows, cols)] = True
     return D
+
+
+def koszul(form):
+    """Contraction with the position field (intrinsic chart coordinates)."""
+    simplex = form.simplex
+    m = simplex.dim
+    if form.k == 0:
+        raise ValueError("koszul of a 0-form")
+    # x_i as barycentric-linear polynomial: x_i = sum_j V[j, i] lambda_j
+    vf = [[Fraction(float(x)) for x in row] for row in simplex.vertices]
+    coords = []
+    for i in range(m):
+        coords.append({tuple(int(j == jj) for jj in range(m + 1)): vf[j][i]
+                       for j in range(m + 1) if vf[j][i] != 0})
+    out = FormPolynomial(simplex, form.k - 1)
+    for key, poly in form.comps.items():
+        for pos, axis in enumerate(key):
+            rest = tuple(x for x in key if x != axis)
+            sign = (-1) ** pos
+            piece = poly_mul(poly, coords[axis])
+            if not piece:
+                continue
+            term = FormPolynomial(simplex, form.k - 1,
+                                  {rest: {e: sign * c for e, c in piece.items()}})
+            out = out + term
+    return out
+
+
+def reference_trimmed(simplex, p, k):
+    """The Koszul spanning set of P-_p Lambda^k (0 < k < m) in exact forms.
+
+    Returns (span, chosen): the degree-(p-1) Bernstein k-forms followed by the
+    nonzero Koszul images of the degree-(p-1) Bernstein (k+1)-forms, and the
+    sorted span indices that pivoted QR keeps, rank-checked as in the program.
+    """
+    span = full_basis(simplex, p - 1, k)
+    span += [kf for kf in map(koszul, full_basis(simplex, p - 1, k + 1)) if not kf.is_zero()]
+    target = dim_trimmed(simplex.dim, p, k)
+    mat = _coefficient_matrix(span, p)
+    _, _, piv = scipy.linalg.qr(mat, pivoting=True, mode="economic")
+    smax = np.linalg.svd(mat, compute_uv=False)[0]
+    chosen = sorted(piv[:target])
+    sv = np.linalg.svd(_coefficient_matrix([span[i] for i in chosen], p), compute_uv=False)
+    if len(sv) < target or sv[-1] <= RANK_RTOL * smax:
+        raise RuntimeError("trimmed space extraction lost rank")
+    return span, chosen

@@ -190,3 +190,35 @@ def test_console_script_entry_point(square_path):
          "--row", "1", "--p", "1"],
         capture_output=True, text=True)
     assert proc.returncode == 0
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["tables", "--mesh", "{mesh}", "--p-range", "3"], "--p-range expects LO:HI"),
+    (["tables", "--mesh", "{mesh}", "--p-range", "a:b"], "--p-range expects LO:HI"),
+    (["verify", "--mesh", "{mesh}", "--p", "1", "--betti", "1,x"], "--betti expects"),
+    (["verify", "--mesh", "{mesh}", "--p", "1", "--row", "7"], "--row must be"),
+    (["compare", "--p", "2", "--grid", "0,1,1"], "grid sizes must be positive"),
+    (["bc", "--mesh", "{mesh}", "--p", "0"], "bc needs --p >= 1 (got --p 0)"),
+    (["bgg", "--mesh", "{mesh}", "--p", "0"], "bgg needs --p >= 1 (got --p 0)"),
+])
+def test_bad_arguments_exit_2_with_one_line(square_path, capsys, argv, message):
+    rc = main([a.replace("{mesh}", square_path) for a in argv])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+
+
+def _test_degrees(out, klass):
+    return [int(line.split("test-deg ")[1].split()[0])
+            for line in out.splitlines() if f" {klass} test-deg" in line]
+
+
+def test_element_keeps_native_test_degrees(capsys):
+    # trimmed test spaces: the P_{p-1} forms first, then the Koszul images
+    assert main(["element", "--r", "0", "--k", "1", "--dim", "2", "--p", "3"]) == 0
+    assert _test_degrees(capsys.readouterr().out, "interior") == [1] * 6 + [2] * 2
+    # per face; on the face opposite vertex 0 pivoted QR keeps a third Koszul image
+    assert main(["element", "--r", "1", "--k", "1", "--dim", "3", "--p", "3"]) == 0
+    assert _test_degrees(capsys.readouterr().out, "face-trace") == (
+        ([1] * 6 + [2] * 2) * 3 + [1] * 5 + [2] * 3)

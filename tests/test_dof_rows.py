@@ -11,7 +11,7 @@ from derham import assembly, bgg
 from derham.elements import (_P_MIN, CellWedgeMoment, ComponentMoment,
                              NormalDerivMoment, PointDeriv, PointEval, ScalarMoment,
                              TraceWedgeMoment, _InteriorComponent, cell_dofs, element_def,
-                             shape_basis, shape_coeffs)
+                             p_min, shape_basis, shape_coeffs)
 from derham.forms import (FormPolynomial, Simplex, _coefficient_matrix, coeffs,
                           exterior_derivative_matrix, form_from_coeffs, moment_gram,
                           monomials, rank_of)
@@ -111,6 +111,33 @@ def test_mixed_row_operators_match_reference(meshes):
     assert spaces[2].el.r == "minus"
     for src, dst in zip(spaces, spaces[1:]):
         _assert_operator_matches(src, dst, assembly._d_map(src, dst), _d)
+
+
+def _lowest_row(n, r):
+    """The smallest window p at which every slot of the row is a family."""
+    for p in range(1, 6):
+        if all(p_min(s_r, k, n) <= q for s_r, q, k in assembly.family_row(n, r, p)):
+            return p
+    raise AssertionError((n, r))
+
+
+def test_dof_path_builds_no_form_polynomial(meshes, monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("FormPolynomial built on the DoF path")
+    monkeypatch.setattr(FormPolynomial, "__init__", refuse)
+    rows = 0
+    for mesh in meshes.values():
+        n = mesh.dim
+        for r in (0, 1, 2, "mixed") if n == 3 else (0, 1, 2):
+            slots = assembly.family_row(n, r, _lowest_row(n, r))
+            spaces = [assembly.assemble_space(mesh, *s) for s in slots]
+            for space in spaces:
+                for ci in range(len(mesh.cells)):
+                    assert space.dof_rows(ci).shape[0] == len(space.cell_dof_objs[ci])
+            for src, dst in zip(spaces, spaces[1:]):
+                assert assembly.assemble_d(src, dst).array.shape == (dst.dim, src.dim)
+            rows += 1
+    assert rows == 3 + 5 * 3 + 3 * 4
 
 
 def _embed_form(f, comp):

@@ -4,9 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from derham.forms import (FormPolynomial, Simplex, dim_full, dim_trimmed,
-                          full_basis, koszul, monomials,
-                          span_rank, trimmed_basis)
+from derham import forms
+from derham.forms import (FormPolynomial, Simplex, _coefficient_matrix, coeffs, dim_full,
+                          dim_trimmed, full_basis, monomials, span_rank, trimmed_basis,
+                          trimmed_coeffs)
+from derham.mesh import SimplicialMesh
+from conftest import REF, random_simplex
+from dof_reference import koszul, reference_trimmed
 
 TRI = Simplex([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 TET = Simplex([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
@@ -187,6 +191,34 @@ def test_space_basis_validates_independence():
     f = FormPolynomial(TRI, 0, {(): {(1, 0, 0): 1}})
     with pytest.raises(ValueError, match="independent"):
         SpaceBasis(TRI, [f, f.scale(2)], "full")
+
+
+def _trimmed_cases():
+    """Reference, random and embedded-face (chart coordinate) simplices."""
+    rng = np.random.default_rng(11)
+    tet = SimplicialMesh(np.asarray(random_simplex(3, rng)), [(0, 1, 2, 3)])
+    return {"tri": Simplex(REF[2]), "tet": Simplex(REF[3]),
+            "random-tri": Simplex(random_simplex(2, rng)),
+            "random-tet": Simplex(random_simplex(3, rng)),
+            "face0": tet.sub_simplex(2, 0), "face3": tet.sub_simplex(2, 3)}
+
+
+@pytest.mark.parametrize("name", sorted(_trimmed_cases()))
+def test_trimmed_coeffs_match_exact_koszul_span(name):
+    simplex = _trimmed_cases()[name]
+    m = simplex.dim
+    for k in range(1, m):
+        for p in range(1, 6):
+            span, chosen = reference_trimmed(simplex, p, k)
+            mat = _coefficient_matrix(span, p)
+            new_span, n_lower = forms._trimmed_span(simplex, p, k)
+            assert np.array_equal(new_span, mat), (k, p)
+            assert n_lower == dim_full(m, p - 1, k)
+            cols, tests = trimmed_coeffs(simplex, p, k)
+            assert np.array_equal(cols, mat[:, chosen]), (k, p)
+            for i, (tk, q, vec) in zip(chosen, tests):
+                assert tk == k and q == span[i].max_degree()
+                assert np.array_equal(vec, coeffs(span[i], q))
 
 
 def test_koszul_lowers_form_degree():
