@@ -21,9 +21,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-import scipy.linalg
 
-from .elements import (cell_dofs, dof_rows, element_def, shape_coeffs,
+from .elements import (cell_dofs, dof_rows, element_def, p_min, shape_coeffs,
                        tangential_bubble_span, zero_trace_dim)
 from .forms import (RANK_RTOL, _coefficient_matrix, coeffs, elevation, eval_row,
                     exterior_derivative_matrix, moment_gram, monomials,
@@ -193,6 +192,11 @@ def family_row(n, r, p):
         return [(1, p, 0), (1, p - 1, 1), ("minus", p - 1, 2), (0, p - 2, 3)]
     base = {0: p, 1: p + 3, 2: p + 3}[r]
     return [(r, base - k, k) for k in range(0, 4)]
+
+
+def row_p_min(n, r):
+    """The smallest window parameter p at which every slot of the row exists."""
+    return max(p_min(sr, k, n) - q for sr, q, k in family_row(n, r, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -701,7 +705,7 @@ def verify_decomposition(n, p, mesh):
         raise ValueError("decomposition implemented in dimensions 2 and 3")
     br = BrokenSpace(mesh, p, 1)
     comp_cols = _vector_lift_columns(br, scalar, ncomp=n)
-    bub = scipy.linalg.block_diag(*bubbles)
+    bub = _block_diag(bubbles)
     tgt = br.matrix_of_space(target)
     both = np.hstack([comp_cols, bub])
     r_target = rank_of(tgt)
@@ -716,6 +720,16 @@ def verify_decomposition(n, p, mesh):
         "equal": r_target == target.dim == r_sum == r_union,
         "continuous_strictly_smaller": n * scalar.dim < target.dim,
     }
+
+
+def _block_diag(blocks):
+    """The matrices placed corner to corner along the diagonal."""
+    out = np.zeros(np.sum([b.shape for b in blocks], axis=0))
+    r = c = 0
+    for b in blocks:
+        out[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
 
 
 def _single_cell(mesh, ci):

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import assembly, bgg, elements, mesh as meshmod
 from .assembly import (dim_formula, dof_savings, homogeneous_row_report,
-                       mixed_sequence, verify_exactness)
+                       mixed_sequence, row_p_min, verify_exactness)
 from .elements import dual_basis, element_def, unisolvence_check
 from .mesh import SimplicialMesh, cube_center_fan_grid
 
@@ -105,6 +105,10 @@ def cmd_verify(args):
                 f"error: --betti expects comma-separated integers (got {args.betti!r})")
     if args.row not in ("0", "1", "2", "mixed"):
         raise SystemExit(f"error: --row must be 0, 1, 2 or mixed (got {args.row!r})")
+    if args.row != "mixed" and args.p < row_p_min(m.dim, int(args.row)):
+        raise SystemExit(f"error: verify --row {args.row} needs --p >= "
+                         f"{row_p_min(m.dim, int(args.row))} on a {m.dim}D mesh "
+                         f"(got --p {args.p})")
     try:
         if args.row == "mixed":
             rep = mixed_sequence(m, args.p)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .forms import (FormPolynomial, Simplex, bernstein_tests, coeffs,
                     derivative_matrix, dim_full, dim_trimmed, eval_row,
-                    form_from_coeffs, full_basis, independent_subset, jet_rows,
+                    form_from_coeffs, full_basis, jet_rows,
                     moment_row, monomials, multinomials, nullspace, poly_mul,
                     proxy_matrix, restriction_matrix, trimmed_basis, trimmed_coeffs)
 from .mesh import SimplicialMesh
@@ -544,18 +544,14 @@ def zero_trace_dim(mesh, p, k):
 def bubble_basis(el, simplex_vertices):
     """Trace-free shape functions of an element on one simplex.
 
-    For the 3D H(curl) case returns the reduced spanning construction; for
-    the 2D H(div) case returns the normal-trace-free subspace.
+    The k=1 forms whose traces on every facet vanish (tangential in 3D,
+    normal in 2D), as the kernel columns of ``zero_trace_dim``.
     """
+    if el.k != 1 or el.n not in (2, 3):
+        raise ValueError("bubble bases implemented for k=1 in dimensions 2 and 3")
     mesh = _single_cell_mesh(simplex_vertices)
-    cell = mesh.cell_simplex(0)
-    if el.n == 3 and el.k == 1:
-        span = tangential_bubble_span(cell, el.p)
-        return independent_subset(span, p=el.p)
-    if el.n == 2 and el.k == 1:
-        _, cols = zero_trace_dim(mesh, el.p, 1)
-        return [form_from_coeffs(cell, 1, el.p, col) for col in cols.T]
-    raise ValueError("bubble bases implemented for k=1 in dimensions 2 and 3")
+    _, cols = zero_trace_dim(mesh, el.p, 1)
+    return [form_from_coeffs(mesh.cell_simplex(0), 1, el.p, col) for col in cols.T]
 
 
 def hcurl_bubble_dim_formula(p):

@@ -6,9 +6,10 @@ coefficient level), while float inputs degrade gracefully to floats.  All
 integrals use the closed barycentric formula; there is no quadrature anywhere.
 The float coefficient-space maps at the end of the module carry the same
 operations (values, derivatives, d, traces, moments) as matrices, and the
-trimmed spaces are built as coefficient columns; the program computes with
-those, and FormPolynomial serves as the export format and as the exact
-reference of the tests.
+trimmed spaces are built in closed form as coefficient columns; the program
+computes with those, on float barycentric geometry, and FormPolynomial
+(on the exact geometry) serves as the export format and as the exact
+reference of the tests.  The module needs only numpy.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from functools import cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement
 
 import numpy as np
-import scipy.linalg
 
 # Relative singular-value cutoff for every rank decision in the package.
 RANK_RTOL = 1e-9
@@ -66,9 +66,11 @@ class Simplex:
 
     ``vertices`` is an (m+1, m) array.  Subsimplices of a mesh cell are
     expressed in an orthonormal chart (origin + tangent frame), so tangential
-    traces keep their metric meaning.  Exact rational copies of the geometry
-    back the measure, the integral formula and (built on first use) the
-    barycentric gradients.
+    traces keep their metric meaning.  The coefficient maps read the float
+    barycentric coordinates and gradients (one inverse of [1 | vertices],
+    built on first use).  Exact rational copies of the geometry back the
+    measure, the integral formula and the exact gradients that
+    FormPolynomial differentiates with.
     """
 
     def __init__(self, vertices, chart_origin=None, chart_tangents=None):
@@ -116,8 +118,14 @@ class Simplex:
         return cls(intrinsic, chart_origin=origin, chart_tangents=tan)
 
     @cached_property
+    def _bary_inverse(self):
+        """Inverse of [1 | vertices]: column j holds (a_j, g_j) of
+        lambda_j(x) = a_j + g_j . x."""
+        return _frozen(np.linalg.inv(np.hstack([np.ones((self.dim + 1, 1)), self.vertices])))
+
+    @cached_property
     def _bary_affine(self):
-        """lambda_j(x) = a_j + g_j . x, solved exactly from [1 | x_i] lam = e_i."""
+        """The affine data of _bary_inverse, solved exactly (Fractions)."""
         rows = [[Fraction(1)] + [Fraction(float(x)) for x in row] for row in self.vertices]
         inv = _fraction_matrix_inverse(rows)
         return [(inv[0][j], tuple(inv[i + 1][j] for i in range(self.dim)))
@@ -130,18 +138,15 @@ class Simplex:
     def barycentric(self, points):
         """Barycentric coordinates of intrinsic points, shape (..., m+1)."""
         pts = np.atleast_2d(np.asarray(points, float))
-        lam = np.empty((pts.shape[0], self.dim + 1))
-        for j, (a, g) in enumerate(self._bary_affine):
-            lam[:, j] = float(a) + pts @ np.array([float(x) for x in g])
-        return lam
+        return self._bary_inverse[0] + pts @ self._bary_inverse[1:]
 
     def grad_bary(self, j):
         """Exact gradient of lambda_j in intrinsic coordinates (Fractions)."""
         return self._bary_affine[j][1]
 
     def grad_bary_float(self):
-        return np.array([[float(x) for x in self._bary_affine[j][1]]
-                         for j in range(self.dim + 1)])
+        """Float gradients of every lambda_j, one row each: shape (m+1, m)."""
+        return self._bary_inverse[1:].T
 
     def integrate_monomial(self, alpha):
         """Exact integral of lambda^alpha over the simplex (Fraction * measure)."""
@@ -758,33 +763,11 @@ def moment_row(d, test, k, p):
 
 
 # ---------------------------------------------------------------------------
-# trimmed spaces: P-_p Lambda^k = P_{p-1} Lambda^k + kappa H_{p-1} Lambda^{k+1}
-# (Arnold-Falk-Winther, Acta Numerica 2006), as coefficient columns
+# trimmed spaces: P-_p Lambda^k = P_{p-1} Lambda^k + span of lambda^beta phi_tau
+# (Arnold-Falk-Winther, Acta Numerica 2006; the complement is the
+# geometric-decomposition basis of Arnold-Falk-Winther, CMAME 2009), as
+# coefficient columns
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _koszul_pattern(m, p, k):
-    """(row, col, j, axis, sign) of each entry of the Koszul map kappa.
-
-    kappa contracts a form with the position field x = sum_j V[j] lambda_j:
-    kappa(lambda^a dy_K) = sum over positions i of K of
-    (-1)^i x_{K[i]} lambda^a dy_{K without K[i]}.  Columns are the
-    degree-(p-1) (k+1)-form monomials, rows the degree-p k-form
-    coefficients; the entry's value is sign * V[j, axis] for the chart
-    vertex coordinates V.
-    """
-    dst = {key: i for i, key in enumerate(combinations(range(m), k))}
-    lower = monomials(m + 1, p - 1)
-    index = _exponent_index(m + 1, p)
-    nl, nh = len(lower), math.comb(p + m, m)
-    entries = [(dst[key[:i] + key[i + 1:]] * nh + index[a[:j] + (a[j] + 1,) + a[j + 1:]],
-                ks * nl + ai, j, axis, -1 if i % 2 else 1)
-               for ks, key in enumerate(combinations(range(m), k + 1))
-               for ai, a in enumerate(lower)
-               for i, axis in enumerate(key)
-               for j in range(m + 1)]
-    return _frozen(np.array(entries, dtype=int).reshape(-1, 5).T)
-
 
 @lru_cache(maxsize=None)
 def _bernstein_block(m, k, p, q):
@@ -794,20 +777,45 @@ def _bernstein_block(m, k, p, q):
     return _frozen(np.kron(np.eye(math.comb(m, k)), block))
 
 
-def _trimmed_span(simplex, p, k):
-    """Spanning columns of P-_p Lambda^k at degree p, 0 < k < m.
+@lru_cache(maxsize=None)
+def _lower_orthonormal(m, p, k):
+    """Orthonormal columns spanning P_{p-1} Lambda^k at degree p."""
+    return _frozen(np.linalg.qr(_bernstein_block(m, k, p - 1, p))[0])
 
-    The Bernstein basis of P_{p-1} Lambda^k comes first, then the Koszul
-    images of the degree-(p-1) Bernstein (k+1)-forms, all-zero images
-    dropped.  Returns (span, number of P_{p-1} columns).
+
+@lru_cache(maxsize=None)
+def _whitney_pattern(m, p, k):
+    """(row, col, minor, sign) of each entry of the complement lambda^beta phi_tau.
+
+    tau runs over increasing (k+1)-tuples of vertices 1..m, beta over
+    degree-(p-1) exponents supported on tau[0]..m, and
+    phi_tau = sum_i (-1)^i lambda_{tau[i]} dlambda_{tau without tau[i]}.
+    The entry's value is sign times the minor det(grad lambda[J, K]) at
+    position J * C(m, k) + K of the vertex k-tuples J and axis k-tuples K.
     """
-    m = simplex.dim
-    rows, cols, j, axis, sign = _koszul_pattern(m, p, k)
-    scale = np.tile(multinomials(m + 1, p - 1), math.comb(m, k + 1))
-    K = np.zeros((math.comb(m, k) * math.comb(p + m, m), len(scale)))
-    K[rows, cols] = sign * simplex.vertices[j, axis] * scale[cols] + 0.0   # no -0.0
-    lower = _bernstein_block(m, k, p - 1, p)
-    return np.hstack([lower, K[:, K.any(axis=0)]]), lower.shape[1]
+    vsets = {J: i for i, J in enumerate(combinations(range(m + 1), k))}
+    axes = list(combinations(range(m), k))
+    index = _exponent_index(m + 1, p)
+    nh = math.comb(p + m, m)
+    betas = monomials(m + 1, p - 1)
+    cols = [(tau, b) for tau in combinations(range(1, m + 1), k + 1)
+            for b in betas if not any(b[:tau[0]])]
+    entries = [(kp * nh + index[b[:v] + (b[v] + 1,) + b[v + 1:]], col,
+                vsets[tau[:i] + tau[i + 1:]] * len(axes) + kp, -1 if i % 2 else 1)
+               for col, (tau, b) in enumerate(cols)
+               for i, v in enumerate(tau)
+               for kp in range(len(axes))]
+    if len(cols) != dim_trimmed(m, p, k) - dim_full(m, p - 1, k):
+        raise RuntimeError("trimmed complement has the wrong dimension")
+    return _frozen(np.array(entries, dtype=int).reshape(-1, 4).T), len(cols)
+
+
+def _minors(grads, k):
+    """Every k x k minor of the gradient rows: shape (C(m+1, k), C(m, k))."""
+    m = grads.shape[1]
+    J = np.array(list(combinations(range(m + 1), k)))
+    K = np.array(list(combinations(range(m), k)))
+    return np.linalg.det(grads[J[:, None, :, None], K[None, :, None, :]])
 
 
 def bernstein_tests(m, k, p):
@@ -821,14 +829,15 @@ def bernstein_tests(m, k, p):
 def trimmed_coeffs(simplex, p, k):
     """Basis of the trimmed space P-_p Lambda^k on one simplex, as coefficients.
 
-    Spans the degree-(p-1) Bernstein forms plus the Koszul images of the
-    degree-(p-1) Bernstein (k+1)-forms, then keeps a maximal independent
-    subset by pivoted QR.  For k=0 the space is the full degree-p space, for
-    k=m the full degree-(p-1) top-form space.
+    For 0 < k < m the degree-(p-1) Bernstein k-forms come first.  The
+    complement lambda^beta phi_tau is projected off them and orthonormalised;
+    the raw complement spans the right space but is worse conditioned.  For
+    k=0 the space is the full degree-p space, for k=m the full degree-(p-1)
+    top-form space.
 
     Returns (cols, tests): cols[:, i] holds basis form i at degree p, and
     tests[i] = (k, q, coefficients at degree q) holds it at its native degree
-    q (p - 1 for a P_{p-1} form, p for a Koszul image), the layout that
+    q (p - 1 for a P_{p-1} form, p for a complement form), the layout that
     ``moment_row`` takes.
     """
     m = simplex.dim
@@ -837,18 +846,16 @@ def trimmed_coeffs(simplex, p, k):
     if k in (0, m):
         q = p if k == 0 else p - 1
         return _bernstein_block(m, k, q, p), bernstein_tests(m, k, q)
-    span, n_lower = _trimmed_span(simplex, p, k)
-    target = dim_trimmed(m, p, k)
-    _, _, piv = scipy.linalg.qr(span, pivoting=True, mode="economic")
-    smax = np.linalg.svd(span, compute_uv=False)[0]
-    chosen = np.sort(piv[:target])
-    cols = span[:, chosen]
-    sv = np.linalg.svd(cols, compute_uv=False)
-    if len(sv) < target or sv[-1] <= RANK_RTOL * smax:
+    (rows, cols, minor, sign), ncols = _whitney_pattern(m, p, k)
+    raw = np.zeros((math.comb(m, k) * math.comb(p + m, m), ncols))
+    raw[rows, cols] = sign * _minors(simplex.grad_bary_float(), k).ravel()[minor]
+    lower_q = _lower_orthonormal(m, p, k)
+    Q, R = np.linalg.qr(raw - lower_q @ (lower_q.T @ raw))
+    if np.abs(np.diag(R)).min() <= RANK_RTOL * np.linalg.norm(raw, axis=0).max():
         raise RuntimeError("trimmed space extraction lost rank")
-    lower = bernstein_tests(m, k, p - 1)
-    tests = [lower[i] if i < n_lower else (k, p, span[:, i]) for i in chosen]
-    return cols, tests
+    lower = _bernstein_block(m, k, p - 1, p)
+    return (np.hstack([lower, Q]),
+            bernstein_tests(m, k, p - 1) + [(k, p, col) for col in Q.T])
 
 
 def trimmed_basis(simplex, p, k):
@@ -886,16 +893,6 @@ def space_basis(simplex, p, k, kind="full"):
     if kind == "trimmed":
         return SpaceBasis(simplex, trimmed_basis(simplex, p, k), "trimmed")
     raise ValueError(f"unknown space kind {kind!r}")
-
-
-def independent_subset(forms, p=None, rtol=RANK_RTOL):
-    """Maximal linearly independent subset of a list of forms (pivoted QR)."""
-    if not forms:
-        return []
-    deg = p if p is not None else max(f.max_degree() for f in forms)
-    mat = _coefficient_matrix(forms, deg)
-    _, _, piv = scipy.linalg.qr(mat, pivoting=True, mode="economic")
-    return [forms[i] for i in sorted(piv[:rank_of(mat, rtol)])]
 
 
 def span_rank(forms, p=None, rtol=RANK_RTOL):

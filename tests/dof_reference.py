@@ -11,13 +11,11 @@ compare the two.
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 from derham.elements import (CellWedgeMoment, ComponentMoment, NormalDerivMoment,
                              PointDeriv, PointEval, ScalarMoment, TraceWedgeMoment,
                              _InteriorComponent, shape_basis)
-from derham.forms import (RANK_RTOL, FormPolynomial, _coefficient_matrix, dim_trimmed,
-                          form_from_coeffs, full_basis, poly_mul)
+from derham.forms import FormPolynomial, form_from_coeffs, full_basis, poly_mul
 
 
 def _vmap(dof, cell_verts):
@@ -145,20 +143,9 @@ def koszul(form):
 
 
 def reference_trimmed(simplex, p, k):
-    """The Koszul spanning set of P-_p Lambda^k (0 < k < m) in exact forms.
-
-    Returns (span, chosen): the degree-(p-1) Bernstein k-forms followed by the
-    nonzero Koszul images of the degree-(p-1) Bernstein (k+1)-forms, and the
-    sorted span indices that pivoted QR keeps, rank-checked as in the program.
-    """
+    """The Koszul spanning set of P-_p Lambda^k (0 < k < m) in exact forms:
+    the degree-(p-1) Bernstein k-forms followed by the nonzero Koszul images
+    of the degree-(p-1) Bernstein (k+1)-forms."""
     span = full_basis(simplex, p - 1, k)
-    span += [kf for kf in map(koszul, full_basis(simplex, p - 1, k + 1)) if not kf.is_zero()]
-    target = dim_trimmed(simplex.dim, p, k)
-    mat = _coefficient_matrix(span, p)
-    _, _, piv = scipy.linalg.qr(mat, pivoting=True, mode="economic")
-    smax = np.linalg.svd(mat, compute_uv=False)[0]
-    chosen = sorted(piv[:target])
-    sv = np.linalg.svd(_coefficient_matrix([span[i] for i in chosen], p), compute_uv=False)
-    if len(sv) < target or sv[-1] <= RANK_RTOL * smax:
-        raise RuntimeError("trimmed space extraction lost rank")
-    return span, chosen
+    return span + [kf for kf in map(koszul, full_basis(simplex, p - 1, k + 1))
+                   if not kf.is_zero()]

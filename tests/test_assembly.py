@@ -7,10 +7,10 @@ from derham.assembly import (BrokenSpace, assemble_d, assemble_space,
                              containment_residual, dim_formula, dof_savings,
                              family_row, homogeneous_row_report,
                              interpolation_split_residual, mixed_sequence,
-                             rank_of, restrict_homogeneous, space_equal,
+                             rank_of, restrict_homogeneous, row_p_min, space_equal,
                              verify_exactness, verify_row, complex_residual,
                              verify_decomposition)
-from derham.elements import p_min
+from derham.elements import element_def, p_min
 from derham.mesh import cube_center_fan_grid
 
 
@@ -153,6 +153,26 @@ def test_exactness_moderate_mesh():
     assert rep.passed
     rep2 = verify_exactness(m, 2, 2)
     assert rep2.passed
+
+
+def test_row_p_min_is_the_lowest_window():
+    def exists(n, r, p):
+        try:
+            return all(element_def(*slot, n) for slot in family_row(n, r, p))
+        except ValueError:
+            return False
+    for n in (1, 2, 3):
+        for r in (0, 1, 2, "mixed") if n == 3 else (0, 1, 2):
+            for p in range(-1, 7):
+                assert exists(n, r, p) == (p >= row_p_min(n, r)), (n, r, p)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_exactness_high_p_keeps_float_margin(meshes, r):
+    # p=6 sits near the float limit of the dd residual (DD_TOL); a worse
+    # conditioned trimmed test basis pushes these rows over it
+    rep = verify_exactness(meshes["tet3"], r, 6)
+    assert rep.passed, rep.to_json()
 
 
 def test_row_with_containment_check(meshes):

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from derham.cli import main
-from derham.mesh import annulus_mesh, two_triangle_square
+from derham.mesh import annulus_mesh, reference_tet, two_triangle_square
 
 
 @pytest.fixture()
@@ -64,6 +64,13 @@ def test_verify_annulus_with_betti(annulus_path):
 def test_verify_second_grade_row(square_path):
     rc = main(["verify", "--mesh", square_path, "--row", "2", "--p", "2"])
     assert rc == 0
+
+
+def test_verify_lowest_3d_window(tmp_path):
+    # the 3D r=1 row exists from p=0 on; --p 0 is a valid window there
+    path = tmp_path / "tet.json"
+    reference_tet().save(path)
+    assert main(["verify", "--mesh", str(path), "--row", "1", "--p", "0"]) == 0
 
 
 def test_verify_corrupt_mesh(tmp_path, capsys):
@@ -192,6 +199,40 @@ def test_console_script_entry_point(square_path):
     assert proc.returncode == 0
 
 
+NO_SCIPY = """
+import sys
+import derham.cli
+
+def check(when):
+    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    if loaded:
+        sys.exit(f"{{when}}: {{loaded}}")
+
+check("after import derham.cli")
+for argv in {commands!r}:
+    derham.cli.main(argv)
+check("after the cli-mix commands")
+"""
+
+
+def test_runtime_loads_no_scipy(square_path):
+    # a fresh interpreter: pytest and the test helpers may load scipy themselves
+    commands = [
+        ["element", "--r", "2", "--k", "1", "--dim", "2", "--p", "5"],
+        ["element", "--r", "1", "--k", "1", "--dim", "3", "--p", "3"],
+        ["element", "--r", "hz", "--k", "2", "--dim", "3", "--p", "3"],
+        ["export", "--r", "1", "--k", "1", "--dim", "2", "--p", "3"],
+        ["tables", "--mesh", square_path, "--p-range", "3:5"],
+        ["bc", "--mesh", square_path, "--p", "4"],
+        ["bgg", "--mesh", square_path, "--p", "2"],
+        ["compare", "--p", "2", "--grid", "1,1,1"],
+        ["verify", "--mesh", square_path, "--row", "1", "--p", "2"],
+    ]
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY.format(commands=commands)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("argv,message", [
     (["tables", "--mesh", "{mesh}", "--p-range", "3"], "--p-range expects LO:HI"),
     (["tables", "--mesh", "{mesh}", "--p-range", "a:b"], "--p-range expects LO:HI"),
@@ -200,6 +241,12 @@ def test_console_script_entry_point(square_path):
     (["compare", "--p", "2", "--grid", "0,1,1"], "grid sizes must be positive"),
     (["bc", "--mesh", "{mesh}", "--p", "0"], "bc needs --p >= 1 (got --p 0)"),
     (["bgg", "--mesh", "{mesh}", "--p", "0"], "bgg needs --p >= 1 (got --p 0)"),
+    (["verify", "--mesh", "{mesh}", "--row", "1", "--p", "0"],
+     "verify --row 1 needs --p >= 1 on a 2D mesh (got --p 0)"),
+    (["verify", "--mesh", "{mesh}", "--row", "2", "--p", "0"],
+     "verify --row 2 needs --p >= 2 on a 2D mesh (got --p 0)"),
+    (["verify", "--mesh", "{mesh}", "--row", "2", "--p", "1"],
+     "verify --row 2 needs --p >= 2 on a 2D mesh (got --p 1)"),
 ])
 def test_bad_arguments_exit_2_with_one_line(square_path, capsys, argv, message):
     rc = main([a.replace("{mesh}", square_path) for a in argv])
@@ -215,10 +262,9 @@ def _test_degrees(out, klass):
 
 
 def test_element_keeps_native_test_degrees(capsys):
-    # trimmed test spaces: the P_{p-1} forms first, then the Koszul images
+    # trimmed test spaces: the P_{p-1} forms first, then the complement
     assert main(["element", "--r", "0", "--k", "1", "--dim", "2", "--p", "3"]) == 0
     assert _test_degrees(capsys.readouterr().out, "interior") == [1] * 6 + [2] * 2
-    # per face; on the face opposite vertex 0 pivoted QR keeps a third Koszul image
+    # the same split on every face
     assert main(["element", "--r", "1", "--k", "1", "--dim", "3", "--p", "3"]) == 0
-    assert _test_degrees(capsys.readouterr().out, "face-trace") == (
-        ([1] * 6 + [2] * 2) * 3 + [1] * 5 + [2] * 3)
+    assert _test_degrees(capsys.readouterr().out, "face-trace") == ([1] * 6 + [2] * 2) * 4

@@ -6,8 +6,8 @@ import pytest
 
 from derham import forms
 from derham.forms import (FormPolynomial, Simplex, _coefficient_matrix, coeffs, dim_full,
-                          dim_trimmed, full_basis, monomials, span_rank, trimmed_basis,
-                          trimmed_coeffs)
+                          dim_trimmed, form_from_coeffs, full_basis, monomials, rank_of,
+                          span_rank, trimmed_basis, trimmed_coeffs)
 from derham.mesh import SimplicialMesh
 from conftest import REF, random_simplex
 from dof_reference import koszul, reference_trimmed
@@ -209,16 +209,19 @@ def test_trimmed_coeffs_match_exact_koszul_span(name):
     m = simplex.dim
     for k in range(1, m):
         for p in range(1, 6):
-            span, chosen = reference_trimmed(simplex, p, k)
-            mat = _coefficient_matrix(span, p)
-            new_span, n_lower = forms._trimmed_span(simplex, p, k)
-            assert np.array_equal(new_span, mat), (k, p)
-            assert n_lower == dim_full(m, p - 1, k)
+            exact = _coefficient_matrix(reference_trimmed(simplex, p, k), p)
             cols, tests = trimmed_coeffs(simplex, p, k)
-            assert np.array_equal(cols, mat[:, chosen]), (k, p)
-            for i, (tk, q, vec) in zip(chosen, tests):
-                assert tk == k and q == span[i].max_degree()
-                assert np.array_equal(vec, coeffs(span[i], q))
+            target = dim_trimmed(m, p, k)
+            assert cols.shape[1] == len(tests) == target == rank_of(exact)
+            assert rank_of(np.hstack([exact, cols])) == target, (k, p)
+            n_lower = dim_full(m, p - 1, k)
+            lower, comp = cols[:, :n_lower], cols[:, n_lower:]
+            assert np.array_equal(lower, forms._bernstein_block(m, k, p - 1, p))
+            assert np.abs(comp.T @ comp - np.eye(comp.shape[1])).max() < 1e-13
+            assert np.abs(np.linalg.qr(lower)[0].T @ comp).max() < 1e-13
+            for i, (col, (tk, q, vec)) in enumerate(zip(cols.T, tests)):
+                assert tk == k and q == (p - 1 if i < n_lower else p)
+                assert np.array_equal(coeffs(form_from_coeffs(simplex, k, q, vec), p), col)
 
 
 def test_koszul_lowers_form_degree():
