@@ -9,8 +9,11 @@ dual_fields``, the target rows times the map as a coefficient matrix times
 the source dual basis.  No FormPolynomial is built on this path.  The
 scatter compares entries that two cells reach, all at once.
 Assembly itself is deterministic and single-threaded; assembled spaces and
-operator matrices are immutable afterwards and safe to share.  Rank
-decisions use a relative singular-value cutoff (forms.RANK_RTOL).
+operator matrices are immutable afterwards and safe to share.  Operators
+are COO triplets; a dense view is built only when a caller asks for it.
+Rank decisions use a relative singular-value cutoff (forms.RANK_RTOL):
+``prove_ranks`` proves the rank the complex predicts with a Cholesky of a
+Gram matrix and counts the singular values only where that proof fails.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -31,6 +35,9 @@ from .mesh import SimplicialMesh
 
 DD_TOL = 1e-10
 CONTAINMENT_TOL = 1e-8
+# Scattered entries at most this share of an operator's largest are
+# cancellation residue (seen: 1e-19 to 1e-13, none between 1e-13 and 1e-9).
+DROP_RTOL = 1e-13
 
 
 class GlobalSpace:
@@ -205,15 +212,46 @@ def row_p_min(n, r):
 
 @dataclass
 class OperatorMatrix:
+    """A linear map between assembled spaces as COO triplets.
+
+    ``rows``, ``cols`` and ``vals`` are the kept entries in row-major order.
+    ``dropped_max`` and ``dropped_norm`` are the largest magnitude and the
+    Frobenius norm of the entries the scatter dropped as cancellation residue.
+    """
     src: GlobalSpace
     dst: GlobalSpace
-    array: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    dropped_max: float = 0.0
+    dropped_norm: float = 0.0
+
+    @property
+    def shape(self):
+        return (self.dst.dim, self.src.dim)
+
+    @cached_property
+    def T(self):
+        """The transpose, the two spaces' roles swapped."""
+        order = np.argsort(self.cols, kind="stable")
+        t = OperatorMatrix(self.dst, self.src, self.cols[order], self.rows[order],
+                           self.vals[order], self.dropped_max, self.dropped_norm)
+        t.__dict__["T"] = self      # cached: the transpose's transpose is self
+        return t
+
+    @cached_property
+    def array(self):
+        """The dense matrix, built on first use."""
+        out = np.zeros(self.shape)
+        out[self.rows, self.cols] = self.vals
+        return out
+
+    def dot(self, x):
+        return np.bincount(self.rows, weights=self.vals * x[self.cols], minlength=self.shape[0])
 
     def export_coo(self):
-        rows, cols = np.nonzero(self.array)
-        lines = [f"{self.array.shape[0]} {self.array.shape[1]} {len(rows)}"]
-        for i, j in zip(rows, cols):
-            lines.append(f"{i} {j} {self.array[i, j]:.17g}")
+        lines = [f"{self.shape[0]} {self.shape[1]} {len(self.vals)}"]
+        lines += [f"{i} {j} {v:.17g}" for i, j, v in zip(self.rows, self.cols, self.vals)]
         return "\n".join(lines) + "\n"
 
 
@@ -225,7 +263,8 @@ def assemble_local_operator(src, dst, fmap, consistency_tol=1e-7):
     ones.  Column j holds the target DoFs of the map applied to the j-th
     global dual function: per cell, ``dst rows @ fmap(cell) @ src dual
     fields``.  Entries reachable from two cells are compared; a disagreement
-    means the image violates the target continuity.
+    means the image violates the target continuity.  Entries at most
+    DROP_RTOL times the largest are cancellation residue and are dropped.
     """
     mesh = src.mesh
     flat, vals, scales = [], [], []
@@ -247,9 +286,13 @@ def assemble_local_operator(src, dst, fmap, consistency_tol=1e-7):
         raise RuntimeError(
             f"operator entry disagrees across cells at ({gi},{gj}): "
             f"{ref[pos]} vs {vals[pos]}; wrong family pairing?")
-    D = np.zeros((dst.dim, src.dim))
-    D.flat[flat[first]] = vals[first]
-    return OperatorMatrix(src, dst, D)
+    flat, vals = flat[first], vals[first]
+    keep = np.abs(vals) > DROP_RTOL * np.abs(vals).max(initial=0.0)
+    rows, cols = np.divmod(flat[keep], src.dim)
+    dropped = np.abs(vals[~keep])
+    return OperatorMatrix(src, dst, rows, cols, vals[keep],
+                          dropped_max=float(dropped.max(initial=0.0)),
+                          dropped_norm=float(np.linalg.norm(dropped)))
 
 
 def assemble_d(src, dst, consistency_tol=1e-7):
@@ -277,30 +320,287 @@ def _d_map(src, dst):
 def containment_residual(src, dst, D=None):
     """Largest coefficient of d(dual_j) minus its target-space interpolant.
 
-    Per cell and for every global source column, the coefficients of the d
-    images of the source duals are compared with the target duals times the
-    cell's rows of D, relative to the largest image coefficient.
+    Per cell and for every global source column that the cell or its rows of
+    D reach, the coefficients of the d images of the source duals are
+    compared with the target duals times the cell's rows of D, relative to
+    the largest image coefficient.
     """
     if D is None:
         D = assemble_d(src, dst)
     dmap = _d_map(src, dst)
+    rows_of_D = _csr(D)
     worst, scale = 0.0, 0.0
     for ci in range(len(src.mesh.cells)):
-        image = np.zeros((dst.dual_fields(ci).shape[0], src.dim))
-        image[:, src.cell_global[ci]] = dmap(src.mesh.cell_simplex(ci)) @ src.dual_fields(ci)
-        interp = dst.dual_fields(ci) @ D.array[dst.cell_global[ci]]
+        used, block = _dense_rows(rows_of_D, dst.cell_global[ci])
+        cols = np.union1d(src.cell_global[ci], used)
+        image = np.zeros((dst.dual_fields(ci).shape[0], len(cols)))
+        image[:, np.searchsorted(cols, src.cell_global[ci])] = \
+            dmap(src.mesh.cell_simplex(ci)) @ src.dual_fields(ci)
+        interp = np.zeros_like(image)
+        interp[:, np.searchsorted(cols, used)] = dst.dual_fields(ci) @ block
         worst = max(worst, np.abs(image - interp).max())
         scale = max(scale, np.abs(image).max())
     return worst / scale if scale > 0.0 else worst
 
 
+# ---------------------------------------------------------------------------
+# sparse products and ranks
+# ---------------------------------------------------------------------------
+
+def _csr(D):
+    """(row starts, columns, values, width) of D."""
+    return np.searchsorted(D.rows, np.arange(D.shape[0] + 1)), D.cols, D.vals, D.shape[1]
+
+
+def _dense_rows(csr, idx):
+    """Rows ``idx`` of a CSR matrix, dense over the columns they touch:
+    (those columns, the block)."""
+    ptr, cols, vals, width = csr
+    lo = ptr[idx]
+    reps = ptr[idx + 1] - lo
+    pos = np.repeat(lo - np.cumsum(reps) + reps, reps) + np.arange(reps.sum())
+    touched = np.zeros(width, dtype=bool)
+    touched[cols[pos]] = True
+    used = np.flatnonzero(touched)
+    block = np.zeros((len(idx), len(used)))
+    block[np.repeat(np.arange(len(idx)), reps), np.cumsum(touched)[cols[pos]] - 1] = vals[pos]
+    return used, block
+
+
+def _slabs(csr):
+    """Row ranges of a CSR matrix with at most 2**16 entries in their dense
+    blocks: cells number their DoFs together, so consecutive rows touch few
+    columns, and a small matrix is one dense block."""
+    step = max(1, 2 ** 16 // max(csr[3], 1))
+    n = len(csr[0]) - 1
+    return (np.arange(s, min(s + step, n)) for s in range(0, n, step))
+
+
+def _gram(D):
+    """Dense DᵀD summed over slabs of rows, and the most nonzero terms in
+    one entry."""
+    csr = _csr(D)
+    G = np.zeros((csr[3], csr[3]))
+    for idx in _slabs(csr):
+        used, block = _dense_rows(csr, idx)
+        if len(used) == len(G):
+            G += block.T @ block
+        else:
+            G[np.ix_(used, used)] += block.T @ block
+    return G, int(np.bincount(csr[1]).max())
+
+
+def _product_slabs(A, B):
+    """Slabs of rows of A @ B and of |A| @ |B|, dense over the columns they
+    touch."""
+    rows_a, rows_b = _csr(A), _csr(B)
+    for idx in _slabs(rows_a):
+        mid, block_a = _dense_rows(rows_a, idx)
+        _, block_b = _dense_rows(rows_b, mid)
+        yield block_a @ block_b, np.abs(block_a) @ np.abs(block_b)
+
+
 def complex_residual(D2, D1):
     """Max entry of D2 @ D1 after row normalization."""
-    prod = D2.array @ D1.array
-    scale = np.abs(D2.array) @ np.abs(D1.array)
-    rows = scale.max(axis=1)
-    rows[rows == 0.0] = 1.0
-    return float((np.abs(prod) / rows[:, None]).max())
+    worst = 0.0
+    for prod, scale in _product_slabs(D2, D1):
+        rows = scale.max(axis=1, initial=0.0)
+        rows[rows == 0.0] = 1.0
+        worst = max(worst, (np.abs(prod) / rows[:, None]).max(initial=0.0))
+    return float(worst)
+
+
+_U = np.finfo(float).eps / 2
+# Relative outward rounding of each scalar bound: every one is a sum or
+# product of fewer than 10**7 floats, whose rounding stays below this.
+_SLACK = 1e-8
+
+
+def _gamma(j):
+    return j * _U / (1 - j * _U)
+
+
+def _sigma1_bounds(D):
+    """σ₁ lies between the largest row or column norm and sqrt(‖D‖₁‖D‖∞)."""
+    mag = np.abs(D.vals)
+    sq = max(np.bincount(D.cols, weights=mag * mag).max(initial=0.0),
+             np.bincount(D.rows, weights=mag * mag).max(initial=0.0))
+    col = np.bincount(D.cols, weights=mag).max(initial=0.0)
+    row = np.bincount(D.rows, weights=mag).max(initial=0.0)
+    return math.sqrt(sq) * (1 - _SLACK), math.sqrt(col * row) * (1 + _SLACK)
+
+
+def _min_eig_estimate(L):
+    """λ_min(L Lᵀ) estimated from above by two steps of inverse subspace
+    iteration on four vectors; numpy has no triangular solve, so
+    substitution runs over diagonal blocks of 16, inverted in one call."""
+    starts = range(0, len(L), 16)
+    blocks = np.tile(np.eye(16), (len(starts), 1, 1))
+    for i, s in enumerate(starts):
+        e = min(s + 16, len(L))
+        blocks[i, :e - s, :e - s] = L[s:e, s:e]
+    inv = np.linalg.inv(blocks)
+
+    def solve(b):
+        y = b.copy()
+        for i, s in enumerate(starts):
+            e = min(s + 16, len(L))
+            y[s:e] = inv[i, :e - s, :e - s] @ (y[s:e] - L[s:e, :s] @ y[:s])
+        for i, s in reversed(list(enumerate(starts))):
+            e = min(s + 16, len(L))
+            y[s:e] = inv[i, :e - s, :e - s].T @ (y[s:e] - L[e:, s:e].T @ y[e:])
+        return y
+
+    # hashed pseudo-random start vectors: importing numpy.random costs a cold
+    # process more than the whole estimate
+    start = np.sin(np.arange(1.0, 4 * len(L) + 1) * 12.9898).reshape(-1, 4) * 43758.5453 % 1 - 0.5
+    z = np.linalg.qr(solve(start))[0]
+    return 1.0 / np.linalg.eigvalsh(z.T @ solve(z))[-1]
+
+
+def _cholesky_floor(G, t, c):
+    """t - c as a proved lower bound on λ_min of the exact Gram matrix, or None.
+
+    c bounds the distance of the exact Gram matrix from the computed G plus
+    the rounding of a float Cholesky: one that completes on G - tI proves
+    λ_min(G) ≥ t - γ_{N+1}/(1-γ_{N+1})·tr(G) (Rump, BIT 46, 2006).  After a
+    first attempt at t, inverse iteration with its factor estimates how far
+    λ_min lies above t (from above, seen within a factor 1.9), and a second
+    attempt at 0.4 of that distance sharpens the bound; if it fails, the
+    first bound stands.
+    """
+    diag = G.diagonal().copy()
+
+    def factor(shift):
+        G.flat[::len(G) + 1] = diag - shift
+        try:
+            return np.linalg.cholesky(G)
+        except np.linalg.LinAlgError:
+            return None
+        finally:
+            G.flat[::len(G) + 1] = diag
+
+    L = factor(t)
+    if L is None:
+        return None
+    sharper = t + 0.4 * _min_eig_estimate(L)
+    del L
+    return (sharper if factor(sharper) is not None else t) - c
+
+
+def _proof(D, r, kernel, sigma1):
+    """(r, lower bound on σ_r, upper bound on σ_{r+1}) of D, or None.
+
+    ``kernel`` spans the kernel of D if r holds: the constants (first map),
+    or ``(B, rank, kept, dropped)`` of a proved map B with range B ⊂ ker D.
+    """
+    m, n = D.shape
+    lo1, hi1 = sigma1
+    if not 0 < r <= min(m, n) or hi1 == 0.0:
+        return None
+    delta = D.dropped_norm * (1 + _SLACK)   # Weyl: the residue moves no σ by more
+    F = D.vals @ D.vals                     # ‖|D|ᵀ|D|‖₂ ≤ ‖D‖_F²
+    penalty, w_row = 0.0, int(np.bincount(D.rows).max())   # terms in a row of D times a vector
+    if r == min(m, n):
+        G, w = _gram(D.T if m <= n else D)
+        dropped = 0.0
+    elif isinstance(kernel, np.ndarray) and r == n - 1:
+        # ‖Dy‖² = yᵀ(DᵀD + a x̂x̂ᵀ)y for y ⊥ x̂, and σ_n ≤ ‖Dx̂‖
+        x = kernel / np.linalg.norm(kernel)
+        G, w = _gram(D)
+        a = F / n
+        G += np.outer(a * x, x)
+        F, w = F + a, w + 2
+        bound = np.bincount(D.rows, weights=np.abs(D.vals * x[D.cols]), minlength=m)
+        dropped = (np.linalg.norm(D.dot(x)) + _gamma(w_row + 1) * np.linalg.norm(bound)) \
+            / np.linalg.norm(x)
+    elif isinstance(kernel, tuple) and r == n - kernel[1]:
+        # with U the top singular space of B (dim = its rank s): for y ⊥ U,
+        # ‖Dy‖² ≥ yᵀ(DᵀD + a BBᵀ)y - a σ_{s+1}(B)²‖y‖²; on U, ‖Dy‖ ≤ ‖DB‖/σ_s(B)
+        B, _, kept_B, dropped_B = kernel
+        G, w = _gram(D)
+        GB, wB = _gram(B.T)
+        FB = B.vals @ B.vals
+        a = F / FB
+        GB *= a
+        G += GB
+        F, w = F + a * FB, w + wB + 2
+        penalty = a * dropped_B ** 2
+        sq = np.sum([(np.sum(prod ** 2), np.sum(bound ** 2))
+                     for prod, bound in _product_slabs(D, B)], axis=0)
+        dropped = (math.sqrt(sq[0]) + _gamma(w_row + 1) * math.sqrt(sq[1])) / kept_B
+    else:
+        return None
+    dropped = dropped * (1 + _SLACK) + delta
+    if dropped >= RANK_RTOL * lo1:
+        return None
+    need = (RANK_RTOL * hi1 + delta) * (1 + 4 * _SLACK)
+    c = 2 * (_gamma(len(G) + 1) / (1 - _gamma(len(G) + 1)) * np.trace(G) + _gamma(w) * F)
+    floor = _cholesky_floor(G, need ** 2 + penalty + c, c)
+    if floor is None:
+        return None
+    return r, math.sqrt(floor - penalty) * (1 - _SLACK) - delta, dropped
+
+
+def prove_ranks(ops):
+    """The rank of each operator of a row, proved where the complex allows.
+
+    The complex proposes every rank: r₀ = n₀ - 1 with the constants as the
+    kernel when the first source holds 0-forms, then r_k = min(n_k - r_{k-1},
+    m_k).  One shifted float Cholesky of a dense Gram matrix on the
+    operator's smaller side proves a lower bound on σ_r: DDᵀ or DᵀD when r is
+    full, else DᵀD plus a multiple of x̂x̂ᵀ (constants) or of BBᵀ for the
+    previous map B, or DDᵀ plus a multiple of CᵀC for the next map C; B or
+    C must have been proved, and their ranks fix r.  The dropped bound is
+    ‖Dx̂‖, ‖DB‖_F or ‖CD‖_F over that map's kept bound, and the dropped
+    residue's Frobenius norm widens both.  Where the bounds straddle
+    RANK_RTOL·σ₁, r is the count that ``rank_of`` defines; otherwise the
+    operator is counted by ``rank_of`` on its dense view.
+
+    Returns the ranks and, per operator, ``{"kept", "dropped", "proved"}``:
+    the bounds relative to σ₁ (None where nothing was proved).
+    """
+    constants = ops[0].src.constant_coefficients() if ops and ops[0].src.el.k == 0 else None
+    sigma1 = [_sigma1_bounds(D) for D in ops]
+    proofs = [None] * len(ops)          # (rank, kept, dropped) once proved
+    tried = set()
+
+    def attempt(k, side):
+        """Prove op k on one side: "full", "cols" (the previous map or the
+        constants span the kernel) or "rows" (the next map spans the cokernel)."""
+        m, n = ops[k].shape
+        if side == "full":
+            tried.add((k, side))
+            proofs[k] = _proof(ops[k], min(m, n), None, sigma1[k])
+            return
+        j, width = (k - 1, n) if side == "cols" else (k + 1, m)
+        if j == -1 and constants is not None:
+            kernel, s = constants, 1
+        elif 0 <= j < len(ops) and proofs[j] is not None:
+            B = ops[j] if side == "cols" else ops[j].T
+            kernel, s = (B, *proofs[j]), proofs[j][0]
+        else:
+            return
+        tried.add((k, side))
+        proofs[k] = _proof(ops[k] if side == "cols" else ops[k].T, width - s, kernel, sigma1[k])
+
+    # forward: full ranks, and column sides as each previous map is proved;
+    # backward: the other sides, as each next map is proved
+    prev = int(constants is not None)   # the constants act as a rank-one map
+    for k, D in enumerate(ops):
+        m, n = D.shape
+        prev = min(n - prev, m)
+        attempt(k, "full" if prev == min(m, n) else "cols" if n <= m else "rows")
+    for k in reversed(range(len(ops))):
+        m, n = ops[k].shape
+        for side in ("rows", "cols") if m < n else ("cols", "rows"):
+            if proofs[k] is None and not tried & {(k, side), (k, "full")}:
+                attempt(k, side)
+    ranks = [p[0] if p else rank_of(D.array) for p, D in zip(proofs, ops)]
+    margins = [{"kept": float(p[1] / s[1]) if p else None,
+                "dropped": float(p[2] / s[0]) if p else None,
+                "proved": p is not None} for p, s in zip(proofs, sigma1)]
+    return ranks, margins
 
 
 @dataclass
@@ -314,6 +614,7 @@ class ExactnessReport:
     kernel_is_constants: bool
     surjective_end: bool
     alternating_ok: bool
+    rank_margins: list
 
     @property
     def passed(self):
@@ -330,6 +631,7 @@ class ExactnessReport:
             "kernel_is_constants": self.kernel_is_constants,
             "surjective_end": self.surjective_end,
             "alternating_ok": self.alternating_ok, "pass": self.passed,
+            "rank_margins": self.rank_margins,
         }, indent=2)
 
 
@@ -343,7 +645,7 @@ def verify_row(mesh, slots, expected_betti=None, check_containment=False):
             if res > CONTAINMENT_TOL:
                 raise RuntimeError(f"containment residual {res:.2e} at slot {i}")
     dims = [s.dim for s in spaces]
-    ranks = [rank_of(op.array) for op in ops]
+    ranks, margins = prove_ranks(ops)
     nullities = [dims[i] - ranks[i] for i in range(len(ops))]
     dd = [complex_residual(ops[i + 1], ops[i]) for i in range(len(ops) - 1)]
     betti = [nullities[0]]
@@ -356,7 +658,7 @@ def verify_row(mesh, slots, expected_betti=None, check_containment=False):
     kernel_const = True
     if slots[0][2] == 0 and nullities[0] >= 1:
         x = spaces[0].constant_coefficients()
-        resid = np.abs(ops[0].array @ x).max() / max(np.abs(x).max(), 1.0)
+        resid = np.abs(ops[0].dot(x)).max() / max(np.abs(x).max(), 1.0)
         kernel_const = resid < 1e-8 and nullities[0] == expected_betti[0]
     alt_dims = sum((-1) ** i * dims[i] for i in range(len(dims)))
     alt_betti = sum((-1) ** i * expected_betti[i] for i in range(len(dims)))
@@ -366,6 +668,7 @@ def verify_row(mesh, slots, expected_betti=None, check_containment=False):
         kernel_is_constants=kernel_const,
         surjective_end=(ranks[-1] == dims[-1]),
         alternating_ok=(alt_dims == alt_betti) if betti == list(expected_betti) else False,
+        rank_margins=margins,
     )
     return report, spaces, ops
 

@@ -3,15 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from derham.assembly import (BrokenSpace, assemble_d, assemble_space,
-                             containment_residual, dim_formula, dof_savings,
-                             family_row, homogeneous_row_report,
-                             interpolation_split_residual, mixed_sequence,
-                             rank_of, restrict_homogeneous, row_p_min, space_equal,
+from derham.assembly import (DROP_RTOL, RANK_RTOL, BrokenSpace, OperatorMatrix,
+                             assemble_d, assemble_space, containment_residual,
+                             dim_formula, dof_savings, family_row,
+                             homogeneous_row_report, interpolation_split_residual,
+                             mixed_sequence, prove_ranks, rank_of,
+                             restrict_homogeneous, row_p_min, space_equal,
                              verify_exactness, verify_row, complex_residual,
                              verify_decomposition)
 from derham.elements import element_def, p_min
-from derham.mesh import cube_center_fan_grid
+from derham.mesh import cube_center_fan_grid, triangle_grid
 
 
 # -- assembled dimensions vs closed forms ----------------------------------------
@@ -91,14 +92,15 @@ def test_containment_residual_small(meshes):
 
 @pytest.mark.parametrize("r", [0, 1, 2])
 def test_containment_detects_a_moved_entry(meshes, r):
-    from derham.assembly import CONTAINMENT_TOL, OperatorMatrix
+    from derham.assembly import CONTAINMENT_TOL
     spaces = [assemble_space(meshes["square"], *s) for s in family_row(2, r, 2)]
     for src, dst in zip(spaces, spaces[1:]):
         D = assemble_d(src, dst)
         assert containment_residual(src, dst, D) < CONTAINMENT_TOL
-        moved = D.array.copy()
-        moved[np.unravel_index(np.argmax(np.abs(moved)), moved.shape)] += 1e-3
-        assert containment_residual(src, dst, OperatorMatrix(src, dst, moved)) > CONTAINMENT_TOL
+        moved = D.vals.copy()
+        moved[np.argmax(np.abs(moved))] += 1e-3
+        moved = OperatorMatrix(src, dst, D.rows, D.cols, moved)
+        assert containment_residual(src, dst, moved) > CONTAINMENT_TOL
 
 
 def test_wrong_pairing_rejected(meshes):
@@ -125,6 +127,51 @@ def test_export_coo_format(meshes):
     assert nnz == len(lines) - 1 == np.count_nonzero(D.array)
     i, j, v = lines[1].split()
     assert D.array[int(i), int(j)] == float(v)
+    assert D.dropped_max <= DROP_RTOL * np.abs(D.vals).max()
+
+
+# -- proved ranks ---------------------------------------------------------------------
+
+def _assert_proved_ranks_are_counts(ops, ranks, margins):
+    # a rank that was not proved was counted by rank_of itself
+    for op, rank, m in zip(ops, ranks, margins):
+        if m["proved"]:
+            assert m["kept"] > RANK_RTOL > m["dropped"]
+            assert rank == rank_of(op.array)
+
+
+@pytest.mark.parametrize("name", ["interval", "tri", "square", "tri3", "split",
+                                  "annulus", "tet", "tet2", "tet3"])
+def test_proved_ranks_match_rank_of(meshes, name):
+    m = meshes[name]
+    rows = [(r, p) for r in (0, 1, 2) for p in (1, 2, 3) if p >= row_p_min(m.dim, r)]
+    rows += [("mixed", 3)] if m.dim == 3 else []
+    for r, p in rows:
+        spaces = [assemble_space(m, *s) for s in family_row(m.dim, r, p)]
+        ops = [assemble_d(a, b) for a, b in zip(spaces, spaces[1:])]
+        _assert_proved_ranks_are_counts(ops, *prove_ranks(ops))
+
+
+def test_overstated_rank_is_counted():
+    # zero a column of D0 whose DoF the constants do not use: its unit vector
+    # joins the kernel, so the complex proposes one rank too many
+    spaces = [assemble_space(triangle_grid(4), *s) for s in family_row(2, 1, 1)]
+    D0, D1 = (assemble_d(a, b) for a, b in zip(spaces, spaces[1:]))
+    j = np.flatnonzero(spaces[0].constant_coefficients() == 0.0)[0]
+    keep = D0.cols != j
+    assert not keep.all()
+    Dz = OperatorMatrix(D0.src, D0.dst, D0.rows[keep], D0.cols[keep], D0.vals[keep])
+    ranks, margins = prove_ranks([Dz, D1])
+    assert not margins[0]["proved"]
+    assert ranks[0] == rank_of(Dz.array) == D0.shape[1] - 2
+
+
+def test_verify_row_needs_no_dense_operator(monkeypatch):
+    def refuse(self):
+        raise AssertionError("dense operator built in verify_row")
+    monkeypatch.setattr(OperatorMatrix, "array", property(refuse))
+    rep = verify_exactness(triangle_grid(8), 0, 2)
+    assert rep.passed and all(m["proved"] for m in rep.rank_margins)
 
 
 # -- exactness ----------------------------------------------------------------------
@@ -171,8 +218,9 @@ def test_row_p_min_is_the_lowest_window():
 def test_exactness_high_p_keeps_float_margin(meshes, r):
     # p=6 sits near the float limit of the dd residual (DD_TOL); a worse
     # conditioned trimmed test basis pushes these rows over it
-    rep = verify_exactness(meshes["tet3"], r, 6)
+    rep, _, ops = verify_row(meshes["tet3"], family_row(3, r, 6))
     assert rep.passed, rep.to_json()
+    _assert_proved_ranks_are_counts(ops, rep.ranks, rep.rank_margins)
 
 
 def test_row_with_containment_check(meshes):
@@ -194,9 +242,11 @@ def test_exactness_3d_rows(meshes):
 
 
 def test_annulus_harmonic_class(meshes):
-    rep = verify_exactness(meshes["annulus"], 1, 1, expected_betti=[1, 1, 0])
-    assert rep.betti == [1, 1, 0]
-    assert rep.passed
+    for r, p in ((0, 2), (1, 1), (2, 2)):
+        rep = verify_exactness(meshes["annulus"], r, p, expected_betti=[1, 1, 0])
+        assert rep.betti == [1, 1, 0]
+        assert rep.passed
+        assert all(m["proved"] for m in rep.rank_margins)
 
 
 def test_circle_harmonic_class():
