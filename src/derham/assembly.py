@@ -26,8 +26,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .elements import (cell_dofs, dof_rows, element_def, p_min, shape_coeffs,
-                       tangential_bubble_span, zero_trace_dim)
+from .elements import (block_rows, cell_blocks, cell_dofs, dof_plan, element_def, p_min,
+                       shape_coeffs, tangential_bubble_span, zero_trace_dim)
 from .forms import (RANK_RTOL, _coefficient_matrix, coeffs, elevation, eval_row,
                     exterior_derivative_matrix, moment_gram, monomials,
                     multinomials, nullspace, rank_of, restriction_matrix)
@@ -43,9 +43,11 @@ DROP_RTOL = 1e-13
 class GlobalSpace:
     """An assembled finite element space on a mesh.
 
-    Per-cell tables give the local DoF objects and their global indices in
-    the canonical cell order.  A shared DoF is one cached object, reached by
-    every cell containing its entity; global indices follow first appearance.
+    ``cell_global[ci]`` holds the global indices of the cell's local DoFs in
+    the canonical cell order.  They come from the plan's block sizes alone:
+    each entity's block is numbered contiguously at its first appearance, so
+    building a space realises no DoF.  Blocks are realised, once per entity
+    and shared by its cells, when a cell's rows are first asked for.
     """
 
     def __init__(self, mesh, el):
@@ -53,12 +55,8 @@ class GlobalSpace:
         self.el = el
         if el.n != mesh.dim:
             raise ValueError("element dimension does not match the mesh")
-        cache = {}
-        gid = {}
-        self.cell_dof_objs = [cell_dofs(el, mesh, ci, cache) for ci in range(len(mesh.cells))]
-        self.cell_global = [np.array([gid.setdefault(id(dof), len(gid)) for dof in local], dtype=int)
-                            for local in self.cell_dof_objs]
-        self.dim = len(gid)
+        self.cell_global, self.dim = _number_dofs(el, mesh)
+        self._blocks = {}
         self._shapes = {}
         self._rows = {}
         self._duals = {}
@@ -66,13 +64,17 @@ class GlobalSpace:
         self._local_mats = {}
 
     # -- per-cell data -----------------------------------------------------------
+    def cell_blocks(self, ci):
+        """The cell's realised DoF blocks, each entity's shared by its cells."""
+        return cell_blocks(self.el, self.mesh, ci, self._blocks)
+
     def dof_rows(self, ci, p=None):
         """The cell's DoF functionals as rows over degree-p coefficients."""
         p = self.el.p if p is None else p
         if (ci, p) not in self._rows:
             cverts = tuple(int(v) for v in self.mesh.cells[ci])
-            self._rows[(ci, p)] = dof_rows(self.cell_dof_objs[ci], self.mesh.cell_simplex(ci),
-                                           cverts, self.el.k, p)
+            self._rows[(ci, p)] = block_rows(self.cell_blocks(ci), self.mesh.cell_simplex(ci),
+                                             cverts, self.el.k, p)
         return self._rows[(ci, p)]
 
     def _shape_coeffs(self, ci):
@@ -129,6 +131,29 @@ class GlobalSpace:
         # the lambdas sum to one, so 1 = (sum lambda)^p has multinomial coefficients
         one = multinomials(self.mesh.dim + 1, self.el.p)
         return self.gather({ci: self.dof_rows(ci) @ one for ci in range(len(self.mesh.cells))})
+
+
+def _number_dofs(el, mesh):
+    """(cell_global, dim) from the plan's per-entity sizes.
+
+    Cells in order, each cell's entities by dimension then in combinations
+    order, the interior last: every entity's block takes the next indices at
+    its first appearance, the order in which a walk over the realised DoFs
+    would meet them.
+    """
+    n, ncells = el.n, len(mesh.cells)
+    tables = [mesh.cell_entities[d] for d in range(n)] + [np.arange(ncells)[:, None]]
+    offsets = np.cumsum([0] + [mesh.count(d) for d in range(n)])
+    keys = np.hstack([t + off for t, off in zip(tables, offsets)])   # one id per entity
+    sizes = np.concatenate([np.full(t.shape[1], sum(g.size for g in dof_plan(el, d)))
+                            for d, t in enumerate(tables)])
+    uniq, first = np.unique(keys, return_index=True)
+    order = np.argsort(first)
+    size = sizes[first[order] % keys.shape[1]]
+    start = np.zeros(offsets[-1] + ncells, dtype=int)
+    start[uniq[order]] = np.cumsum(size) - size
+    local = np.concatenate([np.arange(m) for m in sizes])
+    return np.repeat(start[keys], sizes, axis=1) + local, int(size.sum())
 
 
 def assemble_space(mesh, r, p, k):
@@ -740,11 +765,11 @@ def space_equal(space_a, space_b, rtol=RANK_RTOL):
 # ---------------------------------------------------------------------------
 
 def _dof_lookup(space):
-    """Map (entity dim, entity id) -> list of (global index, klass)."""
+    """Map (entity dim, entity id) -> list of (global index, label), from the plan."""
     table = {}
     seen = set()
     for ci in range(len(space.mesh.cells)):
-        for dof, gi in zip(space.cell_dof_objs[ci], space.cell_global[ci]):
+        for dof, gi in zip(cell_dofs(space.el, space.mesh, ci), space.cell_global[ci]):
             if gi in seen:
                 continue
             seen.add(gi)
@@ -753,7 +778,7 @@ def _dof_lookup(space):
                 idx = space.mesh.simplex_id(dof.entity_verts)
             else:
                 idx = ci
-            table.setdefault((d, idx), []).append((int(gi), dof.klass))
+            table.setdefault((d, idx), []).append((int(gi), dof.label))
     return table
 
 
@@ -774,8 +799,8 @@ def homogeneous_constraints(space, classification):
         r[gi] = 1.0
         return r
 
-    def klass_ids(d, idx, prefix):
-        return [gi for gi, kl in lookup.get((d, idx), []) if kl.startswith(prefix)]
+    def label_ids(d, idx, prefix):
+        return [gi for gi, label in lookup.get((d, idx), []) if label.startswith(prefix)]
 
     bedges = set(mesh.boundary_simplices(1))
     bverts = set(mesh.boundary_simplices(0))
@@ -783,12 +808,12 @@ def homogeneous_constraints(space, classification):
 
     if mesh.dim == 2 and el.r == 1 and el.k == 0:
         for ei in bedges:
-            for gi in klass_ids(1, ei, "edge-moment"):
+            for gi in label_ids(1, ei, "edge-moment"):
                 rows.append(unit_row(gi))
         for vi in bverts:
-            rows.append(unit_row(klass_ids(0, vi, "vertex-value")[0]))
-            d0 = klass_ids(0, vi, "vertex-d0")[0]
-            d1 = klass_ids(0, vi, "vertex-d1")[0]
+            rows.append(unit_row(label_ids(0, vi, "vertex-value")[0]))
+            d0 = label_ids(0, vi, "vertex-d0")[0]
+            d1 = label_ids(0, vi, "vertex-d1")[0]
             if vi in classification.corner_vertices:
                 rows.append(unit_row(d0))
                 rows.append(unit_row(d1))
@@ -799,11 +824,11 @@ def homogeneous_constraints(space, classification):
                 rows.append(r)
     elif mesh.dim == 2 and el.r == 1 and el.k == 1:
         for ei in bedges:
-            for gi in klass_ids(1, ei, "edge-trace"):
+            for gi in label_ids(1, ei, "edge-trace"):
                 rows.append(unit_row(gi))
         for vi in bverts:
-            c0 = klass_ids(0, vi, "vertex-c0")[0]
-            c1 = klass_ids(0, vi, "vertex-c1")[0]
+            c0 = label_ids(0, vi, "vertex-c0")[0]
+            c1 = label_ids(0, vi, "vertex-c1")[0]
             if vi in classification.corner_vertices:
                 rows.append(unit_row(c0))
                 rows.append(unit_row(c1))
@@ -824,12 +849,12 @@ def homogeneous_constraints(space, classification):
         rows.append(r)
     elif mesh.dim == 3 and el.r == 2 and el.k == 0:
         for fi in bfaces:
-            for gi in klass_ids(2, fi, "face-moment"):
+            for gi in label_ids(2, fi, "face-moment"):
                 rows.append(unit_row(gi))
         for ei in bedges:
-            val_ids = klass_ids(1, ei, "edge-moment")
-            n0 = klass_ids(1, ei, "edge-nderiv0")
-            n1 = klass_ids(1, ei, "edge-nderiv1")
+            val_ids = label_ids(1, ei, "edge-moment")
+            n0 = label_ids(1, ei, "edge-nderiv0")
+            n1 = label_ids(1, ei, "edge-nderiv1")
             for gi in val_ids:
                 rows.append(unit_row(gi))
             if ei in classification.corner_edges:
@@ -847,9 +872,9 @@ def homogeneous_constraints(space, classification):
                     r[g0], r[g1] = a, b
                     rows.append(r)
         for vi in bverts:
-            rows.append(unit_row(klass_ids(0, vi, "vertex-value")[0]))
-            first = {i: klass_ids(0, vi, f"vertex-d{i}")[0] for i in range(3)}
-            second = {(i, j): klass_ids(0, vi, f"vertex-d{i}{j}")[0]
+            rows.append(unit_row(label_ids(0, vi, "vertex-value")[0]))
+            first = {i: label_ids(0, vi, f"vertex-d{i}")[0] for i in range(3)}
+            second = {(i, j): label_ids(0, vi, f"vertex-d{i}{j}")[0]
                       for i in range(3) for j in range(i, 3)}
             if vi in classification.corner_vertices:
                 for gi in list(first.values()) + list(second.values()):
@@ -1075,7 +1100,7 @@ def interpolation_split_residual(mesh, p, seed=0, n_samples=25):
         local = {}
         for ci in range(len(mesh.cells)):
             vals = scalar.dof_rows(ci) @ u[ci].reshape(3, -1).T
-            for l, dof in enumerate(scalar.cell_dof_objs[ci]):
+            for l, dof in enumerate(cell_dofs(scalar.el, mesh, ci)):
                 if dof.entity_dim == 2:
                     nu = mesh.frame(2, mesh.simplex_id(dof.entity_verts)).normals[0]
                     vals[l] -= (vals[l] @ nu) * nu

@@ -20,6 +20,7 @@ from itertools import combinations
 import numpy as np
 
 from .assembly import assemble_d, assemble_local_operator, assemble_space
+from .elements import cell_dofs
 from .forms import (derivative_matrix, dim_trimmed, eval_row,
                     exterior_derivative_matrix, jet_rows, moment_gram, monomials,
                     multinomials, nullspace, rank_of, restriction_matrix)
@@ -457,8 +458,12 @@ def stress_inclusion(ctx):
     T, slots = _grouped_stress_functionals(ctx)
     index = {slot: s for s, slot in enumerate(slots)}
     P = np.zeros((len(slots), FN.dim))
+    # the interior tests, in plan order: the monomials vanishing at every vertex
+    q = FN.el.p
+    inner = [a for a in monomials(3, q) if max(a) < q]
     for ci in range(len(ctx.mesh.cells)):
-        for dof, gi in zip(FN.cell_dof_objs[ci], FN.cell_global[ci]):
+        tests = iter(inner)
+        for dof, gi in zip(cell_dofs(FN.el, FN.mesh, ci), FN.cell_global[ci]):
             if dof.entity_dim == 0:
                 vi = int(dof.entity_verts[0])
                 # skew scalar s at the vertex: prescribe m01 = -s, m10 = s
@@ -466,9 +471,7 @@ def stress_inclusion(ctx):
                 P[index[("vertex", vi, (1, 0))], gi] = 1.0
             else:
                 # interior: match the vertex-vanishing moment, doubled (chi:chi)
-                _, q, unit = dof.test
-                alpha = monomials(3, q)[int(np.flatnonzero(unit)[0])]
-                P[index[("skew", ci, alpha)], gi] = 2.0
+                P[index[("skew", ci, next(tests))], gi] = 2.0
     raw = np.linalg.solve(T, P)
     gauge = ctx.S1 @ raw
     scale = np.trace(gauge) / FN.dim

@@ -56,6 +56,29 @@ def _p_values(args):
     return [args.p]
 
 
+# A dense local DoF matrix (local dimension squared, float64) larger than
+# this is refused before anything is built; the work arrays around it take a
+# few times as much.
+MAX_LOCAL_MATRIX_BYTES = 2 ** 27
+
+
+def _check_local_size(slots, n):
+    """Exit 2 if an element of the (r, p, k) slots has a dense local DoF
+    matrix over MAX_LOCAL_MATRIX_BYTES.  Slots that are no family are left to
+    the command's own checks."""
+    for r, p, k in slots:
+        try:
+            el = element_def(r, p, k, n)
+        except ValueError:
+            continue
+        size = 8 * el.local_dim ** 2
+        if size > MAX_LOCAL_MATRIX_BYTES:
+            raise SystemExit(
+                f"error: family r={r}, k={k}, n={n} at p={p} has local dimension "
+                f"{el.local_dim}; its dense DoF matrix would take {size / 2 ** 20:.0f} MiB, "
+                f"over the {MAX_LOCAL_MATRIX_BYTES // 2 ** 20} MiB limit")
+
+
 REFERENCE = {
     1: [[0.0], [1.0]],
     2: [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
@@ -109,6 +132,9 @@ def cmd_verify(args):
         raise SystemExit(f"error: verify --row {args.row} needs --p >= "
                          f"{row_p_min(m.dim, int(args.row))} on a {m.dim}D mesh "
                          f"(got --p {args.p})")
+    if args.row != "mixed" or m.dim == 3:
+        row = args.row if args.row == "mixed" else int(args.row)
+        _check_local_size(assembly.family_row(m.dim, row, args.p), m.dim)
     try:
         if args.row == "mixed":
             rep = mixed_sequence(m, args.p)
@@ -134,6 +160,7 @@ def cmd_element(args):
         el = element_def(args.r_parsed, args.p, args.k, args.dim)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
+    _check_local_size([(el.r, el.p, el.k)], el.n)
     rep = unisolvence_check(el, REFERENCE[args.dim])
     lines = [f"family r={el.r} p={el.p} k={el.k} n={el.n} ({el.label})",
              f"local dimension {el.local_dim}",
@@ -143,9 +170,9 @@ def cmd_element(args):
     dofs = elements.cell_dofs(el, single, 0)
     for i, dof in enumerate(dofs):
         cls = "shared" if dof.shared else "per-cell"
-        deg = "" if dof.test is None else f" test-deg {dof.test[1]}"
+        deg = "" if dof.test_degree is None else f" test-deg {dof.test_degree}"
         lines.append(f"dof {i:3d}: dim {dof.entity_dim} simplex {dof.entity_verts} "
-                     f"{dof.klass}{deg} [{cls}]")
+                     f"{dof.label}{deg} [{cls}]")
     _emit("\n".join(lines) + "\n", args.out)
     return 0 if rep["pass"] else 1
 
@@ -232,6 +259,7 @@ def cmd_export(args):
         el = element_def(args.r_parsed, args.p, args.k, args.dim)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
+    _check_local_size([(el.r, el.p, el.k)], el.n)
     duals, dofs, _ = dual_basis(el, REFERENCE[args.dim])
     lines = []
     for f in duals:

@@ -1,164 +1,43 @@
-"""Local element definitions: shape spaces, DoF functionals, unisolvence.
+"""Local element definitions: shape spaces, DoF plans and blocks, unisolvence.
 
 Families are indexed by a smoothness grade r (0 = classical Lagrange /
 Nedelec second kind / BDM / DG, 1 = Hermite-grade vertex continuity,
 2 = second-order vertex continuity), plus 'hz' for the edge-continuous
 H(div) element in 3D and 'minus' for the trimmed (first-kind) H(div) space.
 
-All moment DoFs are normalized by the measure of their subsimplex, and
-every integral uses the closed barycentric formula.  A DoF is evaluated as a
-float row over the cell's coefficient space (``DoF.row``), so DoF matrices
-are matrix products.  A moment's test form is a coefficient vector; trimmed
-test spaces come from ``forms.trimmed_coeffs``.  DoFs attached to a shared
-subsimplex are generated from global mesh data only, so two cells sharing a
-face produce identical functionals and assembly needs no sign fixes.
+DoFs come in two steps.  ``dof_plan`` says, without any geometry, what every
+d-simplex carries: an ordered list of DoF groups, each a label, a kind
+(point value or moment), a proxy weight and derivative directions, a test
+spec and a size.  Sizes and labels, hence the global numbering, come from
+the plan alone.  ``entity_dofs`` realises the plan on one subsimplex (its
+chart, frame normals and trimmed tests) as ``DofBlock``s, and a block turns
+into rows over a cell's coefficients with one product per group: its moment
+rows on the entity (shared by every cell containing it) times the cell's
+trace, derivative and proxy maps.  All moment DoFs are normalized by the
+measure of their subsimplex, and every integral uses the closed barycentric
+formula.  Shared DoFs are generated from global mesh data only, so two cells
+sharing a face produce identical functionals and assembly needs no sign
+fixes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
-from .forms import (FormPolynomial, Simplex, bernstein_tests, coeffs,
-                    derivative_matrix, dim_full, dim_trimmed, eval_row,
-                    form_from_coeffs, full_basis, jet_rows,
-                    moment_row, monomials, multinomials, nullspace, poly_mul,
-                    proxy_matrix, restriction_matrix, trimmed_basis, trimmed_coeffs)
+from .forms import (FormPolynomial, Simplex, bernstein_tests, derivative_matrix,
+                    dim_full, dim_trimmed, eval_row, form_from_coeffs, full_basis,
+                    jet_rows, moment_rows, monomials, multinomials, nullspace,
+                    poly_mul, proxy_matrix, restriction_matrix, trimmed_basis,
+                    trimmed_coeffs)
 from .mesh import SimplicialMesh
 
 UNISOLVENCE_TOL = 1e-6
 KRONECKER_TOL = 1e-8
-
-
-# ---------------------------------------------------------------------------
-# DoF functionals
-# ---------------------------------------------------------------------------
-
-@dataclass
-class DoF:
-    """A DoF functional attached to a subsimplex, as a row over coefficients.
-
-    Every functional composes the same steps: contract the vector proxy with
-    ``weight``, differentiate along ``directions``, trace onto ``sub`` (None
-    keeps the cell), then evaluate at ``point`` or take the measure-normalized
-    moment against the test form ``test``, held as (form degree, polynomial
-    degree, coefficients).  Subclasses fix which steps apply; ``row`` turns
-    them into one float row over the cell's degree-p coefficients.
-    """
-    entity_dim: int
-    entity_verts: tuple
-    klass: str
-    shared: bool
-
-    weight = None
-    directions = ()
-    sub = None
-    point = None
-    test = None
-
-    def row(self, cell, cell_verts, k, p, maps=None):
-        """Row of the functional over degree-p k-form coefficients on ``cell``.
-
-        ``maps`` memoizes the coefficient-space maps across the DoFs of one
-        cell; pass the same dict for every DoF of a block.
-        """
-        maps = {} if maps is None else maps
-
-        def cached(key, build):
-            if key not in maps:
-                maps[key] = build()
-            return maps[key]
-
-        steps = []
-        if self.weight is not None:
-            steps.append(cached(("proxy", k, tuple(self.weight), p),
-                                lambda: proxy_matrix(cell.dim, k, self.weight, p)))
-            k = 0
-        for direction in self.directions:
-            steps.append(cached(("deriv", k, tuple(direction), p),
-                                lambda: derivative_matrix(cell, direction, k, p)))
-            p -= 1
-        domain = cell
-        if self.sub is not None:
-            vmap = _vmap(self.entity_verts, cell_verts)
-            steps.append(cached(("trace", id(self.sub), k, p),
-                                lambda: restriction_matrix(cell, self.sub, vmap, k, p)))
-            domain = self.sub
-        if self.point is not None:
-            out = eval_row(domain, self.point, p)
-        else:
-            out = moment_row(domain.dim, self.test, k, p)
-        for step in reversed(steps):
-            out = out @ step
-        return out
-
-    def apply(self, u, cell_verts):
-        """Value of the functional on a form on the cell."""
-        p = u.max_degree()
-        return float(self.row(u.simplex, cell_verts, u.k, p) @ coeffs(u, p))
-
-
-def dof_rows(dofs, cell, cell_verts, k, p):
-    """Rows of a cell's DoF list stacked into a matrix."""
-    maps = {}
-    n = math.comb(p + cell.dim, cell.dim) * math.comb(cell.dim, k)
-    return np.array([dof.row(cell, cell_verts, k, p, maps) for dof in dofs]).reshape(-1, n)
-
-
-@dataclass
-class PointEval(DoF):
-    point: np.ndarray = None
-    weight: np.ndarray = None   # None for scalars; proxy weight otherwise
-
-
-@dataclass
-class PointDeriv(DoF):
-    point: np.ndarray = None
-    directions: tuple = ()
-    weight: np.ndarray = None
-
-
-def _vmap(entity_verts, cell_verts):
-    return [cell_verts.index(v) for v in entity_verts]
-
-
-@dataclass
-class ScalarMoment(DoF):
-    """(1/|s|) * integral over s of (scalar u) * q, q a 0-form test."""
-    sub: Simplex = None
-    test: tuple = None
-
-
-@dataclass
-class NormalDerivMoment(ScalarMoment):
-    """(1/|s|) * integral over s of (directional derivative of u) * q."""
-    direction: np.ndarray = None
-
-    @property
-    def directions(self):
-        return (self.direction,)
-
-
-@dataclass
-class ComponentMoment(ScalarMoment):
-    """(1/|s|) * integral over s of (vector-proxy of u . weight) * q."""
-    weight: np.ndarray = None
-
-
-@dataclass
-class TraceWedgeMoment(DoF):
-    """(1/|s|) * integral over s of Tr(u) wedge eta, eta a test form on s."""
-    sub: Simplex = None
-    test: tuple = None
-
-
-@dataclass
-class CellWedgeMoment(DoF):
-    """(1/|t|) * integral over the cell of u wedge eta (no restriction)."""
-    test: tuple = None
 
 
 # ---------------------------------------------------------------------------
@@ -240,182 +119,323 @@ def shape_basis(el, simplex):
     return full_basis(simplex, el.p, el.k)
 
 
-def _monomial_tests(d, deg, k=0, key=0):
-    """Test forms lambda^a dy_K on a d-simplex, one per monomial a of degree
-    deg, K the key-th k-axis tuple, as (k, deg, coefficients) triples."""
-    if deg < 0:
-        return []
-    n = math.comb(deg + d, d)
-    units = np.eye(math.comb(d, k) * n)[key * n:(key + 1) * n]
-    return [(k, deg, unit) for unit in units]
+# ---------------------------------------------------------------------------
+# DoF plans: what every entity carries, without geometry
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class DofGroup:
+    """DoFs of one kind on one entity, as a geometry-free plan entry.
+
+    ``kind`` is "point" (the value at the vertex) or "moment" (measure-
+    normalized moments on the entity, the cell for interior groups, against
+    the test forms of the spec ``test``).  Before either, the vector proxy is
+    contracted with ``weight`` and the form differentiated along
+    ``directions``; a weight or direction is an axis index or ("normal", i),
+    the i-th normal of the entity's frame.  ``degrees`` holds each DoF's test
+    degree (None for a point value), so ``size`` is its length.
+    """
+    label: str
+    kind: str
+    test: tuple = None
+    weight: object = None
+    directions: tuple = ()
+    degrees: tuple = (None,)
+
+    @property
+    def size(self):
+        return len(self.degrees)
 
 
-def _vertex_vanishing_tests(d, deg):
-    """The scalar monomial tests of degree deg that vanish at every vertex."""
-    return [t for t, a in zip(_monomial_tests(d, deg), monomials(d + 1, deg)) if max(a) < deg]
+def _test_degrees(spec):
+    """Polynomial degree of each test form of a spec, in order.
+
+    Specs: ("monomial", d, deg, k, key), the forms lambda^a dy_K of the
+    key-th k-axis tuple K; ("vertex-vanishing", d, deg), the scalar
+    monomials of degree deg that vanish at every vertex; ("bernstein", d, q,
+    k), the Bernstein k-forms of degree q; ("trimmed", d, p, k), the basis of
+    ``trimmed_coeffs``.
+    """
+    kind, d, deg = spec[:3]
+    if deg < 0 or (kind == "trimmed" and deg < 1):
+        return ()
+    if kind == "monomial":
+        return (deg,) * math.comb(deg + d, d)
+    if kind == "vertex-vanishing":
+        return (deg,) * sum(max(a) < deg for a in monomials(d + 1, deg))
+    if kind == "bernstein":
+        return (deg,) * (math.comb(d, spec[3]) * math.comb(deg + d, d))
+    k = spec[3]
+    if k == 0:
+        return (deg,) * dim_full(d, deg, 0)
+    lower = dim_full(d, deg - 1, k)
+    return (deg - 1,) * lower + (deg,) * (dim_trimmed(d, deg, k) - lower)
 
 
-def _axes(n):
-    return [np.eye(n)[i] for i in range(n)]
+def _test_blocks(spec, domain):
+    """The test forms of a spec on its domain, as (k, q, rows) blocks of one
+    degree each, in the order of ``_test_degrees``."""
+    kind, d = spec[:2]
+    if kind == "monomial":
+        _, _, deg, k, key = spec
+        n = math.comb(deg + d, d)
+        return ((k, deg, np.eye(math.comb(d, k) * n)[key * n:(key + 1) * n]),)
+    if kind == "vertex-vanishing":
+        deg = spec[2]
+        keep = [i for i, a in enumerate(monomials(d + 1, deg)) if max(a) < deg]
+        return ((0, deg, np.eye(math.comb(deg + d, d))[keep]),)
+    if kind == "bernstein":
+        tests = bernstein_tests(d, spec[3], spec[2])
+    else:
+        tests = trimmed_coeffs(domain, *spec[2:])[1]
+    blocks = []
+    for tk, q, vec in tests:
+        if blocks and blocks[-1][1] == q:
+            blocks[-1][2].append(vec)
+        else:
+            blocks.append((tk, q, [vec]))
+    return tuple((tk, q, np.array(rows)) for tk, q, rows in blocks)
+
+
+@lru_cache(maxsize=None)
+def dof_plan(el, d):
+    """The DoF groups of every d-simplex (of the cell for d == n), in order."""
+    r, p, k, n = el.r, el.p, el.k, el.n
+    axes = range(n)
+    normals = [("normal", i) for i in range(n - 1)]
+
+    def point(label, weight=None, directions=()):
+        return DofGroup(label, "point", None, weight, directions)
+
+    def moment(label, test, weight=None, directions=()):
+        return DofGroup(label, "moment", test, weight, directions, _test_degrees(test))
+
+    def mono(deg, k=0, key=0):
+        return ("monomial", d, deg, k, key)
+
+    out = []
+    if d == 0:
+        if k == 0:
+            if r in (0, 1, 2):
+                out.append(point("vertex-value"))
+            if r in (1, 2):
+                out += [point(f"vertex-d{i}", directions=(i,)) for i in axes]
+            if r == 2:
+                out += [point(f"vertex-d{i}{j}", directions=(i, j))
+                        for i, j in combinations_with_replacement(axes, 2)]
+        elif k == 1 and r in (1, 2):
+            out += [point(f"vertex-c{i}", weight=i) for i in axes]
+            if r == 2:
+                out += [point(f"vertex-c{i}d{j}", weight=i, directions=(j,))
+                        for i in axes for j in axes]
+        elif k == n - 1 and n == 3 and r in (2, "hz"):
+            out += [point(f"vertex-c{i}", weight=i) for i in axes]
+        elif k == n and r == 2 and n == 2:
+            out.append(point("vertex-value", weight=0))
+    elif d == 1 and d < n:
+        if k == 0:
+            if r in (0, 1):
+                out.append(moment("edge-moment", mono(p - 2 if r == 0 else p - 4)))
+            elif r == 2:
+                out += [moment(f"edge-nderiv{i}", mono(p - 5), directions=(nu,))
+                        for i, nu in enumerate(normals)]
+                out.append(moment("edge-moment", mono(p - 6)))
+        elif k == 1:
+            if r in (0, 1):
+                out.append(moment("edge-trace", mono(p if r == 0 else p - 2)))
+            elif r == 2:
+                out += [moment(f"edge-c{i}", mono(p - 4), weight=i) for i in axes]
+        elif k == 2 and r == "hz":
+            out += [moment(f"edge-normal{i}", mono(p - 2), weight=nu)
+                    for i, nu in enumerate(normals)]
+    elif d == 2 and d < n:
+        # faces of tetrahedra
+        if k == 0:
+            out.append(moment("face-moment", mono({0: p - 3, 1: p - 3, 2: p - 6}[r])))
+        elif k == 1:
+            if r in (0, 1):
+                out.append(moment("face-trace", ("trimmed", 2, p - 1, 1)))
+            elif r == 2:
+                out += [moment(f"face-t{axis}", mono(p - 3, k=1, key=axis)) for axis in range(2)]
+        elif k == 2:
+            if r in (0, 1, "minus"):
+                test = mono(p if r in (0, 1) else p - 1)
+            elif r == 2:
+                test = ("vertex-vanishing", 2, p)   # pure vertex monomials are nodal
+            else:
+                test = mono(p - 3)
+            out.append(moment("face-normal", test))
+    elif k == 1 and n == 2 and r == 2:
+        out += [moment(f"interior-c{i}", mono(p - 3), weight=i) for i in axes]
+    else:
+        # cell-interior moments (d == n)
+        if k == 0:
+            if r == 0:
+                test = mono(p - n - 1)
+            elif r == 1:
+                test = mono(p - 3 if n == 2 else p - 4)
+            else:
+                test = mono(p - 6 if n <= 2 else p - 4)
+        elif k == n and n == 1:
+            test = mono({0: p, 1: p - 2, 2: p - 4}[r])
+        elif k == n:
+            test = ("vertex-vanishing", 2, p) if r == 2 and n == 2 else mono(p)
+        elif k == 1 and n == 2:
+            test = ("trimmed", 2, p - 1, 1)
+        elif k == 1 and n == 3:
+            test = ("trimmed", 3, p - 2, 2)
+        elif k == 2 and n == 3 and r == "minus":
+            test = ("bernstein", 3, p - 2, 1)
+        else:
+            test = ("trimmed", 3, p - 1, 1)
+        out.append(moment("interior", test))
+    return tuple(g for g in out if g.size)
+
+
+@dataclass(frozen=True)
+class DoF:
+    """One local DoF as the plan lays it out: entity, label and test degree."""
+    entity_dim: int
+    entity_verts: tuple
+    label: str
+    shared: bool
+    test_degree: int = None
+
+
+def cell_dofs(el, mesh, ci):
+    """The cell's local DoFs in order: entity blocks by dimension, then entity
+    (ascending vertex tuples), the interior last.  Read from the plan; nothing
+    is realised."""
+    cverts = tuple(int(v) for v in mesh.cells[ci])
+    return [DoF(d, everts, g.label, d < el.n, deg)
+            for d in range(el.n + 1) for everts in combinations(cverts, d + 1)
+            for g in dof_plan(el, d) for deg in g.degrees]
+
+
+# ---------------------------------------------------------------------------
+# DoF blocks: a plan group realised on one entity
+# ---------------------------------------------------------------------------
+
+def _cached(maps, key, build):
+    if key not in maps:
+        maps[key] = build()
+    return maps[key]
+
+
+def _vmap(entity_verts, cell_verts):
+    return [cell_verts.index(v) for v in entity_verts]
+
+
+@dataclass(slots=True)
+class DofBlock:
+    """A plan group realised on one entity (the cell for interior groups).
+
+    ``point`` is the vertex of a point group; ``sub`` is the chart of a
+    moment group's proper subsimplex (None on the cell); ``tests`` the
+    (form degree, q, rows) blocks of its test forms.  Slots and one cached
+    moment block keep the many blocks of a mesh light on the collector.
+    """
+    group: DofGroup
+    entity: tuple                  # (d, idx); idx is the cell for d == n
+    verts: tuple
+    sub: Simplex = None
+    point: np.ndarray = None
+    weight: np.ndarray = None
+    directions: tuple = ()
+    tests: tuple = ()
+    _moments: tuple = None         # ((k, p), rows) of the last moment_rows call
+
+    @property
+    def size(self):
+        return 1 if self.point is not None else sum(len(t[2]) for t in self.tests)
+
+    def moment_rows(self, k, p):
+        """The group's moments as rows over degree-p k-forms on the entity:
+        one product per test block, built once and shared by every cell."""
+        if self._moments is None or self._moments[0] != (k, p):
+            self._moments = ((k, p), np.vstack([moment_rows(self.entity[0], t, k, p)
+                                                for t in self.tests]))
+        return self._moments[1]
+
+    def rows(self, cell, cell_verts, k, p, maps):
+        """Rows over the cell's degree-p k-form coefficients.
+
+        The proxy contraction with ``weight``, the derivatives along
+        ``directions`` and the trace onto the entity are matrices, memoized
+        in ``maps`` across the blocks of one cell.
+        """
+        steps = []
+        if self.weight is not None:
+            steps.append(_cached(maps, ("proxy", k, tuple(self.weight), p),
+                                 lambda: proxy_matrix(cell.dim, k, self.weight, p)))
+            k = 0
+        for direction in self.directions:
+            steps.append(_cached(maps, ("deriv", k, tuple(direction), p),
+                                 lambda: derivative_matrix(cell, direction, k, p)))
+            p -= 1
+        if self.point is not None:
+            out = eval_row(cell, self.point, p)[None, :]
+        else:
+            out = self.moment_rows(k, p)
+        if self.sub is not None:
+            steps.append(_cached(maps, ("trace", self.entity, k, p),
+                                 lambda: restriction_matrix(cell, self.sub,
+                                                            _vmap(self.verts, cell_verts), k, p)))
+        # a stack of row-times-matrix products: each row keeps the bits it
+        # has when taken alone
+        for step in reversed(steps):
+            out = (out[:, None, :] @ step)[:, 0, :]
+        return out
 
 
 def entity_dofs(el, mesh, d, idx):
-    """DoFs attached to one subsimplex; cell-interior blocks use d == n."""
-    r, p, k, n = el.r, el.p, el.k, el.n
-    everts = mesh.skeleton[d][idx]
-    shared = d < n
+    """The plan of d-simplex ``idx`` (of cell ``idx`` for d == n) realised on
+    its geometry, one ``DofBlock`` per group.  Raises if a block's size
+    differs from the plan's."""
+    n = el.n
+    plan = dof_plan(el, d)
+    if not plan:
+        return []
+    verts = tuple(int(v) for v in mesh.cells[idx]) if d == n else mesh.skeleton[d][idx]
+    moments = any(g.kind == "moment" for g in plan)
+    sub = mesh.sub_simplex(d, idx) if moments and 0 < d < n else None
+    domain = mesh.cell_simplex(idx) if d == n else sub
+
+    def vector(spec):
+        return np.eye(n)[spec] if isinstance(spec, int) else mesh.frame(d, idx).normals[spec[1]]
+
     out = []
-
-    if d == 0:
-        v = int(everts[0])
-        pt = mesh.vertices[v]
-        if k == 0:
-            if r in (0, 1, 2):
-                out.append(PointEval(0, everts, "vertex-value", shared, point=pt))
-            if r in (1, 2):
-                for i, e in enumerate(_axes(n)):
-                    out.append(PointDeriv(0, everts, f"vertex-d{i}", shared,
-                                          point=pt, directions=(e,)))
-            if r == 2:
-                for (i, j) in combinations_with_replacement(range(n), 2):
-                    ax = _axes(n)
-                    out.append(PointDeriv(0, everts, f"vertex-d{i}{j}", shared,
-                                          point=pt, directions=(ax[i], ax[j])))
-        elif k == 1 and r in (1, 2):
-            for i, e in enumerate(_axes(n)):
-                out.append(PointEval(0, everts, f"vertex-c{i}", shared,
-                                     point=pt, weight=e))
-            if r == 2:
-                for i, e in enumerate(_axes(n)):
-                    for j, dj in enumerate(_axes(n)):
-                        out.append(PointDeriv(0, everts, f"vertex-c{i}d{j}", shared,
-                                              point=pt, directions=(dj,), weight=e))
-        elif k == n - 1 and n == 3 and r in (2, "hz"):
-            for i, e in enumerate(_axes(n)):
-                out.append(PointEval(0, everts, f"vertex-c{i}", shared,
-                                     point=pt, weight=e))
-        elif k == n and r == 2 and n == 2:
-            out.append(PointEval(0, everts, "vertex-value", shared,
-                                 point=pt, weight=np.array([1.0])))
-        return out
-
-    if d < n:
-        sub = mesh.sub_simplex(d, idx)
-    else:
-        sub = None
-
-    if d == 1 and d < n:
-        if k == 0:
-            if r == 0:
-                for t in _monomial_tests(1, p - 2):
-                    out.append(ScalarMoment(1, everts, "edge-moment", shared, sub=sub, test=t))
-            elif r == 1:
-                for t in _monomial_tests(1, p - 4):
-                    out.append(ScalarMoment(1, everts, "edge-moment", shared, sub=sub, test=t))
-            elif r == 2:
-                fr = mesh.frame(1, idx)
-                for i, nu in enumerate(fr.normals):
-                    for t in _monomial_tests(1, p - 5):
-                        out.append(NormalDerivMoment(1, everts, f"edge-nderiv{i}", shared,
-                                                     sub=sub, test=t, direction=nu))
-                for t in _monomial_tests(1, p - 6):
-                    out.append(ScalarMoment(1, everts, "edge-moment", shared, sub=sub, test=t))
-        elif k == 1:
-            if r in (0, 1):
-                for t in _monomial_tests(1, p if r == 0 else p - 2):
-                    out.append(TraceWedgeMoment(1, everts, "edge-trace", shared,
-                                                sub=sub, test=t))
-            elif r == 2:
-                for i, e in enumerate(_axes(n)):
-                    for t in _monomial_tests(1, p - 4):
-                        out.append(ComponentMoment(1, everts, f"edge-c{i}", shared,
-                                                   sub=sub, test=t, weight=e))
-        elif k == 2 and r == "hz":
-            fr = mesh.frame(1, idx)
-            for i, nu in enumerate(fr.normals):
-                for t in _monomial_tests(1, p - 2):
-                    out.append(ComponentMoment(1, everts, f"edge-normal{i}", shared,
-                                               sub=sub, test=t, weight=nu))
-        return out
-
-    if d == 2 and d < n:
-        # faces of tetrahedra
-        if k == 0:
-            for t in _monomial_tests(2, {0: p - 3, 1: p - 3, 2: p - 6}[r]):
-                out.append(ScalarMoment(2, everts, "face-moment", shared, sub=sub, test=t))
-        elif k == 1:
-            if r in (0, 1):
-                for t in trimmed_coeffs(sub, p - 1, 1)[1]:
-                    out.append(TraceWedgeMoment(2, everts, "face-trace", shared,
-                                                sub=sub, test=t))
-            elif r == 2:
-                for axis in range(2):
-                    for t in _monomial_tests(2, p - 3, k=1, key=axis):
-                        out.append(TraceWedgeMoment(2, everts, f"face-t{axis}", shared,
-                                                    sub=sub, test=t))
-        elif k == 2:
-            if r in (0, 1, "minus"):
-                tests = _monomial_tests(2, p if r in (0, 1) else p - 1)
-            elif r == 2:
-                tests = _vertex_vanishing_tests(2, p)   # pure vertex monomials are nodal
-            else:
-                tests = _monomial_tests(2, p - 3)
-            for t in tests:
-                out.append(TraceWedgeMoment(2, everts, "face-normal", shared,
-                                            sub=sub, test=t))
-        return out
-
-    # cell-interior DoFs (d == n); idx is the cell index, one block per cell
-    cell = mesh.cell_simplex(idx)
-    everts = tuple(int(v) for v in mesh.cells[idx])
-    if k == 0:
-        if r == 0:
-            degq = p - n - 1
-        elif r == 1:
-            degq = p - 3 if n == 2 else p - 4
-        else:
-            degq = p - 6 if n <= 2 else p - 4
-        tests = _monomial_tests(n, degq)
-    elif k == n and n == 1:
-        tests = _monomial_tests(1, {0: p, 1: p - 2, 2: p - 4}[r])
-    elif k == n:
-        tests = _vertex_vanishing_tests(2, p) if r == 2 and n == 2 else _monomial_tests(n, p)
-    elif k == 1 and n == 2 and r == 2:
-        return [_InteriorComponent(2, everts, f"interior-c{i}", False, test=t, weight=e)
-                for i, e in enumerate(_axes(2)) for t in _monomial_tests(2, p - 3)]
-    elif k == 1 and n == 2:
-        tests = trimmed_coeffs(cell, p - 1, 1)[1]
-    elif k == 1 and n == 3:
-        tests = trimmed_coeffs(cell, p - 2, 2)[1]
-    elif k == 2 and n == 3 and r == "minus":
-        tests = bernstein_tests(3, 1, p - 2)
-    elif k == 2 and n == 3:
-        tests = trimmed_coeffs(cell, p - 1, 1)[1]
-    return [CellWedgeMoment(n, everts, "interior", False, test=t) for t in tests]
-
-
-@dataclass
-class _InteriorComponent(ComponentMoment):
-    """(1/|t|) * integral over the cell of (vector-proxy of u . weight) * q."""
-
-
-def cell_dofs(el, mesh, ci, cache=None):
-    """Ordered DoF list of a cell: entity blocks by dimension, then entity."""
-    cverts = tuple(int(v) for v in mesh.cells[ci])
-    out = []
-    for d in range(el.n):
-        for everts in combinations(cverts, d + 1):
-            idx = mesh.simplex_id(everts)
-            key = (el.r, el.p, el.k, d, idx)
-            if cache is not None and key in cache:
-                block = cache[key]
-            else:
-                block = entity_dofs(el, mesh, d, idx)
-                if cache is not None:
-                    cache[key] = block
-            out.extend(block)
-    out.extend(entity_dofs(el, mesh, el.n, ci))
+    for g in plan:
+        block = DofBlock(g, (d, idx), verts,
+                         sub=sub if g.kind == "moment" else None,
+                         point=mesh.vertices[verts[0]] if g.kind == "point" else None,
+                         weight=None if g.weight is None else vector(g.weight),
+                         directions=tuple(vector(x) for x in g.directions),
+                         tests=_test_blocks(g.test, domain) if g.kind == "moment" else ())
+        if block.size != g.size:
+            raise RuntimeError(f"{g.label} block on {verts} has {block.size} DoFs; "
+                               f"the plan has {g.size}")
+        out.append(block)
     return out
+
+
+def cell_blocks(el, mesh, ci, cache=None):
+    """The realised blocks of a cell in local DoF order.  ``cache`` maps
+    (d, idx) to an entity's blocks; pass one dict to share them."""
+    cache = {} if cache is None else cache
+    entities = [(d, int(idx)) for d in range(el.n) for idx in mesh.cell_entities[d][ci]]
+    out = []
+    for key in entities + [(el.n, int(ci))]:
+        if key not in cache:
+            cache[key] = entity_dofs(el, mesh, *key)
+        out.extend(cache[key])
+    return out
+
+
+def block_rows(blocks, cell, cell_verts, k, p):
+    """Rows of DoF blocks stacked over the cell's degree-p k-form coefficients."""
+    maps = {}
+    return np.vstack([b.rows(cell, cell_verts, k, p, maps) for b in blocks])
 
 
 def _single_cell_mesh(simplex_vertices):
@@ -438,10 +458,9 @@ def dof_matrix(el, simplex_vertices):
     """Square DoF-by-shape matrix on one simplex: DoF rows times shape coefficients."""
     mesh = _single_cell_mesh(simplex_vertices)
     cell = mesh.cell_simplex(0)
-    dofs = cell_dofs(el, mesh, 0)
-    cverts = tuple(int(v) for v in mesh.cells[0])
-    M = dof_rows(dofs, cell, cverts, el.k, el.p) @ shape_coeffs(el, cell)
-    return M, dofs, shape_basis(el, cell)
+    cverts = tuple(range(el.n + 1))
+    M = block_rows(cell_blocks(el, mesh, 0), cell, cverts, el.k, el.p) @ shape_coeffs(el, cell)
+    return M, cell_dofs(el, mesh, 0), shape_basis(el, cell)
 
 
 def unisolvence_check(el, simplex_vertices, tol=UNISOLVENCE_TOL):
@@ -624,7 +643,7 @@ def _edge_value_bubble_dim(degree, vanish_order, zero_mean=False):
             for x in (np.array([0.0]), np.array([1.0]))
             for order in range(vanish_order + 1)]
     if zero_mean:
-        rows.append(moment_row(1, (0, 0, np.ones(1)), 0, degree)[None, :])
+        rows.append(moment_rows(1, (0, 0, np.ones((1, 1))), 0, degree))
     return nullspace(np.vstack(rows)).shape[1]
 
 

@@ -61,6 +61,78 @@ def _fraction_matrix_inverse(rows):
     return [row[m:] for row in aug]
 
 
+# Shewchuk's static error bounds (errboundA of orient2d and orient3d, "Adaptive
+# precision floating-point arithmetic and fast robust geometric predicates",
+# DCG 1997): a float determinant larger than this times its permanent has
+# the sign of the exact one.
+_EPS = 2.0 ** -53
+_ERRBOUND = {2: (3 + 16 * _EPS) * _EPS, 3: (7 + 56 * _EPS) * _EPS}
+# Below this permanent a product may have underflowed; decide exactly.
+_TINY_PERMANENT = 2.0 ** -900
+
+
+def exact_det(vertices):
+    """Exact determinant (Fraction) of the edge vectors v_i - v_0 of a simplex."""
+    vf = [[Fraction(float(x)) for x in row] for row in vertices]
+    m = len(vf) - 1
+    rows = [[vf[i + 1][j] - vf[0][j] for j in range(m)] for i in range(m)]
+    if m == 0:
+        return Fraction(1)
+    if m == 1:
+        return rows[0][0]
+    if m == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    if m == 3:
+        a, b, c = rows
+        return (a[0] * (b[1] * c[2] - b[2] * c[1])
+                - a[1] * (b[0] * c[2] - b[2] * c[0])
+                + a[2] * (b[0] * c[1] - b[1] * c[0]))
+    raise ValueError("determinant only needed up to 3x3")
+
+
+def _float_det(e):
+    """Float determinant of edge vectors e[i][j] (floats, or arrays of them
+    over a batch) as orient2d/orient3d compute it, and its permanent."""
+    if len(e) == 2:
+        left, right = e[0][0] * e[1][1], e[0][1] * e[1][0]
+        return left - right, abs(left) + abs(right)
+    a, b, c = e
+    bc, cb = b[0] * c[1], c[0] * b[1]
+    ca, ac = c[0] * a[1], a[0] * c[1]
+    ab, ba = a[0] * b[1], b[0] * a[1]
+    det = a[2] * (bc - cb) + b[2] * (ca - ac) + c[2] * (ab - ba)
+    permanent = ((abs(bc) + abs(cb)) * abs(a[2]) + (abs(ca) + abs(ac)) * abs(b[2])
+                 + (abs(ab) + abs(ba)) * abs(c[2]))
+    return det, permanent
+
+
+def nonzero_volume(simplices):
+    """Exact verdict, per simplex of an (N, m+1, m) array, that its volume is
+    nonzero.
+
+    The float determinant of the rounded edge vectors decides wherever it
+    clears Shewchuk's error bound; the rest fall back to ``exact_det``.  The
+    sign of a float difference is exact, so m <= 1 never falls back.  One
+    simplex runs on Python floats (the same IEEE arithmetic without numpy's
+    per-call cost), a batch on coordinate columns.
+    """
+    s = np.asarray(simplices, dtype=float)
+    m = s.shape[2]
+    if m == 0:
+        return np.ones(len(s), dtype=bool)
+    v = s[0].tolist() if len(s) == 1 else s.transpose(1, 2, 0)
+    e = [[v[i + 1][j] - v[0][j] for j in range(m)] for i in range(m)]
+    if m == 1:
+        out = e[0][0] != 0.0
+    else:
+        det, permanent = _float_det(e)
+        out = (abs(det) > _ERRBOUND[m] * permanent) & (permanent > _TINY_PERMANENT)
+    out = np.array(out, dtype=bool, ndmin=1)
+    for i in np.flatnonzero(~out):
+        out[i] = exact_det(s[i]) != 0
+    return out
+
+
 class Simplex:
     """A nondegenerate m-simplex in its intrinsic coordinates.
 
@@ -70,7 +142,8 @@ class Simplex:
     barycentric coordinates and gradients (one inverse of [1 | vertices],
     built on first use).  Exact rational copies of the geometry back the
     measure, the integral formula and the exact gradients that
-    FormPolynomial differentiates with.
+    FormPolynomial differentiates with; they too are built on first use.
+    The zero-volume verdict is exact (``nonzero_volume``).
     """
 
     def __init__(self, vertices, chart_origin=None, chart_tangents=None):
@@ -80,28 +153,8 @@ class Simplex:
         self.dim = self.vertices.shape[1]
         self.chart_origin = None if chart_origin is None else np.asarray(chart_origin, float)
         self.chart_tangents = None if chart_tangents is None else np.asarray(chart_tangents, float)
-        vf = [[Fraction(float(x)) for x in row] for row in self.vertices]
-        edges = [[vf[i + 1][j] - vf[0][j] for j in range(self.dim)] for i in range(self.dim)]
-        det = self._det(edges)
-        if det == 0:
+        if not nonzero_volume(self.vertices[None])[0]:
             raise ValueError("degenerate simplex (zero volume)")
-        self._measure = abs(det) / Fraction(math.factorial(self.dim))
-
-    @staticmethod
-    def _det(rows):
-        m = len(rows)
-        if m == 0:
-            return Fraction(1)
-        if m == 1:
-            return rows[0][0]
-        if m == 2:
-            return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-        if m == 3:
-            a, b, c = rows
-            return (a[0] * (b[1] * c[2] - b[2] * c[1])
-                    - a[1] * (b[0] * c[2] - b[2] * c[0])
-                    + a[2] * (b[0] * c[1] - b[1] * c[0]))
-        raise ValueError("determinant only needed up to 3x3")
 
     @classmethod
     def embedded(cls, ambient_vertices, tangents):
@@ -131,9 +184,10 @@ class Simplex:
         return [(inv[0][j], tuple(inv[i + 1][j] for i in range(self.dim)))
                 for j in range(self.dim + 1)]
 
-    @property
+    @cached_property
     def measure(self):
-        return self._measure
+        """Exact measure (Fraction), built on first use."""
+        return abs(exact_det(self.vertices)) / math.factorial(self.dim)
 
     def barycentric(self, points):
         """Barycentric coordinates of intrinsic points, shape (..., m+1)."""
@@ -154,7 +208,7 @@ class Simplex:
         num = Fraction(math.factorial(self.dim))
         for a in alpha:
             num *= math.factorial(a)
-        return num / math.factorial(total + self.dim) * self._measure
+        return num / math.factorial(total + self.dim) * self.measure
 
     def random_points(self, count, rng):
         """Strictly interior sample points (intrinsic coordinates)."""
@@ -738,28 +792,32 @@ def moment_gram(nvars, p, q):
     return _frozen(_FACT[d] * np.prod(_FACT[total], axis=2) / _FACT[p + q + d])
 
 
-def moment_row(d, test, k, p):
-    """Row of u -> (1/|s|) * integral over s of u wedge eta, u a degree-p k-form.
+def moment_rows(d, tests, k, p):
+    """Rows of u -> (1/|s|) * integral over s of u wedge eta, one per test form.
 
-    s is a d-simplex and ``test`` is eta as (form degree, polynomial degree q,
-    coefficients at degree q); k plus its form degree is 0 (scalar moment)
-    or d.
+    u is a degree-p k-form on the d-simplex s; ``tests`` is (form degree,
+    polynomial degree q, one row of coefficients at degree q per test form
+    eta).  k plus the tests' form degree is 0 (scalar moments) or d.  The
+    block is one product of ``moment_gram`` with the tests per form key, run
+    as a stack of matrix-vector products so that each row has the bits of a
+    product with its test alone.
     """
-    tk, q, vec = test
+    tk, q, T = tests
     if k + tk not in (0, d):
         raise ValueError("moment pairing must be scalar or top-degree")
-    n = math.comb(p + d, d)
+    n, nq = math.comb(p + d, d), math.comb(q + d, d)
     keys = list(combinations(range(d), k))
-    row = np.zeros(len(keys) * n)
+    rows = np.zeros((len(T), len(keys) * n))
     gram = moment_gram(d + 1, p, q)
-    for tkey, block in zip(combinations(range(d), tk), np.reshape(vec, (-1, math.comb(q + d, d)))):
+    for j, tkey in enumerate(combinations(range(d), tk)):
+        block = T[:, j * nq:(j + 1) * nq]
         if not block.any():
             continue
-        weights = gram @ block
+        weights = (gram @ block[:, :, None])[:, :, 0]
         for pos, key in enumerate(keys):
             if not set(key) & set(tkey):
-                row[pos * n:(pos + 1) * n] += _merge_sign(key, tkey) * weights
-    return row
+                rows[:, pos * n:(pos + 1) * n] += _merge_sign(key, tkey) * weights
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -820,7 +878,7 @@ def _minors(grads, k):
 
 def bernstein_tests(m, k, p):
     """The degree-p Bernstein k-forms of full_basis on an m-simplex as
-    (k, p, coefficients) triples, the test-form layout of ``moment_row``."""
+    (k, p, coefficients) triples, one per test form of ``moment_rows``."""
     if p < 0:
         return []
     return [(k, p, row) for row in np.diag(np.tile(multinomials(m + 1, p), math.comb(m, k)))]
@@ -837,8 +895,8 @@ def trimmed_coeffs(simplex, p, k):
 
     Returns (cols, tests): cols[:, i] holds basis form i at degree p, and
     tests[i] = (k, q, coefficients at degree q) holds it at its native degree
-    q (p - 1 for a P_{p-1} form, p for a complement form), the layout that
-    ``moment_row`` takes.
+    q (p - 1 for a P_{p-1} form, p for a complement form), as the test forms
+    of ``moment_rows``.
     """
     m = simplex.dim
     if p < 1:

@@ -8,24 +8,14 @@ higher index.  Meshes are immutable after construction; all queries are pure.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
-from .forms import Simplex
+from .forms import Simplex, nonzero_volume
 
 COLLINEAR_TOL = 1e-12
-
-
-def _exact_volume(vertices):
-    """Exact signed volume of a full-dimensional simplex (Fraction)."""
-    vf = [[Fraction(float(x)) for x in row] for row in vertices]
-    n = len(vf) - 1
-    edges = [[vf[i + 1][j] - vf[0][j] for j in range(n)] for i in range(n)]
-    return Simplex._det(edges) / Fraction(math.factorial(n))
 
 
 @dataclass
@@ -83,8 +73,9 @@ class SimplicialMesh:
             if c in seen:
                 raise ValueError(f"duplicate cell {c}")
             seen.add(c)
-            if _exact_volume(self.vertices[list(c)]) == 0:
-                raise ValueError(f"degenerate cell {c} (zero volume)")
+        flat = np.flatnonzero(~nonzero_volume(self.vertices[np.array(cells, dtype=int)]))
+        if flat.size:
+            raise ValueError(f"degenerate cell {cells[flat[0]]} (zero volume)")
         self.cells = np.array(cells, dtype=int)
 
         # skeleton[d]: sorted list of ascending vertex tuples; ids are indices
@@ -98,12 +89,17 @@ class SimplicialMesh:
             self.skeleton[d] = ordered
             self._ids[d] = {s: i for i, s in enumerate(ordered)}
 
-        # cofaces: for each simplex, the cells containing it
+        # cofaces: for each simplex, the cells containing it; cell_entities[d]:
+        # per cell, the ids of its d-simplices in combinations order
         self.cofaces = {d: [[] for _ in self.skeleton[d]] for d in range(self.dim)}
-        for ci, c in enumerate(cells):
-            for d in range(self.dim):
-                for s in combinations(c, d + 1):
-                    self.cofaces[d][self._ids[d][s]].append(ci)
+        self.cell_entities = {}
+        for d in range(self.dim):
+            ids = self._ids[d]
+            table = [[ids[s] for s in combinations(c, d + 1)] for c in cells]
+            for ci, row in enumerate(table):
+                for i in row:
+                    self.cofaces[d][i].append(ci)
+            self.cell_entities[d] = np.array(table, dtype=int)
 
         facets = self.skeleton[self.dim - 1]
         for fi, f in enumerate(facets):

@@ -9,24 +9,12 @@ compare the two.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
-from derham.elements import (CellWedgeMoment, ComponentMoment, NormalDerivMoment,
-                             PointDeriv, PointEval, ScalarMoment, TraceWedgeMoment,
-                             _InteriorComponent, shape_basis)
+from derham.elements import entity_dofs, shape_basis
 from derham.forms import FormPolynomial, form_from_coeffs, full_basis, poly_mul
-
-
-def _vmap(dof, cell_verts):
-    return [cell_verts.index(v) for v in dof.entity_verts]
-
-
-def _point(dof, u, cell_verts):
-    f = u if dof.weight is None else u.proxy_contract(dof.weight)
-    for d in dof.directions:
-        f = f.directional_derivative(d)
-    return float(f.eval(dof.point[None, :])[()].item()) if () in f.comps else 0.0
 
 
 def scalar_moment(f, dom, q):
@@ -37,83 +25,75 @@ def scalar_moment(f, dom, q):
     return float(prod.integrate() / dom.measure)
 
 
-def _test(dof, dom):
-    """The DoF's test form as a FormPolynomial on ``dom``."""
-    return form_from_coeffs(dom, *dof.test)
+def reference_values(block, u, cell_verts):
+    """Values of the DoFs of one realised block on the form ``u`` on the cell:
+    proxy contraction, directional derivatives, then the point value, or the
+    trace onto the block's subsimplex wedged with each test form and
+    integrated."""
+    f = u if block.weight is None else u.proxy_contract(block.weight)
+    for direction in block.directions:
+        f = f.directional_derivative(direction)
+    if block.point is not None:
+        return [float(f.eval(block.point[None, :])[()].item()) if () in f.comps else 0.0]
+    dom = u.simplex
+    if block.sub is not None:
+        dom = block.sub
+        f = f.restrict(dom, [cell_verts.index(v) for v in block.verts])
+    return [float(f.wedge(form_from_coeffs(dom, tk, q, vec)).integrate() / dom.measure)
+            for tk, q, rows in block.tests for vec in rows]
 
 
-def _q(dof, dom):
-    return _test(dof, dom).comps.get((), {})
-
-
-def _scalar(dof, u, cell_verts):
-    return scalar_moment(u.restrict(dof.sub, _vmap(dof, cell_verts)), dof.sub, _q(dof, dof.sub))
-
-
-def _normal_deriv(dof, u, cell_verts):
-    du = u.directional_derivative(dof.direction)
-    return scalar_moment(du.restrict(dof.sub, _vmap(dof, cell_verts)), dof.sub, _q(dof, dof.sub))
-
-
-def _component(dof, u, cell_verts):
-    f = u.proxy_contract(dof.weight)
-    return scalar_moment(f.restrict(dof.sub, _vmap(dof, cell_verts)), dof.sub, _q(dof, dof.sub))
-
-
-def _trace_wedge(dof, u, cell_verts):
-    tr = u.restrict(dof.sub, _vmap(dof, cell_verts))
-    return float(tr.wedge(_test(dof, dof.sub)).integrate() / dof.sub.measure)
-
-
-def _cell_wedge(dof, u, cell_verts):
-    w = u.wedge(_test(dof, u.simplex))
-    return float(w.integrate() / u.simplex.measure)
-
-
-def _interior_component(dof, u, cell_verts):
-    return scalar_moment(u.proxy_contract(dof.weight), u.simplex, _q(dof, u.simplex))
-
-
-REFERENCE = {
-    PointEval: _point,
-    PointDeriv: _point,
-    ScalarMoment: _scalar,
-    NormalDerivMoment: _normal_deriv,
-    ComponentMoment: _component,
-    TraceWedgeMoment: _trace_wedge,
-    CellWedgeMoment: _cell_wedge,
-    _InteriorComponent: _interior_component,
-}
-
-
-def reference_value(dof, u, cell_verts):
-    """Value of one DoF on the form ``u`` living on the cell."""
-    return REFERENCE[type(dof)](dof, u, cell_verts)
+def reference_dof_values(space, ci, u):
+    """Values of the cell's local DoFs on ``u``, term by term."""
+    cverts = tuple(int(v) for v in space.mesh.cells[ci])
+    return [x for b in space.cell_blocks(ci) for x in reference_values(b, u, cverts)]
 
 
 def reference_operator(src, dst, fmap):
     """assemble_local_operator's matrix with every entry computed term by term.
 
     ``fmap`` maps a form to a form.  The local DoF matrices, their inverses
-    and the image DoFs all come from ``reference_value``; the first cell
+    and the image DoFs all come from ``reference_values``; the first cell
     reaching an entry sets it.
     """
     D = np.zeros((dst.dim, src.dim))
     filled = np.zeros(D.shape, dtype=bool)
     for ci in range(len(src.mesh.cells)):
-        cverts = tuple(int(v) for v in src.mesh.cells[ci])
         shapes = shape_basis(src.el, src.mesh.cell_simplex(ci))
-        M = np.array([[reference_value(dof, b, cverts) for b in shapes]
-                      for dof in src.cell_dof_objs[ci]])
-        images = [fmap(b.as_float()) for b in shapes]
-        A = np.array([[reference_value(dof, g, cverts) for g in images]
-                      for dof in dst.cell_dof_objs[ci]])
+        M = np.array([reference_dof_values(src, ci, b) for b in shapes]).T
+        A = np.array([reference_dof_values(dst, ci, fmap(b.as_float())) for b in shapes]).T
         Dloc = A @ np.linalg.inv(M)
         rows, cols = dst.cell_global[ci], src.cell_global[ci]
         block = ~filled[np.ix_(rows, cols)]
         D[np.ix_(rows, cols)] = np.where(block, Dloc, D[np.ix_(rows, cols)])
         filled[np.ix_(rows, cols)] = True
     return D
+
+
+def reference_numbering(el, mesh):
+    """(cell_global, dim) numbered by first appearance of the realised DoFs.
+
+    Every cell realises the blocks of its subsimplices (one realisation per
+    subsimplex, shared by its cells) and of its interior; a DoF is a
+    (block object, position) pair, numbered at its first appearance in cell
+    order.  The blocks stay referenced, so no object id is reused.
+    """
+    shared, kept, gid = {}, [], {}
+    cell_global = []
+    for ci in range(len(mesh.cells)):
+        cverts = tuple(int(v) for v in mesh.cells[ci])
+        blocks = []
+        for d in range(el.n):
+            for everts in combinations(cverts, d + 1):
+                idx = mesh.simplex_id(everts)
+                if (d, idx) not in shared:
+                    shared[(d, idx)] = entity_dofs(el, mesh, d, idx)
+                blocks += shared[(d, idx)]
+        blocks += entity_dofs(el, mesh, el.n, ci)
+        kept.append(blocks)
+        cell_global.append(np.array([gid.setdefault((id(b), t), len(gid))
+                                     for b in blocks for t in range(b.size)], dtype=int))
+    return cell_global, len(gid)
 
 
 def koszul(form):

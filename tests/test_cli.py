@@ -170,6 +170,68 @@ def test_compare_grid(capsys):
     assert data["dim_classical"] == data["closed_classical"]
 
 
+COMPARE_P4_GRID2 = """quantity,value
+dim_classical,10910
+closed_classical,10910
+dim_nodal,7254
+closed_nodal,7254
+difference,3656
+edge_vertex_ratio,4.366197183098592
+per_tet_estimate_classical,170.0
+per_tet_estimate_nodal,30.5
+per_tet_estimate_difference,139.5
+count_V,71
+count_E,310
+count_F,432
+count_T,192
+"""
+
+
+def test_compare_realises_no_dof(monkeypatch, capsys):
+    # the numbering reads the plan's block sizes: no subsimplex chart, frame,
+    # trimmed test basis or DoF block is built
+    from derham import elements, forms
+    from derham.mesh import SimplicialMesh
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a DoF was realised")
+    monkeypatch.setattr(SimplicialMesh, "sub_simplex", refuse)
+    monkeypatch.setattr(SimplicialMesh, "frame", refuse)
+    monkeypatch.setattr(forms, "trimmed_coeffs", refuse)
+    monkeypatch.setattr(elements, "trimmed_coeffs", refuse)
+    monkeypatch.setattr(elements, "entity_dofs", refuse)
+    assert main(["compare", "--p", "4", "--grid", "2,2,2"]) == 0
+    assert capsys.readouterr().out == COMPARE_P4_GRID2
+
+
+@pytest.mark.parametrize("argv", [
+    ["element", "--r", "0", "--k", "1", "--dim", "3", "--p", "40"],
+    ["export", "--r", "0", "--k", "1", "--dim", "3", "--p", "40"],
+    ["verify", "--mesh", "{tet}", "--row", "0", "--p", "40"],
+    ["verify", "--mesh", "{tet}", "--row", "mixed", "--p", "40"],
+])
+def test_oversized_local_matrix_exits_2_before_allocating(tmp_path, capsys, argv):
+    import time
+    import tracemalloc
+    path = tmp_path / "tet.json"
+    reference_tet().save(path)
+    argv = [a.replace("{tet}", str(path)) for a in argv]
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        rc = main(argv)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "MiB limit" in err
+    # the p=40 DoF matrices would take 1.1 to 10 GiB
+    assert peak < 2 ** 22 and elapsed < 2.0
+
+
 def test_export_dual_basis(capsys):
     rc = main(["export", "--r", "0", "--k", "0", "--dim", "2", "--p", "1"])
     out = capsys.readouterr().out

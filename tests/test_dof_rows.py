@@ -6,33 +6,47 @@ import numpy as np
 import pytest
 
 from conftest import random_simplex
-from dof_reference import reference_operator, reference_value, scalar_moment
+from dof_reference import reference_operator, reference_values, scalar_moment
 from derham import assembly, bgg
-from derham.elements import (_P_MIN, CellWedgeMoment, ComponentMoment,
-                             NormalDerivMoment, PointDeriv, PointEval, ScalarMoment,
-                             TraceWedgeMoment, _InteriorComponent, cell_dofs, element_def,
-                             p_min, shape_basis, shape_coeffs)
+from derham.elements import (_P_MIN, block_rows, cell_blocks, element_def, p_min,
+                             shape_basis, shape_coeffs)
 from derham.forms import (FormPolynomial, Simplex, _coefficient_matrix, coeffs,
                           exterior_derivative_matrix, form_from_coeffs, moment_gram,
                           monomials, rank_of)
 from derham.mesh import SimplicialMesh
 
-# (DoF class, element (r, p, k, n) that carries it)
-CLASS_CASES = [
-    (PointEval, (0, 3, 0, 2)),
-    (PointEval, (1, 3, 1, 3)),           # proxy weight
-    (PointDeriv, (1, 3, 0, 3)),
-    (PointDeriv, (2, 4, 1, 2)),          # proxy weight, then derivative
-    (ScalarMoment, (0, 4, 0, 3)),        # edges and faces
-    (NormalDerivMoment, (2, 5, 0, 2)),
-    (ComponentMoment, (2, 4, 1, 2)),
-    (ComponentMoment, ("hz", 3, 2, 3)),  # edge normals in 3D
-    (TraceWedgeMoment, (1, 3, 1, 3)),
-    (TraceWedgeMoment, (0, 2, 2, 3)),
-    (CellWedgeMoment, (0, 3, 0, 2)),
-    (CellWedgeMoment, (0, 3, 1, 3)),
-    (_InteriorComponent, (2, 4, 1, 2)),
+# (functional, element (r, p, k, n) that carries it)
+FUNCTIONAL_CASES = [
+    ("PointEval", (0, 3, 0, 2)),
+    ("PointEval", (1, 3, 1, 3)),           # proxy weight
+    ("PointDeriv", (1, 3, 0, 3)),
+    ("PointDeriv", (2, 4, 1, 2)),          # proxy weight, then derivative
+    ("ScalarMoment", (0, 4, 0, 3)),        # edges and faces
+    ("NormalDerivMoment", (2, 5, 0, 2)),
+    ("ComponentMoment", (2, 4, 1, 2)),
+    ("ComponentMoment", ("hz", 3, 2, 3)),  # edge normals in 3D
+    ("TraceWedgeMoment", (1, 3, 1, 3)),
+    ("TraceWedgeMoment", (0, 2, 2, 3)),
+    ("CellWedgeMoment", (0, 3, 0, 2)),
+    ("CellWedgeMoment", (0, 3, 1, 3)),
+    ("_InteriorComponent", (2, 4, 1, 2)),
 ]
+
+
+def _functional(block, k, n):
+    """The functional a block applies: a point value or derivative, or a
+    moment of the scalar, the trace, a normal derivative or a proxy component
+    on a subsimplex, or of the form or a proxy component on the cell."""
+    g = block.group
+    if g.kind == "point":
+        return "PointDeriv" if g.directions else "PointEval"
+    if block.entity[0] == n:
+        return "_InteriorComponent" if g.weight is not None else "CellWedgeMoment"
+    if g.directions:
+        return "NormalDerivMoment"
+    if g.weight is not None:
+        return "ComponentMoment"
+    return "ScalarMoment" if k == 0 else "TraceWedgeMoment"
 
 
 def _random_form(cell, k, degree, rng):
@@ -41,23 +55,25 @@ def _random_form(cell, k, degree, rng):
                                     for key in keys})
 
 
-@pytest.mark.parametrize("cls,family", CLASS_CASES,
-                         ids=["-".join(map(str, (c.__name__,) + f)) for c, f in CLASS_CASES])
-def test_row_matches_form_algebra(cls, family):
+@pytest.mark.parametrize("kind,family", FUNCTIONAL_CASES,
+                         ids=["-".join(map(str, (c,) + f)) for c, f in FUNCTIONAL_CASES])
+def test_row_matches_form_algebra(kind, family):
     r, p, k, n = family
-    rng = np.random.default_rng([ord(c) for c in f"{cls.__name__}{family}"])
+    rng = np.random.default_rng([ord(c) for c in f"{kind}{family}"])
     mesh = SimplicialMesh(random_simplex(n, rng), [tuple(range(n + 1))])
     cell = mesh.cell_simplex(0)
     cverts = tuple(range(n + 1))
-    dofs = [d for d in cell_dofs(element_def(r, p, k, n), mesh, 0) if type(d) is cls]
-    assert dofs
+    blocks = [b for b in cell_blocks(element_def(r, p, k, n), mesh, 0)
+              if _functional(b, k, n) == kind]
+    assert blocks
     for degree in (p, p - 1, p - 2):     # forms of lower degree are elevated
         u = _random_form(cell, k, degree, rng)
-        new = np.array([dof.row(cell, cverts, k, p) @ coeffs(u, p) for dof in dofs])
-        ref = np.array([reference_value(dof, u, cverts) for dof in dofs])
+        new = block_rows(blocks, cell, cverts, k, p) @ coeffs(u, p)
+        ref = np.array([x for b in blocks for x in reference_values(b, u, cverts)])
         np.testing.assert_allclose(new, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
-        # DoF.apply works at the form's own degree
-        assert abs(dofs[0].apply(u, cverts) - ref[0]) <= 1e-12 * max(np.abs(ref).max(), 1.0)
+        # a block's rows also work at the form's own degree
+        own = blocks[0].rows(cell, cverts, k, degree, {}) @ coeffs(u, degree)
+        assert abs(own[0] - ref[0]) <= 1e-12 * max(np.abs(ref).max(), 1.0)
 
 
 def _assert_operator_matches(src, dst, fmap, ref_map):
@@ -133,7 +149,7 @@ def test_dof_path_builds_no_form_polynomial(meshes, monkeypatch):
             spaces = [assembly.assemble_space(mesh, *s) for s in slots]
             for space in spaces:
                 for ci in range(len(mesh.cells)):
-                    assert space.dof_rows(ci).shape[0] == len(space.cell_dof_objs[ci])
+                    assert space.dof_rows(ci).shape[0] == len(space.cell_global[ci])
             for src, dst in zip(spaces, spaces[1:]):
                 assert assembly.assemble_d(src, dst).array.shape == (dst.dim, src.dim)
             rows += 1

@@ -150,7 +150,7 @@ def test_vertex_dual_of_hdiv_is_vector_nodal():
     # dual of a vertex component DoF vanishes at the other vertices
     el = element_def(1, 2, 1, 2)
     duals, dofs, _ = dual_basis(el, REF[2])
-    idx = [i for i, d in enumerate(dofs) if d.klass == "vertex-c0"][0]
+    idx = [i for i, d in enumerate(dofs) if d.label == "vertex-c0"][0]
     f = duals[idx]
     vals = f.eval(np.asarray(REF[2], float))
     v0 = dofs[idx].entity_verts[0]

@@ -1,8 +1,11 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from conftest import REF
+from derham.forms import Simplex, exact_det, nonzero_volume
 from derham.mesh import (SimplicialMesh, cube_center_fan_grid,
                          interval_mesh, reference_tet, reference_triangle,
                          split_edge_square, two_triangle_square, annulus_mesh)
@@ -41,6 +44,51 @@ def test_annulus_euler_zero():
 def test_degenerate_cell_rejected():
     with pytest.raises(ValueError, match="degenerate"):
         SimplicialMesh([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], [(0, 1, 2)])
+
+
+# points (x, 3x): 3x is exact, but the differences to the first vertex round
+COLLINEAR_ROUNDED = [[0.000776683114342298, 0.002330049343026894],
+                     [0.6130033010531406, 1.8390099031594218],
+                     [0.9172977047910535, 2.7518931143731606]]
+# the first vertex lifted by 2**-70 off that line; the float determinant is 0
+LIFTED_ROUNDED = [[0.00014792203578495655, 0.00044376610735486963],
+                  [0.8196267191196966, 2.45888015735909],
+                  [0.6832869060035591, 2.0498607180106774]]
+
+
+def _float_det(v):
+    (x0, y0), (x1, y1), (x2, y2) = v
+    return (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
+
+
+def test_exactly_collinear_float_cell_rejected():
+    assert _float_det(COLLINEAR_ROUNDED) != 0.0    # rounding hides the degeneracy
+    with pytest.raises(ValueError, match="degenerate cell"):
+        SimplicialMesh(COLLINEAR_ROUNDED, [(0, 1, 2)])
+    with pytest.raises(ValueError, match="degenerate simplex"):
+        Simplex(COLLINEAR_ROUNDED)
+    # a batch decides each cell alone
+    assert nonzero_volume(np.array([COLLINEAR_ROUNDED, REF[2]])).tolist() == [False, True]
+
+
+def test_thin_cell_accepted_with_exact_measure():
+    verts = [[0.0, 0.0], [1.0, 0.0], [0.5, 2.0 ** -60]]
+    SimplicialMesh(verts, [(0, 1, 2)])
+    assert Simplex(verts).measure == Fraction(1, 2 ** 61)
+
+
+def test_cell_inside_the_filter_keeps_its_exact_verdict():
+    # the float determinant is 0, inside the error bound, so the exact one decides
+    assert _float_det(LIFTED_ROUNDED) == 0.0
+    mesh = SimplicialMesh(LIFTED_ROUNDED, [(0, 1, 2)])
+    assert mesh.cell_simplex(0).measure == abs(exact_det(LIFTED_ROUNDED)) / 2 > 0
+
+
+def test_coplanar_tet_rejected():
+    # every vertex on the plane z = x + y
+    with pytest.raises(ValueError, match="degenerate cell"):
+        SimplicialMesh([[0.5, 0.25, 0.75], [1.5, 0.25, 1.75], [0.5, 1.25, 1.75],
+                        [2.5, 3.25, 5.75]], [(0, 1, 2, 3)])
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
