@@ -2,12 +2,13 @@
 
 Shared DoFs are generated from global subsimplex data, so identifying them
 across cells is a dictionary lookup; there are no orientation sign tables.
-Everything per cell is a float matrix product: a space's DoFs are rows over
-the cell's barycentric coefficients, its local DoF matrix is those rows times
-the shape coefficients, and a local operator is ``rows @ fmap(cell) @
-dual_fields``, the target rows times the map as a coefficient matrix times
-the source dual basis.  No FormPolynomial is built on this path.  The
-scatter compares entries that two cells reach, all at once.
+Everything local is a float matrix product stacked over cells: a space's
+DoFs are rows over the cells' barycentric coefficients, its local DoF
+matrices are those rows times the shape coefficients, and a local operator
+is ``rows @ fmap(grads) @ fields``, the target rows times the map as a
+stack of coefficient matrices times the source dual bases.  No
+FormPolynomial and no per-cell Simplex is built on this path.  The scatter
+compares entries that two cells reach, all at once.
 Assembly itself is deterministic and single-threaded; assembled spaces and
 operator matrices are immutable afterwards and safe to share.  Operators
 are COO triplets; a dense view is built only when a caller asks for it.
@@ -26,11 +27,11 @@ from itertools import combinations
 
 import numpy as np
 
-from .elements import (block_rows, cell_blocks, cell_dofs, dof_plan, element_def, p_min,
+from .elements import (block_rows, cell_dofs, dof_plan, element_def, p_min,
                        shape_coeffs, tangential_bubble_span, zero_trace_dim)
 from .forms import (RANK_RTOL, _coefficient_matrix, coeffs, elevation, eval_row,
                     exterior_derivative_matrix, moment_gram, monomials,
-                    multinomials, nullspace, rank_of, restriction_matrix)
+                    multinomials, nullspace, rank_of, trace_matrix)
 from .mesh import SimplicialMesh
 
 DD_TOL = 1e-10
@@ -38,6 +39,10 @@ CONTAINMENT_TOL = 1e-8
 # Scattered entries at most this share of an operator's largest are
 # cancellation residue (seen: 1e-19 to 1e-13, none between 1e-13 and 1e-9).
 DROP_RTOL = 1e-13
+# The dense rank count of an operator that ``prove_ranks`` could not prove
+# is refused above this size (float64 entries); the CLI refuses local DoF
+# matrices above the same size.
+MAX_DENSE_BYTES = 2 ** 27
 
 
 class GlobalSpace:
@@ -46,8 +51,9 @@ class GlobalSpace:
     ``cell_global[ci]`` holds the global indices of the cell's local DoFs in
     the canonical cell order.  They come from the plan's block sizes alone:
     each entity's block is numbered contiguously at its first appearance, so
-    building a space realises no DoF.  Blocks are realised, once per entity
-    and shared by its cells, when a cell's rows are first asked for.
+    building a space realises no DoF.  The DoF rows, local DoF matrices,
+    their inverses and the dual fields are arrays stacked over cells, each
+    built for every cell at once on first use.
     """
 
     def __init__(self, mesh, el):
@@ -56,52 +62,52 @@ class GlobalSpace:
         if el.n != mesh.dim:
             raise ValueError("element dimension does not match the mesh")
         self.cell_global, self.dim = _number_dofs(el, mesh)
-        self._blocks = {}
-        self._shapes = {}
-        self._rows = {}
-        self._duals = {}
-        self._fields = {}
-        self._local_mats = {}
 
-    # -- per-cell data -----------------------------------------------------------
-    def cell_blocks(self, ci):
-        """The cell's realised DoF blocks, each entity's shared by its cells."""
-        return cell_blocks(self.el, self.mesh, ci, self._blocks)
+    # -- arrays stacked over cells ---------------------------------------------------
+    @cached_property
+    def rows(self):
+        """Every cell's DoF functionals as rows over degree-el.p coefficients."""
+        return block_rows(self.el, self.mesh, np.arange(len(self.mesh.cells)), self.el.p)
 
+    @cached_property
+    def shapes(self):
+        """Shape coefficients: one matrix, or a stack for trimmed spaces."""
+        return shape_coeffs(self.el, self.mesh.bary_grads)
+
+    @cached_property
+    def local(self):
+        return self.rows @ self.shapes
+
+    @cached_property
+    def duals(self):
+        """Columns express the local dual basis in the shape basis."""
+        return np.linalg.inv(self.local)
+
+    @cached_property
+    def fields(self):
+        """Coefficients of the local dual basis, one column per DoF."""
+        return self.shapes @ self.duals
+
+    # -- one cell's slices ---------------------------------------------------------
     def dof_rows(self, ci, p=None):
-        """The cell's DoF functionals as rows over degree-p coefficients."""
-        p = self.el.p if p is None else p
-        if (ci, p) not in self._rows:
-            cverts = tuple(int(v) for v in self.mesh.cells[ci])
-            self._rows[(ci, p)] = block_rows(self.cell_blocks(ci), self.mesh.cell_simplex(ci),
-                                             cverts, self.el.k, p)
-        return self._rows[(ci, p)]
-
-    def _shape_coeffs(self, ci):
-        if ci not in self._shapes:
-            self._shapes[ci] = shape_coeffs(self.el, self.mesh.cell_simplex(ci))
-        return self._shapes[ci]
+        """The cell's DoF rows over degree-p coefficients."""
+        if p is None or p == self.el.p:
+            return self.rows[ci]
+        return block_rows(self.el, self.mesh, [ci], p)[0]
 
     def local_matrix(self, ci):
-        if ci not in self._local_mats:
-            self._local_mats[ci] = self.dof_rows(ci) @ self._shape_coeffs(ci)
-        return self._local_mats[ci]
+        return self.local[ci]
 
     def dual_coeffs(self, ci):
-        """Columns express the local dual basis in the shape basis."""
-        if ci not in self._duals:
-            self._duals[ci] = np.linalg.inv(self.local_matrix(ci))
-        return self._duals[ci]
+        return self.duals[ci]
 
     def dual_fields(self, ci, p=None):
         """Coefficients of the local dual basis at degree p, one column per DoF."""
-        if ci not in self._fields:
-            self._fields[ci] = self._shape_coeffs(ci) @ self.dual_coeffs(ci)
         p = self.el.p if p is None else p
         if p == self.el.p:
-            return self._fields[ci]
+            return self.fields[ci]
         lift = np.kron(np.eye(math.comb(self.el.n, self.el.k)), elevation(self.el.n + 1, self.el.p, p))
-        return lift @ self._fields[ci]
+        return lift @ self.fields[ci]
 
     def gather(self, local):
         """Global DoF values from {ci: local values}, first axis the cell's DoFs.
@@ -130,7 +136,7 @@ class GlobalSpace:
             raise ValueError("constants only in 0-form spaces")
         # the lambdas sum to one, so 1 = (sum lambda)^p has multinomial coefficients
         one = multinomials(self.mesh.dim + 1, self.el.p)
-        return self.gather({ci: self.dof_rows(ci) @ one for ci in range(len(self.mesh.cells))})
+        return self.gather(dict(enumerate(self.rows @ one)))
 
 
 def _number_dofs(el, mesh):
@@ -283,24 +289,20 @@ class OperatorMatrix:
 def assemble_local_operator(src, dst, fmap, consistency_tol=1e-7):
     """Matrix of a cell-local linear map between assembled spaces.
 
-    ``fmap(cell)`` is the map on one cell as a matrix from the source's
+    ``fmap(grads)`` is the map on the cells with barycentric gradients
+    ``grads`` (cells, n+1, n), as one matrix or a stack, from the source's
     degree-``src.el.p`` coefficients to the target's degree-``dst.el.p``
     ones.  Column j holds the target DoFs of the map applied to the j-th
-    global dual function: per cell, ``dst rows @ fmap(cell) @ src dual
-    fields``.  Entries reachable from two cells are compared; a disagreement
-    means the image violates the target continuity.  Entries at most
-    DROP_RTOL times the largest are cancellation residue and are dropped.
+    global dual function: ``dst rows @ fmap @ src dual fields``, stacked
+    over cells.  Entries reachable from two cells are compared; a
+    disagreement means the image violates the target continuity.  Entries at
+    most DROP_RTOL times the largest are cancellation residue and are dropped.
     """
-    mesh = src.mesh
-    flat, vals, scales = [], [], []
-    for ci in range(len(mesh.cells)):
-        Dloc = dst.dof_rows(ci) @ fmap(mesh.cell_simplex(ci)) @ src.dual_fields(ci)
-        flat.append((dst.cell_global[ci][:, None] * src.dim
-                     + src.cell_global[ci][None, :]).ravel())
-        vals.append(Dloc.ravel())
-        scales.append(np.full(Dloc.size, max(np.abs(Dloc).max(), 1.0)))
-    order = np.argsort(np.concatenate(flat), kind="stable")
-    flat, vals, scales = (np.concatenate(a)[order] for a in (flat, vals, scales))
+    Dloc = dst.rows @ fmap(src.mesh.bary_grads) @ src.fields
+    flat = (dst.cell_global[:, :, None] * src.dim + src.cell_global[:, None, :]).ravel()
+    scales = np.repeat(np.maximum(np.abs(Dloc).max(axis=(1, 2)), 1.0), Dloc[0].size)
+    order = np.argsort(flat, kind="stable")
+    flat, vals, scales = flat[order], Dloc.ravel()[order], scales[order]
     # the first cell to reach an entry sets it; later cells must agree with it
     first = np.r_[True, flat[1:] != flat[:-1]]
     ref = vals[np.maximum.accumulate(np.where(first, np.arange(len(flat)), 0))]
@@ -338,8 +340,8 @@ def assemble_d(src, dst, consistency_tol=1e-7):
 
 
 def _d_map(src, dst):
-    """d on one cell, from the source's degree to the target's."""
-    return lambda cell: exterior_derivative_matrix(cell, src.el.k, src.el.p, dst.el.p)
+    """d on a stack of cells, from the source's degree to the target's."""
+    return lambda grads: exterior_derivative_matrix(grads, src.el.k, src.el.p, dst.el.p)
 
 
 def containment_residual(src, dst, D=None):
@@ -352,17 +354,16 @@ def containment_residual(src, dst, D=None):
     """
     if D is None:
         D = assemble_d(src, dst)
-    dmap = _d_map(src, dst)
+    images = _d_map(src, dst)(src.mesh.bary_grads) @ src.fields
     rows_of_D = _csr(D)
     worst, scale = 0.0, 0.0
     for ci in range(len(src.mesh.cells)):
         used, block = _dense_rows(rows_of_D, dst.cell_global[ci])
         cols = np.union1d(src.cell_global[ci], used)
-        image = np.zeros((dst.dual_fields(ci).shape[0], len(cols)))
-        image[:, np.searchsorted(cols, src.cell_global[ci])] = \
-            dmap(src.mesh.cell_simplex(ci)) @ src.dual_fields(ci)
+        image = np.zeros((images.shape[1], len(cols)))
+        image[:, np.searchsorted(cols, src.cell_global[ci])] = images[ci]
         interp = np.zeros_like(image)
-        interp[:, np.searchsorted(cols, used)] = dst.dual_fields(ci) @ block
+        interp[:, np.searchsorted(cols, used)] = dst.fields[ci] @ block
         worst = max(worst, np.abs(image - interp).max())
         scale = max(scale, np.abs(image).max())
     return worst / scale if scale > 0.0 else worst
@@ -580,7 +581,8 @@ def prove_ranks(ops):
     ‖Dx̂‖, ‖DB‖_F or ‖CD‖_F over that map's kept bound, and the dropped
     residue's Frobenius norm widens both.  Where the bounds straddle
     RANK_RTOL·σ₁, r is the count that ``rank_of`` defines; otherwise the
-    operator is counted by ``rank_of`` on its dense view.
+    operator is counted by ``rank_of`` on its dense view, and a dense view
+    over MAX_DENSE_BYTES raises RuntimeError instead.
 
     Returns the ranks and, per operator, ``{"kept", "dropped", "proved"}``:
     the bounds relative to σ₁ (None where nothing was proved).
@@ -621,6 +623,12 @@ def prove_ranks(ops):
         for side in ("rows", "cols") if m < n else ("cols", "rows"):
             if proofs[k] is None and not tried & {(k, side), (k, "full")}:
                 attempt(k, side)
+    for k, (p, D) in enumerate(zip(proofs, ops)):
+        if p is None and 8 * D.shape[0] * D.shape[1] > MAX_DENSE_BYTES:
+            raise RuntimeError(
+                f"the rank of operator {k} ({D.shape[0]}x{D.shape[1]}) could not be proved, "
+                f"and counting it needs a dense copy of {8 * D.shape[0] * D.shape[1] / 2 ** 20:.3g}"
+                f" MiB, over the {MAX_DENSE_BYTES / 2 ** 20:.3g} MiB limit")
     ranks = [p[0] if p else rank_of(D.array) for p, D in zip(proofs, ops)]
     margins = [{"kept": float(p[1] / s[1]) if p else None,
                 "dropped": float(p[2] / s[0]) if p else None,
@@ -1107,14 +1115,15 @@ def interpolation_split_residual(mesh, p, seed=0, n_samples=25):
             local[ci] = vals
         y = scalar.gather(local)
         for ci in range(len(mesh.cells)):
-            cell = mesh.cell_simplex(ci)
             cverts = tuple(int(v) for v in mesh.cells[ci])
             rest = u[ci] - (scalar.dual_fields(ci) @ y[scalar.cell_global[ci]]).T.ravel()
             for fverts in combinations(cverts, 3):
-                sub = mesh.sub_simplex(2, mesh.simplex_id(fverts))
-                trace = restriction_matrix(cell, sub, [cverts.index(v) for v in fverts], 1, p) @ rest
+                fi = mesh.simplex_id(fverts)
+                sub = mesh.sub_simplex(2, fi)
+                trace = trace_matrix(3, [cverts.index(v) for v in fverts], 1, p,
+                                     mesh.frame(2, fi).tangents) @ rest
                 pts = sub.random_points(n_samples, rng)
-                values = np.array([eval_row(sub, pt, p) for pt in pts]) @ trace.reshape(2, -1).T
+                values = eval_row(sub.bary_inverse, pts, p) @ trace.reshape(2, -1).T
                 worst = max(worst, np.abs(values).max())
     return worst
 

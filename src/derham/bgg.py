@@ -23,7 +23,7 @@ from .assembly import assemble_d, assemble_local_operator, assemble_space
 from .elements import cell_dofs
 from .forms import (derivative_matrix, dim_trimmed, eval_row,
                     exterior_derivative_matrix, jet_rows, moment_gram, monomials,
-                    multinomials, nullspace, rank_of, restriction_matrix)
+                    multinomials, nullspace, rank_of, trace_matrix)
 from .mesh import SimplicialMesh
 
 
@@ -32,9 +32,10 @@ def _embed_component(comp, nq):
     return np.kron(np.eye(2)[:, [comp]], np.eye(nq))
 
 
-def _grad_component(cell, comp, q):
-    """Scalar 0-form of degree q -> one component of its differential."""
-    return derivative_matrix(cell, np.eye(2)[comp], 0, q)
+def _grad_component(grads, comp, q):
+    """Scalar 0-form of degree q -> one component of its differential, on
+    the cells with barycentric gradients ``grads``."""
+    return derivative_matrix(grads, np.eye(2)[comp], 0, q)
 
 
 def _skew_trace(comp, nq):
@@ -45,7 +46,7 @@ def _skew_trace(comp, nq):
 class BGGContext:
     """Assembled spaces and operator matrices for one degree window p.
 
-    The connecting maps are the per-cell coefficient matrices above, sized by
+    The connecting maps are the cells' coefficient matrices above, sized by
     the degrees of the spaces: Hermite p + 2, Stenberg and pressure p + 1,
     Argyris p + 3.
     """
@@ -72,14 +73,14 @@ class BGGContext:
                              [np.zeros((DG, St)), d_s]])
 
         def pair(src, dst, fmap):
-            """The operators of fmap(cell, 0) and fmap(cell, 1)."""
-            return [assemble_local_operator(src, dst, lambda cell, c=c: fmap(cell, c)).array
+            """The operators of fmap(grads, 0) and fmap(grads, 1)."""
+            return [assemble_local_operator(src, dst, lambda grads, c=c: fmap(grads, c)).array
                     for c in (0, 1)]
 
         # skew-valued d1: pair of scalars as a 1-form into the pressure space
         nh = math.comb(p + 4, 2)
-        self.dK1 = np.hstack(pair(self.hermite, self.pressure, lambda cell, c: (
-            exterior_derivative_matrix(cell, 1, p + 2, p + 1) @ _embed_component(c, nh))))
+        self.dK1 = np.hstack(pair(self.hermite, self.pressure, lambda grads, c: (
+            exterior_derivative_matrix(grads, 1, p + 2, p + 1) @ _embed_component(c, nh))))
 
         # S0: signed permutation between the two Hermite pairs
         self.S0 = np.block([[np.zeros((H, H)), -np.eye(H)],
@@ -88,11 +89,11 @@ class BGGContext:
 
         ns = math.comb(p + 3, 2)
         self.S1 = np.hstack(pair(self.stenberg, self.pressure,
-                                 lambda cell, c: _skew_trace(c, ns)))
+                                 lambda grads, c: _skew_trace(c, ns)))
 
         if self.argyris is not None:
             self.dK0 = np.vstack(pair(self.argyris, self.hermite,
-                                      lambda cell, c: _grad_component(cell, c, p + 3)))
+                                      lambda grads, c: _grad_component(grads, c, p + 3)))
         else:
             self.dK0 = None
 
@@ -240,7 +241,6 @@ def _constrained_smooth_scalar_span(mesh, p):
     """
     ncells = len(mesh.cells)
     nloc = math.comb(p + 2, 2)
-    cells = [mesh.cell_simplex(ci) for ci in range(ncells)]
     cverts = [tuple(int(v) for v in c) for c in mesh.cells]
 
     def jump(first, second, blocks):
@@ -256,18 +256,17 @@ def _constrained_smooth_scalar_span(mesh, p):
         cof = mesh.cofaces[1][ei]
         if len(cof) != 2:
             continue
-        sub = mesh.sub_simplex(1, ei)
         nu = mesh.frame(1, ei).normals[0]
         value, normal = {}, {}
         for ci in cof:
             vmap = [cverts[ci].index(v) for v in everts]
-            value[ci] = restriction_matrix(cells[ci], sub, vmap, 0, p)
-            normal[ci] = (restriction_matrix(cells[ci], sub, vmap, 0, p - 1)
-                          @ derivative_matrix(cells[ci], nu, 0, p))
+            value[ci] = trace_matrix(2, vmap, 0, p)
+            normal[ci] = (trace_matrix(2, vmap, 0, p - 1)
+                          @ derivative_matrix(mesh.bary_grads[ci], nu, 0, p))
         rows += [jump(*cof, value), jump(*cof, normal)]
     # C^2 at vertices: second derivatives agree across all incident cells
     for vi, cof in enumerate(mesh.cofaces[0]):
-        second = {ci: jet_rows(cells[ci], mesh.vertices[vi], p, 2) for ci in cof}
+        second = {ci: jet_rows(mesh.bary_inverse[ci], mesh.vertices[vi], p, 2) for ci in cof}
         rows += [jump(cof[0], other, second) for other in cof[1:]]
     A = np.vstack(rows) if rows else np.zeros((0, ncells * nloc))
     return nullspace(A)
@@ -276,10 +275,9 @@ def _constrained_smooth_scalar_span(mesh, p):
 def _constrained_grad_dofs(mesh, N, hermite):
     """Hermite-pair DoF vectors of the gradients of constrained scalars."""
     q = hermite.el.p + 1
-    nloc = math.comb(q + 2, 2)
-    return np.vstack([hermite.gather({
-        ci: hermite.dof_rows(ci) @ _grad_component(mesh.cell_simplex(ci), comp, q)
-        @ N[ci * nloc:(ci + 1) * nloc] for ci in range(len(mesh.cells))}) for comp in (0, 1)])
+    fields = N.reshape(len(mesh.cells), math.comb(q + 2, 2), -1)
+    return np.vstack([hermite.gather(dict(enumerate(
+        hermite.rows @ _grad_component(mesh.bary_grads, comp, q) @ fields))) for comp in (0, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +306,6 @@ def _stress_rows(mesh, ci, q):
     zero normal trace.  Moments are normalized by the measure.  Returns
     (F, slots), one slot label per row.
     """
-    cell = mesh.cell_simplex(ci)
     cverts = tuple(int(v) for v in mesh.cells[ci])
     nq = math.comb(q + 2, 2)
 
@@ -322,7 +319,7 @@ def _stress_rows(mesh, ci, q):
 
     rows, slots = [], []
     for vi in cverts:
-        value = eval_row(cell, mesh.vertices[vi], q)[None, :]
+        value = eval_row(mesh.bary_inverse[ci], mesh.vertices[vi], q)[None, :]
         for ab in _ENTRIES:
             rows.append(entries({ab: value}))
             slots.append(("vertex", vi, ab))
@@ -331,8 +328,7 @@ def _stress_rows(mesh, ci, q):
     traces = []
     for everts in combinations(cverts, 2):
         ei = mesh.simplex_id(everts)
-        R = restriction_matrix(cell, mesh.sub_simplex(1, ei),
-                               [cverts.index(v) for v in everts], 0, q)
+        R = trace_matrix(2, [cverts.index(v) for v in everts], 0, q)
         nu = mesh.frame(1, ei).normals[0]
         for i in range(2):
             traces.append(entries({(i, 0): nu[0] * R, (i, 1): nu[1] * R}))

@@ -58,8 +58,8 @@ def _p_values(args):
 
 # A dense local DoF matrix (local dimension squared, float64) larger than
 # this is refused before anything is built; the work arrays around it take a
-# few times as much.
-MAX_LOCAL_MATRIX_BYTES = 2 ** 27
+# few times as much.  It is the size of prove_ranks' dense-count limit.
+MAX_LOCAL_MATRIX_BYTES = assembly.MAX_DENSE_BYTES
 
 
 def _check_local_size(slots, n):

@@ -1,4 +1,4 @@
-"""Local element definitions: shape spaces, DoF plans and blocks, unisolvence.
+"""Local element definitions: shape spaces, DoF plans and rows, unisolvence.
 
 Families are indexed by a smoothness grade r (0 = classical Lagrange /
 Nedelec second kind / BDM / DG, 1 = Hermite-grade vertex continuity,
@@ -9,11 +9,11 @@ DoFs come in two steps.  ``dof_plan`` says, without any geometry, what every
 d-simplex carries: an ordered list of DoF groups, each a label, a kind
 (point value or moment), a proxy weight and derivative directions, a test
 spec and a size.  Sizes and labels, hence the global numbering, come from
-the plan alone.  ``entity_dofs`` realises the plan on one subsimplex (its
-chart, frame normals and trimmed tests) as ``DofBlock``s, and a block turns
-into rows over a cell's coefficients with one product per group: its moment
-rows on the entity (shared by every cell containing it) times the cell's
-trace, derivative and proxy maps.  All moment DoFs are normalized by the
+the plan alone.  ``block_rows`` realises the plan on a stack of cells as
+rows over their coefficients, one stacked product per entity slot and
+group: its moment rows on the entities (one block shared by all of them, or
+one per entity where the tests are trimmed) or its point values, times the
+cells' trace, derivative and proxy maps.  All moment DoFs are normalized by the
 measure of their subsimplex, and every integral uses the closed barycentric
 formula.  Shared DoFs are generated from global mesh data only, so two cells
 sharing a face produce identical functionals and assembly needs no sign
@@ -29,11 +29,10 @@ from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
-from .forms import (FormPolynomial, Simplex, bernstein_tests, derivative_matrix,
-                    dim_full, dim_trimmed, eval_row, form_from_coeffs, full_basis,
-                    jet_rows, moment_rows, monomials, multinomials, nullspace,
-                    poly_mul, proxy_matrix, restriction_matrix, trimmed_basis,
-                    trimmed_coeffs)
+from .forms import (FormPolynomial, Simplex, _bernstein_block, bernstein_tests, coeffs,
+                    derivative_matrix, dim_full, dim_trimmed, eval_row, form_from_coeffs,
+                    full_basis, jet_rows, moment_rows, monomials, nullspace, poly_mul,
+                    proxy_matrix, trace_matrix, trimmed_basis, trimmed_coeffs)
 from .mesh import SimplicialMesh
 
 UNISOLVENCE_TOL = 1e-6
@@ -172,9 +171,10 @@ def _test_degrees(spec):
     return (deg - 1,) * lower + (deg,) * (dim_trimmed(d, deg, k) - lower)
 
 
-def _test_blocks(spec, domain):
-    """The test forms of a spec on its domain, as (k, q, rows) blocks of one
-    degree each, in the order of ``_test_degrees``."""
+def _test_blocks(spec, grads):
+    """The test forms of a spec as (k, q, rows) blocks of one degree each, in
+    the order of ``_test_degrees``; trimmed tests are built on the domain
+    whose barycentric gradients are ``grads``."""
     kind, d = spec[:2]
     if kind == "monomial":
         _, _, deg, k, key = spec
@@ -187,7 +187,7 @@ def _test_blocks(spec, domain):
     if kind == "bernstein":
         tests = bernstein_tests(d, spec[3], spec[2])
     else:
-        tests = trimmed_coeffs(domain, *spec[2:])[1]
+        tests = trimmed_coeffs(grads, *spec[2:])[1]
     blocks = []
     for tk, q, vec in tests:
         if blocks and blocks[-1][1] == q:
@@ -313,129 +313,78 @@ def cell_dofs(el, mesh, ci):
 
 
 # ---------------------------------------------------------------------------
-# DoF blocks: a plan group realised on one entity
+# DoF rows: the plan realised on a stack of cells
 # ---------------------------------------------------------------------------
 
-def _cached(maps, key, build):
-    if key not in maps:
-        maps[key] = build()
-    return maps[key]
+def _moments(mesh, d, g, ents, k, p, memo):
+    """Group g's moment rows over degree-p k-forms on the d-simplices
+    ``ents``: one block for all of them, or one per entity (memoized) where
+    the tests are trimmed and so depend on the entity's shape."""
+    def build(key, domain):
+        if key not in memo:
+            memo[key] = np.vstack([moment_rows(d, t, k, p) for t in _test_blocks(g.test, domain)])
+            if len(memo[key]) != g.size:
+                raise RuntimeError(f"{g.label} block on a {d}-simplex has {len(memo[key])} "
+                                   f"DoFs; the plan has {g.size}")
+        return memo[key]
+    if g.test[0] != "trimmed":
+        return build((g.test, k, p), None)
+    return np.array([build((g.test, k, p, e), mesh.bary_grads[e] if d == mesh.dim
+                           else mesh.sub_simplex(d, e).grad_bary_float()) for e in ents])
 
 
-def _vmap(entity_verts, cell_verts):
-    return [cell_verts.index(v) for v in entity_verts]
+def block_rows(el, mesh, cells, p):
+    """The local DoFs of a stack of cells as rows over their degree-p
+    coefficients: shape (len(cells), DoFs, coefficients), DoFs in the order
+    of ``cell_dofs``.
 
-
-@dataclass(slots=True)
-class DofBlock:
-    """A plan group realised on one entity (the cell for interior groups).
-
-    ``point`` is the vertex of a point group; ``sub`` is the chart of a
-    moment group's proper subsimplex (None on the cell); ``tests`` the
-    (form degree, q, rows) blocks of its test forms.  Slots and one cached
-    moment block keep the many blocks of a mesh light on the collector.
+    Every (entity slot, plan group) pair is one stacked product: the group's
+    point values, or its moment rows on the entities (one block for all of
+    them unless the tests are trimmed), times the cells' trace, derivative
+    and proxy maps.  Each row is a row-times-matrix product of its own, so
+    it has the bits it has when its cell is taken alone.
     """
-    group: DofGroup
-    entity: tuple                  # (d, idx); idx is the cell for d == n
-    verts: tuple
-    sub: Simplex = None
-    point: np.ndarray = None
-    weight: np.ndarray = None
-    directions: tuple = ()
-    tests: tuple = ()
-    _moments: tuple = None         # ((k, p), rows) of the last moment_rows call
+    cells = np.asarray(cells, dtype=int)
+    n, memo, out = el.n, {}, []
+    inverse = mesh.bary_inverse[cells]
+    grads = inverse[:, 1:].swapaxes(1, 2)
 
-    @property
-    def size(self):
-        return 1 if self.point is not None else sum(len(t[2]) for t in self.tests)
+    def step(kind, spec, k, q):
+        """The cells' proxy, derivative or trace map for the current entity
+        slot, memoized: an axis weight or direction is one for all slots."""
+        key = (kind, spec, k, q) + (() if isinstance(spec, int) else (d, j))
+        if key not in memo:
+            if kind == "trace":
+                tangents = np.array([mesh.frame(d, e).tangents for e in ents]) if k else None
+                memo[key] = trace_matrix(n, vmap, k, q, tangents)
+            else:
+                w = (np.eye(n)[spec] if isinstance(spec, int)
+                     else np.array([mesh.frame(d, e).normals[spec[1]] for e in ents]))
+                memo[key] = (proxy_matrix(n, k, w, q) if kind == "proxy"
+                             else derivative_matrix(grads, w, k, q))
+        return memo[key]
 
-    def moment_rows(self, k, p):
-        """The group's moments as rows over degree-p k-forms on the entity:
-        one product per test block, built once and shared by every cell."""
-        if self._moments is None or self._moments[0] != (k, p):
-            self._moments = ((k, p), np.vstack([moment_rows(self.entity[0], t, k, p)
-                                                for t in self.tests]))
-        return self._moments[1]
-
-    def rows(self, cell, cell_verts, k, p, maps):
-        """Rows over the cell's degree-p k-form coefficients.
-
-        The proxy contraction with ``weight``, the derivatives along
-        ``directions`` and the trace onto the entity are matrices, memoized
-        in ``maps`` across the blocks of one cell.
-        """
-        steps = []
-        if self.weight is not None:
-            steps.append(_cached(maps, ("proxy", k, tuple(self.weight), p),
-                                 lambda: proxy_matrix(cell.dim, k, self.weight, p)))
-            k = 0
-        for direction in self.directions:
-            steps.append(_cached(maps, ("deriv", k, tuple(direction), p),
-                                 lambda: derivative_matrix(cell, direction, k, p)))
-            p -= 1
-        if self.point is not None:
-            out = eval_row(cell, self.point, p)[None, :]
-        else:
-            out = self.moment_rows(k, p)
-        if self.sub is not None:
-            steps.append(_cached(maps, ("trace", self.entity, k, p),
-                                 lambda: restriction_matrix(cell, self.sub,
-                                                            _vmap(self.verts, cell_verts), k, p)))
-        # a stack of row-times-matrix products: each row keeps the bits it
-        # has when taken alone
-        for step in reversed(steps):
-            out = (out[:, None, :] @ step)[:, 0, :]
-        return out
-
-
-def entity_dofs(el, mesh, d, idx):
-    """The plan of d-simplex ``idx`` (of cell ``idx`` for d == n) realised on
-    its geometry, one ``DofBlock`` per group.  Raises if a block's size
-    differs from the plan's."""
-    n = el.n
-    plan = dof_plan(el, d)
-    if not plan:
-        return []
-    verts = tuple(int(v) for v in mesh.cells[idx]) if d == n else mesh.skeleton[d][idx]
-    moments = any(g.kind == "moment" for g in plan)
-    sub = mesh.sub_simplex(d, idx) if moments and 0 < d < n else None
-    domain = mesh.cell_simplex(idx) if d == n else sub
-
-    def vector(spec):
-        return np.eye(n)[spec] if isinstance(spec, int) else mesh.frame(d, idx).normals[spec[1]]
-
-    out = []
-    for g in plan:
-        block = DofBlock(g, (d, idx), verts,
-                         sub=sub if g.kind == "moment" else None,
-                         point=mesh.vertices[verts[0]] if g.kind == "point" else None,
-                         weight=None if g.weight is None else vector(g.weight),
-                         directions=tuple(vector(x) for x in g.directions),
-                         tests=_test_blocks(g.test, domain) if g.kind == "moment" else ())
-        if block.size != g.size:
-            raise RuntimeError(f"{g.label} block on {verts} has {block.size} DoFs; "
-                               f"the plan has {g.size}")
-        out.append(block)
-    return out
-
-
-def cell_blocks(el, mesh, ci, cache=None):
-    """The realised blocks of a cell in local DoF order.  ``cache`` maps
-    (d, idx) to an entity's blocks; pass one dict to share them."""
-    cache = {} if cache is None else cache
-    entities = [(d, int(idx)) for d in range(el.n) for idx in mesh.cell_entities[d][ci]]
-    out = []
-    for key in entities + [(el.n, int(ci))]:
-        if key not in cache:
-            cache[key] = entity_dofs(el, mesh, *key)
-        out.extend(cache[key])
-    return out
-
-
-def block_rows(blocks, cell, cell_verts, k, p):
-    """Rows of DoF blocks stacked over the cell's degree-p k-form coefficients."""
-    maps = {}
-    return np.vstack([b.rows(cell, cell_verts, k, p, maps) for b in blocks])
+    for d in range(n + 1):
+        for j, vmap in enumerate(combinations(range(n + 1), d + 1)):
+            ents = mesh.cell_entities[d][cells, j] if d < n else cells
+            for g in dof_plan(el, d):
+                k, q, steps = el.k, p, []
+                if g.weight is not None:
+                    steps.append(step("proxy", g.weight, k, q))
+                    k = 0
+                for direction in g.directions:
+                    steps.append(step("derivative", direction, k, q))
+                    q -= 1
+                if g.kind == "point":
+                    rows = eval_row(inverse, mesh.vertices[mesh.cells[cells, j]], q)[:, None, :]
+                else:
+                    rows = _moments(mesh, d, g, ents, k, q, memo)
+                if g.kind == "moment" and d < n:
+                    steps.append(step("trace", None, k, q))
+                for step_map in reversed(steps):
+                    rows = (rows[..., None, :] @ step_map[..., None, :, :])[..., 0, :]
+                out.append(np.broadcast_to(rows, (len(cells),) + rows.shape[-2:]))
+    return np.concatenate(out, axis=1)
 
 
 def _single_cell_mesh(simplex_vertices):
@@ -443,24 +392,25 @@ def _single_cell_mesh(simplex_vertices):
     return SimplicialMesh(verts, [tuple(range(len(verts)))])
 
 
-def shape_coeffs(el, cell):
-    """Coefficient columns of the shape basis ``shape_basis(el, cell)``.
+def shape_coeffs(el, grads):
+    """Coefficient columns of the shape basis on the simplices with
+    barycentric gradients ``grads`` (..., n+1, n).
 
-    The full Bernstein basis is the monomial basis scaled by multinomials, the
-    same matrix on every cell; the trimmed basis comes from ``trimmed_coeffs``.
+    The full Bernstein basis is the monomial basis scaled by multinomials,
+    one matrix for every cell; the trimmed basis comes from
+    ``trimmed_coeffs``, one matrix per cell, stacked.
     """
-    if el.r == "minus":
-        return trimmed_coeffs(cell, el.p, el.k)[0]
-    return np.kron(np.eye(math.comb(el.n, el.k)), np.diag(multinomials(el.n + 1, el.p)))
+    if el.r != "minus":
+        return _bernstein_block(el.n, el.k, el.p, el.p)
+    stack = [trimmed_coeffs(g, el.p, el.k)[0] for g in grads.reshape((-1,) + grads.shape[-2:])]
+    return np.reshape(stack, grads.shape[:-2] + stack[0].shape)
 
 
 def dof_matrix(el, simplex_vertices):
     """Square DoF-by-shape matrix on one simplex: DoF rows times shape coefficients."""
     mesh = _single_cell_mesh(simplex_vertices)
-    cell = mesh.cell_simplex(0)
-    cverts = tuple(range(el.n + 1))
-    M = block_rows(cell_blocks(el, mesh, 0), cell, cverts, el.k, el.p) @ shape_coeffs(el, cell)
-    return M, cell_dofs(el, mesh, 0), shape_basis(el, cell)
+    M = block_rows(el, mesh, [0], el.p)[0] @ shape_coeffs(el, mesh.bary_grads[0])
+    return M, cell_dofs(el, mesh, 0), shape_basis(el, mesh.cell_simplex(0))
 
 
 def unisolvence_check(el, simplex_vertices, tol=UNISOLVENCE_TOL):
@@ -494,18 +444,31 @@ def unisolvence_check(el, simplex_vertices, tol=UNISOLVENCE_TOL):
 
 
 def dual_basis(el, simplex_vertices):
-    """Basis dual to the DoFs (Kronecker property), grouped by DoF class."""
+    """Basis dual to the DoFs (Kronecker property), grouped by DoF class.
+
+    Dual j is the sum over shape functions m of C[m, j] times shape function
+    m at its native degree, accumulated in the order of m, one coefficient
+    array per degree.
+    """
     M, dofs, basis = dof_matrix(el, simplex_vertices)
     if len(dofs) != len(basis):
         raise ValueError("DoF count does not match shape dimension")
     C = np.linalg.inv(M)
+    simplex = basis[0].simplex
+    sums = {}
+    for m, b in enumerate(basis):
+        q = b.max_degree()
+        vec = coeffs(b, q)
+        acc = sums.setdefault(q, np.zeros((len(vec), len(dofs))))
+        nz = np.flatnonzero(vec)
+        acc[nz] += vec[nz, None] * C[m]
     duals = []
     for j in range(len(dofs)):
-        f = FormPolynomial(basis[0].simplex, el.k)
-        for m, b in enumerate(basis):
-            if C[m, j] != 0.0:
-                f = f + b.as_float().scale(C[m, j])
-        duals.append(f)
+        comps = {}
+        for q, acc in sums.items():
+            for key, poly in form_from_coeffs(simplex, el.k, q, acc[:, j]).comps.items():
+                comps.setdefault(key, {}).update(poly)
+        duals.append(FormPolynomial(simplex, el.k, comps))
     resid = np.abs(M @ C - np.eye(len(dofs))).max()
     if resid > KRONECKER_TOL:
         raise RuntimeError(f"dual basis residual {resid:.2e} exceeds tolerance")
@@ -550,11 +513,10 @@ def zero_trace_dim(mesh, p, k):
     On the single cell of ``mesh``, the trace onto every boundary facet must
     vanish.  Returns (dimension, nullspace basis as coefficient columns).
     """
-    cell = mesh.cell_simplex(0)
     n = mesh.dim
     cverts = tuple(int(v) for v in mesh.cells[0])
-    A = np.vstack([restriction_matrix(cell, mesh.sub_simplex(n - 1, fi),
-                                      [cverts.index(v) for v in everts], k, p)
+    A = np.vstack([trace_matrix(n, [cverts.index(v) for v in everts], k, p,
+                                mesh.frame(n - 1, fi).tangents)
                    for fi, everts in enumerate(mesh.skeleton[n - 1])])
     ns = nullspace(A)
     return ns.shape[1], ns
@@ -639,7 +601,7 @@ def _edge_value_bubble_dim(degree, vanish_order, zero_mean=False):
     if degree < 0:
         return 0
     edge = Simplex([[0.0], [1.0]])
-    rows = [jet_rows(edge, x, degree, order)
+    rows = [jet_rows(edge.bary_inverse, x, degree, order)
             for x in (np.array([0.0]), np.array([1.0]))
             for order in range(vanish_order + 1)]
     if zero_mean:
@@ -701,15 +663,14 @@ def _scalar_face_bubble_dim(tri_mesh, p, vertex_order, edge_normal):
     """Scalar bubbles on a triangle with vertex-jet and edge-trace conditions."""
     if p < 0:
         return 0
-    cell = tri_mesh.cell_simplex(0)
+    inverse, grads = tri_mesh.bary_inverse[0], tri_mesh.bary_grads[0]
     cverts = tuple(int(v) for v in tri_mesh.cells[0])
-    rows = [jet_rows(cell, tri_mesh.vertices[v], p, order)
+    rows = [jet_rows(inverse, tri_mesh.vertices[v], p, order)
             for v in cverts for order in range(vertex_order + 1)]
     for ei, everts in enumerate(tri_mesh.skeleton[1]):
-        sub = tri_mesh.sub_simplex(1, ei)
         vmap = [cverts.index(v) for v in everts]
-        rows.append(restriction_matrix(cell, sub, vmap, 0, p))
+        rows.append(trace_matrix(2, vmap, 0, p))
         if edge_normal:
-            normal = derivative_matrix(cell, tri_mesh.frame(1, ei).normals[0], 0, p)
-            rows.append(restriction_matrix(cell, sub, vmap, 0, p - 1) @ normal)
+            normal = derivative_matrix(grads, tri_mesh.frame(1, ei).normals[0], 0, p)
+            rows.append(trace_matrix(2, vmap, 0, p - 1) @ normal)
     return nullspace(np.vstack(rows)).shape[1]

@@ -171,14 +171,14 @@ class Simplex:
         return cls(intrinsic, chart_origin=origin, chart_tangents=tan)
 
     @cached_property
-    def _bary_inverse(self):
+    def bary_inverse(self):
         """Inverse of [1 | vertices]: column j holds (a_j, g_j) of
         lambda_j(x) = a_j + g_j . x."""
         return _frozen(np.linalg.inv(np.hstack([np.ones((self.dim + 1, 1)), self.vertices])))
 
     @cached_property
     def _bary_affine(self):
-        """The affine data of _bary_inverse, solved exactly (Fractions)."""
+        """The affine data of bary_inverse, solved exactly (Fractions)."""
         rows = [[Fraction(1)] + [Fraction(float(x)) for x in row] for row in self.vertices]
         inv = _fraction_matrix_inverse(rows)
         return [(inv[0][j], tuple(inv[i + 1][j] for i in range(self.dim)))
@@ -192,7 +192,7 @@ class Simplex:
     def barycentric(self, points):
         """Barycentric coordinates of intrinsic points, shape (..., m+1)."""
         pts = np.atleast_2d(np.asarray(points, float))
-        return self._bary_inverse[0] + pts @ self._bary_inverse[1:]
+        return self.bary_inverse[0] + pts @ self.bary_inverse[1:]
 
     def grad_bary(self, j):
         """Exact gradient of lambda_j in intrinsic coordinates (Fractions)."""
@@ -200,7 +200,7 @@ class Simplex:
 
     def grad_bary_float(self):
         """Float gradients of every lambda_j, one row each: shape (m+1, m)."""
-        return self._bary_inverse[1:].T
+        return self.bary_inverse[1:].T
 
     def integrate_monomial(self, alpha):
         """Exact integral of lambda^alpha over the simplex (Fraction * measure)."""
@@ -580,7 +580,9 @@ def _coefficient_matrix(forms, p):
 # coefficients, key-major: entry key_pos * N + alpha_pos with keys
 # combinations(range(m), k), alphas monomials(m + 1, p), N = len(alphas).
 # The Bernstein basis of full_basis is this basis scaled by multinomials.
-# DoF rows and operators are products of the maps below.
+# DoF rows and operators are products of the maps below.  The geometric
+# maps take the float barycentric data of one simplex or of a stack of
+# simplices (leading axes), and return one matrix or a stack.
 # ---------------------------------------------------------------------------
 
 _FACT = np.array([float(math.factorial(i)) for i in range(171)])
@@ -670,63 +672,70 @@ def _lowering(nvars, p):
     return _frozen(np.array(entries, dtype=int).reshape(-1, 4).T)
 
 
-def _partial(simplex, slopes, p):
-    """Scalar derivative, degree p to p - 1, given slopes[j] = d(lambda_j)."""
-    m = simplex.dim
-    rows, cols, j, a = _lowering(m + 1, p)
-    D = np.zeros((math.comb(p - 1 + m, m), math.comb(p + m, m)))
-    D[rows, cols] = a * slopes[j]
+def _partial(slopes, p):
+    """Scalar derivative, degree p to p - 1, given slopes[..., j] = d(lambda_j)."""
+    nvars = slopes.shape[-1]
+    rows, cols, j, a = _lowering(nvars, p)
+    D = np.zeros(slopes.shape[:-1] + (math.comb(p + nvars - 2, nvars - 1),
+                                      math.comb(p + nvars - 1, nvars - 1)))
+    D[..., rows, cols] = a * slopes[..., j]
     return D
 
 
-def derivative_matrix(simplex, direction, k, p):
-    """Directional derivative of each component: degree p to degree p-1."""
-    slopes = simplex.grad_bary_float() @ np.asarray(direction, float)
-    return np.kron(np.eye(math.comb(simplex.dim, k)), _partial(simplex, slopes, p))
+def derivative_matrix(grads, direction, k, p):
+    """Directional derivative of each component: degree p to degree p-1.
+
+    ``grads`` (..., m+1, m) are the barycentric gradients of one simplex or
+    a stack; ``direction`` (..., m) is one vector or one per simplex.
+    """
+    D = _partial((grads @ np.asarray(direction, float)[..., None])[..., 0], p)
+    nk = math.comb(grads.shape[-1], k)
+    return np.kron(np.eye(nk).reshape((1,) * (D.ndim - 2) + (nk, nk)), D)
 
 
-def exterior_derivative_matrix(simplex, k, p, q):
-    """d from degree-p k-forms to degree-q (k+1)-forms, q >= p - 1.
+def exterior_derivative_matrix(grads, k, p, q):
+    """d from degree-p k-forms to degree-q (k+1)-forms, q >= p - 1, on the
+    simplex or stack of simplices with barycentric gradients ``grads``.
 
     The signs are those of FormPolynomial.exterior_derivative:
     d(u dy_K) = sum over axes a of (du/dy_a) dy_a ^ dy_K.
     """
-    m = simplex.dim
+    m = grads.shape[-1]
     if k >= m:
         raise ValueError("exterior derivative of a top-degree form")
-    grads = simplex.grad_bary_float()
     lift = elevation(m + 1, p - 1, q)
     src = list(combinations(range(m), k))
     dst = {key: i for i, key in enumerate(combinations(range(m), k + 1))}
     ns, nd = math.comb(p + m, m), math.comb(q + m, m)
-    out = np.zeros((len(dst) * nd, len(src) * ns))
+    out = np.zeros(grads.shape[:-2] + (len(dst) * nd, len(src) * ns))
     for axis in range(m):
-        block = lift @ _partial(simplex, grads[:, axis], p)
+        block = lift @ _partial(grads[..., axis], p)
         for i, key in enumerate(src):
             if axis not in key:
                 j = dst[tuple(sorted(key + (axis,)))]
                 sign = -1.0 if sum(x < axis for x in key) % 2 else 1.0
-                out[j * nd:(j + 1) * nd, i * ns:(i + 1) * ns] = sign * block
+                out[..., j * nd:(j + 1) * nd, i * ns:(i + 1) * ns] = sign * block
     return out
 
 
 def proxy_matrix(m, k, w, p):
     """Contraction of the vector proxy with w: k-form to 0-form coefficients.
 
-    The per-key factors are those of FormPolynomial.proxy_contract.
+    ``w`` (..., m) is one vector or a stack.  The per-key factors are those
+    of FormPolynomial.proxy_contract.
     """
     w = np.asarray(w, float)
     keys = list(combinations(range(m), k))
     if k == 1:
-        factors = [w[key[0]] for key in keys]
+        factors = [w[..., key[0]] for key in keys]
     elif k == m - 1 and m >= 2:
         missing = [next(i for i in range(m) if i not in key) for key in keys]
-        factors = [w[i] * (-1) ** i for i in missing]
+        factors = [w[..., i] * (-1) ** i for i in missing]
     elif k in (0, m):
-        factors = [w[0]] * len(keys)
+        factors = [w[..., 0]] * len(keys)
     else:
         raise ValueError("no vector proxy for this form degree")
-    return np.kron(np.array(factors)[None, :], np.eye(math.comb(p + m, m)))
+    return np.kron(np.stack(factors, axis=-1)[..., None, :], np.eye(math.comb(p + m, m)))
 
 
 @lru_cache(maxsize=None)
@@ -739,47 +748,56 @@ def _trace_columns(nvars, vertex_map, p):
     return _frozen(np.array([index[tuple(a)] for a in lifted], dtype=int))
 
 
-def restriction_matrix(parent, child, vertex_map, k, p):
-    """Trace onto a subsimplex (FormPolynomial.restrict on coefficients)."""
-    m, d = parent.dim, child.dim
-    tan = child.chart_tangents
-    if parent.chart_tangents is not None:
-        tan = tan @ parent.chart_tangents.T
-    ckeys = list(combinations(range(d), k))
-    pkeys = list(combinations(range(m), k))
+def trace_matrix(m, vertex_map, k, p, tangents=None):
+    """Trace of degree-p k-forms of an m-simplex onto a subsimplex
+    (FormPolynomial.restrict on coefficients).
+
+    ``vertex_map[i]`` is the parent vertex of the child's i-th vertex.  The
+    child chart's tangents (..., d, m), one chart or a stack, give the k x k
+    minors of the form pullback (k > 0 only).  The trace is one scatter of
+    the minors into the columns that the vertex map fixes.
+    """
+    d = len(vertex_map) - 1
+    ckeys = np.array(list(combinations(range(d), k)), dtype=int).reshape(math.comb(d, k), k)
+    pkeys = np.array(list(combinations(range(m), k)), dtype=int).reshape(math.comb(m, k), k)
     if k:
-        dets = np.linalg.det(np.array([[tan[np.ix_(ckey, pkey)] for pkey in pkeys]
-                                       for ckey in ckeys]))
+        dets = np.linalg.det(np.asarray(tangents, float)[..., ckeys[:, None, :, None],
+                                                         pkeys[None, :, None, :]])
     else:
         dets = np.ones((1, 1))
     cols = _trace_columns(m + 1, tuple(vertex_map), p)
     nc, nm = len(cols), math.comb(p + m, m)
-    R = np.zeros((len(ckeys) * nc, len(pkeys) * nm))
-    rows = np.arange(nc)
-    for i in range(len(ckeys)):
-        for j in range(len(pkeys)):
-            R[i * nc + rows, j * nm + cols] = dets[i, j]
+    R = np.zeros(dets.shape[:-2] + (len(ckeys) * nc, len(pkeys) * nm))
+    rows = np.arange(len(ckeys))[:, None, None] * nc + np.arange(nc)[None, None, :]
+    cols = np.arange(len(pkeys))[None, :, None] * nm + cols[None, None, :]
+    R[..., rows, cols] = dets[..., None]
     return R
 
 
-def eval_row(simplex, point, p):
-    """Values of every degree-p monomial at one intrinsic point."""
-    lam = simplex.barycentric(np.asarray(point, float)[None, :])[0]
-    return np.prod(lam ** exponent_array(simplex.dim + 1, p), axis=1)
+def eval_row(inverse, point, p):
+    """Values of every degree-p monomial at one intrinsic point.
+
+    ``inverse`` (..., m+1, m+1) is ``Simplex.bary_inverse`` of one simplex
+    or a stack, ``point`` (..., m) one point or one per simplex.
+    """
+    point = np.asarray(point, float)
+    lam = inverse[..., 0, :] + (point[..., None, :] @ inverse[..., 1:, :])[..., 0, :]
+    return np.prod(lam[..., None, :] ** exponent_array(lam.shape[-1], p), axis=-1)
 
 
-def jet_rows(simplex, point, p, order):
+def jet_rows(inverse, point, p, order):
     """Rows of every axis derivative of the given order at one intrinsic point.
 
     One row per axis multi-index i1 <= ... <= i_order (order 0: the value),
-    over degree-p scalar coefficients.
+    over degree-p scalar coefficients, on the simplex whose
+    ``Simplex.bary_inverse`` is ``inverse``.
     """
-    axes = np.eye(simplex.dim)
+    axes = np.eye(len(inverse) - 1)
     rows = []
-    for multi in combinations_with_replacement(range(simplex.dim), order):
-        row = eval_row(simplex, point, p - order)
+    for multi in combinations_with_replacement(range(len(axes)), order):
+        row = eval_row(inverse, point, p - order)
         for j, axis in enumerate(multi):
-            row = row @ derivative_matrix(simplex, axes[axis], 0, p - order + 1 + j)
+            row = row @ derivative_matrix(inverse[1:].T, axes[axis], 0, p - order + 1 + j)
         rows.append(row)
     return np.array(rows)
 
@@ -884,8 +902,9 @@ def bernstein_tests(m, k, p):
     return [(k, p, row) for row in np.diag(np.tile(multinomials(m + 1, p), math.comb(m, k)))]
 
 
-def trimmed_coeffs(simplex, p, k):
-    """Basis of the trimmed space P-_p Lambda^k on one simplex, as coefficients.
+def trimmed_coeffs(grads, p, k):
+    """Basis of the trimmed space P-_p Lambda^k on the simplex with
+    barycentric gradients ``grads`` (m+1, m), as coefficients.
 
     For 0 < k < m the degree-(p-1) Bernstein k-forms come first.  The
     complement lambda^beta phi_tau is projected off them and orthonormalised;
@@ -898,7 +917,7 @@ def trimmed_coeffs(simplex, p, k):
     q (p - 1 for a P_{p-1} form, p for a complement form), as the test forms
     of ``moment_rows``.
     """
-    m = simplex.dim
+    m = grads.shape[1]
     if p < 1:
         return np.zeros((dim_full(m, p, k), 0)), []
     if k in (0, m):
@@ -906,7 +925,7 @@ def trimmed_coeffs(simplex, p, k):
         return _bernstein_block(m, k, q, p), bernstein_tests(m, k, q)
     (rows, cols, minor, sign), ncols = _whitney_pattern(m, p, k)
     raw = np.zeros((math.comb(m, k) * math.comb(p + m, m), ncols))
-    raw[rows, cols] = sign * _minors(simplex.grad_bary_float(), k).ravel()[minor]
+    raw[rows, cols] = sign * _minors(grads, k).ravel()[minor]
     lower_q = _lower_orthonormal(m, p, k)
     Q, R = np.linalg.qr(raw - lower_q @ (lower_q.T @ raw))
     if np.abs(np.diag(R)).min() <= RANK_RTOL * np.linalg.norm(raw, axis=0).max():
@@ -918,7 +937,8 @@ def trimmed_coeffs(simplex, p, k):
 
 def trimmed_basis(simplex, p, k):
     """The basis of ``trimmed_coeffs`` as forms of their native degree."""
-    return [form_from_coeffs(simplex, *test) for test in trimmed_coeffs(simplex, p, k)[1]]
+    return [form_from_coeffs(simplex, *test)
+            for test in trimmed_coeffs(simplex.grad_bary_float(), p, k)[1]]
 
 
 class SpaceBasis:

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
 
-from .forms import Simplex, nonzero_volume
+from .forms import Simplex, _frozen, nonzero_volume
 
 COLLINEAR_TOL = 1e-12
 
@@ -194,6 +195,18 @@ class SimplicialMesh:
         return other
 
     # -- geometry for elements ---------------------------------------------------
+    @cached_property
+    def bary_inverse(self):
+        """``Simplex.bary_inverse`` of every cell, one stacked inverse:
+        shape (cells, dim + 1, dim + 1)."""
+        pts = self.vertices[self.cells]
+        return _frozen(np.linalg.inv(np.concatenate([np.ones(pts.shape[:2] + (1,)), pts], axis=2)))
+
+    @property
+    def bary_grads(self):
+        """Every cell's float barycentric gradients: (cells, dim + 1, dim)."""
+        return self.bary_inverse[:, 1:].swapaxes(1, 2)
+
     def cell_simplex(self, ci):
         key = (self.dim, int(ci), "cell")
         if key not in self._sub_cache:

@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
+from scipy.spatial import Delaunay
 
 from derham.forms import Simplex
-from derham.mesh import (annulus_mesh, interval_mesh, reference_tet,
+from derham.mesh import (SimplicialMesh, annulus_mesh, interval_mesh, reference_tet,
                          reference_triangle, split_edge_square,
                          three_tet_fan, three_triangle_mesh,
                          two_tet_mesh, two_triangle_square)
@@ -23,6 +25,16 @@ def random_simplex(n, rng, min_volume=0.08):
             continue
         if abs(float(s.measure)) > min_volume:
             return verts
+
+
+def delaunay_tets(seed, points=9):
+    """A seeded random Delaunay tetrahedrisation of the unit cube's points."""
+    pts = np.random.default_rng(seed).random((points, 3))
+    tri = Delaunay(pts)
+    used = np.unique(tri.simplices)
+    remap = np.full(points, -1)
+    remap[used] = np.arange(len(used))
+    return SimplicialMesh(pts[used], remap[tri.simplices].tolist())
 
 
 @pytest.fixture(scope="session")

@@ -1,20 +1,88 @@
 """Reference DoF values, operators and trimmed spans on FormPolynomial algebra.
 
-Each DoF functional is evaluated term by term (proxy contraction, directional
-derivatives, restrict, wedge, integrate) in the exact arithmetic of
-``derham.forms``; the program computes the same numbers as float row
-products.  The trimmed spaces are spanned by the exact Koszul contraction of
-Fraction forms; the program builds them as float coefficient columns.  Tests
-compare the two.
+The DoF plan is realised here one entity at a time (its vertex, chart,
+frame vectors and test forms), and each DoF functional is evaluated term by
+term (proxy contraction, directional derivatives, restrict, wedge,
+integrate) in the exact arithmetic of ``derham.forms``; the program computes
+the same numbers as float row products stacked over cells.  The trimmed
+spaces are spanned by the exact Koszul contraction of Fraction forms; the
+program builds them as float coefficient columns.  Tests compare the two.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
-from derham.elements import entity_dofs, shape_basis
-from derham.forms import FormPolynomial, form_from_coeffs, full_basis, poly_mul
+from derham.elements import DofGroup, _test_blocks, dof_plan, shape_basis
+from derham.forms import (FormPolynomial, Simplex, form_from_coeffs, full_basis, monomials,
+                          poly_mul)
+
+
+@dataclass
+class Block:
+    """A plan group realised on one entity (the cell for interior groups).
+
+    ``point`` is the vertex of a point group; ``sub`` is the chart of a
+    moment group's proper subsimplex (None on the cell); ``tests`` the
+    (form degree, q, rows) blocks of its test forms.
+    """
+    group: DofGroup
+    entity: tuple                  # (d, idx); idx is the cell for d == n
+    verts: tuple
+    sub: Simplex = None
+    point: np.ndarray = None
+    weight: np.ndarray = None
+    directions: tuple = ()
+    tests: tuple = ()
+
+    @property
+    def size(self):
+        return 1 if self.point is not None else sum(len(t[2]) for t in self.tests)
+
+
+def entity_blocks(el, mesh, d, idx):
+    """The plan of d-simplex ``idx`` (of cell ``idx`` for d == n) realised on
+    its geometry, one ``Block`` per group."""
+    n = el.n
+    verts = tuple(int(v) for v in mesh.cells[idx]) if d == n else mesh.skeleton[d][idx]
+    sub = mesh.sub_simplex(d, idx) if 0 < d < n else None
+    domain = mesh.cell_simplex(idx) if d == n else sub
+
+    def vector(spec):
+        return np.eye(n)[spec] if isinstance(spec, int) else mesh.frame(d, idx).normals[spec[1]]
+
+    out = []
+    for g in dof_plan(el, d):
+        moment = g.kind == "moment"
+        out.append(Block(g, (d, idx), verts, sub=sub if moment else None,
+                         point=None if moment else mesh.vertices[verts[0]],
+                         weight=None if g.weight is None else vector(g.weight),
+                         directions=tuple(vector(x) for x in g.directions),
+                         tests=_test_blocks(g.test, domain.grad_bary_float()) if moment else ()))
+        assert out[-1].size == g.size, (g.label, verts)
+    return out
+
+
+def cell_blocks(el, mesh, ci, cache=None):
+    """The realised blocks of a cell in local DoF order.  ``cache`` maps
+    (d, idx) to an entity's blocks; pass one dict to share them."""
+    cache = {} if cache is None else cache
+    keys = [(d, int(idx)) for d in range(el.n) for idx in mesh.cell_entities[d][ci]]
+    out = []
+    for key in keys + [(el.n, int(ci))]:
+        if key not in cache:
+            cache[key] = entity_blocks(el, mesh, *key)
+        out.extend(cache[key])
+    return out
+
+
+def random_form(cell, k, degree, rng):
+    """A k-form on the cell with a random coefficient on every monomial."""
+    keys = combinations(range(cell.dim), k)
+    return FormPolynomial(cell, k, {key: {a: rng.normal() for a in monomials(cell.dim + 1, degree)}
+                                    for key in keys})
 
 
 def scalar_moment(f, dom, q):
@@ -43,10 +111,9 @@ def reference_values(block, u, cell_verts):
             for tk, q, rows in block.tests for vec in rows]
 
 
-def reference_dof_values(space, ci, u):
-    """Values of the cell's local DoFs on ``u``, term by term."""
-    cverts = tuple(int(v) for v in space.mesh.cells[ci])
-    return [x for b in space.cell_blocks(ci) for x in reference_values(b, u, cverts)]
+def reference_dof_values(blocks, cell_verts, u):
+    """Values of a cell's local DoFs (its realised blocks) on ``u``, term by term."""
+    return [x for b in blocks for x in reference_values(b, u, cell_verts)]
 
 
 def reference_operator(src, dst, fmap):
@@ -58,10 +125,14 @@ def reference_operator(src, dst, fmap):
     """
     D = np.zeros((dst.dim, src.dim))
     filled = np.zeros(D.shape, dtype=bool)
-    for ci in range(len(src.mesh.cells)):
-        shapes = shape_basis(src.el, src.mesh.cell_simplex(ci))
-        M = np.array([reference_dof_values(src, ci, b) for b in shapes]).T
-        A = np.array([reference_dof_values(dst, ci, fmap(b.as_float())) for b in shapes]).T
+    mesh = src.mesh
+    for ci in range(len(mesh.cells)):
+        cverts = tuple(int(v) for v in mesh.cells[ci])
+        src_blocks, dst_blocks = (cell_blocks(s.el, mesh, ci) for s in (src, dst))
+        shapes = shape_basis(src.el, mesh.cell_simplex(ci))
+        M = np.array([reference_dof_values(src_blocks, cverts, b) for b in shapes]).T
+        A = np.array([reference_dof_values(dst_blocks, cverts, fmap(b.as_float()))
+                      for b in shapes]).T
         Dloc = A @ np.linalg.inv(M)
         rows, cols = dst.cell_global[ci], src.cell_global[ci]
         block = ~filled[np.ix_(rows, cols)]
@@ -87,9 +158,9 @@ def reference_numbering(el, mesh):
             for everts in combinations(cverts, d + 1):
                 idx = mesh.simplex_id(everts)
                 if (d, idx) not in shared:
-                    shared[(d, idx)] = entity_dofs(el, mesh, d, idx)
+                    shared[(d, idx)] = entity_blocks(el, mesh, d, idx)
                 blocks += shared[(d, idx)]
-        blocks += entity_dofs(el, mesh, el.n, ci)
+        blocks += entity_blocks(el, mesh, el.n, ci)
         kept.append(blocks)
         cell_global.append(np.array([gid.setdefault((id(b), t), len(gid))
                                      for b in blocks for t in range(b.size)], dtype=int))

@@ -12,7 +12,8 @@ from derham.assembly import (DROP_RTOL, RANK_RTOL, BrokenSpace, OperatorMatrix,
                              verify_exactness, verify_row, complex_residual,
                              verify_decomposition)
 from derham.elements import element_def, p_min
-from derham.mesh import cube_center_fan_grid, triangle_grid
+from derham.forms import Simplex
+from derham.mesh import SimplicialMesh, cube_center_fan_grid, triangle_grid
 
 
 # -- assembled dimensions vs closed forms ----------------------------------------
@@ -164,6 +165,20 @@ def test_overstated_rank_is_counted():
     ranks, margins = prove_ranks([Dz, D1])
     assert not margins[0]["proved"]
     assert ranks[0] == rank_of(Dz.array) == D0.shape[1] - 2
+
+
+def test_verdict_builds_no_per_cell_geometry(monkeypatch):
+    # the cells' barycentric data come from one stacked inverse; no Simplex
+    # is built for a cell (nor for an edge: a 2D trace needs only its frame)
+    mesh = triangle_grid(8)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-cell geometry built on the verdict path")
+    monkeypatch.setattr(SimplicialMesh, "cell_simplex", refuse)
+    monkeypatch.setattr(Simplex, "__init__", refuse)
+    rep = verify_exactness(mesh, 0, 2)
+    assert rep.passed and rep.dims == [289, 416, 128] and rep.ranks == [288, 128]
+    assert rep.dd_residuals == [1.0146536357569526e-17]
 
 
 def test_verify_row_needs_no_dense_operator(monkeypatch):

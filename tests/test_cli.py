@@ -189,8 +189,8 @@ count_T,192
 
 def test_compare_realises_no_dof(monkeypatch, capsys):
     # the numbering reads the plan's block sizes: no subsimplex chart, frame,
-    # trimmed test basis or DoF block is built
-    from derham import elements, forms
+    # trimmed test basis or DoF row is built
+    from derham import assembly, elements, forms
     from derham.mesh import SimplicialMesh
 
     def refuse(*args, **kwargs):
@@ -199,7 +199,8 @@ def test_compare_realises_no_dof(monkeypatch, capsys):
     monkeypatch.setattr(SimplicialMesh, "frame", refuse)
     monkeypatch.setattr(forms, "trimmed_coeffs", refuse)
     monkeypatch.setattr(elements, "trimmed_coeffs", refuse)
-    monkeypatch.setattr(elements, "entity_dofs", refuse)
+    monkeypatch.setattr(elements, "block_rows", refuse)
+    monkeypatch.setattr(assembly, "block_rows", refuse)
     assert main(["compare", "--p", "4", "--grid", "2,2,2"]) == 0
     assert capsys.readouterr().out == COMPARE_P4_GRID2
 
@@ -230,6 +231,34 @@ def test_oversized_local_matrix_exits_2_before_allocating(tmp_path, capsys, argv
     assert "MiB limit" in err
     # the p=40 DoF matrices would take 1.1 to 10 GiB
     assert peak < 2 ** 22 and elapsed < 2.0
+
+
+def test_dense_rank_over_the_limit_exits_2(tmp_path, capsys, monkeypatch):
+    # zero a column of D0 whose DoF the constants do not use: the proof
+    # fails, and the dense count it falls back to is refused over the limit
+    import numpy as np
+    from derham import assembly
+    from derham.mesh import triangle_grid
+    path = tmp_path / "grid.json"
+    triangle_grid(4).save(path)
+    argv = ["verify", "--mesh", str(path), "--row", "1", "--p", "1"]
+    assemble_d = assembly.assemble_d
+
+    def zeroed(src, dst, **kwargs):
+        D = assemble_d(src, dst, **kwargs)
+        if src.el.k:
+            return D
+        keep = D.cols != np.flatnonzero(src.constant_coefficients() == 0.0)[0]
+        return assembly.OperatorMatrix(src, dst, D.rows[keep], D.cols[keep], D.vals[keep])
+    monkeypatch.setattr(assembly, "assemble_d", zeroed)
+    assert main(argv) == 1          # counted densely: one rank too many
+    assert "harmonic dimensions [2, 1, 0]" in capsys.readouterr().err
+    monkeypatch.setattr(assembly, "MAX_DENSE_BYTES", 2 ** 16)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: the rank of operator 0 (")
+    assert "could not be proved" in captured.err and "MiB limit" in captured.err
 
 
 def test_export_dual_basis(capsys):

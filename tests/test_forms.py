@@ -210,7 +210,7 @@ def test_trimmed_coeffs_match_exact_koszul_span(name):
     for k in range(1, m):
         for p in range(1, 6):
             exact = _coefficient_matrix(reference_trimmed(simplex, p, k), p)
-            cols, tests = trimmed_coeffs(simplex, p, k)
+            cols, tests = trimmed_coeffs(simplex.grad_bary_float(), p, k)
             target = dim_trimmed(m, p, k)
             assert cols.shape[1] == len(tests) == target == rank_of(exact)
             assert rank_of(np.hstack([exact, cols])) == target, (k, p)

@@ -4,23 +4,13 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.spatial import Delaunay
 
+from conftest import delaunay_tets
 from dof_reference import reference_numbering
 from derham import elements
 from derham.assembly import GlobalSpace
-from derham.elements import _P_MIN, element_def, entity_dofs, p_min
+from derham.elements import _P_MIN, block_rows, element_def, p_min
 from derham.mesh import SimplicialMesh, three_tet_fan, triangle_grid
-
-
-def _delaunay_tets(seed, points=9):
-    """A seeded random Delaunay tetrahedrisation of the unit cube's points."""
-    pts = np.random.default_rng(seed).random((points, 3))
-    tri = Delaunay(pts)
-    used = np.unique(tri.simplices)
-    remap = np.full(points, -1)
-    remap[used] = np.arange(len(used))
-    return SimplicialMesh(pts[used], remap[tri.simplices].tolist())
 
 
 def _moved_grid(seed, n=4):
@@ -35,7 +25,7 @@ def _moved_grid(seed, n=4):
 
 EXTRA = {
     "tet3-rotated": lambda: three_tet_fan().with_rotated_edge_normals(11),
-    "delaunay": lambda: _delaunay_tets(501),
+    "delaunay": lambda: delaunay_tets(501),
     "moved-grid": lambda: _moved_grid(501),
 }
 
@@ -72,4 +62,4 @@ def test_realisation_checks_the_plan_size(meshes, monkeypatch):
                      for g in plan(el, d))
     monkeypatch.setattr(elements, "dof_plan", overstated)
     with pytest.raises(RuntimeError, match="the plan has"):
-        entity_dofs(el, meshes["tet"], 2, 0)
+        block_rows(el, meshes["tet"], [0], el.p)
