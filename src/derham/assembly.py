@@ -6,9 +6,10 @@ Everything local is a float matrix product stacked over cells: a space's
 DoFs are rows over the cells' barycentric coefficients, its local DoF
 matrices are those rows times the shape coefficients, and a local operator
 is ``rows @ fmap(grads) @ fields``, the target rows times the map as a
-stack of coefficient matrices times the source dual bases.  No
-FormPolynomial and no per-cell Simplex is built on this path.  The scatter
-compares entries that two cells reach, all at once.
+stack of coefficient matrices times the source dual bases.  Geometry is
+float throughout: the cells' barycentric data come from one stacked
+inverse, and measures from float edge vectors.  The scatter compares
+entries that two cells reach, all at once.
 Assembly itself is deterministic and single-threaded; assembled spaces and
 operator matrices are immutable afterwards and safe to share.  Operators
 are COO triplets; a dense view is built only when a caller asks for it.
@@ -27,12 +28,11 @@ from itertools import combinations
 
 import numpy as np
 
-from .elements import (block_rows, cell_dofs, dof_plan, element_def, p_min,
-                       shape_coeffs, tangential_bubble_span, zero_trace_dim)
-from .forms import (RANK_RTOL, _coefficient_matrix, coeffs, elevation, eval_row,
-                    exterior_derivative_matrix, moment_gram, monomials,
-                    multinomials, nullspace, rank_of, trace_matrix)
-from .mesh import SimplicialMesh
+from .elements import (block_rows, cell_dofs, dof_plan, element_def, p_min, shape_coeffs,
+                       single_cell_mesh, tangential_bubble_span, zero_trace_dim)
+from .forms import (RANK_RTOL, elevation, eval_row, exterior_derivative_matrix,
+                    moment_gram, monomials, multinomials, nullspace, rank_of,
+                    trace_matrix)
 
 DD_TOL = 1e-10
 CONTAINMENT_TOL = 1e-8
@@ -89,11 +89,9 @@ class GlobalSpace:
         return self.shapes @ self.duals
 
     # -- one cell's slices ---------------------------------------------------------
-    def dof_rows(self, ci, p=None):
-        """The cell's DoF rows over degree-p coefficients."""
-        if p is None or p == self.el.p:
-            return self.rows[ci]
-        return block_rows(self.el, self.mesh, [ci], p)[0]
+    def dof_rows(self, ci):
+        """The cell's DoF rows over degree-el.p coefficients."""
+        return self.rows[ci]
 
     def local_matrix(self, ci):
         return self.local[ci]
@@ -122,13 +120,6 @@ class GlobalSpace:
             out[gidx[new]] = np.asarray(vals)[new]
             seen[gidx] = True
         return out
-
-    def apply_global_dofs(self, cell_forms):
-        """Evaluate all global DoFs on a function given per cell as a form."""
-        def values(ci, form):
-            p = max(self.el.p, form.max_degree())
-            return self.dof_rows(ci, p) @ coeffs(form, p)
-        return self.gather({ci: values(ci, form) for ci, form in cell_forms.items()})
 
     def constant_coefficients(self):
         """Global DoF vector of the constant function (0-forms only)."""
@@ -692,7 +683,7 @@ def verify_row(mesh, slots, expected_betti=None, check_containment=False):
     if slots[0][2] == 0 and nullities[0] >= 1:
         x = spaces[0].constant_coefficients()
         resid = np.abs(ops[0].dot(x)).max() / max(np.abs(x).max(), 1.0)
-        kernel_const = resid < 1e-8 and nullities[0] == expected_betti[0]
+        kernel_const = bool(resid < 1e-8) and nullities[0] == expected_betti[0]
     alt_dims = sum((-1) ** i * dims[i] for i in range(len(dims)))
     alt_betti = sum((-1) ** i * expected_betti[i] for i in range(len(dims)))
     report = ExactnessReport(
@@ -826,7 +817,7 @@ def homogeneous_constraints(space, classification):
                 rows.append(unit_row(d0))
                 rows.append(unit_row(d1))
             else:
-                tau = _boundary_tangent(mesh, vi)
+                tau = _boundary_directions(mesh, vi)[0]
                 r = np.zeros(space.dim)
                 r[d0], r[d1] = tau[0], tau[1]
                 rows.append(r)
@@ -842,7 +833,7 @@ def homogeneous_constraints(space, classification):
                 rows.append(unit_row(c1))
             else:
                 # normal trace of the flux proxy: B . nu = c1 nu0 - c0 nu1
-                tau = _boundary_tangent(mesh, vi)
+                tau = _boundary_directions(mesh, vi)[0]
                 nu = np.array([tau[1], -tau[0]])
                 r = np.zeros(space.dim)
                 r[c1], r[c0] = nu[0], -nu[1]
@@ -851,9 +842,10 @@ def homogeneous_constraints(space, classification):
         # quotient by constants: zero-mean constraint
         r = np.zeros(space.dim)
         mean = moment_gram(mesh.dim + 1, el.p, 0)[:, 0]
+        pts = mesh.vertices[mesh.cells]
+        measures = np.abs(np.linalg.det(pts[:, 1:] - pts[:, :1])) / math.factorial(mesh.dim)
         for ci in range(len(mesh.cells)):
-            integral = float(mesh.cell_simplex(ci).measure) * mean
-            r[space.cell_global[ci]] += integral @ space.dual_fields(ci)
+            r[space.cell_global[ci]] += measures[ci] * mean @ space.dual_fields(ci)
         rows.append(r)
     elif mesh.dim == 3 and el.r == 2 and el.k == 0:
         for fi in bfaces:
@@ -888,7 +880,7 @@ def homogeneous_constraints(space, classification):
                 for gi in list(first.values()) + list(second.values()):
                     rows.append(unit_row(gi))
             else:
-                t1, t2 = _boundary_tangent_plane(mesh, vi)
+                t1, t2 = np.linalg.svd(np.array(_boundary_directions(mesh, vi)))[2][:2]
                 for t in (t1, t2):
                     r = np.zeros(space.dim)
                     for i in range(3):
@@ -918,12 +910,7 @@ def boundary_derivative_resolution(mesh, vi):
     """
     if mesh.dim != 2:
         raise ValueError("derivative resolution is for 2D boundary vertices")
-    dirs = []
-    for ei in mesh.boundary_simplices(1):
-        everts = mesh.skeleton[1][ei]
-        if vi in everts:
-            d = mesh.vertices[everts[1]] - mesh.vertices[everts[0]]
-            dirs.append(d / np.linalg.norm(d))
+    dirs = _boundary_directions(mesh, vi)
     if len(dirs) < 2:
         raise ValueError("vertex is not a boundary vertex with two edges")
     T = np.column_stack(dirs[:2])
@@ -932,25 +919,15 @@ def boundary_derivative_resolution(mesh, vi):
     return np.linalg.inv(T).T
 
 
-def _boundary_tangent(mesh, vi):
-    for ei in mesh.boundary_simplices(1):
-        everts = mesh.skeleton[1][ei]
-        if vi in everts:
-            d = mesh.vertices[everts[1]] - mesh.vertices[everts[0]]
-            return d / np.linalg.norm(d)
-    raise ValueError("vertex not on the boundary")
-
-
-def _boundary_tangent_plane(mesh, vi):
+def _boundary_directions(mesh, vi):
+    """Unit directions (low vertex to high) of the boundary edges at vertex vi."""
     dirs = []
     for ei in mesh.boundary_simplices(1):
         everts = mesh.skeleton[1][ei]
         if vi in everts:
             d = mesh.vertices[everts[1]] - mesh.vertices[everts[0]]
             dirs.append(d / np.linalg.norm(d))
-    dirs = np.array(dirs)
-    u, s, vt = np.linalg.svd(dirs)
-    return vt[0], vt[1]
+    return dirs
 
 
 def _boundary_plane_normal(mesh, ei):
@@ -1030,13 +1007,12 @@ def verify_decomposition(n, p, mesh):
         target = assemble_space(mesh, 1, p, 1)
         scalar = assemble_space(mesh, 0, p, 0)
         # a single-cell copy has the same barycentric coefficients
-        bubbles = [zero_trace_dim(_single_cell(mesh, ci), p, 1)[1]
-                   for ci in range(len(mesh.cells))]
+        bubbles = [zero_trace_dim(single_cell_mesh(verts), p, 1)[1]
+                   for verts in mesh.vertices[mesh.cells]]
     elif n == 3:
         target = assemble_space(mesh, 2, p, 1)
         scalar = assemble_space(mesh, 1, p, 0)
-        bubbles = [_coefficient_matrix(tangential_bubble_span(mesh.cell_simplex(ci), p), p)
-                   for ci in range(len(mesh.cells))]
+        bubbles = [tangential_bubble_span(grads, p) for grads in mesh.bary_grads]
     else:
         raise ValueError("decomposition implemented in dimensions 2 and 3")
     br = BrokenSpace(mesh, p, 1)
@@ -1066,11 +1042,6 @@ def _block_diag(blocks):
         out[r:r + b.shape[0], c:c + b.shape[1]] = b
         r, c = r + b.shape[0], c + b.shape[1]
     return out
-
-
-def _single_cell(mesh, ci):
-    verts = mesh.vertices[list(mesh.cells[ci])]
-    return SimplicialMesh(verts, [tuple(range(mesh.dim + 1))])
 
 
 def _vector_lift_columns(br, scalar_space, ncomp):

@@ -11,12 +11,10 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import assembly, bgg, elements, mesh as meshmod
 from .assembly import (dim_formula, dof_savings, homogeneous_row_report,
                        mixed_sequence, row_p_min, verify_exactness)
-from .elements import dual_basis, element_def, unisolvence_check
+from .elements import dual_basis, dual_export_lines, element_def, unisolvence_check
 from .mesh import SimplicialMesh, cube_center_fan_grid
 
 
@@ -165,9 +163,7 @@ def cmd_element(args):
     lines = [f"family r={el.r} p={el.p} k={el.k} n={el.n} ({el.label})",
              f"local dimension {el.local_dim}",
              f"unisolvent: {rep['pass']} (sigma ratio {rep['sigma_ratio']:.3e})"]
-    single = meshmod.SimplicialMesh(np.asarray(REFERENCE[args.dim], float),
-                                    [tuple(range(args.dim + 1))])
-    dofs = elements.cell_dofs(el, single, 0)
+    dofs = elements.cell_dofs(el, elements.single_cell_mesh(REFERENCE[args.dim]), 0)
     for i, dof in enumerate(dofs):
         cls = "shared" if dof.shared else "per-cell"
         deg = "" if dof.test_degree is None else f" test-deg {dof.test_degree}"
@@ -260,11 +256,8 @@ def cmd_export(args):
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
     _check_local_size([(el.r, el.p, el.k)], el.n)
-    duals, dofs, _ = dual_basis(el, REFERENCE[args.dim])
-    lines = []
-    for f in duals:
-        lines.extend(f.export_lines(p=args.p))
-    _emit("\n".join(lines) + "\n", args.out)
+    duals, _, _ = dual_basis(el, REFERENCE[args.dim])
+    _emit("\n".join(dual_export_lines(el, duals)) + "\n", args.out)
     return 0
 
 

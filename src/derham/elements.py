@@ -5,10 +5,11 @@ Nedelec second kind / BDM / DG, 1 = Hermite-grade vertex continuity,
 2 = second-order vertex continuity), plus 'hz' for the edge-continuous
 H(div) element in 3D and 'minus' for the trimmed (first-kind) H(div) space.
 
-DoFs come in two steps.  ``dof_plan`` says, without any geometry, what every
-d-simplex carries: an ordered list of DoF groups, each a label, a kind
-(point value or moment), a proxy weight and derivative directions, a test
-spec and a size.  Sizes and labels, hence the global numbering, come from
+Shape bases, DoF rows, dual bases and bubble spans are coefficient arrays
+(see ``forms``).  DoFs come in two steps.  ``dof_plan`` says, without any
+geometry, what every d-simplex carries: an ordered list of DoF groups, each
+a label, a kind (point value or moment), a proxy weight and derivative
+directions, a test spec and a size.  Sizes and labels, hence the global numbering, come from
 the plan alone.  ``block_rows`` realises the plan on a stack of cells as
 rows over their coefficients, one stacked product per entity slot and
 group: its moment rows on the entities (one block shared by all of them, or
@@ -17,7 +18,9 @@ cells' trace, derivative and proxy maps.  All moment DoFs are normalized by the
 measure of their subsimplex, and every integral uses the closed barycentric
 formula.  Shared DoFs are generated from global mesh data only, so two cells
 sharing a face produce identical functionals and assembly needs no sign
-fixes.
+fixes.  A DoF matrix is one cell's rows times its shape coefficients; its
+inverse gives the dual basis, one coefficient array per native degree, which
+``export`` prints.
 """
 
 from __future__ import annotations
@@ -29,10 +32,10 @@ from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
-from .forms import (FormPolynomial, Simplex, _bernstein_block, bernstein_tests, coeffs,
-                    derivative_matrix, dim_full, dim_trimmed, eval_row, form_from_coeffs,
-                    full_basis, jet_rows, moment_rows, monomials, nullspace, poly_mul,
-                    proxy_matrix, trace_matrix, trimmed_basis, trimmed_coeffs)
+from .forms import (Simplex, _bernstein_block, _exponent_index, bernstein_tests,
+                    derivative_matrix, dim_full, dim_trimmed, eval_row, exponent_array,
+                    jet_rows, moment_rows, monomials, nullspace, proxy_matrix, rank_of,
+                    trace_matrix, trimmed_coeffs)
 from .mesh import SimplicialMesh
 
 UNISOLVENCE_TOL = 1e-6
@@ -110,12 +113,6 @@ def element_def(r, p, k, n):
 
 def p_min(r, k, n):
     return _P_MIN[(r, k, n)]
-
-
-def shape_basis(el, simplex):
-    if el.r == "minus":
-        return trimmed_basis(simplex, el.p, el.k)
-    return full_basis(simplex, el.p, el.k)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +384,8 @@ def block_rows(el, mesh, cells, p):
     return np.concatenate(out, axis=1)
 
 
-def _single_cell_mesh(simplex_vertices):
+def single_cell_mesh(simplex_vertices):
+    """The mesh of one simplex, its vertices in the given order."""
     verts = np.asarray(simplex_vertices, float)
     return SimplicialMesh(verts, [tuple(range(len(verts)))])
 
@@ -407,10 +405,10 @@ def shape_coeffs(el, grads):
 
 
 def dof_matrix(el, simplex_vertices):
-    """Square DoF-by-shape matrix on one simplex: DoF rows times shape coefficients."""
-    mesh = _single_cell_mesh(simplex_vertices)
+    """The square DoF-by-shape matrix on one simplex, and the DoFs."""
+    mesh = single_cell_mesh(simplex_vertices)
     M = block_rows(el, mesh, [0], el.p)[0] @ shape_coeffs(el, mesh.bary_grads[0])
-    return M, cell_dofs(el, mesh, 0), shape_basis(el, mesh.cell_simplex(0))
+    return M, cell_dofs(el, mesh, 0)
 
 
 def unisolvence_check(el, simplex_vertices, tol=UNISOLVENCE_TOL):
@@ -420,12 +418,12 @@ def unisolvence_check(el, simplex_vertices, tol=UNISOLVENCE_TOL):
     defined up to a nonzero factor, and mixing point derivatives with moments
     otherwise skews the singular-value ratio for no structural reason.
     """
-    M, dofs, basis = dof_matrix(el, simplex_vertices)
+    M, dofs = dof_matrix(el, simplex_vertices)
     report = {
         "family": (el.r, el.p, el.k, el.n),
         "n_dofs": len(dofs),
-        "dim_shape": len(basis),
-        "square": len(dofs) == len(basis),
+        "dim_shape": el.local_dim,
+        "square": len(dofs) == el.local_dim,
     }
     if M.size:
         rownorm = np.abs(M).max(axis=1)
@@ -439,72 +437,82 @@ def unisolvence_check(el, simplex_vertices, tol=UNISOLVENCE_TOL):
     report["sigma_min"] = float(sv[-1]) if sv.size else 0.0
     report["sigma_ratio"] = report["sigma_min"] / report["sigma_max"] if sv.size else 0.0
     report["rank"] = int(np.sum(sv > tol * sv[0])) if sv.size else 0
-    report["pass"] = report["square"] and report["rank"] == len(basis)
+    report["pass"] = report["square"] and report["rank"] == el.local_dim
     return report
 
 
 def dual_basis(el, simplex_vertices):
-    """Basis dual to the DoFs (Kronecker property), grouped by DoF class.
+    """Basis dual to the DoFs (Kronecker property), as coefficients.
 
     Dual j is the sum over shape functions m of C[m, j] times shape function
-    m at its native degree, accumulated in the order of m, one coefficient
-    array per degree.
+    m at its native degree, accumulated in the order of m.  Returns
+    ({degree: coefficients at that degree, one column per DoF}, DoFs,
+    Kronecker residual).
     """
-    M, dofs, basis = dof_matrix(el, simplex_vertices)
-    if len(dofs) != len(basis):
+    M, dofs = dof_matrix(el, simplex_vertices)
+    if len(dofs) != el.local_dim:
         raise ValueError("DoF count does not match shape dimension")
     C = np.linalg.inv(M)
-    simplex = basis[0].simplex
+    if el.r == "minus":
+        grads = single_cell_mesh(simplex_vertices).bary_grads[0]
+        shapes = trimmed_coeffs(grads, el.p, el.k)[1]
+    else:
+        shapes = bernstein_tests(el.n, el.k, el.p)
     sums = {}
-    for m, b in enumerate(basis):
-        q = b.max_degree()
-        vec = coeffs(b, q)
+    for m, (_, q, vec) in enumerate(shapes):
         acc = sums.setdefault(q, np.zeros((len(vec), len(dofs))))
         nz = np.flatnonzero(vec)
         acc[nz] += vec[nz, None] * C[m]
-    duals = []
-    for j in range(len(dofs)):
-        comps = {}
-        for q, acc in sums.items():
-            for key, poly in form_from_coeffs(simplex, el.k, q, acc[:, j]).comps.items():
-                comps.setdefault(key, {}).update(poly)
-        duals.append(FormPolynomial(simplex, el.k, comps))
     resid = np.abs(M @ C - np.eye(len(dofs))).max()
     if resid > KRONECKER_TOL:
         raise RuntimeError(f"dual basis residual {resid:.2e} exceeds tolerance")
-    return duals, dofs, resid
+    return sums, dofs, resid
+
+
+def dual_export_lines(el, duals):
+    """The ``export`` text of ``dual_basis``'s coefficients.
+
+    Per dual: a header naming (n, k, p), then "component | exponent |
+    coefficient" for every nonzero term, components numbered in sorted
+    order among the dual's nonzero ones, exponents of every degree sorted
+    together within a component.
+    """
+    keys = list(combinations(range(el.n), el.k))
+    terms = [(key, a) for q in duals for key in keys for a in monomials(el.n + 1, q)]
+    order = sorted(range(len(terms)), key=terms.__getitem__)
+    labels = [(terms[i][0], ",".join(map(str, terms[i][1]))) for i in order]
+    lines = []
+    for col in np.vstack(list(duals.values()))[order].T.tolist():
+        lines.append(f"# form n={el.n} k={el.k} p={el.p}")
+        comp, last = -1, None
+        for (key, alpha), c in zip(labels, col):
+            if c != 0:
+                comp, last = comp + (key != last), key
+                lines.append(f"{comp} | {alpha} | {c:.17g}")
+    return lines
 
 
 # ---------------------------------------------------------------------------
 # bubbles
 # ---------------------------------------------------------------------------
 
-def tangential_bubble_span(simplex, p):
-    """Spanning set q * (prod of three barycentrics) * nu_i on a tetrahedron.
+def tangential_bubble_span(grads, p):
+    """Spanning set q * (product of three barycentrics) * nu_i on the
+    tetrahedron with barycentric gradients ``grads`` (4, 3), as degree-p
+    coefficient columns.
 
-    nu_i is the unit normal of the face opposite vertex i.  The span equals
-    the full tangential-trace-free subspace; callers reduce it to a basis.
+    nu_i = grads[i] / |grads[i]| is the unit normal of the face opposite
+    vertex i.  The span equals the full tangential-trace-free subspace;
+    callers reduce it to a basis.
     """
-    if simplex.dim != 3:
+    if grads.shape != (4, 3):
         raise ValueError("tangential bubbles live on tetrahedra")
-    out = []
-    grads = simplex.grad_bary_float()
-    for i in range(4):
-        others = [j for j in range(4) if j != i]
-        nu = grads[i] / np.linalg.norm(grads[i])   # normal of face opposite i
-        lam_prod = {}
-        alpha = [0, 0, 0, 0]
-        for j in others:
-            alpha[j] = 1
-        lam_prod[tuple(alpha)] = 1
-        for a in monomials(4, p - 3):
-            poly = poly_mul(lam_prod, {a: 1})
-            comps = {}
-            for axis in range(3):
-                if nu[axis] != 0.0:
-                    comps[(axis,)] = {e: c * nu[axis] for e, c in poly.items()}
-            out.append(FormPolynomial(simplex, 1, comps))
-    return out
+    lifts, index = exponent_array(4, p - 3), _exponent_index(4, p)
+    out = np.zeros((3, len(index), 4, len(lifts)))
+    for i, g in enumerate(grads):
+        rows = [index[tuple(a)] for a in lifts + 1 - np.eye(4, dtype=int)[i]]
+        out[:, rows, i, range(len(lifts))] = (g / np.linalg.norm(g))[:, None]
+    return out.reshape(3 * len(index), -1)
 
 
 def zero_trace_dim(mesh, p, k):
@@ -520,19 +528,6 @@ def zero_trace_dim(mesh, p, k):
                    for fi, everts in enumerate(mesh.skeleton[n - 1])])
     ns = nullspace(A)
     return ns.shape[1], ns
-
-
-def bubble_basis(el, simplex_vertices):
-    """Trace-free shape functions of an element on one simplex.
-
-    The k=1 forms whose traces on every facet vanish (tangential in 3D,
-    normal in 2D), as the kernel columns of ``zero_trace_dim``.
-    """
-    if el.k != 1 or el.n not in (2, 3):
-        raise ValueError("bubble bases implemented for k=1 in dimensions 2 and 3")
-    mesh = _single_cell_mesh(simplex_vertices)
-    _, cols = zero_trace_dim(mesh, el.p, 1)
-    return [form_from_coeffs(mesh.cell_simplex(0), 1, el.p, col) for col in cols.T]
 
 
 def hcurl_bubble_dim_formula(p):
@@ -576,7 +571,7 @@ def jet_complex_ranks(n, r):
     else:
         raise ValueError("jet sequences defined for r = 1, 2")
 
-    ranks = [int(np.linalg.matrix_rank(m)) if m.size else 0 for m in mats]
+    ranks = [rank_of(m) for m in mats]
     nullities = [m.shape[1] - rk for m, rk in zip(mats, ranks)]
     comp = 0.0
     if len(mats) == 2:

@@ -1,15 +1,15 @@
-"""Polynomial differential forms on a single simplex.
+"""Polynomial differential forms on a single simplex, as coefficient arrays.
 
-Coefficients are kept in barycentric monomials.  Arithmetic is duck-typed:
-polynomials built from Fractions/ints stay exact (so d(d(u)) cancels at the
-coefficient level), while float inputs degrade gracefully to floats.  All
-integrals use the closed barycentric formula; there is no quadrature anywhere.
-The float coefficient-space maps at the end of the module carry the same
-operations (values, derivatives, d, traces, moments) as matrices, and the
-trimmed spaces are built in closed form as coefficient columns; the program
-computes with those, on float barycentric geometry, and FormPolynomial
-(on the exact geometry) serves as the export format and as the exact
-reference of the tests.  The module needs only numpy.
+A degree-p k-form is a vector of barycentric monomial coefficients (layout
+below).  Float coefficient-space maps carry every operation the program
+needs (values, derivatives, d, proxies, traces, moments, degree elevation),
+on float barycentric geometry of one simplex or a stack, and the trimmed
+spaces are built in closed form as coefficient columns.  All integrals use
+the closed barycentric formula; there is no quadrature anywhere.
+FormPolynomial (exact in Fractions on the exact geometry, so d(d(u))
+cancels at the coefficient level), its converters and form bases, and the
+exact members of Simplex are the tests' exact reference; no command builds
+them.  The module needs only numpy.
 """
 
 from __future__ import annotations
@@ -939,42 +939,3 @@ def trimmed_basis(simplex, p, k):
     """The basis of ``trimmed_coeffs`` as forms of their native degree."""
     return [form_from_coeffs(simplex, *test)
             for test in trimmed_coeffs(simplex.grad_bary_float(), p, k)[1]]
-
-
-class SpaceBasis:
-    """An ordered, linearly independent basis of a polynomial form space.
-
-    Independence is verified on construction by the rank of the stacked
-    coefficient matrix; ``kind`` is one of full / trimmed / bubble.
-    """
-
-    def __init__(self, simplex, basis, kind):
-        self.simplex = simplex
-        self.basis = list(basis)
-        self.kind = kind
-        if self.basis:
-            deg = max(f.max_degree() for f in self.basis)
-            if span_rank(self.basis, p=deg) != len(self.basis):
-                raise ValueError("basis is not linearly independent")
-
-    def __len__(self):
-        return len(self.basis)
-
-    def __iter__(self):
-        return iter(self.basis)
-
-
-def space_basis(simplex, p, k, kind="full"):
-    """Validated basis of the full or trimmed space on one simplex."""
-    if kind == "full":
-        return SpaceBasis(simplex, full_basis(simplex, p, k), "full")
-    if kind == "trimmed":
-        return SpaceBasis(simplex, trimmed_basis(simplex, p, k), "trimmed")
-    raise ValueError(f"unknown space kind {kind!r}")
-
-
-def span_rank(forms, p=None, rtol=RANK_RTOL):
-    if not forms:
-        return 0
-    deg = p if p is not None else max(f.max_degree() for f in forms)
-    return rank_of(_coefficient_matrix(forms, deg), rtol)

@@ -1,4 +1,5 @@
-"""Reference DoF values, operators and trimmed spans on FormPolynomial algebra.
+"""Reference DoF values, operators, trimmed spans and export text on
+FormPolynomial algebra.
 
 The DoF plan is realised here one entity at a time (its vertex, chart,
 frame vectors and test forms), and each DoF functional is evaluated term by
@@ -6,7 +7,9 @@ term (proxy contraction, directional derivatives, restrict, wedge,
 integrate) in the exact arithmetic of ``derham.forms``; the program computes
 the same numbers as float row products stacked over cells.  The trimmed
 spaces are spanned by the exact Koszul contraction of Fraction forms; the
-program builds them as float coefficient columns.  Tests compare the two.
+program builds them as float coefficient columns.  The ``export`` text is
+printed here by ``FormPolynomial.export_lines`` from forms built out of the
+dual coefficients.  Tests compare the two.
 """
 
 from dataclasses import dataclass
@@ -15,9 +18,16 @@ from itertools import combinations
 
 import numpy as np
 
-from derham.elements import DofGroup, _test_blocks, dof_plan, shape_basis
-from derham.forms import (FormPolynomial, Simplex, form_from_coeffs, full_basis, monomials,
-                          poly_mul)
+from derham.elements import DofGroup, _test_blocks, dof_plan
+from derham.forms import (FormPolynomial, Simplex, coeffs, form_from_coeffs, full_basis,
+                          monomials, poly_mul, trimmed_basis)
+
+
+def shape_basis(el, simplex):
+    """The element's shape basis as forms of their native degree."""
+    if el.r == "minus":
+        return trimmed_basis(simplex, el.p, el.k)
+    return full_basis(simplex, el.p, el.k)
 
 
 @dataclass
@@ -91,6 +101,27 @@ def scalar_moment(f, dom, q):
         return 0.0
     prod = FormPolynomial(dom, 0, {(): poly_mul(f.comps[()], q)})
     return float(prod.integrate() / dom.measure)
+
+
+def global_dof_values(space, cell_forms):
+    """Every global DoF of a function given per cell as a form of degree at
+    most the space's; the first cell to reach a DoF sets it."""
+    return space.gather({ci: space.dof_rows(ci) @ coeffs(form, space.el.p)
+                         for ci, form in cell_forms.items()})
+
+
+def reference_export_lines(el, duals, simplex):
+    """``export``'s text of ``dual_basis``'s coefficients: each dual as one
+    FormPolynomial on ``simplex`` (an n-simplex), its components merged
+    across degrees, printed by ``export_lines``."""
+    lines = []
+    for j in range(next(iter(duals.values())).shape[1]):
+        comps = {}
+        for q, acc in duals.items():
+            for key, poly in form_from_coeffs(simplex, el.k, q, acc[:, j]).comps.items():
+                comps.setdefault(key, {}).update(poly)
+        lines.extend(FormPolynomial(simplex, el.k, comps).export_lines(p=el.p))
+    return lines
 
 
 def reference_values(block, u, cell_verts):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dof_reference import global_dof_values
 from derham.assembly import rank_of
 from derham.bgg import BGGContext, huzhang_stress, verify_bgg_identity, xi_complex
 from derham.forms import dim_trimmed
@@ -49,7 +50,7 @@ def _constant_row_dofs(ctx, comps_row1, comps_row2):
         forms = {ci: FormPolynomial(mesh.cell_simplex(ci), 1,
                                     {(0,): {one: comps[0]}, (1,): {one: comps[1]}})
                  for ci in range(len(mesh.cells))}
-        vecs.append(ctx.stenberg.apply_global_dofs(forms))
+        vecs.append(global_dof_values(ctx.stenberg, forms))
     return np.concatenate(vecs)
 
 
@@ -60,9 +61,9 @@ def test_s1_on_constant_fields():
     # component array = identity: w11 = w22 = 1 -> the trace map gives -2
     x = _constant_row_dofs(ctx, (1.0, 0.0), (0.0, 1.0))
     y = ctx.S1 @ x
-    expect = ctx.pressure.apply_global_dofs(
-        {ci: FormPolynomial(mesh.cell_simplex(ci), 2, {(0, 1): {(0,) * 3: -2.0}})
-         for ci in range(len(mesh.cells))})
+    expect = global_dof_values(
+        ctx.pressure, {ci: FormPolynomial(mesh.cell_simplex(ci), 2, {(0, 1): {(0,) * 3: -2.0}})
+                       for ci in range(len(mesh.cells))})
     assert np.abs(y - expect).max() < 1e-12
     # trace-free components (symmetric matrix proxy) are in the kernel
     x = _constant_row_dofs(ctx, (1.0, 0.5), (0.3, -1.0))

@@ -6,7 +6,21 @@ import sys
 import pytest
 
 from derham.cli import main
-from derham.mesh import annulus_mesh, reference_tet, two_triangle_square
+from derham.mesh import (SimplicialMesh, annulus_mesh, reference_tet, split_edge_square,
+                         two_tet_mesh, two_triangle_square)
+
+# the nine commands of the benchmark's cli-mix workload, at small sizes
+CLI_MIX = [
+    ["element", "--r", "2", "--k", "1", "--dim", "2", "--p", "5"],
+    ["element", "--r", "1", "--k", "1", "--dim", "3", "--p", "3"],
+    ["element", "--r", "hz", "--k", "2", "--dim", "3", "--p", "3"],
+    ["export", "--r", "1", "--k", "1", "--dim", "2", "--p", "3"],
+    ["tables", "--mesh", "{mesh}", "--p-range", "3:5"],
+    ["bc", "--mesh", "{mesh}", "--p", "4"],
+    ["bgg", "--mesh", "{mesh}", "--p", "2"],
+    ["compare", "--p", "2", "--grid", "1,1,1"],
+    ["verify", "--mesh", "{mesh}", "--row", "1", "--p", "2"],
+]
 
 
 @pytest.fixture()
@@ -261,6 +275,41 @@ def test_dense_rank_over_the_limit_exits_2(tmp_path, capsys, monkeypatch):
     assert "could not be proved" in captured.err and "MiB limit" in captured.err
 
 
+def test_commands_build_no_form_polynomial_or_fraction(tmp_path, monkeypatch, capsys):
+    # every command computes on coefficient arrays and float geometry; the
+    # exact forms and Fractions are the tests' reference only
+    from derham import forms
+    split, tets = tmp_path / "split.json", tmp_path / "tet2.json"
+    split_edge_square().save(split)
+    two_tet_mesh().save(tets)
+    commands = [[a.replace("{mesh}", str(split)) for a in argv] for argv in CLI_MIX] + [
+        ["export", "--r", "minus", "--k", "2", "--dim", "3", "--p", "2"],
+        ["element", "--r", "minus", "--k", "2", "--dim", "3", "--p", "2"],
+        ["verify", "--mesh", str(tets), "--row", "mixed", "--p", "3"]]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact form algebra built by a command")
+    with monkeypatch.context() as patch:
+        patch.setattr(forms.FormPolynomial, "__init__", refuse)
+        patch.setattr(forms, "Fraction", refuse)
+        refused = [(main(argv), capsys.readouterr()) for argv in commands]
+    for argv, result in zip(commands, refused):
+        assert (main(argv), capsys.readouterr()) == result, argv
+
+
+def test_verify_failed_constants_check_is_a_verdict(tmp_path, capsys):
+    # a unit quadrilateral split into a 5e-14-area sliver and a normal
+    # triangle: the constants check fails, and the report still prints
+    path = tmp_path / "sliver.json"
+    SimplicialMesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1e-13], [1.0, 1.0]],
+                   [(0, 1, 2), (1, 3, 2)]).save(path)
+    rc = main(["verify", "--mesh", str(path), "--row", "1", "--p", "2"])
+    captured = capsys.readouterr()
+    rep = json.loads(captured.out)
+    assert rc == 1 and rep["pass"] is False and rep["kernel_is_constants"] is False
+    assert "Traceback" not in captured.err
+
+
 def test_export_dual_basis(capsys):
     rc = main(["export", "--r", "0", "--k", "0", "--dim", "2", "--p", "1"])
     out = capsys.readouterr().out
@@ -308,17 +357,7 @@ check("after the cli-mix commands")
 
 def test_runtime_loads_no_scipy(square_path):
     # a fresh interpreter: pytest and the test helpers may load scipy themselves
-    commands = [
-        ["element", "--r", "2", "--k", "1", "--dim", "2", "--p", "5"],
-        ["element", "--r", "1", "--k", "1", "--dim", "3", "--p", "3"],
-        ["element", "--r", "hz", "--k", "2", "--dim", "3", "--p", "3"],
-        ["export", "--r", "1", "--k", "1", "--dim", "2", "--p", "3"],
-        ["tables", "--mesh", square_path, "--p-range", "3:5"],
-        ["bc", "--mesh", square_path, "--p", "4"],
-        ["bgg", "--mesh", square_path, "--p", "2"],
-        ["compare", "--p", "2", "--grid", "1,1,1"],
-        ["verify", "--mesh", square_path, "--row", "1", "--p", "2"],
-    ]
+    commands = [[a.replace("{mesh}", square_path) for a in argv] for argv in CLI_MIX]
     proc = subprocess.run([sys.executable, "-c", NO_SCIPY.format(commands=commands)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

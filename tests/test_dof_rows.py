@@ -5,9 +5,9 @@ import pytest
 
 from conftest import random_simplex
 from dof_reference import (cell_blocks, random_form, reference_operator, reference_values,
-                           scalar_moment)
+                           scalar_moment, shape_basis)
 from derham import assembly, bgg
-from derham.elements import _P_MIN, block_rows, element_def, p_min, shape_basis, shape_coeffs
+from derham.elements import _P_MIN, block_rows, element_def, p_min, shape_coeffs
 from derham.forms import (FormPolynomial, Simplex, _coefficient_matrix, coeffs,
                           exterior_derivative_matrix, form_from_coeffs, moment_gram,
                           monomials, rank_of)

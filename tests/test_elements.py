@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import REF, random_simplex
-from derham.elements import (bubble_basis, cell_dofs, dof_matrix, dual_basis,
-                             element_def, hcurl_bubble_dim_formula,
-                             jet_complex_ranks, p_min, subsimplex_bubble_dims,
-                             tangential_bubble_span, unisolvence_check,
-                             zero_trace_dim)
-from derham.forms import Simplex, dim_full, dim_trimmed, span_rank
+from dof_reference import reference_export_lines
+from derham.elements import (cell_dofs, dof_matrix, dual_basis, dual_export_lines, element_def,
+                             hcurl_bubble_dim_formula, jet_complex_ranks, p_min,
+                             subsimplex_bubble_dims, tangential_bubble_span,
+                             unisolvence_check, zero_trace_dim)
+from derham.forms import (Simplex, dim_full, dim_trimmed, eval_row, form_from_coeffs,
+                          rank_of, trace_matrix)
 from derham.mesh import SimplicialMesh
 
 ALL_FAMILIES = []
@@ -95,11 +96,11 @@ def test_dimension_identity_r1_hcurl_3d():
 
 def test_negative_control_missing_interior_dof():
     el = element_def(1, 3, 1, 2)
-    M, dofs, basis = dof_matrix(el, REF[2])
+    M, dofs = dof_matrix(el, REF[2])
     M = np.delete(M, len(dofs) - 1, axis=0)   # drop one interior DoF
     sv = np.linalg.svd(M, compute_uv=False)
     rank = int(np.sum(sv > 1e-9 * sv[0]))
-    assert rank == len(basis) - 1
+    assert rank == el.local_dim - 1
 
 
 def test_affine_invariance_of_verdicts():
@@ -119,13 +120,21 @@ def test_affine_invariance_of_verdicts():
 def test_lagrange_p1_dual_is_barycentric():
     el = element_def(0, 1, 0, 2)
     duals, dofs, resid = dual_basis(el, REF[2])
-    assert resid < 1e-12
-    tri = duals[0].simplex
-    for j, f in enumerate(duals):
-        vals = f.eval(np.asarray(REF[2], float))
-        expect = np.zeros(3)
-        expect[j] = 1.0
-        assert np.abs(vals[()] - expect).max() < 1e-12
+    assert resid < 1e-12 and list(duals) == [1]
+    # the three duals (columns) at the three vertices (rows)
+    vals = eval_row(Simplex(REF[2]).bary_inverse, np.asarray(REF[2], float), 1) @ duals[1]
+    assert np.abs(vals - np.eye(3)).max() < 1e-12
+
+
+@pytest.mark.parametrize("r,k,n", ALL_FAMILIES)
+def test_export_lines_match_form_reference(r, k, n):
+    # p_min .. p_min + 2 and p = 3; "minus" mixes two degrees per dual
+    low = p_min(r, k, n)
+    simplex = Simplex(REF[n])
+    for p in sorted({low, low + 1, low + 2} | ({3} if low <= 3 else set())):
+        el = element_def(r, p, k, n)
+        duals, _, _ = dual_basis(el, REF[n])
+        assert dual_export_lines(el, duals) == reference_export_lines(el, duals, simplex), p
 
 
 @pytest.mark.parametrize("r,k,n", ALL_FAMILIES)
@@ -135,12 +144,13 @@ def test_dual_kronecker(r, k, n):
         el = element_def(r, p, k, n)
         duals, dofs, resid = dual_basis(el, REF[n])
         assert resid < 1e-8
-        assert len(duals) == el.local_dim
+        assert len(dofs) == el.local_dim
+        assert all(acc.shape[1] == el.local_dim for acc in duals.values())
 
 
 def test_lagrange_p1_dof_matrix_permutation_identity():
     el = element_def(0, 1, 0, 2)
-    M, _, _ = dof_matrix(el, REF[2])
+    M, _ = dof_matrix(el, REF[2])
     # vertex evaluations of the barycentric basis: a permutation of identity
     assert np.abs(np.sort(M, axis=1) - np.array([[0, 0, 1]] * 3)).max() < 1e-14
     assert abs(abs(np.linalg.det(M)) - 1.0) < 1e-12
@@ -151,10 +161,9 @@ def test_vertex_dual_of_hdiv_is_vector_nodal():
     el = element_def(1, 2, 1, 2)
     duals, dofs, _ = dual_basis(el, REF[2])
     idx = [i for i, d in enumerate(dofs) if d.label == "vertex-c0"][0]
-    f = duals[idx]
-    vals = f.eval(np.asarray(REF[2], float))
     v0 = dofs[idx].entity_verts[0]
-    got = vals.get((0,), np.zeros(3))
+    # the first proxy component (the first key block of six) at the vertices
+    got = eval_row(Simplex(REF[2]).bary_inverse, np.asarray(REF[2], float), 2) @ duals[2][:6, idx]
     assert abs(got[v0] - 1.0) < 1e-10
 
 
@@ -163,26 +172,37 @@ def test_vertex_dual_of_hdiv_is_vector_nodal():
 def test_hcurl_bubble_dim_p2_empty():
     el = element_def(2, 4, 1, 3)
     assert hcurl_bubble_dim_formula(2) == 0
-    assert span_rank(tangential_bubble_span(Simplex(REF[3]), 2)) == 0
+    assert rank_of(tangential_bubble_span(Simplex(REF[3]).grad_bary_float(), 2)) == 0
 
 
 @pytest.mark.parametrize("p", [3, 4, 5])
 def test_hcurl_bubble_two_sided_rank(p):
     cell = Simplex(REF[3])
-    span = tangential_bubble_span(cell, p)
-    rank = span_rank(span, p=p)
+    span = tangential_bubble_span(cell.grad_bary_float(), p)
+    rank = rank_of(span)
     mesh = SimplicialMesh(np.asarray(REF[3], float), [(0, 1, 2, 3)])
     trace_dim, _ = zero_trace_dim(mesh, p, 1)
     assert rank == trace_dim == hcurl_bubble_dim_formula(p)
     assert trace_dim == dim_trimmed(3, p - 2, 2)
 
 
+@pytest.mark.parametrize("p", [3, 4])
+def test_tangential_bubble_span_has_no_tangential_trace(p):
+    rng = np.random.default_rng(p)
+    mesh = SimplicialMesh(random_simplex(3, rng), [(0, 1, 2, 3)])
+    span = tangential_bubble_span(mesh.bary_grads[0], p)
+    assert span.shape == (3 * dim_full(3, p, 0), 4 * dim_full(3, p - 3, 0))
+    for fi, fverts in enumerate(mesh.skeleton[2]):
+        trace = trace_matrix(3, fverts, 1, p, mesh.frame(2, fi).tangents)
+        assert np.abs(trace @ span).max() <= 1e-12 * np.abs(span).max()
+
+
 def test_hcurl_bubble_tangential_trace_vanishes():
     rng = np.random.default_rng(1)
-    el = element_def(2, 4, 1, 3)
-    basis = bubble_basis(el, REF[3])
-    assert len(basis) == 15
     mesh = SimplicialMesh(np.asarray(REF[3], float), [(0, 1, 2, 3)])
+    _, cols = zero_trace_dim(mesh, 4, 1)
+    basis = [form_from_coeffs(mesh.cell_simplex(0), 1, 4, col) for col in cols.T]
+    assert len(basis) == 15
     for f in basis:
         ff = f.as_float()
         for fi in range(4):
@@ -196,9 +216,9 @@ def test_hcurl_bubble_tangential_trace_vanishes():
 
 def test_hdiv_bubbles_2d_zero_normal_trace():
     rng = np.random.default_rng(2)
-    el = element_def(1, 3, 1, 2)
-    basis = bubble_basis(el, REF[2])
     mesh = SimplicialMesh(np.asarray(REF[2], float), [(0, 1, 2)])
+    _, cols = zero_trace_dim(mesh, 3, 1)
+    basis = [form_from_coeffs(mesh.cell_simplex(0), 1, 3, col) for col in cols.T]
     assert basis
     for f in basis:
         for ei in range(3):

@@ -7,7 +7,7 @@ import pytest
 from derham import forms
 from derham.forms import (FormPolynomial, Simplex, _coefficient_matrix, coeffs, dim_full,
                           dim_trimmed, form_from_coeffs, full_basis, monomials, rank_of,
-                          span_rank, trimmed_basis, trimmed_coeffs)
+                          trimmed_basis, trimmed_coeffs)
 from derham.mesh import SimplicialMesh
 from conftest import REF, random_simplex
 from dof_reference import koszul, reference_trimmed
@@ -177,20 +177,11 @@ def test_trimmed_dims_and_degree_bound(n):
         for p in range(1, 7):
             basis = trimmed_basis(simplex, p, k)
             assert len(basis) == dim_trimmed(n, p, k)
-            assert span_rank(basis, p=p) == len(basis)
+            assert rank_of(_coefficient_matrix(basis, p)) == len(basis)
             for f in basis:
                 assert f.max_degree() <= p
                 if k < n:
                     assert f.exterior_derivative().max_degree() <= p
-
-
-def test_space_basis_validates_independence():
-    from derham.forms import SpaceBasis, space_basis
-    sb = space_basis(TRI, 2, 1, kind="trimmed")
-    assert len(sb) == dim_trimmed(2, 2, 1) and sb.kind == "trimmed"
-    f = FormPolynomial(TRI, 0, {(): {(1, 0, 0): 1}})
-    with pytest.raises(ValueError, match="independent"):
-        SpaceBasis(TRI, [f, f.scale(2)], "full")
 
 
 def _trimmed_cases():
