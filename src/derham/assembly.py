@@ -14,14 +14,20 @@ Assembly itself is deterministic and single-threaded; assembled spaces and
 operator matrices are immutable afterwards and safe to share.  Operators
 are COO triplets; a dense view is built only when a caller asks for it.
 Rank decisions use a relative singular-value cutoff (forms.RANK_RTOL):
-``prove_ranks`` proves the rank the complex predicts with a Cholesky of a
-Gram matrix and counts the singular values only where that proof fails.
+``prove_ranks`` proves the rank the complex predicts with a shifted
+Cholesky of a sparse Gram matrix and counts the singular values only where
+that proof fails.  The Gram matrix is COO triplets, dense only where they
+would fill an eighth of it; it is factored front by front on a
+nested-dissection plan (``fronts``), one dense ``np.linalg.cholesky`` per
+front, and a matrix no larger than one leaf is a single front in its own
+order.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -30,6 +36,7 @@ import numpy as np
 
 from .elements import (block_rows, cell_dofs, dof_plan, element_def, p_min, shape_coeffs,
                        single_cell_mesh, tangential_bubble_span, zero_trace_dim)
+from .fronts import LEAF, plan
 from .forms import (RANK_RTOL, elevation, eval_row, exterior_derivative_matrix,
                     moment_gram, monomials, multinomials, nullspace, rank_of,
                     trace_matrix)
@@ -384,27 +391,81 @@ def _dense_rows(csr, idx):
     return used, block
 
 
-def _slabs(csr):
+def _slabs(csr, sparse=False):
     """Row ranges of a CSR matrix with at most 2**16 entries in their dense
     blocks: cells number their DoFs together, so consecutive rows touch few
-    columns, and a small matrix is one dense block."""
+    columns, and a small matrix is one dense block.  With ``sparse``, s rows
+    of at most w entries each touch at most s·w columns, so a slab may also
+    have sqrt(2**16 / w) rows (more than the width allows when it is wide)."""
     step = max(1, 2 ** 16 // max(csr[3], 1))
+    if sparse:
+        step = max(step, math.isqrt(2 ** 16 // max(np.diff(csr[0]).max(initial=1), 1)))
     n = len(csr[0]) - 1
     return (np.arange(s, min(s + step, n)) for s in range(0, n, step))
 
 
-def _gram(D):
-    """Dense DᵀD summed over slabs of rows, and the most nonzero terms in
-    one entry."""
-    csr = _csr(D)
-    G = np.zeros((csr[3], csr[3]))
-    for idx in _slabs(csr):
-        used, block = _dense_rows(csr, idx)
-        if len(used) == len(G):
-            G += block.T @ block
-        else:
-            G[np.ix_(used, used)] += block.T @ block
-    return G, int(np.bincount(csr[1]).max())
+def _gram(X, B=None, a=None):
+    """XᵀX, plus a·BBᵀ for a given B, as sorted COO triplets (both
+    triangles, structural zeros left out), and per operator the most nonzero
+    terms in one entry.
+
+    Each slab of rows gives a product dense over the columns it touches; an
+    entry adds its slabs' terms in slab order, and then a times BBᵀ's, as
+    dense sums would.  When the products could hold an eighth of the n²
+    entries (few cells at a high degree), sorting their triplets costs more
+    than a dense buffer, and the sums are made in one.
+    """
+    parts = [X] if B is None else [X, B.T]
+    n = X.shape[1]
+    dense = n * n <= 8 * sum(np.square(np.bincount(P.rows)).sum() for P in parts)
+    sums = []
+    for P in parts:
+        csr = _csr(P)
+        total = np.zeros((n, n)) if dense else ([], [])
+        for idx in _slabs(csr, sparse=True):
+            used, block = _dense_rows(csr, idx)
+            prod = block.T @ block
+            if dense and len(used) == n:
+                total += prod
+            elif dense:
+                total[np.ix_(used, used)] += prod
+            else:
+                i, j = np.nonzero(prod)
+                total[0].append(used[i] * n + used[j])
+                total[1].append(prod[i, j])
+        sums.append(total if dense else _coo_sum(*total, n))
+    terms = [int(np.bincount(P.cols).max()) for P in parts]
+    if dense:
+        G = (sums[0] if B is None else sums[0] + a * sums[1]).reshape(-1)
+        at = np.flatnonzero(G)
+        return (at // n, at % n, G[at]), terms
+    if B is None:
+        return sums[0], terms
+    (r0, c0, v0), (r1, c1, v1) = sums
+    return _coo_sum([r0 * n + c0, r1 * n + c1], [v0, a * v1], n), terms
+
+
+def _coo_sum(keys, vals, n):
+    """(rows, cols, vals) of n-by-n triplets given as runs of ascending flat
+    keys i·n + j, sorted, each entry summed in the order given.  A stable
+    sort merges the runs."""
+    keys = np.concatenate(keys)
+    order = np.argsort(keys, kind="stable")
+    first = np.r_[True, keys[order[1:]] != keys[order[:-1]]]
+    ids = np.empty(len(keys), dtype=int)
+    ids[order] = np.cumsum(first) - 1
+    uniq = keys[order[first]]
+    return uniq // n, uniq % n, np.bincount(ids, weights=np.concatenate(vals), minlength=len(uniq))
+
+
+def _dof_coords(space):
+    """Each global DoF's mean of the centroids of the cells that reach it."""
+    cent = space.mesh.vertices[space.mesh.cells].mean(axis=1)
+    flat = space.cell_global.ravel()
+    count = np.bincount(flat, minlength=space.dim)
+    per = np.repeat(cent, space.cell_global.shape[1], axis=0)
+    return np.stack([np.bincount(flat, weights=per[:, a], minlength=space.dim)
+                     for a in range(cent.shape[1])], axis=1) / count[:, None]
 
 
 def _product_slabs(A, B):
@@ -447,62 +508,139 @@ def _sigma1_bounds(D):
     return math.sqrt(sq) * (1 - _SLACK), math.sqrt(col * row) * (1 + _SLACK)
 
 
-def _min_eig_estimate(L):
-    """λ_min(L Lᵀ) estimated from above by two steps of inverse subspace
-    iteration on four vectors; numpy has no triangular solve, so
-    substitution runs over diagonal blocks of 16, inverted in one call."""
-    starts = range(0, len(L), 16)
-    blocks = np.tile(np.eye(16), (len(starts), 1, 1))
-    for i, s in enumerate(starts):
-        e = min(s + 16, len(L))
-        blocks[i, :e - s, :e - s] = L[s:e, s:e]
-    inv = np.linalg.inv(blocks)
+# A Gram matrix for ``_cholesky_floor``: sorted COO ``vals`` on the pattern
+# of the plan ``fronts``, and ``rank_one`` = (a, v̂), which adds a·v̂v̂ᵀ on
+# the root front's pivots (or None).
+_SparseGram = namedtuple("_SparseGram", "vals fronts rank_one")
 
-    def solve(b):
-        y = b.copy()
+
+def _below(L, B):
+    """X with X Lᵀ = B for a lower-triangular L, entry by entry the Cholesky
+    recurrence x_ij = (b_ij - Σ_{k<j} x_ik l_jk)/l_jj: its sum is one product
+    over the earlier blocks of 32 columns plus one over the current block."""
+    XT = np.empty((len(L), len(B)))
+    for s in range(0, len(L) if len(B) else 0, 32):
+        e = min(s + 32, len(L))
+        R = B[:, s:e].T - L[s:e, :s] @ XT[:s]
+        for j in range(s, e):
+            XT[j] = (R[j - s] - L[j, s:j] @ XT[s:j]) / L[j, j]
+    return XT.T
+
+
+def _factor(gram, shift, keep=False):
+    """Cholesky of G - shift·I front by front, children first: the blocks
+    (L_PP, L_UP) of each front if ``keep``, else True; None where a pivot
+    fails.
+
+    A front holds its pivots' original entries and its children's Schur
+    complements (extend-add).  LAPACK factors the pivot block, ``_below``
+    gives L_UP, and the front passes its update block minus L_UP L_UPᵀ to
+    its parent.
+    """
+    updates, blocks, last = {}, [], len(gram.fronts) - 1
+    for k, f in enumerate(gram.fronts):
+        m, size = len(f.pivots), len(f.pivots) + len(f.update)
+        F = np.zeros((size, size))
+        F.reshape(-1)[f.at] = gram.vals[f.entries]
+        if k == last and gram.rank_one is not None:
+            a, v = gram.rank_one
+            F[:m, :m] += np.outer(a * v, v)
+        F.flat[:m * (size + 1):size + 1] -= shift
+        for child, slot in zip(f.children, f.slots):
+            at = (slot[:, None] * size + slot).ravel()
+            np.add.at(F.reshape(-1), at, updates.pop(child).ravel())
+        try:
+            L = np.linalg.cholesky(F[:m, :m])
+        except np.linalg.LinAlgError:
+            return None
+        LU = _below(L, F[m:, :m])
+        if size > m:
+            updates[k] = F[m:, m:] - LU @ LU.T
+        if keep:
+            blocks.append((L, LU))
+    return blocks if keep else True
+
+
+def _min_eig_estimate(gram, blocks):
+    """λ_min(L Lᵀ) estimated from above by two steps of inverse subspace
+    iteration on four vectors, solved front by front with the factor's
+    blocks; numpy has no triangular solve, so substitution within a front
+    runs over diagonal blocks of 16, inverted in one call per front."""
+    invs = []
+    for L, _ in blocks:
+        starts = range(0, len(L), 16)
+        stack = np.tile(np.eye(16), (len(starts), 1, 1))
         for i, s in enumerate(starts):
             e = min(s + 16, len(L))
-            y[s:e] = inv[i, :e - s, :e - s] @ (y[s:e] - L[s:e, :s] @ y[:s])
-        for i, s in reversed(list(enumerate(starts))):
-            e = min(s + 16, len(L))
-            y[s:e] = inv[i, :e - s, :e - s].T @ (y[s:e] - L[e:, s:e].T @ y[e:])
-        return y
+            stack[i, :e - s, :e - s] = L[s:e, s:e]
+        invs.append(np.linalg.inv(stack))
+
+    # y is kept in elimination order, so each front's pivots are one slice
+    order = np.concatenate([f.pivots for f in gram.fronts])
+    where = np.empty(len(order), dtype=int)
+    where[order] = np.arange(len(order))
+    ends = np.cumsum([len(f.pivots) for f in gram.fronts])
+    spans = [(e - len(f.pivots), e, where[f.update]) for f, e in zip(gram.fronts, ends)]
+
+    def solve(b):
+        y = b[order]
+        for (lo, hi, up), (L, LU), inv in zip(spans, blocks, invs):
+            x = y[lo:hi]
+            for i, s in enumerate(range(0, len(L), 16)):
+                e = min(s + 16, len(L))
+                x[s:e] = inv[i, :e - s, :e - s] @ (x[s:e] - L[s:e, :s] @ x[:s])
+            if len(up):
+                y[up] -= LU @ x
+        for (lo, hi, up), (L, LU), inv in reversed(list(zip(spans, blocks, invs))):
+            x = y[lo:hi]
+            if len(up):
+                x -= LU.T @ y[up]
+            for i, s in reversed(list(enumerate(range(0, len(L), 16)))):
+                e = min(s + 16, len(L))
+                x[s:e] = inv[i, :e - s, :e - s].T @ (x[s:e] - L[e:, s:e].T @ x[e:])
+        out = np.empty_like(y)
+        out[order] = y
+        return out
 
     # hashed pseudo-random start vectors: importing numpy.random costs a cold
     # process more than the whole estimate
-    start = np.sin(np.arange(1.0, 4 * len(L) + 1) * 12.9898).reshape(-1, 4) * 43758.5453 % 1 - 0.5
+    start = np.sin(np.arange(1.0, 4 * len(order) + 1) * 12.9898).reshape(-1, 4)
+    start = start * 43758.5453 % 1 - 0.5
     z = np.linalg.qr(solve(start))[0]
     return 1.0 / np.linalg.eigvalsh(z.T @ solve(z))[-1]
 
 
-def _cholesky_floor(G, t, c):
+def _cholesky_floor(gram, t, c):
     """t - c as a proved lower bound on λ_min of the exact Gram matrix, or None.
 
     c bounds the distance of the exact Gram matrix from the computed G plus
     the rounding of a float Cholesky: one that completes on G - tI proves
-    λ_min(G) ≥ t - γ_{N+1}/(1-γ_{N+1})·tr(G) (Rump, BIT 46, 2006).  After a
-    first attempt at t, inverse iteration with its factor estimates how far
-    λ_min lies above t (from above, seen within a factor 1.9), and a second
-    attempt at 0.4 of that distance sharpens the bound; if it fails, the
-    first bound stands.
+    λ_min(G) ≥ t - γ_{N+1}/(1-γ_{N+1})·tr(G) (Rump, BIT 46, 2006), and P G Pᵀ
+    has the eigenvalues of G for the plan's permutation P.  Rump's proof
+    rests on Demmel's componentwise backward error of the computed factor,
+    |L Lᵀ - (G - tI)| ≤ γ_{N+1}|L||Lᵀ|, which holds when every entry of L
+    comes from the Cholesky recurrences, l_jj² = g_jj - t - Σ_k l_jk² and
+    l_ij = (g_ij - Σ_k l_ik l_jk)/l_jj, each evaluated in any order and
+    grouping (Higham, Accuracy and Stability of Numerical Algorithms,
+    Lemma 8.4 and Theorem 10.3).  The front-by-front factor is such a
+    factor.  Inside a front, LAPACK's Cholesky evaluates the recurrences
+    for L_PP, and ``_below`` evaluates them for L_UP with a division by
+    l_jj: numpy has no triangular solve, and an inverse or an LU factor
+    would not give these entries.  A child's terms l_ik l_jk reach each
+    later entry summed in its Schur complement, and extend-add only
+    regroups those sums.  So γ_{N+1}, N the order of G, still applies.
+
+    After a first attempt at t, inverse iteration with its factor estimates
+    how far λ_min lies above t (from above, seen within a factor 1.9), and a
+    second attempt at 0.4 of that distance, on the same plan, sharpens the
+    bound; if it fails, the first bound stands.
     """
-    diag = G.diagonal().copy()
-
-    def factor(shift):
-        G.flat[::len(G) + 1] = diag - shift
-        try:
-            return np.linalg.cholesky(G)
-        except np.linalg.LinAlgError:
-            return None
-        finally:
-            G.flat[::len(G) + 1] = diag
-
-    L = factor(t)
-    if L is None:
+    blocks = _factor(gram, t, keep=True)
+    if blocks is None:
         return None
-    sharper = t + 0.4 * _min_eig_estimate(L)
-    del L
-    return (sharper if factor(sharper) is not None else t) - c
+    sharper = t + 0.4 * _min_eig_estimate(gram, blocks)
+    del blocks
+    return (sharper if _factor(gram, sharper) else t) - c
 
 
 def _proof(D, r, kernel, sigma1):
@@ -518,42 +656,61 @@ def _proof(D, r, kernel, sigma1):
     delta = D.dropped_norm * (1 + _SLACK)   # Weyl: the residue moves no σ by more
     F = D.vals @ D.vals                     # ‖|D|ᵀ|D|‖₂ ≤ ‖D‖_F²
     penalty, w_row = 0.0, int(np.bincount(D.rows).max())   # terms in a row of D times a vector
-    if r == min(m, n):
-        G, w = _gram(D.T if m <= n else D)
+    full = r == min(m, n)
+    constants = not full and isinstance(kernel, np.ndarray) and r == n - 1
+    if not (full or constants or isinstance(kernel, tuple) and r == n - kernel[1]):
+        return None
+    if full:
         dropped = 0.0
-    elif isinstance(kernel, np.ndarray) and r == n - 1:
-        # ‖Dy‖² = yᵀ(DᵀD + a x̂x̂ᵀ)y for y ⊥ x̂, and σ_n ≤ ‖Dx̂‖
+    elif constants:
+        # for y ⊥ v̂, ‖Dy‖² = yᵀ(DᵀD + a v̂v̂ᵀ)y, and by Courant–Fischer its
+        # minimum over unit y bounds σ_{n-1} from below for any v: v is x̂ on
+        # the root front's pivots, so the term adds no fill; σ_n ≤ ‖Dx̂‖
         x = kernel / np.linalg.norm(kernel)
-        G, w = _gram(D)
         a = F / n
-        G += np.outer(a * x, x)
-        F, w = F + a, w + 2
         bound = np.bincount(D.rows, weights=np.abs(D.vals * x[D.cols]), minlength=m)
         dropped = (np.linalg.norm(D.dot(x)) + _gamma(w_row + 1) * np.linalg.norm(bound)) \
             / np.linalg.norm(x)
-    elif isinstance(kernel, tuple) and r == n - kernel[1]:
+    else:
         # with U the top singular space of B (dim = its rank s): for y ⊥ U,
         # ‖Dy‖² ≥ yᵀ(DᵀD + a BBᵀ)y - a σ_{s+1}(B)²‖y‖²; on U, ‖Dy‖ ≤ ‖DB‖/σ_s(B)
         B, _, kept_B, dropped_B = kernel
-        G, w = _gram(D)
-        GB, wB = _gram(B.T)
         FB = B.vals @ B.vals
         a = F / FB
-        GB *= a
-        G += GB
-        F, w = F + a * FB, w + wB + 2
         penalty = a * dropped_B ** 2
         sq = np.sum([(np.sum(prod ** 2), np.sum(bound ** 2))
                      for prod, bound in _product_slabs(D, B)], axis=0)
         dropped = (math.sqrt(sq[0]) + _gamma(w_row + 1) * math.sqrt(sq[1])) / kept_B
-    else:
-        return None
     dropped = dropped * (1 + _SLACK) + delta
     if dropped >= RANK_RTOL * lo1:
         return None
+    X = D.T if full and m <= n else D
+    if full:
+        G, (w,) = _gram(X)
+    elif constants:
+        G, (w,) = _gram(X)
+        F, w = F + a, w + 2
+    else:
+        G, (w, wB) = _gram(X, B, a)
+        F, w = F + a * FB, w + wB + 2
     need = (RANK_RTOL * hi1 + delta) * (1 + 4 * _SLACK)
-    c = 2 * (_gamma(len(G) + 1) / (1 - _gamma(len(G) + 1)) * np.trace(G) + _gamma(w) * F)
-    floor = _cholesky_floor(G, need ** 2 + penalty + c, c)
+    rows, cols, vals = G
+    N = X.shape[1]
+    diag = np.zeros(N)
+    diag[rows[rows == cols]] = vals[rows == cols]
+    fronts = plan(N, _dof_coords(X.src) if N > LEAF else None, rows, cols)
+    trace, rank_one = diag, None
+    if constants:
+        root = fronts[-1].pivots
+        v = kernel[root]
+        if not v.any():
+            return None
+        v = v / np.linalg.norm(v)
+        trace, rank_one = diag.copy(), (a, v)
+        trace[root] += a * v * v
+    c = 2 * (_gamma(N + 1) / (1 - _gamma(N + 1)) * trace.sum() + _gamma(w) * F)
+    gram = _SparseGram(vals, fronts, rank_one)
+    floor = _cholesky_floor(gram, need ** 2 + penalty + c, c)
     if floor is None:
         return None
     return r, math.sqrt(floor - penalty) * (1 - _SLACK) - delta, dropped
@@ -564,11 +721,14 @@ def prove_ranks(ops):
 
     The complex proposes every rank: r₀ = n₀ - 1 with the constants as the
     kernel when the first source holds 0-forms, then r_k = min(n_k - r_{k-1},
-    m_k).  One shifted float Cholesky of a dense Gram matrix on the
+    m_k).  One shifted float Cholesky of a sparse Gram matrix on the
     operator's smaller side proves a lower bound on σ_r: DDᵀ or DᵀD when r is
-    full, else DᵀD plus a multiple of x̂x̂ᵀ (constants) or of BBᵀ for the
-    previous map B, or DDᵀ plus a multiple of CᵀC for the next map C; B or
-    C must have been proved, and their ranks fix r.  The dropped bound is
+    full, else DᵀD plus a multiple of v̂v̂ᵀ (v the constants x̂ on the root
+    front's DoFs) or of BBᵀ for the previous map B, or DDᵀ plus a multiple
+    of CᵀC for the next map C; B or C must have been proved, and their ranks
+    fix r.  The Gram matrix is built as COO triplets, ordered by nested
+    dissection of its own graph with the DoFs at their cells' mean centroid,
+    and factored front by front (``_cholesky_floor``).  The dropped bound is
     ‖Dx̂‖, ‖DB‖_F or ‖CD‖_F over that map's kept bound, and the dropped
     residue's Frobenius norm widens both.  Where the bounds straddle
     RANK_RTOL·σ₁, r is the count that ``rank_of`` defines; otherwise the

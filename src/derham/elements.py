@@ -352,11 +352,11 @@ def block_rows(el, mesh, cells, p):
         key = (kind, spec, k, q) + (() if isinstance(spec, int) else (d, j))
         if key not in memo:
             if kind == "trace":
-                tangents = np.array([mesh.frame(d, e).tangents for e in ents]) if k else None
+                tangents = mesh.frames(d).tangents[ents] if k else None
                 memo[key] = trace_matrix(n, vmap, k, q, tangents)
             else:
                 w = (np.eye(n)[spec] if isinstance(spec, int)
-                     else np.array([mesh.frame(d, e).normals[spec[1]] for e in ents]))
+                     else mesh.frames(d).normals[ents, spec[1]])
                 memo[key] = (proxy_matrix(n, k, w, q) if kind == "proxy"
                              else derivative_matrix(grads, w, k, q))
         return memo[key]

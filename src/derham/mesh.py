@@ -26,6 +26,12 @@ class Frame:
     normals: np.ndarray    # (m, n): one row per normal direction
 
 
+def _unit(vectors):
+    """Each row over its length; the length is the row's dot product with
+    itself through the same BLAS dot as ``np.linalg.norm``."""
+    return vectors / np.sqrt((vectors[:, None, :] @ vectors[:, :, None])[:, 0])
+
+
 @dataclass
 class BoundaryClassification:
     corner_vertices: set = field(default_factory=set)
@@ -144,49 +150,52 @@ class SimplicialMesh:
     # -- frames ------------------------------------------------------------------
     def frame(self, d, idx):
         """Deterministic orthonormal frame of an edge (d=1) or face (d=2)."""
-        key = (d, idx)
-        if key in self._frames:
-            return self._frames[key]
-        verts = self.skeleton[d][idx]
-        pts = self.vertices[list(verts)]
-        if d == 1:
-            tau = pts[1] - pts[0]
-            tau = tau / np.linalg.norm(tau)
-            if self.dim == 1:
-                fr = Frame(tangents=tau[None, :], normals=np.zeros((0, 1)))
-            elif self.dim == 2:
-                nu = np.array([tau[1], -tau[0]])
-                fr = Frame(tangents=tau[None, :], normals=nu[None, :])
-            else:
-                fr = Frame(tangents=tau[None, :], normals=self._edge_normals(idx, tau))
-        elif d == 2 and self.dim == 3:
-            t1 = pts[1] - pts[0]
-            nu = np.cross(t1, pts[2] - pts[0])
-            nu = nu / np.linalg.norm(nu)
-            t1 = t1 / np.linalg.norm(t1)
-            t2 = np.cross(nu, t1)
-            fr = Frame(tangents=np.vstack([t1, t2]), normals=nu[None, :])
-        else:
-            raise ValueError("frames exist for edges and (in 3D) faces only")
-        self._frames[key] = fr
-        return fr
+        frames = self.frames(d)
+        return Frame(tangents=frames.tangents[idx], normals=frames.normals[idx])
 
-    def _edge_normals(self, idx, tau):
-        if self._edge_normal_seed is not None:
+    def frames(self, d):
+        """The frames of every edge (d=1) or, in 3D, face (d=2), stacked on a
+        leading entity axis and built once, as one array operation per step.
+
+        Each length is ``sqrt`` of the vector's dot product with itself, as
+        ``np.linalg.norm`` takes it, so every frame has the bits it has when
+        built alone.
+        """
+        if d not in self._frames:
+            if not (d == 1 or d == 2 and self.dim == 3):
+                raise ValueError("frames exist for edges and (in 3D) faces only")
+            pts = self.vertices[np.array(self.skeleton[d])]
+            t1 = _unit(pts[:, 1] - pts[:, 0])
+            if d == 2:
+                nu = _unit(np.cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0]))
+                fr = Frame(np.stack([t1, np.cross(nu, t1)], axis=1), nu[:, None])
+            elif self.dim == 1:
+                fr = Frame(t1[:, None], np.zeros((len(t1), 0, 1)))
+            elif self.dim == 2:
+                fr = Frame(t1[:, None], np.stack([t1[:, 1], -t1[:, 0]], axis=1)[:, None])
+            else:
+                ref, along = self._edge_references(t1)
+                n1 = _unit(ref - along[:, None] * t1)
+                fr = Frame(t1[:, None], np.stack([n1, np.cross(t1, n1)], axis=1))
+            self._frames[d] = Frame(_frozen(fr.tangents), _frozen(fr.normals))
+        return self._frames[d]
+
+    def _edge_references(self, tau):
+        """Per 3D edge, the vector its first normal is projected from (the
+        first axis on which the unit tangent is at most 0.9, or a seeded
+        random one) and that vector's component along the tangent."""
+        if self._edge_normal_seed is None:
+            axis = np.argmax(np.abs(tau) <= 0.9, axis=1)
+            return np.eye(3)[axis], tau[np.arange(len(tau)), axis]
+        refs = []
+        for idx, t in enumerate(tau):
             rng = np.random.default_rng(self._edge_normal_seed + idx)
             ref = rng.normal(size=3)
-            while np.linalg.norm(ref - (ref @ tau) * tau) < 1e-8:
+            while np.linalg.norm(ref - (ref @ t) * t) < 1e-8:
                 ref = rng.normal(size=3)
-        else:
-            axis = 0
-            while abs(tau[axis]) > 0.9:
-                axis += 1
-            ref = np.zeros(3)
-            ref[axis] = 1.0
-        n1 = ref - (ref @ tau) * tau
-        n1 = n1 / np.linalg.norm(n1)
-        n2 = np.cross(tau, n1)
-        return np.vstack([n1, n2])
+            refs.append(ref)
+        refs = np.array(refs)
+        return refs, np.array([r @ t for r, t in zip(refs, tau)])
 
     def with_rotated_edge_normals(self, seed):
         """Copy of the mesh whose 3D edge-normal pairs are re-randomized."""

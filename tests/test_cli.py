@@ -69,6 +69,24 @@ def test_verify_annulus_fails_without_betti(annulus_path, capsys):
     assert "--betti" in err
 
 
+@pytest.mark.parametrize("vertices,cells,hint", [
+    # near-sliver quad: contractible, and its float operators are no complex
+    ([[0.0, 0.0], [1.0, 0.0], [0.0, 1e-13], [1.0, 1.0]], [(0, 1, 2), (1, 3, 2)], False),
+    # annulus: Euler characteristic 0, not the 1 of [1, 0, 0]
+    (annulus_mesh().vertices.tolist(), annulus_mesh().cells.tolist(), True),
+])
+def test_verify_suggests_betti_only_for_another_topology(tmp_path, capsys, vertices, cells, hint):
+    path = tmp_path / "mesh.json"
+    SimplicialMesh(vertices, cells).save(path)
+    rc = main(["verify", "--mesh", str(path), "--row", "1", "--p", "2"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    if hint:
+        assert "if the mesh is not contractible pass --betti" in err
+    else:
+        assert err == "verification failed\n"
+
+
 def test_verify_annulus_with_betti(annulus_path):
     rc = main(["verify", "--mesh", annulus_path, "--row", "1", "--p", "1",
                "--betti", "1,1,0"])
