@@ -16,11 +16,11 @@ are COO triplets; a dense view is built only when a caller asks for it.
 Rank decisions use a relative singular-value cutoff (forms.RANK_RTOL):
 ``prove_ranks`` proves the rank the complex predicts with a shifted
 Cholesky of a sparse Gram matrix and counts the singular values only where
-that proof fails.  The Gram matrix is COO triplets, dense only where they
-would fill an eighth of it; it is factored front by front on a
-nested-dissection plan (``fronts``), one dense ``np.linalg.cholesky`` per
-front, and a matrix no larger than one leaf is a single front in its own
-order.
+that proof fails.  A Gram matrix no larger than one leaf
+(``fronts.LEAF``) is summed straight into its single dense front; a larger
+one is sorted COO triplets, never dense, factored front by front on a
+nested-dissection plan (``fronts``) with one dense ``np.linalg.cholesky``
+per front.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 
 from .elements import (block_rows, cell_dofs, dof_plan, element_def, p_min, shape_coeffs,
                        single_cell_mesh, tangential_bubble_span, zero_trace_dim)
-from .fronts import LEAF, plan
+from .fronts import LEAF, dense_front, plan
 from .forms import (RANK_RTOL, elevation, eval_row, exterior_derivative_matrix,
                     moment_gram, monomials, multinomials, nullspace, rank_of,
                     trace_matrix)
@@ -391,71 +391,72 @@ def _dense_rows(csr, idx):
     return used, block
 
 
-def _slabs(csr, sparse=False):
+def _slabs(csr):
     """Row ranges of a CSR matrix with at most 2**16 entries in their dense
     blocks: cells number their DoFs together, so consecutive rows touch few
-    columns, and a small matrix is one dense block.  With ``sparse``, s rows
-    of at most w entries each touch at most s·w columns, so a slab may also
-    have sqrt(2**16 / w) rows (more than the width allows when it is wide)."""
+    columns, and a small matrix is one dense block."""
     step = max(1, 2 ** 16 // max(csr[3], 1))
-    if sparse:
-        step = max(step, math.isqrt(2 ** 16 // max(np.diff(csr[0]).max(initial=1), 1)))
     n = len(csr[0]) - 1
     return (np.arange(s, min(s + step, n)) for s in range(0, n, step))
 
 
 def _gram(X, B=None, a=None):
-    """XᵀX, plus a·BBᵀ for a given B, as sorted COO triplets (both
-    triangles, structural zeros left out), and per operator the most nonzero
-    terms in one entry.
+    """XᵀX, plus a·BBᵀ for a given B, as values on a plan of fronts (see
+    ``_SparseGram``), its diagonal, and per operator the most nonzero terms
+    in one entry.
 
-    Each slab of rows gives a product dense over the columns it touches; an
-    entry adds its slabs' terms in slab order, and then a times BBᵀ's, as
-    dense sums would.  When the products could hold an eighth of the n²
-    entries (few cells at a high degree), sorting their triplets costs more
-    than a dense buffer, and the sums are made in one.
+    Each slab of rows gives a product dense over the columns it touches.  A
+    matrix of at most LEAF columns is one front, and the products are summed
+    into it.  A larger one is never dense: the nonzero entries of each
+    product are one run of triplets, ``_coo_sum`` merges the runs, and
+    ``plan`` orders the pattern.  Either way an entry adds its slabs' terms
+    in slab order, and then a times BBᵀ's.  A slab has the 2**16 / n rows
+    of ``_slabs``, or sqrt(2**16 / w) where that is more (only when n > 256):
+    s rows of at most w entries each touch at most s·w columns.
     """
-    parts = [X] if B is None else [X, B.T]
     n = X.shape[1]
-    dense = n * n <= 8 * sum(np.square(np.bincount(P.rows)).sum() for P in parts)
-    sums = []
-    for P in parts:
+    sums, terms = [], []
+    for P in [X] if B is None else [X, B.T]:
         csr = _csr(P)
-        total = np.zeros((n, n)) if dense else ([], [])
-        for idx in _slabs(csr, sparse=True):
-            used, block = _dense_rows(csr, idx)
+        step = max(1, 2 ** 16 // n, math.isqrt(2 ** 16 // max(np.diff(csr[0]).max(initial=1), 1)))
+        total = np.zeros((n, n)) if n <= LEAF else ([], [])
+        for s in range(0, P.shape[0], step):
+            used, block = _dense_rows(csr, np.arange(s, min(s + step, P.shape[0])))
             prod = block.T @ block
-            if dense and len(used) == n:
+            if n > LEAF:
+                nz = prod != 0
+                total[0].append((used[:, None] * n + used)[nz])
+                total[1].append(prod[nz])
+            elif len(used) == n:
                 total += prod
-            elif dense:
-                total[np.ix_(used, used)] += prod
             else:
-                i, j = np.nonzero(prod)
-                total[0].append(used[i] * n + used[j])
-                total[1].append(prod[i, j])
-        sums.append(total if dense else _coo_sum(*total, n))
-    terms = [int(np.bincount(P.cols).max()) for P in parts]
-    if dense:
-        G = (sums[0] if B is None else sums[0] + a * sums[1]).reshape(-1)
-        at = np.flatnonzero(G)
-        return (at // n, at % n, G[at]), terms
-    if B is None:
-        return sums[0], terms
-    (r0, c0, v0), (r1, c1, v1) = sums
-    return _coo_sum([r0 * n + c0, r1 * n + c1], [v0, a * v1], n), terms
+                total[np.ix_(used, used)] += prod
+        sums.append(total if n <= LEAF else _coo_sum(*total))
+        terms.append(int(np.bincount(P.cols).max()))
+    if n <= LEAF:
+        G = sums[0] if B is None else sums[0] + a * sums[1]
+        return G.reshape(-1), [dense_front(n)], G.diagonal().copy(), terms
+    if B is not None:
+        (k0, v0), (k1, v1) = sums
+        sums = [_coo_sum([k0, k1], [v0, a * v1])]
+    keys, vals = sums[0]
+    rows, cols = keys // n, keys % n
+    diag, on = np.zeros(n), rows == cols
+    diag[rows[on]] = vals[on]
+    return vals, plan(n, _dof_coords(X.src), rows, cols), diag, terms
 
 
-def _coo_sum(keys, vals, n):
-    """(rows, cols, vals) of n-by-n triplets given as runs of ascending flat
-    keys i·n + j, sorted, each entry summed in the order given.  A stable
-    sort merges the runs."""
+def _coo_sum(keys, vals):
+    """(keys, values) of the sum of runs of triplets, each run given by
+    ascending distinct flat keys i·n + j: sorted, each entry summed in the
+    order of the runs.  A stable sort merges them."""
+    if len(keys) == 1:
+        return keys[0], vals[0]
     keys = np.concatenate(keys)
     order = np.argsort(keys, kind="stable")
-    first = np.r_[True, keys[order[1:]] != keys[order[:-1]]]
-    ids = np.empty(len(keys), dtype=int)
-    ids[order] = np.cumsum(first) - 1
-    uniq = keys[order[first]]
-    return uniq // n, uniq % n, np.bincount(ids, weights=np.concatenate(vals), minlength=len(uniq))
+    keys = keys[order]
+    first = np.r_[True, keys[1:] != keys[:-1]]
+    return keys[first], np.bincount(np.cumsum(first) - 1, weights=np.concatenate(vals)[order])
 
 
 def _dof_coords(space):
@@ -508,9 +509,10 @@ def _sigma1_bounds(D):
     return math.sqrt(sq) * (1 - _SLACK), math.sqrt(col * row) * (1 + _SLACK)
 
 
-# A Gram matrix for ``_cholesky_floor``: sorted COO ``vals`` on the pattern
-# of the plan ``fronts``, and ``rank_one`` = (a, v̂), which adds a·v̂v̂ᵀ on
-# the root front's pivots (or None).
+# A Gram matrix for ``_cholesky_floor``: the ``vals`` that the plan
+# ``fronts`` assembles (sorted COO values on its pattern, or every entry in
+# row-major order for one dense front), and ``rank_one``, the block a·v̂v̂ᵀ
+# that adds to the root front's pivots (or None).
 _SparseGram = namedtuple("_SparseGram", "vals fronts rank_one")
 
 
@@ -543,8 +545,7 @@ def _factor(gram, shift, keep=False):
         F = np.zeros((size, size))
         F.reshape(-1)[f.at] = gram.vals[f.entries]
         if k == last and gram.rank_one is not None:
-            a, v = gram.rank_one
-            F[:m, :m] += np.outer(a * v, v)
+            F[:m, :m] += gram.rank_one
         F.flat[:m * (size + 1):size + 1] -= shift
         for child, slot in zip(f.children, f.slots):
             at = (slot[:, None] * size + slot).ravel()
@@ -686,29 +687,24 @@ def _proof(D, r, kernel, sigma1):
         return None
     X = D.T if full and m <= n else D
     if full:
-        G, (w,) = _gram(X)
+        vals, fronts, diag, (w,) = _gram(X)
     elif constants:
-        G, (w,) = _gram(X)
+        vals, fronts, diag, (w,) = _gram(X)
         F, w = F + a, w + 2
     else:
-        G, (w, wB) = _gram(X, B, a)
+        vals, fronts, diag, (w, wB) = _gram(X, B, a)
         F, w = F + a * FB, w + wB + 2
     need = (RANK_RTOL * hi1 + delta) * (1 + 4 * _SLACK)
-    rows, cols, vals = G
-    N = X.shape[1]
-    diag = np.zeros(N)
-    diag[rows[rows == cols]] = vals[rows == cols]
-    fronts = plan(N, _dof_coords(X.src) if N > LEAF else None, rows, cols)
-    trace, rank_one = diag, None
+    N, rank_one = X.shape[1], None
     if constants:
         root = fronts[-1].pivots
         v = kernel[root]
         if not v.any():
             return None
         v = v / np.linalg.norm(v)
-        trace, rank_one = diag.copy(), (a, v)
-        trace[root] += a * v * v
-    c = 2 * (_gamma(N + 1) / (1 - _gamma(N + 1)) * trace.sum() + _gamma(w) * F)
+        rank_one = np.outer(a * v, v)
+        diag[root] += rank_one.diagonal()
+    c = 2 * (_gamma(N + 1) / (1 - _gamma(N + 1)) * diag.sum() + _gamma(w) * F)
     gram = _SparseGram(vals, fronts, rank_one)
     floor = _cholesky_floor(gram, need ** 2 + penalty + c, c)
     if floor is None:
@@ -726,9 +722,10 @@ def prove_ranks(ops):
     full, else DᵀD plus a multiple of v̂v̂ᵀ (v the constants x̂ on the root
     front's DoFs) or of BBᵀ for the previous map B, or DDᵀ plus a multiple
     of CᵀC for the next map C; B or C must have been proved, and their ranks
-    fix r.  The Gram matrix is built as COO triplets, ordered by nested
-    dissection of its own graph with the DoFs at their cells' mean centroid,
-    and factored front by front (``_cholesky_floor``).  The dropped bound is
+    fix r.  A Gram matrix of at most LEAF DoFs is one dense front; a larger
+    one is built as COO triplets, ordered by nested dissection of its own
+    graph with the DoFs at their cells' mean centroid, and factored front by
+    front (``_cholesky_floor``).  The dropped bound is
     ‖Dx̂‖, ‖DB‖_F or ‖CD‖_F over that map's kept bound, and the dropped
     residue's Frobenius norm widens both.  Where the bounds straddle
     RANK_RTOL·σ₁, r is the count that ``rank_of`` defines; otherwise the

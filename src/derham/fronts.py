@@ -35,12 +35,18 @@ LEAF = 128
 Front = namedtuple("Front", "pivots update children slots entries at")
 
 
-def dissect(n, coords, rows, cols, leaf=LEAF):
+def dense_front(n):
+    """The single front of an n-variable matrix given as all its entries in
+    row-major order."""
+    return Front(np.arange(n), np.zeros(0, dtype=int), [], [], slice(None), slice(None))
+
+
+def dissect(n, coords, rows, cols):
     """The nested-dissection tree of the symmetric pattern ``(rows, cols)``
-    on n variables at ``coords`` (needed only when n > ``leaf``):
+    on n variables at ``coords`` (needed only when n > ``LEAF``):
     (pivots, children) per node, children first.
 
-    A part of at most ``leaf`` variables is a leaf, and so is a part whose
+    A part of at most ``LEAF`` variables is a leaf, and so is a part whose
     pattern fills more than an eighth of its square or whose separator
     would hold half of it or more: dissection would only add fronts.  An
     empty separator (the two halves do not touch) adds no node: the halves'
@@ -54,7 +60,7 @@ def dissect(n, coords, rows, cols, leaf=LEAF):
         """The roots of the subtree over ``part`` (ascending), given the
         pattern's edges inside it."""
         sep = None
-        if len(part) > leaf and 16 * len(ei) <= len(part) ** 2:
+        if len(part) > LEAF and 16 * len(ei) <= len(part) ** 2:
             x = coords[part]
             order = np.argsort(x[:, np.argmax(x.max(axis=0) - x.min(axis=0))], kind="stable")
             side[part[order[:len(part) // 2]]] = 0
@@ -81,7 +87,7 @@ def dissect(n, coords, rows, cols, leaf=LEAF):
     return nodes
 
 
-def plan(n, coords, rows, cols, leaf=LEAF):
+def plan(n, coords, rows, cols):
     """The fronts of a multifrontal elimination of the symmetric pattern
     ``(rows, cols)`` on n variables (both triangles, diagonal included),
     children first.
@@ -91,10 +97,9 @@ def plan(n, coords, rows, cols, leaf=LEAF):
     property every one of them belongs to an ancestor.  Entry (i, j) is
     assembled in the front of j when i is a pivot there or comes later.
     """
-    nodes = dissect(n, coords, rows, cols, leaf)
+    nodes = dissect(n, coords, rows, cols)
     if len(nodes) == 1:     # one front in index order: every entry lands where it is
-        return [Front(nodes[0][0], np.zeros(0, dtype=int), [], [], np.arange(len(rows)),
-                      rows * n + cols)]
+        return [Front(nodes[0][0], np.zeros(0, dtype=int), [], [], slice(None), rows * n + cols)]
     owner = np.empty(n, dtype=int)
     for k, (pivots, _) in enumerate(nodes):
         owner[pivots] = k

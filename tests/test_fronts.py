@@ -8,11 +8,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from derham.assembly import (_factor, _SparseGram, assemble_d, assemble_space, _gamma,
                              family_row, prove_ranks)
-from derham.fronts import LEAF, plan
+from derham.fronts import LEAF, dense_front, plan
 from derham.mesh import triangle_grid
 
 
-def _sparse_symmetric(seed, n=300, radius=0.12):
+def _sparse_symmetric(seed, n=600, radius=0.12):
     """A sparse symmetric matrix on n random points in the unit square
     (entries between points closer than ``radius``), its COO pattern, the
     points and its eigenvalues."""
@@ -26,11 +26,13 @@ def _sparse_symmetric(seed, n=300, radius=0.12):
     return A, rows, cols, pts, np.linalg.eigvalsh(A)
 
 
-def _gram(A, rows, cols, pts, leaf):
-    return _SparseGram(A[rows, cols], plan(len(pts), pts, rows, cols, leaf), None)
+def _grams(A, rows, cols, pts):
+    """A as one dense front, and as COO values on its nested-dissection plan."""
+    return (_SparseGram(A.reshape(-1), [dense_front(len(A))], None),
+            _SparseGram(A[rows, cols], plan(len(pts), pts, rows, cols), None))
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(-1, 30))
 def test_multifrontal_completes_exactly_when_one_front_does(seed, k):
     A, rows, cols, pts, eig = _sparse_symmetric(seed)
@@ -38,27 +40,27 @@ def test_multifrontal_completes_exactly_when_one_front_does(seed, k):
     # from both: G - tI is clearly definite or clearly indefinite
     t = eig[0] - 1.0 if k < 0 else (eig[k] + eig[k + 1]) / 2
     assume(np.abs(eig - t).min() > 1e-6 * np.abs(eig).max())
-    one = _gram(A, rows, cols, pts, leaf=len(A))
-    many = _gram(A, rows, cols, pts, leaf=16)
-    assert len(one.fronts) == 1 and len(many.fronts) > 3
+    one, many = _grams(A, rows, cols, pts)
+    assert len(many.fronts) > 3
     assert (_factor(one, t) is not None) == (_factor(many, t) is not None) == (eig[0] > t)
 
 
-def test_shifted_indefinite_matrix_fails_in_every_plan():
-    A, rows, cols, pts, eig = _sparse_symmetric(5)
-    t = (eig[0] + eig[1]) / 2            # one eigenvalue below the shift
-    for leaf in (8, 16, 64, len(A)):
-        assert _factor(_gram(A, rows, cols, pts, leaf), t) is None
-        assert _factor(_gram(A, rows, cols, pts, leaf), eig[0] - 1.0) is not None
+@pytest.mark.parametrize("seed", [5, 6])
+def test_shifted_indefinite_matrix_fails_on_both_plans(seed):
+    A, rows, cols, pts, eig = _sparse_symmetric(seed)
+    for gram in _grams(A, rows, cols, pts):
+        assert _factor(gram, (eig[0] + eig[1]) / 2) is None     # one eigenvalue below the shift
+        assert _factor(gram, eig[0] - 1.0) is not None
 
 
-@pytest.mark.parametrize("leaf", [8, 32])
-def test_factor_reproduces_permuted_matrix(leaf):
+@pytest.mark.parametrize("seed", [11, 12])
+def test_factor_reproduces_permuted_matrix(seed):
     # Demmel's componentwise bound, which the rank proof relies on:
     # |L Lᵀ - P(G - tI)Pᵀ| ≤ γ_{N+1} |L||Lᵀ|
-    A, rows, cols, pts, eig = _sparse_symmetric(11)
+    A, rows, cols, pts, eig = _sparse_symmetric(seed)
     t = eig[0] - 1.0
-    gram = _gram(A, rows, cols, pts, leaf)
+    _, gram = _grams(A, rows, cols, pts)
+    assert len(gram.fronts) > 3
     blocks = _factor(gram, t, keep=True)
     order = np.concatenate([f.pivots for f in gram.fronts])
     assert sorted(order) == list(range(len(A)))
@@ -79,7 +81,7 @@ def test_fronts_are_separated():
     # a pattern entry joins two variables whose fronts lie on one path to
     # the root, and a front passes its update only to its ancestors
     A, rows, cols, pts, _ = _sparse_symmetric(3)
-    fronts = plan(len(pts), pts, rows, cols, leaf=16)
+    fronts = plan(len(pts), pts, rows, cols)
     parent, owner = np.full(len(fronts), -1), np.full(len(A), -1)
     for k, f in enumerate(fronts):
         parent[f.children] = k
