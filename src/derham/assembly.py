@@ -410,18 +410,16 @@ def _gram(X, B=None, a=None):
     into it.  A larger one is never dense: the nonzero entries of each
     product are one run of triplets, ``_coo_sum`` merges the runs, and
     ``plan`` orders the pattern.  Either way an entry adds its slabs' terms
-    in slab order, and then a times BBᵀ's.  A slab has the 2**16 / n rows
-    of ``_slabs``, or sqrt(2**16 / w) where that is more (only when n > 256):
-    s rows of at most w entries each touch at most s·w columns.
+    in slab order, and then a times BBᵀ's, so a matrix that is one front
+    holds the sums a dense buffer would.
     """
     n = X.shape[1]
     sums, terms = [], []
     for P in [X] if B is None else [X, B.T]:
         csr = _csr(P)
-        step = max(1, 2 ** 16 // n, math.isqrt(2 ** 16 // max(np.diff(csr[0]).max(initial=1), 1)))
         total = np.zeros((n, n)) if n <= LEAF else ([], [])
-        for s in range(0, P.shape[0], step):
-            used, block = _dense_rows(csr, np.arange(s, min(s + step, P.shape[0])))
+        for idx in _slabs(csr):
+            used, block = _dense_rows(csr, idx)
             prod = block.T @ block
             if n > LEAF:
                 nz = prod != 0
@@ -630,6 +628,11 @@ def _cholesky_floor(gram, t, c):
     would not give these entries.  A child's terms l_ik l_jk reach each
     later entry summed in its Schur complement, and extend-add only
     regroups those sums.  So γ_{N+1}, N the order of G, still applies.
+
+    With ``rank_one`` = a·v̂v̂ᵀ the bound is on λ_min(DᵀD + a·v̂v̂ᵀ), and by
+    Courant–Fischer, for any unit v̂ and any y ⊥ v̂, ‖Dy‖² = yᵀ(DᵀD +
+    a·v̂v̂ᵀ)y ≥ λ_min‖y‖², so it bounds σ_{n-1}(D) from below whatever v is;
+    v = x̂ on the root front's pivots keeps the term inside one front.
 
     After a first attempt at t, inverse iteration with its factor estimates
     how far λ_min lies above t (from above, seen within a factor 1.9), and a
