@@ -728,9 +728,9 @@ def prove_ranks(ops):
     fix r.  A Gram matrix of at most LEAF DoFs is one dense front; a larger
     one is built as COO triplets, ordered by nested dissection of its own
     graph with the DoFs at their cells' mean centroid, and factored front by
-    front (``_cholesky_floor``).  The dropped bound is
-    ‖Dx̂‖, ‖DB‖_F or ‖CD‖_F over that map's kept bound, and the dropped
-    residue's Frobenius norm widens both.  Where the bounds straddle
+    front (``_cholesky_floor``).  The dropped bound is ‖Dx̂‖, ‖DB‖_F or
+    ‖CD‖_F over that map's kept bound, and the dropped residue's Frobenius
+    norm widens both.  Where the bounds straddle
     RANK_RTOL·σ₁, r is the count that ``rank_of`` defines; otherwise the
     operator is counted by ``rank_of`` on its dense view, and a dense view
     over MAX_DENSE_BYTES raises RuntimeError instead.
