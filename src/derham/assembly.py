@@ -34,18 +34,20 @@ from itertools import combinations
 
 import numpy as np
 
-from .elements import (block_rows, cell_dofs, dof_plan, element_def, p_min, shape_coeffs,
+from .elements import (block_rows, dof_plan, element_def, p_min, shape_coeffs,
                        single_cell_mesh, tangential_bubble_span, zero_trace_dim)
 from .fronts import LEAF, dense_front, plan
-from .forms import (RANK_RTOL, elevation, eval_row, exterior_derivative_matrix,
-                    moment_gram, monomials, multinomials, nullspace, rank_of,
-                    trace_matrix)
+from .forms import (RANK_RTOL, elevation, exponent_array, exterior_derivative_matrix,
+                    moment_gram, multinomials, nullspace, rank_of, trace_matrix)
 
 DD_TOL = 1e-10
 CONTAINMENT_TOL = 1e-8
 # Scattered entries at most this share of an operator's largest are
 # cancellation residue (seen: 1e-19 to 1e-13, none between 1e-13 and 1e-9).
 DROP_RTOL = 1e-13
+# A later cell's value of an operator entry may differ from the first cell's
+# by at most this times its own block's largest entry (or 1 if larger).
+CONSISTENCY_TOL = 1e-7
 # The dense rank count of an operator that ``prove_ranks`` could not prove
 # is refused above this size (float64 entries); the CLI refuses local DoF
 # matrices above the same size.
@@ -58,7 +60,11 @@ class GlobalSpace:
     ``cell_global[ci]`` holds the global indices of the cell's local DoFs in
     the canonical cell order.  They come from the plan's block sizes alone:
     each entity's block is numbered contiguously at its first appearance, so
-    building a space realises no DoF.  The DoF rows, local DoF matrices,
+    building a space realises no DoF.  The space keeps each block's start,
+    and owns the map between cells and global DoFs both ways: ``gather``
+    reads global values off values stacked over cells, ``broken`` places the
+    global dual functions cell block by cell block, and ``dofs`` finds a
+    plan group's indices on an entity.  The DoF rows, local DoF matrices,
     their inverses and the dual fields are arrays stacked over cells, each
     built for every cell at once on first use.
     """
@@ -68,7 +74,7 @@ class GlobalSpace:
         self.el = el
         if el.n != mesh.dim:
             raise ValueError("element dimension does not match the mesh")
-        self.cell_global, self.dim = _number_dofs(el, mesh)
+        self.cell_global, self.dim, self._starts = _number_dofs(el, mesh)
 
     # -- arrays stacked over cells ---------------------------------------------------
     @cached_property
@@ -96,37 +102,48 @@ class GlobalSpace:
         return self.shapes @ self.duals
 
     # -- one cell's slices ---------------------------------------------------------
-    def dof_rows(self, ci):
-        """The cell's DoF rows over degree-el.p coefficients."""
-        return self.rows[ci]
-
     def local_matrix(self, ci):
         return self.local[ci]
 
     def dual_coeffs(self, ci):
         return self.duals[ci]
 
-    def dual_fields(self, ci, p=None):
-        """Coefficients of the local dual basis at degree p, one column per DoF."""
-        p = self.el.p if p is None else p
-        if p == self.el.p:
-            return self.fields[ci]
-        lift = np.kron(np.eye(math.comb(self.el.n, self.el.k)), elevation(self.el.n + 1, self.el.p, p))
-        return lift @ self.fields[ci]
+    # -- the map between cells and global DoFs -------------------------------------
+    @cached_property
+    def _first(self):
+        """Each global DoF's first position in ``cell_global.ravel()``."""
+        return np.unique(self.cell_global.ravel(), return_index=True)[1]
 
-    def gather(self, local):
-        """Global DoF values from {ci: local values}, first axis the cell's DoFs.
+    def gather(self, values):
+        """Global DoF values from values stacked over cells, (cells, local
+        DoFs, ...): the first cell in cell order to reach a DoF sets it."""
+        values = np.asarray(values)
+        return values.reshape((-1,) + values.shape[2:])[self._first]
 
-        The first cell to reach a global DoF sets its value.
-        """
-        out = np.zeros((self.dim,) + np.shape(next(iter(local.values())))[1:])
-        seen = np.zeros(self.dim, dtype=bool)
-        for ci, vals in local.items():
-            gidx = self.cell_global[ci]
-            new = ~seen[gidx]
-            out[gidx[new]] = np.asarray(vals)[new]
-            seen[gidx] = True
-        return out
+    def broken(self, p):
+        """Coefficients of every global dual function at degree p >= el.p,
+        one column each, in row blocks of one cell's coefficients, zero on
+        the cells outside its support."""
+        fields = self.fields
+        if p != self.el.p:
+            n, k = self.el.n, self.el.k
+            fields = np.kron(np.eye(math.comb(n, k)), elevation(n + 1, self.el.p, p)) @ fields
+        ncells, size = fields.shape[:2]
+        out = np.zeros((ncells, size, self.dim))
+        out[np.arange(ncells)[:, None], :, self.cell_global] = fields.swapaxes(1, 2)
+        return out.reshape(-1, self.dim)
+
+    def dofs(self, d, idx, label):
+        """Global indices of the plan group ``label`` on the d-simplex ``idx``
+        (the cell ``idx`` for d == n), one index or an array of them: the
+        entity's block start plus the sizes of the earlier groups.  Empty if
+        the plan has no such group."""
+        off = 0
+        for g in dof_plan(self.el, d):
+            if g.label == label:
+                return self._starts[d][idx][..., None] + off + np.arange(g.size)
+            off += g.size
+        return np.zeros(np.shape(idx) + (0,), dtype=int)
 
     def constant_coefficients(self):
         """Global DoF vector of the constant function (0-forms only)."""
@@ -134,11 +151,13 @@ class GlobalSpace:
             raise ValueError("constants only in 0-form spaces")
         # the lambdas sum to one, so 1 = (sum lambda)^p has multinomial coefficients
         one = multinomials(self.mesh.dim + 1, self.el.p)
-        return self.gather(dict(enumerate(self.rows @ one)))
+        return self.gather(self.rows @ one)
 
 
 def _number_dofs(el, mesh):
-    """(cell_global, dim) from the plan's per-entity sizes.
+    """(cell_global, dim, starts) from the plan's per-entity sizes; starts[d]
+    holds the first global index of every d-simplex's block (every cell's
+    for d == n).
 
     Cells in order, each cell's entities by dimension then in combinations
     order, the interior last: every entity's block takes the next indices at
@@ -157,7 +176,8 @@ def _number_dofs(el, mesh):
     start = np.zeros(offsets[-1] + ncells, dtype=int)
     start[uniq[order]] = np.cumsum(size) - size
     local = np.concatenate([np.arange(m) for m in sizes])
-    return np.repeat(start[keys], sizes, axis=1) + local, int(size.sum())
+    return (np.repeat(start[keys], sizes, axis=1) + local, int(size.sum()),
+            np.split(start, offsets[1:]))
 
 
 def assemble_space(mesh, r, p, k):
@@ -284,7 +304,7 @@ class OperatorMatrix:
         return "\n".join(lines) + "\n"
 
 
-def assemble_local_operator(src, dst, fmap, consistency_tol=1e-7):
+def assemble_local_operator(src, dst, fmap):
     """Matrix of a cell-local linear map between assembled spaces.
 
     ``fmap(grads)`` is the map on the cells with barycentric gradients
@@ -304,7 +324,7 @@ def assemble_local_operator(src, dst, fmap, consistency_tol=1e-7):
     # the first cell to reach an entry sets it; later cells must agree with it
     first = np.r_[True, flat[1:] != flat[:-1]]
     ref = vals[np.maximum.accumulate(np.where(first, np.arange(len(flat)), 0))]
-    bad = ~first & (np.abs(vals - ref) > consistency_tol * scales)
+    bad = ~first & (np.abs(vals - ref) > CONSISTENCY_TOL * scales)
     if bad.any():
         pos = np.flatnonzero(bad)[np.argmin(order[bad])]   # first one in cell order
         gi, gj = divmod(int(flat[pos]), src.dim)
@@ -320,7 +340,7 @@ def assemble_local_operator(src, dst, fmap, consistency_tol=1e-7):
                           dropped_norm=float(np.linalg.norm(dropped)))
 
 
-def assemble_d(src, dst, consistency_tol=1e-7):
+def assemble_d(src, dst):
     """Exterior-derivative matrix in the dual bases of the two spaces.
 
     The target must be the next slot of the same family row: its form degree
@@ -333,8 +353,7 @@ def assemble_d(src, dst, consistency_tol=1e-7):
         raise ValueError(
             f"wrong family pairing: d image has degree {src.el.p - 1} but the "
             f"target only holds degree {dst.el.p}")
-    return assemble_local_operator(src, dst, _d_map(src, dst),
-                                   consistency_tol=consistency_tol)
+    return assemble_local_operator(src, dst, _d_map(src, dst))
 
 
 def _d_map(src, dst):
@@ -819,15 +838,10 @@ class ExactnessReport:
         }, indent=2)
 
 
-def verify_row(mesh, slots, expected_betti=None, check_containment=False):
+def verify_row(mesh, slots, expected_betti=None):
     """Assemble a row of spaces and verify complex + exactness properties."""
     spaces = [assemble_space(mesh, r, p, k) for (r, p, k) in slots]
     ops = [assemble_d(spaces[i], spaces[i + 1]) for i in range(len(spaces) - 1)]
-    if check_containment:
-        for i, op in enumerate(ops):
-            res = containment_residual(spaces[i], spaces[i + 1], D=op)
-            if res > CONTAINMENT_TOL:
-                raise RuntimeError(f"containment residual {res:.2e} at slot {i}")
     dims = [s.dim for s in spaces]
     ranks, margins = prove_ranks(ops)
     nullities = [dims[i] - ranks[i] for i in range(len(ops))]
@@ -857,9 +871,9 @@ def verify_row(mesh, slots, expected_betti=None, check_containment=False):
     return report, spaces, ops
 
 
-def verify_exactness(mesh, r, p, expected_betti=None, check_containment=False):
+def verify_exactness(mesh, r, p, expected_betti=None):
     slots = family_row(mesh.dim, r, p)
-    report, _, _ = verify_row(mesh, slots, expected_betti, check_containment)
+    report, _, _ = verify_row(mesh, slots, expected_betti)
     return report
 
 
@@ -878,39 +892,13 @@ def mixed_sequence(mesh, p):
     return report
 
 
-# ---------------------------------------------------------------------------
-# broken (stacked per-cell coefficient) representation
-# ---------------------------------------------------------------------------
-
-class BrokenSpace:
-    """Coordinates for piecewise polynomial k-forms of degree p on a mesh."""
-
-    def __init__(self, mesh, p, k):
-        self.mesh, self.p, self.k = mesh, p, k
-        n = mesh.dim
-        self.keys = list(combinations(range(n), k))
-        self.alphas = monomials(n + 1, p)
-        self.block = len(self.keys) * len(self.alphas)
-        self.size = self.block * len(mesh.cells)
-
-    def matrix_of_space(self, space):
-        """Stacked coefficients of every global dual function (columns)."""
-        assert space.el.k == self.k and space.el.p <= self.p
-        mat = np.zeros((self.size, space.dim))
-        for ci in range(len(self.mesh.cells)):
-            cols = space.cell_global[ci]
-            mat[ci * self.block:(ci + 1) * self.block, cols] = space.dual_fields(ci, self.p)
-        return mat
-
-
 def space_equal(space_a, space_b, rtol=RANK_RTOL):
     """True iff the two assembled spaces span the same piecewise functions."""
     if space_a.mesh is not space_b.mesh or space_a.el.k != space_b.el.k:
         raise ValueError("spaces must share mesh and form degree")
     p = max(space_a.el.p, space_b.el.p)
-    br = BrokenSpace(space_a.mesh, p, space_a.el.k)
-    A = br.matrix_of_space(space_a)
-    B = br.matrix_of_space(space_b)
+    A = space_a.broken(p)
+    B = space_b.broken(p)
     if space_a.dim != space_b.dim:
         return False, {"dims": (space_a.dim, space_b.dim)}
     ra = rank_of(A, rtol)
@@ -923,24 +911,6 @@ def space_equal(space_a, space_b, rtol=RANK_RTOL):
 # homogeneous boundary conditions
 # ---------------------------------------------------------------------------
 
-def _dof_lookup(space):
-    """Map (entity dim, entity id) -> list of (global index, label), from the plan."""
-    table = {}
-    seen = set()
-    for ci in range(len(space.mesh.cells)):
-        for dof, gi in zip(cell_dofs(space.el, space.mesh, ci), space.cell_global[ci]):
-            if gi in seen:
-                continue
-            seen.add(gi)
-            d = dof.entity_dim
-            if d < space.mesh.dim:
-                idx = space.mesh.simplex_id(dof.entity_verts)
-            else:
-                idx = ci
-            table.setdefault((d, idx), []).append((int(gi), dof.label))
-    return table
-
-
 def homogeneous_constraints(space, classification):
     """Constraint rows on the global DoF vector for vanishing boundary data.
 
@@ -950,7 +920,7 @@ def homogeneous_constraints(space, classification):
     """
     mesh = space.mesh
     el = space.el
-    lookup = _dof_lookup(space)
+    dofs = space.dofs
     rows = []
 
     def unit_row(gi):
@@ -958,21 +928,18 @@ def homogeneous_constraints(space, classification):
         r[gi] = 1.0
         return r
 
-    def label_ids(d, idx, prefix):
-        return [gi for gi, label in lookup.get((d, idx), []) if label.startswith(prefix)]
-
     bedges = set(mesh.boundary_simplices(1))
     bverts = set(mesh.boundary_simplices(0))
     bfaces = set(mesh.boundary_simplices(2)) if mesh.dim == 3 else set()
 
     if mesh.dim == 2 and el.r == 1 and el.k == 0:
         for ei in bedges:
-            for gi in label_ids(1, ei, "edge-moment"):
+            for gi in dofs(1, ei, "edge-moment"):
                 rows.append(unit_row(gi))
         for vi in bverts:
-            rows.append(unit_row(label_ids(0, vi, "vertex-value")[0]))
-            d0 = label_ids(0, vi, "vertex-d0")[0]
-            d1 = label_ids(0, vi, "vertex-d1")[0]
+            rows.append(unit_row(dofs(0, vi, "vertex-value")[0]))
+            d0 = dofs(0, vi, "vertex-d0")[0]
+            d1 = dofs(0, vi, "vertex-d1")[0]
             if vi in classification.corner_vertices:
                 rows.append(unit_row(d0))
                 rows.append(unit_row(d1))
@@ -983,11 +950,11 @@ def homogeneous_constraints(space, classification):
                 rows.append(r)
     elif mesh.dim == 2 and el.r == 1 and el.k == 1:
         for ei in bedges:
-            for gi in label_ids(1, ei, "edge-trace"):
+            for gi in dofs(1, ei, "edge-trace"):
                 rows.append(unit_row(gi))
         for vi in bverts:
-            c0 = label_ids(0, vi, "vertex-c0")[0]
-            c1 = label_ids(0, vi, "vertex-c1")[0]
+            c0 = dofs(0, vi, "vertex-c0")[0]
+            c1 = dofs(0, vi, "vertex-c1")[0]
             if vi in classification.corner_vertices:
                 rows.append(unit_row(c0))
                 rows.append(unit_row(c1))
@@ -999,26 +966,26 @@ def homogeneous_constraints(space, classification):
                 r[c1], r[c0] = nu[0], -nu[1]
                 rows.append(r)
     elif el.k == mesh.dim:
-        # quotient by constants: zero-mean constraint
-        r = np.zeros(space.dim)
+        # quotient by constants: zero-mean constraint, each cell's part
+        # added in cell order
         mean = moment_gram(mesh.dim + 1, el.p, 0)[:, 0]
         pts = mesh.vertices[mesh.cells]
         measures = np.abs(np.linalg.det(pts[:, 1:] - pts[:, :1])) / math.factorial(mesh.dim)
-        for ci in range(len(mesh.cells)):
-            r[space.cell_global[ci]] += measures[ci] * mean @ space.dual_fields(ci)
-        rows.append(r)
+        parts = (measures[:, None, None] * mean) @ space.fields
+        rows.append(np.bincount(space.cell_global.ravel(), weights=parts.ravel(),
+                                minlength=space.dim))
     elif mesh.dim == 3 and el.r == 2 and el.k == 0:
         for fi in bfaces:
-            for gi in label_ids(2, fi, "face-moment"):
+            for gi in dofs(2, fi, "face-moment"):
                 rows.append(unit_row(gi))
         for ei in bedges:
-            val_ids = label_ids(1, ei, "edge-moment")
-            n0 = label_ids(1, ei, "edge-nderiv0")
-            n1 = label_ids(1, ei, "edge-nderiv1")
+            val_ids = dofs(1, ei, "edge-moment")
+            n0 = dofs(1, ei, "edge-nderiv0")
+            n1 = dofs(1, ei, "edge-nderiv1")
             for gi in val_ids:
                 rows.append(unit_row(gi))
             if ei in classification.corner_edges:
-                for gi in n0 + n1:
+                for gi in np.concatenate([n0, n1]):
                     rows.append(unit_row(gi))
             else:
                 # only the in-plane normal derivative is boundary data
@@ -1032,9 +999,9 @@ def homogeneous_constraints(space, classification):
                     r[g0], r[g1] = a, b
                     rows.append(r)
         for vi in bverts:
-            rows.append(unit_row(label_ids(0, vi, "vertex-value")[0]))
-            first = {i: label_ids(0, vi, f"vertex-d{i}")[0] for i in range(3)}
-            second = {(i, j): label_ids(0, vi, f"vertex-d{i}{j}")[0]
+            rows.append(unit_row(dofs(0, vi, "vertex-value")[0]))
+            first = {i: dofs(0, vi, f"vertex-d{i}")[0] for i in range(3)}
+            second = {(i, j): dofs(0, vi, f"vertex-d{i}{j}")[0]
                       for i in range(3) for j in range(i, 3)}
             if vi in classification.corner_vertices:
                 for gi in list(first.values()) + list(second.values()):
@@ -1175,10 +1142,14 @@ def verify_decomposition(n, p, mesh):
         bubbles = [tangential_bubble_span(grads, p) for grads in mesh.bary_grads]
     else:
         raise ValueError("decomposition implemented in dimensions 2 and 3")
-    br = BrokenSpace(mesh, p, 1)
-    comp_cols = _vector_lift_columns(br, scalar, ncomp=n)
+    # componentwise vector fields: scalar column j in component c is column
+    # c·dim + j, its coefficients in the cell's key block (c,)
+    ncells = len(mesh.cells)
+    comp_cols = np.zeros((ncells, n, math.comb(p + n, n), n, scalar.dim))
+    comp_cols[:, np.arange(n), :, np.arange(n)] = scalar.broken(p).reshape(ncells, -1, scalar.dim)
+    comp_cols = comp_cols.reshape(-1, n * scalar.dim)
     bub = _block_diag(bubbles)
-    tgt = br.matrix_of_space(target)
+    tgt = target.broken(p)
     both = np.hstack([comp_cols, bub])
     r_target = rank_of(tgt)
     r_sum = rank_of(both)
@@ -1204,58 +1175,39 @@ def _block_diag(blocks):
     return out
 
 
-def _vector_lift_columns(br, scalar_space, ncomp):
-    """Columns of componentwise vector fields built from a scalar space."""
-    mesh = scalar_space.mesh
-    cols = np.zeros((br.size, ncomp * scalar_space.dim))
-    nalpha = len(br.alphas)
-    for ci in range(len(mesh.cells)):
-        vals = scalar_space.dual_fields(ci, br.p)   # (nalpha, nloc)
-        for comp in range(ncomp):
-            key_pos = br.keys.index((comp,))
-            rows = slice(ci * br.block + key_pos * nalpha,
-                         ci * br.block + (key_pos + 1) * nalpha)
-            cols[rows, comp * scalar_space.dim + scalar_space.cell_global[ci]] = vals
-    return cols
-
-
 def interpolation_split_residual(mesh, p, seed=0, n_samples=25):
     """Max tangential face trace of (u - continuous interpolant of u), 3D.
 
     Realizes the interpolation onto the vector-Hermite space that copies all
     shared DoFs of u, keeps interior moments, and zeroes face-normal parts;
     the remainder must be a tangential-trace-free bubble on every cell.
-    Everything is per-cell coefficients: the key blocks of a 1-form are its
-    proxy components, scalar DoFs are rows, traces are restriction matrices.
+    Everything is coefficients stacked over cells: the key blocks of a
+    1-form are its proxy components, scalar DoFs are rows, traces are
+    restriction matrices, one per local face slot.
     """
     rng = np.random.default_rng(seed)
     target = assemble_space(mesh, 2, p, 1)
     scalar = assemble_space(mesh, 1, p, 0)
+    ncells, faces = len(mesh.cells), list(combinations(range(4), 3))
+    normals = mesh.frames(2).normals[:, 0]
     worst = 0.0
     for trial in range(2):
         x = rng.normal(size=target.dim)
-        u = [target.dual_fields(ci) @ x[target.cell_global[ci]] for ci in range(len(mesh.cells))]
+        # sample points per cell and face, drawn in that order
+        lam = rng.dirichlet([2.0] * 3, size=(ncells, len(faces), n_samples))
+        u = (target.fields @ x[target.cell_global][..., None])[..., 0]
         # scalar DoFs of the three components; face DoFs see the tangential part
-        local = {}
-        for ci in range(len(mesh.cells)):
-            vals = scalar.dof_rows(ci) @ u[ci].reshape(3, -1).T
-            for l, dof in enumerate(cell_dofs(scalar.el, mesh, ci)):
-                if dof.entity_dim == 2:
-                    nu = mesh.frame(2, mesh.simplex_id(dof.entity_verts)).normals[0]
-                    vals[l] -= (vals[l] @ nu) * nu
-            local[ci] = vals
-        y = scalar.gather(local)
-        for ci in range(len(mesh.cells)):
-            cverts = tuple(int(v) for v in mesh.cells[ci])
-            rest = u[ci] - (scalar.dual_fields(ci) @ y[scalar.cell_global[ci]]).T.ravel()
-            for fverts in combinations(cverts, 3):
-                fi = mesh.simplex_id(fverts)
-                sub = mesh.sub_simplex(2, fi)
-                trace = trace_matrix(3, [cverts.index(v) for v in fverts], 1, p,
-                                     mesh.frame(2, fi).tangents) @ rest
-                pts = sub.random_points(n_samples, rng)
-                values = eval_row(sub.bary_inverse, pts, p) @ trace.reshape(2, -1).T
-                worst = max(worst, np.abs(values).max())
+        y = scalar.gather(scalar.rows @ u.reshape(ncells, 3, -1).swapaxes(1, 2))
+        for g in dof_plan(scalar.el, 2):
+            gi = scalar.dofs(2, np.arange(mesh.count(2)), g.label)
+            y[gi] -= (y[gi] @ normals[:, :, None]) * normals[:, None, :]
+        rest = u - (scalar.fields @ y[scalar.cell_global]).swapaxes(1, 2).reshape(ncells, -1)
+        for j, fverts in enumerate(faces):
+            tangents = mesh.frames(2).tangents[mesh.cell_entities[2][:, j]]
+            trace = trace_matrix(3, fverts, 1, p, tangents) @ rest[..., None]
+            mono = np.prod(lam[:, j, :, None, :] ** exponent_array(3, p), axis=-1)
+            values = mono @ trace.reshape(ncells, 2, -1).swapaxes(1, 2)
+            worst = max(worst, np.abs(values).max())
     return worst
 
 

@@ -20,7 +20,6 @@ from itertools import combinations
 import numpy as np
 
 from .assembly import assemble_d, assemble_local_operator, assemble_space
-from .elements import cell_dofs
 from .forms import (derivative_matrix, dim_trimmed, eval_row,
                     exterior_derivative_matrix, jet_rows, moment_gram, monomials,
                     multinomials, nullspace, rank_of, trace_matrix)
@@ -276,8 +275,8 @@ def _constrained_grad_dofs(mesh, N, hermite):
     """Hermite-pair DoF vectors of the gradients of constrained scalars."""
     q = hermite.el.p + 1
     fields = N.reshape(len(mesh.cells), math.comb(q + 2, 2), -1)
-    return np.vstack([hermite.gather(dict(enumerate(
-        hermite.rows @ _grad_component(mesh.bary_grads, comp, q) @ fields))) for comp in (0, 1)])
+    return np.vstack([hermite.gather(hermite.rows @ _grad_component(mesh.bary_grads, comp, q)
+                                     @ fields) for comp in (0, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -424,22 +423,22 @@ def _grouped_stress_functionals(ctx):
               if slot[0] in ("skew", "sym")]
     index = {slot: s for s, slot in enumerate(slots)}
 
-    T = np.zeros((len(slots), 2 * sten.dim))
-    filled = np.zeros(len(slots), dtype=bool)
+    # pair row r is the 1-form w_r; matrix row r is (m_r0, m_r1) = (-w_r1, w_r0)
+    F, w, values = np.array([rows for rows, _ in per_cell]), sten.fields, []
+    for r in range(2):
+        fields = np.zeros((len(w), 4 * nq, w.shape[2]))
+        fields[:, _entry(r, 0, nq)] = -w[:, nq:]
+        fields[:, _entry(r, 1, nq)] = w[:, :nq]
+        values.append(F @ fields)
+    values = np.concatenate(values, axis=2)
+    cols = np.hstack([sten.cell_global, sten.dim + sten.cell_global])
     # shared slots pair only with shared DoFs of their own entity, so the
     # first cell containing one sets every nonzero entry of its row
-    for ci, (F, cell_slots) in enumerate(per_cell):
-        rows = np.array([index[slot] for slot in cell_slots])
-        new = ~filled[rows]
-        w = sten.dual_fields(ci)
-        for r in range(2):
-            # pair row r is the 1-form w_r; matrix row r is (m_r0, m_r1) = (-w_r1, w_r0)
-            fields = np.zeros((4 * nq, w.shape[1]))
-            fields[_entry(r, 0, nq)] = -w[nq:]
-            fields[_entry(r, 1, nq)] = w[:nq]
-            cols = r * sten.dim + sten.cell_global[ci]
-            T[np.ix_(rows[new], cols)] = (F[new] @ fields)
-        filled[rows] = True
+    rows = np.array([[index[slot] for slot in cell_slots] for _, cell_slots in per_cell])
+    _, first = np.unique(rows.ravel(), return_index=True)
+    ci, local = np.divmod(first, rows.shape[1])
+    T = np.zeros((len(slots), 2 * sten.dim))
+    T[rows.ravel()[first][:, None], cols[ci]] = values[ci, local]
     return T, slots
 
 
@@ -450,24 +449,20 @@ def stress_inclusion(ctx):
     skew moments are copied from the input, every edge and symmetric-interior
     DoF is zero.  Normalized so that S1 @ inclusion = identity.
     """
-    FN = ctx.pressure
+    FN, mesh = ctx.pressure, ctx.mesh
     T, slots = _grouped_stress_functionals(ctx)
     index = {slot: s for s, slot in enumerate(slots)}
     P = np.zeros((len(slots), FN.dim))
-    # the interior tests, in plan order: the monomials vanishing at every vertex
+    # skew scalar s at a vertex: prescribe m01 = -s, m10 = s
+    vertex = [[index[("vertex", vi, ab)] for ab in ((0, 1), (1, 0))]
+              for vi in range(mesh.count(0))]
+    P[vertex, FN.dofs(0, np.arange(mesh.count(0)), "vertex-value")] = [-1.0, 1.0]
+    # interior: match the vertex-vanishing moment, doubled (chi:chi); the
+    # tests in plan order are the monomials vanishing at every vertex
     q = FN.el.p
     inner = [a for a in monomials(3, q) if max(a) < q]
-    for ci in range(len(ctx.mesh.cells)):
-        tests = iter(inner)
-        for dof, gi in zip(cell_dofs(FN.el, FN.mesh, ci), FN.cell_global[ci]):
-            if dof.entity_dim == 0:
-                vi = int(dof.entity_verts[0])
-                # skew scalar s at the vertex: prescribe m01 = -s, m10 = s
-                P[index[("vertex", vi, (0, 1))], gi] = -1.0
-                P[index[("vertex", vi, (1, 0))], gi] = 1.0
-            else:
-                # interior: match the vertex-vanishing moment, doubled (chi:chi)
-                P[index[("skew", ci, next(tests))], gi] = 2.0
+    skew = [[index[("skew", ci, a)] for a in inner] for ci in range(len(mesh.cells))]
+    P[skew, FN.dofs(2, np.arange(len(mesh.cells)), "interior")] = 2.0
     raw = np.linalg.solve(T, P)
     gauge = ctx.S1 @ raw
     scale = np.trace(gauge) / FN.dim

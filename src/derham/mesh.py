@@ -48,10 +48,6 @@ class BoundaryClassification:
     def v0s(self):
         return len(self.noncorner_boundary_vertices)
 
-    @property
-    def e0(self):
-        return len(self.corner_edges) + len(self.noncorner_boundary_edges)
-
 
 class SimplicialMesh:
     """A conforming simplicial complex in dimension 1, 2 or 3."""

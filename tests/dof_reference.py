@@ -12,14 +12,15 @@ printed here by ``FormPolynomial.export_lines`` from forms built out of the
 dual coefficients.  Tests compare the two.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
-from derham.elements import DofGroup, _test_blocks, dof_plan
-from derham.forms import (FormPolynomial, Simplex, coeffs, form_from_coeffs, full_basis,
+from derham.elements import DofGroup, _test_blocks, cell_dofs, dof_plan
+from derham.forms import (FormPolynomial, Simplex, coeffs, elevation, form_from_coeffs, full_basis,
                           monomials, poly_mul, trimmed_basis)
 
 
@@ -104,10 +105,10 @@ def scalar_moment(f, dom, q):
 
 
 def global_dof_values(space, cell_forms):
-    """Every global DoF of a function given per cell as a form of degree at
-    most the space's; the first cell to reach a DoF sets it."""
-    return space.gather({ci: space.dof_rows(ci) @ coeffs(form, space.el.p)
-                         for ci, form in cell_forms.items()})
+    """Every global DoF of a function given on every cell as a form of degree
+    at most the space's; the first cell to reach a DoF sets it."""
+    stack = np.array([coeffs(cell_forms[ci], space.el.p) for ci in range(len(space.mesh.cells))])
+    return space.gather((space.rows @ stack[..., None])[..., 0])
 
 
 def reference_export_lines(el, duals, simplex):
@@ -196,6 +197,47 @@ def reference_numbering(el, mesh):
         cell_global.append(np.array([gid.setdefault((id(b), t), len(gid))
                                      for b in blocks for t in range(b.size)], dtype=int))
     return cell_global, len(gid)
+
+
+def reference_dof_lookup(space):
+    """{(entity dim, entity id): [(global index, label), ...]} from a walk of
+    every cell's ``cell_dofs`` against its ``cell_global``, each global DoF
+    at its first appearance; an interior DoF's entity id is its cell."""
+    table, seen = {}, set()
+    for ci in range(len(space.mesh.cells)):
+        for dof, gi in zip(cell_dofs(space.el, space.mesh, ci), space.cell_global[ci]):
+            if gi in seen:
+                continue
+            seen.add(gi)
+            d = dof.entity_dim
+            idx = space.mesh.simplex_id(dof.entity_verts) if d < space.mesh.dim else ci
+            table.setdefault((d, idx), []).append((int(gi), dof.label))
+    return table
+
+
+def reference_gather(space, values):
+    """Global DoF values from values stacked over cells, cell by cell: the
+    first cell to reach a global DoF sets it."""
+    out = np.zeros((space.dim,) + values.shape[2:])
+    seen = np.zeros(space.dim, dtype=bool)
+    for ci, vals in enumerate(values):
+        gidx = space.cell_global[ci]
+        new = ~seen[gidx]
+        out[gidx[new]] = vals[new]
+        seen[gidx] = True
+    return out
+
+
+def reference_broken(space, p):
+    """The global dual functions' degree-p coefficients placed cell by cell:
+    each cell's dual fields, lifted to degree p, in its row block."""
+    el = space.el
+    lift = np.kron(np.eye(math.comb(el.n, el.k)), elevation(el.n + 1, el.p, p))
+    mat = np.zeros((len(space.mesh.cells) * len(lift), space.dim))
+    for ci, fields in enumerate(space.fields):
+        block = fields if p == el.p else lift @ fields
+        mat[ci * len(lift):(ci + 1) * len(lift), space.cell_global[ci]] = block
+    return mat
 
 
 def koszul(form):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dof_reference import global_dof_values
-from derham.assembly import (DROP_RTOL, RANK_RTOL, BrokenSpace, OperatorMatrix,
+from derham.assembly import (CONTAINMENT_TOL, DROP_RTOL, RANK_RTOL, OperatorMatrix,
                              assemble_d, assemble_space, containment_residual,
                              dim_formula, dof_savings, family_row,
                              homogeneous_row_report, interpolation_split_residual,
@@ -240,8 +240,9 @@ def test_exactness_high_p_keeps_float_margin(meshes, r):
 
 
 def test_row_with_containment_check(meshes):
-    rep, _, _ = verify_row(meshes["square"], family_row(2, 1, 2),
-                           check_containment=True)
+    rep, spaces, ops = verify_row(meshes["square"], family_row(2, 1, 2))
+    for i, op in enumerate(ops):
+        assert containment_residual(spaces[i], spaces[i + 1], D=op) <= CONTAINMENT_TOL
     assert rep.passed
 
 
@@ -479,6 +480,5 @@ def test_boundary_derivative_resolution(meshes):
 def test_broken_space_rank_of_global(meshes):
     m = meshes["square"]
     s = assemble_space(m, 1, 2, 1)
-    br = BrokenSpace(m, 2, 1)
-    mat = br.matrix_of_space(s)
+    mat = s.broken(2)
     assert rank_of(mat) == s.dim

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import delaunay_tets
-from dof_reference import reference_numbering
+from dof_reference import (reference_broken, reference_dof_lookup, reference_gather,
+                           reference_numbering)
 from derham import elements
 from derham.assembly import GlobalSpace
-from derham.elements import _P_MIN, block_rows, element_def, p_min
+from derham.elements import _P_MIN, block_rows, dof_plan, element_def, p_min
 from derham.mesh import SimplicialMesh, three_tet_fan, triangle_grid
 
 
@@ -30,15 +31,17 @@ EXTRA = {
 }
 
 
-def _spaces(mesh):
+FIXTURES = ["interval", "tri", "square", "tri3", "split", "annulus", "tet", "tet2", "tet3"]
+
+
+def _spaces(mesh, extra=3):
     for (r, k, n) in sorted(_P_MIN, key=str):
         if n == mesh.dim:
-            for p in range(p_min(r, k, n), p_min(r, k, n) + 4):
+            for p in range(p_min(r, k, n), p_min(r, k, n) + extra + 1):
                 yield element_def(r, p, k, n)
 
 
-@pytest.mark.parametrize("name", ["interval", "tri", "square", "tri3", "split", "annulus",
-                                  "tet", "tet2", "tet3"] + sorted(EXTRA))
+@pytest.mark.parametrize("name", FIXTURES + sorted(EXTRA))
 def test_numbering_matches_realised_first_appearance(meshes, name):
     mesh = meshes[name] if name in meshes else EXTRA[name]()
     count = 0
@@ -63,3 +66,37 @@ def test_realisation_checks_the_plan_size(meshes, monkeypatch):
     monkeypatch.setattr(elements, "dof_plan", overstated)
     with pytest.raises(RuntimeError, match="the plan has"):
         block_rows(el, meshes["tet"], [0], el.p)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_dofs_match_the_cell_walk(meshes, name):
+    mesh = meshes[name]
+    for el in _spaces(mesh, extra=2):
+        space = GlobalSpace(mesh, el)
+        table, matched = reference_dof_lookup(space), 0
+        for d in range(mesh.dim + 1):
+            ents = np.arange(mesh.count(d))
+            for g in dof_plan(el, d):
+                stacked = space.dofs(d, ents, g.label)
+                assert stacked.shape == (len(ents), g.size)
+                for idx in ents:
+                    want = [gi for gi, label in table[(d, idx)] if label == g.label]
+                    assert space.dofs(d, idx, g.label).tolist() == want, (el, d, idx, g.label)
+                    assert stacked[idx].tolist() == want
+                    matched += len(want)
+            assert space.dofs(d, ents, "no-such-group").shape == (len(ents), 0)
+        # every global DoF is in exactly one plan group of its entity
+        assert matched == space.dim, el
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_gather_and_broken_match_cell_loops(meshes, name):
+    mesh = meshes[name]
+    rng = np.random.default_rng(7)
+    for el in _spaces(mesh, extra=0):
+        space = GlobalSpace(mesh, el)
+        values = rng.normal(size=space.cell_global.shape + (2,))
+        assert np.array_equal(space.gather(values), reference_gather(space, values)), el
+        assert np.array_equal(space.gather(values[..., 0]), reference_gather(space, values[..., 0]))
+        for p in (el.p, el.p + 1):
+            assert np.array_equal(space.broken(p), reference_broken(space, p)), (el, p)
