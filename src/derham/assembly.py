@@ -30,7 +30,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, permutations
 
 import numpy as np
 
@@ -291,9 +291,7 @@ class OperatorMatrix:
     @cached_property
     def array(self):
         """The dense matrix, built on first use."""
-        out = np.zeros(self.shape)
-        out[self.rows, self.cols] = self.vals
-        return out
+        return _dense(self)
 
     def dot(self, x):
         return np.bincount(self.rows, weights=self.vals * x[self.cols], minlength=self.shape[0])
@@ -892,7 +890,7 @@ def mixed_sequence(mesh, p):
     return report
 
 
-def space_equal(space_a, space_b, rtol=RANK_RTOL):
+def space_equal(space_a, space_b):
     """True iff the two assembled spaces span the same piecewise functions."""
     if space_a.mesh is not space_b.mesh or space_a.el.k != space_b.el.k:
         raise ValueError("spaces must share mesh and form degree")
@@ -901,8 +899,8 @@ def space_equal(space_a, space_b, rtol=RANK_RTOL):
     B = space_b.broken(p)
     if space_a.dim != space_b.dim:
         return False, {"dims": (space_a.dim, space_b.dim)}
-    ra = rank_of(A, rtol)
-    rboth = rank_of(np.hstack([A, B]), rtol)
+    ra = rank_of(A)
+    rboth = rank_of(np.hstack([A, B]))
     equal = (ra == space_a.dim) and (rboth == ra)
     return equal, {"dims": (space_a.dim, space_b.dim), "rank_a": ra, "rank_union": rboth}
 
@@ -911,133 +909,106 @@ def space_equal(space_a, space_b, rtol=RANK_RTOL):
 # homogeneous boundary conditions
 # ---------------------------------------------------------------------------
 
-def homogeneous_constraints(space, classification):
-    """Constraint rows on the global DoF vector for vanishing boundary data.
+# A sparse matrix as COO triplets in row-major order, each entry once.
+Coo = namedtuple("Coo", "rows cols vals shape")
 
-    Implements the corner / non-corner rules: at non-corner boundary
-    vertices only derivatives along the boundary (2D) or the flat tangent
-    plane (3D) are constrained; corner vertices lose every derivative.
+
+def _coo(rows, cols, vals, shape):
+    """The Coo of triplets in any order, repeated entries summed."""
+    keys, inv = np.unique(rows * shape[1] + cols, return_inverse=True)
+    return Coo(*np.divmod(keys, shape[1]), np.bincount(inv, weights=vals), shape)
+
+
+def _matmul(a, b):
+    """a @ b of two row-major COO matrices (a Coo or an OperatorMatrix)."""
+    lo = np.searchsorted(b.rows, a.cols)
+    reps = np.searchsorted(b.rows, a.cols, side="right") - lo
+    pos = np.repeat(lo - np.cumsum(reps) + reps, reps) + np.arange(reps.sum())
+    return _coo(np.repeat(a.rows, reps), b.cols[pos], np.repeat(a.vals, reps) * b.vals[pos],
+                (a.shape[0], b.shape[1]))
+
+
+def _dense(a):
+    out = np.zeros(a.shape)
+    out[a.rows, a.cols] = a.vals
+    return out
+
+
+def zero_mean_row(space):
+    """The integral of an n-form as a (1, dim) row on its global DoF vector,
+    each cell's part added in cell order."""
+    n = space.mesh.dim
+    mean = moment_gram(n + 1, space.el.p, 0)[:, 0]
+    pts = space.mesh.vertices[space.mesh.cells]
+    measures = np.abs(np.linalg.det(pts[:, 1:] - pts[:, :1])) / math.factorial(n)
+    parts = (measures[:, None, None] * mean) @ space.fields
+    return np.bincount(space.cell_global.ravel(), weights=parts.ravel(), minlength=space.dim)[None]
+
+
+def restrict_homogeneous(space, classification):
+    """A basis of the DoF vectors whose boundary data vanish, as a Coo.
+
+    The boundary data are read off the DoF plan with one rule.  On a
+    boundary entity, a group with no direction and no weight is dropped.
+    The groups of order s (directions plus weight) are the components of
+    one s-tensor: at each moment position they keep the kernel of their
+    contractions with the symmetric s-fold products of the entity's
+    tangents (``classify_boundary``), so nothing at a corner.  The basis is
+    a (space.dim, dim) matrix with orthonormal columns: a small kernel block
+    per boundary entity, order and position, then a unit column per kept
+    DoF.  For k = n it spans the zero-mean hyperplane (the quotient by
+    constants): each DoF but the pivot of ``zero_mean_row``, minus its share.
     """
-    mesh = space.mesh
-    el = space.el
-    dofs = space.dofs
-    rows = []
-
-    def unit_row(gi):
-        r = np.zeros(space.dim)
-        r[gi] = 1.0
-        return r
-
-    bedges = set(mesh.boundary_simplices(1))
-    bverts = set(mesh.boundary_simplices(0))
-    bfaces = set(mesh.boundary_simplices(2)) if mesh.dim == 3 else set()
-
-    if mesh.dim == 2 and el.r == 1 and el.k == 0:
-        for ei in bedges:
-            for gi in dofs(1, ei, "edge-moment"):
-                rows.append(unit_row(gi))
-        for vi in bverts:
-            rows.append(unit_row(dofs(0, vi, "vertex-value")[0]))
-            d0 = dofs(0, vi, "vertex-d0")[0]
-            d1 = dofs(0, vi, "vertex-d1")[0]
-            if vi in classification.corner_vertices:
-                rows.append(unit_row(d0))
-                rows.append(unit_row(d1))
-            else:
-                tau = _boundary_directions(mesh, vi)[0]
-                r = np.zeros(space.dim)
-                r[d0], r[d1] = tau[0], tau[1]
-                rows.append(r)
-    elif mesh.dim == 2 and el.r == 1 and el.k == 1:
-        for ei in bedges:
-            for gi in dofs(1, ei, "edge-trace"):
-                rows.append(unit_row(gi))
-        for vi in bverts:
-            c0 = dofs(0, vi, "vertex-c0")[0]
-            c1 = dofs(0, vi, "vertex-c1")[0]
-            if vi in classification.corner_vertices:
-                rows.append(unit_row(c0))
-                rows.append(unit_row(c1))
-            else:
-                # normal trace of the flux proxy: B . nu = c1 nu0 - c0 nu1
-                tau = _boundary_directions(mesh, vi)[0]
-                nu = np.array([tau[1], -tau[0]])
-                r = np.zeros(space.dim)
-                r[c1], r[c0] = nu[0], -nu[1]
-                rows.append(r)
-    elif el.k == mesh.dim:
-        # quotient by constants: zero-mean constraint, each cell's part
-        # added in cell order
-        mean = moment_gram(mesh.dim + 1, el.p, 0)[:, 0]
-        pts = mesh.vertices[mesh.cells]
-        measures = np.abs(np.linalg.det(pts[:, 1:] - pts[:, :1])) / math.factorial(mesh.dim)
-        parts = (measures[:, None, None] * mean) @ space.fields
-        rows.append(np.bincount(space.cell_global.ravel(), weights=parts.ravel(),
-                                minlength=space.dim))
-    elif mesh.dim == 3 and el.r == 2 and el.k == 0:
-        for fi in bfaces:
-            for gi in dofs(2, fi, "face-moment"):
-                rows.append(unit_row(gi))
-        for ei in bedges:
-            val_ids = dofs(1, ei, "edge-moment")
-            n0 = dofs(1, ei, "edge-nderiv0")
-            n1 = dofs(1, ei, "edge-nderiv1")
-            for gi in val_ids:
-                rows.append(unit_row(gi))
-            if ei in classification.corner_edges:
-                for gi in np.concatenate([n0, n1]):
-                    rows.append(unit_row(gi))
-            else:
-                # only the in-plane normal derivative is boundary data
-                fr = mesh.frame(1, ei)
-                plane_nu = _boundary_plane_normal(mesh, ei)
-                w = np.cross(fr.tangents[0], plane_nu)
-                a = float(w @ fr.normals[0])
-                b = float(w @ fr.normals[1])
-                for g0, g1 in zip(n0, n1):
-                    r = np.zeros(space.dim)
-                    r[g0], r[g1] = a, b
-                    rows.append(r)
-        for vi in bverts:
-            rows.append(unit_row(dofs(0, vi, "vertex-value")[0]))
-            first = {i: dofs(0, vi, f"vertex-d{i}")[0] for i in range(3)}
-            second = {(i, j): dofs(0, vi, f"vertex-d{i}{j}")[0]
-                      for i in range(3) for j in range(i, 3)}
-            if vi in classification.corner_vertices:
-                for gi in list(first.values()) + list(second.values()):
-                    rows.append(unit_row(gi))
-            else:
-                t1, t2 = np.linalg.svd(np.array(_boundary_directions(mesh, vi)))[2][:2]
-                for t in (t1, t2):
-                    r = np.zeros(space.dim)
-                    for i in range(3):
-                        r[first[i]] += t[i]
-                    rows.append(r)
-                for ta, tb in ((t1, t1), (t1, t2), (t2, t2)):
-                    r = np.zeros(space.dim)
-                    for i in range(3):
-                        for j in range(3):
-                            a, b = min(i, j), max(i, j)
-                            r[second[(a, b)]] += ta[i] * tb[j]
-                    rows.append(r)
-    else:
+    mesh, el, n = space.mesh, space.el, space.mesh.dim
+    if el.k == n:
+        row = zero_mean_row(space)[0]
+        j = int(np.argmax(np.abs(row)))
+        rest = np.delete(np.arange(space.dim), j)
+        return _coo(np.r_[rest, np.full_like(rest, j)], np.tile(np.arange(len(rest)), 2),
+                    np.r_[np.ones(len(rest)), -row[rest] / row[j]], (space.dim, len(rest)))
+    if (n, el.r, el.k) not in ((2, 1, 0), (2, 1, 1), (3, 2, 0)):
         raise ValueError("homogeneous restriction not implemented for this family")
-    return np.array(rows) if rows else np.zeros((0, space.dim))
+    kept = np.ones(space.dim, dtype=bool)
+    parts, dim = [], 0
+    for d in range(n):
+        bnd = np.flatnonzero(mesh.boundary[d])
+        orders = {}
+        for g in dof_plan(el, d):
+            slots = (() if g.weight is None else (g.weight,)) + g.directions
+            ids = space.dofs(d, bnd, g.label)
+            kept[ids] = False
+            if slots:
+                orders.setdefault(len(slots), []).append((slots, ids))
+        normals = mesh.frames(d).normals if d else None
+        for s, groups in orders.items():
+            for i, e in enumerate(bnd):
+                T = classification.tangents[(d, e)]
+                # each slot's components along the tangents: an axis or a frame normal
+                comp = {v: T @ normals[e, v[1]] if isinstance(v, tuple) else T[:, v]
+                        for slots, _ in groups for v in slots}
+                rows = [[sum(math.prod(comp[v][a] for a, v in zip(product, perm))
+                             for perm in dict.fromkeys(permutations(slots)))
+                         for slots, _ in groups]
+                        for product in combinations_with_replacement(range(len(T)), s)]
+                # the kernel K at each position: idx holds positions x groups
+                K, idx = nullspace(np.array(rows)), np.stack([ids[i] for _, ids in groups], 1)
+                cols = dim + np.arange(len(idx))[:, None, None] * K.shape[1] + np.arange(K.shape[1])
+                parts.append([a.ravel() for a in np.broadcast_arrays(idx[:, :, None], cols, K)])
+                dim += len(idx) * K.shape[1]
+    keep = np.flatnonzero(kept)
+    parts.append((keep, dim + np.arange(len(keep)), np.ones(len(keep))))
+    return _coo(*map(np.concatenate, zip(*parts)), (space.dim, dim + len(keep)))
 
 
 def boundary_derivative_resolution(mesh, vi):
-    """Coefficients expressing axis derivatives through boundary-edge ones.
-
-    At a corner vertex the two adjacent boundary-edge directions t1, t2 are
-    independent, and the returned 2x2 matrix A satisfies
-    d/d(e_i) = A[i, 0] d/d(t1) + A[i, 1] d/d(t2);
-    given boundary values, tangential derivatives along the edges determine
-    every vertex derivative DoF through A.  Raises at non-corner vertices,
-    where only one independent tangential direction exists.
-    """
+    """The 2x2 matrix A with d/d(e_i) = A[i, 0] d/d(t1) + A[i, 1] d/d(t2) at
+    a corner vertex, t1, t2 its first two boundary-edge directions from
+    ``classify_boundary``: given boundary values, the tangential derivatives
+    along the edges determine every vertex derivative DoF.  Raises at a
+    non-corner vertex, which has one tangential direction only."""
     if mesh.dim != 2:
         raise ValueError("derivative resolution is for 2D boundary vertices")
-    dirs = _boundary_directions(mesh, vi)
+    dirs = mesh.classify_boundary().directions.get(vi, ())
     if len(dirs) < 2:
         raise ValueError("vertex is not a boundary vertex with two edges")
     T = np.column_stack(dirs[:2])
@@ -1046,80 +1017,41 @@ def boundary_derivative_resolution(mesh, vi):
     return np.linalg.inv(T).T
 
 
-def _boundary_directions(mesh, vi):
-    """Unit directions (low vertex to high) of the boundary edges at vertex vi."""
-    dirs = []
-    for ei in mesh.boundary_simplices(1):
-        everts = mesh.skeleton[1][ei]
-        if vi in everts:
-            d = mesh.vertices[everts[1]] - mesh.vertices[everts[0]]
-            dirs.append(d / np.linalg.norm(d))
-    return dirs
-
-
-def _boundary_plane_normal(mesh, ei):
-    everts = mesh.skeleton[1][ei]
-    for fi in mesh.boundary_simplices(2):
-        if set(everts) <= set(mesh.skeleton[2][fi]):
-            return mesh.frame(2, fi).normals[0]
-    raise ValueError("edge not on the boundary")
-
-
-@dataclass
-class HomogeneousSpace:
-    base: GlobalSpace
-    constraints: np.ndarray
-    basis: np.ndarray       # (base.dim, dim) orthonormal columns
-
-    @property
-    def dim(self):
-        return self.basis.shape[1]
-
-
-def restrict_homogeneous(space, classification):
-    C = homogeneous_constraints(space, classification)
-    N = nullspace(C) if C.size else np.eye(space.dim)
-    return HomogeneousSpace(space, C, N)
-
-
 def homogeneous_row_report(mesh, p, classification):
-    """Assembled homogeneous 2D dims, removal-count formulas, and exactness."""
+    """Assembled homogeneous 2D dims, removal-count formulas, and exactness.
+
+    The restricted operators are N₁ᵀD₀N₀ and D₁N₁, products of the
+    operators' triplets and the bases N of ``restrict_homogeneous``; the
+    last slot is the quotient by constants, whose restricted image the
+    zero-mean row checks.  Each image must stay homogeneous.
+    """
     cls = classification
     slots = family_row(2, 1, p)
     spaces = [assemble_space(mesh, r, q, k) for (r, q, k) in slots]
-    homs = [restrict_homogeneous(s, cls) for s in spaces]
-    E0 = len(mesh.boundary_simplices(1))
-    q0, q1 = slots[0][1], slots[1][1]
+    bases = [restrict_homogeneous(s, cls) for s in spaces]
+    E0, q0, q1 = len(mesh.boundary_simplices(1)), slots[0][1], slots[1][1]
     formulas = [
         spaces[0].dim - (q0 - 3) * E0 - 3 * cls.v0 + cls.v0s,
         spaces[1].dim - (q1 - 1) * E0 - 2 * cls.v0 + cls.v0s,
         spaces[2].dim - 1,
     ]
-    ops = [assemble_d(spaces[i], spaces[i + 1]) for i in range(2)]
-    rb = [h.basis for h in homs]
-    # restricted operators; verify the image stays homogeneous
-    rops = []
-    ok_invariant = True
-    for i, op in enumerate(ops):
-        img = op.array @ rb[i]
-        if homs[i + 1].constraints.size:
-            resid = np.abs(homs[i + 1].constraints @ img).max() if img.size else 0.0
-            scale = max(np.abs(img).max(), 1.0)
-            ok_invariant = ok_invariant and resid <= 1e-8 * scale
-        rops.append(rb[i + 1].T @ img)
-    dims = [h.dim for h in homs]
-    ranks = [rank_of(m) for m in rops]
-    exact = (dims[0] - ranks[0] == 0
-             and dims[1] - ranks[1] == ranks[0]
-             and ranks[1] == dims[2])
-    return {
-        "dims": dims,
-        "formulas": formulas,
-        "alternating": dims[0] - dims[1] + dims[2],
-        "ranks": ranks,
-        "exact": exact,
-        "image_homogeneous": ok_invariant,
-    }
+    (N0, N1, _), (D0, D1) = bases, [assemble_d(spaces[i], spaces[i + 1]) for i in range(2)]
+    # D₀N₀ is homogeneous iff it is its own projection N₁N₁ᵀD₀N₀
+    img = _matmul(D0, N0)
+    coef = _matmul(_coo(N1.cols, N1.rows, N1.vals, N1.shape[::-1]), img)
+    proj = _matmul(N1, coef)
+    checks = [(_coo(np.r_[img.rows, proj.rows], np.r_[img.cols, proj.cols],
+                    np.r_[img.vals, -proj.vals], img.shape).vals, img.vals)]
+    ranks = [rank_of(_dense(coef))]
+    img = _dense(_matmul(D1, N1))
+    checks.append((zero_mean_row(spaces[2]) @ img, img))
+    ranks.append(rank_of(img))
+    ok_invariant = all(np.abs(off).max(initial=0.0) <= 1e-8 * max(np.abs(m).max(initial=0.0), 1.0)
+                       for off, m in checks)
+    dims = [N.shape[1] for N in bases]
+    exact = dims[0] == ranks[0] and dims[1] - ranks[1] == ranks[0] and ranks[1] == dims[2]
+    return {"dims": dims, "formulas": formulas, "alternating": dims[0] - dims[1] + dims[2],
+            "ranks": ranks, "exact": exact, "image_homogeneous": bool(ok_invariant)}
 
 
 # ---------------------------------------------------------------------------
@@ -1175,7 +1107,7 @@ def _block_diag(blocks):
     return out
 
 
-def interpolation_split_residual(mesh, p, seed=0, n_samples=25):
+def interpolation_split_residual(mesh, p):
     """Max tangential face trace of (u - continuous interpolant of u), 3D.
 
     Realizes the interpolation onto the vector-Hermite space that copies all
@@ -1185,7 +1117,7 @@ def interpolation_split_residual(mesh, p, seed=0, n_samples=25):
     1-form are its proxy components, scalar DoFs are rows, traces are
     restriction matrices, one per local face slot.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     target = assemble_space(mesh, 2, p, 1)
     scalar = assemble_space(mesh, 1, p, 0)
     ncells, faces = len(mesh.cells), list(combinations(range(4), 3))
@@ -1193,8 +1125,8 @@ def interpolation_split_residual(mesh, p, seed=0, n_samples=25):
     worst = 0.0
     for trial in range(2):
         x = rng.normal(size=target.dim)
-        # sample points per cell and face, drawn in that order
-        lam = rng.dirichlet([2.0] * 3, size=(ncells, len(faces), n_samples))
+        # 25 sample points per cell and face, drawn in that order
+        lam = rng.dirichlet([2.0] * 3, size=(ncells, len(faces), 25))
         u = (target.fields @ x[target.cell_global][..., None])[..., 0]
         # scalar DoFs of the three components; face DoFs see the tangential part
         y = scalar.gather(scalar.rows @ u.reshape(ncells, 3, -1).swapaxes(1, 2))

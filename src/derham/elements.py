@@ -411,7 +411,7 @@ def dof_matrix(el, simplex_vertices):
     return M, cell_dofs(el, mesh, 0)
 
 
-def unisolvence_check(el, simplex_vertices, tol=UNISOLVENCE_TOL):
+def unisolvence_check(el, simplex_vertices):
     """Full-rank test of the DoF matrix; fail is a result, not an error.
 
     Rows are equilibrated to unit sup norm first: each DoF functional is only
@@ -436,7 +436,7 @@ def unisolvence_check(el, simplex_vertices, tol=UNISOLVENCE_TOL):
     report["sigma_max"] = float(sv[0]) if sv.size else 0.0
     report["sigma_min"] = float(sv[-1]) if sv.size else 0.0
     report["sigma_ratio"] = report["sigma_min"] / report["sigma_max"] if sv.size else 0.0
-    report["rank"] = int(np.sum(sv > tol * sv[0])) if sv.size else 0
+    report["rank"] = int(np.sum(sv > UNISOLVENCE_TOL * sv[0])) if sv.size else 0
     report["pass"] = report["square"] and report["rank"] == el.local_dim
     return report
 

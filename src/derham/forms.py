@@ -25,24 +25,24 @@ import numpy as np
 RANK_RTOL = 1e-9
 
 
-def _count_above(sv, rtol):
-    """Number of singular values (descending) above rtol times the largest."""
-    return int(np.sum(sv > rtol * sv[0])) if sv.size and sv[0] > 0 else 0
+def _count_above(sv):
+    """Number of singular values (descending) above RANK_RTOL times the largest."""
+    return int(np.sum(sv > RANK_RTOL * sv[0])) if sv.size and sv[0] > 0 else 0
 
 
-def rank_of(mat, rtol=RANK_RTOL):
+def rank_of(mat):
     """Numerical rank of a matrix."""
     if mat.size == 0:
         return 0
-    return _count_above(np.linalg.svd(mat, compute_uv=False), rtol)
+    return _count_above(np.linalg.svd(mat, compute_uv=False))
 
 
-def nullspace(mat, rtol=RANK_RTOL):
+def nullspace(mat):
     """Orthonormal columns spanning the numerical kernel of a matrix."""
     if mat.size == 0:
         return np.eye(mat.shape[1] if mat.ndim == 2 else 0)
     _, sv, vt = np.linalg.svd(mat, full_matrices=True)
-    return vt[_count_above(sv, rtol):].T
+    return vt[_count_above(sv):].T
 
 
 def _fraction_matrix_inverse(rows):

@@ -38,6 +38,8 @@ class BoundaryClassification:
     noncorner_boundary_vertices: set = field(default_factory=set)
     corner_edges: set = field(default_factory=set)
     noncorner_boundary_edges: set = field(default_factory=set)
+    directions: dict = field(default_factory=dict)
+    tangents: dict = field(default_factory=dict)
     has_boundary: bool = True
 
     @property
@@ -236,47 +238,50 @@ class SimplicialMesh:
 
     # -- boundary classification ---------------------------------------------------
     def classify_boundary(self, tol=COLLINEAR_TOL):
-        """Corner/non-corner split of boundary vertices (and 3D edges)."""
+        """Corner/non-corner split of boundary vertices (and 3D edges) and the
+        boundary's tangents there, from one walk over the boundary edges (and
+        one over the 3D boundary faces).  ``directions[vi]``: the unit
+        directions (low vertex to high) of vi's boundary edges in edge order; a
+        vertex is a corner unless they are collinear (2D) or coplanar (3D), an
+        edge unless its boundary faces are coplanar.  ``tangents[(d, idx)]``:
+        rows spanning the tangent space, the first direction at a 2D vertex,
+        the top two right singular vectors of the directions at a 3D vertex,
+        the frame tangents of the first boundary face at a 3D edge, and all of
+        Rⁿ (the identity) at a corner.
+        """
         cls = BoundaryClassification()
-        bverts = self.boundary_simplices(0)
-        if not bverts:
+        if not any(self.boundary[0]):
             cls.has_boundary = False
             return cls
+        everything = np.eye(self.dim)
         if self.dim == 1:
-            cls.corner_vertices = set(bverts)
+            cls.corner_vertices = set(self.boundary_simplices(0))
+            cls.tangents = {(0, vi): everything for vi in cls.corner_vertices}
             return cls
-        # directions of adjacent boundary edges per boundary vertex
-        for vi in bverts:
-            dirs = []
-            for ei, everts in enumerate(self.skeleton[1]):
-                if self.boundary[1][ei] and vi in everts:
-                    d = self.vertices[everts[1]] - self.vertices[everts[0]]
-                    dirs.append(d / np.linalg.norm(d))
-            dirs = np.array(dirs)
+        for ei in self.boundary_simplices(1):
+            for vi in self.skeleton[1][ei]:
+                cls.directions.setdefault(vi, []).append(self.frames(1).tangents[ei, 0])
+        for vi, dirs in cls.directions.items():
+            cls.directions[vi] = dirs = np.array(dirs)
             if self.dim == 2:
-                flat = all(abs(dirs[0][0] * d[1] - dirs[0][1] * d[0]) <= tol
-                           for d in dirs[1:])
+                flat = np.all(np.abs(dirs[1:] @ [-dirs[0][1], dirs[0][0]]) <= tol)
+                tangents = dirs[:1]
             else:
-                sv = np.linalg.svd(dirs, compute_uv=False)
+                _, sv, vt = np.linalg.svd(dirs)
                 flat = sv.size < 3 or sv[2] <= tol * sv[0]
-            if flat:
-                cls.noncorner_boundary_vertices.add(vi)
-            else:
-                cls.corner_vertices.add(vi)
+                tangents = vt[:2]
+            (cls.noncorner_boundary_vertices if flat else cls.corner_vertices).add(vi)
+            cls.tangents[(0, vi)] = tangents if flat else everything
         if self.dim == 3:
-            face_normals = {}
+            faces = {}
             for fi in self.boundary_simplices(2):
-                face_normals[fi] = self.frame(2, fi).normals[0]
-            for ei in self.boundary_simplices(1):
-                everts = self.skeleton[1][ei]
-                normals = [face_normals[fi] for fi in self.boundary_simplices(2)
-                           if set(everts) <= set(self.skeleton[2][fi])]
-                flat = all(np.linalg.norm(np.cross(normals[0], nu)) <= tol
-                           for nu in normals[1:])
-                if flat:
-                    cls.noncorner_boundary_edges.add(ei)
-                else:
-                    cls.corner_edges.add(ei)
+                for e in combinations(self.skeleton[2][fi], 2):
+                    faces.setdefault(self._ids[1][e], []).append(fi)
+            frames, nu = self.frames(2), self.frames(2).normals[:, 0]
+            for ei, (f0, *rest) in faces.items():
+                flat = np.linalg.norm(np.cross(nu[f0], nu[rest]), axis=1).max(initial=0.0) <= tol
+                (cls.noncorner_boundary_edges if flat else cls.corner_edges).add(ei)
+                cls.tangents[(1, ei)] = frames.tangents[f0] if flat else everything
         return cls
 
     # -- file format -----------------------------------------------------------

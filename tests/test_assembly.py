@@ -13,7 +13,7 @@ from derham.assembly import (CONTAINMENT_TOL, DROP_RTOL, RANK_RTOL, OperatorMatr
                              verify_exactness, verify_row, complex_residual,
                              verify_decomposition)
 from derham.elements import element_def, p_min
-from derham.forms import Simplex
+from derham.forms import Simplex, trace_matrix
 from derham.mesh import SimplicialMesh, cube_center_fan_grid, triangle_grid
 
 
@@ -321,11 +321,11 @@ def test_homogeneous_counts_split_edge(meshes):
 def test_zero_mean_row_integrates(meshes, r, p):
     # the quotient-by-constants row is the integral functional; a DoF shared
     # by several cells (vertex values at r=2) collects every cell's part
-    from derham.assembly import homogeneous_constraints
+    from derham.assembly import zero_mean_row
     from derham.forms import FormPolynomial
     m = meshes["split"]
     space = assemble_space(m, r, p, 2)
-    row = homogeneous_constraints(space, m.classify_boundary())
+    row = zero_mean_row(space)
     one = global_dof_values(space, {ci: FormPolynomial(m.cell_simplex(ci), 2, {(0, 1): {(0, 0, 0): 1.0}})
                                     for ci in range(len(m.cells))})
     assert row.shape == (1, space.dim)
@@ -340,13 +340,13 @@ def test_homogeneous_3d_scalar_consistency(meshes):
     cls = tet.classify_boundary()
     for p in (5, 6):
         hom = restrict_homogeneous(assemble_space(tet, 2, p, 0), cls)
-        assert hom.dim == math.comb(p - 1, 3)
+        assert hom.shape[1] == math.comb(p - 1, 3)
     two = meshes["tet2"]
     cls2 = two.classify_boundary()
     for p in (5, 6):
         hom = restrict_homogeneous(assemble_space(two, 2, p, 0), cls2)
         expected = 2 * math.comb(p - 1, 3) + (math.comb(p - 4, 2) if p >= 6 else 0)
-        assert hom.dim == expected
+        assert hom.shape[1] == expected
 
 
 def test_homogeneous_3d_noncorner_vertex():
@@ -368,7 +368,7 @@ def test_homogeneous_3d_noncorner_vertex():
                     + 4 * (math.comb(p - 4, 2) if p >= 6 else 0)
                     + 4 + 4 * (p - 4)
                     + 2 * (p - 4) + max(p - 5, 0))
-        assert hom.dim == expected
+        assert hom.shape[1] == expected
 
 
 def test_homogeneous_3d_noncorner_edge():
@@ -386,7 +386,71 @@ def test_homogeneous_3d_noncorner_edge():
         hom = restrict_homogeneous(assemble_space(m, 2, p, 0), cls)
         expected = (2 * math.comb(p - 1, 3)
                     + (math.comb(p - 4, 2) if p >= 6 else 0) + (p - 4))
-        assert hom.dim == expected
+        assert hom.shape[1] == expected
+
+
+def _worst_boundary_trace(mesh, space, basis):
+    """Largest trace coefficient of the basis columns on any boundary facet,
+    over the columns' largest broken coefficient."""
+    n, k, p = mesh.dim, space.el.k, space.el.p
+    cols = np.zeros(basis.shape)
+    cols[basis.rows, basis.cols] = basis.vals
+    broken = (space.broken(p) @ cols).reshape(len(mesh.cells), -1, basis.shape[1])
+    worst = 0.0
+    for fi in mesh.boundary_simplices(n - 1):
+        ci = mesh.cofaces[n - 1][fi][0]
+        vmap = [list(mesh.cells[ci]).index(v) for v in mesh.skeleton[n - 1][fi]]
+        tangents = mesh.frames(n - 1).tangents[fi] if k else None
+        worst = max(worst, np.abs(trace_matrix(n, vmap, k, p, tangents) @ broken[ci]).max())
+    return worst / np.abs(broken).max()
+
+
+@pytest.mark.parametrize("name", ["split", "square", "grid3"])
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_homogeneous_columns_vanish_on_boundary_2d(meshes, name, k, p):
+    m = triangle_grid(3) if name == "grid3" else meshes[name]
+    r, q, _ = family_row(2, 1, p)[k]
+    space = assemble_space(m, r, q, k)
+    assert _worst_boundary_trace(m, space, restrict_homogeneous(space, m.classify_boundary())) <= 1e-12
+
+
+# the meshes of the two non-corner tests above, as (vertices, cells)
+FLAT_BOUNDARY_MESHES = {
+    "noncorner-vertex": ([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0], [0.5, 0.5, 0],
+                          [0.5, 0.5, 1.0]],
+                         [(0, 1, 4, 5), (1, 2, 4, 5), (2, 3, 4, 5), (0, 3, 4, 5)]),
+    "noncorner-edge": ([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [0.4, 0.4, 1.0]],
+                       [(0, 1, 2, 4), (1, 3, 2, 4)]),
+}
+
+
+@pytest.mark.parametrize("name", ["tet", "tet2", "noncorner-vertex", "noncorner-edge"])
+@pytest.mark.parametrize("p", [5, 6])
+def test_homogeneous_columns_vanish_on_boundary_3d(meshes, name, p):
+    m = meshes[name] if name in meshes else SimplicialMesh(*FLAT_BOUNDARY_MESHES[name])
+    space = assemble_space(m, 2, p, 0)
+    assert _worst_boundary_trace(m, space, restrict_homogeneous(space, m.classify_boundary())) <= 1e-12
+
+
+def test_homogeneous_row_report_memory():
+    import tracemalloc
+    m = triangle_grid(5)
+    cls = m.classify_boundary()
+    tracemalloc.start()
+    try:
+        rep = homogeneous_row_report(m, 4, cls)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["exact"] and rep["dims"] == rep["formulas"]
+    assert peak < 40e6, peak
+
+
+def test_homogeneous_row_report_is_json(meshes):
+    m = meshes["split"]
+    rep = homogeneous_row_report(m, 2, m.classify_boundary())
+    assert json.loads(json.dumps(rep)) == rep
 
 
 # -- space equality ---------------------------------------------------------------

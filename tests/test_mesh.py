@@ -141,6 +141,24 @@ def test_classify_rigid_motion_invariant():
     assert a.noncorner_boundary_vertices == b.noncorner_boundary_vertices
 
 
+def test_classify_records_boundary_tangents():
+    m = split_edge_square()
+    cls = m.classify_boundary()
+    (nc,) = cls.noncorner_boundary_vertices
+    assert np.allclose(cls.tangents[(0, nc)], [[1.0, 0.0]])
+    assert all(np.array_equal(cls.tangents[(0, vi)], np.eye(2)) for vi in cls.corner_vertices)
+    # two tets over a split square base: the diagonal base edge is flat, and
+    # its tangents span the base plane
+    m = SimplicialMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [0.4, 0.4, 1.0]],
+                       [(0, 1, 2, 4), (1, 3, 2, 4)])
+    cls = m.classify_boundary()
+    (ei,) = cls.noncorner_boundary_edges
+    T = cls.tangents[(1, ei)]
+    assert T.shape == (2, 3) and np.abs(T[:, 2]).max() < 1e-15
+    assert np.allclose(T @ T.T, np.eye(2))
+    assert all(np.array_equal(cls.tangents[(1, e)], np.eye(3)) for e in cls.corner_edges)
+
+
 def test_classify_3d_corner_edges():
     m = reference_tet()
     cls = m.classify_boundary()
