@@ -533,14 +533,13 @@ _SparseGram = namedtuple("_SparseGram", "vals fronts rank_one")
 
 def _below(L, B):
     """X with X Lᵀ = B for a lower-triangular L, entry by entry the Cholesky
-    recurrence x_ij = (b_ij - Σ_{k<j} x_ik l_jk)/l_jj: its sum is one product
-    over the earlier blocks of 32 columns plus one over the current block."""
+    recurrence x_ij = (b_ij - Σ_{k<j} x_ik l_jk)/l_jj: a product over earlier
+    32-column blocks, then LAPACK's back substitution on the reversed block."""
     XT = np.empty((len(L), len(B)))
     for s in range(0, len(L) if len(B) else 0, 32):
         e = min(s + 32, len(L))
         R = B[:, s:e].T - L[s:e, :s] @ XT[:s]
-        for j in range(s, e):
-            XT[j] = (R[j - s] - L[j, s:j] @ XT[s:j]) / L[j, j]
+        XT[s:e] = np.linalg.solve(L[s:e, s:e][::-1, ::-1], R[::-1])[::-1]
     return XT.T
 
 
@@ -570,8 +569,7 @@ def _factor(gram, shift, keep=False):
         except np.linalg.LinAlgError:
             return None
         LU = _below(L, F[m:, :m])
-        if size > m:
-            updates[k] = F[m:, m:] - LU @ LU.T
+        updates[k] = F[m:, m:] - LU @ LU.T
         if keep:
             blocks.append((L, LU))
     return blocks if keep else True
@@ -581,15 +579,13 @@ def _min_eig_estimate(gram, blocks):
     """λ_min(L Lᵀ) estimated from above by two steps of inverse subspace
     iteration on four vectors, solved front by front with the factor's
     blocks; numpy has no triangular solve, so substitution within a front
-    runs over diagonal blocks of 16, inverted in one call per front."""
-    invs = []
-    for L, _ in blocks:
-        starts = range(0, len(L), 16)
-        stack = np.tile(np.eye(16), (len(starts), 1, 1))
-        for i, s in enumerate(starts):
-            e = min(s + 16, len(L))
-            stack[i, :e - s, :e - s] = L[s:e, s:e]
-        invs.append(np.linalg.inv(stack))
+    runs over diagonal blocks of 16, those of all fronts inverted in one call."""
+    diag = [L[s:s + 16, s:s + 16] for L, _ in blocks for s in range(0, len(L), 16)]
+    stack = np.tile(np.eye(16), (len(diag), 1, 1))
+    for i, d in enumerate(diag):
+        stack[i, :len(d), :len(d)] = d
+    inv = iter(a[:len(d), :len(d)] for a, d in zip(np.linalg.inv(stack), diag))
+    steps = [[(s, next(inv)) for s in range(0, len(L), 16)] for L, _ in blocks]
 
     # y is kept in elimination order, so each front's pivots are one slice
     order = np.concatenate([f.pivots for f in gram.fronts])
@@ -600,20 +596,18 @@ def _min_eig_estimate(gram, blocks):
 
     def solve(b):
         y = b[order]
-        for (lo, hi, up), (L, LU), inv in zip(spans, blocks, invs):
+        for (lo, hi, up), (L, LU), step in zip(spans, blocks, steps):
             x = y[lo:hi]
-            for i, s in enumerate(range(0, len(L), 16)):
-                e = min(s + 16, len(L))
-                x[s:e] = inv[i, :e - s, :e - s] @ (x[s:e] - L[s:e, :s] @ x[:s])
+            for s, D in step:
+                x[s:s + 16] = D @ (x[s:s + 16] - L[s:s + 16, :s] @ x[:s])
             if len(up):
                 y[up] -= LU @ x
-        for (lo, hi, up), (L, LU), inv in reversed(list(zip(spans, blocks, invs))):
+        for (lo, hi, up), (L, LU), step in reversed(list(zip(spans, blocks, steps))):
             x = y[lo:hi]
             if len(up):
                 x -= LU.T @ y[up]
-            for i, s in reversed(list(enumerate(range(0, len(L), 16)))):
-                e = min(s + 16, len(L))
-                x[s:e] = inv[i, :e - s, :e - s].T @ (x[s:e] - L[e:, s:e].T @ x[e:])
+            for s, D in reversed(step):
+                x[s:s + 16] = D.T @ (x[s:s + 16] - L[s + 16:, s:s + 16].T @ x[s + 16:])
         out = np.empty_like(y)
         out[order] = y
         return out
@@ -640,11 +634,12 @@ def _cholesky_floor(gram, t, c):
     grouping (Higham, Accuracy and Stability of Numerical Algorithms,
     Lemma 8.4 and Theorem 10.3).  The front-by-front factor is such a
     factor.  Inside a front, LAPACK's Cholesky evaluates the recurrences
-    for L_PP, and ``_below`` evaluates them for L_UP with a division by
-    l_jj: numpy has no triangular solve, and an inverse or an LU factor
-    would not give these entries.  A child's terms l_ik l_jk reach each
-    later entry summed in its Schur complement, and extend-add only
-    regroups those sums.  So γ_{N+1}, N the order of G, still applies.
+    for L_PP, and ``_below`` for L_UP by ``solve``, whose pivoted LU of an
+    upper-triangular block is the block itself.  OpenBLAS multiplies by
+    1/l_jj (``potrf``, ``getrs``), one rounding more per entry: l_ij stays
+    within γ_{j+1} ≤ γ_N of its recurrence.  Extend-add only regroups the
+    sums of a child's terms l_ik l_jk in its Schur complement.  So γ_{N+1},
+    N the order of G, still applies.
 
     With ``rank_one`` = a·v̂v̂ᵀ the bound is on λ_min(DᵀD + a·v̂v̂ᵀ), and by
     Courant–Fischer, for any unit v̂ and any y ⊥ v̂, ‖Dy‖² = yᵀ(DᵀD +

@@ -1,12 +1,13 @@
 """The multifrontal Cholesky behind the rank proofs: plan, factor, memory."""
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from derham.assembly import (_factor, _SparseGram, assemble_d, assemble_space, _gamma,
+from derham.assembly import (_below, _factor, _SparseGram, assemble_d, assemble_space, _gamma,
                              family_row, prove_ranks)
 from derham.fronts import LEAF, dense_front, plan
 from derham.mesh import triangle_grid
@@ -53,10 +54,57 @@ def test_shifted_indefinite_matrix_fails_on_both_plans(seed):
         assert _factor(gram, eig[0] - 1.0) is not None
 
 
+def _ints(a):
+    """Every entry of a float array as the exact integer a·2**1074."""
+    out = np.zeros(a.shape, dtype=object)
+    for idx in zip(*np.nonzero(a)):
+        num, den = a[idx].as_integer_ratio()
+        out[idx] = num * (2 ** 1074 // den)
+    return out
+
+
+def _worst_ratio(B, X, Y, entries):
+    """max |B - X Yᵀ| / (|X||Yᵀ|) over the (i, j) in ``entries``, in exact
+    arithmetic: every double is an integer over 2**1074, so each product
+    sum is an integer over 2**2148."""
+    Bi, Xi = _ints(B), _ints(X)
+    Yi = Xi if Y is X else _ints(Y)
+    worst = Fraction(0)
+    for i, j in entries:
+        k = np.flatnonzero((X[i] != 0) & (Y[j] != 0))
+        resid = abs(Bi[i, j] * 2 ** 1074 - Xi[i, k] @ Yi[j, k])
+        bound = np.abs(Xi[i, k]) @ np.abs(Yi[j, k])
+        assert bound or not resid
+        worst = max(worst, Fraction(resid, bound or 1))
+    return worst
+
+
+@pytest.mark.parametrize("m, gap, rows", [(70, None, 20), (70, 1e-10, 20), (97, 1e-8, 20),
+                                          (70, 1e-10, 150)])
+def test_below_meets_the_substitution_bound(m, gap, rows):
+    # |B - X Lᵀ| ≤ γ_{m+1}|X||Lᵀ| entry by entry: the recurrence plus the
+    # one rounding of OpenBLAS's 1/l_jj; m spans three or four 32-column
+    # blocks, a shift to ``gap`` above λ_min makes L ill-conditioned, and
+    # one case has 150 update rows (the first 20 are checked)
+    rng = np.random.default_rng(m)
+    Q = np.linalg.qr(rng.normal(size=(m, m)))[0]
+    A = (Q * np.geomspace(1e-6, 1e3, m)) @ Q.T
+    A = (A + A.T) / 2
+    if gap is not None:
+        A -= (np.linalg.eigvalsh(A)[0] - gap) * np.eye(m)
+    L = np.linalg.cholesky(A)
+    B = rng.normal(size=(rows, m)) * np.geomspace(1e-8, 1e8, m)
+    X = _below(L, B)
+    ratio = _worst_ratio(B, X, L, np.ndindex(20, m))
+    assert 0 < ratio <= Fraction(_gamma(m + 1))
+    assert _below(L, B[:0]).shape == (0, m)
+
+
 @pytest.mark.parametrize("seed", [11, 12])
 def test_factor_reproduces_permuted_matrix(seed):
     # Demmel's componentwise bound, which the rank proof relies on:
-    # |L Lᵀ - P(G - tI)Pᵀ| ≤ γ_{N+1} |L||Lᵀ|
+    # |L Lᵀ - P(G - tI)Pᵀ| ≤ γ_{N+1} |L||Lᵀ|, evaluated exactly on the
+    # diagonal and on sampled entries of the pattern and of the fill
     A, rows, cols, pts, eig = _sparse_symmetric(seed)
     t = eig[0] - 1.0
     _, gram = _grams(A, rows, cols, pts)
@@ -72,9 +120,13 @@ def test_factor_reproduces_permuted_matrix(seed):
         L[np.ix_(pos[f.update], pos[f.pivots])] = LU
     assert np.array_equal(L, np.tril(L))
     PAP = (A - t * np.eye(len(A)))[np.ix_(order, order)]
-    resid = np.abs(L @ L.T - PAP)
-    assert (resid <= _gamma(len(A) + 1) * (np.abs(L) @ np.abs(L).T)).all()
-    assert resid.max() > 0.0             # the bound is not met vacuously
+    rng = np.random.default_rng(seed)
+    pattern = rng.choice(len(rows), 1500, replace=False)
+    fill = np.sort(rng.integers(len(A), size=(1500, 2)), axis=1)[:, ::-1]
+    entries = {(max(i, j), min(i, j)) for i, j in zip(pos[rows[pattern]], pos[cols[pattern]])}
+    entries |= {(i, j) for i, j in fill if PAP[i, j] == 0} | {(i, i) for i in range(len(A))}
+    ratio = _worst_ratio(PAP, L, L, sorted(entries))
+    assert 0 < ratio <= Fraction(_gamma(len(A) + 1))     # the bound is not met vacuously
 
 
 def test_fronts_are_separated():
