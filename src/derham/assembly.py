@@ -14,7 +14,7 @@ Assembly itself is deterministic and single-threaded; assembled spaces and
 operator matrices are immutable afterwards and safe to share.  Operators
 are COO triplets; a dense view is built only when a caller asks for it.
 Rank decisions use a relative singular-value cutoff (forms.RANK_RTOL):
-``prove_ranks`` proves the rank the complex predicts with a shifted
+``prove_ranks`` proves the rank a chain predicts with a shifted
 Cholesky of a sparse Gram matrix and counts the singular values only where
 that proof fails.  A Gram matrix no larger than one leaf
 (``fronts.LEAF``) is summed straight into its single dense front; a larger
@@ -280,21 +280,9 @@ class OperatorMatrix:
         return (self.dst.dim, self.src.dim)
 
     @cached_property
-    def T(self):
-        """The transpose, the two spaces' roles swapped."""
-        order = np.argsort(self.cols, kind="stable")
-        t = OperatorMatrix(self.dst, self.src, self.cols[order], self.rows[order],
-                           self.vals[order], self.dropped_max, self.dropped_norm)
-        t.__dict__["T"] = self      # cached: the transpose's transpose is self
-        return t
-
-    @cached_property
     def array(self):
         """The dense matrix, built on first use."""
         return _dense(self)
-
-    def dot(self, x):
-        return np.bincount(self.rows, weights=self.vals * x[self.cols], minlength=self.shape[0])
 
     def export_coo(self):
         lines = [f"{self.shape[0]} {self.shape[1]} {len(self.vals)}"]
@@ -321,14 +309,18 @@ def assemble_local_operator(src, dst, fmap):
     flat, vals, scales = flat[order], Dloc.ravel()[order], scales[order]
     # the first cell to reach an entry sets it; later cells must agree with it
     first = np.r_[True, flat[1:] != flat[:-1]]
-    ref = vals[np.maximum.accumulate(np.where(first, np.arange(len(flat)), 0))]
+    setter = np.maximum.accumulate(np.where(first, np.arange(len(flat)), 0))
+    ref = vals[setter]
     bad = ~first & (np.abs(vals - ref) > CONSISTENCY_TOL * scales)
     if bad.any():
         pos = np.flatnonzero(bad)[np.argmin(order[bad])]   # first one in cell order
         gi, gj = divmod(int(flat[pos]), src.dim)
+        cells = order[[setter[pos], pos]] // Dloc[0].size   # the source duals invert
+        c0, c1 = np.linalg.cond(src.local[cells])            # these DoF matrices
         raise RuntimeError(
-            f"operator entry disagrees across cells at ({gi},{gj}): "
-            f"{ref[pos]} vs {vals[pos]}; wrong family pairing?")
+            f"operator entry disagrees across cells at ({gi},{gj}): {ref[pos]} vs {vals[pos]}; "
+            f"wrong family pairing? The source DoF matrices of cells {cells[0]} and "
+            f"{cells[1]} have condition numbers {c0:.2g} and {c1:.2g}")
     flat, vals = flat[first], vals[first]
     keep = np.abs(vals) > DROP_RTOL * np.abs(vals).max(initial=0.0)
     rows, cols = np.divmod(flat[keep], src.dim)
@@ -388,6 +380,23 @@ def containment_residual(src, dst, D=None):
 # sparse products and ranks
 # ---------------------------------------------------------------------------
 
+# A sparse matrix as COO triplets in row-major order, each entry once, with
+# the Frobenius norm of any residue dropped from it, as an OperatorMatrix.
+Coo = namedtuple("Coo", "rows cols vals shape dropped_norm", defaults=(0.0,))
+
+
+def _transpose(a):
+    """The transpose of a row-major Coo or OperatorMatrix as a row-major
+    Coo: a stable sort by column keeps each column's rows in order."""
+    order = np.argsort(a.cols, kind="stable")
+    return Coo(a.cols[order], a.rows[order], a.vals[order], a.shape[::-1], a.dropped_norm)
+
+
+def _dot(a, x):
+    """a @ x of a COO matrix and a vector."""
+    return np.bincount(a.rows, weights=a.vals * x[a.cols], minlength=a.shape[0])
+
+
 def _csr(D):
     """(row starts, columns, values, width) of D."""
     return np.searchsorted(D.rows, np.arange(D.shape[0] + 1)), D.cols, D.vals, D.shape[1]
@@ -417,10 +426,10 @@ def _slabs(csr):
     return (np.arange(s, min(s + step, n)) for s in range(0, n, step))
 
 
-def _gram(X, B=None, a=None):
+def _gram(X, coords, B=None, a=None):
     """XᵀX, plus a·BBᵀ for a given B, as values on a plan of fronts (see
     ``_SparseGram``), its diagonal, and per operator the most nonzero terms
-    in one entry.
+    in one entry; ``coords`` places X's columns for the dissection.
 
     Each slab of rows gives a product dense over the columns it touches.  A
     matrix of at most LEAF columns is one front, and the products are summed
@@ -432,7 +441,7 @@ def _gram(X, B=None, a=None):
     """
     n = X.shape[1]
     sums, terms = [], []
-    for P in [X] if B is None else [X, B.T]:
+    for P in [X] if B is None else [X, _transpose(B)]:
         csr = _csr(P)
         total = np.zeros((n, n)) if n <= LEAF else ([], [])
         for idx in _slabs(csr):
@@ -458,7 +467,7 @@ def _gram(X, B=None, a=None):
     rows, cols = keys // n, keys % n
     diag, on = np.zeros(n), rows == cols
     diag[rows[on]] = vals[on]
-    return vals, plan(n, _dof_coords(X.src), rows, cols), diag, terms
+    return vals, plan(n, coords, rows, cols), diag, terms
 
 
 def _coo_sum(keys, vals):
@@ -477,11 +486,15 @@ def _coo_sum(keys, vals):
 def _dof_coords(space):
     """Each global DoF's mean of the centroids of the cells that reach it."""
     cent = space.mesh.vertices[space.mesh.cells].mean(axis=1)
-    flat = space.cell_global.ravel()
-    count = np.bincount(flat, minlength=space.dim)
-    per = np.repeat(cent, space.cell_global.shape[1], axis=0)
-    return np.stack([np.bincount(flat, weights=per[:, a], minlength=space.dim)
-                     for a in range(cent.shape[1])], axis=1) / count[:, None]
+    return _mean_points(space.cell_global.ravel(),
+                        np.repeat(cent, space.cell_global.shape[1], axis=0), space.dim)
+
+
+def _mean_points(idx, pts, size):
+    """For each i < size, the mean of the points pts[j] with idx[j] == i."""
+    count = np.bincount(idx, minlength=size)
+    return np.stack([np.bincount(idx, weights=pts[:, a], minlength=size)
+                     for a in range(pts.shape[1])], axis=1) / count[:, None]
 
 
 def _product_slabs(A, B):
@@ -659,11 +672,12 @@ def _cholesky_floor(gram, t, c):
     return (sharper if _factor(gram, sharper) else t) - c
 
 
-def _proof(D, r, kernel, sigma1):
+def _proof(D, r, kernel, sigma1, coords):
     """(r, lower bound on σ_r, upper bound on σ_{r+1}) of D, or None.
 
-    ``kernel`` spans the kernel of D if r holds: the constants (first map),
-    or ``(B, rank, kept, dropped)`` of a proved map B with range B ⊂ ker D.
+    ``kernel`` spans the kernel of D if r holds: a known kernel vector x
+    (first map), or ``(B, rank, kept, dropped)`` of a proved map B with
+    range B ⊂ ker D.  ``coords`` places D's rows and columns.
     """
     m, n = D.shape
     lo1, hi1 = sigma1
@@ -673,19 +687,19 @@ def _proof(D, r, kernel, sigma1):
     F = D.vals @ D.vals                     # ‖|D|ᵀ|D|‖₂ ≤ ‖D‖_F²
     penalty, w_row = 0.0, int(np.bincount(D.rows).max())   # terms in a row of D times a vector
     full = r == min(m, n)
-    constants = not full and isinstance(kernel, np.ndarray) and r == n - 1
-    if not (full or constants or isinstance(kernel, tuple) and r == n - kernel[1]):
+    vector = not full and isinstance(kernel, np.ndarray) and r == n - 1
+    if not (full or vector or isinstance(kernel, tuple) and r == n - kernel[1]):
         return None
     if full:
         dropped = 0.0
-    elif constants:
+    elif vector:
         # for y ⊥ v̂, ‖Dy‖² = yᵀ(DᵀD + a v̂v̂ᵀ)y, and by Courant–Fischer its
         # minimum over unit y bounds σ_{n-1} from below for any v: v is x̂ on
         # the root front's pivots, so the term adds no fill; σ_n ≤ ‖Dx̂‖
         x = kernel / np.linalg.norm(kernel)
         a = F / n
         bound = np.bincount(D.rows, weights=np.abs(D.vals * x[D.cols]), minlength=m)
-        dropped = (np.linalg.norm(D.dot(x)) + _gamma(w_row + 1) * np.linalg.norm(bound)) \
+        dropped = (np.linalg.norm(_dot(D, x)) + _gamma(w_row + 1) * np.linalg.norm(bound)) \
             / np.linalg.norm(x)
     else:
         # with U the top singular space of B (dim = its rank s): for y ⊥ U,
@@ -700,18 +714,18 @@ def _proof(D, r, kernel, sigma1):
     dropped = dropped * (1 + _SLACK) + delta
     if dropped >= RANK_RTOL * lo1:
         return None
-    X = D.T if full and m <= n else D
+    X, at = (_transpose(D), coords[0]) if full and m <= n else (D, coords[1])
     if full:
-        vals, fronts, diag, (w,) = _gram(X)
-    elif constants:
-        vals, fronts, diag, (w,) = _gram(X)
+        vals, fronts, diag, (w,) = _gram(X, at)
+    elif vector:
+        vals, fronts, diag, (w,) = _gram(X, at)
         F, w = F + a, w + 2
     else:
-        vals, fronts, diag, (w, wB) = _gram(X, B, a)
+        vals, fronts, diag, (w, wB) = _gram(X, at, B, a)
         F, w = F + a * FB, w + wB + 2
     need = (RANK_RTOL * hi1 + delta) * (1 + 4 * _SLACK)
     N, rank_one = X.shape[1], None
-    if constants:
+    if vector:
         root = fronts[-1].pivots
         v = kernel[root]
         if not v.any():
@@ -727,22 +741,24 @@ def _proof(D, r, kernel, sigma1):
     return r, math.sqrt(floor - penalty) * (1 - _SLACK) - delta, dropped
 
 
-def prove_ranks(ops):
-    """The rank of each operator of a row, proved where the complex allows.
+def prove_ranks(ops, coords, kernel=None):
+    """The rank of each operator of a chain, proved where the chain allows.
 
-    The complex proposes every rank: r₀ = n₀ - 1 with the constants as the
-    kernel when the first source holds 0-forms, then r_k = min(n_k - r_{k-1},
-    m_k).  One shifted float Cholesky of a sparse Gram matrix on the
-    operator's smaller side proves a lower bound on σ_r: DDᵀ or DᵀD when r is
-    full, else DᵀD plus a multiple of v̂v̂ᵀ (v the constants x̂ on the root
-    front's DoFs) or of BBᵀ for the previous map B, or DDᵀ plus a multiple
-    of CᵀC for the next map C; B or C must have been proved, and their ranks
-    fix r.  A Gram matrix of at most LEAF DoFs is one dense front; a larger
-    one is built as COO triplets, ordered by nested dissection of its own
-    graph with the DoFs at their cells' mean centroid, and factored front by
-    front (``_cholesky_floor``).  The dropped bound is ‖Dx̂‖, ‖DB‖_F or
-    ‖CD‖_F over that map's kept bound, and the dropped residue's Frobenius
-    norm widens both.  Where the bounds straddle
+    ``ops[k]`` maps space k to space k+1 as row-major COO triplets (a
+    ``Coo`` or an ``OperatorMatrix``), ``coords`` holds a point per DoF of
+    each of the ``len(ops) + 1`` spaces, and ``kernel`` is an optional known
+    kernel vector x of ops[0].  The chain proposes every rank: r₀ = n₀ - 1
+    given x, then r_k = min(n_k - r_{k-1}, m_k).  One shifted float Cholesky
+    of a sparse Gram matrix on the operator's smaller side proves a lower
+    bound on σ_r: DDᵀ or DᵀD when r is full, else DᵀD plus a multiple of
+    v̂v̂ᵀ (v is x̂ on the root front's DoFs) or of BBᵀ for the previous map
+    B, or DDᵀ plus a multiple of CᵀC for the next map C; B or C must have
+    been proved, and their ranks fix r.  A Gram matrix of at most LEAF DoFs
+    is one dense front; a larger one is built as COO triplets, ordered by
+    nested dissection of its own graph with the DoFs at their points, and
+    factored front by front (``_cholesky_floor``).  The dropped bound is
+    ‖Dx̂‖, ‖DB‖_F or ‖CD‖_F over that map's kept bound, and the dropped
+    residue's Frobenius norm widens both.  Where the bounds straddle
     RANK_RTOL·σ₁, r is the count that ``rank_of`` defines; otherwise the
     operator is counted by ``rank_of`` on its dense view, and a dense view
     over MAX_DENSE_BYTES raises RuntimeError instead.
@@ -750,33 +766,33 @@ def prove_ranks(ops):
     Returns the ranks and, per operator, ``{"kept", "dropped", "proved"}``:
     the bounds relative to σ₁ (None where nothing was proved).
     """
-    constants = ops[0].src.constant_coefficients() if ops and ops[0].src.el.k == 0 else None
     sigma1 = [_sigma1_bounds(D) for D in ops]
     proofs = [None] * len(ops)          # (rank, kept, dropped) once proved
     tried = set()
 
     def attempt(k, side):
-        """Prove op k on one side: "full", "cols" (the previous map or the
-        constants span the kernel) or "rows" (the next map spans the cokernel)."""
+        """Prove op k on one side: "full", "cols" (the previous map or x
+        spans the kernel) or "rows" (the next map spans the cokernel)."""
         m, n = ops[k].shape
-        if side == "full":
-            tried.add((k, side))
-            proofs[k] = _proof(ops[k], min(m, n), None, sigma1[k])
-            return
-        j, width = (k - 1, n) if side == "cols" else (k + 1, m)
-        if j == -1 and constants is not None:
-            kernel, s = constants, 1
-        elif 0 <= j < len(ops) and proofs[j] is not None:
-            B = ops[j] if side == "cols" else ops[j].T
-            kernel, s = (B, *proofs[j]), proofs[j][0]
-        else:
-            return
+        known, r = None, min(m, n)
+        if side != "full":
+            j, width = (k - 1, n) if side == "cols" else (k + 1, m)
+            if j == -1 and kernel is not None:
+                known, r = kernel, width - 1
+            elif 0 <= j < len(ops) and proofs[j] is not None:
+                B = ops[j] if side == "cols" else _transpose(ops[j])
+                known, r = (B, *proofs[j]), width - proofs[j][0]
+            else:
+                return
         tried.add((k, side))
-        proofs[k] = _proof(ops[k] if side == "cols" else ops[k].T, width - s, kernel, sigma1[k])
+        D, ends = ops[k], (coords[k + 1], coords[k])
+        if side == "rows":
+            D, ends = _transpose(D), ends[::-1]
+        proofs[k] = _proof(D, r, known, sigma1[k], ends)
 
     # forward: full ranks, and column sides as each previous map is proved;
     # backward: the other sides, as each next map is proved
-    prev = int(constants is not None)   # the constants act as a rank-one map
+    prev = int(kernel is not None)      # x acts as a rank-one map
     for k, D in enumerate(ops):
         m, n = D.shape
         prev = min(n - prev, m)
@@ -792,7 +808,7 @@ def prove_ranks(ops):
                 f"the rank of operator {k} ({D.shape[0]}x{D.shape[1]}) could not be proved, "
                 f"and counting it needs a dense copy of {8 * D.shape[0] * D.shape[1] / 2 ** 20:.3g}"
                 f" MiB, over the {MAX_DENSE_BYTES / 2 ** 20:.3g} MiB limit")
-    ranks = [p[0] if p else rank_of(D.array) for p, D in zip(proofs, ops)]
+    ranks = [p[0] if p else rank_of(_dense(D)) for p, D in zip(proofs, ops)]
     margins = [{"kept": float(p[1] / s[1]) if p else None,
                 "dropped": float(p[2] / s[0]) if p else None,
                 "proved": p is not None} for p, s in zip(proofs, sigma1)]
@@ -836,7 +852,8 @@ def verify_row(mesh, slots, expected_betti=None):
     spaces = [assemble_space(mesh, r, p, k) for (r, p, k) in slots]
     ops = [assemble_d(spaces[i], spaces[i + 1]) for i in range(len(spaces) - 1)]
     dims = [s.dim for s in spaces]
-    ranks, margins = prove_ranks(ops)
+    kernel = spaces[0].constant_coefficients() if spaces[0].el.k == 0 else None
+    ranks, margins = prove_ranks(ops, [_dof_coords(s) for s in spaces], kernel)
     nullities = [dims[i] - ranks[i] for i in range(len(ops))]
     dd = [complex_residual(ops[i + 1], ops[i]) for i in range(len(ops) - 1)]
     betti = [nullities[0]]
@@ -847,9 +864,8 @@ def verify_row(mesh, slots, expected_betti=None):
         expected_betti = [1] + [0] * (len(dims) - 1)
     # kernel of the first operator should be exactly the constants
     kernel_const = True
-    if slots[0][2] == 0 and nullities[0] >= 1:
-        x = spaces[0].constant_coefficients()
-        resid = np.abs(ops[0].dot(x)).max() / max(np.abs(x).max(), 1.0)
+    if kernel is not None and nullities[0] >= 1:
+        resid = np.abs(_dot(ops[0], kernel)).max() / max(np.abs(kernel).max(), 1.0)
         kernel_const = bool(resid < 1e-8) and nullities[0] == expected_betti[0]
     alt_dims = sum((-1) ** i * dims[i] for i in range(len(dims)))
     alt_betti = sum((-1) ** i * expected_betti[i] for i in range(len(dims)))
@@ -904,10 +920,6 @@ def space_equal(space_a, space_b):
 # homogeneous boundary conditions
 # ---------------------------------------------------------------------------
 
-# A sparse matrix as COO triplets in row-major order, each entry once.
-Coo = namedtuple("Coo", "rows cols vals shape")
-
-
 def _coo(rows, cols, vals, shape):
     """The Coo of triplets in any order, repeated entries summed."""
     keys, inv = np.unique(rows * shape[1] + cols, return_inverse=True)
@@ -951,16 +963,9 @@ def restrict_homogeneous(space, classification):
     tangents (``classify_boundary``), so nothing at a corner.  The basis is
     a (space.dim, dim) matrix with orthonormal columns: a small kernel block
     per boundary entity, order and position, then a unit column per kept
-    DoF.  For k = n it spans the zero-mean hyperplane (the quotient by
-    constants): each DoF but the pivot of ``zero_mean_row``, minus its share.
+    DoF.
     """
     mesh, el, n = space.mesh, space.el, space.mesh.dim
-    if el.k == n:
-        row = zero_mean_row(space)[0]
-        j = int(np.argmax(np.abs(row)))
-        rest = np.delete(np.arange(space.dim), j)
-        return _coo(np.r_[rest, np.full_like(rest, j)], np.tile(np.arange(len(rest)), 2),
-                    np.r_[np.ones(len(rest)), -row[rest] / row[j]], (space.dim, len(rest)))
     if (n, el.r, el.k) not in ((2, 1, 0), (2, 1, 1), (3, 2, 0)):
         raise ValueError("homogeneous restriction not implemented for this family")
     kept = np.ones(space.dim, dtype=bool)
@@ -995,58 +1000,49 @@ def restrict_homogeneous(space, classification):
     return _coo(*map(np.concatenate, zip(*parts)), (space.dim, dim + len(keep)))
 
 
-def boundary_derivative_resolution(mesh, vi):
-    """The 2x2 matrix A with d/d(e_i) = A[i, 0] d/d(t1) + A[i, 1] d/d(t2) at
-    a corner vertex, t1, t2 its first two boundary-edge directions from
-    ``classify_boundary``: given boundary values, the tangential derivatives
-    along the edges determine every vertex derivative DoF.  Raises at a
-    non-corner vertex, which has one tangential direction only."""
-    if mesh.dim != 2:
-        raise ValueError("derivative resolution is for 2D boundary vertices")
-    dirs = mesh.classify_boundary().directions.get(vi, ())
-    if len(dirs) < 2:
-        raise ValueError("vertex is not a boundary vertex with two edges")
-    T = np.column_stack(dirs[:2])
-    if abs(np.linalg.det(T)) < 1e-12:
-        raise ValueError("non-corner vertex: edge directions are collinear")
-    return np.linalg.inv(T).T
-
-
 def homogeneous_row_report(mesh, p, classification):
     """Assembled homogeneous 2D dims, removal-count formulas, and exactness.
 
     The restricted operators are N₁ᵀD₀N₀ and D₁N₁, products of the
-    operators' triplets and the bases N of ``restrict_homogeneous``; the
-    last slot is the quotient by constants, whose restricted image the
-    zero-mean row checks.  Each image must stay homogeneous.
+    operators' triplets and the bases N of ``restrict_homogeneous``; each
+    image must stay homogeneous.  The last slot is the quotient by
+    constants, which D₁N₁ maps onto iff the zero-mean row z spans its
+    cokernel.  ``prove_ranks`` proves both ranks on the transposed chain
+    [(D₁N₁)ᵀ, (N₁ᵀD₀N₀)ᵀ] with z as the known kernel vector, each basis
+    column at the mean of its DoFs' points.
     """
     cls = classification
     slots = family_row(2, 1, p)
     spaces = [assemble_space(mesh, r, q, k) for (r, q, k) in slots]
-    bases = [restrict_homogeneous(s, cls) for s in spaces]
+    N0, N1 = (restrict_homogeneous(s, cls) for s in spaces[:2])
     E0, q0, q1 = len(mesh.boundary_simplices(1)), slots[0][1], slots[1][1]
     formulas = [
         spaces[0].dim - (q0 - 3) * E0 - 3 * cls.v0 + cls.v0s,
         spaces[1].dim - (q1 - 1) * E0 - 2 * cls.v0 + cls.v0s,
         spaces[2].dim - 1,
     ]
-    (N0, N1, _), (D0, D1) = bases, [assemble_d(spaces[i], spaces[i + 1]) for i in range(2)]
+    D0, D1 = (assemble_d(spaces[i], spaces[i + 1]) for i in range(2))
     # D₀N₀ is homogeneous iff it is its own projection N₁N₁ᵀD₀N₀
     img = _matmul(D0, N0)
-    coef = _matmul(_coo(N1.cols, N1.rows, N1.vals, N1.shape[::-1]), img)
+    coef = _matmul(_transpose(N1), img)
     proj = _matmul(N1, coef)
+    # N has orthonormal columns, so a product's residue is at most D's
+    chain = [_transpose(_matmul(D1, N1))._replace(dropped_norm=D1.dropped_norm),
+             _transpose(coef)._replace(dropped_norm=D0.dropped_norm)]
+    z = zero_mean_row(spaces[2])[0]
     checks = [(_coo(np.r_[img.rows, proj.rows], np.r_[img.cols, proj.cols],
-                    np.r_[img.vals, -proj.vals], img.shape).vals, img.vals)]
-    ranks = [rank_of(_dense(coef))]
-    img = _dense(_matmul(D1, N1))
-    checks.append((zero_mean_row(spaces[2]) @ img, img))
-    ranks.append(rank_of(img))
+                    np.r_[img.vals, -proj.vals], img.shape).vals, img.vals),
+              (_dot(chain[0], z), chain[0].vals)]
     ok_invariant = all(np.abs(off).max(initial=0.0) <= 1e-8 * max(np.abs(m).max(initial=0.0), 1.0)
                        for off, m in checks)
-    dims = [N.shape[1] for N in bases]
+    coords = [_dof_coords(spaces[2])] + [_mean_points(N.cols, _dof_coords(s)[N.rows], N.shape[1])
+                                         for s, N in ((spaces[1], N1), (spaces[0], N0))]
+    ranks, margins = (x[::-1] for x in prove_ranks(chain, coords, z))
+    dims = [N0.shape[1], N1.shape[1], spaces[2].dim - 1]
     exact = dims[0] == ranks[0] and dims[1] - ranks[1] == ranks[0] and ranks[1] == dims[2]
     return {"dims": dims, "formulas": formulas, "alternating": dims[0] - dims[1] + dims[2],
-            "ranks": ranks, "exact": exact, "image_homogeneous": bool(ok_invariant)}
+            "ranks": ranks, "rank_margins": margins, "exact": exact,
+            "image_homogeneous": bool(ok_invariant)}
 
 
 # ---------------------------------------------------------------------------

@@ -190,7 +190,10 @@ def cmd_bc(args):
     if m.dim != 2:
         raise SystemExit("error: boundary-count reports are two-dimensional")
     cls = m.classify_boundary(args.bctol)
-    rep = homogeneous_row_report(m, args.p, cls)
+    try:
+        rep = homogeneous_row_report(m, args.p, cls)
+    except RuntimeError as exc:
+        raise SystemExit(f"error: {exc}")
     out = {
         "V0": cls.v0, "V0s": cls.v0s, "E0": len(m.boundary_simplices(1)),
         "corner_vertices": sorted(cls.corner_vertices),

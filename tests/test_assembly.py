@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from dof_reference import global_dof_values
+from derham import assembly
 from derham.assembly import (CONTAINMENT_TOL, DROP_RTOL, RANK_RTOL, OperatorMatrix,
+                             _dense, _dof_coords, _matmul, _mean_points, _transpose,
                              assemble_d, assemble_space, containment_residual,
                              dim_formula, dof_savings, family_row,
                              homogeneous_row_report, interpolation_split_residual,
                              mixed_sequence, prove_ranks, rank_of,
                              restrict_homogeneous, row_p_min, space_equal,
                              verify_exactness, verify_row, complex_residual,
-                             verify_decomposition)
+                             verify_decomposition, zero_mean_row)
 from derham.elements import element_def, p_min
 from derham.forms import Simplex, trace_matrix
 from derham.mesh import SimplicialMesh, cube_center_fan_grid, triangle_grid
@@ -134,6 +136,12 @@ def test_export_coo_format(meshes):
 
 # -- proved ranks ---------------------------------------------------------------------
 
+def _prove_row(spaces, ops):
+    """prove_ranks as verify_row calls it: the constants as the known kernel."""
+    kernel = spaces[0].constant_coefficients() if spaces[0].el.k == 0 else None
+    return prove_ranks(ops, [_dof_coords(s) for s in spaces], kernel)
+
+
 def _assert_proved_ranks_are_counts(ops, ranks, margins):
     # a rank that was not proved was counted by rank_of itself
     for op, rank, m in zip(ops, ranks, margins):
@@ -151,7 +159,7 @@ def test_proved_ranks_match_rank_of(meshes, name):
     for r, p in rows:
         spaces = [assemble_space(m, *s) for s in family_row(m.dim, r, p)]
         ops = [assemble_d(a, b) for a, b in zip(spaces, spaces[1:])]
-        _assert_proved_ranks_are_counts(ops, *prove_ranks(ops))
+        _assert_proved_ranks_are_counts(ops, *_prove_row(spaces, ops))
 
 
 def test_overstated_rank_is_counted():
@@ -163,7 +171,7 @@ def test_overstated_rank_is_counted():
     keep = D0.cols != j
     assert not keep.all()
     Dz = OperatorMatrix(D0.src, D0.dst, D0.rows[keep], D0.cols[keep], D0.vals[keep])
-    ranks, margins = prove_ranks([Dz, D1])
+    ranks, margins = _prove_row(spaces, [Dz, D1])
     assert not margins[0]["proved"]
     assert ranks[0] == rank_of(Dz.array) == D0.shape[1] - 2
 
@@ -183,9 +191,10 @@ def test_verdict_builds_no_per_cell_geometry(monkeypatch):
 
 
 def test_verify_row_needs_no_dense_operator(monkeypatch):
-    def refuse(self):
+    # every dense view of an operator, ``array`` and the rank count's, is ``_dense``
+    def refuse(*args):
         raise AssertionError("dense operator built in verify_row")
-    monkeypatch.setattr(OperatorMatrix, "array", property(refuse))
+    monkeypatch.setattr(assembly, "_dense", refuse)
     rep = verify_exactness(triangle_grid(8), 0, 2)
     assert rep.passed and all(m["proved"] for m in rep.rank_margins)
 
@@ -447,6 +456,52 @@ def test_homogeneous_row_report_memory():
     assert peak < 40e6, peak
 
 
+def test_homogeneous_ranks_are_proved_without_a_dense_operator(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("dense rank or operator built in the bc report")
+    monkeypatch.setattr(assembly, "rank_of", refuse)
+    monkeypatch.setattr(assembly, "_dense", refuse)
+    m = triangle_grid(8)
+    rep = homogeneous_row_report(m, 4, m.classify_boundary())
+    assert rep["ranks"] == [1983, 1919] and rep["exact"]
+    assert all(mg["proved"] for mg in rep["rank_margins"])
+
+
+def _restricted_ranks(m, p):
+    """rank_of the dense N₁ᵀD₀N₀ and D₁N₁, built here from the same parts."""
+    cls = m.classify_boundary()
+    spaces = [assemble_space(m, *s) for s in family_row(2, 1, p)]
+    N0, N1 = (_dense(restrict_homogeneous(s, cls)) for s in spaces[:2])
+    D0, D1 = (assemble_d(a, b).array for a, b in zip(spaces, spaces[1:]))
+    return [rank_of(N1.T @ D0 @ N0), rank_of(D1 @ N1)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+@pytest.mark.parametrize("name", ["square", "split", "tri3", "grid3"])
+def test_homogeneous_proved_ranks_match_rank_of(meshes, name, p):
+    m = triangle_grid(3) if name == "grid3" else meshes[name]
+    rep = homogeneous_row_report(m, p, m.classify_boundary())
+    assert all(mg["proved"] for mg in rep["rank_margins"])
+    assert rep["ranks"] == _restricted_ranks(m, p)
+
+
+def test_wrong_kernel_vector_is_counted(meshes):
+    # (D₁N₁)ᵀ alone, whose known kernel vector is the zero-mean row z: with
+    # one entry of z moved the proof fails, and rank_of counts the rank
+    m = meshes["split"]
+    spaces = [assemble_space(m, *s) for s in family_row(2, 1, 3)]
+    N1 = restrict_homogeneous(spaces[1], m.classify_boundary())
+    op = _transpose(_matmul(assemble_d(spaces[1], spaces[2]), N1))
+    coords = [_dof_coords(spaces[2]), _mean_points(N1.cols, _dof_coords(spaces[1])[N1.rows],
+                                                   N1.shape[1])]
+    z = zero_mean_row(spaces[2])[0]
+    ranks, margins = prove_ranks([op], coords, z)
+    assert margins[0]["proved"] and ranks == [len(z) - 1]
+    z[0] += 0.5 * np.abs(z).max()
+    ranks, margins = prove_ranks([op], coords, z)
+    assert not margins[0]["proved"] and ranks == [rank_of(_dense(op))] == [len(z) - 1]
+
+
 def test_homogeneous_row_report_is_json(meshes):
     m = meshes["split"]
     rep = homogeneous_row_report(m, 2, m.classify_boundary())
@@ -526,19 +581,6 @@ def test_frame_independence_derivative_dofs(meshes):
     da = assemble_d(a, assemble_space(m, 2, 4, 1))
     db = assemble_d(b, assemble_space(rotated, 2, 4, 1))
     assert rank_of(da.array) == rank_of(db.array) == a.dim - 1
-
-
-def test_boundary_derivative_resolution(meshes):
-    from derham.assembly import boundary_derivative_resolution
-    m = meshes["square"]
-    A = boundary_derivative_resolution(m, 0)
-    # the two boundary edges at the origin are axis aligned, so the axis
-    # derivatives resolve directly onto the edge-tangential ones
-    assert np.abs(np.abs(A) - np.eye(2)).max() < 1e-12
-    split = meshes["split"]
-    (nc,) = split.classify_boundary().noncorner_boundary_vertices
-    with pytest.raises(ValueError, match="non-corner"):
-        boundary_derivative_resolution(split, nc)
 
 
 def test_broken_space_rank_of_global(meshes):

@@ -293,6 +293,21 @@ def test_dense_rank_over_the_limit_exits_2(tmp_path, capsys, monkeypatch):
     assert "could not be proved" in captured.err and "MiB limit" in captured.err
 
 
+def test_bc_unproved_rank_over_the_limit_exits_2(square_path, capsys, monkeypatch):
+    # where no proof holds, bc's ranks are counted densely, and a dense
+    # count over the limit is refused
+    from derham import assembly
+    argv = ["bc", "--mesh", square_path, "--p", "4"]
+    proved = (main(argv), capsys.readouterr())
+    monkeypatch.setattr(assembly, "_proof", lambda *args: None)
+    assert (main(argv), capsys.readouterr()) == proved
+    monkeypatch.setattr(assembly, "MAX_DENSE_BYTES", 2 ** 8)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert "could not be proved" in captured.err and "MiB limit" in captured.err
+
+
 def test_commands_build_no_form_polynomial_or_fraction(tmp_path, monkeypatch, capsys):
     # every command computes on coefficient arrays and float geometry; the
     # exact forms and Fractions are the tests' reference only
@@ -326,6 +341,18 @@ def test_verify_failed_constants_check_is_a_verdict(tmp_path, capsys):
     rep = json.loads(captured.out)
     assert rc == 1 and rep["pass"] is False and rep["kernel_is_constants"] is False
     assert "Traceback" not in captured.err
+
+
+def test_verify_sliver_names_the_ill_conditioned_cell(tmp_path, capsys):
+    # on the same sliver, row 2 at p=5 fails the scatter's cross-cell check;
+    # the message gives the two cells' DoF-matrix condition numbers
+    path = tmp_path / "sliver.json"
+    SimplicialMesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1e-13], [1.0, 1.0]],
+                   [(0, 1, 2), (1, 3, 2)]).save(path)
+    rc = main(["verify", "--mesh", str(path), "--row", "2", "--p", "5"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == "" and "Traceback" not in captured.err
+    assert "disagrees across cells" in captured.err and "7.5e+31" in captured.err
 
 
 def test_export_dual_basis(capsys):

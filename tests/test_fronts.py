@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from derham.assembly import (_below, _factor, _SparseGram, assemble_d, assemble_space, _gamma,
-                             family_row, prove_ranks)
+from derham.assembly import (_below, _dof_coords, _factor, _SparseGram, assemble_d,
+                             assemble_space, _gamma, family_row, prove_ranks)
 from derham.fronts import LEAF, dense_front, plan
 from derham.mesh import triangle_grid
 
@@ -163,7 +163,8 @@ def test_prove_ranks_memory_stays_sparse():
     ops = [assemble_d(a, b) for a, b in zip(spaces, spaces[1:])]
     tracemalloc.start()
     try:
-        ranks, margins = prove_ranks(ops)
+        ranks, margins = prove_ranks(ops, [_dof_coords(s) for s in spaces],
+                                     spaces[0].constant_coefficients())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
