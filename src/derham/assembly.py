@@ -927,18 +927,58 @@ def _coo(rows, cols, vals, shape):
 
 
 def _matmul(a, b):
-    """a @ b of two row-major COO matrices (a Coo or an OperatorMatrix)."""
+    """a @ b of two row-major COO matrices (a Coo or an OperatorMatrix).  For
+    their residues E and F, its residue ‖E‖‖b‖₂ + ‖a‖₂‖F‖ + ‖E‖‖F‖ (‖·‖ the
+    Frobenius norm) bounds ‖(a + E)(b + F) - ab‖."""
     lo = np.searchsorted(b.rows, a.cols)
     reps = np.searchsorted(b.rows, a.cols, side="right") - lo
     pos = np.repeat(lo - np.cumsum(reps) + reps, reps) + np.arange(reps.sum())
+    (ea, (_, ha)), (eb, (_, hb)) = ((x.dropped_norm, _sigma1_bounds(x)) for x in (a, b))
     return _coo(np.repeat(a.rows, reps), b.cols[pos], np.repeat(a.vals, reps) * b.vals[pos],
-                (a.shape[0], b.shape[1]))
+                (a.shape[0], b.shape[1]))._replace(dropped_norm=ea * hb + ha * eb + ea * eb)
+
+
+def _add(a, b, s=1.0):
+    """a + s·b of two COO matrices of one shape, as a Coo."""
+    return _coo(np.r_[a.rows, b.rows], np.r_[a.cols, b.cols], np.r_[a.vals, s * b.vals],
+                a.shape)._replace(dropped_norm=a.dropped_norm + abs(s) * b.dropped_norm)
+
+
+def _blocks(grid):
+    """The block matrix of a grid of COO matrices (None for a zero block;
+    each block row and column holds a matrix) as a Coo, with the blocks'
+    residue."""
+    r0 = np.cumsum([0] + [next(b.shape[0] for b in row if b is not None) for row in grid])
+    c0 = np.cumsum([0] + [next(b.shape[1] for b in col if b is not None) for col in zip(*grid)])
+    rows, cols, vals, dropped = zip(*[(b.rows + r0[i], b.cols + c0[j], b.vals, b.dropped_norm)
+                                      for i, row in enumerate(grid)
+                                      for j, b in enumerate(row) if b is not None])
+    return _coo(*map(np.concatenate, (rows, cols, vals)),
+                (int(r0[-1]), int(c0[-1])))._replace(dropped_norm=math.hypot(*dropped))
 
 
 def _dense(a):
     out = np.zeros(a.shape)
     out[a.rows, a.cols] = a.vals
     return out
+
+
+def _triplets(X):
+    """The nonzero entries of a dense matrix as a Coo."""
+    return Coo(*np.nonzero(X), X[X != 0], X.shape)
+
+
+def _eye(n):
+    return Coo(np.arange(n), np.arange(n), np.ones(n), (n, n))
+
+
+def _zero(m, n):
+    return Coo(np.zeros(0, int), np.zeros(0, int), np.zeros(0), (m, n))
+
+
+def _amax(a):
+    """The largest magnitude of an entry of a COO matrix (0 if none)."""
+    return float(np.abs(a.vals).max(initial=0.0))
 
 
 def zero_mean_row(space):
@@ -1030,8 +1070,7 @@ def homogeneous_row_report(mesh, p, classification):
     chain = [_transpose(_matmul(D1, N1))._replace(dropped_norm=D1.dropped_norm),
              _transpose(coef)._replace(dropped_norm=D0.dropped_norm)]
     z = zero_mean_row(spaces[2])[0]
-    checks = [(_coo(np.r_[img.rows, proj.rows], np.r_[img.cols, proj.cols],
-                    np.r_[img.vals, -proj.vals], img.shape).vals, img.vals),
+    checks = [(_add(img, proj, -1.0).vals, img.vals),
               (_dot(chain[0], z), chain[0].vals)]
     ok_invariant = all(np.abs(off).max(initial=0.0) <= 1e-8 * max(np.abs(m).max(initial=0.0), 1.0)
                        for off, m in checks)
@@ -1071,7 +1110,8 @@ def verify_decomposition(n, p, mesh):
     comp_cols = np.zeros((ncells, n, math.comb(p + n, n), n, scalar.dim))
     comp_cols[:, np.arange(n), :, np.arange(n)] = scalar.broken(p).reshape(ncells, -1, scalar.dim)
     comp_cols = comp_cols.reshape(-1, n * scalar.dim)
-    bub = _block_diag(bubbles)
+    bub = _dense(_blocks([[_triplets(b) if i == j else None for j in range(ncells)]
+                          for i, b in enumerate(bubbles)]))
     tgt = target.broken(p)
     both = np.hstack([comp_cols, bub])
     r_target = rank_of(tgt)
@@ -1086,16 +1126,6 @@ def verify_decomposition(n, p, mesh):
         "equal": r_target == target.dim == r_sum == r_union,
         "continuous_strictly_smaller": n * scalar.dim < target.dim,
     }
-
-
-def _block_diag(blocks):
-    """The matrices placed corner to corner along the diagonal."""
-    out = np.zeros(np.sum([b.shape for b in blocks], axis=0))
-    r = c = 0
-    for b in blocks:
-        out[r:r + b.shape[0], c:c + b.shape[1]] = b
-        r, c = r + b.shape[0], c + b.shape[1]
-    return out
 
 
 def interpolation_split_residual(mesh, p):

@@ -19,10 +19,12 @@ from itertools import combinations
 
 import numpy as np
 
-from .assembly import assemble_d, assemble_local_operator, assemble_space
+from .assembly import (Coo, _add, _amax, _blocks, _dense, _dof_coords, _eye, _matmul,
+                       _transpose, _triplets, _zero, assemble_d, assemble_local_operator,
+                       assemble_space, prove_ranks)
 from .forms import (derivative_matrix, dim_trimmed, eval_row,
                     exterior_derivative_matrix, jet_rows, moment_gram, monomials,
-                    multinomials, nullspace, rank_of, trace_matrix)
+                    multinomials, nullspace, trace_matrix)
 from .mesh import SimplicialMesh
 
 
@@ -43,11 +45,13 @@ def _skew_trace(comp, nq):
 
 
 class BGGContext:
-    """Assembled spaces and operator matrices for one degree window p.
+    """Assembled spaces and operators for one degree window p.
 
     The connecting maps are the cells' coefficient matrices above, sized by
     the degrees of the spaces: Hermite p + 2, Stenberg and pressure p + 1,
-    Argyris p + 3.
+    Argyris p + 3.  Every operator is row-major COO triplets (a ``Coo``):
+    the vector-valued rows are the scalar operator on each component, S0 is
+    a signed index swap, and the block operators are stacks of these.
     """
 
     def __init__(self, mesh, p):
@@ -61,40 +65,27 @@ class BGGContext:
         self.pressure = assemble_space(mesh, 2, p + 1, 2)
         self.argyris = assemble_space(mesh, 2, p + 3, 0) if p + 3 >= 5 else None
 
-        H, St, DG = self.hermite.dim, self.stenberg.dim, self.dg.dim
-        d_h = assemble_d(self.hermite, self.stenberg).array
-        d_s = assemble_d(self.stenberg, self.dg).array
+        # vector-valued rows: the scalar operator on each component
+        self.dV0, self.dV1 = (_blocks([[d, None], [None, d]]) for d in (
+            assemble_d(self.hermite, self.stenberg), assemble_d(self.stenberg, self.dg)))
 
-        # vector-valued rows: block diagonal over the two components
-        self.dV0 = np.block([[d_h, np.zeros((St, H))],
-                             [np.zeros((St, H)), d_h]])
-        self.dV1 = np.block([[d_s, np.zeros((DG, St))],
-                             [np.zeros((DG, St)), d_s]])
-
-        def pair(src, dst, fmap):
-            """The operators of fmap(grads, 0) and fmap(grads, 1)."""
-            return [assemble_local_operator(src, dst, lambda grads, c=c: fmap(grads, c)).array
+        def pair(src, dst, fmap):   # the operators of fmap(grads, 0) and fmap(grads, 1)
+            return [assemble_local_operator(src, dst, lambda grads, c=c: fmap(grads, c))
                     for c in (0, 1)]
 
         # skew-valued d1: pair of scalars as a 1-form into the pressure space
         nh = math.comb(p + 4, 2)
-        self.dK1 = np.hstack(pair(self.hermite, self.pressure, lambda grads, c: (
-            exterior_derivative_matrix(grads, 1, p + 2, p + 1) @ _embed_component(c, nh))))
+        self.dK1 = _blocks([pair(self.hermite, self.pressure, lambda grads, c: (
+            exterior_derivative_matrix(grads, 1, p + 2, p + 1) @ _embed_component(c, nh)))])
 
-        # S0: signed permutation between the two Hermite pairs
-        self.S0 = np.block([[np.zeros((H, H)), -np.eye(H)],
-                            [np.eye(H), np.zeros((H, H))]])
-        self.S0inv = self.S0.T
+        # S0: (u1, u2) -> (-u2, u1) on the two Hermite copies
+        H, i = self.hermite.dim, np.arange(2 * self.hermite.dim)
+        self.S0 = Coo(i, (i + H) % (2 * H), np.where(i < H, -1.0, 1.0), (2 * H, 2 * H))
 
         ns = math.comb(p + 3, 2)
-        self.S1 = np.hstack(pair(self.stenberg, self.pressure,
-                                 lambda grads, c: _skew_trace(c, ns)))
-
-        if self.argyris is not None:
-            self.dK0 = np.vstack(pair(self.argyris, self.hermite,
-                                      lambda grads, c: _grad_component(grads, c, p + 3)))
-        else:
-            self.dK0 = None
+        self.S1 = _blocks([pair(self.stenberg, self.pressure, lambda grads, c: _skew_trace(c, ns))])
+        self.dK0 = None if self.argyris is None else _blocks([[G] for G in pair(
+            self.argyris, self.hermite, lambda grads, c: _grad_component(grads, c, p + 3))])
 
     def _nodal(self, what):
         """dK0, which needs the nodal skew 0-form space."""
@@ -104,68 +95,58 @@ class BGGContext:
 
     def identity_residual(self):
         """Max entry of D1 S0 + S1 D0 relative to the term magnitudes."""
-        a = self.dK1 @ self.S0
-        b = self.S1 @ self.dV0
-        scale = max(np.abs(a).max(), np.abs(b).max(), 1.0)
-        return float(np.abs(a + b).max() / scale)
+        a, b = _matmul(self.dK1, self.S0), _matmul(self.S1, self.dV0)
+        return _amax(_add(a, b)) / max(_amax(a), _amax(b), 1.0)
 
     def xi_operators(self):
-        """The two block operators A0, A1 of the product complex.
-
-        Below the nodal range the skew 0-form slot is the constraint-defined
-        smooth scalar space, and A0 acts on its spanning columns.
-        """
-        St, DG, H = self.stenberg.dim, self.dg.dim, self.hermite.dim
-        dK0 = self.dK0
-        if dK0 is None:
+        """The block operators A0, A1 of the product complex and a point per
+        DoF of its three slots.  Below the nodal range the skew 0-form slot is
+        the constraint-defined smooth scalar space; A0 acts on its spanning
+        columns, all placed at the mean DoF point."""
+        hc, sc, pc, dc = (_dof_coords(s) for s in
+                          (self.hermite, self.stenberg, self.pressure, self.dg))
+        if self.dK0 is None:
             N = _constrained_smooth_scalar_span(self.mesh, self.p + 3)
-            dK0 = _constrained_grad_dofs(self.mesh, N, self.hermite)
-        A0 = np.block([[dK0, -self.S0],
-                       [np.zeros((2 * St, dK0.shape[1])), self.dV0]])
-        A1 = np.block([[self.dK1, -self.S1],
-                       [np.zeros((2 * DG, 2 * H)), self.dV1]])
-        return A0, A1
+            dK0 = _triplets(_constrained_grad_dofs(self.mesh, N, self.hermite))
+            c0 = np.repeat(hc.mean(axis=0)[None], dK0.shape[1], axis=0)
+        else:
+            dK0, c0 = self.dK0, _dof_coords(self.argyris)
+        A0 = _blocks([[dK0, self.S0._replace(vals=-self.S0.vals)], [None, self.dV0]])
+        A1 = _blocks([[self.dK1, self.S1._replace(vals=-self.S1.vals)], [None, self.dV1]])
+        return A0, A1, [np.vstack(c) for c in ([c0, hc, hc], [hc, hc, sc, sc], [pc, dc, dc])]
 
     def xi_complex(self):
         """Rank-nullity exactness of the product complex at window p.
 
         The chain has three slots; the kernel of the first block operator is
         three-dimensional on contractible meshes (a constant vector field plus
-        the matching linear skew potential).
-        """
-        A0, A1 = self.xi_operators()
+        the matching linear skew potential).  ``prove_ranks`` proves A1 onto in
+        full on the transposed chain [A1ᵀ, A0ᵀ], then rank A0 = dim ξ1 - rank A1
+        from it."""
+        A0, A1, coords = self.xi_operators()
         dim_xi0, dim_xi1, dim_xi2 = A0.shape[1], A1.shape[1], A1.shape[0]
-        comp = np.abs(A1 @ A0).max()
-        scale = max(np.abs(A1).max() * np.abs(A0).max(), 1.0)
-        r0 = rank_of(A0)
-        r1 = rank_of(A1)
-        return {
-            "dims": [dim_xi0, dim_xi1, dim_xi2],
-            "ranks": [r0, r1],
-            "kernel0": dim_xi0 - r0,
-            "composition_rel": float(comp / scale),
-            "exact_middle": (dim_xi1 - r1) == r0,
-            "onto_end": r1 == dim_xi2,
-            "exact": (dim_xi0 - r0) == 3 and (dim_xi1 - r1) == r0 and r1 == dim_xi2,
-        }
+        comp = _amax(_matmul(A1, A0)) / max(_amax(A1) * _amax(A0), 1.0)
+        (r0, r1), margins = (x[::-1] for x in
+                             prove_ranks([_transpose(A1), _transpose(A0)], coords[::-1]))
+        return {"dims": [dim_xi0, dim_xi1, dim_xi2], "ranks": [r0, r1], "kernel0": dim_xi0 - r0,
+                "composition_rel": comp, "exact_middle": (dim_xi1 - r1) == r0,
+                "onto_end": r1 == dim_xi2,
+                "exact": (dim_xi0 - r0) == 3 and (dim_xi1 - r1) == r0 and r1 == dim_xi2,
+                "rank_margins": margins}
 
     def xi_commuting_residual(self):
         """Residual of the projection squares onto the reduced subcomplex."""
-        dK0 = self._nodal("projection check")
-        H, St, arg = self.hermite.dim, self.stenberg.dim, self.argyris.dim
-        A0, A1 = self.xi_operators()
-        pi0 = np.block([[np.eye(arg), np.zeros((arg, 2 * H))],
-                        [self.S0inv @ dK0, np.zeros((2 * H, 2 * H))]])
-        pi1 = np.block([[np.zeros((2 * H, 2 * H)), np.zeros((2 * H, 2 * St))],
-                        [self.dV0 @ self.S0inv, np.eye(2 * St)]])
-        left = A0 @ pi0 - pi1 @ A0
-        right = A1 @ pi1 - A1
-        scale = max(np.abs(A0).max(), np.abs(A1).max(), 1.0)
-        return float(max(np.abs(left).max(), np.abs(right).max()) / scale)
+        dK0, S0inv = self._nodal("projection check"), _transpose(self.S0)
+        (A0, A1, _), H2, arg = self.xi_operators(), 2 * self.hermite.dim, self.argyris.dim
+        pi0 = _blocks([[_eye(arg), _zero(arg, H2)], [_matmul(S0inv, dK0), None]])
+        pi1 = _blocks([[_zero(H2, H2), None], [_matmul(self.dV0, S0inv), _eye(self.dV0.shape[0])]])
+        left = _add(_matmul(A0, pi0), _matmul(pi1, A0), -1.0)
+        right = _add(_matmul(A1, pi1), A1, -1.0)
+        return max(_amax(left), _amax(right)) / max(_amax(A0), _amax(A1), 1.0)
 
     def airy(self):
         """The potential map dV0 S0^-1 dK0: scalars to symmetric matrix fields."""
-        return self.dV0 @ self.S0inv @ self._nodal("the stress row")
+        return _matmul(self.dV0, _matmul(_transpose(self.S0), self._nodal("the stress row")))
 
     def projection_commutes(self):
         """Residuals of the squares carrying the reduced row to the stress row.
@@ -173,48 +154,42 @@ class BGGContext:
         The vertical maps are the identity, (id - inclusion . S1), and
         (omega, mu) -> mu + dV1 . inclusion . omega; both squares must commute.
         """
-        airy = self.airy()
-        ih = stress_inclusion(self)
-        V = np.eye(2 * self.stenberg.dim) - ih @ self.S1
+        airy, S1, dV1, ih = self.airy(), self.S1, self.dV1, _triplets(stress_inclusion(self))
+        V = _add(_eye(2 * self.stenberg.dim), _matmul(ih, S1), -1.0)
         # left square: the potential map composed with the vertical projection
-        left = np.abs(V @ airy - airy).max() / max(np.abs(airy).max(), 1.0)
+        left = _amax(_add(_matmul(V, airy), airy, -1.0)) / max(_amax(airy), 1.0)
         # right square: project then take d versus map into the product and project
-        top = np.vstack([-self.S1, self.dV1])
-        pi_h = np.hstack([self.dV1 @ ih, np.eye(2 * self.dg.dim)])
-        right = np.abs(pi_h @ top - self.dV1 @ V).max() / max(np.abs(self.dV1).max(), 1.0)
-        kernel_resid = np.abs(self.S1 @ V).max()
-        return {"left": float(left), "right": float(right),
-                "projection_into_kernel": float(kernel_resid),
-                "trace_right_inverse": float(np.abs(self.S1 @ ih
-                                                    - np.eye(self.pressure.dim)).max())}
+        top = _blocks([[S1._replace(vals=-S1.vals)], [dV1]])
+        pi_h = _blocks([[_matmul(dV1, ih), _eye(2 * self.dg.dim)]])
+        right = _amax(_add(_matmul(pi_h, top), _matmul(dV1, V), -1.0)) / max(_amax(dV1), 1.0)
+        return {"left": left, "right": right,
+                "projection_into_kernel": _amax(_matmul(S1, V)),
+                "trace_right_inverse": _amax(_add(_matmul(S1, ih), _eye(self.pressure.dim), -1.0))}
 
     def huzhang_row_report(self):
         """Exactness accounting for: smooth scalars -> symmetric stresses -> vectors.
 
-        The stress space is the symmetric kernel of the trace map inside the
-        vector-valued 1-form space; the potential map is dV0 S0^-1 dK0 (the
-        second-order operator sending a scalar to a symmetric matrix field).
-        """
+        The stress space is the symmetric kernel of the trace map S1 inside
+        the vector-valued 1-form space; the potential map is dV0 S0^-1 dK0
+        (scalars to symmetric matrix fields).  Ranks alone give the row: a full
+        proof that S1 is onto, then the transposed chain [Mᵀ, airyᵀ] with
+        M = [S1; dV1]; div on ker S1 has rank M - rank S1."""
         airy = self.airy()
-        N_hz = nullspace(self.S1)
-        dim_hz = N_hz.shape[1]
         # image of the potential map is symmetric: S1 @ airy = -dK1 dK0 = 0
-        sym_resid = float(np.abs(self.S1 @ airy).max() / max(np.abs(airy).max(), 1.0))
-        r_airy = rank_of(airy)
-        r_div = rank_of(self.dV1 @ N_hz)
-        arg = self.argyris.dim
-        return {
-            "dim_potential": arg,
-            "dim_stress": dim_hz,
-            "dim_load": 2 * self.dg.dim,
-            "rank_potential_map": r_airy,
-            "kernel_potential_map": arg - r_airy,
-            "rank_div": r_div,
-            "image_symmetric_resid": sym_resid,
-            "exact": (arg - r_airy == 3
-                      and dim_hz - r_div == r_airy
-                      and r_div == 2 * self.dg.dim),
-        }
+        sym_resid = _amax(_matmul(self.S1, airy)) / max(_amax(airy), 1.0)
+        sc, pc, dc = (_dof_coords(s) for s in (self.stenberg, self.pressure, self.dg))
+        sc = np.vstack([sc, sc])
+        (r_s1,), m_s1 = prove_ranks([self.S1], [sc, pc])
+        M = _blocks([[self.S1], [self.dV1]])
+        (r_m, r_airy), m_row = prove_ranks([_transpose(M), _transpose(airy)],
+                                           [np.vstack([pc, dc, dc]), sc, _dof_coords(self.argyris)])
+        dim_hz, r_div, arg = 2 * self.stenberg.dim - r_s1, r_m - r_s1, self.argyris.dim
+        return {"dim_potential": arg, "dim_stress": dim_hz, "dim_load": 2 * self.dg.dim,
+                "rank_potential_map": r_airy, "kernel_potential_map": arg - r_airy,
+                "rank_div": r_div, "image_symmetric_resid": sym_resid,
+                "exact": (arg - r_airy == 3 and dim_hz - r_div == r_airy
+                          and r_div == 2 * self.dg.dim),
+                "rank_margins": m_s1 + m_row}
 
 
 def verify_bgg_identity(mesh, p):
@@ -464,8 +439,9 @@ def stress_inclusion(ctx):
     skew = [[index[("skew", ci, a)] for a in inner] for ci in range(len(mesh.cells))]
     P[skew, FN.dofs(2, np.arange(len(mesh.cells)), "interior")] = 2.0
     raw = np.linalg.solve(T, P)
-    gauge = ctx.S1 @ raw
+    gauge = _dense(ctx.S1) @ raw
     scale = np.trace(gauge) / FN.dim
-    if abs(scale) < 1e-12 or np.abs(gauge - scale * np.eye(FN.dim)).max() > 1e-8 * abs(scale):
+    gauge.flat[::FN.dim + 1] -= scale
+    if abs(scale) < 1e-12 or np.abs(gauge).max() > 1e-8 * abs(scale):
         raise RuntimeError("inclusion failed to invert the trace map")
     return raw / scale

@@ -209,14 +209,17 @@ def cmd_bc(args):
 def cmd_bgg(args):
     _positive_p("bgg", args.p)
     m = _load_mesh(args.mesh)
-    ctx = bgg.BGGContext(m, args.p)
-    resid = ctx.identity_residual()
-    xi = ctx.xi_complex()
+    try:
+        ctx = bgg.BGGContext(m, args.p)     # refuses a mesh that is not 2D
+        resid = ctx.identity_residual()
+        xi = ctx.xi_complex()
+    except (ValueError, RuntimeError) as exc:
+        raise SystemExit(f"error: {exc}")
     stress_p = max(args.p, 3)
     st = bgg.huzhang_stress(stress_p)
     out = {
         "identity_residual": resid,
-        "xi": xi,
+        "xi": {key: v for key, v in xi.items() if key != "rank_margins"},
         "stress": {
             "p": st.p, "n_dofs": st.n_dofs,
             "skew_interior": st.skew_interior, "sym_interior": st.sym_interior,

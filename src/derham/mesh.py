@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -412,27 +412,18 @@ def cube_center_fan_grid(nx, ny, nz):
         return index[key]
 
     cells = []
+    square = ((0, 0), (1, 0), (1, 1), (0, 1))
     for i in range(nx):
         for j in range(ny):
             for k in range(nz):
                 c = vid((i + 0.5, j + 0.5, k + 0.5))
-                corners = {}
-                for di in (0, 1):
-                    for dj in (0, 1):
-                        for dk in (0, 1):
-                            corners[(di, dj, dk)] = vid((i + di, j + dj, k + dk))
-                faces = [
-                    ((i, j + 0.5, k + 0.5), [(0, a, b) for a, b in ((0, 0), (1, 0), (1, 1), (0, 1))]),
-                    ((i + 1, j + 0.5, k + 0.5), [(1, a, b) for a, b in ((0, 0), (1, 0), (1, 1), (0, 1))]),
-                    ((i + 0.5, j, k + 0.5), [(a, 0, b) for a, b in ((0, 0), (1, 0), (1, 1), (0, 1))]),
-                    ((i + 0.5, j + 1, k + 0.5), [(a, 1, b) for a, b in ((0, 0), (1, 0), (1, 1), (0, 1))]),
-                    ((i + 0.5, j + 0.5, k), [(a, b, 0) for a, b in ((0, 0), (1, 0), (1, 1), (0, 1))]),
-                    ((i + 0.5, j + 0.5, k + 1), [(a, b, 1) for a, b in ((0, 0), (1, 0), (1, 1), (0, 1))]),
-                ]
-                for fc_pt, loop in faces:
-                    fc = vid(fc_pt)
-                    for a in range(4):
-                        v1 = corners[loop[a]]
-                        v2 = corners[loop[(a + 1) % 4]]
-                        cells.append((c, fc, v1, v2))
+                corners = {d: vid((i + d[0], j + d[1], k + d[2]))
+                           for d in product((0, 1), repeat=3)}
+                # the faces x = i, i + 1, then y, then z: centre and corner loop
+                for axis, side in product(range(3), (0, 1)):
+                    centre = [i + 0.5, j + 0.5, k + 0.5]
+                    centre[axis] += side - 0.5
+                    fc = vid(tuple(centre))
+                    ring = [corners[ab[:axis] + (side,) + ab[axis:]] for ab in square]
+                    cells += [(c, fc, ring[a], ring[(a + 1) % 4]) for a in range(4)]
     return SimplicialMesh(verts, cells)

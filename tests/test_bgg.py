@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dof_reference import global_dof_values
-from derham.assembly import rank_of
+from derham.assembly import _dense, _dot, rank_of
 from derham.bgg import BGGContext, huzhang_stress, verify_bgg_identity, xi_complex
-from derham.forms import dim_trimmed
-from derham.mesh import SimplicialMesh, reference_triangle, two_triangle_square
+from derham.forms import dim_trimmed, nullspace
+from derham.mesh import (SimplicialMesh, annulus_mesh, reference_triangle, triangle_grid,
+                         two_triangle_square)
 
 
 def perturbed_square(seed=7, scale=0.12):
@@ -18,7 +21,7 @@ def perturbed_square(seed=7, scale=0.12):
 # -- connecting maps ------------------------------------------------------------
 
 def test_s0_is_isomorphism():
-    S0 = BGGContext(two_triangle_square(), 1).S0
+    S0 = _dense(BGGContext(two_triangle_square(), 1).S0)
     assert S0.shape[0] == S0.shape[1]
     assert rank_of(S0) == S0.shape[0]
     assert np.abs(S0 @ S0.T - np.eye(S0.shape[0])).max() < 1e-14
@@ -30,13 +33,13 @@ def test_s0_constant_field():
     H = ctx.hermite.dim
     x = np.zeros(2 * H)
     x[:H] = ctx.hermite.constant_coefficients()
-    y = ctx.S0 @ x
+    y = _dot(ctx.S0, x)
     assert np.abs(y[:H]).max() < 1e-14
     assert np.abs(y[H:] - x[:H]).max() < 1e-14
 
 
 def test_s1_surjective():
-    S1 = BGGContext(two_triangle_square(), 2).S1
+    S1 = _dense(BGGContext(two_triangle_square(), 2).S1)
     assert rank_of(S1) == S1.shape[0]
 
 
@@ -60,14 +63,14 @@ def test_s1_on_constant_fields():
     mesh = ctx.mesh
     # component array = identity: w11 = w22 = 1 -> the trace map gives -2
     x = _constant_row_dofs(ctx, (1.0, 0.0), (0.0, 1.0))
-    y = ctx.S1 @ x
+    y = _dot(ctx.S1, x)
     expect = global_dof_values(
         ctx.pressure, {ci: FormPolynomial(mesh.cell_simplex(ci), 2, {(0, 1): {(0,) * 3: -2.0}})
                        for ci in range(len(mesh.cells))})
     assert np.abs(y - expect).max() < 1e-12
     # trace-free components (symmetric matrix proxy) are in the kernel
     x = _constant_row_dofs(ctx, (1.0, 0.5), (0.3, -1.0))
-    assert np.abs(ctx.S1 @ x).max() < 1e-12
+    assert np.abs(_dot(ctx.S1, x)).max() < 1e-12
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -91,12 +94,59 @@ def test_xi_exact_contractible(p):
 
 
 def test_xi_annulus_deficiency():
-    from derham.mesh import annulus_mesh
     rep = xi_complex(annulus_mesh(), 2)
     # each de Rham row contributes one harmonic class in the middle slot
     deficiency = (rep["dims"][1] - rep["ranks"][1]) - rep["ranks"][0]
     assert deficiency == 3
     assert rep["onto_end"]
+    # A1 is onto and proved; A0's proposed rank fails, and it is counted
+    assert [m["proved"] for m in rep["rank_margins"]] == [False, True]
+
+
+def cli_mix_mesh(seed):
+    """The jittered quadrilateral in three triangles, its bottom edge split,
+    that the benchmark's cli-mix workload draws from a seed."""
+    rng = np.random.default_rng(seed)
+    split = float(rng.uniform(0.35, 0.65))
+    j = [float(x) for x in rng.uniform(-0.15, 0.15, size=4)]
+    verts = [[0.0, 0.0], [split, 0.0], [1.0, 0.0], [1.0 + j[0], 1.0 + j[1]], [j[2], 1.0 + j[3]]]
+    return SimplicialMesh(verts, [(0, 1, 4), (1, 3, 4), (1, 2, 3)])
+
+
+RANK_CASES = {"grid4": lambda: triangle_grid(4), "mix501": lambda: cli_mix_mesh(501),
+              "mix7": lambda: cli_mix_mesh(7)}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("case", sorted(RANK_CASES))
+def test_proved_ranks_match_dense_reference(case, p):
+    # the block operators' and the stress row's ranks, each proved, against
+    # dense singular-value counts; the stress row's reference takes the
+    # kernel of S1 and the rank of div on it
+    ctx = BGGContext(RANK_CASES[case](), p)
+    A0, A1, _ = ctx.xi_operators()
+    xi = ctx.xi_complex()
+    assert xi["ranks"] == [rank_of(_dense(A0)), rank_of(_dense(A1))]
+    assert xi["exact"] and all(m["proved"] for m in xi["rank_margins"])
+    rep = ctx.huzhang_row_report()
+    airy, N = _dense(ctx.airy()), nullspace(_dense(ctx.S1))
+    assert rep["dim_stress"] == N.shape[1]
+    assert rep["rank_potential_map"] == rank_of(airy)
+    assert rep["rank_div"] == rank_of(_dense(ctx.dV1) @ N)
+    assert rep["exact"] and all(m["proved"] for m in rep["rank_margins"])
+
+
+def test_product_complex_memory():
+    # the operators stay triplets; as dense blocks they peak near 140 MB
+    tracemalloc.start()
+    try:
+        ctx = BGGContext(triangle_grid(6), 2)
+        ctx.identity_residual()
+        ctx.xi_complex()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80 * 2 ** 20
 
 
 def test_commuting_projections():

@@ -355,6 +355,35 @@ def test_verify_sliver_names_the_ill_conditioned_cell(tmp_path, capsys):
     assert "disagrees across cells" in captured.err and "7.5e+31" in captured.err
 
 
+@pytest.mark.parametrize("mesh,message", [
+    (two_tet_mesh(), "error: the elasticity construction is two-dimensional"),
+    # the sliver's Hermite DoF matrix is singular, and the scatter says so
+    (SimplicialMesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1e-13], [1.0, 1.0]], [(0, 1, 2), (1, 3, 2)]),
+     "disagrees across cells"),
+])
+def test_bgg_bad_mesh_exits_2_with_one_line(tmp_path, capsys, mesh, message):
+    path = tmp_path / "mesh.json"
+    mesh.save(path)
+    rc = main(["bgg", "--mesh", str(path), "--p", "2"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+def test_bgg_unproved_rank_over_the_limit_exits_2(annulus_path, capsys, monkeypatch):
+    # the annulus's A0 is counted densely (its middle is not exact), and a
+    # dense count over the limit is refused
+    from derham import assembly
+    argv = ["bgg", "--mesh", annulus_path, "--p", "2"]
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().out)["xi"]["ranks"] == [189, 160]
+    monkeypatch.setattr(assembly, "MAX_DENSE_BYTES", 2 ** 16)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert "could not be proved" in captured.err and "MiB limit" in captured.err
+
+
 def test_export_dual_basis(capsys):
     rc = main(["export", "--r", "0", "--k", "0", "--dim", "2", "--p", "1"])
     out = capsys.readouterr().out
