@@ -7,7 +7,9 @@ Exit codes: 0 = success / all checks pass, 1 = a verification failed,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import math
 import os
 import sys
 
@@ -28,10 +30,16 @@ def _load_mesh(path):
 
 
 def _tol(args):
-    if args.tol is not None:
-        return args.tol
-    env = os.environ.get("DERHAM_TOL")
-    return float(env) if env else 1e-10
+    """bgg's identity tolerance: --tol, else DERHAM_TOL, else 1e-10."""
+    name, value = (("--tol", args.tol) if args.tol is not None
+                   else ("DERHAM_TOL", os.environ.get("DERHAM_TOL") or "1e-10"))
+    try:
+        tol = float(value)
+    except ValueError:
+        tol = math.nan
+    if not 0 < tol < math.inf:
+        raise SystemExit(f"error: {name} must be a finite number > 0 (got {value!r})")
+    return tol
 
 
 def _emit(text, out):
@@ -48,10 +56,15 @@ def _p_values(args):
             lo, hi = (int(x) for x in args.p_range.split(":"))
         except ValueError:
             raise SystemExit(f"error: --p-range expects LO:HI integers (got {args.p_range!r})")
-        return list(range(lo, hi + 1))
-    if args.p is None:
+        if lo > hi:
+            raise SystemExit(f"error: --p-range needs LO <= HI (got {args.p_range!r})")
+    elif args.p is None:
         raise SystemExit("error: provide --p or --p-range")
-    return [args.p]
+    else:
+        lo = hi = args.p
+    if lo < 0:
+        raise SystemExit(f"error: tables needs degrees >= 0 (got {lo})")
+    return list(range(lo, hi + 1))
 
 
 # A dense local DoF matrix (local dimension squared, float64) larger than
@@ -208,6 +221,7 @@ def cmd_bc(args):
 
 def cmd_bgg(args):
     _positive_p("bgg", args.p)
+    tol = _tol(args)
     m = _load_mesh(args.mesh)
     try:
         ctx = bgg.BGGContext(m, args.p)     # refuses a mesh that is not 2D
@@ -229,7 +243,7 @@ def cmd_bgg(args):
         },
     }
     _emit(json.dumps(out, indent=2) + "\n", args.out)
-    ok = resid < _tol(args) and xi["exact"] and st.unisolvent and st.interior_identity
+    ok = resid < tol and xi["exact"] and st.unisolvent and st.interior_identity
     return 0 if ok else 1
 
 
@@ -352,6 +366,11 @@ COMMANDS = {
 
 
 def main(argv=None):
+    # Move the import-time heap (numpy and derham: modules, functions, dicts)
+    # into the collector's permanent generation.  It lives until exit anyway;
+    # frozen, neither a full collection nor interpreter shutdown walks and
+    # frees it, which otherwise takes longer than most commands' own work.
+    gc.freeze()
     ap = build_parser()
     args = ap.parse_args(argv)
     try:

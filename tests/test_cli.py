@@ -413,6 +413,37 @@ def test_console_script_entry_point(square_path):
     assert proc.returncode == 0
 
 
+def test_cold_commands_match_in_process(tmp_path):
+    # each cli-mix command in a fresh interpreter, exiting with the frozen
+    # import heap, writes the bytes and returns the code of main() in process
+    split = tmp_path / "split.json"
+    split_edge_square().save(split)
+    for i, argv in enumerate(CLI_MIX):
+        argv = [a.replace("{mesh}", str(split)) for a in argv]
+        cold, warm = tmp_path / f"cold{i}", tmp_path / f"warm{i}"
+        proc = subprocess.run([sys.executable, "-m", "derham.cli", *argv, "--out", str(cold)],
+                              capture_output=True, text=True)
+        assert proc.returncode == main(argv + ["--out", str(warm)]), (argv, proc.stderr)
+        assert cold.read_bytes() == warm.read_bytes(), argv
+
+
+FROZEN = """
+import gc
+from derham.cli import main
+main(["compare", "--p", "2", "--grid", "1,1,1", "--out", {out!r}])
+print(gc.isenabled(), gc.get_freeze_count() > 0)
+"""
+
+
+def test_main_freezes_the_import_heap(tmp_path):
+    # main() moves the import-time objects out of the collector's reach and
+    # leaves collection itself on
+    code = FROZEN.format(out=str(tmp_path / "compare.csv"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True True\n"
+
+
 NO_SCIPY = """
 import sys
 import derham.cli
@@ -451,6 +482,12 @@ def test_runtime_loads_no_scipy(square_path):
      "verify --row 2 needs --p >= 2 on a 2D mesh (got --p 0)"),
     (["verify", "--mesh", "{mesh}", "--row", "2", "--p", "1"],
      "verify --row 2 needs --p >= 2 on a 2D mesh (got --p 1)"),
+    (["bgg", "--mesh", "{mesh}", "--p", "2", "--tol", "nan"],
+     "--tol must be a finite number > 0 (got nan)"),
+    (["bgg", "--mesh", "{mesh}", "--p", "2", "--tol", "0"],
+     "--tol must be a finite number > 0 (got 0.0)"),
+    (["tables", "--mesh", "{mesh}", "--p-range", "5:3"], "--p-range needs LO <= HI (got '5:3')"),
+    (["tables", "--mesh", "{mesh}", "--p", "-1"], "tables needs degrees >= 0 (got -1)"),
 ])
 def test_bad_arguments_exit_2_with_one_line(square_path, capsys, argv, message):
     rc = main([a.replace("{mesh}", square_path) for a in argv])
@@ -458,6 +495,20 @@ def test_bad_arguments_exit_2_with_one_line(square_path, capsys, argv, message):
     assert rc == 2 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert message in captured.err
+
+
+def test_bad_env_tolerance_exits_2_before_any_work(square_path, monkeypatch, capsys):
+    from derham import bgg
+
+    def refuse(*args):
+        raise AssertionError("bgg built a context before reading its tolerance")
+    monkeypatch.setattr(bgg.BGGContext, "__init__", refuse)
+    monkeypatch.setenv("DERHAM_TOL", "abc")
+    rc = main(["bgg", "--mesh", square_path, "--p", "2"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "DERHAM_TOL must be a finite number > 0 (got 'abc')" in captured.err
 
 
 def _test_degrees(out, klass):
