@@ -405,15 +405,13 @@ def _csr(D):
 def _dense_rows(csr, idx):
     """Rows ``idx`` of a CSR matrix, dense over the columns they touch:
     (those columns, the block)."""
-    ptr, cols, vals, width = csr
+    ptr, cols, vals, _ = csr
     lo = ptr[idx]
     reps = ptr[idx + 1] - lo
     pos = np.repeat(lo - np.cumsum(reps) + reps, reps) + np.arange(reps.sum())
-    touched = np.zeros(width, dtype=bool)
-    touched[cols[pos]] = True
-    used = np.flatnonzero(touched)
+    used, at = np.unique(cols[pos], return_inverse=True)
     block = np.zeros((len(idx), len(used)))
-    block[np.repeat(np.arange(len(idx)), reps), np.cumsum(touched)[cols[pos]] - 1] = vals[pos]
+    block[np.repeat(np.arange(len(idx)), reps), at] = vals[pos]
     return used, block
 
 

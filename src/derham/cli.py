@@ -296,9 +296,15 @@ def _parse_r(value):
         raise argparse.ArgumentTypeError(f"invalid family grade {value!r}")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error as the commands' own: one ``error:`` line, exit 2."""
+        sys.stderr.write(f"error: {self.prog}: {message}\n")
+        raise SystemExit(2)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(prog="derham",
-                                 description="nodal de Rham family verification tool")
+    ap = _Parser(prog="derham", description="nodal de Rham family verification tool")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, mesh=False, fmt=False):
@@ -370,6 +376,8 @@ def main(argv=None):
     # into the collector's permanent generation.  It lives until exit anyway;
     # frozen, neither a full collection nor interpreter shutdown walks and
     # frees it, which otherwise takes longer than most commands' own work.
+    # Cyclic garbage is frozen too and never freed: an in-process caller
+    # holding some should run gc.collect() before main().
     gc.freeze()
     ap = build_parser()
     args = ap.parse_args(argv)

@@ -9,18 +9,16 @@ Shape bases, DoF rows, dual bases and bubble spans are coefficient arrays
 (see ``forms``).  DoFs come in two steps.  ``dof_plan`` says, without any
 geometry, what every d-simplex carries: an ordered list of DoF groups, each
 a label, a kind (point value or moment), a proxy weight and derivative
-directions, a test spec and a size.  Sizes and labels, hence the global numbering, come from
-the plan alone.  ``block_rows`` realises the plan on a stack of cells as
-rows over their coefficients, one stacked product per entity slot and
-group: its moment rows on the entities (one block shared by all of them, or
-one per entity where the tests are trimmed) or its point values, times the
-cells' trace, derivative and proxy maps.  All moment DoFs are normalized by the
-measure of their subsimplex, and every integral uses the closed barycentric
-formula.  Shared DoFs are generated from global mesh data only, so two cells
-sharing a face produce identical functionals and assembly needs no sign
-fixes.  A DoF matrix is one cell's rows times its shape coefficients; its
-inverse gives the dual basis, one coefficient array per native degree, which
-``export`` prints.
+directions, a test spec and a size.  Sizes and labels, hence the global
+numbering, come from the plan alone.  ``block_rows`` realises the plan on a
+stack of cells as rows over their coefficients, one stacked product per
+entity dimension and group over all slots of that dimension.  All moment
+DoFs are normalized by the measure of their subsimplex, and every integral
+uses the closed barycentric formula.  Shared DoFs are generated from global
+mesh data only, so two cells sharing a face produce identical functionals
+and assembly needs no sign fixes.  A DoF matrix is one cell's rows times its
+shape coefficients; its inverse gives the dual basis, one coefficient array
+per native degree, which ``export`` prints.
 """
 
 from __future__ import annotations
@@ -182,16 +180,8 @@ def _test_blocks(spec, grads):
         keep = [i for i, a in enumerate(monomials(d + 1, deg)) if max(a) < deg]
         return ((0, deg, np.eye(math.comb(deg + d, d))[keep]),)
     if kind == "bernstein":
-        tests = bernstein_tests(d, spec[3], spec[2])
-    else:
-        tests = trimmed_coeffs(grads, *spec[2:])[1]
-    blocks = []
-    for tk, q, vec in tests:
-        if blocks and blocks[-1][1] == q:
-            blocks[-1][2].append(vec)
-        else:
-            blocks.append((tk, q, [vec]))
-    return tuple((tk, q, np.array(rows)) for tk, q, rows in blocks)
+        return tuple(bernstein_tests(d, spec[3], spec[2]))
+    return tuple(trimmed_coeffs(grads, *spec[2:])[1])
 
 
 @lru_cache(maxsize=None)
@@ -313,21 +303,21 @@ def cell_dofs(el, mesh, ci):
 # DoF rows: the plan realised on a stack of cells
 # ---------------------------------------------------------------------------
 
-def _moments(mesh, d, g, ents, k, p, memo):
+def _moments(mesh, d, g, ents, k, p):
     """Group g's moment rows over degree-p k-forms on the d-simplices
-    ``ents``: one block for all of them, or one per entity (memoized) where
-    the tests are trimmed and so depend on the entity's shape."""
-    def build(key, domain):
-        if key not in memo:
-            memo[key] = np.vstack([moment_rows(d, t, k, p) for t in _test_blocks(g.test, domain)])
-            if len(memo[key]) != g.size:
-                raise RuntimeError(f"{g.label} block on a {d}-simplex has {len(memo[key])} "
-                                   f"DoFs; the plan has {g.size}")
-        return memo[key]
-    if g.test[0] != "trimmed":
-        return build((g.test, k, p), None)
-    return np.array([build((g.test, k, p, e), mesh.bary_grads[e] if d == mesh.dim
-                           else mesh.sub_simplex(d, e).grad_bary_float()) for e in ents])
+    ``ents`` (cells, slots): one block for all, or one per entity where the
+    tests are trimmed, built for the distinct entities in one stack."""
+    grads = None
+    if g.test[0] == "trimmed":
+        uniq, inv = np.unique(ents, return_inverse=True)
+        grads = mesh.bary_grads[uniq] if d == mesh.dim else mesh.chart_grads(d, uniq)
+    blocks = [moment_rows(d, t, k, p) for t in _test_blocks(g.test, grads)]
+    rows = np.concatenate([np.broadcast_to(b, np.shape(grads)[:-2] + b.shape[-2:])
+                           for b in blocks], axis=-2)
+    if rows.shape[-2] != g.size:
+        raise RuntimeError(f"{g.label} block on a {d}-simplex has {rows.shape[-2]} "
+                           f"DoFs; the plan has {g.size}")
+    return rows if grads is None else rows[inv.reshape(ents.shape)]
 
 
 def block_rows(el, mesh, cells, p):
@@ -335,52 +325,43 @@ def block_rows(el, mesh, cells, p):
     coefficients: shape (len(cells), DoFs, coefficients), DoFs in the order
     of ``cell_dofs``.
 
-    Every (entity slot, plan group) pair is one stacked product: the group's
-    point values, or its moment rows on the entities (one block for all of
-    them unless the tests are trimmed), times the cells' trace, derivative
-    and proxy maps.  Each row is a row-times-matrix product of its own, so
-    it has the bits it has when its cell is taken alone.
+    Every (entity dimension, plan group) is one stacked product over the
+    cells and their slots of that dimension: the group's point values or
+    its moment rows (``_moments``), times the proxy, derivative and trace
+    maps of every (cell, slot).  Each row is a row-times-matrix product of
+    its own, so it has the bits it has when its cell is taken alone.
     """
     cells = np.asarray(cells, dtype=int)
-    n, memo, out = el.n, {}, []
-    inverse = mesh.bary_inverse[cells]
-    grads = inverse[:, 1:].swapaxes(1, 2)
-
-    def step(kind, spec, k, q):
-        """The cells' proxy, derivative or trace map for the current entity
-        slot, memoized: an axis weight or direction is one for all slots."""
-        key = (kind, spec, k, q) + (() if isinstance(spec, int) else (d, j))
-        if key not in memo:
-            if kind == "trace":
-                tangents = mesh.frames(d).tangents[ents] if k else None
-                memo[key] = trace_matrix(n, vmap, k, q, tangents)
-            else:
-                w = (np.eye(n)[spec] if isinstance(spec, int)
-                     else mesh.frames(d).normals[ents, spec[1]])
-                memo[key] = (proxy_matrix(n, k, w, q) if kind == "proxy"
-                             else derivative_matrix(grads, w, k, q))
-        return memo[key]
-
+    n, out = el.n, []
+    inverse = mesh.bary_inverse[cells][:, None]
+    grads = inverse[..., 1:, :].swapaxes(-1, -2)
     for d in range(n + 1):
-        for j, vmap in enumerate(combinations(range(n + 1), d + 1)):
-            ents = mesh.cell_entities[d][cells, j] if d < n else cells
-            for g in dof_plan(el, d):
-                k, q, steps = el.k, p, []
-                if g.weight is not None:
-                    steps.append(step("proxy", g.weight, k, q))
-                    k = 0
-                for direction in g.directions:
-                    steps.append(step("derivative", direction, k, q))
-                    q -= 1
-                if g.kind == "point":
-                    rows = eval_row(inverse, mesh.vertices[mesh.cells[cells, j]], q)[:, None, :]
-                else:
-                    rows = _moments(mesh, d, g, ents, k, q, memo)
-                if g.kind == "moment" and d < n:
-                    steps.append(step("trace", None, k, q))
-                for step_map in reversed(steps):
-                    rows = (rows[..., None, :] @ step_map[..., None, :, :])[..., 0, :]
-                out.append(np.broadcast_to(rows, (len(cells),) + rows.shape[-2:]))
+        ents = mesh.cell_entities[d][cells] if d < n else cells[:, None]
+
+        def vector(w):
+            return np.eye(n)[w] if isinstance(w, int) else mesh.frames(d).normals[ents, w[1]]
+
+        blocks = []
+        for g in dof_plan(el, d):
+            k, q, maps = el.k, p, []
+            if g.weight is not None:
+                maps.append(proxy_matrix(n, k, vector(g.weight), q))
+                k = 0
+            for direction in g.directions:
+                maps.append(derivative_matrix(grads, vector(direction), k, q))
+                q -= 1
+            if g.kind == "point":
+                rows = eval_row(inverse, mesh.vertices[mesh.cells[cells]], q)[..., None, :]
+            else:
+                rows = _moments(mesh, d, g, ents, k, q)
+                if d < n:
+                    maps.append(trace_matrix(n, list(combinations(range(n + 1), d + 1)), k, q,
+                                             mesh.frames(d).tangents[ents] if k else None))
+            for step in reversed(maps):
+                rows = (rows[..., None, :] @ step[..., None, :, :])[..., 0, :]
+            blocks.append(np.broadcast_to(rows, ents.shape + rows.shape[-2:]))
+        if blocks:
+            out.append(np.concatenate(blocks, axis=2).reshape(len(cells), -1, rows.shape[-1]))
     return np.concatenate(out, axis=1)
 
 
@@ -395,13 +376,12 @@ def shape_coeffs(el, grads):
     barycentric gradients ``grads`` (..., n+1, n).
 
     The full Bernstein basis is the monomial basis scaled by multinomials,
-    one matrix for every cell; the trimmed basis comes from
-    ``trimmed_coeffs``, one matrix per cell, stacked.
+    one matrix for every cell; the trimmed basis is one stacked
+    ``trimmed_coeffs``.
     """
     if el.r != "minus":
         return _bernstein_block(el.n, el.k, el.p, el.p)
-    stack = [trimmed_coeffs(g, el.p, el.k)[0] for g in grads.reshape((-1,) + grads.shape[-2:])]
-    return np.reshape(stack, grads.shape[:-2] + stack[0].shape)
+    return trimmed_coeffs(grads, el.p, el.k)[0]
 
 
 def dof_matrix(el, simplex_vertices):
@@ -459,7 +439,7 @@ def dual_basis(el, simplex_vertices):
     else:
         shapes = bernstein_tests(el.n, el.k, el.p)
     sums = {}
-    for m, (_, q, vec) in enumerate(shapes):
+    for m, (q, vec) in enumerate((q, vec) for _, q, T in shapes for vec in T):
         acc = sums.setdefault(q, np.zeros((len(vec), len(dofs))))
         nz = np.flatnonzero(vec)
         acc[nz] += vec[nz, None] * C[m]
@@ -522,11 +502,8 @@ def zero_trace_dim(mesh, p, k):
     vanish.  Returns (dimension, nullspace basis as coefficient columns).
     """
     n = mesh.dim
-    cverts = tuple(int(v) for v in mesh.cells[0])
-    A = np.vstack([trace_matrix(n, [cverts.index(v) for v in everts], k, p,
-                                mesh.frame(n - 1, fi).tangents)
-                   for fi, everts in enumerate(mesh.skeleton[n - 1])])
-    ns = nullspace(A)
+    A = trace_matrix(n, list(combinations(range(n + 1), n)), k, p, mesh.frames(n - 1).tangents)
+    ns = nullspace(A.reshape(-1, A.shape[-1]))
     return ns.shape[1], ns
 
 

@@ -689,8 +689,10 @@ def derivative_matrix(grads, direction, k, p):
     a stack; ``direction`` (..., m) is one vector or one per simplex.
     """
     D = _partial((grads @ np.asarray(direction, float)[..., None])[..., 0], p)
-    nk = math.comb(grads.shape[-1], k)
-    return np.kron(np.eye(nk).reshape((1,) * (D.ndim - 2) + (nk, nk)), D)
+    nk, (r, c) = math.comb(grads.shape[-1], k), D.shape[-2:]
+    out = np.zeros(D.shape[:-2] + (nk, r, nk, c))
+    out[..., range(nk), :, range(nk), :] = D
+    return out.reshape(D.shape[:-2] + (nk * r, nk * c))
 
 
 def exterior_derivative_matrix(grads, k, p, q):
@@ -735,7 +737,10 @@ def proxy_matrix(m, k, w, p):
         factors = [w[..., 0]] * len(keys)
     else:
         raise ValueError("no vector proxy for this form degree")
-    return np.kron(np.stack(factors, axis=-1)[..., None, :], np.eye(math.comb(p + m, m)))
+    factors, n = np.stack(factors, axis=-1), math.comb(p + m, m)
+    out = np.zeros(factors.shape[:-1] + (n, len(keys), n))
+    out[..., range(n), :, range(n)] = factors
+    return out.reshape(factors.shape[:-1] + (n, len(keys) * n))
 
 
 @lru_cache(maxsize=None)
@@ -752,12 +757,14 @@ def trace_matrix(m, vertex_map, k, p, tangents=None):
     """Trace of degree-p k-forms of an m-simplex onto a subsimplex
     (FormPolynomial.restrict on coefficients).
 
-    ``vertex_map[i]`` is the parent vertex of the child's i-th vertex.  The
-    child chart's tangents (..., d, m), one chart or a stack, give the k x k
-    minors of the form pullback (k > 0 only).  The trace is one scatter of
-    the minors into the columns that the vertex map fixes.
+    ``vertex_map[i]`` is the parent vertex of the child's i-th vertex; a
+    stack of vertex maps (S, d+1) gives a stack of traces.  The child chart's
+    tangents (..., d, m), one chart or a stack, give the k x k minors of the
+    form pullback (k > 0 only).  The trace is one scatter of the minors into
+    the columns that the vertex map fixes.
     """
-    d = len(vertex_map) - 1
+    vmaps = np.asarray(vertex_map, dtype=int)
+    d = vmaps.shape[-1] - 1
     ckeys = np.array(list(combinations(range(d), k)), dtype=int).reshape(math.comb(d, k), k)
     pkeys = np.array(list(combinations(range(m), k)), dtype=int).reshape(math.comb(m, k), k)
     if k:
@@ -765,12 +772,15 @@ def trace_matrix(m, vertex_map, k, p, tangents=None):
                                                          pkeys[None, :, None, :]])
     else:
         dets = np.ones((1, 1))
-    cols = _trace_columns(m + 1, tuple(vertex_map), p)
-    nc, nm = len(cols), math.comb(p + m, m)
-    R = np.zeros(dets.shape[:-2] + (len(ckeys) * nc, len(pkeys) * nm))
-    rows = np.arange(len(ckeys))[:, None, None] * nc + np.arange(nc)[None, None, :]
-    cols = np.arange(len(pkeys))[None, :, None] * nm + cols[None, None, :]
-    R[..., rows, cols] = dets[..., None]
+    cols = np.reshape([_trace_columns(m + 1, tuple(v), p) for v in vmaps.reshape(-1, d + 1)],
+                      vmaps.shape[:-1] + (-1,))
+    nc, nm = cols.shape[-1], math.comb(p + m, m)
+    R = np.zeros(np.broadcast_shapes(dets.shape[:-2], vmaps.shape[:-1])
+                 + (len(ckeys) * nc, len(pkeys) * nm))
+    slot = tuple(np.indices(vmaps.shape[:-1])[..., None, None, None])
+    rows = np.arange(len(ckeys))[:, None, None] * nc + np.arange(nc)
+    cols = np.arange(len(pkeys))[:, None] * nm + cols[..., None, None, :]
+    R[(...,) + slot + (rows, cols)] = dets[..., None]
     return R
 
 
@@ -815,26 +825,27 @@ def moment_rows(d, tests, k, p):
 
     u is a degree-p k-form on the d-simplex s; ``tests`` is (form degree,
     polynomial degree q, one row of coefficients at degree q per test form
-    eta).  k plus the tests' form degree is 0 (scalar moments) or d.  The
-    block is one product of ``moment_gram`` with the tests per form key, run
-    as a stack of matrix-vector products so that each row has the bits of a
-    product with its test alone.
+    eta, (..., forms, coefficients) for a stack of test sets).  k plus the
+    tests' form degree is 0 (scalar moments) or d.  The block is one product
+    of ``moment_gram`` with the tests per form key, run as a stack of
+    matrix-vector products so that each row has the bits of a product with
+    its test alone.
     """
     tk, q, T = tests
     if k + tk not in (0, d):
         raise ValueError("moment pairing must be scalar or top-degree")
     n, nq = math.comb(p + d, d), math.comb(q + d, d)
     keys = list(combinations(range(d), k))
-    rows = np.zeros((len(T), len(keys) * n))
+    rows = np.zeros(T.shape[:-1] + (len(keys) * n,))
     gram = moment_gram(d + 1, p, q)
     for j, tkey in enumerate(combinations(range(d), tk)):
-        block = T[:, j * nq:(j + 1) * nq]
+        block = T[..., j * nq:(j + 1) * nq]
         if not block.any():
             continue
-        weights = (gram @ block[:, :, None])[:, :, 0]
+        weights = (gram @ block[..., None])[..., 0]
         for pos, key in enumerate(keys):
             if not set(key) & set(tkey):
-                rows[:, pos * n:(pos + 1) * n] += _merge_sign(key, tkey) * weights
+                rows[..., pos * n:(pos + 1) * n] += _merge_sign(key, tkey) * weights
     return rows
 
 
@@ -887,24 +898,26 @@ def _whitney_pattern(m, p, k):
 
 
 def _minors(grads, k):
-    """Every k x k minor of the gradient rows: shape (C(m+1, k), C(m, k))."""
-    m = grads.shape[1]
+    """Every k x k minor of the gradient rows of one simplex or a stack:
+    shape (..., C(m+1, k), C(m, k))."""
+    m = grads.shape[-1]
     J = np.array(list(combinations(range(m + 1), k)))
     K = np.array(list(combinations(range(m), k)))
-    return np.linalg.det(grads[J[:, None, :, None], K[None, :, None, :]])
+    return np.linalg.det(grads[..., J[:, None, :, None], K[None, :, None, :]])
 
 
 def bernstein_tests(m, k, p):
-    """The degree-p Bernstein k-forms of full_basis on an m-simplex as
-    (k, p, coefficients) triples, one per test form of ``moment_rows``."""
+    """The degree-p Bernstein k-forms of full_basis on an m-simplex as a
+    list of one (k, p, rows) test block of ``moment_rows``, one row per form."""
     if p < 0:
         return []
-    return [(k, p, row) for row in np.diag(np.tile(multinomials(m + 1, p), math.comb(m, k)))]
+    return [(k, p, np.diag(np.tile(multinomials(m + 1, p), math.comb(m, k))))]
 
 
 def trimmed_coeffs(grads, p, k):
     """Basis of the trimmed space P-_p Lambda^k on the simplex with
-    barycentric gradients ``grads`` (m+1, m), as coefficients.
+    barycentric gradients ``grads`` (m+1, m), or on a stack (..., m+1, m),
+    as coefficients.
 
     For 0 < k < m the degree-(p-1) Bernstein k-forms come first.  The
     complement lambda^beta phi_tau is projected off them and orthonormalised;
@@ -912,30 +925,32 @@ def trimmed_coeffs(grads, p, k):
     k=0 the space is the full degree-p space, for k=m the full degree-(p-1)
     top-form space.
 
-    Returns (cols, tests): cols[:, i] holds basis form i at degree p, and
-    tests[i] = (k, q, coefficients at degree q) holds it at its native degree
-    q (p - 1 for a P_{p-1} form, p for a complement form), as the test forms
-    of ``moment_rows``.
+    Returns (cols, tests): cols[..., :, i] holds basis form i at degree p;
+    tests, as ``moment_rows`` blocks (k, q, rows (..., forms, coefficients)),
+    hold the forms in order at their native degree q (p - 1 for a P_{p-1}
+    form, p for a complement form).  A stack is one stacked QR; any simplex
+    that loses rank raises.
     """
-    m = grads.shape[1]
+    m, stack = grads.shape[-1], grads.shape[:-2]
     if p < 1:
         return np.zeros((dim_full(m, p, k), 0)), []
     if k in (0, m):
         q = p if k == 0 else p - 1
         return _bernstein_block(m, k, q, p), bernstein_tests(m, k, q)
     (rows, cols, minor, sign), ncols = _whitney_pattern(m, p, k)
-    raw = np.zeros((math.comb(m, k) * math.comb(p + m, m), ncols))
-    raw[rows, cols] = sign * _minors(grads, k).ravel()[minor]
+    raw = np.zeros(stack + (math.comb(m, k) * math.comb(p + m, m), ncols))
+    raw[..., rows, cols] = sign * _minors(grads, k).reshape(stack + (-1,))[..., minor]
     lower_q = _lower_orthonormal(m, p, k)
     Q, R = np.linalg.qr(raw - lower_q @ (lower_q.T @ raw))
-    if np.abs(np.diag(R)).min() <= RANK_RTOL * np.linalg.norm(raw, axis=0).max():
+    if np.any(np.abs(np.diagonal(R, axis1=-2, axis2=-1)).min(axis=-1)
+              <= RANK_RTOL * np.linalg.norm(raw, axis=-2).max(axis=-1)):
         raise RuntimeError("trimmed space extraction lost rank")
     lower = _bernstein_block(m, k, p - 1, p)
-    return (np.hstack([lower, Q]),
-            bernstein_tests(m, k, p - 1) + [(k, p, col) for col in Q.T])
+    return (np.concatenate([np.broadcast_to(lower, stack + lower.shape), Q], axis=-1),
+            bernstein_tests(m, k, p - 1) + [(k, p, np.ascontiguousarray(Q.swapaxes(-1, -2)))])
 
 
 def trimmed_basis(simplex, p, k):
     """The basis of ``trimmed_coeffs`` as forms of their native degree."""
-    return [form_from_coeffs(simplex, *test)
-            for test in trimmed_coeffs(simplex.grad_bary_float(), p, k)[1]]
+    return [form_from_coeffs(simplex, tk, q, vec)
+            for tk, q, T in trimmed_coeffs(simplex.grad_bary_float(), p, k)[1] for vec in T]

@@ -220,21 +220,23 @@ class SimplicialMesh:
             self._sub_cache[key] = Simplex(self.vertices[list(self.cells[ci])])
         return self._sub_cache[key]
 
+    def chart_grads(self, d, ids):
+        """``sub_simplex(d, e).grad_bary_float()`` of every d-simplex e in
+        ``ids`` (0 < d < dim), from one stacked inverse: (len(ids), d+1, d)."""
+        pts = self.vertices[np.array(self.skeleton[d])[ids]]
+        chart = (pts - pts[:, :1]) @ self.frames(d).tangents[ids].swapaxes(1, 2)
+        if not nonzero_volume(chart).all():
+            raise ValueError("degenerate simplex (zero volume)")
+        ones = np.ones(chart.shape[:2] + (1,))
+        return np.linalg.inv(np.concatenate([ones, chart], axis=2))[:, 1:].swapaxes(1, 2)
+
     def sub_simplex(self, d, idx):
-        """Intrinsic simplex of a subsimplex, charted by its global frame."""
+        """Intrinsic simplex of a d-simplex, 0 < d < dim, in its frame's chart."""
         key = (d, int(idx))
-        if key in self._sub_cache:
-            return self._sub_cache[key]
-        verts = self.skeleton[d][idx]
-        pts = self.vertices[list(verts)]
-        if d == self.dim:
-            s = Simplex(pts, chart_origin=pts[0],
-                        chart_tangents=np.eye(self.dim))
-        else:
-            fr = self.frame(d, idx)
-            s = Simplex.embedded(pts, fr.tangents)
-        self._sub_cache[key] = s
-        return s
+        if key not in self._sub_cache:
+            pts = self.vertices[list(self.skeleton[d][idx])]
+            self._sub_cache[key] = Simplex.embedded(pts, self.frame(d, idx).tangents)
+        return self._sub_cache[key]
 
     # -- boundary classification ---------------------------------------------------
     def classify_boundary(self, tol=COLLINEAR_TOL):

@@ -134,7 +134,23 @@ def test_export_coo_format(meshes):
     assert D.dropped_max <= DROP_RTOL * np.abs(D.vals).max()
 
 
-# -- proved ranks ---------------------------------------------------------------------
+def test_dense_rows_match_a_dense_reference():
+    # rows 1 and 3 are empty, and row 4 alone is a one-column slab
+    dense = np.zeros((5, 7))
+    dense[0, [1, 4]] = [2.0, -3.0]
+    dense[2, [0, 4, 6]] = [1.5, 0.25, -1.0]
+    dense[4, 5] = 7.0
+    rows, cols = np.nonzero(dense)
+    csr = assembly._csr(assembly.Coo(rows, cols, dense[rows, cols], dense.shape))
+    for idx in ([0, 1, 2, 3, 4], [1, 3], [4], [2, 0], [3, 4], []):
+        idx = np.array(idx, dtype=int)
+        used, block = assembly._dense_rows(csr, idx)
+        assert np.array_equal(used, np.flatnonzero(dense[idx].any(axis=0)))
+        assert np.array_equal(block, dense[np.ix_(idx, used)])
+        assert block.shape == (len(idx), len(used))
+
+
+# -- proved ranks---------------------------------------------------------------------
 
 def _prove_row(spaces, ops):
     """prove_ranks as verify_row calls it: the constants as the known kernel."""

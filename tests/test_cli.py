@@ -511,6 +511,22 @@ def test_bad_env_tolerance_exits_2_before_any_work(square_path, monkeypatch, cap
     assert "DERHAM_TOL must be a finite number > 0 (got 'abc')" in captured.err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["bgg", "--mesh", "{mesh}", "--p", "2", "--tol", "abc"],
+     "error: derham bgg: argument --tol: invalid float value: 'abc'"),
+    (["element", "--r", "0", "--k", "x", "--dim", "2", "--p", "1"],
+     "error: derham element: argument --k: invalid int value: 'x'"),
+    (["tables", "--mesh", "{mesh}", "--p-range", "-1:3"],
+     "error: derham tables: argument --p-range: expected one argument"),
+])
+def test_parse_errors_exit_2_with_one_line(square_path, capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main([a.replace("{mesh}", square_path) for a in argv])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err == message + "\n"
+
+
 def _test_degrees(out, klass):
     return [int(line.split("test-deg ")[1].split()[0])
             for line in out.splitlines() if f" {klass} test-deg" in line]

@@ -201,7 +201,8 @@ def test_trimmed_coeffs_match_exact_koszul_span(name):
     for k in range(1, m):
         for p in range(1, 6):
             exact = _coefficient_matrix(reference_trimmed(simplex, p, k), p)
-            cols, tests = trimmed_coeffs(simplex.grad_bary_float(), p, k)
+            cols, blocks = trimmed_coeffs(simplex.grad_bary_float(), p, k)
+            tests = [(tk, q, vec) for tk, q, T in blocks for vec in T]
             target = dim_trimmed(m, p, k)
             assert cols.shape[1] == len(tests) == target == rank_of(exact)
             assert rank_of(np.hstack([exact, cols])) == target, (k, p)

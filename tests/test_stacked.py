@@ -6,6 +6,9 @@ built for that cell alone, and match the FormPolynomial reference of
 ``dof_reference`` to 1e-12 relative.
 """
 
+import math
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -14,7 +17,8 @@ from dof_reference import cell_blocks, random_form, reference_dof_values
 from derham.assembly import (DROP_RTOL, GlobalSpace, assemble_d, assemble_space, family_row,
                              row_p_min)
 from derham.elements import _P_MIN, block_rows, element_def, shape_coeffs
-from derham.forms import coeffs, exterior_derivative_matrix, form_from_coeffs
+from derham.forms import (coeffs, derivative_matrix, exterior_derivative_matrix,
+                          form_from_coeffs, moment_rows, proxy_matrix, trimmed_coeffs)
 
 NAMES = ["interval", "tri", "square", "tri3", "split", "annulus", "tet", "tet2", "tet3",
          "tet3-rotated", "delaunay"]
@@ -95,3 +99,79 @@ def test_stacked_operators_match_one_cell_products_and_reference(meshes, name):
                     _assert_close(block @ x, _reference(dst.el, mesh, ci, u.exterior_derivative()))
             want[np.abs(want) <= DROP_RTOL * np.abs(want).max()] = 0.0
             assert np.array_equal(assemble_d(src, dst).array, want), (r, i)
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("name,d", [("square", 2), ("tri3", 2), ("tet2", 2), ("tet3", 2),
+                                    ("tet3-rotated", 2), ("delaunay", 2), ("tet3", 3)])
+def test_stacked_trimmed_tests_match_one_entity(meshes, name, d):
+    # the trimmed tests and their moment rows on every d-simplex of the mesh
+    # at once have the bits of the same entity taken alone
+    mesh = _mesh(meshes, name)
+    ids = np.arange(mesh.count(d))
+    grads = mesh.bary_grads if d == mesh.dim else mesh.chart_grads(d, ids)
+    for k in range(1, d):
+        for p in range(1, 5):
+            cols, tests = trimmed_coeffs(grads, p, k)
+            for e in ids:
+                one = grads[e] if d == mesh.dim else mesh.sub_simplex(d, e).grad_bary_float()
+                cols_e, tests_e = trimmed_coeffs(one, p, k)
+                assert _same_bits(cols[e], cols_e), (k, p, e)
+                assert len(tests) == len(tests_e)
+                for t, (tk, q, T) in zip(tests, tests_e):
+                    assert t[:2] == (tk, q)
+                    assert _same_bits(t[2] if t[2].ndim == 2 else t[2][e], T)
+                    rows = moment_rows(d, t, d - tk, p)
+                    assert _same_bits(rows if rows.ndim == 2 else rows[e],
+                                      moment_rows(d, (tk, q, T), d - tk, p))
+
+
+@pytest.mark.parametrize("name", ["square", "tri3", "tet2", "tet3", "tet3-rotated", "delaunay"])
+def test_stacked_chart_grads_match_sub_simplices(meshes, name):
+    mesh = _mesh(meshes, name)
+    for d in range(1, mesh.dim):
+        ids = np.arange(mesh.count(d))[::-1]
+        for e, grads in zip(ids, mesh.chart_grads(d, ids)):
+            assert _same_bits(grads, mesh.sub_simplex(d, e).grad_bary_float()), (d, e)
+
+
+def test_stacked_trimmed_tests_raise_where_one_entity_loses_rank():
+    good = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+    flat = np.zeros((3, 2))   # no complement survives: every minor vanishes
+    trimmed_coeffs(np.stack([good, good]), 2, 1)
+    for stack in ([good, flat], [flat, good, good]):
+        with pytest.raises(RuntimeError, match="lost rank"):
+            trimmed_coeffs(np.stack(stack), 2, 1)
+
+
+def _proxy_factors(m, k, w):
+    """The proxy contraction's factor per k-axis key, as FormPolynomial.proxy_contract has it."""
+    keys = list(combinations(range(m), k))
+    if k == 1:
+        return np.stack([w[..., key[0]] for key in keys], axis=-1)
+    if k == m - 1 and m >= 2:
+        missing = [next(i for i in range(m) if i not in key) for key in keys]
+        return np.stack([w[..., i] * (-1) ** i for i in missing], axis=-1)
+    return np.stack([w[..., 0]] * len(keys), axis=-1)
+
+
+def test_block_maps_match_kron_reference():
+    # derivative and proxy maps place their blocks without np.kron
+    rng = np.random.default_rng(5)
+    for m in (1, 2, 3):
+        grads, w = rng.normal(size=(4, 3, m + 1, m)), rng.normal(size=(4, 3, m))
+        for k in range(m + 1):
+            nk = math.comb(m, k)
+            for p in (1, 2, 4):
+                D = derivative_matrix(grads, w, 0, p)
+                want = np.kron(np.eye(nk).reshape(1, 1, nk, nk), D)
+                assert np.array_equal(derivative_matrix(grads, w, k, p), want), (m, k, p)
+                assert np.array_equal(derivative_matrix(grads[0, 0], w[0, 0], k, p), want[0, 0])
+                if k in (0, 1, m - 1, m):
+                    eye = np.eye(math.comb(p + m, m))
+                    for v in (w, w[0, 0], np.eye(m)[-1]):
+                        want = np.kron(_proxy_factors(m, k, v)[..., None, :], eye)
+                        assert np.array_equal(proxy_matrix(m, k, v, p), want), (m, k, p)
