@@ -1,17 +1,20 @@
 """Command-line front end.
 
 Exit codes: 0 = success / all checks pass, 1 = a verification failed,
-2 = usage or input errors.  Outputs are byte-deterministic for fixed inputs.
+2 = usage or input errors.  Outputs are byte-deterministic for fixed inputs,
+numpy build and BLAS thread count: the residual and margin digits of
+``verify`` move with the thread count (its verdicts do not).
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import math
 import os
+import re
 import sys
+from types import SimpleNamespace
 
 from . import assembly, bgg, elements, mesh as meshmod
 from .assembly import (dim_formula, dof_savings, homogeneous_row_report,
@@ -25,7 +28,9 @@ def _load_mesh(path):
         return SimplicialMesh.load(path)
     except FileNotFoundError:
         raise SystemExit(f"error: mesh file not found: {path}")
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except OSError as exc:
+        raise SystemExit(f"error: cannot read mesh file {path}: {exc.strerror}")
+    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         raise SystemExit(f"error: cannot parse mesh file {path}: {exc}")
 
 
@@ -44,8 +49,11 @@ def _tol(args):
 
 def _emit(text, out):
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SystemExit(f"error: cannot write {out}: {exc.strerror}")
     else:
         sys.stdout.write(text)
 
@@ -90,11 +98,8 @@ def _check_local_size(slots, n):
                 f"over the {MAX_LOCAL_MATRIX_BYTES // 2 ** 20} MiB limit")
 
 
-REFERENCE = {
-    1: [[0.0], [1.0]],
-    2: [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
-    3: [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
-}
+REFERENCE = {n: [[0.0] * n] + [[float(i == j) for j in range(n)] for i in range(n)]
+             for n in (1, 2, 3)}
 
 
 def cmd_tables(args):
@@ -103,20 +108,16 @@ def cmd_tables(args):
     if args.dim is not None and args.dim != n:
         raise SystemExit(f"error: --dim {args.dim} does not match the mesh ({n}D)")
     rows = []
-    families = [0, 1, 2]
     for p in _p_values(args):
-        for r in families + (["hz"] if n == 3 else []):
-            ks = range(n + 1) if r in (0, 1, 2) else [2]
-            for k in ks:
+        for r in [0, 1, 2] + (["hz"] if n == 3 else []):
+            for k in range(n + 1) if r != "hz" else [2]:
                 try:
                     el = element_def(r, p, k, n)
                 except ValueError:
                     continue
-                rows.append({
-                    "r": str(r), "k": k, "p": p, "label": el.label,
-                    "local_dim": el.local_dim,
-                    "global_dim": dim_formula(r, p, k, n, m.counts),
-                })
+                rows.append({"r": str(r), "k": k, "p": p, "label": el.label,
+                             "local_dim": el.local_dim,
+                             "global_dim": dim_formula(r, p, k, n, m.counts)})
     if args.format == "json":
         text = json.dumps(rows, indent=2) + "\n"
     else:
@@ -139,22 +140,18 @@ def cmd_verify(args):
                 f"error: --betti expects comma-separated integers (got {args.betti!r})")
     if args.row not in ("0", "1", "2", "mixed"):
         raise SystemExit(f"error: --row must be 0, 1, 2 or mixed (got {args.row!r})")
-    if args.row != "mixed" and args.p < row_p_min(m.dim, int(args.row)):
-        raise SystemExit(f"error: verify --row {args.row} needs --p >= "
-                         f"{row_p_min(m.dim, int(args.row))} on a {m.dim}D mesh "
-                         f"(got --p {args.p})")
-    if args.row != "mixed" or m.dim == 3:
-        row = args.row if args.row == "mixed" else int(args.row)
+    row = args.row if args.row == "mixed" else int(args.row)
+    if row != "mixed" and args.p < row_p_min(m.dim, row):
+        raise SystemExit(f"error: verify --row {row} needs --p >= {row_p_min(m.dim, row)} "
+                         f"on a {m.dim}D mesh (got --p {args.p})")
+    if row != "mixed" or m.dim == 3:
         _check_local_size(assembly.family_row(m.dim, row, args.p), m.dim)
     try:
-        if args.row == "mixed":
-            rep = mixed_sequence(m, args.p)
-        else:
-            rep = verify_exactness(m, int(args.row), args.p, expected_betti=betti)
+        rep = (mixed_sequence(m, args.p) if row == "mixed"
+               else verify_exactness(m, row, args.p, expected_betti=betti))
     except (ValueError, RuntimeError) as exc:
         raise SystemExit(f"error: {exc}")
-    text = rep.to_json() + "\n"
-    _emit(text, args.out)
+    _emit(rep.to_json() + "\n", args.out)
     if not rep.passed:
         # harmonic dimensions mean something only for a complex, and only a
         # mesh whose Euler characteristic differs from the expected
@@ -172,12 +169,19 @@ def cmd_verify(args):
     return 0
 
 
-def cmd_element(args):
+def _family(args):
+    """The element of element's and export's options, refused (exit 2) if it
+    is no family or its dense local DoF matrix is too large."""
     try:
         el = element_def(args.r_parsed, args.p, args.k, args.dim)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
     _check_local_size([(el.r, el.p, el.k)], el.n)
+    return el
+
+
+def cmd_element(args):
+    el = _family(args)
     rep = unisolvence_check(el, REFERENCE[args.dim])
     lines = [f"family r={el.r} p={el.p} k={el.k} n={el.n} ({el.label})",
              f"local dimension {el.local_dim}",
@@ -207,14 +211,10 @@ def cmd_bc(args):
         rep = homogeneous_row_report(m, args.p, cls)
     except RuntimeError as exc:
         raise SystemExit(f"error: {exc}")
-    out = {
-        "V0": cls.v0, "V0s": cls.v0s, "E0": len(m.boundary_simplices(1)),
-        "corner_vertices": sorted(cls.corner_vertices),
-        "reduced_dims": rep["dims"],
-        "formula_dims": rep["formulas"],
-        "alternating_sum": rep["alternating"],
-        "exact": rep["exact"],
-    }
+    out = {"V0": cls.v0, "V0s": cls.v0s, "E0": len(m.boundary_simplices(1)),
+           "corner_vertices": sorted(cls.corner_vertices), "reduced_dims": rep["dims"],
+           "formula_dims": rep["formulas"], "alternating_sum": rep["alternating"],
+           "exact": rep["exact"]}
     _emit(json.dumps(out, indent=2) + "\n", args.out)
     return 0 if rep["dims"] == rep["formulas"] and rep["exact"] else 1
 
@@ -229,19 +229,13 @@ def cmd_bgg(args):
         xi = ctx.xi_complex()
     except (ValueError, RuntimeError) as exc:
         raise SystemExit(f"error: {exc}")
-    stress_p = max(args.p, 3)
-    st = bgg.huzhang_stress(stress_p)
-    out = {
-        "identity_residual": resid,
-        "xi": {key: v for key, v in xi.items() if key != "rank_margins"},
-        "stress": {
-            "p": st.p, "n_dofs": st.n_dofs,
-            "skew_interior": st.skew_interior, "sym_interior": st.sym_interior,
-            "interior_identity": st.interior_identity,
-            "unisolvent": st.unisolvent,
-            "sym_restricted_unisolvent": st.sym_restricted_unisolvent,
-        },
-    }
+    st = bgg.huzhang_stress(max(args.p, 3))
+    out = {"identity_residual": resid,
+           "xi": {key: v for key, v in xi.items() if key != "rank_margins"},
+           "stress": {"p": st.p, "n_dofs": st.n_dofs, "skew_interior": st.skew_interior,
+                      "sym_interior": st.sym_interior, "interior_identity": st.interior_identity,
+                      "unisolvent": st.unisolvent,
+                      "sym_restricted_unisolvent": st.sym_restricted_unisolvent}}
     _emit(json.dumps(out, indent=2) + "\n", args.out)
     ok = resid < tol and xi["exact"] and st.unisolvent and st.interior_identity
     return 0 if ok else 1
@@ -264,111 +258,148 @@ def cmd_compare(args):
     if args.format == "json":
         _emit(json.dumps(rep, indent=2) + "\n", args.out)
     else:
-        lines = ["quantity,value"]
-        for key in ("dim_classical", "closed_classical", "dim_nodal",
-                    "closed_nodal", "difference", "edge_vertex_ratio",
-                    "per_tet_estimate_classical", "per_tet_estimate_nodal",
-                    "per_tet_estimate_difference"):
-            lines.append(f"{key},{rep[key]}")
-        for key, v in rep["counts"].items():
-            lines.append(f"count_{key},{v}")
+        keys = ("dim_classical", "closed_classical", "dim_nodal", "closed_nodal", "difference",
+                "edge_vertex_ratio", "per_tet_estimate_classical", "per_tet_estimate_nodal",
+                "per_tet_estimate_difference")
+        lines = ["quantity,value"] + [f"{key},{rep[key]}" for key in keys]
+        lines += [f"count_{key},{v}" for key, v in rep["counts"].items()]
         _emit("\n".join(lines) + "\n", args.out)
     return 0 if ok else 1
 
 
 def cmd_export(args):
-    try:
-        el = element_def(args.r_parsed, args.p, args.k, args.dim)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
-    _check_local_size([(el.r, el.p, el.k)], el.n)
+    el = _family(args)
     duals, _, _ = dual_basis(el, REFERENCE[args.dim])
     _emit("\n".join(dual_export_lines(el, duals)) + "\n", args.out)
     return 0
 
 
 def _parse_r(value):
-    if value in ("hz", "minus"):
-        return value
     try:
-        return int(value)
+        return value if value in ("hz", "minus") else int(value)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid family grade {value!r}")
+        raise ValueError(f"invalid family grade {value!r}") from None
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        """A usage error as the commands' own: one ``error:`` line, exit 2."""
-        sys.stderr.write(f"error: {self.prog}: {message}\n")
-        raise SystemExit(2)
-
-
-def build_parser():
-    ap = _Parser(prog="derham", description="nodal de Rham family verification tool")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p, mesh=False, fmt=False):
-        p.add_argument("--out", default=None)
-        if fmt:
-            p.add_argument("--format", choices=("csv", "json"), default="csv")
-        if mesh:
-            p.add_argument("--mesh", required=True)
-
-    t = sub.add_parser("tables", help="family grid with local/global dimensions")
-    common(t, mesh=True, fmt=True)
-    t.add_argument("--p", type=int, default=None)
-    t.add_argument("--p-range", default=None)
-    t.add_argument("--dim", type=int, default=None)
-
-    v = sub.add_parser("verify", help="complex + exactness verification")
-    common(v, mesh=True)
-    v.add_argument("--row", "--r", dest="row", default="1",
-                   help="family grade 0|1|2|mixed")
-    v.add_argument("--p", type=int, required=True)
-    v.add_argument("--betti", default=None,
-                   help="expected harmonic dimensions, comma separated")
-
-    e = sub.add_parser("element", help="element catalog and unisolvence")
-    common(e)
-    e.add_argument("--r", dest="r_parsed", type=_parse_r, required=True)
-    e.add_argument("--k", type=int, required=True)
-    e.add_argument("--dim", type=int, required=True)
-    e.add_argument("--p", type=int, required=True)
-
-    b = sub.add_parser("bc", help="boundary classification and reduced dims")
-    common(b, mesh=True)
-    b.add_argument("--p", type=int, required=True)
-    b.add_argument("--bctol", type=float, default=meshmod.COLLINEAR_TOL)
-
-    g = sub.add_parser("bgg", help="elasticity construction report")
-    common(g, mesh=True)
-    g.add_argument("--tol", type=float, default=None)
-    g.add_argument("--p", type=int, required=True)
-
-    c = sub.add_parser("compare", help="classical vs nodal dimension savings")
-    common(c, fmt=True)
-    c.add_argument("--p", type=int, required=True)
-    c.add_argument("--grid", required=True, help="nx,ny,nz")
-
-    x = sub.add_parser("export", help="dual basis in text form")
-    common(x)
-    x.add_argument("--r", dest="r_parsed", type=_parse_r, required=True)
-    x.add_argument("--k", type=int, required=True)
-    x.add_argument("--dim", type=int, required=True)
-    x.add_argument("--p", type=int, required=True)
-
-    return ap
-
-
+# command -> (function, help line, options); an option is (flag, dest, type,
+# default, help): "/" in the flag adds an alias, a tuple type lists the
+# choices, and the default REQUIRED makes the option required
+REQUIRED = object()
+_OUT = ("--out", "out", str, None, "write the output to this file, not stdout")
+_FORMAT = ("--format", "format", ("csv", "json"), "csv", "output format")
+_MESH = ("--mesh", "mesh", str, REQUIRED, "mesh file (JSON)")
+_P = ("--p", "p", int, REQUIRED, "polynomial degree")
+_FAMILY = [_OUT, ("--r", "r_parsed", _parse_r, REQUIRED, "family grade: an integer, hz or minus"),
+           ("--k", "k", int, REQUIRED, "form degree"),
+           ("--dim", "dim", int, REQUIRED, "space dimension"), _P]
 COMMANDS = {
-    "tables": cmd_tables,
-    "verify": cmd_verify,
-    "element": cmd_element,
-    "bc": cmd_bc,
-    "bgg": cmd_bgg,
-    "compare": cmd_compare,
-    "export": cmd_export,
+    "tables": (cmd_tables, "family grid with local/global dimensions", [
+        _OUT, _FORMAT, _MESH, ("--p", "p", int, None, "one degree"),
+        ("--p-range", "p_range", str, None, "degrees LO:HI"),
+        ("--dim", "dim", int, None, "the mesh dimension, checked")]),
+    "verify": (cmd_verify, "complex + exactness verification", [
+        _OUT, _MESH, ("--row/--r", "row", str, "1", "family grade 0|1|2|mixed (default 1)"),
+        _P, ("--betti", "betti", str, None, "expected harmonic dimensions, comma separated")]),
+    "element": (cmd_element, "element catalog and unisolvence", _FAMILY),
+    "bc": (cmd_bc, "boundary classification and reduced dims", [
+        _OUT, _MESH, _P, ("--bctol", "bctol", float, meshmod.COLLINEAR_TOL, "corner tolerance")]),
+    "bgg": (cmd_bgg, "elasticity construction report", [
+        _OUT, _MESH, ("--tol", "tol", float, None, "identity tolerance, else DERHAM_TOL"), _P]),
+    "compare": (cmd_compare, "classical vs nodal dimension savings", [
+        _OUT, _FORMAT, _P, ("--grid", "grid", str, REQUIRED, "nx,ny,nz")]),
+    "export": (cmd_export, "dual basis in text form", _FAMILY),
 }
+_HELP = {"-h": None, "--help": None}
+
+
+def _usage_error(prog, message):
+    """A usage error as the commands' own: one ``error:`` line, exit 2."""
+    sys.stderr.write(f"error: {prog}: {message}\n")
+    raise SystemExit(2)
+
+
+def _read_token(prog, flags, token):
+    """How argparse reads a token against ``flags`` (flag -> option, None for
+    help): None for a value, else (flag, the value given after "="), flag None
+    for an unknown option.  An exact flag wins over a prefix, a prefix must be
+    unique, and a token that starts with "-" is a value if it is a negative number."""
+    if not token.startswith("-") or token == "-":
+        return None
+    if token in flags:
+        return token, None
+    head, eq, value = token.partition("=")
+    if eq and head in flags:
+        return head, value
+    found = [flag for flag in flags if token[1] == "-" and flag.startswith(head)]
+    if len(found) > 1:
+        _usage_error(prog, f"ambiguous option: {token} could match {', '.join(found)}")
+    if found:
+        return found[0], value if eq else None
+    return None if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token else (None, None)
+
+
+def _help(name=None):
+    """-h: the commands, or the options of command ``name``; exit 0."""
+    rows = ([(cmd, about) for cmd, (_, about, _) in COMMANDS.items()] if name is None else
+            [(flag.replace("/", ", "), about + " (required)" * (default is REQUIRED))
+             for flag, _, _, default, about in COMMANDS[name][2]])
+    sys.stdout.write(f"usage: derham {name or '<command> [-h]'} [--option value | --option=value]"
+                     " ... (a unique prefix names an option)\n\n"
+                     + "".join(f"  {left:<12} {right}\n" for left, right in rows))
+    raise SystemExit(0)
+
+
+def parse_args(argv):
+    """The namespace of a ``derham`` command line, read by argparse's rules
+    (``--opt value`` or ``--opt=value``, unique prefixes, the last value
+    wins).  A usage error writes one ``error: derham[ <command>]: ...`` line
+    and exits 2; ``-h`` prints help and exits 0."""
+    i = 0       # the command is the first value; the tokens before it are left over
+    while i < len(argv) and argv[i] != "--" and (read := _read_token("derham", _HELP, argv[i])):
+        if read[0]:
+            _help()
+        i += 1
+    if i + (argv[i:i + 1] == ["--"]) >= len(argv):
+        _usage_error("derham", "the following arguments are required: command")
+    name, extras, argv = argv[i], argv[:i], argv[i + 1:]
+    if name not in COMMANDS:
+        _usage_error("derham", f"argument command: invalid choice: {name!r} "
+                               f"(choose from {', '.join(map(repr, COMMANDS))})")
+    prog, options = f"derham {name}", COMMANDS[name][2]
+    flags = {**_HELP, **{flag: option for option in options for flag in option[0].split("/")}}
+    # every token from a "--" on is left over, and no option takes it as its value
+    cut = argv.index("--") if "--" in argv else len(argv)
+    reads = [_read_token(prog, flags, t) for t in argv[:cut]] + [(None, None)] * (len(argv) - cut)
+    values = {dest: None if default is REQUIRED else default for _, dest, _, default, _ in options}
+    steps = iter(range(len(argv)))
+    for i in steps:
+        flag, text = reads[i] or (None, None)
+        if flag is None:
+            extras.append(argv[i])
+            continue
+        if flags[flag] is None:
+            _help(name)
+        names, dest, kind = flags[flag][:3]
+        if text is None:
+            if i + 1 == len(argv) or reads[i + 1] is not None:
+                _usage_error(prog, f"argument {names}: expected one argument")
+            text = argv[next(steps)]
+        if isinstance(kind, tuple) and text not in kind:
+            _usage_error(prog, f"argument {names}: invalid choice: {text!r} "
+                               f"(choose from {', '.join(map(repr, kind))})")
+        try:
+            values[dest] = text if isinstance(kind, tuple) else kind(text)
+        except ValueError as exc:
+            why = f"invalid {kind.__name__} value: {text!r}" if kind in (int, float) else exc
+            _usage_error(prog, f"argument {names}: {why}")
+    # a value that was given is never None
+    missing = [flag for flag, dest, _, default, _ in options
+               if default is REQUIRED and values[dest] is None]
+    if missing:
+        _usage_error(prog, "the following arguments are required: " + ", ".join(missing))
+    if extras:
+        _usage_error("derham", "unrecognized arguments: " + " ".join(extras))
+    return SimpleNamespace(command=name, **values)
 
 
 def main(argv=None):
@@ -379,10 +410,9 @@ def main(argv=None):
     # Cyclic garbage is frozen too and never freed: an in-process caller
     # holding some should run gc.collect() before main().
     gc.freeze()
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
-        return COMMANDS[args.command](args)
+        return COMMANDS[args.command][0](args)
     except SystemExit as exc:
         if isinstance(exc.code, str):
             sys.stderr.write(exc.code + "\n")

@@ -302,10 +302,15 @@ class SimplicialMesh:
     @classmethod
     def from_json(cls, text):
         data = json.loads(text)
-        verts = np.array(data["vertices"], dtype=float)
+        if not isinstance(data, dict):
+            raise ValueError("a mesh file holds one JSON object")
+        verts, cells = np.array(data["vertices"], dtype=float), data["cells"]
+        listed = isinstance(cells, list) and all(isinstance(c, list) for c in cells)
+        if verts.ndim != 2 or not listed:
+            raise ValueError("vertices and cells must be lists of number lists")
         if verts.shape[1] != data["dim"]:
             raise ValueError("vertex coordinates do not match declared dimension")
-        return cls(verts, data["cells"])
+        return cls(verts, cells)
 
     @classmethod
     def load(cls, path):

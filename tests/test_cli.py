@@ -468,6 +468,17 @@ def test_runtime_loads_no_scipy(square_path):
     assert proc.returncode == 0, proc.stderr
 
 
+# mesh files that are JSON but no mesh
+BAD_MESH_FILES = {
+    "{list}": "[[0, 0], [1, 0]]",
+    "{string}": '"mesh"',
+    "{flat}": '{"dim": 2, "vertices": 5, "cells": 3}',
+    "{int_cells}": '{"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]], "cells": 3}',
+    "{null_index}": '{"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]], "cells": [[null, 1, 2]]}',
+    "{dict_vertices}": '{"dim": 2, "vertices": {"x": 0}, "cells": [[0, 1, 2]]}',
+}
+
+
 @pytest.mark.parametrize("argv,message", [
     (["tables", "--mesh", "{mesh}", "--p-range", "3"], "--p-range expects LO:HI"),
     (["tables", "--mesh", "{mesh}", "--p-range", "a:b"], "--p-range expects LO:HI"),
@@ -488,9 +499,25 @@ def test_runtime_loads_no_scipy(square_path):
      "--tol must be a finite number > 0 (got 0.0)"),
     (["tables", "--mesh", "{mesh}", "--p-range", "5:3"], "--p-range needs LO <= HI (got '5:3')"),
     (["tables", "--mesh", "{mesh}", "--p", "-1"], "tables needs degrees >= 0 (got -1)"),
+    (["tables", "--mesh", "{mesh}", "--p", "3", "--out", "{missing}"],
+     "/no/such/x.csv: No such file or directory"),
+    (["tables", "--mesh", "{mesh}", "--p", "3", "--out", "{dir}"], "cannot write"),
+    (["verify", "--mesh", "{dir}", "--p", "1"], "cannot read mesh file"),
+    (["verify", "--mesh", "{list}", "--p", "1"], "a mesh file holds one JSON object"),
+    (["verify", "--mesh", "{string}", "--p", "1"], "a mesh file holds one JSON object"),
+    (["verify", "--mesh", "{flat}", "--p", "1"], "vertices and cells must be lists of number lists"),
+    (["bc", "--mesh", "{int_cells}", "--p", "1"], "vertices and cells must be lists of number lists"),
+    (["bc", "--mesh", "{null_index}", "--p", "1"], "cannot parse mesh file"),
+    (["bc", "--mesh", "{dict_vertices}", "--p", "1"], "cannot parse mesh file"),
 ])
-def test_bad_arguments_exit_2_with_one_line(square_path, capsys, argv, message):
-    rc = main([a.replace("{mesh}", square_path) for a in argv])
+def test_bad_arguments_exit_2_with_one_line(square_path, tmp_path, capsys, argv, message):
+    paths = {"{mesh}": square_path, "{dir}": str(tmp_path),
+             "{missing}": str(tmp_path / "no" / "such" / "x.csv")}
+    for name, text in BAD_MESH_FILES.items():
+        paths[name] = str(tmp_path / f"{name[1:-1]}.json")
+        with open(paths[name], "w") as fh:
+            fh.write(text)
+    rc = main([paths.get(a, a) for a in argv])
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
