@@ -7,9 +7,8 @@ jet and bubble sequences, and the 2D symmetric-stress construction.
 """
 
 from .assembly import (assemble_d, assemble_space, dim_formula, dof_savings,
-                       family_row, homogeneous_row_report, mixed_sequence,
-                       restrict_homogeneous, space_equal, verify_decomposition,
-                       verify_exactness)
+                       family_row, homogeneous_row_report, restrict_homogeneous,
+                       space_equal, verify_decomposition, verify_exactness)
 from .elements import (dof_matrix, dual_basis, element_def, jet_complex_ranks,
                        subsimplex_bubble_dims, unisolvence_check)
 from .forms import FormPolynomial, Simplex, dim_full, dim_trimmed, trimmed_basis
@@ -20,7 +19,7 @@ __all__ = [
     "assemble_d", "assemble_space", "cube_center_fan_grid", "dim_formula",
     "dim_full", "dim_trimmed", "dof_matrix", "dof_savings", "dual_basis",
     "element_def", "family_row", "homogeneous_row_report",
-    "jet_complex_ranks", "mixed_sequence", "restrict_homogeneous",
+    "jet_complex_ranks", "restrict_homogeneous",
     "space_equal", "subsimplex_bubble_dims", "trimmed_basis",
     "unisolvence_check", "verify_decomposition", "verify_exactness",
 ]

@@ -238,7 +238,14 @@ def dim_formula(r, p, k, n, counts):
 
 
 def family_row(n, r, p):
-    """The (r, degree, k) slots of one de Rham row at window parameter p."""
+    """The (r, degree, k) slots of one de Rham row at window parameter p.
+
+    The 3D row "mixed" ends in the trimmed H(div) slot: full spaces of
+    degree p and p-1, the trimmed space of degree p-1, and piecewise
+    polynomials of degree p-2.  (With a trimmed slot of degree p-2 the curl
+    image is not contained in the space, so that pairing is not even a
+    complex; the assembly consistency check rejects it.)
+    """
     if n == 1:
         return [(r, p + 1, 0), (r, p, 1)]
     if n == 2:
@@ -746,7 +753,8 @@ def prove_ranks(ops, coords, kernel=None):
     ``Coo`` or an ``OperatorMatrix``), ``coords`` holds a point per DoF of
     each of the ``len(ops) + 1`` spaces, and ``kernel`` is an optional known
     kernel vector x of ops[0].  The chain proposes every rank: r₀ = n₀ - 1
-    given x, then r_k = min(n_k - r_{k-1}, m_k).  One shifted float Cholesky
+    given x, then r_k = min(n_k - r_{k-1}, m_k); the last map is also tried
+    at its full rank, which a chain with cohomology can propose too small.  One shifted float Cholesky
     of a sparse Gram matrix on the operator's smaller side proves a lower
     bound on σ_r: DDᵀ or DᵀD when r is full, else DᵀD plus a multiple of
     v̂v̂ᵀ (v is x̂ on the root front's DoFs) or of BBᵀ for the previous map
@@ -789,7 +797,9 @@ def prove_ranks(ops, coords, kernel=None):
         proofs[k] = _proof(D, r, known, sigma1[k], ends)
 
     # forward: full ranks, and column sides as each previous map is proved;
-    # backward: the other sides, as each next map is proved
+    # backward: the other sides, as each next map is proved, and after them
+    # the last map in full, onto where cohomology below made the forward
+    # proposal too small
     prev = int(kernel is not None)      # x acts as a rank-one map
     for k, D in enumerate(ops):
         m, n = D.shape
@@ -797,7 +807,8 @@ def prove_ranks(ops, coords, kernel=None):
         attempt(k, "full" if prev == min(m, n) else "cols" if n <= m else "rows")
     for k in reversed(range(len(ops))):
         m, n = ops[k].shape
-        for side in ("rows", "cols") if m < n else ("cols", "rows"):
+        sides = ("rows", "cols") if m < n else ("cols", "rows")
+        for side in sides + ("full",) * (k == len(ops) - 1):
             if proofs[k] is None and not tried & {(k, side), (k, "full")}:
                 attempt(k, side)
     for k, (p, D) in enumerate(zip(proofs, ops)):
@@ -881,21 +892,6 @@ def verify_row(mesh, slots, expected_betti=None):
 def verify_exactness(mesh, r, p, expected_betti=None):
     slots = family_row(mesh.dim, r, p)
     report, _, _ = verify_row(mesh, slots, expected_betti)
-    return report
-
-
-def mixed_sequence(mesh, p):
-    """Exactness of the mixed row ending in the trimmed H(div) slot.
-
-    Degrees: full spaces of degree p and p-1, the trimmed space of degree
-    p-1, and piecewise polynomials of degree p-2.  (With a trimmed slot of
-    degree p-2 the curl image is not contained in the space, so that pairing
-    is not even a complex; the assembly consistency check rejects it.)
-    """
-    if mesh.dim != 3 or p < 3:
-        raise ValueError("mixed sequence needs n=3 and p >= 3")
-    slots = family_row(3, "mixed", p)
-    report, _, _ = verify_row(mesh, slots)
     return report
 
 

@@ -22,9 +22,9 @@ import numpy as np
 from .assembly import (Coo, _add, _amax, _blocks, _dense, _dof_coords, _eye, _matmul,
                        _transpose, _triplets, _zero, assemble_d, assemble_local_operator,
                        assemble_space, prove_ranks)
-from .forms import (derivative_matrix, dim_trimmed, eval_row,
-                    exterior_derivative_matrix, jet_rows, moment_gram, monomials,
-                    multinomials, nullspace, trace_matrix)
+from .elements import smoothness_rows
+from .forms import (derivative_matrix, dim_trimmed, eval_row, exterior_derivative_matrix,
+                    moment_gram, monomials, multinomials, nullspace, trace_matrix)
 from .mesh import SimplicialMesh
 
 
@@ -100,13 +100,15 @@ class BGGContext:
 
     def xi_operators(self):
         """The block operators A0, A1 of the product complex and a point per
-        DoF of its three slots.  Below the nodal range the skew 0-form slot is
-        the constraint-defined smooth scalar space; A0 acts on its spanning
-        columns, all placed at the mean DoF point."""
+        DoF of its three slots.  Below the nodal range, where no unisolvent
+        nodal DoF set exists, the skew 0-form slot is the piecewise P_{p+3}
+        that are C^1 across edges and C^2 at vertices, the kernel of its
+        smoothness rows; A0 acts on an orthonormal basis of it, all placed at
+        the mean DoF point."""
         hc, sc, pc, dc = (_dof_coords(s) for s in
                           (self.hermite, self.stenberg, self.pressure, self.dg))
         if self.dK0 is None:
-            N = _constrained_smooth_scalar_span(self.mesh, self.p + 3)
+            N = nullspace(smoothness_rows(self.mesh, 0, self.p + 3, orders=(2,), normal=True))
             dK0 = _triplets(_constrained_grad_dofs(self.mesh, N, self.hermite))
             c0 = np.repeat(hc.mean(axis=0)[None], dK0.shape[1], axis=0)
         else:
@@ -205,46 +207,6 @@ def xi_complex(mesh, p):
 # ---------------------------------------------------------------------------
 # product complex
 # ---------------------------------------------------------------------------
-
-def _constrained_smooth_scalar_span(mesh, p):
-    """Spanning basis of {piecewise P_p: C^1 across edges, C^2 at vertices}.
-
-    Used for the skew 0-form slot when p < 5, where no unisolvent nodal DoF
-    set exists; the space itself is still well defined.  Columns are stacked
-    per-cell monomial coefficients of degree p.
-    """
-    ncells = len(mesh.cells)
-    nloc = math.comb(p + 2, 2)
-    cverts = [tuple(int(v) for v in c) for c in mesh.cells]
-
-    def jump(first, second, blocks):
-        """Rows: blocks[first] on the first cell minus blocks[second] on the second."""
-        out = np.zeros((len(blocks[first]), ncells * nloc))
-        out[:, first * nloc:(first + 1) * nloc] = blocks[first]
-        out[:, second * nloc:(second + 1) * nloc] = -blocks[second]
-        return out
-
-    rows = []
-    # C^0 and C^1 across interior edges: trace and normal-derivative jumps
-    for ei, everts in enumerate(mesh.skeleton[1]):
-        cof = mesh.cofaces[1][ei]
-        if len(cof) != 2:
-            continue
-        nu = mesh.frame(1, ei).normals[0]
-        value, normal = {}, {}
-        for ci in cof:
-            vmap = [cverts[ci].index(v) for v in everts]
-            value[ci] = trace_matrix(2, vmap, 0, p)
-            normal[ci] = (trace_matrix(2, vmap, 0, p - 1)
-                          @ derivative_matrix(mesh.bary_grads[ci], nu, 0, p))
-        rows += [jump(*cof, value), jump(*cof, normal)]
-    # C^2 at vertices: second derivatives agree across all incident cells
-    for vi, cof in enumerate(mesh.cofaces[0]):
-        second = {ci: jet_rows(mesh.bary_inverse[ci], mesh.vertices[vi], p, 2) for ci in cof}
-        rows += [jump(cof[0], other, second) for other in cof[1:]]
-    A = np.vstack(rows) if rows else np.zeros((0, ncells * nloc))
-    return nullspace(A)
-
 
 def _constrained_grad_dofs(mesh, N, hermite):
     """Hermite-pair DoF vectors of the gradients of constrained scalars."""

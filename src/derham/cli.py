@@ -17,8 +17,8 @@ import sys
 from types import SimpleNamespace
 
 from . import assembly, bgg, elements, mesh as meshmod
-from .assembly import (dim_formula, dof_savings, homogeneous_row_report,
-                       mixed_sequence, row_p_min, verify_exactness)
+from .assembly import (dim_formula, dof_savings, homogeneous_row_report, row_p_min,
+                       verify_exactness)
 from .elements import dual_basis, dual_export_lines, element_def, unisolvence_check
 from .mesh import SimplicialMesh, cube_center_fan_grid
 
@@ -141,14 +141,14 @@ def cmd_verify(args):
     if args.row not in ("0", "1", "2", "mixed"):
         raise SystemExit(f"error: --row must be 0, 1, 2 or mixed (got {args.row!r})")
     row = args.row if args.row == "mixed" else int(args.row)
-    if row != "mixed" and args.p < row_p_min(m.dim, row):
+    if row == "mixed" and m.dim != 3:
+        raise SystemExit(f"error: verify --row mixed needs a 3D mesh (got a {m.dim}D mesh)")
+    if args.p < row_p_min(m.dim, row):
         raise SystemExit(f"error: verify --row {row} needs --p >= {row_p_min(m.dim, row)} "
                          f"on a {m.dim}D mesh (got --p {args.p})")
-    if row != "mixed" or m.dim == 3:
-        _check_local_size(assembly.family_row(m.dim, row, args.p), m.dim)
+    _check_local_size(assembly.family_row(m.dim, row, args.p), m.dim)
     try:
-        rep = (mixed_sequence(m, args.p) if row == "mixed"
-               else verify_exactness(m, row, args.p, expected_betti=betti))
+        rep = verify_exactness(m, row, args.p, expected_betti=betti)
     except (ValueError, RuntimeError) as exc:
         raise SystemExit(f"error: {exc}")
     _emit(rep.to_json() + "\n", args.out)

@@ -30,11 +30,11 @@ from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
-from .forms import (Simplex, _bernstein_block, _exponent_index, bernstein_tests,
-                    derivative_matrix, dim_full, dim_trimmed, eval_row, exponent_array,
+from .forms import (_bernstein_block, _exponent_index, bernstein_tests, derivative_matrix,
+                    dim_full, dim_trimmed, eval_row, exponent_array, exterior_derivative_matrix,
                     jet_rows, moment_rows, monomials, nullspace, proxy_matrix, rank_of,
                     trace_matrix, trimmed_coeffs)
-from .mesh import SimplicialMesh
+from .mesh import SimplicialMesh, interval_mesh, reference_tet, reference_triangle
 
 UNISOLVENCE_TOL = 1e-6
 KRONECKER_TOL = 1e-8
@@ -473,6 +473,54 @@ def dual_export_lines(el, duals):
 
 
 # ---------------------------------------------------------------------------
+# smoothness conditions (the finite-element-systems view: a space is the
+# kernel of its continuity conditions on broken polynomials)
+# ---------------------------------------------------------------------------
+
+def smoothness_rows(mesh, k, p, orders=(), normal=False, clamp=False):
+    """Continuity conditions on broken degree-p k-forms, as rows over every
+    cell's coefficients in turn (the column layout of ``GlobalSpace.broken``).
+
+    On every interior facet, the trace on the first coface minus that on the
+    second, and with ``normal`` (k = 0) the same for the traces of the normal
+    derivative.  At every vertex, the jets of the given ``orders`` (k = 0)
+    on each later coface minus those on the first.  With ``clamp``, the first
+    coface's own rows on every boundary facet and vertex as well, so that
+    the kernel vanishes there to those orders.
+    """
+    n = mesh.dim
+    size = math.comb(n, k) * math.comb(p + n, n)
+    cverts, rows = mesh.cells.tolist(), []
+
+    def facet(ci, e):
+        vmap = [cverts[ci].index(v) for v in mesh.skeleton[n - 1][e]]
+        out = trace_matrix(n, vmap, k, p, mesh.frames(n - 1).tangents[e] if k else None)
+        if normal:
+            nu = mesh.frames(n - 1).normals[e, 0]
+            out = np.vstack([out, trace_matrix(n, vmap, 0, p - 1)
+                             @ derivative_matrix(mesh.bary_grads[ci], nu, 0, p)])
+        return out
+
+    def vertex(ci, e):
+        point = mesh.vertices[mesh.skeleton[0][e][0]]
+        return np.vstack([jet_rows(mesh.bary_inverse[ci], point, p, o) for o in orders])
+
+    def place(*terms):
+        rows.append(np.zeros((len(terms[0][1]), len(mesh.cells) * size)))
+        for ci, block in terms:
+            rows[-1][:, ci * size:(ci + 1) * size] = block
+
+    for d, rows_on in [(n - 1, facet)] + [(0, vertex)] * bool(orders):
+        for e, cof in enumerate(mesh.cofaces[d]):
+            first, *later = [(ci, rows_on(ci, e)) for ci in cof]
+            for ci, block in later:
+                place(first, (ci, -block))
+            if clamp and mesh.boundary[d][e]:
+                place(first)
+    return np.vstack(rows) if rows else np.zeros((0, len(mesh.cells) * size))
+
+
+# ---------------------------------------------------------------------------
 # bubbles
 # ---------------------------------------------------------------------------
 
@@ -501,9 +549,7 @@ def zero_trace_dim(mesh, p, k):
     On the single cell of ``mesh``, the trace onto every boundary facet must
     vanish.  Returns (dimension, nullspace basis as coefficient columns).
     """
-    n = mesh.dim
-    A = trace_matrix(n, list(combinations(range(n + 1), n)), k, p, mesh.frames(n - 1).tangents)
-    ns = nullspace(A.reshape(-1, A.shape[-1]))
+    ns = nullspace(smoothness_rows(mesh, k, p, clamp=True))
     return ns.shape[1], ns
 
 
@@ -517,132 +563,81 @@ def hcurl_bubble_dim_formula(p):
 # ---------------------------------------------------------------------------
 
 def jet_complex_ranks(n, r):
-    """Symbol-matrix exactness of the vertex jet sequence in dimension n."""
-    if r == 1:
-        vars0 = ["u"] + [f"u{i}" for i in range(n)]
-        vars1 = [f"w{i}" for i in range(n)]
-        d0 = np.zeros((len(vars1), len(vars0)))
-        for i in range(n):
-            d0[i, 1 + i] = 1.0
-        dims = [len(vars0), len(vars1), 0]
-        mats = [d0]
-    elif r == 2:
-        pairs = list(combinations_with_replacement(range(n), 2))
-        vars0 = ["u"] + [f"u{i}" for i in range(n)] + [f"u{i}{j}" for i, j in pairs]
-        vars1 = [f"w{i}" for i in range(n)] + [f"w{i}_{j}" for i in range(n) for j in range(n)]
-        vars2 = [f"v{i}{j}" for i, j in combinations(range(n), 2)]
-        idx0 = {v: i for i, v in enumerate(vars0)}
-        idx1 = {v: i for i, v in enumerate(vars1)}
-        d0 = np.zeros((len(vars1), len(vars0)))
-        for i in range(n):
-            d0[idx1[f"w{i}"], idx0[f"u{i}"]] = 1.0
-            for j in range(n):
-                a, b = min(i, j), max(i, j)
-                d0[idx1[f"w{i}_{j}"], idx0[f"u{a}{b}"]] = 1.0
-        d1 = np.zeros((len(vars2), len(vars1)))
-        for row, (i, j) in enumerate(combinations(range(n), 2)):
-            d1[row, idx1[f"w{j}_{i}"]] = 1.0
-            d1[row, idx1[f"w{i}_{j}"]] = -1.0
-        dims = [len(vars0), len(vars1), len(vars2)]
-        mats = [d0, d1]
-    else:
-        raise ValueError("jet sequences defined for r = 1, 2")
+    """Exactness of the vertex jet sequence of order r = 1, 2 in dimension n.
 
+    A jet of order r at a vertex is a Taylor polynomial of degree r, so the
+    sequence is d on P_r Lambda^0 -> P_{r-1} Lambda^1 (-> P_{r-2} Lambda^2
+    for r = 2) of the reference n-simplex; a form degree above n is the zero
+    space.  ``dims`` lead with the constants and end with the 2-form slot.
+    """
+    if r not in (1, 2):
+        raise ValueError("jet sequences defined for r = 1, 2")
+    grads = np.vstack([-np.ones(n), np.eye(n)])
+    mats = [exterior_derivative_matrix(grads, k, r - k, r - k - 1) if k < n
+            else np.zeros((0, math.comb(n, k) * math.comb(r - k + n, n))) for k in range(r)]
     ranks = [rank_of(m) for m in mats]
     nullities = [m.shape[1] - rk for m, rk in zip(mats, ranks)]
-    comp = 0.0
-    if len(mats) == 2:
-        prod = mats[1] @ mats[0]
-        comp = float(np.abs(prod).max()) if prod.size else 0.0
-    exact = nullities[0] == 1
-    for s in range(1, len(mats)):
-        exact = exact and nullities[s] == ranks[s - 1]
-    onto = ranks[-1] == dims[len(mats)] if dims[len(mats)] else True
-    exact = exact and onto
+    prod = mats[1] @ mats[0] if r == 2 else np.zeros(0)
     return {
-        "dims": [1] + dims,
+        "dims": [1, mats[0].shape[1]] + [m.shape[0] for m in mats] + [0] * (2 - r),
         "ranks": ranks,
         "kernel_first": nullities[0],
-        "composition_max": comp,
-        "exact": exact,
+        "composition_max": float(np.abs(prod).max()) if prod.size else 0.0,
+        "exact": (nullities[0] == 1 and all(nl == rk for nl, rk in zip(nullities[1:], ranks))
+                  and ranks[-1] == mats[-1].shape[0]),
     }
-
-
-def _edge_value_bubble_dim(degree, vanish_order, zero_mean=False):
-    """Rank oracle: polynomials on [0,1] vanishing to the given order at both ends."""
-    if degree < 0:
-        return 0
-    edge = Simplex([[0.0], [1.0]])
-    rows = [jet_rows(edge.bary_inverse, x, degree, order)
-            for x in (np.array([0.0]), np.array([1.0]))
-            for order in range(vanish_order + 1)]
-    if zero_mean:
-        rows.append(moment_rows(1, (0, 0, np.ones((1, 1))), 0, degree))
-    return nullspace(np.vstack(rows)).shape[1]
 
 
 def subsimplex_bubble_dims(n, r, p):
     """Bubble-sequence dimension report for edges, faces and interiors.
 
-    Dimensions come from explicit trace-constraint ranks (the oracle); the
-    report also carries the closed-form counts so callers can assert the
-    alternating-sum exactness identities.
+    Dimensions come from explicit trace-constraint ranks (the oracle): the
+    kernel of ``smoothness_rows`` clamped on one cell, with vertex jets up
+    to order s, normal derivatives on the faces' edges, and a zero-mean row
+    on edges where asked.  The report also carries the closed-form counts
+    so callers can assert the alternating-sum exactness identities.
     """
+    def bubbles(mesh, q, k=0, s=-1, normal=False, zero_mean=False):
+        if q < 0:
+            return 0
+        rows = [smoothness_rows(mesh, k, q, range(s + 1), normal, clamp=True)]
+        if zero_mean:
+            rows.append(moment_rows(1, (0, 0, np.ones((1, 1))), 0, q))
+        return nullspace(np.vstack(rows)).shape[1]
+
     out = {"edge": {}, "face": {}, "interior": {}}
+    edge = interval_mesh(1)
     if r == 2:
-        val = _edge_value_bubble_dim(p, 2)
-        nder = _edge_value_bubble_dim(p - 1, 1)
-        tang = _edge_value_bubble_dim(p - 1, 1, zero_mean=True)
+        val = bubbles(edge, p, s=2)
+        nder = bubbles(edge, p - 1, s=1)
+        tang = bubbles(edge, p - 1, s=1, zero_mean=True)
         dim0 = val + (n - 1) * nder
-        dim1 = tang + (n - 1) * _edge_value_bubble_dim(p - 1, 1)
+        dim1 = tang + (n - 1) * nder
         out["edge"] = {"dim0": dim0, "dim1": dim1,
                        "formula0": max(p - 5, 0) + (n - 1) * max(p - 4, 0),
                        "formula1": n * (p - 4) - 1 if p >= 5 else 0,
                        "exact": dim0 == dim1}
     elif r == 1:
-        val = _edge_value_bubble_dim(p, 1)
-        tang = _edge_value_bubble_dim(p - 1, 0, zero_mean=True)
+        val = bubbles(edge, p, s=1)
+        tang = bubbles(edge, p - 1, s=0, zero_mean=True)
         out["edge"] = {"dim0": val, "dim1": tang,
                        "formula0": max(p - 3, 0),
                        "formula1": p - 3 if p >= 3 else 0,
                        "exact": val == tang}
     if n >= 2:
-        from .mesh import reference_triangle
         tri = reference_triangle()
         if r == 1:
-            d0, _ = zero_trace_dim(tri, p, 0)
-            d1, _ = zero_trace_dim(tri, p - 1, 1)
+            d0, d1 = bubbles(tri, p), bubbles(tri, p - 1, 1)
             d2 = dim_full(2, p - 2, 2) - 1
-            out["face"] = {"dims": [d0, d1, d2], "alternating": d0 - d1 + d2}
         else:
-            d0 = _scalar_face_bubble_dim(tri, p, vertex_order=2, edge_normal=True)
-            d1 = 2 * _scalar_face_bubble_dim(tri, p - 1, vertex_order=1, edge_normal=False)
+            d0 = bubbles(tri, p, s=2, normal=True)
+            d1 = 2 * bubbles(tri, p - 1, s=1)
             d2 = dim_full(2, p - 2, 2) - 3 - 1
-            out["face"] = {"dims": [d0, d1, d2], "alternating": d0 - d1 + d2}
+        out["face"] = {"dims": [d0, d1, d2], "alternating": d0 - d1 + d2}
     if n >= 3:
-        from .mesh import reference_tet
         tet = reference_tet()
-        b0, _ = zero_trace_dim(tet, p, 0)
-        b1, _ = zero_trace_dim(tet, p - 1, 1)
-        b2, _ = zero_trace_dim(tet, p - 2, 2)
+        b0, b1, b2 = (bubbles(tet, p - k, k) for k in range(3))
         b3 = dim_full(3, p - 3, 3) - 1
         out["interior"] = {"dims": [b0, b1, b2, b3],
                            "alternating": b0 - b1 + b2 - b3}
     return out
-
-
-def _scalar_face_bubble_dim(tri_mesh, p, vertex_order, edge_normal):
-    """Scalar bubbles on a triangle with vertex-jet and edge-trace conditions."""
-    if p < 0:
-        return 0
-    inverse, grads = tri_mesh.bary_inverse[0], tri_mesh.bary_grads[0]
-    cverts = tuple(int(v) for v in tri_mesh.cells[0])
-    rows = [jet_rows(inverse, tri_mesh.vertices[v], p, order)
-            for v in cverts for order in range(vertex_order + 1)]
-    for ei, everts in enumerate(tri_mesh.skeleton[1]):
-        vmap = [cverts.index(v) for v in everts]
-        rows.append(trace_matrix(2, vmap, 0, p))
-        if edge_normal:
-            normal = derivative_matrix(grads, tri_mesh.frame(1, ei).normals[0], 0, p)
-            rows.append(trace_matrix(2, vmap, 0, p - 1) @ normal)
-    return nullspace(np.vstack(rows)).shape[1]

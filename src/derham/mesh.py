@@ -8,6 +8,7 @@ higher index.  Meshes are immutable after construction; all queries are pure.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, product
@@ -51,6 +52,13 @@ class BoundaryClassification:
         return len(self.noncorner_boundary_vertices)
 
 
+def _index(i, cell):
+    """A cell's vertex index; anything but an integer is refused, not truncated."""
+    if isinstance(i, bool) or not isinstance(i, numbers.Integral):
+        raise ValueError(f"cell {cell!r} has a vertex index that is not an integer: {i!r}")
+    return int(i)
+
+
 class SimplicialMesh:
     """A conforming simplicial complex in dimension 1, 2 or 3."""
 
@@ -66,7 +74,7 @@ class SimplicialMesh:
             vi = int(nonfinite[0])
             raise ValueError(f"vertex {vi} has a non-finite coordinate "
                              f"{self.vertices[vi].tolist()}")
-        cells = [tuple(sorted(int(i) for i in c)) for c in cells]
+        cells = [tuple(sorted(_index(i, c) for i in c)) for c in cells]
         if not cells:
             raise ValueError("mesh needs at least one cell")
         seen = set()

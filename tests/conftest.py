@@ -3,8 +3,8 @@ import pytest
 from scipy.spatial import Delaunay
 
 from derham.forms import Simplex
-from derham.mesh import (SimplicialMesh, annulus_mesh, interval_mesh, reference_tet,
-                         reference_triangle, split_edge_square,
+from derham.mesh import (SimplicialMesh, annulus_mesh, cube_center_fan_grid, interval_mesh,
+                         reference_tet, reference_triangle, split_edge_square,
                          three_tet_fan, three_triangle_mesh,
                          two_tet_mesh, two_triangle_square)
 
@@ -50,3 +50,14 @@ def meshes():
         "tet2": two_tet_mesh(),
         "tet3": three_tet_fan(),
     }
+
+
+@pytest.fixture(scope="session")
+def tunnel():
+    """``cube_center_fan_grid(3, 3, 1)`` without the tets of its middle
+    column, renumbered: 192 tets around one tunnel, Betti numbers (1, 1, 0, 0)."""
+    m = cube_center_fan_grid(3, 3, 1)
+    centroids = m.vertices[m.cells].mean(axis=1)
+    cells = m.cells[(np.abs(centroids[:, :2] - 1.5) >= 0.5).any(axis=1)]
+    used, renumbered = np.unique(cells, return_inverse=True)
+    return SimplicialMesh(m.vertices[used], renumbered.reshape(cells.shape))

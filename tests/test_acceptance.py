@@ -18,7 +18,7 @@ import pytest
 from conftest import REF, random_simplex
 from derham.assembly import (assemble_d, assemble_space, dim_formula,
                              dof_savings, family_row, homogeneous_row_report,
-                             mixed_sequence, rank_of, verify_decomposition,
+                             rank_of, verify_decomposition,
                              verify_exactness, verify_row, complex_residual)
 from derham.bgg import huzhang_stress, verify_bgg_identity, xi_complex
 from derham.elements import (dof_matrix, element_def, jet_complex_ranks,
@@ -121,9 +121,9 @@ def row_reports(meshes):
     for name, r, p, betti in ROWS:
         out[(name, r, p)] = verify_exactness(meshes[name], r, p,
                                              expected_betti=betti)
-    out[("tet", "mixed", 3)] = mixed_sequence(meshes["tet"], 3)
-    out[("tet2", "mixed", 3)] = mixed_sequence(meshes["tet2"], 3)
-    out[("tet", "mixed", 4)] = mixed_sequence(meshes["tet"], 4)
+    out[("tet", "mixed", 3)] = verify_exactness(meshes["tet"], "mixed", 3)
+    out[("tet2", "mixed", 3)] = verify_exactness(meshes["tet2"], "mixed", 3)
+    out[("tet", "mixed", 4)] = verify_exactness(meshes["tet"], "mixed", 4)
     return out
 
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from dof_reference import global_dof_values
-from derham.assembly import _dense, _dot, rank_of
+from derham.assembly import _dense, _dot, assemble_space, rank_of
 from derham.bgg import BGGContext, huzhang_stress, verify_bgg_identity, xi_complex
+from derham.elements import smoothness_rows
 from derham.forms import dim_trimmed, nullspace
 from derham.mesh import (SimplicialMesh, annulus_mesh, reference_triangle, triangle_grid,
                          two_triangle_square)
@@ -153,14 +154,37 @@ def test_commuting_projections():
     assert BGGContext(two_triangle_square(), 2).xi_commuting_residual() < 1e-9
 
 
+def _smooth_slot_rows(mesh, q, orders=(2,)):
+    """The constraints of bgg's smooth scalar slot: C^1 across edges and
+    the given vertex jets continuous."""
+    return smoothness_rows(mesh, 0, q, orders=orders, normal=True)
+
+
 @pytest.mark.parametrize("q", [5, 6])
 def test_constrained_scalar_span_matches_nodal_space(q):
     # where the nodal DoF set exists, the constraint-defined space must agree
-    from derham.assembly import assemble_space
-    from derham.bgg import _constrained_smooth_scalar_span
     for mesh in (reference_triangle(), two_triangle_square()):
-        N = _constrained_smooth_scalar_span(mesh, q)
+        N = nullspace(_smooth_slot_rows(mesh, q))
         assert N.shape[1] == assemble_space(mesh, 2, q, 0).dim
+
+
+@pytest.mark.parametrize("q", [5, 6])
+@pytest.mark.parametrize("mesh", [two_triangle_square(), triangle_grid(2)], ids=["square", "grid2"])
+def test_smooth_slot_rows_annihilate_the_nodal_space(mesh, q):
+    space = assemble_space(mesh, 2, q, 0)
+    A, B = _smooth_slot_rows(mesh, q), space.broken(q)
+    assert A.shape[1] == B.shape[0]
+    assert np.abs(A @ B).max() <= 1e-13 * np.abs(A).max() * np.abs(B).max()
+    # without the C^2 vertex rows the kernel is strictly larger
+    assert nullspace(_smooth_slot_rows(mesh, q, orders=())).shape[1] > space.dim
+
+
+def test_smooth_slot_reads_vertices_by_skeleton_id():
+    # an unused vertex first: vertex indices are one above the skeleton's ids,
+    # and the C^2 rows must take each vertex's own point
+    grid = triangle_grid(2)
+    mesh = SimplicialMesh(np.vstack([[5.0, 5.0], grid.vertices]), grid.cells + 1)
+    assert BGGContext(mesh, 1).xi_complex()["exact"]
 
 
 # -- stress element -----------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from derham.cli import main
 from derham.mesh import (SimplicialMesh, annulus_mesh, reference_tet, split_edge_square,
-                         two_tet_mesh, two_triangle_square)
+                         three_tet_fan, two_tet_mesh, two_triangle_square)
 
 # the nine commands of the benchmark's cli-mix workload, at small sizes
 CLI_MIX = [
@@ -91,6 +91,19 @@ def test_verify_annulus_with_betti(annulus_path):
     rc = main(["verify", "--mesh", annulus_path, "--row", "1", "--p", "1",
                "--betti", "1,1,0"])
     assert rc == 0
+
+
+def test_verify_mixed_row_reads_betti(tmp_path, capsys):
+    # the mixed row is one more row of verify: --betti sets what it expects
+    path = tmp_path / "fan.json"
+    three_tet_fan().save(path)
+    argv = ["verify", "--mesh", str(path), "--row", "mixed", "--p", "3"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(argv + ["--betti", "5,5,5,5"]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["expected_betti"] == [5, 5, 5, 5]
+    assert captured.err == "verification failed\n"
 
 
 def test_verify_second_grade_row(square_path):
@@ -476,6 +489,11 @@ BAD_MESH_FILES = {
     "{int_cells}": '{"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]], "cells": 3}',
     "{null_index}": '{"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]], "cells": [[null, 1, 2]]}',
     "{dict_vertices}": '{"dim": 2, "vertices": {"x": 0}, "cells": [[0, 1, 2]]}',
+    "{fraction_index}": ('{"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1], [1, 1]], '
+                         '"cells": [[0.9, 1, 2], ["1", 3, 2.5]]}'),
+    "{string_index}": ('{"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1], [1, 1]], '
+                       '"cells": [[0, 1, 2], ["1", 3, 2]]}'),
+    "{bool_index}": '{"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]], "cells": [[0, true, 2]]}',
 }
 
 
@@ -509,6 +527,14 @@ BAD_MESH_FILES = {
     (["bc", "--mesh", "{int_cells}", "--p", "1"], "vertices and cells must be lists of number lists"),
     (["bc", "--mesh", "{null_index}", "--p", "1"], "cannot parse mesh file"),
     (["bc", "--mesh", "{dict_vertices}", "--p", "1"], "cannot parse mesh file"),
+    (["bc", "--mesh", "{fraction_index}", "--p", "1"],
+     "cell [0.9, 1, 2] has a vertex index that is not an integer: 0.9"),
+    (["bc", "--mesh", "{string_index}", "--p", "1"],
+     "cell ['1', 3, 2] has a vertex index that is not an integer: '1'"),
+    (["bc", "--mesh", "{bool_index}", "--p", "1"],
+     "cell [0, True, 2] has a vertex index that is not an integer: True"),
+    (["verify", "--mesh", "{mesh}", "--row", "mixed", "--p", "3"],
+     "verify --row mixed needs a 3D mesh (got a 2D mesh)"),
 ])
 def test_bad_arguments_exit_2_with_one_line(square_path, tmp_path, capsys, argv, message):
     paths = {"{mesh}": square_path, "{dir}": str(tmp_path),
