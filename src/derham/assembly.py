@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement, permutations
 
@@ -266,30 +266,105 @@ def row_p_min(n, r):
 # operators
 # ---------------------------------------------------------------------------
 
-@dataclass
-class OperatorMatrix:
-    """A linear map between assembled spaces as COO triplets.
-
-    ``rows``, ``cols`` and ``vals`` are the kept entries in row-major order.
-    ``dropped_max`` and ``dropped_norm`` are the largest magnitude and the
-    Frobenius norm of the entries the scatter dropped as cancellation residue.
+@dataclass(frozen=True, eq=False)
+class Coo:
+    """A sparse matrix as COO triplets: ``rows``, ``cols`` and ``vals`` in
+    row-major order, each entry once.  ``dropped_norm`` and ``dropped_max``
+    are the Frobenius norm and the largest magnitude of the residue dropped
+    from it: the scatter's cancellation residue, or for the algebra below a
+    bound on how far its operands' residues move it (``dropped_max`` only
+    from the scatter).  The row starts ``ptr``, the transpose ``T`` and the
+    dense view ``array`` are built on first use and kept.
     """
-    src: GlobalSpace
-    dst: GlobalSpace
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
-    dropped_max: float = 0.0
+    shape: tuple
     dropped_norm: float = 0.0
+    dropped_max: float = 0.0
 
-    @property
-    def shape(self):
-        return (self.dst.dim, self.src.dim)
+    @classmethod
+    def summed(cls, rows, cols, vals, shape, dropped_norm=0.0):
+        """The matrix of triplets in any order, repeated entries summed."""
+        keys, inv = np.unique(rows * shape[1] + cols, return_inverse=True)
+        return cls(*np.divmod(keys, shape[1]), np.bincount(inv, weights=vals), shape,
+                   dropped_norm)
+
+    @classmethod
+    def of_dense(cls, X):
+        """The nonzero entries of a dense matrix."""
+        return cls(*np.nonzero(X), X[X != 0], X.shape)
+
+    @classmethod
+    def eye(cls, n):
+        return cls(np.arange(n), np.arange(n), np.ones(n), (n, n))
+
+    @classmethod
+    def zero(cls, m, n):
+        return cls(np.zeros(0, int), np.zeros(0, int), np.zeros(0), (m, n))
+
+    @classmethod
+    def blocks(cls, grid):
+        """The block matrix of a grid of matrices (None for a zero block; each
+        block row and column holds a matrix), with the blocks' residue."""
+        r0 = np.cumsum([0] + [next(b.shape[0] for b in row if b is not None) for row in grid])
+        c0 = np.cumsum([0] + [next(b.shape[1] for b in col if b is not None)
+                              for col in zip(*grid)])
+        rows, cols, vals, dropped = zip(*[(b.rows + r0[i], b.cols + c0[j], b.vals, b.dropped_norm)
+                                          for i, row in enumerate(grid)
+                                          for j, b in enumerate(row) if b is not None])
+        return cls.summed(*map(np.concatenate, (rows, cols, vals)),
+                          (int(r0[-1]), int(c0[-1])), math.hypot(*dropped))
+
+    @cached_property
+    def ptr(self):
+        """Row starts: row i holds the entries ptr[i]:ptr[i + 1]."""
+        return np.searchsorted(self.rows, np.arange(self.shape[0] + 1))
+
+    @cached_property
+    def T(self):
+        """The transpose: a stable sort by column keeps each column's rows
+        in order."""
+        order = np.argsort(self.cols, kind="stable")
+        return Coo(self.cols[order], self.rows[order], self.vals[order], self.shape[::-1],
+                   self.dropped_norm, self.dropped_max)
 
     @cached_property
     def array(self):
-        """The dense matrix, built on first use."""
-        return _dense(self)
+        """The dense matrix."""
+        out = np.zeros(self.shape)
+        out[self.rows, self.cols] = self.vals
+        return out
+
+    def dot(self, x):
+        """self @ x for a vector x."""
+        return np.bincount(self.rows, weights=self.vals * x[self.cols], minlength=self.shape[0])
+
+    def amax(self):
+        """The largest magnitude of an entry (0 if none)."""
+        return float(np.abs(self.vals).max(initial=0.0))
+
+    def __matmul__(self, b):
+        """For the residues E and F of self and b, the product's residue
+        ‖E‖‖b‖₂ + ‖self‖₂‖F‖ + ‖E‖‖F‖ (‖·‖ the Frobenius norm) bounds
+        ‖(self + E)(b + F) - self·b‖."""
+        lo = np.searchsorted(b.rows, self.cols)
+        reps = np.searchsorted(b.rows, self.cols, side="right") - lo
+        pos = np.repeat(lo - np.cumsum(reps) + reps, reps) + np.arange(reps.sum())
+        (ea, (_, ha)), (eb, (_, hb)) = ((x.dropped_norm, _sigma1_bounds(x)) for x in (self, b))
+        return Coo.summed(np.repeat(self.rows, reps), b.cols[pos],
+                          np.repeat(self.vals, reps) * b.vals[pos], (self.shape[0], b.shape[1]),
+                          ea * hb + ha * eb + ea * eb)
+
+    def __add__(self, b):
+        return Coo.summed(np.r_[self.rows, b.rows], np.r_[self.cols, b.cols],
+                          np.r_[self.vals, b.vals], self.shape, self.dropped_norm + b.dropped_norm)
+
+    def __neg__(self):
+        return replace(self, vals=-self.vals)
+
+    def __sub__(self, b):
+        return self + -b
 
     def export_coo(self):
         lines = [f"{self.shape[0]} {self.shape[1]} {len(self.vals)}"]
@@ -332,9 +407,8 @@ def assemble_local_operator(src, dst, fmap):
     keep = np.abs(vals) > DROP_RTOL * np.abs(vals).max(initial=0.0)
     rows, cols = np.divmod(flat[keep], src.dim)
     dropped = np.abs(vals[~keep])
-    return OperatorMatrix(src, dst, rows, cols, vals[keep],
-                          dropped_max=float(dropped.max(initial=0.0)),
-                          dropped_norm=float(np.linalg.norm(dropped)))
+    return Coo(rows, cols, vals[keep], (dst.dim, src.dim), float(np.linalg.norm(dropped)),
+               float(dropped.max(initial=0.0)))
 
 
 def assemble_d(src, dst):
@@ -369,10 +443,9 @@ def containment_residual(src, dst, D=None):
     if D is None:
         D = assemble_d(src, dst)
     images = _d_map(src, dst)(src.mesh.bary_grads) @ src.fields
-    rows_of_D = _csr(D)
     worst, scale = 0.0, 0.0
     for ci in range(len(src.mesh.cells)):
-        used, block = _dense_rows(rows_of_D, dst.cell_global[ci])
+        used, block = _dense_rows(D, dst.cell_global[ci])
         cols = np.union1d(src.cell_global[ci], used)
         image = np.zeros((images.shape[1], len(cols)))
         image[:, np.searchsorted(cols, src.cell_global[ci])] = images[ci]
@@ -387,48 +460,25 @@ def containment_residual(src, dst, D=None):
 # sparse products and ranks
 # ---------------------------------------------------------------------------
 
-# A sparse matrix as COO triplets in row-major order, each entry once, with
-# the Frobenius norm of any residue dropped from it, as an OperatorMatrix.
-Coo = namedtuple("Coo", "rows cols vals shape dropped_norm", defaults=(0.0,))
-
-
-def _transpose(a):
-    """The transpose of a row-major Coo or OperatorMatrix as a row-major
-    Coo: a stable sort by column keeps each column's rows in order."""
-    order = np.argsort(a.cols, kind="stable")
-    return Coo(a.cols[order], a.rows[order], a.vals[order], a.shape[::-1], a.dropped_norm)
-
-
-def _dot(a, x):
-    """a @ x of a COO matrix and a vector."""
-    return np.bincount(a.rows, weights=a.vals * x[a.cols], minlength=a.shape[0])
-
-
-def _csr(D):
-    """(row starts, columns, values, width) of D."""
-    return np.searchsorted(D.rows, np.arange(D.shape[0] + 1)), D.cols, D.vals, D.shape[1]
-
-
-def _dense_rows(csr, idx):
-    """Rows ``idx`` of a CSR matrix, dense over the columns they touch:
-    (those columns, the block)."""
-    ptr, cols, vals, _ = csr
-    lo = ptr[idx]
-    reps = ptr[idx + 1] - lo
+def _dense_rows(D, idx):
+    """Rows ``idx`` of D, dense over the columns they touch: (those
+    columns, the block)."""
+    lo = D.ptr[idx]
+    reps = D.ptr[idx + 1] - lo
     pos = np.repeat(lo - np.cumsum(reps) + reps, reps) + np.arange(reps.sum())
-    used, at = np.unique(cols[pos], return_inverse=True)
+    used, at = np.unique(D.cols[pos], return_inverse=True)
     block = np.zeros((len(idx), len(used)))
-    block[np.repeat(np.arange(len(idx)), reps), at] = vals[pos]
+    block[np.repeat(np.arange(len(idx)), reps), at] = D.vals[pos]
     return used, block
 
 
-def _slabs(csr):
-    """Row ranges of a CSR matrix with at most 2**16 entries in their dense
-    blocks: cells number their DoFs together, so consecutive rows touch few
+def _slabs(D):
+    """Row ranges of D with at most 2**16 entries in their dense blocks:
+    cells number their DoFs together, so consecutive rows touch few
     columns, and a small matrix is one dense block."""
-    step = max(1, 2 ** 16 // max(csr[3], 1))
-    n = len(csr[0]) - 1
-    return (np.arange(s, min(s + step, n)) for s in range(0, n, step))
+    m, n = D.shape
+    step = max(1, 2 ** 16 // max(n, 1))
+    return (np.arange(s, min(s + step, m)) for s in range(0, m, step))
 
 
 def _gram(X, coords, B=None, a=None):
@@ -446,11 +496,10 @@ def _gram(X, coords, B=None, a=None):
     """
     n = X.shape[1]
     sums, terms = [], []
-    for P in [X] if B is None else [X, _transpose(B)]:
-        csr = _csr(P)
+    for P in [X] if B is None else [X, B.T]:
         total = np.zeros((n, n)) if n <= LEAF else ([], [])
-        for idx in _slabs(csr):
-            used, block = _dense_rows(csr, idx)
+        for idx in _slabs(P):
+            used, block = _dense_rows(P, idx)
             prod = block.T @ block
             if n > LEAF:
                 nz = prod != 0
@@ -505,10 +554,9 @@ def _mean_points(idx, pts, size):
 def _product_slabs(A, B):
     """Slabs of rows of A @ B and of |A| @ |B|, dense over the columns they
     touch."""
-    rows_a, rows_b = _csr(A), _csr(B)
-    for idx in _slabs(rows_a):
-        mid, block_a = _dense_rows(rows_a, idx)
-        _, block_b = _dense_rows(rows_b, mid)
+    for idx in _slabs(A):
+        mid, block_a = _dense_rows(A, idx)
+        _, block_b = _dense_rows(B, mid)
         yield block_a @ block_b, np.abs(block_a) @ np.abs(block_b)
 
 
@@ -704,7 +752,7 @@ def _proof(D, r, kernel, sigma1, coords):
         x = kernel / np.linalg.norm(kernel)
         a = F / n
         bound = np.bincount(D.rows, weights=np.abs(D.vals * x[D.cols]), minlength=m)
-        dropped = (np.linalg.norm(_dot(D, x)) + _gamma(w_row + 1) * np.linalg.norm(bound)) \
+        dropped = (np.linalg.norm(D.dot(x)) + _gamma(w_row + 1) * np.linalg.norm(bound)) \
             / np.linalg.norm(x)
     else:
         # with U the top singular space of B (dim = its rank s): for y ⊥ U,
@@ -719,7 +767,7 @@ def _proof(D, r, kernel, sigma1, coords):
     dropped = dropped * (1 + _SLACK) + delta
     if dropped >= RANK_RTOL * lo1:
         return None
-    X, at = (_transpose(D), coords[0]) if full and m <= n else (D, coords[1])
+    X, at = (D.T, coords[0]) if full and m <= n else (D, coords[1])
     if full:
         vals, fronts, diag, (w,) = _gram(X, at)
     elif vector:
@@ -749,10 +797,9 @@ def _proof(D, r, kernel, sigma1, coords):
 def prove_ranks(ops, coords, kernel=None):
     """The rank of each operator of a chain, proved where the chain allows.
 
-    ``ops[k]`` maps space k to space k+1 as row-major COO triplets (a
-    ``Coo`` or an ``OperatorMatrix``), ``coords`` holds a point per DoF of
-    each of the ``len(ops) + 1`` spaces, and ``kernel`` is an optional known
-    kernel vector x of ops[0].  The chain proposes every rank: r₀ = n₀ - 1
+    ``ops[k]`` maps space k to space k+1 as a ``Coo``, ``coords`` holds a
+    point per DoF of each of the ``len(ops) + 1`` spaces, and ``kernel`` is
+    an optional known kernel vector x of ops[0].  The chain proposes every rank: r₀ = n₀ - 1
     given x, then r_k = min(n_k - r_{k-1}, m_k); the last map is also tried
     at its full rank, which a chain with cohomology can propose too small.  One shifted float Cholesky
     of a sparse Gram matrix on the operator's smaller side proves a lower
@@ -786,14 +833,14 @@ def prove_ranks(ops, coords, kernel=None):
             if j == -1 and kernel is not None:
                 known, r = kernel, width - 1
             elif 0 <= j < len(ops) and proofs[j] is not None:
-                B = ops[j] if side == "cols" else _transpose(ops[j])
+                B = ops[j] if side == "cols" else ops[j].T
                 known, r = (B, *proofs[j]), width - proofs[j][0]
             else:
                 return
         tried.add((k, side))
         D, ends = ops[k], (coords[k + 1], coords[k])
         if side == "rows":
-            D, ends = _transpose(D), ends[::-1]
+            D, ends = D.T, ends[::-1]
         proofs[k] = _proof(D, r, known, sigma1[k], ends)
 
     # forward: full ranks, and column sides as each previous map is proved;
@@ -817,7 +864,7 @@ def prove_ranks(ops, coords, kernel=None):
                 f"the rank of operator {k} ({D.shape[0]}x{D.shape[1]}) could not be proved, "
                 f"and counting it needs a dense copy of {8 * D.shape[0] * D.shape[1] / 2 ** 20:.3g}"
                 f" MiB, over the {MAX_DENSE_BYTES / 2 ** 20:.3g} MiB limit")
-    ranks = [p[0] if p else rank_of(_dense(D)) for p, D in zip(proofs, ops)]
+    ranks = [p[0] if p else rank_of(D.array) for p, D in zip(proofs, ops)]
     margins = [{"kept": float(p[1] / s[1]) if p else None,
                 "dropped": float(p[2] / s[0]) if p else None,
                 "proved": p is not None} for p, s in zip(proofs, sigma1)]
@@ -874,7 +921,7 @@ def verify_row(mesh, slots, expected_betti=None):
     # kernel of the first operator should be exactly the constants
     kernel_const = True
     if kernel is not None and nullities[0] >= 1:
-        resid = np.abs(_dot(ops[0], kernel)).max() / max(np.abs(kernel).max(), 1.0)
+        resid = np.abs(ops[0].dot(kernel)).max() / max(np.abs(kernel).max(), 1.0)
         kernel_const = bool(resid < 1e-8) and nullities[0] == expected_betti[0]
     alt_dims = sum((-1) ** i * dims[i] for i in range(len(dims)))
     alt_betti = sum((-1) ** i * expected_betti[i] for i in range(len(dims)))
@@ -913,67 +960,6 @@ def space_equal(space_a, space_b):
 # ---------------------------------------------------------------------------
 # homogeneous boundary conditions
 # ---------------------------------------------------------------------------
-
-def _coo(rows, cols, vals, shape):
-    """The Coo of triplets in any order, repeated entries summed."""
-    keys, inv = np.unique(rows * shape[1] + cols, return_inverse=True)
-    return Coo(*np.divmod(keys, shape[1]), np.bincount(inv, weights=vals), shape)
-
-
-def _matmul(a, b):
-    """a @ b of two row-major COO matrices (a Coo or an OperatorMatrix).  For
-    their residues E and F, its residue ‖E‖‖b‖₂ + ‖a‖₂‖F‖ + ‖E‖‖F‖ (‖·‖ the
-    Frobenius norm) bounds ‖(a + E)(b + F) - ab‖."""
-    lo = np.searchsorted(b.rows, a.cols)
-    reps = np.searchsorted(b.rows, a.cols, side="right") - lo
-    pos = np.repeat(lo - np.cumsum(reps) + reps, reps) + np.arange(reps.sum())
-    (ea, (_, ha)), (eb, (_, hb)) = ((x.dropped_norm, _sigma1_bounds(x)) for x in (a, b))
-    return _coo(np.repeat(a.rows, reps), b.cols[pos], np.repeat(a.vals, reps) * b.vals[pos],
-                (a.shape[0], b.shape[1]))._replace(dropped_norm=ea * hb + ha * eb + ea * eb)
-
-
-def _add(a, b, s=1.0):
-    """a + s·b of two COO matrices of one shape, as a Coo."""
-    return _coo(np.r_[a.rows, b.rows], np.r_[a.cols, b.cols], np.r_[a.vals, s * b.vals],
-                a.shape)._replace(dropped_norm=a.dropped_norm + abs(s) * b.dropped_norm)
-
-
-def _blocks(grid):
-    """The block matrix of a grid of COO matrices (None for a zero block;
-    each block row and column holds a matrix) as a Coo, with the blocks'
-    residue."""
-    r0 = np.cumsum([0] + [next(b.shape[0] for b in row if b is not None) for row in grid])
-    c0 = np.cumsum([0] + [next(b.shape[1] for b in col if b is not None) for col in zip(*grid)])
-    rows, cols, vals, dropped = zip(*[(b.rows + r0[i], b.cols + c0[j], b.vals, b.dropped_norm)
-                                      for i, row in enumerate(grid)
-                                      for j, b in enumerate(row) if b is not None])
-    return _coo(*map(np.concatenate, (rows, cols, vals)),
-                (int(r0[-1]), int(c0[-1])))._replace(dropped_norm=math.hypot(*dropped))
-
-
-def _dense(a):
-    out = np.zeros(a.shape)
-    out[a.rows, a.cols] = a.vals
-    return out
-
-
-def _triplets(X):
-    """The nonzero entries of a dense matrix as a Coo."""
-    return Coo(*np.nonzero(X), X[X != 0], X.shape)
-
-
-def _eye(n):
-    return Coo(np.arange(n), np.arange(n), np.ones(n), (n, n))
-
-
-def _zero(m, n):
-    return Coo(np.zeros(0, int), np.zeros(0, int), np.zeros(0), (m, n))
-
-
-def _amax(a):
-    """The largest magnitude of an entry of a COO matrix (0 if none)."""
-    return float(np.abs(a.vals).max(initial=0.0))
-
 
 def zero_mean_row(space):
     """The integral of an n-form as a (1, dim) row on its global DoF vector,
@@ -1016,7 +1002,8 @@ def restrict_homogeneous(space, classification):
         normals = mesh.frames(d).normals if d else None
         for s, groups in orders.items():
             for i, e in enumerate(bnd):
-                T = classification.tangents[(d, e)]
+                # the classification keys a vertex by its index, not its skeleton id
+                T = classification.tangents[(d, mesh.skeleton[0][e][0] if d == 0 else e)]
                 # each slot's components along the tangents: an axis or a frame normal
                 comp = {v: T @ normals[e, v[1]] if isinstance(v, tuple) else T[:, v]
                         for slots, _ in groups for v in slots}
@@ -1031,7 +1018,7 @@ def restrict_homogeneous(space, classification):
                 dim += len(idx) * K.shape[1]
     keep = np.flatnonzero(kept)
     parts.append((keep, dim + np.arange(len(keep)), np.ones(len(keep))))
-    return _coo(*map(np.concatenate, zip(*parts)), (space.dim, dim + len(keep)))
+    return Coo.summed(*map(np.concatenate, zip(*parts)), (space.dim, dim + len(keep)))
 
 
 def homogeneous_row_report(mesh, p, classification):
@@ -1057,15 +1044,13 @@ def homogeneous_row_report(mesh, p, classification):
     ]
     D0, D1 = (assemble_d(spaces[i], spaces[i + 1]) for i in range(2))
     # D₀N₀ is homogeneous iff it is its own projection N₁N₁ᵀD₀N₀
-    img = _matmul(D0, N0)
-    coef = _matmul(_transpose(N1), img)
-    proj = _matmul(N1, coef)
+    img = D0 @ N0
+    coef = N1.T @ img
     # N has orthonormal columns, so a product's residue is at most D's
-    chain = [_transpose(_matmul(D1, N1))._replace(dropped_norm=D1.dropped_norm),
-             _transpose(coef)._replace(dropped_norm=D0.dropped_norm)]
+    chain = [replace(D1 @ N1, dropped_norm=D1.dropped_norm).T,
+             replace(coef, dropped_norm=D0.dropped_norm).T]
     z = zero_mean_row(spaces[2])[0]
-    checks = [(_add(img, proj, -1.0).vals, img.vals),
-              (_dot(chain[0], z), chain[0].vals)]
+    checks = [((img - N1 @ coef).vals, img.vals), (chain[0].dot(z), chain[0].vals)]
     ok_invariant = all(np.abs(off).max(initial=0.0) <= 1e-8 * max(np.abs(m).max(initial=0.0), 1.0)
                        for off, m in checks)
     coords = [_dof_coords(spaces[2])] + [_mean_points(N.cols, _dof_coords(s)[N.rows], N.shape[1])
@@ -1104,8 +1089,8 @@ def verify_decomposition(n, p, mesh):
     comp_cols = np.zeros((ncells, n, math.comb(p + n, n), n, scalar.dim))
     comp_cols[:, np.arange(n), :, np.arange(n)] = scalar.broken(p).reshape(ncells, -1, scalar.dim)
     comp_cols = comp_cols.reshape(-1, n * scalar.dim)
-    bub = _dense(_blocks([[_triplets(b) if i == j else None for j in range(ncells)]
-                          for i, b in enumerate(bubbles)]))
+    bub = Coo.blocks([[Coo.of_dense(b) if i == j else None for j in range(ncells)]
+                      for i, b in enumerate(bubbles)]).array
     tgt = target.broken(p)
     both = np.hstack([comp_cols, bub])
     r_target = rank_of(tgt)

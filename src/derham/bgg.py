@@ -19,9 +19,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .assembly import (Coo, _add, _amax, _blocks, _dense, _dof_coords, _eye, _matmul,
-                       _transpose, _triplets, _zero, assemble_d, assemble_local_operator,
-                       assemble_space, prove_ranks)
+from .assembly import (Coo, _dof_coords, assemble_d, assemble_local_operator, assemble_space,
+                       prove_ranks)
 from .elements import smoothness_rows
 from .forms import (derivative_matrix, dim_trimmed, eval_row, exterior_derivative_matrix,
                     moment_gram, monomials, multinomials, nullspace, trace_matrix)
@@ -49,9 +48,9 @@ class BGGContext:
 
     The connecting maps are the cells' coefficient matrices above, sized by
     the degrees of the spaces: Hermite p + 2, Stenberg and pressure p + 1,
-    Argyris p + 3.  Every operator is row-major COO triplets (a ``Coo``):
-    the vector-valued rows are the scalar operator on each component, S0 is
-    a signed index swap, and the block operators are stacks of these.
+    Argyris p + 3.  Every operator is a ``Coo``: the vector-valued rows are
+    the scalar operator on each component, S0 is a signed index swap, and
+    the block operators are stacks of these.
     """
 
     def __init__(self, mesh, p):
@@ -66,7 +65,7 @@ class BGGContext:
         self.argyris = assemble_space(mesh, 2, p + 3, 0) if p + 3 >= 5 else None
 
         # vector-valued rows: the scalar operator on each component
-        self.dV0, self.dV1 = (_blocks([[d, None], [None, d]]) for d in (
+        self.dV0, self.dV1 = (Coo.blocks([[d, None], [None, d]]) for d in (
             assemble_d(self.hermite, self.stenberg), assemble_d(self.stenberg, self.dg)))
 
         def pair(src, dst, fmap):   # the operators of fmap(grads, 0) and fmap(grads, 1)
@@ -75,7 +74,7 @@ class BGGContext:
 
         # skew-valued d1: pair of scalars as a 1-form into the pressure space
         nh = math.comb(p + 4, 2)
-        self.dK1 = _blocks([pair(self.hermite, self.pressure, lambda grads, c: (
+        self.dK1 = Coo.blocks([pair(self.hermite, self.pressure, lambda grads, c: (
             exterior_derivative_matrix(grads, 1, p + 2, p + 1) @ _embed_component(c, nh)))])
 
         # S0: (u1, u2) -> (-u2, u1) on the two Hermite copies
@@ -83,8 +82,9 @@ class BGGContext:
         self.S0 = Coo(i, (i + H) % (2 * H), np.where(i < H, -1.0, 1.0), (2 * H, 2 * H))
 
         ns = math.comb(p + 3, 2)
-        self.S1 = _blocks([pair(self.stenberg, self.pressure, lambda grads, c: _skew_trace(c, ns))])
-        self.dK0 = None if self.argyris is None else _blocks([[G] for G in pair(
+        self.S1 = Coo.blocks([pair(self.stenberg, self.pressure,
+                                   lambda grads, c: _skew_trace(c, ns))])
+        self.dK0 = None if self.argyris is None else Coo.blocks([[G] for G in pair(
             self.argyris, self.hermite, lambda grads, c: _grad_component(grads, c, p + 3))])
 
     def _nodal(self, what):
@@ -95,8 +95,8 @@ class BGGContext:
 
     def identity_residual(self):
         """Max entry of D1 S0 + S1 D0 relative to the term magnitudes."""
-        a, b = _matmul(self.dK1, self.S0), _matmul(self.S1, self.dV0)
-        return _amax(_add(a, b)) / max(_amax(a), _amax(b), 1.0)
+        a, b = self.dK1 @ self.S0, self.S1 @ self.dV0
+        return (a + b).amax() / max(a.amax(), b.amax(), 1.0)
 
     def xi_operators(self):
         """The block operators A0, A1 of the product complex and a point per
@@ -109,12 +109,12 @@ class BGGContext:
                           (self.hermite, self.stenberg, self.pressure, self.dg))
         if self.dK0 is None:
             N = nullspace(smoothness_rows(self.mesh, 0, self.p + 3, orders=(2,), normal=True))
-            dK0 = _triplets(_constrained_grad_dofs(self.mesh, N, self.hermite))
+            dK0 = Coo.of_dense(_constrained_grad_dofs(self.mesh, N, self.hermite))
             c0 = np.repeat(hc.mean(axis=0)[None], dK0.shape[1], axis=0)
         else:
             dK0, c0 = self.dK0, _dof_coords(self.argyris)
-        A0 = _blocks([[dK0, self.S0._replace(vals=-self.S0.vals)], [None, self.dV0]])
-        A1 = _blocks([[self.dK1, self.S1._replace(vals=-self.S1.vals)], [None, self.dV1]])
+        A0 = Coo.blocks([[dK0, -self.S0], [None, self.dV0]])
+        A1 = Coo.blocks([[self.dK1, -self.S1], [None, self.dV1]])
         return A0, A1, [np.vstack(c) for c in ([c0, hc, hc], [hc, hc, sc, sc], [pc, dc, dc])]
 
     def xi_complex(self):
@@ -127,9 +127,8 @@ class BGGContext:
         from it."""
         A0, A1, coords = self.xi_operators()
         dim_xi0, dim_xi1, dim_xi2 = A0.shape[1], A1.shape[1], A1.shape[0]
-        comp = _amax(_matmul(A1, A0)) / max(_amax(A1) * _amax(A0), 1.0)
-        (r0, r1), margins = (x[::-1] for x in
-                             prove_ranks([_transpose(A1), _transpose(A0)], coords[::-1]))
+        comp = (A1 @ A0).amax() / max(A1.amax() * A0.amax(), 1.0)
+        (r0, r1), margins = (x[::-1] for x in prove_ranks([A1.T, A0.T], coords[::-1]))
         return {"dims": [dim_xi0, dim_xi1, dim_xi2], "ranks": [r0, r1], "kernel0": dim_xi0 - r0,
                 "composition_rel": comp, "exact_middle": (dim_xi1 - r1) == r0,
                 "onto_end": r1 == dim_xi2,
@@ -138,17 +137,17 @@ class BGGContext:
 
     def xi_commuting_residual(self):
         """Residual of the projection squares onto the reduced subcomplex."""
-        dK0, S0inv = self._nodal("projection check"), _transpose(self.S0)
+        dK0, S0inv = self._nodal("projection check"), self.S0.T
         (A0, A1, _), H2, arg = self.xi_operators(), 2 * self.hermite.dim, self.argyris.dim
-        pi0 = _blocks([[_eye(arg), _zero(arg, H2)], [_matmul(S0inv, dK0), None]])
-        pi1 = _blocks([[_zero(H2, H2), None], [_matmul(self.dV0, S0inv), _eye(self.dV0.shape[0])]])
-        left = _add(_matmul(A0, pi0), _matmul(pi1, A0), -1.0)
-        right = _add(_matmul(A1, pi1), A1, -1.0)
-        return max(_amax(left), _amax(right)) / max(_amax(A0), _amax(A1), 1.0)
+        pi0 = Coo.blocks([[Coo.eye(arg), Coo.zero(arg, H2)], [S0inv @ dK0, None]])
+        pi1 = Coo.blocks([[Coo.zero(H2, H2), None],
+                          [self.dV0 @ S0inv, Coo.eye(self.dV0.shape[0])]])
+        left, right = A0 @ pi0 - pi1 @ A0, A1 @ pi1 - A1
+        return max(left.amax(), right.amax()) / max(A0.amax(), A1.amax(), 1.0)
 
     def airy(self):
         """The potential map dV0 S0^-1 dK0: scalars to symmetric matrix fields."""
-        return _matmul(self.dV0, _matmul(_transpose(self.S0), self._nodal("the stress row")))
+        return self.dV0 @ (self.S0.T @ self._nodal("the stress row"))
 
     def projection_commutes(self):
         """Residuals of the squares carrying the reduced row to the stress row.
@@ -156,17 +155,16 @@ class BGGContext:
         The vertical maps are the identity, (id - inclusion . S1), and
         (omega, mu) -> mu + dV1 . inclusion . omega; both squares must commute.
         """
-        airy, S1, dV1, ih = self.airy(), self.S1, self.dV1, _triplets(stress_inclusion(self))
-        V = _add(_eye(2 * self.stenberg.dim), _matmul(ih, S1), -1.0)
+        airy, S1, dV1, ih = self.airy(), self.S1, self.dV1, Coo.of_dense(stress_inclusion(self))
+        V = Coo.eye(2 * self.stenberg.dim) - ih @ S1
         # left square: the potential map composed with the vertical projection
-        left = _amax(_add(_matmul(V, airy), airy, -1.0)) / max(_amax(airy), 1.0)
+        left = (V @ airy - airy).amax() / max(airy.amax(), 1.0)
         # right square: project then take d versus map into the product and project
-        top = _blocks([[S1._replace(vals=-S1.vals)], [dV1]])
-        pi_h = _blocks([[_matmul(dV1, ih), _eye(2 * self.dg.dim)]])
-        right = _amax(_add(_matmul(pi_h, top), _matmul(dV1, V), -1.0)) / max(_amax(dV1), 1.0)
-        return {"left": left, "right": right,
-                "projection_into_kernel": _amax(_matmul(S1, V)),
-                "trace_right_inverse": _amax(_add(_matmul(S1, ih), _eye(self.pressure.dim), -1.0))}
+        top = Coo.blocks([[-S1], [dV1]])
+        pi_h = Coo.blocks([[dV1 @ ih, Coo.eye(2 * self.dg.dim)]])
+        right = (pi_h @ top - dV1 @ V).amax() / max(dV1.amax(), 1.0)
+        return {"left": left, "right": right, "projection_into_kernel": (S1 @ V).amax(),
+                "trace_right_inverse": (S1 @ ih - Coo.eye(self.pressure.dim)).amax()}
 
     def huzhang_row_report(self):
         """Exactness accounting for: smooth scalars -> symmetric stresses -> vectors.
@@ -178,12 +176,12 @@ class BGGContext:
         M = [S1; dV1]; div on ker S1 has rank M - rank S1."""
         airy = self.airy()
         # image of the potential map is symmetric: S1 @ airy = -dK1 dK0 = 0
-        sym_resid = _amax(_matmul(self.S1, airy)) / max(_amax(airy), 1.0)
+        sym_resid = (self.S1 @ airy).amax() / max(airy.amax(), 1.0)
         sc, pc, dc = (_dof_coords(s) for s in (self.stenberg, self.pressure, self.dg))
         sc = np.vstack([sc, sc])
         (r_s1,), m_s1 = prove_ranks([self.S1], [sc, pc])
-        M = _blocks([[self.S1], [self.dV1]])
-        (r_m, r_airy), m_row = prove_ranks([_transpose(M), _transpose(airy)],
+        M = Coo.blocks([[self.S1], [self.dV1]])
+        (r_m, r_airy), m_row = prove_ranks([M.T, airy.T],
                                            [np.vstack([pc, dc, dc]), sc, _dof_coords(self.argyris)])
         dim_hz, r_div, arg = 2 * self.stenberg.dim - r_s1, r_m - r_s1, self.argyris.dim
         return {"dim_potential": arg, "dim_stress": dim_hz, "dim_load": 2 * self.dg.dim,
@@ -401,7 +399,7 @@ def stress_inclusion(ctx):
     skew = [[index[("skew", ci, a)] for a in inner] for ci in range(len(mesh.cells))]
     P[skew, FN.dofs(2, np.arange(len(mesh.cells)), "interior")] = 2.0
     raw = np.linalg.solve(T, P)
-    gauge = _dense(ctx.S1) @ raw
+    gauge = ctx.S1.array @ raw
     scale = np.trace(gauge) / FN.dim
     gauge.flat[::FN.dim + 1] -= scale
     if abs(scale) < 1e-12 or np.abs(gauge).max() > 1e-8 * abs(scale):

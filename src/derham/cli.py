@@ -11,7 +11,6 @@ from __future__ import annotations
 import gc
 import json
 import math
-import os
 import re
 import sys
 from types import SimpleNamespace
@@ -35,15 +34,10 @@ def _load_mesh(path):
 
 
 def _tol(args):
-    """bgg's identity tolerance: --tol, else DERHAM_TOL, else 1e-10."""
-    name, value = (("--tol", args.tol) if args.tol is not None
-                   else ("DERHAM_TOL", os.environ.get("DERHAM_TOL") or "1e-10"))
-    try:
-        tol = float(value)
-    except ValueError:
-        tol = math.nan
+    """bgg's identity tolerance: --tol, else 1e-10."""
+    tol = 1e-10 if args.tol is None else args.tol
     if not 0 < tol < math.inf:
-        raise SystemExit(f"error: {name} must be a finite number > 0 (got {value!r})")
+        raise SystemExit(f"error: --tol must be a finite number > 0 (got {tol!r})")
     return tol
 
 
@@ -146,7 +140,11 @@ def cmd_verify(args):
     if args.p < row_p_min(m.dim, row):
         raise SystemExit(f"error: verify --row {row} needs --p >= {row_p_min(m.dim, row)} "
                          f"on a {m.dim}D mesh (got --p {args.p})")
-    _check_local_size(assembly.family_row(m.dim, row, args.p), m.dim)
+    slots = assembly.family_row(m.dim, row, args.p)
+    if betti is not None and (len(betti) != len(slots) or min(betti) < 0):
+        raise SystemExit(f"error: --betti expects {len(slots)} integers >= 0 for row {row} "
+                         f"on a {m.dim}D mesh (got {args.betti!r})")
+    _check_local_size(slots, m.dim)
     try:
         rep = verify_exactness(m, row, args.p, expected_betti=betti)
     except (ValueError, RuntimeError) as exc:
@@ -203,6 +201,8 @@ def _positive_p(command, p):
 
 def cmd_bc(args):
     _positive_p("bc", args.p)
+    if not 0 <= args.bctol < math.inf:
+        raise SystemExit(f"error: --bctol must be a finite number >= 0 (got {args.bctol!r})")
     m = _load_mesh(args.mesh)
     if m.dim != 2:
         raise SystemExit("error: boundary-count reports are two-dimensional")
@@ -304,7 +304,7 @@ COMMANDS = {
     "bc": (cmd_bc, "boundary classification and reduced dims", [
         _OUT, _MESH, _P, ("--bctol", "bctol", float, meshmod.COLLINEAR_TOL, "corner tolerance")]),
     "bgg": (cmd_bgg, "elasticity construction report", [
-        _OUT, _MESH, ("--tol", "tol", float, None, "identity tolerance, else DERHAM_TOL"), _P]),
+        _OUT, _MESH, ("--tol", "tol", float, None, "identity tolerance (default 1e-10)"), _P]),
     "compare": (cmd_compare, "classical vs nodal dimension savings", [
         _OUT, _FORMAT, _P, ("--grid", "grid", str, REQUIRED, "nx,ny,nz")]),
     "export": (cmd_export, "dual basis in text form", _FAMILY),

@@ -5,9 +5,8 @@ import pytest
 
 from dof_reference import global_dof_values
 from derham import assembly
-from derham.assembly import (CONTAINMENT_TOL, DROP_RTOL, RANK_RTOL, OperatorMatrix,
-                             _dense, _dof_coords, _matmul, _mean_points, _transpose,
-                             assemble_d, assemble_space, containment_residual,
+from derham.assembly import (CONTAINMENT_TOL, DROP_RTOL, RANK_RTOL, Coo, _dof_coords,
+                             _mean_points, assemble_d, assemble_space, containment_residual,
                              dim_formula, dof_savings, family_row,
                              homogeneous_row_report, interpolation_split_residual,
                              prove_ranks, rank_of,
@@ -103,7 +102,7 @@ def test_containment_detects_a_moved_entry(meshes, r):
         assert containment_residual(src, dst, D) < CONTAINMENT_TOL
         moved = D.vals.copy()
         moved[np.argmax(np.abs(moved))] += 1e-3
-        moved = OperatorMatrix(src, dst, D.rows, D.cols, moved)
+        moved = Coo(D.rows, D.cols, moved, D.shape)
         assert containment_residual(src, dst, moved) > CONTAINMENT_TOL
 
 
@@ -141,13 +140,75 @@ def test_dense_rows_match_a_dense_reference():
     dense[2, [0, 4, 6]] = [1.5, 0.25, -1.0]
     dense[4, 5] = 7.0
     rows, cols = np.nonzero(dense)
-    csr = assembly._csr(assembly.Coo(rows, cols, dense[rows, cols], dense.shape))
+    D = Coo(rows, cols, dense[rows, cols], dense.shape)
     for idx in ([0, 1, 2, 3, 4], [1, 3], [4], [2, 0], [3, 4], []):
         idx = np.array(idx, dtype=int)
-        used, block = assembly._dense_rows(csr, idx)
+        used, block = assembly._dense_rows(D, idx)
         assert np.array_equal(used, np.flatnonzero(dense[idx].any(axis=0)))
         assert np.array_equal(block, dense[np.ix_(idx, used)])
         assert block.shape == (len(idx), len(used))
+
+
+def _random_coo(rng, shape, density=0.3, dropped=0.0):
+    dense = np.where(rng.random(shape) < density, rng.normal(size=shape), 0.0)
+    return Coo(*np.nonzero(dense), dense[dense != 0], shape, dropped)
+
+
+def _coo_pairs():
+    """(A, B) pairs for the algebra: seeded random sparse matrices, some with
+    a residue, and the 2D stress construction's operators."""
+    rng = np.random.default_rng(23)
+    pairs = [(_random_coo(rng, (m, k), dropped=da), _random_coo(rng, (k, n), dropped=db))
+             for (m, k, n), (da, db) in zip([(7, 5, 9), (1, 12, 3), (20, 20, 20), (6, 1, 4)],
+                                            [(0.0, 0.0), (1e-12, 0.0), (0.0, 3e-13),
+                                             (2e-14, 5e-14)])]
+    from derham.bgg import BGGContext
+    from derham.mesh import two_triangle_square
+    ctx = BGGContext(two_triangle_square(), 2)
+    return pairs + [(ctx.dK1, ctx.S0), (ctx.S1, ctx.dV0), (ctx.dV1, ctx.dV0), (ctx.S0.T, ctx.S0)]
+
+
+def test_coo_product_matches_dense_and_bounds_the_residue():
+    from derham.assembly import _sigma1_bounds
+    for A, B in _coo_pairs():
+        C = A @ B
+        want = A.array @ B.array
+        assert C.shape == want.shape
+        assert np.abs(C.array - want).max(initial=0.0) <= 1e-14 * max(np.abs(want).max(), 1.0)
+        (ea, (_, ha)), (eb, (_, hb)) = ((x.dropped_norm, _sigma1_bounds(x)) for x in (A, B))
+        assert C.dropped_norm == ea * hb + ha * eb + ea * eb
+        assert np.array_equal(C.rows * C.shape[1] + C.cols,
+                              np.unique(C.rows * C.shape[1] + C.cols))   # row-major, once
+
+
+def test_coo_sum_negation_and_transpose_are_exact():
+    rng = np.random.default_rng(5)
+    for A, B in _coo_pairs():
+        B = _random_coo(rng, A.shape, dropped=1e-15)
+        assert np.array_equal((A - B).array, A.array - B.array)
+        assert np.array_equal((A + B).array, A.array + B.array)
+        assert (A - B).dropped_norm == A.dropped_norm + B.dropped_norm
+        assert np.array_equal((-A).array, -A.array) and (-A).dropped_norm == A.dropped_norm
+        assert np.array_equal(A.T.array, A.array.T) and A.T.shape == A.shape[::-1]
+        assert A.T is A.T
+        for got, want in zip((A.T.T.rows, A.T.T.cols, A.T.T.vals), (A.rows, A.cols, A.vals)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(A.ptr, np.searchsorted(A.rows, np.arange(A.shape[0] + 1)))
+        x = rng.normal(size=A.shape[1])
+        assert np.abs(A.dot(x) - A.array @ x).max(initial=0.0) <= 1e-13 * np.abs(x).sum()
+        assert A.amax() == np.abs(A.array).max(initial=0.0)
+
+
+def test_coo_constructors():
+    X = np.array([[0.0, 2.0, 0.0], [-1.0, 0.0, 3.0]])
+    assert np.array_equal(Coo.of_dense(X).array, X)
+    assert np.array_equal(Coo.eye(3).array, np.eye(3))
+    assert np.array_equal(Coo.zero(2, 4).array, np.zeros((2, 4)))
+    D = Coo.summed(np.array([1, 0, 1]), np.array([2, 1, 2]), np.array([1.0, 2.0, 2.0]), (2, 3))
+    assert np.array_equal(D.array, [[0.0, 2.0, 0.0], [0.0, 0.0, 3.0]]) and len(D.vals) == 2
+    E = Coo.of_dense(np.eye(2, 3))
+    grid = Coo.blocks([[Coo.of_dense(X), None], [E, Coo.of_dense(-X)]])
+    assert np.array_equal(grid.array, np.block([[X, np.zeros((2, 3))], [np.eye(2, 3), -X]]))
 
 
 # -- proved ranks---------------------------------------------------------------------
@@ -186,7 +247,7 @@ def test_overstated_rank_is_counted():
     j = np.flatnonzero(spaces[0].constant_coefficients() == 0.0)[0]
     keep = D0.cols != j
     assert not keep.all()
-    Dz = OperatorMatrix(D0.src, D0.dst, D0.rows[keep], D0.cols[keep], D0.vals[keep])
+    Dz = Coo(D0.rows[keep], D0.cols[keep], D0.vals[keep], D0.shape)
     ranks, margins = _prove_row(spaces, [Dz, D1])
     assert not margins[0]["proved"]
     assert ranks[0] == rank_of(Dz.array) == D0.shape[1] - 2
@@ -207,10 +268,10 @@ def test_verdict_builds_no_per_cell_geometry(monkeypatch):
 
 
 def test_verify_row_needs_no_dense_operator(monkeypatch):
-    # every dense view of an operator, ``array`` and the rank count's, is ``_dense``
+    # every dense view of an operator, the rank count's too, is ``Coo.array``
     def refuse(*args):
         raise AssertionError("dense operator built in verify_row")
-    monkeypatch.setattr(assembly, "_dense", refuse)
+    monkeypatch.setattr(Coo, "array", property(refuse))
     rep = verify_exactness(triangle_grid(8), 0, 2)
     assert rep.passed and all(m["proved"] for m in rep.rank_margins)
 
@@ -486,7 +547,7 @@ def test_homogeneous_ranks_are_proved_without_a_dense_operator(monkeypatch):
     def refuse(*args):
         raise AssertionError("dense rank or operator built in the bc report")
     monkeypatch.setattr(assembly, "rank_of", refuse)
-    monkeypatch.setattr(assembly, "_dense", refuse)
+    monkeypatch.setattr(Coo, "array", property(refuse))
     m = triangle_grid(8)
     rep = homogeneous_row_report(m, 4, m.classify_boundary())
     assert rep["ranks"] == [1983, 1919] and rep["exact"]
@@ -497,7 +558,7 @@ def _restricted_ranks(m, p):
     """rank_of the dense N₁ᵀD₀N₀ and D₁N₁, built here from the same parts."""
     cls = m.classify_boundary()
     spaces = [assemble_space(m, *s) for s in family_row(2, 1, p)]
-    N0, N1 = (_dense(restrict_homogeneous(s, cls)) for s in spaces[:2])
+    N0, N1 = (restrict_homogeneous(s, cls).array for s in spaces[:2])
     D0, D1 = (assemble_d(a, b).array for a, b in zip(spaces, spaces[1:]))
     return [rank_of(N1.T @ D0 @ N0), rank_of(D1 @ N1)]
 
@@ -517,7 +578,7 @@ def test_wrong_kernel_vector_is_counted(meshes):
     m = meshes["split"]
     spaces = [assemble_space(m, *s) for s in family_row(2, 1, 3)]
     N1 = restrict_homogeneous(spaces[1], m.classify_boundary())
-    op = _transpose(_matmul(assemble_d(spaces[1], spaces[2]), N1))
+    op = (assemble_d(spaces[1], spaces[2]) @ N1).T
     coords = [_dof_coords(spaces[2]), _mean_points(N1.cols, _dof_coords(spaces[1])[N1.rows],
                                                    N1.shape[1])]
     z = zero_mean_row(spaces[2])[0]
@@ -525,7 +586,7 @@ def test_wrong_kernel_vector_is_counted(meshes):
     assert margins[0]["proved"] and ranks == [len(z) - 1]
     z[0] += 0.5 * np.abs(z).max()
     ranks, margins = prove_ranks([op], coords, z)
-    assert not margins[0]["proved"] and ranks == [rank_of(_dense(op))] == [len(z) - 1]
+    assert not margins[0]["proved"] and ranks == [rank_of(op.array)] == [len(z) - 1]
 
 
 def test_homogeneous_row_report_is_json(meshes):

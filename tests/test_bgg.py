@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dof_reference import global_dof_values
-from derham.assembly import _dense, _dot, assemble_space, rank_of
+from derham.assembly import assemble_space, rank_of
 from derham.bgg import BGGContext, huzhang_stress, verify_bgg_identity, xi_complex
 from derham.elements import smoothness_rows
 from derham.forms import dim_trimmed, nullspace
@@ -22,7 +22,7 @@ def perturbed_square(seed=7, scale=0.12):
 # -- connecting maps ------------------------------------------------------------
 
 def test_s0_is_isomorphism():
-    S0 = _dense(BGGContext(two_triangle_square(), 1).S0)
+    S0 = BGGContext(two_triangle_square(), 1).S0.array
     assert S0.shape[0] == S0.shape[1]
     assert rank_of(S0) == S0.shape[0]
     assert np.abs(S0 @ S0.T - np.eye(S0.shape[0])).max() < 1e-14
@@ -34,13 +34,13 @@ def test_s0_constant_field():
     H = ctx.hermite.dim
     x = np.zeros(2 * H)
     x[:H] = ctx.hermite.constant_coefficients()
-    y = _dot(ctx.S0, x)
+    y = ctx.S0.dot(x)
     assert np.abs(y[:H]).max() < 1e-14
     assert np.abs(y[H:] - x[:H]).max() < 1e-14
 
 
 def test_s1_surjective():
-    S1 = _dense(BGGContext(two_triangle_square(), 2).S1)
+    S1 = BGGContext(two_triangle_square(), 2).S1.array
     assert rank_of(S1) == S1.shape[0]
 
 
@@ -64,14 +64,14 @@ def test_s1_on_constant_fields():
     mesh = ctx.mesh
     # component array = identity: w11 = w22 = 1 -> the trace map gives -2
     x = _constant_row_dofs(ctx, (1.0, 0.0), (0.0, 1.0))
-    y = _dot(ctx.S1, x)
+    y = ctx.S1.dot(x)
     expect = global_dof_values(
         ctx.pressure, {ci: FormPolynomial(mesh.cell_simplex(ci), 2, {(0, 1): {(0,) * 3: -2.0}})
                        for ci in range(len(mesh.cells))})
     assert np.abs(y - expect).max() < 1e-12
     # trace-free components (symmetric matrix proxy) are in the kernel
     x = _constant_row_dofs(ctx, (1.0, 0.5), (0.3, -1.0))
-    assert np.abs(_dot(ctx.S1, x)).max() < 1e-12
+    assert np.abs(ctx.S1.dot(x)).max() < 1e-12
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -127,13 +127,13 @@ def test_proved_ranks_match_dense_reference(case, p):
     ctx = BGGContext(RANK_CASES[case](), p)
     A0, A1, _ = ctx.xi_operators()
     xi = ctx.xi_complex()
-    assert xi["ranks"] == [rank_of(_dense(A0)), rank_of(_dense(A1))]
+    assert xi["ranks"] == [rank_of(A0.array), rank_of(A1.array)]
     assert xi["exact"] and all(m["proved"] for m in xi["rank_margins"])
     rep = ctx.huzhang_row_report()
-    airy, N = _dense(ctx.airy()), nullspace(_dense(ctx.S1))
+    airy, N = ctx.airy().array, nullspace(ctx.S1.array)
     assert rep["dim_stress"] == N.shape[1]
     assert rep["rank_potential_map"] == rank_of(airy)
-    assert rep["rank_div"] == rank_of(_dense(ctx.dV1) @ N)
+    assert rep["rank_div"] == rank_of(ctx.dV1.array @ N)
     assert rep["exact"] and all(m["proved"] for m in rep["rank_margins"])
 
 

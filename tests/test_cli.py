@@ -3,11 +3,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from derham.cli import main
 from derham.mesh import (SimplicialMesh, annulus_mesh, reference_tet, split_edge_square,
-                         three_tet_fan, two_tet_mesh, two_triangle_square)
+                         three_tet_fan, triangle_grid, two_tet_mesh, two_triangle_square)
 
 # the nine commands of the benchmark's cli-mix workload, at small sizes
 CLI_MIX = [
@@ -183,6 +184,22 @@ def test_bc_report(square_path, capsys):
     assert data["alternating_sum"] == 0
 
 
+def test_bc_on_a_mesh_with_an_unused_vertex(tmp_path, capsys):
+    # vertex 0 lies in no cell: the report is the plain grid's, with the
+    # corner vertices numbered as the file numbers them
+    grid = triangle_grid(2)
+    reports = []
+    for name, mesh in (("plain", grid),
+                       ("unused", SimplicialMesh(np.vstack([[5.0, 5.0], grid.vertices]),
+                                                 grid.cells + 1))):
+        mesh.save(tmp_path / f"{name}.json")
+        assert main(["bc", "--mesh", str(tmp_path / f"{name}.json"), "--p", "4"]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    plain, unused = reports
+    assert unused["corner_vertices"] == [v + 1 for v in plain["corner_vertices"]]
+    assert {**unused, "corner_vertices": None} == {**plain, "corner_vertices": None}
+
+
 def test_bgg_report(square_path, capsys):
     rc = main(["bgg", "--mesh", square_path, "--p", "1"])
     assert rc == 0
@@ -281,9 +298,7 @@ def test_oversized_local_matrix_exits_2_before_allocating(tmp_path, capsys, argv
 def test_dense_rank_over_the_limit_exits_2(tmp_path, capsys, monkeypatch):
     # zero a column of D0 whose DoF the constants do not use: the proof
     # fails, and the dense count it falls back to is refused over the limit
-    import numpy as np
     from derham import assembly
-    from derham.mesh import triangle_grid
     path = tmp_path / "grid.json"
     triangle_grid(4).save(path)
     argv = ["verify", "--mesh", str(path), "--row", "1", "--p", "1"]
@@ -294,7 +309,7 @@ def test_dense_rank_over_the_limit_exits_2(tmp_path, capsys, monkeypatch):
         if src.el.k:
             return D
         keep = D.cols != np.flatnonzero(src.constant_coefficients() == 0.0)[0]
-        return assembly.OperatorMatrix(src, dst, D.rows[keep], D.cols[keep], D.vals[keep])
+        return assembly.Coo(D.rows[keep], D.cols[keep], D.vals[keep], D.shape)
     monkeypatch.setattr(assembly, "assemble_d", zeroed)
     assert main(argv) == 1          # counted densely: one rank too many
     assert "harmonic dimensions [2, 1, 0]" in capsys.readouterr().err
@@ -411,9 +426,8 @@ def test_outputs_deterministic(square_path, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_env_tolerance(square_path, monkeypatch, capsys):
-    monkeypatch.setenv("DERHAM_TOL", "1e-30")
-    rc = main(["bgg", "--mesh", square_path, "--p", "1"])
+def test_impossible_tolerance_fails(square_path, capsys):
+    rc = main(["bgg", "--mesh", square_path, "--p", "1", "--tol", "1e-30"])
     capsys.readouterr()
     assert rc == 1   # impossible tolerance makes the identity check fail
 
@@ -535,6 +549,18 @@ BAD_MESH_FILES = {
      "cell [0, True, 2] has a vertex index that is not an integer: True"),
     (["verify", "--mesh", "{mesh}", "--row", "mixed", "--p", "3"],
      "verify --row mixed needs a 3D mesh (got a 2D mesh)"),
+    (["verify", "--mesh", "{mesh}", "--p", "1", "--betti", "1,0"],
+     "--betti expects 3 integers >= 0 for row 1 on a 2D mesh (got '1,0')"),
+    (["verify", "--mesh", "{mesh}", "--p", "1", "--betti", "1,0,0,0"],
+     "--betti expects 3 integers >= 0 for row 1 on a 2D mesh (got '1,0,0,0')"),
+    (["verify", "--mesh", "{mesh}", "--p", "1", "--betti=-1,0,1"],
+     "--betti expects 3 integers >= 0 for row 1 on a 2D mesh (got '-1,0,1')"),
+    (["bc", "--mesh", "{mesh}", "--p", "2", "--bctol", "nan"],
+     "--bctol must be a finite number >= 0 (got nan)"),
+    (["bc", "--mesh", "{mesh}", "--p", "2", "--bctol", "-1"],
+     "--bctol must be a finite number >= 0 (got -1.0)"),
+    (["bc", "--mesh", "{mesh}", "--p", "2", "--bctol", "inf"],
+     "--bctol must be a finite number >= 0 (got inf)"),
 ])
 def test_bad_arguments_exit_2_with_one_line(square_path, tmp_path, capsys, argv, message):
     paths = {"{mesh}": square_path, "{dir}": str(tmp_path),
@@ -550,18 +576,17 @@ def test_bad_arguments_exit_2_with_one_line(square_path, tmp_path, capsys, argv,
     assert message in captured.err
 
 
-def test_bad_env_tolerance_exits_2_before_any_work(square_path, monkeypatch, capsys):
+def test_bad_tolerance_exits_2_before_any_work(square_path, monkeypatch, capsys):
     from derham import bgg
 
     def refuse(*args):
         raise AssertionError("bgg built a context before reading its tolerance")
     monkeypatch.setattr(bgg.BGGContext, "__init__", refuse)
-    monkeypatch.setenv("DERHAM_TOL", "abc")
-    rc = main(["bgg", "--mesh", square_path, "--p", "2"])
+    rc = main(["bgg", "--mesh", square_path, "--p", "2", "--tol", "nan"])
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert "DERHAM_TOL must be a finite number > 0 (got 'abc')" in captured.err
+    assert "--tol must be a finite number > 0 (got nan)" in captured.err
 
 
 @pytest.mark.parametrize("argv,message", [
