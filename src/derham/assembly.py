@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import weakref
 from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -321,13 +322,19 @@ class Coo:
         """Row starts: row i holds the entries ptr[i]:ptr[i + 1]."""
         return np.searchsorted(self.rows, np.arange(self.shape[0] + 1))
 
-    @cached_property
+    @property
     def T(self):
-        """The transpose: a stable sort by column keeps each column's rows
-        in order."""
-        order = np.argsort(self.cols, kind="stable")
-        return Coo(self.cols[order], self.rows[order], self.vals[order], self.shape[::-1],
-                   self.dropped_norm, self.dropped_max)
+        """The transpose, built on first use and kept: a stable sort by column
+        keeps each column's rows in order.  It holds this matrix through a
+        weak reference and gives it back as its own transpose."""
+        origin = self.__dict__.get("_origin")
+        t = self.__dict__.get("_T") or (origin and origin())
+        if t is None:
+            order = np.argsort(self.cols, kind="stable")
+            t = self.__dict__["_T"] = Coo(self.cols[order], self.rows[order], self.vals[order],
+                                          self.shape[::-1], self.dropped_norm, self.dropped_max)
+            t.__dict__["_origin"] = weakref.ref(self)
+        return t
 
     @cached_property
     def array(self):
@@ -365,11 +372,6 @@ class Coo:
 
     def __sub__(self, b):
         return self + -b
-
-    def export_coo(self):
-        lines = [f"{self.shape[0]} {self.shape[1]} {len(self.vals)}"]
-        lines += [f"{i} {j} {v:.17g}" for i, j, v in zip(self.rows, self.cols, self.vals)]
-        return "\n".join(lines) + "\n"
 
 
 def assemble_local_operator(src, dst, fmap):

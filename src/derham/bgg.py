@@ -14,14 +14,14 @@ so that d1 S0 + S1 d0 = 0 holds identically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
 
 from .assembly import (Coo, _dof_coords, assemble_d, assemble_local_operator, assemble_space,
                        prove_ranks)
-from .elements import smoothness_rows
+from .elements import cell_dofs, smoothness_rows
 from .forms import (derivative_matrix, dim_trimmed, eval_row, exterior_derivative_matrix,
                     moment_gram, monomials, multinomials, nullspace, trace_matrix)
 from .mesh import SimplicialMesh
@@ -155,7 +155,7 @@ class BGGContext:
         The vertical maps are the identity, (id - inclusion . S1), and
         (omega, mu) -> mu + dV1 . inclusion . omega; both squares must commute.
         """
-        airy, S1, dV1, ih = self.airy(), self.S1, self.dV1, Coo.of_dense(stress_inclusion(self))
+        airy, S1, dV1, ih = self.airy(), self.S1, self.dV1, stress_inclusion(self)
         V = Coo.eye(2 * self.stenberg.dim) - ih @ S1
         # left square: the potential map composed with the vertical projection
         left = (V @ airy - airy).amax() / max(airy.amax(), 1.0)
@@ -338,70 +338,57 @@ def _row_normalized(M):
 # the discrete inclusion of skew data into the matrix-valued space
 # ---------------------------------------------------------------------------
 
-def _grouped_stress_functionals(ctx):
-    """The stress-element DoF system on the matrix-valued 1-form space.
+def _matrix_fields(sten):
+    """Every cell's pair dual functions as matrix fields, (cells, 4 nq, 2 local
+    DoFs), row 0's duals first: pair row r is the 1-form w_r, and matrix row
+    r is (m_r0, m_r1) = (-w_r1, w_r0)."""
+    w, nq = sten.fields, sten.fields.shape[1] // 2
+    m = np.concatenate([-w[:, nq:], w[:, :nq]], axis=1)
+    return np.block([[m, np.zeros_like(m)], [np.zeros_like(m), m]])
 
-    Returns (T, slots): T maps the assembled pair coordinates to grouped DoF
-    values, one row per slot, ordered as vertex matrix entries, edge
-    normal-trace moments, then each cell's interior skew and symmetric-bubble
-    moments.  T is square and invertible (the grouped system is unisolvent on
-    the same space).
-    """
-    mesh, sten = ctx.mesh, ctx.stenberg
-    q = ctx.p + 1
-    nq = math.comb(q + 2, 2)
-    per_cell = [_stress_rows(mesh, ci, q) for ci in range(len(mesh.cells))]
-    slots = [("vertex", vi, ab) for vi in range(len(mesh.skeleton[0])) for ab in _ENTRIES]
-    slots += [("edge", ei, i, mono) for ei in range(len(mesh.skeleton[1]))
-              for i in range(2) for mono in monomials(2, q - 2)]
-    slots += [slot for _, cell_slots in per_cell for slot in cell_slots
-              if slot[0] in ("skew", "sym")]
-    index = {slot: s for s, slot in enumerate(slots)}
 
-    # pair row r is the 1-form w_r; matrix row r is (m_r0, m_r1) = (-w_r1, w_r0)
-    F, w, values = np.array([rows for rows, _ in per_cell]), sten.fields, []
-    for r in range(2):
-        fields = np.zeros((len(w), 4 * nq, w.shape[2]))
-        fields[:, _entry(r, 0, nq)] = -w[:, nq:]
-        fields[:, _entry(r, 1, nq)] = w[:, :nq]
-        values.append(F @ fields)
-    values = np.concatenate(values, axis=2)
-    cols = np.hstack([sten.cell_global, sten.dim + sten.cell_global])
-    # shared slots pair only with shared DoFs of their own entity, so the
-    # first cell containing one sets every nonzero entry of its row
-    rows = np.array([[index[slot] for slot in cell_slots] for _, cell_slots in per_cell])
-    _, first = np.unique(rows.ravel(), return_index=True)
-    ci, local = np.divmod(first, rows.shape[1])
-    T = np.zeros((len(slots), 2 * sten.dim))
-    T[rows.ravel()[first][:, None], cols[ci]] = values[ci, local]
-    return T, slots
+def _positions(space, label):
+    """The local positions of the plan group ``label`` in every cell."""
+    return [i for i, dof in enumerate(cell_dofs(space.el, space.mesh, 0)) if dof.label == label]
 
 
 def stress_inclusion(ctx):
     """Discrete inclusion of skew 2-form data into the matrix-valued space.
 
-    Defined through the grouped stress DoFs: vertex skew values and interior
-    skew moments are copied from the input, every edge and symmetric-interior
-    DoF is zero.  Normalized so that S1 @ inclusion = identity.
+    Defined through the stress DoFs: vertex skew values and interior skew
+    moments are copied from the input, every edge and symmetric-interior DoF
+    is zero.  The vertex and edge DoFs are the pair's own up to sign: a skew
+    value s (m01 = -s, m10 = s) is w00 = w11 = -s, and the pair's edge DoFs
+    stay zero.  Each cell then solves its skew and symmetric rows for its
+    interior pair DoFs, all cells in one batch.  Normalized so that
+    S1 @ inclusion = identity; a ``Coo`` from pressure DoFs to pair DoFs.
     """
-    FN, mesh = ctx.pressure, ctx.mesh
-    T, slots = _grouped_stress_functionals(ctx)
-    index = {slot: s for s, slot in enumerate(slots)}
-    P = np.zeros((len(slots), FN.dim))
-    # skew scalar s at a vertex: prescribe m01 = -s, m10 = s
-    vertex = [[index[("vertex", vi, ab)] for ab in ((0, 1), (1, 0))]
-              for vi in range(mesh.count(0))]
-    P[vertex, FN.dofs(0, np.arange(mesh.count(0)), "vertex-value")] = [-1.0, 1.0]
+    mesh, sten, FN = ctx.mesh, ctx.stenberg, ctx.pressure
+    F, slots = zip(*(_stress_rows(mesh, ci, ctx.p + 1) for ci in range(len(mesh.cells))))
+    inner = [s for s, slot in enumerate(slots[0]) if slot[0] in ("skew", "sym")]
+    G = np.array(F)[:, inner] @ _matrix_fields(sten)
+    nloc, interior = sten.cell_global.shape[1], _positions(sten, "interior")
+    # the cell's rows at a unit vertex value: its pair DoFs w00 = w11 = -1
+    vertex = -G[:, :, _positions(sten, "vertex-c0")] \
+        - G[:, :, [nloc + i for i in _positions(sten, "vertex-c1")]]
     # interior: match the vertex-vanishing moment, doubled (chi:chi); the
-    # tests in plan order are the monomials vanishing at every vertex
-    q = FN.el.p
-    inner = [a for a in monomials(3, q) if max(a) < q]
-    skew = [[index[("skew", ci, a)] for a in inner] for ci in range(len(mesh.cells))]
-    P[skew, FN.dofs(2, np.arange(len(mesh.cells)), "interior")] = 2.0
-    raw = np.linalg.solve(T, P)
-    gauge = ctx.S1.array @ raw
-    scale = np.trace(gauge) / FN.dim
-    gauge.flat[::FN.dim + 1] -= scale
-    if abs(scale) < 1e-12 or np.abs(gauge).max() > 1e-8 * abs(scale):
+    # tests in plan order are the skew rows' monomials
+    moments = 2.0 * np.eye(len(inner), len(_positions(FN, "interior")))
+    X = np.linalg.solve(G[:, :, interior + [nloc + i for i in interior]], np.concatenate(
+        [-vertex, np.broadcast_to(moments, (len(F),) + moments.shape)], axis=2))
+    rows = np.hstack([sten.cell_global[:, interior], sten.dim + sten.cell_global[:, interior]])
+    cols = FN.cell_global[:, _positions(FN, "vertex-value") + _positions(FN, "interior")]
+    ids = np.arange(mesh.count(0))
+    vrows = [sten.dofs(0, ids, "vertex-c0").ravel(),
+             sten.dim + sten.dofs(0, ids, "vertex-c1").ravel()]
+    vcols = FN.dofs(0, ids, "vertex-value").ravel()
+    raw = Coo.summed(np.concatenate([np.repeat(rows, cols.shape[1]).ravel()] + vrows),
+                     np.concatenate([np.tile(cols, rows.shape[1]).ravel(), vcols, vcols]),
+                     np.concatenate([X.ravel(), -np.ones(2 * len(vcols))]),
+                     (2 * sten.dim, FN.dim))
+    gauge = ctx.S1 @ raw
+    scale = gauge.vals[gauge.rows == gauge.cols].sum() / FN.dim
+    if abs(scale) < 1e-12 or \
+            (replace(gauge, vals=gauge.vals / scale) - Coo.eye(FN.dim)).amax() > 1e-8:
         raise RuntimeError("inclusion failed to invert the trace map")
-    return raw / scale
+    return replace(raw, vals=raw.vals / scale)

@@ -75,21 +75,24 @@ def _p_values(args):
 MAX_LOCAL_MATRIX_BYTES = assembly.MAX_DENSE_BYTES
 
 
-def _check_local_size(slots, n):
-    """Exit 2 if an element of the (r, p, k) slots has a dense local DoF
-    matrix over MAX_LOCAL_MATRIX_BYTES.  Slots that are no family are left to
-    the command's own checks."""
+def _check_local_size(slots, n, systems=()):
+    """Exit 2 if an element of the (r, p, k) slots, or one of the square DoF
+    systems given as (description, order), has a dense local DoF matrix over
+    MAX_LOCAL_MATRIX_BYTES.  Slots that are no family are left to the
+    command's own checks."""
+    families = []
     for r, p, k in slots:
         try:
             el = element_def(r, p, k, n)
         except ValueError:
             continue
-        size = 8 * el.local_dim ** 2
-        if size > MAX_LOCAL_MATRIX_BYTES:
+        families.append((f"family r={r}, k={k}, n={n} at p={p} has local dimension "
+                         f"{el.local_dim}", el.local_dim))
+    for what, order in families + list(systems):
+        if 8 * order ** 2 > MAX_LOCAL_MATRIX_BYTES:
             raise SystemExit(
-                f"error: family r={r}, k={k}, n={n} at p={p} has local dimension "
-                f"{el.local_dim}; its dense DoF matrix would take {size / 2 ** 20:.0f} MiB, "
-                f"over the {MAX_LOCAL_MATRIX_BYTES // 2 ** 20} MiB limit")
+                f"error: {what}; its dense DoF matrix would take {8 * order ** 2 / 2 ** 20:.0f} "
+                f"MiB, over the {MAX_LOCAL_MATRIX_BYTES // 2 ** 20} MiB limit")
 
 
 REFERENCE = {n: [[0.0] * n] + [[float(i == j) for j in range(n)] for i in range(n)]
@@ -206,6 +209,7 @@ def cmd_bc(args):
     m = _load_mesh(args.mesh)
     if m.dim != 2:
         raise SystemExit("error: boundary-count reports are two-dimensional")
+    _check_local_size(assembly.family_row(2, 1, args.p), 2)
     cls = m.classify_boundary(args.bctol)
     try:
         rep = homogeneous_row_report(m, args.p, cls)
@@ -223,13 +227,17 @@ def cmd_bgg(args):
     _positive_p("bgg", args.p)
     tol = _tol(args)
     m = _load_mesh(args.mesh)
+    p, q = args.p, max(args.p, 3)
+    stress = 4 * math.comb(q + 2, 2)     # the order of the stress element's DoF system
+    _check_local_size([(1, p + 2, 0), (1, p + 1, 1), (1, p, 2), (2, p + 1, 2), (2, p + 3, 0)], 2,
+                      [(f"the stress element at p={q} has {stress} DoFs", stress)])
     try:
         ctx = bgg.BGGContext(m, args.p)     # refuses a mesh that is not 2D
         resid = ctx.identity_residual()
         xi = ctx.xi_complex()
     except (ValueError, RuntimeError) as exc:
         raise SystemExit(f"error: {exc}")
-    st = bgg.huzhang_stress(max(args.p, 3))
+    st = bgg.huzhang_stress(q)
     out = {"identity_residual": resid,
            "xi": {key: v for key, v in xi.items() if key != "rank_margins"},
            "stress": {"p": st.p, "n_dofs": st.n_dofs, "skew_interior": st.skew_interior,

@@ -553,11 +553,6 @@ def zero_trace_dim(mesh, p, k):
     return ns.shape[1], ns
 
 
-def hcurl_bubble_dim_formula(p):
-    """Closed form printed for the 3D tangential bubble space."""
-    return (p ** 3 - 2 * p ** 2 - p + 2) // 2
-
-
 # ---------------------------------------------------------------------------
 # vertex jet sequences and subsimplex bubble counts
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 import json
+import weakref
 
 import numpy as np
 import pytest
 
 from dof_reference import global_dof_values
 from derham import assembly
-from derham.assembly import (CONTAINMENT_TOL, DROP_RTOL, RANK_RTOL, Coo, _dof_coords,
+from derham.assembly import (CONTAINMENT_TOL, RANK_RTOL, Coo, _dof_coords,
                              _mean_points, assemble_d, assemble_space, containment_residual,
                              dim_formula, dof_savings, family_row,
                              homogeneous_row_report, interpolation_split_residual,
@@ -120,19 +121,6 @@ def test_wrong_pairing_rejected(meshes):
         assemble_d(lag, sten)
 
 
-def test_export_coo_format(meshes):
-    m = meshes["interval"]
-    D = assemble_d(assemble_space(m, 1, 3, 0), assemble_space(m, 1, 2, 1))
-    text = D.export_coo()
-    lines = text.strip().split("\n")
-    rows, cols, nnz = (int(x) for x in lines[0].split())
-    assert rows == D.array.shape[0] and cols == D.array.shape[1]
-    assert nnz == len(lines) - 1 == np.count_nonzero(D.array)
-    i, j, v = lines[1].split()
-    assert D.array[int(i), int(j)] == float(v)
-    assert D.dropped_max <= DROP_RTOL * np.abs(D.vals).max()
-
-
 def test_dense_rows_match_a_dense_reference():
     # rows 1 and 3 are empty, and row 4 alone is a one-column slab
     dense = np.zeros((5, 7))
@@ -209,6 +197,17 @@ def test_coo_constructors():
     E = Coo.of_dense(np.eye(2, 3))
     grid = Coo.blocks([[Coo.of_dense(X), None], [E, Coo.of_dense(-X)]])
     assert np.array_equal(grid.array, np.block([[X, np.zeros((2, 3))], [np.eye(2, 3), -X]]))
+
+
+def test_transpose_gives_back_its_matrix_without_keeping_it():
+    X = np.array([[0.0, 2.0, 0.0], [-1.0, 0.0, 3.0]])
+    A = Coo.of_dense(X)
+    t = A.T
+    assert A.T is t and A.T.T is A
+    alive = weakref.ref(A)
+    del A
+    assert alive() is None
+    assert np.array_equal(t.T.array, X) and t.T.T is t
 
 
 # -- proved ranks---------------------------------------------------------------------

@@ -5,7 +5,8 @@ import pytest
 
 from dof_reference import global_dof_values
 from derham.assembly import assemble_space, rank_of
-from derham.bgg import BGGContext, huzhang_stress, verify_bgg_identity, xi_complex
+from derham.bgg import (BGGContext, _matrix_fields, _stress_rows, huzhang_stress,
+                        stress_inclusion, verify_bgg_identity, xi_complex)
 from derham.elements import smoothness_rows
 from derham.forms import dim_trimmed, nullspace
 from derham.mesh import (SimplicialMesh, annulus_mesh, reference_triangle, triangle_grid,
@@ -240,23 +241,54 @@ def test_stress_row_exact(p):
     assert rep["exact"], rep
 
 
-@pytest.mark.parametrize("p", [2, 3])
-def test_projection_squares_commute(p):
-    rep = BGGContext(two_triangle_square(), p).projection_commutes()
+@pytest.mark.parametrize("mesh, p", [(two_triangle_square(), 2), (two_triangle_square(), 3),
+                                     (annulus_mesh(), 2), (triangle_grid(8), 2)],
+                         ids=["2", "3", "annulus-2", "grid8-2"])
+def test_projection_squares_commute(mesh, p):
+    rep = BGGContext(mesh, p).projection_commutes()
     assert rep["trace_right_inverse"] < 1e-10
     assert rep["left"] < 1e-10 and rep["right"] < 1e-10
     assert rep["projection_into_kernel"] < 1e-10
 
 
 def test_inclusion_clauses():
-    # the inclusion sets vertex skew values and interior skew moments from
-    # the input and leaves every edge and symmetric-interior DoF at zero
-    from derham.bgg import (BGGContext, stress_inclusion,
-                            _grouped_stress_functionals)
-    ctx = BGGContext(two_triangle_square(), 2)
-    ih = stress_inclusion(ctx)
-    T, slots = _grouped_stress_functionals(ctx)
-    grouped = T @ ih
-    for s, slot in enumerate(slots):
-        if slot[0] in ("edge", "sym"):
-            assert np.abs(grouped[s]).max() < 1e-10, slot
+    # per cell, the stress DoFs of the included fields: the vertex skew
+    # values are half the input's (m01 = -s/2, m10 = s/2, the diagonal zero),
+    # the interior skew moments are the input's interior DoFs, and every edge
+    # and symmetric-interior DoF is zero
+    half = {(0, 1): -0.5, (1, 0): 0.5, (0, 0): 0.0, (1, 1): 0.0}
+    for mesh in (two_triangle_square(), triangle_grid(2)):
+        ctx = BGGContext(mesh, 2)
+        sten, FN = ctx.stenberg, ctx.pressure
+        pair = np.hstack([sten.cell_global, sten.dim + sten.cell_global])
+        fields = _matrix_fields(sten) @ stress_inclusion(ctx).array[pair]
+        for ci in range(len(mesh.cells)):
+            F, slots = _stress_rows(mesh, ci, 3)
+            interior = iter(FN.dofs(2, ci, "interior"))
+            for row, slot in zip(F @ fields[ci], slots):
+                want = np.zeros(FN.dim)
+                if slot[0] == "vertex":
+                    want[FN.dofs(0, slot[1], "vertex-value")] = half[slot[2]]
+                elif slot[0] == "skew":
+                    want[next(interior)] = 1.0
+                assert np.abs(row - want).max() < 1e-10, slot
+
+
+def test_inclusion_reads_vertices_by_skeleton_id():
+    # an unused vertex first: mesh vertex indices are one above the skeleton's ids
+    grid = triangle_grid(2)
+    mesh = SimplicialMesh(np.vstack([[5.0, 5.0], grid.vertices]), grid.cells + 1)
+    rep = BGGContext(mesh, 2).projection_commutes()
+    assert max(rep.values()) < 1e-10
+
+
+def test_inclusion_memory():
+    # one square system per cell and no global matrix: about 15 MiB
+    ctx = BGGContext(triangle_grid(8), 2)
+    tracemalloc.start()
+    try:
+        stress_inclusion(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2 ** 20

@@ -561,6 +561,12 @@ BAD_MESH_FILES = {
      "--bctol must be a finite number >= 0 (got -1.0)"),
     (["bc", "--mesh", "{mesh}", "--p", "2", "--bctol", "inf"],
      "--bctol must be a finite number >= 0 (got inf)"),
+    (["bc", "--mesh", "{mesh}", "--p", "200"],
+     "family r=1, k=0, n=2 at p=202 has local dimension 20706"),
+    (["bgg", "--mesh", "{mesh}", "--p", "200"],
+     "family r=1, k=0, n=2 at p=202 has local dimension 20706"),
+    (["bgg", "--mesh", "{mesh}", "--p", "44"],
+     "the stress element at p=44 has 4140 DoFs; its dense DoF matrix would take 131 MiB"),
 ])
 def test_bad_arguments_exit_2_with_one_line(square_path, tmp_path, capsys, argv, message):
     paths = {"{mesh}": square_path, "{dir}": str(tmp_path),

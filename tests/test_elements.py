@@ -3,8 +3,9 @@ import pytest
 
 from conftest import REF, random_simplex
 from dof_reference import reference_export_lines
+from derham.assembly import dim_formula
 from derham.elements import (cell_dofs, dof_matrix, dual_basis, dual_export_lines, element_def,
-                             hcurl_bubble_dim_formula, jet_complex_ranks, p_min,
+                             jet_complex_ranks, p_min,
                              subsimplex_bubble_dims, tangential_bubble_span,
                              unisolvence_check, zero_trace_dim)
 from derham.forms import (Simplex, dim_full, dim_trimmed, eval_row, form_from_coeffs,
@@ -171,7 +172,7 @@ def test_vertex_dual_of_hdiv_is_vector_nodal():
 
 def test_hcurl_bubble_dim_p2_empty():
     el = element_def(2, 4, 1, 3)
-    assert hcurl_bubble_dim_formula(2) == 0
+    assert dim_formula(2, 2, 1, 3, (0, 0, 0, 1)) == 0
     assert rank_of(tangential_bubble_span(Simplex(REF[3]).grad_bary_float(), 2)) == 0
 
 
@@ -182,7 +183,7 @@ def test_hcurl_bubble_two_sided_rank(p):
     rank = rank_of(span)
     mesh = SimplicialMesh(np.asarray(REF[3], float), [(0, 1, 2, 3)])
     trace_dim, _ = zero_trace_dim(mesh, p, 1)
-    assert rank == trace_dim == hcurl_bubble_dim_formula(p)
+    assert rank == trace_dim == dim_formula(2, p, 1, 3, (0, 0, 0, 1))
     assert trace_dim == dim_trimmed(3, p - 2, 2)
 
 
