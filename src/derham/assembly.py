@@ -18,9 +18,9 @@ Rank decisions use a relative singular-value cutoff (forms.RANK_RTOL):
 Cholesky of a sparse Gram matrix and counts the singular values only where
 that proof fails.  A Gram matrix no larger than one leaf
 (``fronts.LEAF``) is summed straight into its single dense front; a larger
-one is sorted COO triplets, never dense, factored front by front on a
-nested-dissection plan (``fronts``) with one dense ``np.linalg.cholesky``
-per front.
+one is sorted COO triplets, never dense (summed from dense row slabs, or one
+sparse product where rows are short), factored front by front on a
+nested-dissection plan (``fronts``) with one ``np.linalg.cholesky`` per front.
 """
 
 from __future__ import annotations
@@ -53,6 +53,8 @@ CONSISTENCY_TOL = 1e-7
 # is refused above this size (float64 entries); the CLI refuses local DoF
 # matrices above the same size.
 MAX_DENSE_BYTES = 2 ** 27
+# A product with at most this many terms per entry skips the slabs (``_short``).
+_SHORT = 4
 
 
 class GlobalSpace:
@@ -370,6 +372,9 @@ class Coo:
     def __neg__(self):
         return replace(self, vals=-self.vals)
 
+    def __abs__(self):
+        return replace(self, vals=np.abs(self.vals))
+
     def __sub__(self, b):
         return self + -b
 
@@ -468,19 +473,32 @@ def _dense_rows(D, idx):
     lo = D.ptr[idx]
     reps = D.ptr[idx + 1] - lo
     pos = np.repeat(lo - np.cumsum(reps) + reps, reps) + np.arange(reps.sum())
-    used, at = np.unique(D.cols[pos], return_inverse=True)
+    cols = D.cols[pos]
+    first = cols.min(initial=D.shape[1])    # a bitmap over the columns' span, no sort
+    mark = np.zeros(cols.max(initial=first) + 1 - first, dtype=bool)
+    mark[cols - first] = True
+    used, at = np.flatnonzero(mark), np.empty(len(mark), dtype=int)
+    at[used] = np.arange(len(used))
     block = np.zeros((len(idx), len(used)))
-    block[np.repeat(np.arange(len(idx)), reps), at] = D.vals[pos]
-    return used, block
+    block[np.repeat(np.arange(len(idx)), reps), at[cols - first]] = D.vals[pos]
+    return used + first, block
 
 
 def _slabs(D):
     """Row ranges of D with at most 2**16 entries in their dense blocks:
     cells number their DoFs together, so consecutive rows touch few
-    columns, and a small matrix is one dense block."""
+    columns, and a small matrix is one dense block.  An m×n matrix is
+    m·n/2**16 slabs, so a product with short rows skips them (``_short``)."""
     m, n = D.shape
     step = max(1, 2 ** 16 // max(n, 1))
     return (np.arange(s, min(s + step, m)) for s in range(0, m, step))
+
+
+def _short(D, cols, B):
+    """Whether a product over the slabs of D runs as sparse triplets, linear in its terms
+    (Gustavson 1978): D's dense view is over one slab's 2**16 entries, and the left factor's
+    entries, in columns ``cols``, meet rows of B with at most _SHORT entries on average."""
+    return D.shape[0] * D.shape[1] > 2 ** 16 and np.diff(B.ptr)[cols].sum() <= _SHORT * len(cols)
 
 
 def _gram(X, coords, B=None, a=None):
@@ -491,14 +509,19 @@ def _gram(X, coords, B=None, a=None):
     Each slab of rows gives a product dense over the columns it touches.  A
     matrix of at most LEAF columns is one front, and the products are summed
     into it.  A larger one is never dense: the nonzero entries of each
-    product are one run of triplets, ``_coo_sum`` merges the runs, and
-    ``plan`` orders the pattern.  Either way an entry adds its slabs' terms
-    in slab order, and then a times BBᵀ's, so a matrix that is one front
-    holds the sums a dense buffer would.
+    product are one run of triplets, or PᵀP is one sparse product where
+    ``_short`` says so; ``_coo_sum`` merges the runs, and ``plan`` orders the
+    pattern.  An entry adds its terms in slab or product order, then a times
+    BBᵀ's, so a matrix that is one front holds the sums a dense buffer would.
     """
     n = X.shape[1]
     sums, terms = [], []
     for P in [X] if B is None else [X, B.T]:
+        terms.append(int(np.bincount(P.cols).max()))
+        if n > LEAF and _short(P, P.rows, P):
+            G = P.T @ P
+            sums.append((G.rows * n + G.cols, G.vals))
+            continue
         total = np.zeros((n, n)) if n <= LEAF else ([], [])
         for idx in _slabs(P):
             used, block = _dense_rows(P, idx)
@@ -512,14 +535,12 @@ def _gram(X, coords, B=None, a=None):
             else:
                 total[np.ix_(used, used)] += prod
         sums.append(total if n <= LEAF else _coo_sum(*total))
-        terms.append(int(np.bincount(P.cols).max()))
     if n <= LEAF:
         G = sums[0] if B is None else sums[0] + a * sums[1]
         return G.reshape(-1), [dense_front(n)], G.diagonal().copy(), terms
-    if B is not None:
-        (k0, v0), (k1, v1) = sums
-        sums = [_coo_sum([k0, k1], [v0, a * v1])]
-    keys, vals = sums[0]
+    (keys, vals), *rest = sums
+    if rest:
+        keys, vals = _coo_sum([keys, rest[0][0]], [vals, a * rest[0][1]])
     rows, cols = keys // n, keys % n
     diag, on = np.zeros(n), rows == cols
     diag[rows[on]] = vals[on]
@@ -555,7 +576,7 @@ def _mean_points(idx, pts, size):
 
 def _product_slabs(A, B):
     """Slabs of rows of A @ B and of |A| @ |B|, dense over the columns they
-    touch."""
+    touch, for products that ``_short`` leaves on the slabs."""
     for idx in _slabs(A):
         mid, block_a = _dense_rows(A, idx)
         _, block_b = _dense_rows(B, mid)
@@ -563,7 +584,13 @@ def _product_slabs(A, B):
 
 
 def complex_residual(D2, D1):
-    """Max entry of D2 @ D1 after row normalization."""
+    """Max entry of D2 @ D1, each over the largest in its row of |D2| @ |D1| (or 1),
+    both over the slabs of D2 or, where ``_short`` says so, as sparse triplets."""
+    if _short(D2, D2.cols, D1):
+        P, S = D2 @ D1, abs(D2) @ abs(D1)
+        rows = np.zeros(P.shape[0])
+        np.maximum.at(rows, S.rows, S.vals)
+        return float((np.abs(P.vals) / np.where(rows == 0.0, 1.0, rows)[P.rows]).max(initial=0.0))
     worst = 0.0
     for prod, scale in _product_slabs(D2, D1):
         rows = scale.max(axis=1, initial=0.0)
@@ -691,8 +718,10 @@ def _min_eig_estimate(gram, blocks):
 def _cholesky_floor(gram, t, c):
     """t - c as a proved lower bound on λ_min of the exact Gram matrix, or None.
 
-    c bounds the distance of the exact Gram matrix from the computed G plus
-    the rounding of a float Cholesky: one that completes on G - tI proves
+    c bounds the distance of the exact Gram matrix from the computed G, γ_w·F
+    for entries that sum at most w products each in any order (slab by slab,
+    or a sparse product's ``bincount``), plus the rounding of a float Cholesky:
+    one that completes on G - tI proves
     λ_min(G) ≥ t - γ_{N+1}/(1-γ_{N+1})·tr(G) (Rump, BIT 46, 2006), and P G Pᵀ
     has the eigenvalues of G for the plan's permutation P.  Rump's proof
     rests on Demmel's componentwise backward error of the computed factor,
@@ -763,8 +792,9 @@ def _proof(D, r, kernel, sigma1, coords):
         FB = B.vals @ B.vals
         a = F / FB
         penalty = a * dropped_B ** 2
-        sq = np.sum([(np.sum(prod ** 2), np.sum(bound ** 2))
-                     for prod, bound in _product_slabs(D, B)], axis=0)
+        sq = [P.vals @ P.vals for P in (D @ B, abs(D) @ abs(B))] if _short(D, D.cols, B) else \
+            np.sum([(np.sum(prod ** 2), np.sum(bound ** 2))
+                    for prod, bound in _product_slabs(D, B)], axis=0)
         dropped = (math.sqrt(sq[0]) + _gamma(w_row + 1) * math.sqrt(sq[1])) / kept_B
     dropped = dropped * (1 + _SLACK) + delta
     if dropped >= RANK_RTOL * lo1:

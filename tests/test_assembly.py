@@ -3,6 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dof_reference import global_dof_values
 from derham import assembly
@@ -16,7 +17,7 @@ from derham.assembly import (CONTAINMENT_TOL, RANK_RTOL, Coo, _dof_coords,
                              verify_decomposition, zero_mean_row)
 from derham.elements import element_def, p_min
 from derham.forms import Simplex, trace_matrix
-from derham.mesh import SimplicialMesh, cube_center_fan_grid, triangle_grid
+from derham.mesh import SimplicialMesh, cube_center_fan_grid, three_tet_fan, triangle_grid
 
 
 # -- assembled dimensions vs closed forms ----------------------------------------
@@ -135,6 +136,22 @@ def test_dense_rows_match_a_dense_reference():
         assert np.array_equal(used, np.flatnonzero(dense[idx].any(axis=0)))
         assert np.array_equal(block, dense[np.ix_(idx, used)])
         assert block.shape == (len(idx), len(used))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
+def test_dense_rows_bitmap_matches_a_sort(m, n, seed):
+    # the bitmap over the touched columns' span gives np.unique's columns and block
+    rng = np.random.default_rng(seed)
+    D = _random_coo(rng, (m, n), density=rng.random())
+    idx = np.sort(rng.choice(m, size=rng.integers(0, m + 1), replace=False))
+    lo, hi = D.ptr[idx], D.ptr[idx + 1]
+    pos = np.concatenate([np.arange(a, b) for a, b in zip(lo, hi)] + [np.zeros(0, int)])
+    want_used, at = np.unique(D.cols[pos], return_inverse=True)
+    want = np.zeros((len(idx), len(want_used)))
+    want[np.repeat(np.arange(len(idx)), hi - lo), at] = D.vals[pos]
+    used, block = assembly._dense_rows(D, idx)
+    assert np.array_equal(used, want_used) and np.array_equal(block, want)
 
 
 def _random_coo(rng, shape, density=0.3, dropped=0.0):
@@ -273,6 +290,88 @@ def test_verify_row_needs_no_dense_operator(monkeypatch):
     monkeypatch.setattr(Coo, "array", property(refuse))
     rep = verify_exactness(triangle_grid(8), 0, 2)
     assert rep.passed and all(m["proved"] for m in rep.rank_margins)
+
+
+def _row_ops(mesh, r, p):
+    spaces = [assemble_space(mesh, *s) for s in family_row(mesh.dim, r, p)]
+    return spaces, [assemble_d(a, b) for a, b in zip(spaces, spaces[1:])]
+
+
+def _gram_parts(monkeypatch, *args, short=None):
+    """``_gram``'s values, pattern and diagonal, the plan replaced by the
+    pattern; ``short`` = 0 sends every product over the slabs."""
+    monkeypatch.setattr(assembly, "plan", lambda n, coords, rows, cols: (rows, cols))
+    if short is not None:
+        monkeypatch.setattr(assembly, "_SHORT", short)
+    vals, pattern, diag, terms = assembly._gram(*args)
+    monkeypatch.undo()
+    return vals, pattern, diag, terms
+
+
+def test_short_rows_multiply_as_triplets_like_the_slabs(monkeypatch):
+    _, (D0, D1) = _row_ops(triangle_grid(8), 0, 2)
+    # D0 (2 terms per entry) and D0ᵀ span two slabs each; D1ᵀD1 + a·D0D0ᵀ
+    # sums D1's one slab and D0ᵀ's triplets
+    for P in (D0, D0.T):
+        assert len(list(assembly._slabs(P))) > 1 and assembly._short(P, P.rows, P)
+    for args in [(D0, None), (D0.T, None), (D1, None, D0, 0.7)]:
+        vals, (rows, cols), diag, terms = _gram_parts(monkeypatch, *args)
+        want, (wrows, wcols), wdiag, wterms = _gram_parts(monkeypatch, *args, short=0)
+        assert np.array_equal(rows, wrows) and np.array_equal(cols, wcols)
+        assert np.abs(vals - want).max() <= 1e-13 * np.abs(want).max()
+        assert np.abs(diag - wdiag).max() <= 1e-13 * np.abs(want).max() and terms == wterms
+    # d∘d over more than one slab of D1 on a finer grid, and with D0 moved so
+    # that D1·D0 is far from zero
+    _, (D0, D1) = _row_ops(triangle_grid(12), 0, 2)
+    moved = Coo(D0.rows, D0.cols, D0.vals * np.linspace(1.0, 1.001, len(D0.vals)), D0.shape)
+    assert assembly._short(D1, D1.cols, D0)
+    got = [complex_residual(D1, D) for D in (D0, moved)]
+    monkeypatch.setattr(assembly, "_SHORT", 0)
+    want = [complex_residual(D1, D) for D in (D0, moved)]
+    assert abs(got[0] - want[0]) <= 1e-12 and abs(got[1] - want[1]) <= 1e-12 * want[1]
+    assert want[1] > 1e-5
+    monkeypatch.undo()
+    # ‖DB‖_F of the middle operator's proof, D (721×504) and B (504×96) short
+    spaces, ops = _row_ops(cube_center_fan_grid(1, 1, 1), 1, 1)
+    ranks, margins = _prove_row(spaces, ops)
+    monkeypatch.setattr(assembly, "_SHORT", 0)
+    assert _prove_row(spaces, ops)[0] == ranks
+    for got, want in zip(margins, _prove_row(spaces, ops)[1]):
+        # the dropped bound is rounding residue of DB = 0, summed in another order
+        assert got["proved"] and want["proved"] and abs(got["dropped"] - want["dropped"]) < 1e-12
+        assert abs(got["kept"] - want["kept"]) <= 1e-8 * want["kept"]
+
+
+def test_one_slab_and_long_row_products_keep_the_slabs(monkeypatch):
+    from derham.bgg import BGGContext
+    _, ops = _row_ops(three_tet_fan(), 1, 2)
+    ctx = BGGContext(triangle_grid(4), 2)
+    grams = [X for D in ops for X in (D, D.T)] + [ctx.dV0, ctx.S1.T]
+    pairs = list(zip(ops[1:], ops)) + [(ctx.dK1, ctx.dK0)]
+    # the bgg operators span several slabs, their rows too long for triplets
+    for X in (ctx.dV0, ctx.S1.T):
+        assert len(list(assembly._slabs(X))) > 1 and not assembly._short(X, X.rows, X)
+    assert len(list(assembly._slabs(ctx.dK1))) > 1
+    assert not assembly._short(ctx.dK1, ctx.dK1.cols, ctx.dK0)
+    for X in grams:
+        (vals, pattern, diag, _), want = (_gram_parts(monkeypatch, X, None, short=s)
+                                          for s in (None, 0))
+        assert np.array_equal(vals, want[0]) and np.array_equal(diag, want[2])
+        if X.shape[1] > assembly.LEAF:
+            assert all(np.array_equal(a, b) for a, b in zip(pattern, want[1]))
+    for D2, D1 in pairs:
+        got = complex_residual(D2, D1)
+        monkeypatch.setattr(assembly, "_SHORT", 0)
+        assert complex_residual(D2, D1) == got
+        monkeypatch.undo()
+
+
+def test_short_row_verdict_walks_no_slab(monkeypatch):
+    calls = []
+    dense_rows = assembly._dense_rows
+    monkeypatch.setattr(assembly, "_dense_rows", lambda *a: calls.append(1) or dense_rows(*a))
+    rep = verify_exactness(triangle_grid(32), 0, 2)
+    assert rep.passed and all(m["proved"] for m in rep.rank_margins) and not calls
 
 
 # -- exactness ----------------------------------------------------------------------
