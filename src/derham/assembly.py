@@ -29,9 +29,9 @@ import json
 import math
 import weakref
 from collections import namedtuple
-from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement, permutations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -269,7 +269,6 @@ def row_p_min(n, r):
 # operators
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class Coo:
     """A sparse matrix as COO triplets: ``rows``, ``cols`` and ``vals`` in
     row-major order, each entry once.  ``dropped_norm`` and ``dropped_max``
@@ -277,14 +276,19 @@ class Coo:
     from it: the scatter's cancellation residue, or for the algebra below a
     bound on how far its operands' residues move it (``dropped_max`` only
     from the scatter).  The row starts ``ptr``, the transpose ``T`` and the
-    dense view ``array`` are built on first use and kept.
+    dense view ``array`` are built on first use and kept, so the triplets
+    are not changed after construction; ``replace`` makes a changed copy.
     """
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-    shape: tuple
-    dropped_norm: float = 0.0
-    dropped_max: float = 0.0
+
+    def __init__(self, rows, cols, vals, shape, dropped_norm=0.0, dropped_max=0.0):
+        self.rows, self.cols, self.vals, self.shape = rows, cols, vals, shape
+        self.dropped_norm, self.dropped_max = dropped_norm, dropped_max
+
+    def replace(self, **changes):
+        """A copy with the given fields changed; cached views are not copied."""
+        fields = {"rows": self.rows, "cols": self.cols, "vals": self.vals, "shape": self.shape,
+                  "dropped_norm": self.dropped_norm, "dropped_max": self.dropped_max}
+        return Coo(**{**fields, **changes})
 
     @classmethod
     def summed(cls, rows, cols, vals, shape, dropped_norm=0.0):
@@ -370,10 +374,10 @@ class Coo:
                           np.r_[self.vals, b.vals], self.shape, self.dropped_norm + b.dropped_norm)
 
     def __neg__(self):
-        return replace(self, vals=-self.vals)
+        return self.replace(vals=-self.vals)
 
     def __abs__(self):
-        return replace(self, vals=np.abs(self.vals))
+        return self.replace(vals=np.abs(self.vals))
 
     def __sub__(self, b):
         return self + -b
@@ -903,8 +907,7 @@ def prove_ranks(ops, coords, kernel=None):
     return ranks, margins
 
 
-@dataclass
-class ExactnessReport:
+class ExactnessReport(NamedTuple):
     dims: list
     ranks: list
     nullities: list
@@ -1079,8 +1082,8 @@ def homogeneous_row_report(mesh, p, classification):
     img = D0 @ N0
     coef = N1.T @ img
     # N has orthonormal columns, so a product's residue is at most D's
-    chain = [replace(D1 @ N1, dropped_norm=D1.dropped_norm).T,
-             replace(coef, dropped_norm=D0.dropped_norm).T]
+    chain = [(D1 @ N1).replace(dropped_norm=D1.dropped_norm).T,
+             coef.replace(dropped_norm=D0.dropped_norm).T]
     z = zero_mean_row(spaces[2])[0]
     checks = [((img - N1 @ coef).vals, img.vals), (chain[0].dot(z), chain[0].vals)]
     ok_invariant = all(np.abs(off).max(initial=0.0) <= 1e-8 * max(np.abs(m).max(initial=0.0), 1.0)

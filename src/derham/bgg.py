@@ -14,8 +14,8 @@ so that d1 S0 + S1 d0 = 0 holds identically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -279,8 +279,7 @@ def _stress_rows(mesh, ci, q):
     return np.vstack(rows), slots
 
 
-@dataclass
-class StressElementReport:
+class StressElementReport(NamedTuple):
     p: int
     n_dofs: int
     dim_shape: int
@@ -389,6 +388,6 @@ def stress_inclusion(ctx):
     gauge = ctx.S1 @ raw
     scale = gauge.vals[gauge.rows == gauge.cols].sum() / FN.dim
     if abs(scale) < 1e-12 or \
-            (replace(gauge, vals=gauge.vals / scale) - Coo.eye(FN.dim)).amax() > 1e-8:
+            (gauge.replace(vals=gauge.vals / scale) - Coo.eye(FN.dim)).amax() > 1e-8:
         raise RuntimeError("inclusion failed to invert the trace map")
-    return replace(raw, vals=raw.vals / scale)
+    return raw.replace(vals=raw.vals / scale)

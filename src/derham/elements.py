@@ -24,9 +24,9 @@ per native degree, which ``export`` prints.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,8 +68,7 @@ _LABELS = {
 }
 
 
-@dataclass(frozen=True)
-class ElementDef:
+class ElementDef(NamedTuple):
     r: object
     p: int
     k: int
@@ -117,8 +116,7 @@ def p_min(r, k, n):
 # DoF plans: what every entity carries, without geometry
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DofGroup:
+class DofGroup(NamedTuple):
     """DoFs of one kind on one entity, as a geometry-free plan entry.
 
     ``kind`` is "point" (the value at the vertex) or "moment" (measure-
@@ -279,8 +277,7 @@ def dof_plan(el, d):
     return tuple(g for g in out if g.size)
 
 
-@dataclass(frozen=True)
-class DoF:
+class DoF(NamedTuple):
     """One local DoF as the plan lays it out: entity, label and test degree."""
     entity_dim: int
     entity_verts: tuple

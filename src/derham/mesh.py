@@ -9,19 +9,18 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, product
+from typing import NamedTuple
 
 import numpy as np
 
-from .forms import Simplex, _frozen, nonzero_volume
+from .forms import _frozen, nonzero_volume
 
 COLLINEAR_TOL = 1e-12
 
 
-@dataclass
-class Frame:
+class Frame(NamedTuple):
     """Orthonormal tangent/normal vectors attached to an edge or face."""
     tangents: np.ndarray   # (t, n): one row per tangent direction
     normals: np.ndarray    # (m, n): one row per normal direction
@@ -33,15 +32,17 @@ def _unit(vectors):
     return vectors / np.sqrt((vectors[:, None, :] @ vectors[:, :, None])[:, 0])
 
 
-@dataclass
 class BoundaryClassification:
-    corner_vertices: set = field(default_factory=set)
-    noncorner_boundary_vertices: set = field(default_factory=set)
-    corner_edges: set = field(default_factory=set)
-    noncorner_boundary_edges: set = field(default_factory=set)
-    directions: dict = field(default_factory=dict)
-    tangents: dict = field(default_factory=dict)
-    has_boundary: bool = True
+    """The corner/non-corner split that ``classify_boundary`` fills in."""
+
+    def __init__(self):
+        self.corner_vertices = set()
+        self.noncorner_boundary_vertices = set()
+        self.corner_edges = set()
+        self.noncorner_boundary_edges = set()
+        self.directions = {}
+        self.tangents = {}
+        self.has_boundary = True
 
     @property
     def v0(self):
@@ -86,9 +87,21 @@ class SimplicialMesh:
             if c in seen:
                 raise ValueError(f"duplicate cell {c}")
             seen.add(c)
-        flat = np.flatnonzero(~nonzero_volume(self.vertices[np.array(cells, dtype=int)]))
+        pts = self.vertices[np.array(cells, dtype=int)]
+        flat = np.flatnonzero(~nonzero_volume(pts))
         if flat.size:
             raise ValueError(f"degenerate cell {cells[flat[0]]} (zero volume)")
+        # frames divide by the square root of each edge's squared length: it
+        # must be a normal float, neither overflowed nor underflowed
+        pairs = np.array(list(combinations(range(self.dim + 1), 2))).T
+        with np.errstate(over="ignore", under="ignore"):
+            sq = np.square(pts[:, pairs[1]] - pts[:, pairs[0]]).sum(axis=2)
+        bad = np.flatnonzero(~((sq >= np.finfo(float).tiny) & (sq < np.inf)).ravel())
+        if bad.size:
+            ci, e = divmod(int(bad[0]), pairs.shape[1])
+            edge = (cells[ci][pairs[0, e]], cells[ci][pairs[1, e]])
+            raise ValueError(f"edge {edge} has squared length {sq[ci, e]:.3g}, outside the "
+                             f"normal float64 range; rescale the coordinates")
         self.cells = np.array(cells, dtype=int)
 
         # skeleton[d]: sorted list of ascending vertex tuples; ids are indices
@@ -128,7 +141,6 @@ class SimplicialMesh:
                         self.boundary[d][self._ids[d][s]] = True
 
         self._frames = {}
-        self._sub_cache = {}
         self._edge_normal_seed = None
 
     # -- basic queries ---------------------------------------------------------
@@ -212,8 +224,9 @@ class SimplicialMesh:
     # -- geometry for elements ---------------------------------------------------
     @cached_property
     def bary_inverse(self):
-        """``Simplex.bary_inverse`` of every cell, one stacked inverse:
-        shape (cells, dim + 1, dim + 1)."""
+        """Every cell's inverse of [1 | vertices] (column j holds lambda_j's
+        constant and gradient), one stacked inverse: shape (cells, dim + 1,
+        dim + 1)."""
         pts = self.vertices[self.cells]
         return _frozen(np.linalg.inv(np.concatenate([np.ones(pts.shape[:2] + (1,)), pts], axis=2)))
 
@@ -222,29 +235,16 @@ class SimplicialMesh:
         """Every cell's float barycentric gradients: (cells, dim + 1, dim)."""
         return self.bary_inverse[:, 1:].swapaxes(1, 2)
 
-    def cell_simplex(self, ci):
-        key = (self.dim, int(ci), "cell")
-        if key not in self._sub_cache:
-            self._sub_cache[key] = Simplex(self.vertices[list(self.cells[ci])])
-        return self._sub_cache[key]
-
     def chart_grads(self, d, ids):
-        """``sub_simplex(d, e).grad_bary_float()`` of every d-simplex e in
-        ``ids`` (0 < d < dim), from one stacked inverse: (len(ids), d+1, d)."""
+        """The float barycentric gradients of every d-simplex in ``ids``
+        (0 < d < dim), in the chart of its frame (origin its first vertex),
+        from one stacked inverse: (len(ids), d+1, d)."""
         pts = self.vertices[np.array(self.skeleton[d])[ids]]
         chart = (pts - pts[:, :1]) @ self.frames(d).tangents[ids].swapaxes(1, 2)
         if not nonzero_volume(chart).all():
             raise ValueError("degenerate simplex (zero volume)")
         ones = np.ones(chart.shape[:2] + (1,))
         return np.linalg.inv(np.concatenate([ones, chart], axis=2))[:, 1:].swapaxes(1, 2)
-
-    def sub_simplex(self, d, idx):
-        """Intrinsic simplex of a d-simplex, 0 < d < dim, in its frame's chart."""
-        key = (d, int(idx))
-        if key not in self._sub_cache:
-            pts = self.vertices[list(self.skeleton[d][idx])]
-            self._sub_cache[key] = Simplex.embedded(pts, self.frame(d, idx).tangents)
-        return self._sub_cache[key]
 
     # -- boundary classification ---------------------------------------------------
     def classify_boundary(self, tol=COLLINEAR_TOL):

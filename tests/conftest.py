@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.spatial import Delaunay
 
-from derham.forms import Simplex
+from derham.exact import Simplex
 from derham.mesh import (SimplicialMesh, annulus_mesh, cube_center_fan_grid, interval_mesh,
                          reference_tet, reference_triangle, split_edge_square,
                          three_tet_fan, three_triangle_mesh,

@@ -20,8 +20,9 @@ from itertools import combinations
 import numpy as np
 
 from derham.elements import DofGroup, _test_blocks, cell_dofs, dof_plan
-from derham.forms import (FormPolynomial, Simplex, coeffs, elevation, form_from_coeffs, full_basis,
-                          monomials, poly_mul, trimmed_basis)
+from derham.exact import (FormPolynomial, Simplex, cell_simplex, coeffs, form_from_coeffs,
+                          full_basis, poly_mul, sub_simplex, trimmed_basis)
+from derham.forms import elevation, monomials
 
 
 def shape_basis(el, simplex):
@@ -58,8 +59,8 @@ def entity_blocks(el, mesh, d, idx):
     its geometry, one ``Block`` per group."""
     n = el.n
     verts = tuple(int(v) for v in mesh.cells[idx]) if d == n else mesh.skeleton[d][idx]
-    sub = mesh.sub_simplex(d, idx) if 0 < d < n else None
-    domain = mesh.cell_simplex(idx) if d == n else sub
+    sub = sub_simplex(mesh, d, idx) if 0 < d < n else None
+    domain = cell_simplex(mesh, idx) if d == n else sub
 
     def vector(spec):
         return np.eye(n)[spec] if isinstance(spec, int) else mesh.frame(d, idx).normals[spec[1]]
@@ -161,7 +162,7 @@ def reference_operator(src, dst, fmap):
     for ci in range(len(mesh.cells)):
         cverts = tuple(int(v) for v in mesh.cells[ci])
         src_blocks, dst_blocks = (cell_blocks(s.el, mesh, ci) for s in (src, dst))
-        shapes = shape_basis(src.el, mesh.cell_simplex(ci))
+        shapes = shape_basis(src.el, cell_simplex(mesh, ci))
         M = np.array([reference_dof_values(src_blocks, cverts, b) for b in shapes]).T
         A = np.array([reference_dof_values(dst_blocks, cverts, fmap(b.as_float()))
                       for b in shapes]).T

@@ -25,7 +25,7 @@ from derham.elements import (dof_matrix, element_def, jet_complex_ranks,
                              p_min, subsimplex_bubble_dims,
                              tangential_bubble_span, unisolvence_check,
                              zero_trace_dim)
-from derham.forms import Simplex
+from derham.exact import Simplex
 from derham.mesh import SimplicialMesh, cube_center_fan_grid
 
 

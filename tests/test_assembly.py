@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dof_reference import global_dof_values
-from derham import assembly
+from derham import assembly, exact
 from derham.assembly import (CONTAINMENT_TOL, RANK_RTOL, Coo, _dof_coords,
                              _mean_points, assemble_d, assemble_space, containment_residual,
                              dim_formula, dof_savings, family_row,
@@ -16,7 +16,8 @@ from derham.assembly import (CONTAINMENT_TOL, RANK_RTOL, Coo, _dof_coords,
                              verify_exactness, verify_row, complex_residual,
                              verify_decomposition, zero_mean_row)
 from derham.elements import element_def, p_min
-from derham.forms import Simplex, trace_matrix
+from derham.exact import Simplex, cell_simplex
+from derham.forms import trace_matrix
 from derham.mesh import SimplicialMesh, cube_center_fan_grid, three_tet_fan, triangle_grid
 
 
@@ -276,7 +277,7 @@ def test_verdict_builds_no_per_cell_geometry(monkeypatch):
 
     def refuse(*args, **kwargs):
         raise AssertionError("per-cell geometry built on the verdict path")
-    monkeypatch.setattr(SimplicialMesh, "cell_simplex", refuse)
+    monkeypatch.setattr(exact, "cell_simplex", refuse)
     monkeypatch.setattr(Simplex, "__init__", refuse)
     rep = verify_exactness(mesh, 0, 2)
     assert rep.passed and rep.dims == [289, 416, 128] and rep.ranks == [288, 128]
@@ -516,11 +517,11 @@ def test_zero_mean_row_integrates(meshes, r, p):
     # the quotient-by-constants row is the integral functional; a DoF shared
     # by several cells (vertex values at r=2) collects every cell's part
     from derham.assembly import zero_mean_row
-    from derham.forms import FormPolynomial
+    from derham.exact import FormPolynomial
     m = meshes["split"]
     space = assemble_space(m, r, p, 2)
     row = zero_mean_row(space)
-    one = global_dof_values(space, {ci: FormPolynomial(m.cell_simplex(ci), 2, {(0, 1): {(0, 0, 0): 1.0}})
+    one = global_dof_values(space, {ci: FormPolynomial(cell_simplex(m, ci), 2, {(0, 1): {(0, 0, 0): 1.0}})
                                     for ci in range(len(m.cells))})
     assert row.shape == (1, space.dim)
     assert abs(row[0] @ one - 1.0) < 1e-12

@@ -8,6 +8,7 @@ from derham.assembly import assemble_space, rank_of
 from derham.bgg import (BGGContext, _matrix_fields, _stress_rows, huzhang_stress,
                         stress_inclusion, verify_bgg_identity, xi_complex)
 from derham.elements import smoothness_rows
+from derham.exact import cell_simplex
 from derham.forms import dim_trimmed, nullspace
 from derham.mesh import (SimplicialMesh, annulus_mesh, reference_triangle, triangle_grid,
                          two_triangle_square)
@@ -47,12 +48,12 @@ def test_s1_surjective():
 
 def _constant_row_dofs(ctx, comps_row1, comps_row2):
     """Stenberg-pair DoF vector of constant component rows."""
-    from derham.forms import FormPolynomial
+    from derham.exact import FormPolynomial
     mesh = ctx.mesh
     one = (0,) * 3
     vecs = []
     for comps in (comps_row1, comps_row2):
-        forms = {ci: FormPolynomial(mesh.cell_simplex(ci), 1,
+        forms = {ci: FormPolynomial(cell_simplex(mesh, ci), 1,
                                     {(0,): {one: comps[0]}, (1,): {one: comps[1]}})
                  for ci in range(len(mesh.cells))}
         vecs.append(global_dof_values(ctx.stenberg, forms))
@@ -60,14 +61,14 @@ def _constant_row_dofs(ctx, comps_row1, comps_row2):
 
 
 def test_s1_on_constant_fields():
-    from derham.forms import FormPolynomial
+    from derham.exact import FormPolynomial
     ctx = BGGContext(two_triangle_square(), 2)
     mesh = ctx.mesh
     # component array = identity: w11 = w22 = 1 -> the trace map gives -2
     x = _constant_row_dofs(ctx, (1.0, 0.0), (0.0, 1.0))
     y = ctx.S1.dot(x)
     expect = global_dof_values(
-        ctx.pressure, {ci: FormPolynomial(mesh.cell_simplex(ci), 2, {(0, 1): {(0,) * 3: -2.0}})
+        ctx.pressure, {ci: FormPolynomial(cell_simplex(mesh, ci), 2, {(0, 1): {(0,) * 3: -2.0}})
                        for ci in range(len(mesh.cells))})
     assert np.abs(y - expect).max() < 1e-12
     # trace-free components (symmetric matrix proxy) are in the kernel

@@ -252,12 +252,12 @@ count_T,192
 def test_compare_realises_no_dof(monkeypatch, capsys):
     # the numbering reads the plan's block sizes: no subsimplex chart, frame,
     # trimmed test basis or DoF row is built
-    from derham import assembly, elements, forms
+    from derham import assembly, elements, exact, forms
     from derham.mesh import SimplicialMesh
 
     def refuse(*args, **kwargs):
         raise AssertionError("a DoF was realised")
-    monkeypatch.setattr(SimplicialMesh, "sub_simplex", refuse)
+    monkeypatch.setattr(exact, "sub_simplex", refuse)
     monkeypatch.setattr(SimplicialMesh, "frame", refuse)
     monkeypatch.setattr(forms, "trimmed_coeffs", refuse)
     monkeypatch.setattr(elements, "trimmed_coeffs", refuse)
@@ -339,7 +339,8 @@ def test_bc_unproved_rank_over_the_limit_exits_2(square_path, capsys, monkeypatc
 def test_commands_build_no_form_polynomial_or_fraction(tmp_path, monkeypatch, capsys):
     # every command computes on coefficient arrays and float geometry; the
     # exact forms and Fractions are the tests' reference only
-    from derham import forms
+    import fractions
+    from derham import exact
     split, tets = tmp_path / "split.json", tmp_path / "tet2.json"
     split_edge_square().save(split)
     two_tet_mesh().save(tets)
@@ -351,8 +352,8 @@ def test_commands_build_no_form_polynomial_or_fraction(tmp_path, monkeypatch, ca
     def refuse(*args, **kwargs):
         raise AssertionError("exact form algebra built by a command")
     with monkeypatch.context() as patch:
-        patch.setattr(forms.FormPolynomial, "__init__", refuse)
-        patch.setattr(forms, "Fraction", refuse)
+        patch.setattr(exact.FormPolynomial, "__init__", refuse)
+        patch.setattr(fractions, "Fraction", refuse)
         refused = [(main(argv), capsys.readouterr()) for argv in commands]
     for argv, result in zip(commands, refused):
         assert (main(argv), capsys.readouterr()) == result, argv
@@ -381,6 +382,23 @@ def test_verify_sliver_names_the_ill_conditioned_cell(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == "" and "Traceback" not in captured.err
     assert "disagrees across cells" in captured.err and "7.5e+31" in captured.err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+@pytest.mark.parametrize("argv", [["verify", "--row", "0", "--p", "2"], ["bc", "--p", "4"],
+                                  ["bgg", "--p", "2"]])
+def test_out_of_range_scale_exits_2_with_one_line(tmp_path, capsys, scale, argv):
+    # squared edge lengths that overflow (a LinAlgError traceback, warnings)
+    # or underflow (a false FAIL) are refused when the mesh is read
+    path = tmp_path / "mesh.json"
+    path.write_text(json.dumps({"dim": 2, "vertices": [[0, 0], [scale, 0], [0, scale]],
+                                "cells": [[0, 1, 2]]}))
+    rc = main(argv + ["--mesh", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: cannot parse mesh file ")
+    assert "edge (0, 1) has squared length" in captured.err
 
 
 @pytest.mark.parametrize("mesh,message", [
@@ -471,12 +489,12 @@ def test_main_freezes_the_import_heap(tmp_path):
     assert proc.stdout == "True True\n"
 
 
-NO_SCIPY = """
+FRESH_RUN = """
 import sys
 import derham.cli
 
 def check(when):
-    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    loaded = sorted(m for m in sys.modules if m in {names!r} or m.split(".")[0] in {names!r})
     if loaded:
         sys.exit(f"{{when}}: {{loaded}}")
 
@@ -487,11 +505,26 @@ check("after the cli-mix commands")
 """
 
 
-def test_runtime_loads_no_scipy(square_path):
-    # a fresh interpreter: pytest and the test helpers may load scipy themselves
+def _fresh_run(square_path, names):
+    """The cli-mix commands in a fresh interpreter, which fails if any of the
+    named modules (or a submodule of one) is loaded after the import or after
+    the commands: pytest and the test helpers may load them themselves."""
     commands = [[a.replace("{mesh}", square_path) for a in argv] for argv in CLI_MIX]
-    proc = subprocess.run([sys.executable, "-c", NO_SCIPY.format(commands=commands)],
-                          capture_output=True, text=True)
+    return subprocess.run(
+        [sys.executable, "-c", FRESH_RUN.format(names=names, commands=commands)],
+        capture_output=True, text=True)
+
+
+def test_runtime_loads_no_scipy(square_path):
+    proc = _fresh_run(square_path, ["scipy"])
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cold_start_loads_no_generated_or_reference_code(square_path):
+    # the records are named tuples (no dataclass code is generated), the
+    # exact-form stack is the tests' alone, and Fractions are loaded only for
+    # a volume that floats cannot decide
+    proc = _fresh_run(square_path, ["dataclasses", "fractions", "decimal", "derham.exact"])
     assert proc.returncode == 0, proc.stderr
 
 

@@ -8,9 +8,9 @@ from dof_reference import (cell_blocks, random_form, reference_operator, referen
                            scalar_moment, shape_basis)
 from derham import assembly, bgg
 from derham.elements import _P_MIN, block_rows, element_def, p_min, shape_coeffs
-from derham.forms import (FormPolynomial, Simplex, _coefficient_matrix, coeffs,
-                          exterior_derivative_matrix, form_from_coeffs, moment_gram,
-                          monomials, rank_of)
+from derham.exact import (FormPolynomial, Simplex, _coefficient_matrix, cell_simplex, coeffs,
+                          form_from_coeffs, sub_simplex)
+from derham.forms import exterior_derivative_matrix, moment_gram, monomials, rank_of
 from derham.mesh import SimplicialMesh
 
 # (functional, element (r, p, k, n) that carries it)
@@ -54,7 +54,7 @@ def test_row_matches_form_algebra(kind, family):
     rng = np.random.default_rng([ord(c) for c in f"{kind}{family}"])
     mesh = SimplicialMesh(random_simplex(n, rng), [tuple(range(n + 1))])
     el = element_def(r, p, k, n)
-    cell = mesh.cell_simplex(0)
+    cell = cell_simplex(mesh, 0)
     cverts = tuple(range(n + 1))
     blocks = cell_blocks(el, mesh, 0)
     starts = np.cumsum([0] + [b.size for b in blocks])
@@ -208,7 +208,7 @@ def _normal_trace(fields, nu, i):
 def test_stress_rows_match_form_algebra(q):
     rng = np.random.default_rng(40 + q)
     mesh = SimplicialMesh(random_simplex(2, rng), [(0, 1, 2)])
-    cell = mesh.cell_simplex(0)
+    cell = cell_simplex(mesh, 0)
     F, slots = bgg._stress_rows(mesh, 0, q)
     fields = {ab: FormPolynomial(cell, 0, {(): {a: rng.normal() for a in monomials(3, q)}})
               for ab in bgg._ENTRIES}
@@ -221,7 +221,7 @@ def test_stress_rows_match_form_algebra(q):
         elif slot[0] == "edge":
             _, ei, i, mono = slot
             everts = mesh.skeleton[1][ei]
-            sub = mesh.sub_simplex(1, ei)
+            sub = sub_simplex(mesh, 1, ei)
             trace = _normal_trace(fields, mesh.frame(1, ei).normals[0], i).restrict(sub, list(everts))
             ref = scalar_moment(trace, sub, {mono: 1})
         elif slot[0] == "skew":
@@ -237,7 +237,7 @@ def test_stress_rows_match_form_algebra(q):
 def test_stress_symmetric_tests_have_zero_normal_trace(q):
     rng = np.random.default_rng(50 + q)
     mesh = SimplicialMesh(random_simplex(2, rng), [(0, 1, 2)])
-    cell = mesh.cell_simplex(0)
+    cell = cell_simplex(mesh, 0)
     F, slots = bgg._stress_rows(mesh, 0, q)
     sym = F[[s for s, slot in enumerate(slots) if slot[0] == "sym"]]
     assert len(sym) == rank_of(sym) == 3 * q * (q - 1) // 2
@@ -252,6 +252,6 @@ def test_stress_symmetric_tests_have_zero_normal_trace(q):
         for ei, everts in enumerate(mesh.skeleton[1]):
             nu = mesh.frame(1, ei).normals[0]
             for i in range(2):
-                trace = _normal_trace(fields, nu, i).restrict(mesh.sub_simplex(1, ei), list(everts))
+                trace = _normal_trace(fields, nu, i).restrict(sub_simplex(mesh, 1, ei), list(everts))
                 assert all(abs(c) <= 1e-10 * scale for poly in trace.comps.values()
                            for c in poly.values())

@@ -8,8 +8,8 @@ from derham.elements import (cell_dofs, dof_matrix, dual_basis, dual_export_line
                              jet_complex_ranks, p_min,
                              subsimplex_bubble_dims, tangential_bubble_span,
                              unisolvence_check, zero_trace_dim)
-from derham.forms import (Simplex, dim_full, dim_trimmed, eval_row, form_from_coeffs,
-                          rank_of, trace_matrix)
+from derham.exact import Simplex, cell_simplex, form_from_coeffs, sub_simplex
+from derham.forms import dim_full, dim_trimmed, eval_row, rank_of, trace_matrix
 from derham.mesh import SimplicialMesh
 
 ALL_FAMILIES = []
@@ -202,12 +202,12 @@ def test_hcurl_bubble_tangential_trace_vanishes():
     rng = np.random.default_rng(1)
     mesh = SimplicialMesh(np.asarray(REF[3], float), [(0, 1, 2, 3)])
     _, cols = zero_trace_dim(mesh, 4, 1)
-    basis = [form_from_coeffs(mesh.cell_simplex(0), 1, 4, col) for col in cols.T]
+    basis = [form_from_coeffs(cell_simplex(mesh, 0), 1, 4, col) for col in cols.T]
     assert len(basis) == 15
     for f in basis:
         ff = f.as_float()
         for fi in range(4):
-            sub = mesh.sub_simplex(2, fi)
+            sub = sub_simplex(mesh, 2, fi)
             everts = mesh.skeleton[2][fi]
             tr = ff.restrict(sub, [list((0, 1, 2, 3)).index(v) for v in everts])
             pts = sub.random_points(25, rng)
@@ -219,11 +219,11 @@ def test_hdiv_bubbles_2d_zero_normal_trace():
     rng = np.random.default_rng(2)
     mesh = SimplicialMesh(np.asarray(REF[2], float), [(0, 1, 2)])
     _, cols = zero_trace_dim(mesh, 3, 1)
-    basis = [form_from_coeffs(mesh.cell_simplex(0), 1, 3, col) for col in cols.T]
+    basis = [form_from_coeffs(cell_simplex(mesh, 0), 1, 3, col) for col in cols.T]
     assert basis
     for f in basis:
         for ei in range(3):
-            sub = mesh.sub_simplex(1, ei)
+            sub = sub_simplex(mesh, 1, ei)
             everts = mesh.skeleton[1][ei]
             # tangential form trace equals the flux-proxy normal component
             tr = f.restrict(sub, [list((0, 1, 2)).index(v) for v in everts])

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import REF
-from derham.forms import Simplex, exact_det, nonzero_volume
+from derham.exact import Simplex, cell_simplex
+from derham.forms import exact_det, nonzero_volume
 from derham.mesh import (SimplicialMesh, cube_center_fan_grid,
                          interval_mesh, reference_tet, reference_triangle,
                          split_edge_square, two_triangle_square, annulus_mesh)
@@ -81,7 +82,7 @@ def test_cell_inside_the_filter_keeps_its_exact_verdict():
     # the float determinant is 0, inside the error bound, so the exact one decides
     assert _float_det(LIFTED_ROUNDED) == 0.0
     mesh = SimplicialMesh(LIFTED_ROUNDED, [(0, 1, 2)])
-    assert mesh.cell_simplex(0).measure == abs(exact_det(LIFTED_ROUNDED)) / 2 > 0
+    assert cell_simplex(mesh, 0).measure == abs(exact_det(LIFTED_ROUNDED)) / 2 > 0
 
 
 def test_coplanar_tet_rejected():
@@ -95,6 +96,28 @@ def test_coplanar_tet_rejected():
 def test_nonfinite_vertex_rejected(bad):
     with pytest.raises(ValueError, match="vertex 2 has a non-finite coordinate"):
         SimplicialMesh([[0.0, 0.0], [1.0, 0.0], [bad, 1.0]], [(0, 1, 2)])
+
+
+@pytest.mark.parametrize("scale,shown", [(1e200, "inf"), (1e-200, "0"), (1e-160, "1e-320")])
+def test_edge_length_out_of_float_range_rejected(scale, shown):
+    # a squared edge length that overflows or underflows (to 0 or a subnormal)
+    with pytest.raises(ValueError, match=f"edge \\(0, 1\\) has squared length {shown}, outside"):
+        SimplicialMesh([[0.0, 0.0], [scale, 0.0], [0.0, scale]], [(0, 1, 2)])
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_batch_rejected_without_warnings():
+    # the batched volume filter overflows and defers to the exact determinant
+    # silently; the edge lengths then refuse the mesh
+    with pytest.raises(ValueError, match="squared length inf, outside"):
+        SimplicialMesh(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]) * 1e200,
+                       [(0, 1, 2), (0, 2, 3)])
+
+
+def test_edge_lengths_in_float_range_accepted():
+    # squared lengths of 1e300 and 1e-300 are normal floats
+    for scale in (1e150, 1e-150):
+        SimplicialMesh([[0.0, 0.0], [scale, 0.0], [0.0, scale]], [(0, 1, 2)])
 
 
 def test_duplicate_cell_rejected():

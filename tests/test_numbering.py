@@ -1,7 +1,5 @@
 """Global DoF numbering from the plan against the realised DoFs."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -61,7 +59,7 @@ def test_realisation_checks_the_plan_size(meshes, monkeypatch):
     plan = elements.dof_plan
 
     def overstated(el, d):
-        return tuple(dataclasses.replace(g, degrees=g.degrees + (g.degrees[-1],))
+        return tuple(g._replace(degrees=g.degrees + (g.degrees[-1],))
                      for g in plan(el, d))
     monkeypatch.setattr(elements, "dof_plan", overstated)
     with pytest.raises(RuntimeError, match="the plan has"):

@@ -17,8 +17,9 @@ from dof_reference import cell_blocks, random_form, reference_dof_values
 from derham.assembly import (DROP_RTOL, GlobalSpace, assemble_d, assemble_space, family_row,
                              row_p_min)
 from derham.elements import _P_MIN, block_rows, element_def, shape_coeffs
-from derham.forms import (coeffs, derivative_matrix, exterior_derivative_matrix,
-                          form_from_coeffs, moment_rows, proxy_matrix, trimmed_coeffs)
+from derham.exact import cell_simplex, coeffs, form_from_coeffs, sub_simplex
+from derham.forms import (derivative_matrix, exterior_derivative_matrix, moment_rows,
+                          proxy_matrix, trimmed_coeffs)
 
 NAMES = ["interval", "tri", "square", "tri3", "split", "annulus", "tet", "tet2", "tet3",
          "tet3-rotated", "delaunay"]
@@ -58,7 +59,7 @@ def test_stacked_rows_match_one_cell_stacks_and_reference(meshes, name):
             for ci in range(len(mesh.cells)):
                 assert np.array_equal(rows[ci], block_rows(el, mesh, [ci], p)[0]), (el, ci)
             ci = checked % len(mesh.cells)
-            u = random_form(mesh.cell_simplex(ci), k, p, rng)
+            u = random_form(cell_simplex(mesh, ci), k, p, rng)
             _assert_close(rows[ci] @ coeffs(u, p), _reference(el, mesh, ci, u))
             checked += 1
     assert checked == 3 * sum(n == mesh.dim for (_, _, n) in _P_MIN)
@@ -95,7 +96,7 @@ def test_stacked_operators_match_one_cell_products_and_reference(meshes, name):
                 filled[idx] = True
                 if ci == i % len(mesh.cells):
                     x = rng.normal(size=block.shape[1])
-                    u = form_from_coeffs(mesh.cell_simplex(ci), src.el.k, src.el.p, fields @ x)
+                    u = form_from_coeffs(cell_simplex(mesh, ci), src.el.k, src.el.p, fields @ x)
                     _assert_close(block @ x, _reference(dst.el, mesh, ci, u.exterior_derivative()))
             want[np.abs(want) <= DROP_RTOL * np.abs(want).max()] = 0.0
             assert np.array_equal(assemble_d(src, dst).array, want), (r, i)
@@ -117,7 +118,7 @@ def test_stacked_trimmed_tests_match_one_entity(meshes, name, d):
         for p in range(1, 5):
             cols, tests = trimmed_coeffs(grads, p, k)
             for e in ids:
-                one = grads[e] if d == mesh.dim else mesh.sub_simplex(d, e).grad_bary_float()
+                one = grads[e] if d == mesh.dim else sub_simplex(mesh, d, e).grad_bary_float()
                 cols_e, tests_e = trimmed_coeffs(one, p, k)
                 assert _same_bits(cols[e], cols_e), (k, p, e)
                 assert len(tests) == len(tests_e)
@@ -135,7 +136,7 @@ def test_stacked_chart_grads_match_sub_simplices(meshes, name):
     for d in range(1, mesh.dim):
         ids = np.arange(mesh.count(d))[::-1]
         for e, grads in zip(ids, mesh.chart_grads(d, ids)):
-            assert _same_bits(grads, mesh.sub_simplex(d, e).grad_bary_float()), (d, e)
+            assert _same_bits(grads, sub_simplex(mesh, d, e).grad_bary_float()), (d, e)
 
 
 def test_stacked_trimmed_tests_raise_where_one_entity_loses_rank():
