@@ -449,21 +449,28 @@ def containment_residual(src, dst, D=None):
     Per cell and for every global source column that the cell or its rows of
     D reach, the coefficients of the d images of the source duals are
     compared with the target duals times the cell's rows of D, relative to
-    the largest image coefficient.
+    the largest image coefficient.  All cells are one stack: each holds its
+    columns in ascending order, padded with zero columns to the longest.
     """
     if D is None:
         D = assemble_d(src, dst)
     images = _d_map(src, dst)(src.mesh.bary_grads) @ src.fields
-    worst, scale = 0.0, 0.0
-    for ci in range(len(src.mesh.cells)):
-        used, block = _dense_rows(D, dst.cell_global[ci])
-        cols = np.union1d(src.cell_global[ci], used)
-        image = np.zeros((images.shape[1], len(cols)))
-        image[:, np.searchsorted(cols, src.cell_global[ci])] = images[ci]
-        interp = np.zeros_like(image)
-        interp[:, np.searchsorted(cols, used)] = dst.fields[ci] @ block
-        worst = max(worst, np.abs(image - interp).max())
-        scale = max(scale, np.abs(image).max())
+    rows, ncells = dst.cell_global, len(dst.cell_global)
+    lo, reps = D.ptr[rows].ravel(), np.diff(D.ptr)[rows].ravel()
+    pos = np.repeat(lo - np.cumsum(reps) + reps, reps) + np.arange(reps.sum())
+    at = np.repeat(np.arange(rows.size), reps)        # (cell, local row) of each entry
+    keys = np.concatenate([at // rows.shape[1] * D.shape[1] + D.cols[pos],
+                           (np.arange(ncells)[:, None] * D.shape[1] + src.cell_global).ravel()])
+    uniq, inv = np.unique(keys, return_inverse=True)
+    cell = uniq // D.shape[1]
+    slot = np.arange(len(uniq)) - np.searchsorted(cell, cell)   # position in its cell
+    block = np.zeros((ncells, rows.shape[1], slot.max(initial=-1) + 1))
+    block[at // rows.shape[1], at % rows.shape[1], slot[inv[:len(pos)]]] = D.vals[pos]
+    image = np.zeros((ncells, images.shape[1], block.shape[2]))
+    image[np.arange(ncells)[:, None], :, slot[inv[len(pos):]].reshape(ncells, -1)] \
+        = images.swapaxes(1, 2)
+    worst = np.abs(image - dst.fields @ block).max(initial=0.0)
+    scale = np.abs(images).max(initial=0.0)
     return worst / scale if scale > 0.0 else worst
 
 
@@ -655,8 +662,11 @@ def _factor(gram, shift, keep=False):
     updates, blocks, last = {}, [], len(gram.fronts) - 1
     for k, f in enumerate(gram.fronts):
         m, size = len(f.pivots), len(f.pivots) + len(f.update)
-        F = np.zeros((size, size))
-        F.reshape(-1)[f.at] = gram.vals[f.entries]
+        if isinstance(f.at, slice):     # a dense front: the values are its entries in order
+            F = gram.vals.reshape(size, size).copy()
+        else:
+            F = np.zeros((size, size))
+            F.reshape(-1)[f.at] = gram.vals[f.entries]
         if k == last and gram.rank_one is not None:
             F[:m, :m] += gram.rank_one
         F.flat[:m * (size + 1):size + 1] -= shift
@@ -686,15 +696,20 @@ def _min_eig_estimate(gram, blocks):
     inv = iter(a[:len(d), :len(d)] for a, d in zip(np.linalg.inv(stack), diag))
     steps = [[(s, next(inv)) for s in range(0, len(L), 16)] for L, _ in blocks]
 
-    # y is kept in elimination order, so each front's pivots are one slice
-    order = np.concatenate([f.pivots for f in gram.fronts])
-    where = np.empty(len(order), dtype=int)
-    where[order] = np.arange(len(order))
-    ends = np.cumsum([len(f.pivots) for f in gram.fronts])
-    spans = [(e - len(f.pivots), e, where[f.update]) for f, e in zip(gram.fronts, ends)]
+    # y is kept in elimination order, so each front's pivots are one slice; a
+    # single front is in index order and passes no update
+    if len(gram.fronts) == 1:
+        n = len(gram.fronts[0].pivots)
+        order, spans = None, [(0, n, ())]
+    else:
+        order = np.concatenate([f.pivots for f in gram.fronts])
+        n, where = len(order), np.empty(len(order), dtype=int)
+        where[order] = np.arange(n)
+        ends = np.cumsum([len(f.pivots) for f in gram.fronts])
+        spans = [(e - len(f.pivots), e, where[f.update]) for f, e in zip(gram.fronts, ends)]
 
     def solve(b):
-        y = b[order]
+        y = b.copy() if order is None else b[order]
         for (lo, hi, up), (L, LU), step in zip(spans, blocks, steps):
             x = y[lo:hi]
             for s, D in step:
@@ -707,13 +722,15 @@ def _min_eig_estimate(gram, blocks):
                 x -= LU.T @ y[up]
             for s, D in reversed(step):
                 x[s:s + 16] = D.T @ (x[s:s + 16] - L[s + 16:, s:s + 16].T @ x[s + 16:])
+        if order is None:
+            return y
         out = np.empty_like(y)
         out[order] = y
         return out
 
     # hashed pseudo-random start vectors: importing numpy.random costs a cold
     # process more than the whole estimate
-    start = np.sin(np.arange(1.0, 4 * len(order) + 1) * 12.9898).reshape(-1, 4)
+    start = np.sin(np.arange(1.0, 4 * n + 1) * 12.9898).reshape(-1, 4)
     start = start * 43758.5453 % 1 - 0.5
     z = np.linalg.qr(solve(start))[0]
     return 1.0 / np.linalg.eigvalsh(z.T @ solve(z))[-1]

@@ -30,8 +30,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .forms import (_bernstein_block, _exponent_index, bernstein_tests, derivative_matrix,
-                    dim_full, dim_trimmed, eval_row, exponent_array, exterior_derivative_matrix,
+from .forms import (_bernstein_block, bernstein_tests, derivative_matrix, dim_full, dim_trimmed,
+                    eval_row, exponent_array, exponent_rank, exterior_derivative_matrix,
                     jet_rows, moment_rows, monomials, nullspace, proxy_matrix, rank_of,
                     trace_matrix, trimmed_coeffs)
 from .mesh import SimplicialMesh, interval_mesh, reference_tet, reference_triangle
@@ -324,41 +324,62 @@ def block_rows(el, mesh, cells, p):
 
     Every (entity dimension, plan group) is one stacked product over the
     cells and their slots of that dimension: the group's point values or
-    its moment rows (``_moments``), times the proxy, derivative and trace
-    maps of every (cell, slot).  Each row is a row-times-matrix product of
-    its own, so it has the bits it has when its cell is taken alone.
+    its moment rows (``_moments``), times the trace, derivative and proxy
+    maps of every (cell, slot), in that order.  Each of these and each
+    partial product is built once per call, keyed by what it depends on, so
+    groups share their common work.  Each row is a row-times-matrix product
+    of its own, so it has the bits it has when its cell is taken alone.
     """
     cells = np.asarray(cells, dtype=int)
-    n, out = el.n, []
+    n, out, made = el.n, [], {}
     inverse = mesh.bary_inverse[cells][:, None]
     grads = inverse[..., 1:, :].swapaxes(-1, -2)
+
+    def once(key, build):
+        if key not in made:
+            made[key] = build()
+        return made[key]
+
     for d in range(n + 1):
         ents = mesh.cell_entities[d][cells] if d < n else cells[:, None]
 
-        def vector(w):
+        def vector(w):      # an axis, or a normal of the d-simplices
             return np.eye(n)[w] if isinstance(w, int) else mesh.frames(d).normals[ents, w[1]]
+
+        def matrix(kind, w, k, q, _):
+            if kind == "proxy":
+                return proxy_matrix(n, k, vector(w), q)
+            if kind == "derivative":
+                return derivative_matrix(grads, vector(w), k, q)
+            return trace_matrix(n, list(combinations(range(n + 1), d + 1)), k, q,
+                                mesh.frames(d).tangents[ents] if k else None)
 
         blocks = []
         for g in dof_plan(el, d):
-            k, q, maps = el.k, p, []
+            k, q, maps = el.k, p, []    # map keys end in their entity dimension, None for an axis
             if g.weight is not None:
-                maps.append(proxy_matrix(n, k, vector(g.weight), q))
+                maps.append(("proxy", g.weight, k, q, None if isinstance(g.weight, int) else d))
                 k = 0
-            for direction in g.directions:
-                maps.append(derivative_matrix(grads, vector(direction), k, q))
+            for w in g.directions:
+                maps.append(("derivative", w, k, q, None if isinstance(w, int) else d))
                 q -= 1
             if g.kind == "point":
-                rows = eval_row(inverse, mesh.vertices[mesh.cells[cells]], q)[..., None, :]
+                chain = (d, q)
+                rows = once(chain, lambda: eval_row(inverse, mesh.vertices[mesh.cells[cells]], q)
+                            [..., None, :])
             else:
-                rows = _moments(mesh, d, g, ents, k, q)
+                chain = (d, g.test, k, q)
+                rows = once(chain, lambda: _moments(mesh, d, g, ents, k, q))
                 if d < n:
-                    maps.append(trace_matrix(n, list(combinations(range(n + 1), d + 1)), k, q,
-                                             mesh.frames(d).tangents[ents] if k else None))
-            for step in reversed(maps):
-                rows = (rows[..., None, :] @ step[..., None, :, :])[..., 0, :]
+                    maps.append(("trace", None, k, q, d))
+            for key in reversed(maps):
+                step, chain = once(key, lambda: matrix(*key)), chain + (key,)
+                rows = once(chain, lambda: (rows[..., None, :] @ step[..., None, :, :])[..., 0, :])
             blocks.append(np.broadcast_to(rows, ents.shape + rows.shape[-2:]))
         if blocks:
             out.append(np.concatenate(blocks, axis=2).reshape(len(cells), -1, rows.shape[-1]))
+        for key in [key for key in made if key[-1] is not None]:    # keep only the axis maps
+            del made[key]
     return np.concatenate(out, axis=1)
 
 
@@ -532,12 +553,12 @@ def tangential_bubble_span(grads, p):
     """
     if grads.shape != (4, 3):
         raise ValueError("tangential bubbles live on tetrahedra")
-    lifts, index = exponent_array(4, p - 3), _exponent_index(4, p)
-    out = np.zeros((3, len(index), 4, len(lifts)))
+    lifts, size = exponent_array(4, p - 3), math.comb(p + 3, 3)
+    rows = exponent_rank(lifts + 1 - np.eye(4, dtype=int)[:, None])
+    out = np.zeros((3, size, 4, len(lifts)))
     for i, g in enumerate(grads):
-        rows = [index[tuple(a)] for a in lifts + 1 - np.eye(4, dtype=int)[i]]
-        out[:, rows, i, range(len(lifts))] = (g / np.linalg.norm(g))[:, None]
-    return out.reshape(3 * len(index), -1)
+        out[:, rows[i], i, range(len(lifts))] = (g / np.linalg.norm(g))[:, None]
+    return out.reshape(3 * size, -1)
 
 
 def zero_trace_dim(mesh, p, k):

@@ -2,12 +2,10 @@
 
 FormPolynomial holds a k-form as dictionaries of barycentric monomials with
 Fraction (or float) coefficients, on the exact rational geometry of a
-Simplex, so d(d(u)) cancels at the coefficient level.  The converters
-``coeffs``/``form_from_coeffs`` move between it and the coefficient layout
-of ``derham.forms``, and ``full_basis``/``trimmed_basis`` build the form
-bases.  No command imports this module: the program computes on the float
-coefficient maps of ``derham.forms``, and the tests check those maps
-against this algebra term by term.
+Simplex, so d(d(u)) cancels at the coefficient level.  No command imports
+this module: the program computes on the float coefficient maps of
+``derham.forms``, and the tests check those maps against this algebra term
+by term (their converters to the coefficient layout are in the tests).
 """
 
 from __future__ import annotations
@@ -20,8 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .forms import (_exponent_index, _frozen, _merge_sign, elevation, exact_det, monomials,
-                    nonzero_volume, trimmed_coeffs)
+from .forms import _frozen, _merge_sign, exact_det, nonzero_volume
 
 
 def _fraction_matrix_inverse(rows):
@@ -441,72 +438,3 @@ class FormPolynomial:
                 c = self.comps[key][e]
                 lines.append(f"{idx} | {','.join(map(str, e))} | {float(c):.17g}")
         return lines
-
-
-# ---------------------------------------------------------------------------
-# form bases and the coefficient layout of derham.forms
-# ---------------------------------------------------------------------------
-
-def full_basis(simplex, p, k):
-    """Bernstein basis of the full space: C(p; alpha) lambda^alpha dy_J.
-
-    The multinomial scaling keeps DoF matrices far better conditioned than
-    bare monomials while the coefficients stay exact integers.
-    """
-    m = simplex.dim
-    out = []
-    for key in combinations(range(m), k):
-        for alpha in monomials(m + 1, p):
-            mult = math.factorial(p)
-            for a in alpha:
-                mult //= math.factorial(a)
-            out.append(FormPolynomial.monomial(simplex, k, key, alpha, coeff=mult))
-    return out
-
-
-def _coefficient_matrix(forms, p):
-    """Stack form coefficients (homogenized to degree p) as columns."""
-    return np.column_stack([coeffs(f, p) for f in forms]) if forms else np.zeros((0, 0))
-
-
-def _poly_coeffs(poly, nvars, p):
-    """Coefficient vector of a scalar polynomial dict homogenized to degree p."""
-    out = np.zeros(math.comb(p + nvars - 1, nvars - 1))
-    index = _exponent_index(nvars, p)
-    for e, c in poly.items():
-        deg = sum(e)
-        if deg == p:
-            out[index[e]] += float(c)
-        elif deg < p:
-            out += float(c) * elevation(nvars, deg, p)[:, _exponent_index(nvars, deg)[e]]
-        else:
-            raise ValueError("cannot homogenize downward")
-    return out
-
-
-def coeffs(form, p):
-    """Coefficient vector of a form, homogenized to degree p (the layout of
-    ``derham.forms``)."""
-    m = form.simplex.dim
-    keys = list(combinations(range(m), form.k))
-    n = math.comb(p + m, m)
-    out = np.zeros(len(keys) * n)
-    for key, poly in form.comps.items():
-        pos = keys.index(key)
-        out[pos * n:(pos + 1) * n] = _poly_coeffs(poly, m + 1, p)
-    return out
-
-
-def form_from_coeffs(simplex, k, p, vec):
-    """The degree-p k-form with the given coefficient vector (inverse of coeffs)."""
-    alphas = list(_exponent_index(simplex.dim + 1, p))
-    blocks = np.reshape(vec, (-1, len(alphas)))
-    keys = combinations(range(simplex.dim), k)
-    return FormPolynomial(simplex, k, {key: dict(zip(alphas, block.tolist()))
-                                       for key, block in zip(keys, blocks)})
-
-
-def trimmed_basis(simplex, p, k):
-    """The basis of ``trimmed_coeffs`` as forms of their native degree."""
-    return [form_from_coeffs(simplex, tk, q, vec)
-            for tk, q, T in trimmed_coeffs(simplex.grad_bary_float(), p, k)[1] for vec in T]

@@ -134,15 +134,8 @@ def _merge_sign(k1, k2):
 
 
 def monomials(nvars, degree):
-    """All exponent tuples of the given total degree (lexicographic)."""
-    if degree < 0:
-        return []
-    if nvars == 1:
-        return [(degree,)]
-    out = []
-    for first in range(degree, -1, -1):
-        out.extend((first,) + rest for rest in monomials(nvars - 1, degree - first))
-    return out
+    """All exponent tuples of the given total degree, in ``exponent_array`` order."""
+    return list(map(tuple, exponent_array(nvars, degree).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -187,13 +180,34 @@ def _frozen(a):
 
 @lru_cache(maxsize=None)
 def exponent_array(nvars, degree):
-    """monomials(nvars, degree) as an integer array, one row per exponent."""
-    return _frozen(np.array(monomials(nvars, degree), dtype=int).reshape(-1, nvars))
+    """Every exponent of the given total degree, one row each at its
+    ``exponent_rank``: the first entry descending, then the second, and so on."""
+    if nvars == 1:
+        return _frozen(np.full((int(degree >= 0), 1), degree))
+    tail = np.indices((max(degree + 1, 0),) * (nvars - 1)).reshape(nvars - 1, -1).T
+    exps = np.column_stack([degree - tail.sum(axis=1), tail])[tail.sum(axis=1) <= degree]
+    out = np.empty_like(exps)
+    out[exponent_rank(exps)] = exps
+    return _frozen(out)
 
 
 @lru_cache(maxsize=None)
-def _exponent_index(nvars, degree):
-    return {a: i for i, a in enumerate(monomials(nvars, degree))}
+def _binomials():
+    """Pascal's table C(x, t), x < 4096 and t < 8, for ``exponent_rank``; entries past
+    int64 wrap, but a rank reads only entries below its exponent array's length."""
+    table = np.zeros((1 << 12, 8), dtype=np.int64)
+    table[:, 0] = 1
+    for t in range(1, 8):
+        table[1:, t] = np.cumsum(table[:-1, t - 1])
+    return _frozen(table)
+
+
+def exponent_rank(exps):
+    """Each exponent's row (last axis) in ``exponent_array``: for n variables, the sum
+    over 0 < i < n of C(s_i + n - i - 1, n - i), s_i the sum of its entries from i on."""
+    exps = np.asarray(exps, dtype=int)
+    t = np.arange(exps.shape[-1] - 1, 0, -1)
+    return _binomials()[np.cumsum(exps[..., :0:-1], axis=-1)[..., ::-1] + t - 1, t].sum(axis=-1)
 
 
 @lru_cache(maxsize=None)
@@ -209,22 +223,19 @@ def elevation(nvars, p, q):
     if q < p:
         raise ValueError("cannot homogenize downward")
     out = np.zeros((math.comb(q + nvars - 1, nvars - 1), math.comb(p + nvars - 1, nvars - 1)))
-    index = _exponent_index(nvars, q)
-    lifts = exponent_array(nvars, q - p)
-    weights = multinomials(nvars, q - p)
-    for col, a in enumerate(exponent_array(nvars, p)):
-        rows = [index[tuple(x)] for x in a + lifts]
-        out[rows, col] = weights
+    exps = exponent_array(nvars, p)
+    rows = exponent_rank(exps[:, None, :] + exponent_array(nvars, q - p))
+    out[rows, np.arange(len(exps))[:, None]] = multinomials(nvars, q - p)
     return _frozen(out)
 
 
 @lru_cache(maxsize=None)
 def _lowering(nvars, p):
     """(row, col, j, alpha_j) of each entry of d/d(lambda_j): degree p to p - 1."""
-    lower = _exponent_index(nvars, p - 1)
-    entries = [(lower[a[:j] + (a[j] - 1,) + a[j + 1:]], col, j, a[j])
-               for col, a in enumerate(monomials(nvars, p)) for j in range(nvars) if a[j]]
-    return _frozen(np.array(entries, dtype=int).reshape(-1, 4).T)
+    exps = exponent_array(nvars, p)
+    col, j = np.nonzero(exps)
+    rows = exponent_rank(exps[col] - np.eye(nvars, dtype=int)[j])
+    return _frozen(np.stack([rows, col, j, exps[col, j]]).reshape(4, -1))
 
 
 def _partial(slopes, p):
@@ -301,13 +312,15 @@ def proxy_matrix(m, k, w, p):
 
 
 @lru_cache(maxsize=None)
-def _trace_columns(nvars, vertex_map, p):
-    """Parent index of each child exponent of degree p, lifted through the map."""
-    child = exponent_array(len(vertex_map), p)
-    lifted = np.zeros((len(child), nvars), dtype=int)
-    lifted[:, list(vertex_map)] = child
-    index = _exponent_index(nvars, p)
-    return _frozen(np.array([index[tuple(a)] for a in lifted], dtype=int))
+def _trace_columns(nvars, vertex_maps, p):
+    """Parent index of each child exponent of degree p, lifted through each
+    of the vertex maps (a tuple of them): one row per map."""
+    vmaps = np.array(vertex_maps, dtype=int)
+    child = exponent_array(vmaps.shape[1], p)
+    lifted = np.zeros((len(vmaps), len(child), nvars), dtype=int)
+    lifted[np.arange(len(vmaps))[:, None, None], np.arange(len(child))[:, None], vmaps[:, None]] \
+        = child
+    return _frozen(exponent_rank(lifted))
 
 
 def trace_matrix(m, vertex_map, k, p, tangents=None):
@@ -330,8 +343,8 @@ def trace_matrix(m, vertex_map, k, p, tangents=None):
                                                          pkeys[None, :, None, :]])
     else:
         dets = np.ones((1, 1))
-    cols = np.reshape([_trace_columns(m + 1, tuple(v), p) for v in vmaps.reshape(-1, d + 1)],
-                      vmaps.shape[:-1] + (-1,))
+    cols = _trace_columns(m + 1, tuple(map(tuple, vmaps.reshape(-1, d + 1).tolist())), p)
+    cols = cols.reshape(vmaps.shape[:-1] + (-1,))
     nc, nm = cols.shape[-1], math.comb(p + m, m)
     R = np.zeros(np.broadcast_shapes(dets.shape[:-2], vmaps.shape[:-1])
                  + (len(ckeys) * nc, len(pkeys) * nm))
@@ -439,20 +452,21 @@ def _whitney_pattern(m, p, k):
     position J * C(m, k) + K of the vertex k-tuples J and axis k-tuples K.
     """
     vsets = {J: i for i, J in enumerate(combinations(range(m + 1), k))}
-    axes = list(combinations(range(m), k))
-    index = _exponent_index(m + 1, p)
-    nh = math.comb(p + m, m)
-    betas = monomials(m + 1, p - 1)
-    cols = [(tau, b) for tau in combinations(range(1, m + 1), k + 1)
-            for b in betas if not any(b[:tau[0]])]
-    entries = [(kp * nh + index[b[:v] + (b[v] + 1,) + b[v + 1:]], col,
-                vsets[tau[:i] + tau[i + 1:]] * len(axes) + kp, -1 if i % 2 else 1)
-               for col, (tau, b) in enumerate(cols)
-               for i, v in enumerate(tau)
-               for kp in range(len(axes))]
-    if len(cols) != dim_trimmed(m, p, k) - dim_full(m, p - 1, k):
+    nax, nh = math.comb(m, k), math.comb(p + m, m)
+    taus = np.array(list(combinations(range(1, m + 1), k + 1)), dtype=int).reshape(-1, k + 1)
+    betas = exponent_array(m + 1, p - 1)
+    # beta is supported on tau[0]..m: its entries before tau[0] sum to zero
+    ti, bi = np.nonzero(np.cumsum(betas, axis=1)[:, taus[:, 0] - 1].T == 0)
+    faces = np.array([[vsets[tau[:i] + tau[i + 1:]] for i in range(k + 1)]
+                      for tau in map(tuple, taus.tolist())], dtype=int).reshape(-1, k + 1)
+    lifted = exponent_rank(betas[bi, None] + np.eye(m + 1, dtype=int)[taus[ti]])
+    kp = np.arange(nax)
+    entries = np.broadcast_arrays(kp * nh + lifted[..., None], np.arange(len(ti))[:, None, None],
+                                  faces[ti][..., None] * nax + kp,
+                                  1 - 2 * (np.arange(k + 1) % 2)[:, None])
+    if len(ti) != dim_trimmed(m, p, k) - dim_full(m, p - 1, k):
         raise RuntimeError("trimmed complement has the wrong dimension")
-    return _frozen(np.array(entries, dtype=int).reshape(-1, 4).T), len(cols)
+    return _frozen(np.stack(entries).reshape(4, -1)), len(ti)
 
 
 def _minors(grads, k):

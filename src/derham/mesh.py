@@ -91,17 +91,23 @@ class SimplicialMesh:
         flat = np.flatnonzero(~nonzero_volume(pts))
         if flat.size:
             raise ValueError(f"degenerate cell {cells[flat[0]]} (zero volume)")
-        # frames divide by the square root of each edge's squared length: it
-        # must be a normal float, neither overflowed nor underflowed
-        pairs = np.array(list(combinations(range(self.dim + 1), 2))).T
-        with np.errstate(over="ignore", under="ignore"):
-            sq = np.square(pts[:, pairs[1]] - pts[:, pairs[0]]).sum(axis=2)
-        bad = np.flatnonzero(~((sq >= np.finfo(float).tiny) & (sq < np.inf)).ravel())
-        if bad.size:
-            ci, e = divmod(int(bad[0]), pairs.shape[1])
-            edge = (cells[ci][pairs[0, e]], cells[ci][pairs[1, e]])
-            raise ValueError(f"edge {edge} has squared length {sq[ci, e]:.3g}, outside the "
-                             f"normal float64 range; rescale the coordinates")
+        # frames divide by the square root of each edge's squared length and,
+        # in 3D, of each face's squared cross-product norm (its lengths to the
+        # fourth power): both must be normal floats, neither overflowed nor
+        # underflowed
+        for what in ("edge", "face") if self.dim == 3 else ("edge",):
+            subs = np.array(list(combinations(range(self.dim + 1), 2 + (what == "face")))).T
+            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                vec = pts[:, subs[1:]] - pts[:, subs[:1]]
+                vec = vec[:, 0] if what == "edge" else np.cross(vec[:, 0], vec[:, 1])
+                sq = np.square(vec).sum(axis=2)
+            bad = np.flatnonzero(~((sq >= np.finfo(float).tiny) & (sq < np.inf)).ravel())
+            if bad.size:
+                ci, e = divmod(int(bad[0]), subs.shape[1])
+                quantity = "squared length" if what == "edge" else "squared cross-product norm"
+                raise ValueError(f"{what} {tuple(cells[ci][i] for i in subs[:, e])} has "
+                                 f"{quantity} {sq[ci, e]:.3g}, outside the normal float64 "
+                                 f"range; rescale the coordinates")
         self.cells = np.array(cells, dtype=int)
 
         # skeleton[d]: sorted list of ascending vertex tuples; ids are indices

@@ -1,10 +1,13 @@
 """Reference DoF values, operators, trimmed spans and export text on
 FormPolynomial algebra.
 
-The DoF plan is realised here one entity at a time (its vertex, chart,
-frame vectors and test forms), and each DoF functional is evaluated term by
-term (proxy contraction, directional derivatives, restrict, wedge,
-integrate) in the exact arithmetic of ``derham.forms``; the program computes
+Forms move to and from the coefficient layout of ``derham.forms`` with
+``coeffs``/``form_from_coeffs``, and ``full_basis``/``trimmed_basis`` build
+the form bases.  The DoF plan is realised here one entity at a time (its
+vertex, chart, frame vectors and test forms), and each DoF functional is
+evaluated term by term (proxy contraction, directional derivatives,
+restrict, wedge, integrate) in the exact arithmetic of ``derham.exact``;
+the program computes
 the same numbers as float row products stacked over cells.  The trimmed
 spaces are spanned by the exact Koszul contraction of Fraction forms; the
 program builds them as float coefficient columns.  The ``export`` text is
@@ -20,9 +23,76 @@ from itertools import combinations
 import numpy as np
 
 from derham.elements import DofGroup, _test_blocks, cell_dofs, dof_plan
-from derham.exact import (FormPolynomial, Simplex, cell_simplex, coeffs, form_from_coeffs,
-                          full_basis, poly_mul, sub_simplex, trimmed_basis)
-from derham.forms import elevation, monomials
+from derham.exact import FormPolynomial, Simplex, cell_simplex, poly_mul, sub_simplex
+from derham.forms import elevation, exponent_rank, monomials, trimmed_coeffs
+
+
+# ---------------------------------------------------------------------------
+# form bases and the coefficient layout of derham.forms
+# ---------------------------------------------------------------------------
+
+def full_basis(simplex, p, k):
+    """Bernstein basis of the full space: C(p; alpha) lambda^alpha dy_J.
+
+    The multinomial scaling keeps DoF matrices far better conditioned than
+    bare monomials while the coefficients stay exact integers.
+    """
+    m = simplex.dim
+    out = []
+    for key in combinations(range(m), k):
+        for alpha in monomials(m + 1, p):
+            mult = math.factorial(p)
+            for a in alpha:
+                mult //= math.factorial(a)
+            out.append(FormPolynomial.monomial(simplex, k, key, alpha, coeff=mult))
+    return out
+
+
+def _coefficient_matrix(forms, p):
+    """Stack form coefficients (homogenized to degree p) as columns."""
+    return np.column_stack([coeffs(f, p) for f in forms]) if forms else np.zeros((0, 0))
+
+
+def _poly_coeffs(poly, nvars, p):
+    """Coefficient vector of a scalar polynomial dict homogenized to degree p."""
+    out = np.zeros(math.comb(p + nvars - 1, nvars - 1))
+    for e, c in poly.items():
+        deg = sum(e)
+        if deg == p:
+            out[exponent_rank(e)] += float(c)
+        elif deg < p:
+            out += float(c) * elevation(nvars, deg, p)[:, exponent_rank(e)]
+        else:
+            raise ValueError("cannot homogenize downward")
+    return out
+
+
+def coeffs(form, p):
+    """Coefficient vector of a form, homogenized to degree p (the layout of
+    ``derham.forms``)."""
+    m = form.simplex.dim
+    keys = list(combinations(range(m), form.k))
+    n = math.comb(p + m, m)
+    out = np.zeros(len(keys) * n)
+    for key, poly in form.comps.items():
+        pos = keys.index(key)
+        out[pos * n:(pos + 1) * n] = _poly_coeffs(poly, m + 1, p)
+    return out
+
+
+def form_from_coeffs(simplex, k, p, vec):
+    """The degree-p k-form with the given coefficient vector (inverse of coeffs)."""
+    alphas = monomials(simplex.dim + 1, p)
+    blocks = np.reshape(vec, (-1, len(alphas)))
+    keys = combinations(range(simplex.dim), k)
+    return FormPolynomial(simplex, k, {key: dict(zip(alphas, block.tolist()))
+                                       for key, block in zip(keys, blocks)})
+
+
+def trimmed_basis(simplex, p, k):
+    """The basis of ``trimmed_coeffs`` as forms of their native degree."""
+    return [form_from_coeffs(simplex, tk, q, vec)
+            for tk, q, T in trimmed_coeffs(simplex.grad_bary_float(), p, k)[1] for vec in T]
 
 
 def shape_basis(el, simplex):

@@ -401,6 +401,25 @@ def test_out_of_range_scale_exits_2_with_one_line(tmp_path, capsys, scale, argv)
     assert "edge (0, 1) has squared length" in captured.err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e100, 1e-100])
+@pytest.mark.parametrize("argv", [["verify", "--row", "1", "--p", "2"], ["bc", "--p", "4"],
+                                  ["bgg", "--p", "2"]])
+def test_face_out_of_range_scale_exits_2_with_one_line(tmp_path, capsys, scale, argv):
+    # edges in range, faces' squared cross-product norms not: verify used to warn
+    # and report a false zero volume (or a NaN) from the face frames
+    fan = three_tet_fan()
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps({"dim": 3, "vertices": (fan.vertices * scale).tolist(),
+                                "cells": fan.cells.tolist()}))
+    rc = main(argv + ["--mesh", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: cannot parse mesh file ")
+    assert "face (0, 1, 2) has squared cross-product norm" in captured.err
+    assert "rescale the coordinates" in captured.err and "Warning" not in captured.err
+
+
 @pytest.mark.parametrize("mesh,message", [
     (two_tet_mesh(), "error: the elasticity construction is two-dimensional"),
     # the sliver's Hermite DoF matrix is singular, and the scatter says so

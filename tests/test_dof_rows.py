@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+import loop_reference
 from conftest import random_simplex
-from dof_reference import (cell_blocks, random_form, reference_operator, reference_values,
-                           scalar_moment, shape_basis)
-from derham import assembly, bgg
+from dof_reference import (_coefficient_matrix, cell_blocks, coeffs, form_from_coeffs, random_form,
+                           reference_operator, reference_values, scalar_moment, shape_basis)
+from derham import assembly, bgg, elements
 from derham.elements import _P_MIN, block_rows, element_def, p_min, shape_coeffs
-from derham.exact import (FormPolynomial, Simplex, _coefficient_matrix, cell_simplex, coeffs,
-                          form_from_coeffs, sub_simplex)
+from derham.exact import FormPolynomial, Simplex, cell_simplex, sub_simplex
 from derham.forms import exterior_derivative_matrix, moment_gram, monomials, rank_of
 from derham.mesh import SimplicialMesh
 
@@ -255,3 +255,35 @@ def test_stress_symmetric_tests_have_zero_normal_trace(q):
                 trace = _normal_trace(fields, nu, i).restrict(sub_simplex(mesh, 1, ei), list(everts))
                 assert all(abs(c) <= 1e-10 * scale for poly in trace.comps.values()
                            for c in poly.values())
+
+
+def _signature(args):
+    """A call's arguments, arrays and lists by shape and bytes, to tell the
+    distinct maps apart."""
+    return tuple(a if a is None or isinstance(a, (int, str)) else
+                 (np.shape(a), np.asarray(a, dtype=float).tobytes()) for a in args)
+
+
+@pytest.mark.parametrize("family", [(2, 5, 0, 3), (2, 4, 1, 3)])
+@pytest.mark.parametrize("mesh_name", ["tet", "tet2"])
+def test_block_rows_builds_each_distinct_map_once(meshes, monkeypatch, family, mesh_name):
+    # the vertex groups of these families repeat the most: point rows at each
+    # degree, a derivative or proxy per axis, second derivatives per pair of axes
+    el, mesh = element_def(*family), meshes[mesh_name]
+    cells = np.arange(len(mesh.cells))
+    calls = {}
+    for module in (elements, loop_reference):
+        for name in ("eval_row", "derivative_matrix", "proxy_matrix", "trace_matrix"):
+            def counted(*args, _real=getattr(module, name), _key=(module, name)):
+                calls.setdefault(_key, []).append(_signature(args))
+                return _real(*args)
+            monkeypatch.setattr(module, name, counted)
+    rows = block_rows(el, mesh, cells, el.p)
+    reference = loop_reference.block_rows(el, mesh, cells, el.p)
+    assert rows.dtype == reference.dtype and np.array_equal(rows, reference)
+    assert rows.tobytes() == reference.tobytes()
+    for name in ("eval_row", "derivative_matrix", "proxy_matrix", "trace_matrix"):
+        once, by_group = calls.get((elements, name), []), calls.get((loop_reference, name), [])
+        assert len(once) == len(set(once)) and set(once) == set(by_group), name
+        # the group-by-group build repeats maps (a 0-form family has no proxy)
+        assert len(by_group) > len(once) or not by_group, name

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import REF, random_simplex
-from dof_reference import reference_export_lines
+from dof_reference import form_from_coeffs, reference_export_lines
 from derham.assembly import dim_formula
 from derham.elements import (cell_dofs, dof_matrix, dual_basis, dual_export_lines, element_def,
                              jet_complex_ranks, p_min,
                              subsimplex_bubble_dims, tangential_bubble_span,
                              unisolvence_check, zero_trace_dim)
-from derham.exact import Simplex, cell_simplex, form_from_coeffs, sub_simplex
+from derham.exact import Simplex, cell_simplex, sub_simplex
 from derham.forms import dim_full, dim_trimmed, eval_row, rank_of, trace_matrix
 from derham.mesh import SimplicialMesh
 

@@ -1,16 +1,18 @@
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from derham import exact, forms
-from derham.exact import (FormPolynomial, Simplex, _coefficient_matrix, coeffs,
-                          form_from_coeffs, sub_simplex, trimmed_basis)
+from derham import elements, exact, forms
+from derham.exact import FormPolynomial, Simplex, sub_simplex
 from derham.forms import dim_full, dim_trimmed, rank_of, trimmed_coeffs
 from derham.mesh import SimplicialMesh
+import loop_reference
 from conftest import REF, random_simplex
-from dof_reference import koszul, reference_trimmed
+from dof_reference import (_coefficient_matrix, coeffs, form_from_coeffs, koszul, reference_trimmed,
+                           trimmed_basis)
 
 TRI = Simplex([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 TET = Simplex([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
@@ -266,3 +268,54 @@ def test_forms_resolves_form_polynomial_from_exact():
     assert forms.FormPolynomial is exact.FormPolynomial
     with pytest.raises(AttributeError, match="has no attribute 'Simplex'"):
         forms.Simplex
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+def test_exponent_order_and_rank_match_recursive_monomials(nvars):
+    for degree in range(-1, 13):
+        order = loop_reference.monomials(nvars, degree)
+        exps = forms.exponent_array(nvars, degree)
+        assert exps.shape == (len(order), nvars) and exps.tolist() == [list(a) for a in order]
+        assert forms.monomials(nvars, degree) == order
+        assert np.array_equal(forms.exponent_rank(exps), np.arange(len(order)))
+    # any stack of exponents ranks entry by entry, and one tuple gives one rank
+    exps = forms.exponent_array(nvars, 6)
+    rng = np.random.default_rng(nvars)
+    pick = rng.integers(len(exps), size=(3, 5))
+    assert np.array_equal(forms.exponent_rank(exps[pick]), pick)
+    assert forms.exponent_rank(tuple(exps[-1].tolist())) == len(exps) - 1
+
+
+def test_exponent_tables_match_loop_definitions():
+    for nvars in range(1, 6):
+        for p in range(0, 8):
+            assert np.array_equal(forms._lowering(nvars, p), loop_reference.lowering(nvars, p))
+            for q in range(p, p + 4):
+                assert np.array_equal(forms.elevation(nvars, p, q),
+                                      loop_reference.elevation(nvars, p, q)), (nvars, p, q)
+    for m in (2, 3):
+        for k in range(1, m):
+            for p in range(1, 7):
+                (pattern, ncols), (ref, nref) = (forms._whitney_pattern(m, p, k),
+                                                 loop_reference.whitney_pattern(m, p, k))
+                assert ncols == nref and np.array_equal(pattern, ref), (m, k, p)
+    grads = np.random.default_rng(3).normal(size=(4, 3))
+    for p in range(3, 8):
+        assert np.array_equal(elements.tangential_bubble_span(grads, p),
+                              loop_reference.tangential_bubble_span(grads, p))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_trace_columns_stacked_and_one_map(m):
+    for d in range(m):
+        maps = list(combinations(range(m + 1), d + 1))
+        for p in range(0, 7):
+            stacked = forms._trace_columns(m + 1, tuple(maps), p)
+            assert stacked.shape[0] == len(maps)
+            for vmap, row in zip(maps, stacked):
+                ref = loop_reference.trace_columns(m + 1, vmap, p)
+                assert np.array_equal(row, ref)
+                assert np.array_equal(forms._trace_columns(m + 1, (vmap,), p)[0], ref)
+            # a vertex map need not be ascending: the child's vertex order is its own
+            assert np.array_equal(forms._trace_columns(m + 1, (maps[-1][::-1],), p)[0],
+                                  loop_reference.trace_columns(m + 1, maps[-1][::-1], p))

@@ -9,7 +9,7 @@ from derham.exact import Simplex, cell_simplex
 from derham.forms import exact_det, nonzero_volume
 from derham.mesh import (SimplicialMesh, cube_center_fan_grid,
                          interval_mesh, reference_tet, reference_triangle,
-                         split_edge_square, two_triangle_square, annulus_mesh)
+                         split_edge_square, three_tet_fan, two_triangle_square, annulus_mesh)
 
 
 def test_single_triangle_skeleton():
@@ -118,6 +118,23 @@ def test_edge_lengths_in_float_range_accepted():
     # squared lengths of 1e300 and 1e-300 are normal floats
     for scale in (1e150, 1e-150):
         SimplicialMesh([[0.0, 0.0], [scale, 0.0], [0.0, scale]], [(0, 1, 2)])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale,shown", [(1e100, "inf"), (1e150, "inf"), (1e-100, "0")])
+def test_face_cross_product_out_of_float_range_rejected(scale, shown):
+    # the edges are in range, but a face's squared cross-product norm (lengths
+    # to the fourth power, which its frame divides by) overflows or underflows
+    fan = three_tet_fan()
+    with pytest.raises(ValueError, match=f"face \\(0, 1, 2\\) has squared cross-product norm "
+                                         f"{shown}, outside the normal float64 range"):
+        SimplicialMesh(fan.vertices * scale, fan.cells)
+
+
+def test_face_cross_products_in_float_range_accepted():
+    fan = three_tet_fan()
+    for scale in (1e75, 1e-75):
+        SimplicialMesh(fan.vertices * scale, fan.cells).frames(2)
 
 
 def test_duplicate_cell_rejected():

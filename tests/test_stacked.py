@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 from conftest import delaunay_tets
-from dof_reference import cell_blocks, random_form, reference_dof_values
+from dof_reference import cell_blocks, coeffs, form_from_coeffs, random_form, reference_dof_values
 from derham.assembly import (DROP_RTOL, GlobalSpace, assemble_d, assemble_space, family_row,
                              row_p_min)
 from derham.elements import _P_MIN, block_rows, element_def, shape_coeffs
-from derham.exact import cell_simplex, coeffs, form_from_coeffs, sub_simplex
+from derham.exact import cell_simplex, sub_simplex
 from derham.forms import (derivative_matrix, exterior_derivative_matrix, moment_rows,
                           proxy_matrix, trimmed_coeffs)
 
