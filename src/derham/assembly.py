@@ -637,27 +637,15 @@ def _sigma1_bounds(D):
 _SparseGram = namedtuple("_SparseGram", "vals fronts rank_one")
 
 
-def _below(L, B):
-    """X with X Lᵀ = B for a lower-triangular L, entry by entry the Cholesky
-    recurrence x_ij = (b_ij - Σ_{k<j} x_ik l_jk)/l_jj: a product over earlier
-    32-column blocks, then LAPACK's back substitution on the reversed block."""
-    XT = np.empty((len(L), len(B)))
-    for s in range(0, len(L) if len(B) else 0, 32):
-        e = min(s + 32, len(L))
-        R = B[:, s:e].T - L[s:e, :s] @ XT[:s]
-        XT[s:e] = np.linalg.solve(L[s:e, s:e][::-1, ::-1], R[::-1])[::-1]
-    return XT.T
-
-
 def _factor(gram, shift, keep=False):
     """Cholesky of G - shift·I front by front, children first: the blocks
-    (L_PP, L_UP) of each front if ``keep``, else True; None where a pivot
-    fails.
+    (L_PP, L_UP) of each front if ``keep``, else True; None if a front fails.
 
     A front holds its pivots' original entries and its children's Schur
-    complements (extend-add).  LAPACK factors the pivot block, ``_below``
-    gives L_UP, and the front passes its update block minus L_UP L_UPᵀ to
-    its parent.
+    complements (extend-add).  One LAPACK Cholesky factors it with its update
+    block C bordered: C's diagonal set to s = 2⁹⁰⁰ (``_cholesky_floor`` says
+    why).  The factor's pivot columns are L_PP over L_UP, and the front
+    passes C minus L_UP L_UPᵀ to its parent.
     """
     updates, blocks, last = {}, [], len(gram.fronts) - 1
     for k, f in enumerate(gram.fronts):
@@ -673,14 +661,20 @@ def _factor(gram, shift, keep=False):
         for child, slot in zip(f.children, f.slots):
             at = (slot[:, None] * size + slot).ravel()
             np.add.at(F.reshape(-1), at, updates.pop(child).ravel())
+        border = slice(m * (size + 1), None, size + 1)
+        diag = F.flat[border].copy()
+        F.flat[border] = 2.0 ** 900
         try:
-            L = np.linalg.cholesky(F[:m, :m])
+            L = np.linalg.cholesky(F)
         except np.linalg.LinAlgError:
             return None
-        LU = _below(L, F[m:, :m])
-        updates[k] = F[m:, m:] - LU @ LU.T
-        if keep:
+        F.flat[border] = diag
+        L, LU = L[:m, :m], L[m:, :m]
+        if keep:        # copies, which free the border's columns
+            L, LU = L.copy(), LU.copy()
             blocks.append((L, LU))
+        updates[k] = F[m:, m:] - LU @ LU.T
+        del F, L, LU    # freed before the next front is built, for the peak memory
     return blocks if keep else True
 
 
@@ -750,14 +744,18 @@ def _cholesky_floor(gram, t, c):
     comes from the Cholesky recurrences, l_jj² = g_jj - t - Σ_k l_jk² and
     l_ij = (g_ij - Σ_k l_ik l_jk)/l_jj, each evaluated in any order and
     grouping (Higham, Accuracy and Stability of Numerical Algorithms,
-    Lemma 8.4 and Theorem 10.3).  The front-by-front factor is such a
-    factor.  Inside a front, LAPACK's Cholesky evaluates the recurrences
-    for L_PP, and ``_below`` for L_UP by ``solve``, whose pivoted LU of an
-    upper-triangular block is the block itself.  OpenBLAS multiplies by
-    1/l_jj (``potrf``, ``getrs``), one rounding more per entry: l_ij stays
-    within γ_{j+1} ≤ γ_N of its recurrence.  Extend-add only regroups the
-    sums of a child's terms l_ik l_jk in its Schur complement.  So γ_{N+1},
-    N the order of G, still applies.
+    Lemma 8.4 and Theorem 10.3).  The front-by-front factor is such a factor.
+    Each front is one LAPACK Cholesky with its update block's diagonal set
+    to the border s = 2⁹⁰⁰: pivot column j reads only columns k ≤ j, never
+    the update block, so it evaluates the recurrences for L_PP and L_UP, and
+    OpenBLAS's ``potrf`` multiplies by 1/l_jj, one rounding more per entry:
+    l_ij stays within γ_{j+1} ≤ γ_N of its recurrence.  The border's own
+    pivots factor s·I + C₀ - BA⁻¹Bᵀ (C₀ the update block off its diagonal,
+    B the update rows, A the pivot block), so they fail only if
+    ‖C₀ - BA⁻¹Bᵀ‖ nears s, and a failure anywhere fails the attempt, which
+    loses a proof but makes no wrong one.  Extend-add only regroups the sums
+    of a child's terms l_ik l_jk in its Schur complement.  So γ_{N+1}, N the
+    order of G, still applies.
 
     With ``rank_one`` = a·v̂v̂ᵀ the bound is on λ_min(DᵀD + a·v̂v̂ᵀ), and by
     Courant–Fischer, for any unit v̂ and any y ⊥ v̂, ‖Dy‖² = yᵀ(DᵀD +

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from derham.assembly import (_below, _dof_coords, _factor, _SparseGram, assemble_d,
+from derham.assembly import (_dof_coords, _factor, _SparseGram, assemble_d,
                              assemble_space, _gamma, family_row, prove_ranks)
-from derham.fronts import LEAF, dense_front, plan
+from derham.fronts import LEAF, Front, dense_front, plan
 from derham.mesh import triangle_grid
 
 
@@ -79,25 +79,77 @@ def _worst_ratio(B, X, Y, entries):
     return worst
 
 
-@pytest.mark.parametrize("m, gap, rows", [(70, None, 20), (70, 1e-10, 20), (97, 1e-8, 20),
-                                          (70, 1e-10, 150)])
-def test_below_meets_the_substitution_bound(m, gap, rows):
-    # |B - X Lᵀ| ≤ γ_{m+1}|X||Lᵀ| entry by entry: the recurrence plus the
-    # one rounding of OpenBLAS's 1/l_jj; m spans three or four 32-column
-    # blocks, a shift to ``gap`` above λ_min makes L ill-conditioned, and
-    # one case has 150 update rows (the first 20 are checked)
+def _front(m, rows, gap=None, eigs=(1e-6, 1e3), scales=(1e-8, 1e8)):
+    """A dense front: an m×m pivot block with eigenvalues spread
+    geometrically over ``eigs`` (shifted to ``gap`` above 0 if given),
+    ``rows`` update rows whose columns scale geometrically over ``scales``,
+    and a random symmetric update block; the front and its ``_SparseGram``."""
     rng = np.random.default_rng(m)
     Q = np.linalg.qr(rng.normal(size=(m, m)))[0]
-    A = (Q * np.geomspace(1e-6, 1e3, m)) @ Q.T
+    A = (Q * np.geomspace(*eigs, m)) @ Q.T
     A = (A + A.T) / 2
     if gap is not None:
         A -= (np.linalg.eigvalsh(A)[0] - gap) * np.eye(m)
-    L = np.linalg.cholesky(A)
-    B = rng.normal(size=(rows, m)) * np.geomspace(1e-8, 1e8, m)
-    X = _below(L, B)
-    ratio = _worst_ratio(B, X, L, np.ndindex(20, m))
+    B = rng.normal(size=(rows, m)) * np.geomspace(*scales, m)
+    C = rng.normal(size=(rows, rows))
+    F = np.block([[A, B.T], [B, C + C.T]])
+    front = Front(np.arange(m), np.arange(m, m + rows), [], [], slice(None), slice(None))
+    return F, _SparseGram(F.reshape(-1), [front], None)
+
+
+def _substitution(L, B):
+    """X with X Lᵀ = B by LAPACK's back substitution on reversed 32-column
+    blocks: how the rows below a front's pivot block were built before one
+    bordered Cholesky gave them."""
+    XT = np.empty((len(L), len(B)))
+    for s in range(0, len(L) if len(B) else 0, 32):
+        e = min(s + 32, len(L))
+        R = B[:, s:e].T - L[s:e, :s] @ XT[:s]
+        XT[s:e] = np.linalg.solve(L[s:e, s:e][::-1, ::-1], R[::-1])[::-1]
+    return XT.T
+
+
+@pytest.mark.parametrize("m, gap, rows", [(70, None, 20), (70, 1e-10, 20), (97, 1e-8, 20),
+                                          (70, 1e-10, 150)])
+def test_below_meets_the_substitution_bound(m, gap, rows):
+    # one potrf of the bordered front: |[A; B] - [L; X] Lᵀ| ≤ γ_{m+1}|[L; X]||Lᵀ|
+    # entry by entry on the pivot columns (every third pivot row and the
+    # first 20 update rows), the recurrences plus the one rounding of
+    # OpenBLAS's 1/l_jj; a shift to ``gap`` above λ_min makes L
+    # ill-conditioned, and one front (220 variables) is wider than LEAF
+    F, gram = _front(m, rows, gap)
+    ((L, X),) = _factor(gram, 0.0, keep=True)
+    entries = [(i, j) for i in [*range(0, m, 3), *range(m, m + 20)] for j in range(min(i + 1, m))]
+    ratio = _worst_ratio(F[:, :m], np.vstack([L, X]), L, entries)
     assert 0 < ratio <= Fraction(_gamma(m + 1))
-    assert _below(L, B[:0]).shape == (0, m)
+    F, gram = _front(m, 0, gap)
+    assert _factor(gram, 0.0, keep=True)[0][1].shape == (0, m)
+
+
+@pytest.mark.parametrize("m, rows", [(70, 20), (12, 100), (100, 28), (100, 150)])
+def test_bordered_front_matches_pivot_cholesky_and_substitution(m, rows):
+    # (L, L_U) agrees with the pivot block's Cholesky plus back substitution
+    # to within γ_{N+1} of the largest entry (a pivot block of condition 10,
+    # so no cancellation amplifies), on fronts of up to and over LEAF
+    F, gram = _front(m, rows, eigs=(1, 10), scales=(1, 1))
+    ((L, LU),) = _factor(gram, 0.0, keep=True)
+    Lc = np.linalg.cholesky(F[:m, :m])
+    Xc = _substitution(Lc, F[m:, :m])
+    g = _gamma(m + rows + 1)
+    assert np.abs(L - Lc).max() <= g * np.abs(Lc).max()
+    assert np.abs(LU - Xc).max() <= g * np.abs(Xc).max()
+
+
+@pytest.mark.parametrize("m, rows", [(50, 60), (150, 100)])
+def test_bordered_front_fails_exactly_when_its_pivot_block_does(m, rows):
+    # the border replaces the update block's diagonal, so an indefinite
+    # update block still factors; one eigenvalue of the pivot block below
+    # the shift fails
+    F, gram = _front(m, rows, eigs=(1, 10), scales=(1, 1))
+    eig = np.linalg.eigvalsh(F[:m, :m])
+    assert np.linalg.eigvalsh(F[m:, m:])[0] < 0
+    assert _factor(gram, eig[0] / 2) is not None
+    assert _factor(gram, (eig[0] + eig[1]) / 2) is None
 
 
 @pytest.mark.parametrize("seed", [11, 12])
@@ -108,7 +160,9 @@ def test_factor_reproduces_permuted_matrix(seed):
     A, rows, cols, pts, eig = _sparse_symmetric(seed)
     t = eig[0] - 1.0
     _, gram = _grams(A, rows, cols, pts)
-    assert len(gram.fronts) > 3
+    # bordered fronts of both sizes, at most LEAF variables and more
+    sizes = [len(f.pivots) + len(f.update) for f in gram.fronts if len(f.update)]
+    assert min(sizes) <= LEAF < max(sizes)
     blocks = _factor(gram, t, keep=True)
     order = np.concatenate([f.pivots for f in gram.fronts])
     assert sorted(order) == list(range(len(A)))
