@@ -41,6 +41,15 @@ def dense_front(n):
     return Front(np.arange(n), np.zeros(0, dtype=int), [], [], slice(None), slice(None))
 
 
+def distinct(x):
+    """``np.unique(x)`` of a 1-D array by sorting: numpy >= 2.3 imports
+    ``numpy.ma`` (about 15 ms) on a process's first plain ``np.unique``."""
+    x = np.sort(x)
+    keep = np.ones(len(x), dtype=bool)
+    keep[1:] = x[1:] != x[:-1]
+    return x[keep]
+
+
 def dissect(n, coords, rows, cols):
     """The nested-dissection tree of the symmetric pattern ``(rows, cols)``
     on n variables at ``coords`` (needed only when n > ``LEAF``):
@@ -67,7 +76,7 @@ def dissect(n, coords, rows, cols):
             side[part[order[len(part) // 2:]]] = 1
             cross = side[ei] != side[ej]
             ends = np.concatenate([ei[cross], ej[cross]])
-            lo, hi = (np.unique(ends[side[ends] == s]) for s in (0, 1))
+            lo, hi = (distinct(ends[side[ends] == s]) for s in (0, 1))
             sep = lo if len(lo) <= len(hi) else hi
             if 2 * len(sep) >= len(part):
                 sep = None
@@ -113,7 +122,7 @@ def plan(n, coords, rows, cols):
         mine = here[bounds[k]:bounds[k + 1]]
         later = fi[mine] > k
         passed = [fronts[c].update for c in kids]
-        update = np.unique(np.concatenate([rows[mine[later]]] + [u[owner[u] != k] for u in passed]))
+        update = distinct(np.concatenate([rows[mine[later]]] + [u[owner[u] != k] for u in passed]))
         where[pivots] = np.arange(len(pivots))
         where[update] = len(pivots) + np.arange(len(update))
         r, c = where[rows[mine]], where[cols[mine]]

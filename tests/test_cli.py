@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from derham.cli import main
-from derham.mesh import (SimplicialMesh, annulus_mesh, reference_tet, split_edge_square,
-                         three_tet_fan, triangle_grid, two_tet_mesh, two_triangle_square)
+from derham.mesh import (SimplicialMesh, annulus_mesh, cube_center_fan_grid, reference_tet,
+                         split_edge_square, three_tet_fan, triangle_grid, two_tet_mesh,
+                         two_triangle_square)
 
 # the nine commands of the benchmark's cli-mix workload, at small sizes
 CLI_MIX = [
@@ -510,28 +511,39 @@ def test_main_freezes_the_import_heap(tmp_path):
 
 FRESH_RUN = """
 import sys
-import derham.cli
+import {module}
 
 def check(when):
-    loaded = sorted(m for m in sys.modules if m in {names!r} or m.split(".")[0] in {names!r})
+    loaded = sorted(m for m in sys.modules if any(m == n or m.startswith(n + ".") for n in {names!r}))
     if loaded:
         sys.exit(f"{{when}}: {{loaded}}")
 
-check("after import derham.cli")
-for argv in {commands!r}:
-    derham.cli.main(argv)
-check("after the cli-mix commands")
+check("after import {module}")
+{run}
+check("after the run")
 """
 
 
+def _fresh(module, run, names):
+    """``run`` after ``import module`` in a fresh interpreter, which fails if
+    any of the named modules (or a submodule of one) is loaded after the
+    import or after the run: pytest and the test helpers may load them
+    themselves."""
+    code = FRESH_RUN.format(module=module, run=run, names=names)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+
+
 def _fresh_run(square_path, names):
-    """The cli-mix commands in a fresh interpreter, which fails if any of the
-    named modules (or a submodule of one) is loaded after the import or after
-    the commands: pytest and the test helpers may load them themselves."""
+    """The cli-mix commands, then two verdicts on Gram matrices of more than
+    LEAF DoFs that are planned as several fronts: triangle_grid(20) row 0 at
+    p=2 and cube_center_fan_grid(1, 1, 1) row 0 at p=3."""
+    grid, cube = (os.path.join(os.path.dirname(square_path), f) for f in ("grid20.json", "cube.json"))
+    triangle_grid(20).save(grid)
+    cube_center_fan_grid(1, 1, 1).save(cube)
     commands = [[a.replace("{mesh}", square_path) for a in argv] for argv in CLI_MIX]
-    return subprocess.run(
-        [sys.executable, "-c", FRESH_RUN.format(names=names, commands=commands)],
-        capture_output=True, text=True)
+    commands += [["verify", "--mesh", grid, "--row", "0", "--p", "2"],
+                 ["verify", "--mesh", cube, "--row", "0", "--p", "3"]]
+    return _fresh("derham.cli", f"for argv in {commands!r}:\n    derham.cli.main(argv)", names)
 
 
 def test_runtime_loads_no_scipy(square_path):
@@ -544,6 +556,17 @@ def test_cold_start_loads_no_generated_or_reference_code(square_path):
     # exact-form stack is the tests' alone, and Fractions are loaded only for
     # a volume that floats cannot decide
     proc = _fresh_run(square_path, ["dataclasses", "fractions", "decimal", "derham.exact"])
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_multifrontal_verdicts_load_no_masked_arrays(square_path):
+    # numpy >= 2.3 imports numpy.ma on a process's first plain np.unique;
+    # a front plan takes its distinct values by sorting
+    proc = _fresh_run(square_path, ["numpy.ma"])
+    assert proc.returncode == 0, proc.stderr
+    run = ("derham.verify_exactness(derham.mesh.triangle_grid(20), 0, 2)\n"
+           "derham.verify_exactness(derham.cube_center_fan_grid(1, 1, 1), 0, 3)")
+    proc = _fresh("derham", run, ["numpy.ma"])
     assert proc.returncode == 0, proc.stderr
 
 

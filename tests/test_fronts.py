@@ -9,7 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from derham.assembly import (_dof_coords, _factor, _SparseGram, assemble_d,
                              assemble_space, _gamma, family_row, prove_ranks)
-from derham.fronts import LEAF, Front, dense_front, plan
+from derham import assembly, fronts
+from derham.fronts import LEAF, Front, dense_front, distinct, plan
 from derham.mesh import triangle_grid
 
 
@@ -203,6 +204,58 @@ def test_fronts_are_separated():
     assert (owner >= 0).all() and len(fronts) > 3
     assert all(max(owner[i], owner[j]) in path(min(owner[i], owner[j])) for i, j in zip(rows, cols))
     assert all(set(owner[f.update]) <= path(k) - {k} for k, f in enumerate(fronts))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_distinct_is_np_unique(seed):
+    rng = np.random.default_rng(seed)
+    for x in [rng.integers(-40, 40, size=rng.integers(1, 300)), np.zeros(0, dtype=int),
+              np.full(17, seed)]:
+        got, want = distinct(x), np.unique(x)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def _same(a, b):
+    """Whether two plan fields are equal: arrays in dtype and entries,
+    lists entry by entry, anything else by ==."""
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
+    if isinstance(a, list):
+        return isinstance(b, list) and len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+def _grid_patterns():
+    """The (n, coords, rows, cols) of every plan of triangle_grid(20)'s rank
+    proofs at row 0, p=2."""
+    spaces = [assemble_space(triangle_grid(20), *s) for s in family_row(2, 0, 2)]
+    ops = [assemble_d(a, b) for a, b in zip(spaces, spaces[1:])]
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(assembly, "plan", lambda *args: seen.append(args) or plan(*args))
+        prove_ranks(ops, [_dof_coords(s) for s in spaces], spaces[0].constant_coefficients())
+    return seen
+
+
+def _two_islands():
+    """Two sparse symmetric patterns side by side that never touch: the
+    first cut falls between them and finds an empty separator."""
+    _, rows, cols, pts, _ = _sparse_symmetric(7, n=300)
+    return 600, np.vstack([pts, pts + [2.0, 0.0]]), np.r_[rows, rows + 300], np.r_[cols, cols + 300]
+
+
+def test_plans_by_sorting_equal_plans_by_np_unique(monkeypatch):
+    patterns = _grid_patterns() + [_two_islands()]
+    new = [plan(*args) for args in patterns]
+    assert max(map(len, new)) > 3
+    monkeypatch.setattr(fronts, "distinct", np.unique)
+    old = [plan(*args) for args in patterns]
+    for a, b in zip(new, old):
+        assert len(a) == len(b)
+        assert all(_same(x, y) for f, g in zip(a, b) for x, y in zip(f, g))
+    # the islands' plan has two roots and no front over both
+    parents = {c for f in new[-1] for c in f.children}
+    assert len(new[-1]) - len(parents) == 2
 
 
 def test_small_matrix_is_one_front_in_index_order():
