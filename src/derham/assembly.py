@@ -16,10 +16,10 @@ are COO triplets; a dense view is built only when a caller asks for it.
 Rank decisions use a relative singular-value cutoff (forms.RANK_RTOL):
 ``prove_ranks`` proves the rank a chain predicts with a shifted
 Cholesky of a sparse Gram matrix and counts the singular values only where
-that proof fails.  A Gram matrix no larger than one leaf
-(``fronts.LEAF``) is summed straight into its single dense front; a larger
-one is sorted COO triplets, never dense (summed from dense row slabs, or one
-sparse product where rows are short), factored front by front on a
+that proof fails.  A product there is one dense block where its left factor
+has at most ``_DENSE`` entries in its dense view, else ``Coo.times``.  A Gram
+matrix no larger than one leaf (``fronts.LEAF``) is one dense front; a larger
+one is sorted COO triplets, never dense, factored front by front on a
 nested-dissection plan (``fronts``) with one ``np.linalg.cholesky`` per front.
 """
 
@@ -53,8 +53,8 @@ CONSISTENCY_TOL = 1e-7
 # is refused above this size (float64 entries); the CLI refuses local DoF
 # matrices above the same size.
 MAX_DENSE_BYTES = 2 ** 27
-# A product with at most this many terms per entry skips the slabs (``_short``).
-_SHORT = 4
+_DENSE = 2 ** 16      # entries of one dense block (a product's left factor)
+_CHUNK = 2 ** 18      # terms that ``Coo.times`` sums at a time
 
 
 class GlobalSpace:
@@ -271,23 +271,22 @@ def row_p_min(n, r):
 
 class Coo:
     """A sparse matrix as COO triplets: ``rows``, ``cols`` and ``vals`` in
-    row-major order, each entry once.  ``dropped_norm`` and ``dropped_max``
-    are the Frobenius norm and the largest magnitude of the residue dropped
-    from it: the scatter's cancellation residue, or for the algebra below a
-    bound on how far its operands' residues move it (``dropped_max`` only
-    from the scatter).  The row starts ``ptr``, the transpose ``T`` and the
-    dense view ``array`` are built on first use and kept, so the triplets
-    are not changed after construction; ``replace`` makes a changed copy.
+    row-major order, each entry once.  ``dropped_norm`` is the Frobenius norm
+    of the residue dropped from it: the scatter's cancellation residue, or
+    for the algebra below a bound on how far its operands' residues move it.
+    The row starts ``ptr``, the transpose ``T`` and the dense view ``array``
+    are built on first use and kept, so the triplets are not changed after
+    construction; ``replace`` makes a changed copy.
     """
 
-    def __init__(self, rows, cols, vals, shape, dropped_norm=0.0, dropped_max=0.0):
+    def __init__(self, rows, cols, vals, shape, dropped_norm=0.0):
         self.rows, self.cols, self.vals, self.shape = rows, cols, vals, shape
-        self.dropped_norm, self.dropped_max = dropped_norm, dropped_max
+        self.dropped_norm = dropped_norm
 
     def replace(self, **changes):
         """A copy with the given fields changed; cached views are not copied."""
         fields = {"rows": self.rows, "cols": self.cols, "vals": self.vals, "shape": self.shape,
-                  "dropped_norm": self.dropped_norm, "dropped_max": self.dropped_max}
+                  "dropped_norm": self.dropped_norm}
         return Coo(**{**fields, **changes})
 
     @classmethod
@@ -338,7 +337,7 @@ class Coo:
         if t is None:
             order = np.argsort(self.cols, kind="stable")
             t = self.__dict__["_T"] = Coo(self.cols[order], self.rows[order], self.vals[order],
-                                          self.shape[::-1], self.dropped_norm, self.dropped_max)
+                                          self.shape[::-1], self.dropped_norm)
             t.__dict__["_origin"] = weakref.ref(self)
         return t
 
@@ -357,17 +356,29 @@ class Coo:
         """The largest magnitude of an entry (0 if none)."""
         return float(np.abs(self.vals).max(initial=0.0))
 
+    def times(self, b):
+        """self @ b with no residue: each entry of self meets a row of b
+        (Gustavson 1978), and ``summed`` sums the terms of whole rows of self,
+        about _CHUNK at a time.  The chunks' rows are disjoint and ascending,
+        so every entry adds its terms in the order one chunk would."""
+        lo = b.ptr[self.cols]
+        reps = b.ptr[self.cols + 1] - lo
+        start = np.concatenate(([0], np.cumsum(reps)))   # each entry's first term, then all
+        chunk = start[self.ptr[:-1]] // _CHUNK            # the chunk of each row's first term
+        cuts = self.ptr[np.concatenate(([0], np.flatnonzero(np.diff(chunk)) + 1, self.shape[:1]))]
+        shape, parts = (self.shape[0], b.shape[1]), []
+        for i, j in zip(cuts[:-1], cuts[1:]):
+            r = reps[i:j]
+            pos = np.repeat(lo[i:j] - start[i:j], r) + np.arange(start[i], start[j])
+            parts.append(Coo.summed(np.repeat(self.rows[i:j], r), b.cols[pos],
+                                    np.repeat(self.vals[i:j], r) * b.vals[pos], shape))
+        return Coo(*map(np.concatenate, zip(*[(c.rows, c.cols, c.vals) for c in parts])), shape)
+
     def __matmul__(self, b):
-        """For the residues E and F of self and b, the product's residue
-        ‖E‖‖b‖₂ + ‖self‖₂‖F‖ + ‖E‖‖F‖ (‖·‖ the Frobenius norm) bounds
-        ‖(self + E)(b + F) - self·b‖."""
-        lo = np.searchsorted(b.rows, self.cols)
-        reps = np.searchsorted(b.rows, self.cols, side="right") - lo
-        pos = np.repeat(lo - np.cumsum(reps) + reps, reps) + np.arange(reps.sum())
+        """``times`` with a residue: for the residues E and F of self and b, ‖E‖‖b‖₂ +
+        ‖self‖₂‖F‖ + ‖E‖‖F‖ (‖·‖ the Frobenius norm) bounds ‖(self + E)(b + F) - self·b‖."""
         (ea, (_, ha)), (eb, (_, hb)) = ((x.dropped_norm, _sigma1_bounds(x)) for x in (self, b))
-        return Coo.summed(np.repeat(self.rows, reps), b.cols[pos],
-                          np.repeat(self.vals, reps) * b.vals[pos], (self.shape[0], b.shape[1]),
-                          ea * hb + ha * eb + ea * eb)
+        return self.times(b).replace(dropped_norm=ea * hb + ha * eb + ea * eb)
 
     def __add__(self, b):
         return Coo.summed(np.r_[self.rows, b.rows], np.r_[self.cols, b.cols],
@@ -417,9 +428,7 @@ def assemble_local_operator(src, dst, fmap):
     flat, vals = flat[first], vals[first]
     keep = np.abs(vals) > DROP_RTOL * np.abs(vals).max(initial=0.0)
     rows, cols = np.divmod(flat[keep], src.dim)
-    dropped = np.abs(vals[~keep])
-    return Coo(rows, cols, vals[keep], (dst.dim, src.dim), float(np.linalg.norm(dropped)),
-               float(dropped.max(initial=0.0)))
+    return Coo(rows, cols, vals[keep], (dst.dim, src.dim), float(np.linalg.norm(vals[~keep])))
 
 
 def assemble_d(src, dst):
@@ -478,97 +487,39 @@ def containment_residual(src, dst, D=None):
 # sparse products and ranks
 # ---------------------------------------------------------------------------
 
-def _dense_rows(D, idx):
-    """Rows ``idx`` of D, dense over the columns they touch: (those
-    columns, the block)."""
-    lo = D.ptr[idx]
-    reps = D.ptr[idx + 1] - lo
-    pos = np.repeat(lo - np.cumsum(reps) + reps, reps) + np.arange(reps.sum())
-    cols = D.cols[pos]
-    first = cols.min(initial=D.shape[1])    # a bitmap over the columns' span, no sort
-    mark = np.zeros(cols.max(initial=first) + 1 - first, dtype=bool)
-    mark[cols - first] = True
-    used, at = np.flatnonzero(mark), np.empty(len(mark), dtype=int)
-    at[used] = np.arange(len(used))
-    block = np.zeros((len(idx), len(used)))
-    block[np.repeat(np.arange(len(idx)), reps), at[cols - first]] = D.vals[pos]
-    return used + first, block
-
-
-def _slabs(D):
-    """Row ranges of D with at most 2**16 entries in their dense blocks:
-    cells number their DoFs together, so consecutive rows touch few
-    columns, and a small matrix is one dense block.  An m×n matrix is
-    m·n/2**16 slabs, so a product with short rows skips them (``_short``)."""
-    m, n = D.shape
-    step = max(1, 2 ** 16 // max(n, 1))
-    return (np.arange(s, min(s + step, m)) for s in range(0, m, step))
-
-
-def _short(D, cols, B):
-    """Whether a product over the slabs of D runs as sparse triplets, linear in its terms
-    (Gustavson 1978): D's dense view is over one slab's 2**16 entries, and the left factor's
-    entries, in columns ``cols``, meet rows of B with at most _SHORT entries on average."""
-    return D.shape[0] * D.shape[1] > 2 ** 16 and np.diff(B.ptr)[cols].sum() <= _SHORT * len(cols)
-
-
 def _gram(X, coords, B=None, a=None):
     """XᵀX, plus a·BBᵀ for a given B, as values on a plan of fronts (see
     ``_SparseGram``), its diagonal, and per operator the most nonzero terms
     in one entry; ``coords`` places X's columns for the dissection.
 
-    Each slab of rows gives a product dense over the columns it touches.  A
-    matrix of at most LEAF columns is one front, and the products are summed
-    into it.  A larger one is never dense: the nonzero entries of each
-    product are one run of triplets, or PᵀP is one sparse product where
-    ``_short`` says so; ``_coo_sum`` merges the runs, and ``plan`` orders the
-    pattern.  An entry adds its terms in slab or product order, then a times
-    BBᵀ's, so a matrix that is one front holds the sums a dense buffer would.
+    PᵀP is one dense block where P has at most _DENSE entries in its dense
+    view, else ``Coo.times``.  A matrix of at most LEAF columns is one dense
+    front.  A larger one is never dense: ``Coo +`` merges the products and
+    ``plan`` orders the pattern; an entry adds XᵀX's terms, then a·BBᵀ's.
     """
     n = X.shape[1]
-    sums, terms = [], []
+    grams, terms = [], []
     for P in [X] if B is None else [X, B.T]:
         terms.append(int(np.bincount(P.cols).max()))
-        if n > LEAF and _short(P, P.rows, P):
-            G = P.T @ P
-            sums.append((G.rows * n + G.cols, G.vals))
+        if P.shape[0] * n > _DENSE:
+            G = P.T.times(P)
+            grams.append(G.array if n <= LEAF else G)
             continue
-        total = np.zeros((n, n)) if n <= LEAF else ([], [])
-        for idx in _slabs(P):
-            used, block = _dense_rows(P, idx)
-            prod = block.T @ block
-            if n > LEAF:
-                nz = prod != 0
-                total[0].append((used[:, None] * n + used)[nz])
-                total[1].append(prod[nz])
-            elif len(used) == n:
-                total += prod
-            else:
-                total[np.ix_(used, used)] += prod
-        sums.append(total if n <= LEAF else _coo_sum(*total))
+        used, block = _block(P)
+        prod = block.T @ block
+        if n > LEAF:
+            i, j = np.nonzero(prod)
+            grams.append(Coo(used[i], used[j], prod[i, j], (n, n)))
+        else:
+            grams.append(np.zeros((n, n)))
+            grams[-1][np.ix_(used, used)] = prod
     if n <= LEAF:
-        G = sums[0] if B is None else sums[0] + a * sums[1]
+        G = grams[0] if B is None else grams[0] + a * grams[1]
         return G.reshape(-1), [dense_front(n)], G.diagonal().copy(), terms
-    (keys, vals), *rest = sums
-    if rest:
-        keys, vals = _coo_sum([keys, rest[0][0]], [vals, a * rest[0][1]])
-    rows, cols = keys // n, keys % n
-    diag, on = np.zeros(n), rows == cols
-    diag[rows[on]] = vals[on]
-    return vals, plan(n, coords, rows, cols), diag, terms
-
-
-def _coo_sum(keys, vals):
-    """(keys, values) of the sum of runs of triplets, each run given by
-    ascending distinct flat keys i·n + j: sorted, each entry summed in the
-    order of the runs.  A stable sort merges them."""
-    if len(keys) == 1:
-        return keys[0], vals[0]
-    keys = np.concatenate(keys)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    first = np.r_[True, keys[1:] != keys[:-1]]
-    return keys[first], np.bincount(np.cumsum(first) - 1, weights=np.concatenate(vals)[order])
+    G = grams[0] if B is None else grams[0] + grams[1].replace(vals=a * grams[1].vals)
+    diag, on = np.zeros(n), G.rows == G.cols
+    diag[G.rows[on]] = G.vals[on]
+    return G.vals, plan(n, coords, G.rows, G.cols), diag, terms
 
 
 def _dof_coords(space):
@@ -585,29 +536,36 @@ def _mean_points(idx, pts, size):
                      for a in range(pts.shape[1])], axis=1) / count[:, None]
 
 
-def _product_slabs(A, B):
-    """Slabs of rows of A @ B and of |A| @ |B|, dense over the columns they
-    touch, for products that ``_short`` leaves on the slabs."""
-    for idx in _slabs(A):
-        mid, block_a = _dense_rows(A, idx)
-        _, block_b = _dense_rows(B, mid)
-        yield block_a @ block_b, np.abs(block_a) @ np.abs(block_b)
+def _block(D):
+    """D dense on the columns its entries touch (a bitmap, no sort): (those columns, the block)."""
+    mark = np.zeros(D.shape[1], dtype=bool)
+    mark[D.cols] = True
+    used = np.flatnonzero(mark)
+    block = np.zeros((D.shape[0], len(used)))
+    block[D.rows, (np.cumsum(mark) - 1)[D.cols]] = D.vals
+    return used, block
+
+
+def _products(A, B):
+    """The entries of A @ B and of |A| @ |B| on their one pattern, with no
+    residue: (their rows, the two values).  Dense blocks, every entry kept,
+    where A has at most _DENSE entries in its dense view, else ``Coo.times``."""
+    if A.shape[0] * A.shape[1] > _DENSE:
+        P, S = A.times(B), abs(A).times(abs(B))
+        return P.rows, P.vals, S.vals
+    mid, a = _block(A)
+    b = _block(B)[1][mid]                   # B's rows at A's columns, on their nonzero
+    b = b.compress(b.any(axis=0), axis=1)   # columns, row-major: BLAS rounds by layout
+    return (np.repeat(np.arange(len(a)), b.shape[1]), (a @ b).ravel(),
+            (np.abs(a) @ np.abs(b)).ravel())
 
 
 def complex_residual(D2, D1):
-    """Max entry of D2 @ D1, each over the largest in its row of |D2| @ |D1| (or 1),
-    both over the slabs of D2 or, where ``_short`` says so, as sparse triplets."""
-    if _short(D2, D2.cols, D1):
-        P, S = D2 @ D1, abs(D2) @ abs(D1)
-        rows = np.zeros(P.shape[0])
-        np.maximum.at(rows, S.rows, S.vals)
-        return float((np.abs(P.vals) / np.where(rows == 0.0, 1.0, rows)[P.rows]).max(initial=0.0))
-    worst = 0.0
-    for prod, scale in _product_slabs(D2, D1):
-        rows = scale.max(axis=1, initial=0.0)
-        rows[rows == 0.0] = 1.0
-        worst = max(worst, (np.abs(prod) / rows[:, None]).max(initial=0.0))
-    return float(worst)
+    """Max entry of D2 @ D1, each over the largest in its row of |D2| @ |D1| (or 1)."""
+    rows, prod, scale = _products(D2, D1)
+    top = np.zeros(D2.shape[0])
+    np.maximum.at(top, rows, scale)
+    return float((np.abs(prod) / np.where(top == 0.0, 1.0, top)[rows]).max(initial=0.0))
 
 
 _U = np.finfo(float).eps / 2
@@ -734,11 +692,11 @@ def _cholesky_floor(gram, t, c):
     """t - c as a proved lower bound on λ_min of the exact Gram matrix, or None.
 
     c bounds the distance of the exact Gram matrix from the computed G, γ_w·F
-    for entries that sum at most w products each in any order (slab by slab,
-    or a sparse product's ``bincount``), plus the rounding of a float Cholesky:
-    one that completes on G - tI proves
-    λ_min(G) ≥ t - γ_{N+1}/(1-γ_{N+1})·tr(G) (Rump, BIT 46, 2006), and P G Pᵀ
-    has the eigenvalues of G for the plan's permutation P.  Rump's proof
+    for entries that sum at most w products each in any order (one dense
+    block's BLAS product, or ``Coo.times``' ``bincount``), plus the rounding
+    of a float Cholesky: one that completes on G - tI proves λ_min(G) ≥
+    t - γ_{N+1}/(1-γ_{N+1})·tr(G) (Rump, BIT 46, 2006), and P G Pᵀ has the
+    eigenvalues of G for the plan's permutation P.  Rump's proof
     rests on Demmel's componentwise backward error of the computed factor,
     |L Lᵀ - (G - tI)| ≤ γ_{N+1}|L||Lᵀ|, which holds when every entry of L
     comes from the Cholesky recurrences, l_jj² = g_jj - t - Σ_k l_jk² and
@@ -811,10 +769,8 @@ def _proof(D, r, kernel, sigma1, coords):
         FB = B.vals @ B.vals
         a = F / FB
         penalty = a * dropped_B ** 2
-        sq = [P.vals @ P.vals for P in (D @ B, abs(D) @ abs(B))] if _short(D, D.cols, B) else \
-            np.sum([(np.sum(prod ** 2), np.sum(bound ** 2))
-                    for prod, bound in _product_slabs(D, B)], axis=0)
-        dropped = (math.sqrt(sq[0]) + _gamma(w_row + 1) * math.sqrt(sq[1])) / kept_B
+        prod, bound = (np.sum(x ** 2) for x in _products(D, B)[1:])
+        dropped = (math.sqrt(prod) + _gamma(w_row + 1) * math.sqrt(bound)) / kept_B
     dropped = dropped * (1 + _SLACK) + delta
     if dropped >= RANK_RTOL * lo1:
         return None

@@ -16,8 +16,8 @@ import sys
 from types import SimpleNamespace
 
 from . import assembly, bgg, elements, mesh as meshmod
-from .assembly import (dim_formula, dof_savings, homogeneous_row_report, row_p_min,
-                       verify_exactness)
+from .assembly import (MAX_DENSE_BYTES, dim_formula, dof_savings, homogeneous_row_report,
+                       row_p_min, verify_exactness)
 from .elements import dual_basis, dual_export_lines, element_def, unisolvence_check
 from .mesh import SimplicialMesh, cube_center_fan_grid
 
@@ -69,17 +69,11 @@ def _p_values(args):
     return list(range(lo, hi + 1))
 
 
-# A dense local DoF matrix (local dimension squared, float64) larger than
-# this is refused before anything is built; the work arrays around it take a
-# few times as much.  It is the size of prove_ranks' dense-count limit.
-MAX_LOCAL_MATRIX_BYTES = assembly.MAX_DENSE_BYTES
-
-
 def _check_local_size(slots, n, systems=()):
     """Exit 2 if an element of the (r, p, k) slots, or one of the square DoF
     systems given as (description, order), has a dense local DoF matrix over
-    MAX_LOCAL_MATRIX_BYTES.  Slots that are no family are left to the
-    command's own checks."""
+    MAX_DENSE_BYTES (its work arrays take a few times as much).  Slots that
+    are no family are left to the command's own checks."""
     families = []
     for r, p, k in slots:
         try:
@@ -89,10 +83,10 @@ def _check_local_size(slots, n, systems=()):
         families.append((f"family r={r}, k={k}, n={n} at p={p} has local dimension "
                          f"{el.local_dim}", el.local_dim))
     for what, order in families + list(systems):
-        if 8 * order ** 2 > MAX_LOCAL_MATRIX_BYTES:
+        if 8 * order ** 2 > MAX_DENSE_BYTES:
             raise SystemExit(
                 f"error: {what}; its dense DoF matrix would take {8 * order ** 2 / 2 ** 20:.0f} "
-                f"MiB, over the {MAX_LOCAL_MATRIX_BYTES // 2 ** 20} MiB limit")
+                f"MiB, over the {MAX_DENSE_BYTES // 2 ** 20} MiB limit")
 
 
 REFERENCE = {n: [[0.0] * n] + [[float(i == j) for j in range(n)] for i in range(n)]
@@ -290,8 +284,8 @@ def _parse_r(value):
 
 
 # command -> (function, help line, options); an option is (flag, dest, type,
-# default, help): "/" in the flag adds an alias, a tuple type lists the
-# choices, and the default REQUIRED makes the option required
+# default, help): a tuple type lists the choices, and the default REQUIRED
+# makes the option required
 REQUIRED = object()
 _OUT = ("--out", "out", str, None, "write the output to this file, not stdout")
 _FORMAT = ("--format", "format", ("csv", "json"), "csv", "output format")
@@ -306,7 +300,7 @@ COMMANDS = {
         ("--p-range", "p_range", str, None, "degrees LO:HI"),
         ("--dim", "dim", int, None, "the mesh dimension, checked")]),
     "verify": (cmd_verify, "complex + exactness verification", [
-        _OUT, _MESH, ("--row/--r", "row", str, "1", "family grade 0|1|2|mixed (default 1)"),
+        _OUT, _MESH, ("--row", "row", str, "1", "family grade 0|1|2|mixed (default 1)"),
         _P, ("--betti", "betti", str, None, "expected harmonic dimensions, comma separated")]),
     "element": (cmd_element, "element catalog and unisolvence", _FAMILY),
     "bc": (cmd_bc, "boundary classification and reduced dims", [
@@ -349,7 +343,7 @@ def _read_token(prog, flags, token):
 def _help(name=None):
     """-h: the commands, or the options of command ``name``; exit 0."""
     rows = ([(cmd, about) for cmd, (_, about, _) in COMMANDS.items()] if name is None else
-            [(flag.replace("/", ", "), about + " (required)" * (default is REQUIRED))
+            [(flag, about + " (required)" * (default is REQUIRED))
              for flag, _, _, default, about in COMMANDS[name][2]])
     sys.stdout.write(f"usage: derham {name or '<command> [-h]'} [--option value | --option=value]"
                      " ... (a unique prefix names an option)\n\n"
@@ -374,7 +368,7 @@ def parse_args(argv):
         _usage_error("derham", f"argument command: invalid choice: {name!r} "
                                f"(choose from {', '.join(map(repr, COMMANDS))})")
     prog, options = f"derham {name}", COMMANDS[name][2]
-    flags = {**_HELP, **{flag: option for option in options for flag in option[0].split("/")}}
+    flags = {**_HELP, **{option[0]: option for option in options}}
     # every token from a "--" on is left over, and no option takes it as its value
     cut = argv.index("--") if "--" in argv else len(argv)
     reads = [_read_token(prog, flags, t) for t in argv[:cut]] + [(None, None)] * (len(argv) - cut)

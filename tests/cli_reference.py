@@ -46,7 +46,7 @@ def build_parser():
 
     v = sub.add_parser("verify", help="complex + exactness verification")
     common(v, mesh=True)
-    v.add_argument("--row", "--r", dest="row", default="1",
+    v.add_argument("--row", dest="row", default="1",
                    help="family grade 0|1|2|mixed")
     v.add_argument("--p", type=int, required=True)
     v.add_argument("--betti", default=None,

@@ -3,7 +3,6 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from dof_reference import global_dof_values
 from derham import assembly, exact
@@ -18,7 +17,7 @@ from derham.assembly import (CONTAINMENT_TOL, RANK_RTOL, Coo, _dof_coords,
 from derham.elements import element_def, p_min
 from derham.exact import Simplex, cell_simplex
 from derham.forms import trace_matrix
-from derham.mesh import SimplicialMesh, cube_center_fan_grid, three_tet_fan, triangle_grid
+from derham.mesh import SimplicialMesh, cube_center_fan_grid, triangle_grid
 
 
 # -- assembled dimensions vs closed forms ----------------------------------------
@@ -121,38 +120,6 @@ def test_wrong_pairing_rejected(meshes):
     sten = assemble_space(m, 1, 2, 1)
     with pytest.raises(RuntimeError, match="disagrees"):
         assemble_d(lag, sten)
-
-
-def test_dense_rows_match_a_dense_reference():
-    # rows 1 and 3 are empty, and row 4 alone is a one-column slab
-    dense = np.zeros((5, 7))
-    dense[0, [1, 4]] = [2.0, -3.0]
-    dense[2, [0, 4, 6]] = [1.5, 0.25, -1.0]
-    dense[4, 5] = 7.0
-    rows, cols = np.nonzero(dense)
-    D = Coo(rows, cols, dense[rows, cols], dense.shape)
-    for idx in ([0, 1, 2, 3, 4], [1, 3], [4], [2, 0], [3, 4], []):
-        idx = np.array(idx, dtype=int)
-        used, block = assembly._dense_rows(D, idx)
-        assert np.array_equal(used, np.flatnonzero(dense[idx].any(axis=0)))
-        assert np.array_equal(block, dense[np.ix_(idx, used)])
-        assert block.shape == (len(idx), len(used))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 9), st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
-def test_dense_rows_bitmap_matches_a_sort(m, n, seed):
-    # the bitmap over the touched columns' span gives np.unique's columns and block
-    rng = np.random.default_rng(seed)
-    D = _random_coo(rng, (m, n), density=rng.random())
-    idx = np.sort(rng.choice(m, size=rng.integers(0, m + 1), replace=False))
-    lo, hi = D.ptr[idx], D.ptr[idx + 1]
-    pos = np.concatenate([np.arange(a, b) for a, b in zip(lo, hi)] + [np.zeros(0, int)])
-    want_used, at = np.unique(D.cols[pos], return_inverse=True)
-    want = np.zeros((len(idx), len(want_used)))
-    want[np.repeat(np.arange(len(idx)), hi - lo), at] = D.vals[pos]
-    used, block = assembly._dense_rows(D, idx)
-    assert np.array_equal(used, want_used) and np.array_equal(block, want)
 
 
 def _random_coo(rng, shape, density=0.3, dropped=0.0):
@@ -298,81 +265,79 @@ def _row_ops(mesh, r, p):
     return spaces, [assemble_d(a, b) for a, b in zip(spaces, spaces[1:])]
 
 
-def _gram_parts(monkeypatch, *args, short=None):
-    """``_gram``'s values, pattern and diagonal, the plan replaced by the
-    pattern; ``short`` = 0 sends every product over the slabs."""
-    monkeypatch.setattr(assembly, "plan", lambda n, coords, rows, cols: (rows, cols))
-    if short is not None:
-        monkeypatch.setattr(assembly, "_SHORT", short)
-    vals, pattern, diag, terms = assembly._gram(*args)
+def _chunked(monkeypatch, chunk, A, B):
+    """A @ B with assembly._CHUNK set to ``chunk``, and how many chunks it summed."""
+    summed, calls = Coo.summed, []
+    monkeypatch.setattr(assembly, "_CHUNK", chunk)
+    monkeypatch.setattr(Coo, "summed", lambda *a: calls.append(1) or summed(*a))
+    C = A @ B
     monkeypatch.undo()
-    return vals, pattern, diag, terms
+    return C, len(calls)
 
 
-def test_short_rows_multiply_as_triplets_like_the_slabs(monkeypatch):
+def test_coo_product_in_chunks_equals_one_chunk(monkeypatch):
+    rng = np.random.default_rng(11)
+    A, B = _random_coo(rng, (60, 30), dropped=1e-13), _random_coo(rng, (30, 25))
+    gaps = Coo(*(x[(A.rows % 7 != 3)] for x in (A.rows, A.cols, A.vals)), A.shape)
+    wide = Coo.of_dense(rng.normal(size=(3, 30)))      # each row has 750 terms
     _, (D0, D1) = _row_ops(triangle_grid(8), 0, 2)
-    # D0 (2 terms per entry) and D0ᵀ span two slabs each; D1ᵀD1 + a·D0D0ᵀ
-    # sums D1's one slab and D0ᵀ's triplets
-    for P in (D0, D0.T):
-        assert len(list(assembly._slabs(P))) > 1 and assembly._short(P, P.rows, P)
-    for args in [(D0, None), (D0.T, None), (D1, None, D0, 0.7)]:
-        vals, (rows, cols), diag, terms = _gram_parts(monkeypatch, *args)
-        want, (wrows, wcols), wdiag, wterms = _gram_parts(monkeypatch, *args, short=0)
-        assert np.array_equal(rows, wrows) and np.array_equal(cols, wcols)
-        assert np.abs(vals - want).max() <= 1e-13 * np.abs(want).max()
-        assert np.abs(diag - wdiag).max() <= 1e-13 * np.abs(want).max() and terms == wterms
-    # d∘d over more than one slab of D1 on a finer grid, and with D0 moved so
-    # that D1·D0 is far from zero
-    _, (D0, D1) = _row_ops(triangle_grid(12), 0, 2)
-    moved = Coo(D0.rows, D0.cols, D0.vals * np.linspace(1.0, 1.001, len(D0.vals)), D0.shape)
-    assert assembly._short(D1, D1.cols, D0)
-    got = [complex_residual(D1, D) for D in (D0, moved)]
-    monkeypatch.setattr(assembly, "_SHORT", 0)
-    want = [complex_residual(D1, D) for D in (D0, moved)]
-    assert abs(got[0] - want[0]) <= 1e-12 and abs(got[1] - want[1]) <= 1e-12 * want[1]
-    assert want[1] > 1e-5
-    monkeypatch.undo()
-    # ‖DB‖_F of the middle operator's proof, D (721×504) and B (504×96) short
-    spaces, ops = _row_ops(cube_center_fan_grid(1, 1, 1), 1, 1)
-    ranks, margins = _prove_row(spaces, ops)
-    monkeypatch.setattr(assembly, "_SHORT", 0)
-    assert _prove_row(spaces, ops)[0] == ranks
-    for got, want in zip(margins, _prove_row(spaces, ops)[1]):
-        # the dropped bound is rounding residue of DB = 0, summed in another order
-        assert got["proved"] and want["proved"] and abs(got["dropped"] - want["dropped"]) < 1e-12
-        assert abs(got["kept"] - want["kept"]) <= 1e-8 * want["kept"]
+    cases = [(A, B, 8, 10), (gaps, B, 8, 10), (Coo.zero(0, 30), B, 8, 1),
+             (Coo.zero(5, 30), B, 8, 1), (wide, Coo.of_dense(rng.normal(size=(30, 25))), 100, 3),
+             (D0.T, D0, 64, 10), (D1, D0, 64, 10)]
+    for A, B, chunk, least in cases:
+        (got, chunks), (want, one) = (_chunked(monkeypatch, c, A, B) for c in (chunk, 2 ** 62))
+        assert one == 1 and chunks >= least
+        for x, y in zip((got.rows, got.cols, got.vals), (want.rows, want.cols, want.vals)):
+            assert np.array_equal(x, y)
+        assert got.shape == want.shape and got.dropped_norm == want.dropped_norm
 
 
-def test_one_slab_and_long_row_products_keep_the_slabs(monkeypatch):
+def _dense_gram(X, B=None, a=None):
+    """``_gram``'s matrix as a dense array, the plan replaced by the pattern."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(assembly, "plan", lambda n, coords, rows, cols: (rows, cols))
+        vals, pattern, diag, _ = assembly._gram(X, None, B, a)
+    n = X.shape[1]
+    if n <= assembly.LEAF:
+        G = vals.reshape(n, n)
+    else:
+        G = np.zeros((n, n))
+        G[pattern] = vals
+    assert np.array_equal(diag, G.diagonal())
+    return G
+
+
+@pytest.mark.parametrize("path", [{}, {"_CHUNK": 256}, {"_DENSE": 0}, {"_DENSE": 2 ** 62}],
+                         ids=["default", "chunks", "triplets", "dense"])
+def test_products_match_dense_references(monkeypatch, path):
+    # one dense block (D1 of triangle_grid(8), or every factor when _DENSE is
+    # large) and sparse triplets in one chunk or in many
     from derham.bgg import BGGContext
-    _, ops = _row_ops(three_tet_fan(), 1, 2)
+    _, (D0, D1) = _row_ops(triangle_grid(8), 0, 2)
     ctx = BGGContext(triangle_grid(4), 2)
-    grams = [X for D in ops for X in (D, D.T)] + [ctx.dV0, ctx.S1.T]
-    pairs = list(zip(ops[1:], ops)) + [(ctx.dK1, ctx.dK0)]
-    # the bgg operators span several slabs, their rows too long for triplets
-    for X in (ctx.dV0, ctx.S1.T):
-        assert len(list(assembly._slabs(X))) > 1 and not assembly._short(X, X.rows, X)
-    assert len(list(assembly._slabs(ctx.dK1))) > 1
-    assert not assembly._short(ctx.dK1, ctx.dK1.cols, ctx.dK0)
-    for X in grams:
-        (vals, pattern, diag, _), want = (_gram_parts(monkeypatch, X, None, short=s)
-                                          for s in (None, 0))
-        assert np.array_equal(vals, want[0]) and np.array_equal(diag, want[2])
-        if X.shape[1] > assembly.LEAF:
-            assert all(np.array_equal(a, b) for a, b in zip(pattern, want[1]))
-    for D2, D1 in pairs:
-        got = complex_residual(D2, D1)
-        monkeypatch.setattr(assembly, "_SHORT", 0)
-        assert complex_residual(D2, D1) == got
-        monkeypatch.undo()
+    for name, value in path.items():
+        monkeypatch.setattr(assembly, name, value)
 
+    def close(got, want):
+        return np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
-def test_short_row_verdict_walks_no_slab(monkeypatch):
-    calls = []
-    dense_rows = assembly._dense_rows
-    monkeypatch.setattr(assembly, "_dense_rows", lambda *a: calls.append(1) or dense_rows(*a))
-    rep = verify_exactness(triangle_grid(32), 0, 2)
-    assert rep.passed and all(m["proved"] for m in rep.rank_margins) and not calls
+    for X, B, a in [(D0, None, None), (D0.T, None, None), (D1, None, None), (ctx.dV0, None, None),
+                    (ctx.S1.T, None, None), (D1, D0, 0.7), (ctx.dK1, ctx.dK0, 3.0)]:
+        want = X.array.T @ X.array + (0.0 if B is None else a * B.array @ B.array.T)
+        assert close(_dense_gram(X, B, a), want)
+    # d∘d is zero up to rounding; against dense references it is far from zero
+    # with the right factor moved or a column of the left one dropped (then a
+    # dense block takes only the right factor's rows that the left one meets)
+    for D2, right in [(D1, D0), (ctx.dK1, ctx.dK0)]:
+        assert complex_residual(D2, right) < 1e-13
+    gapped = Coo(*(x[D1.cols != 7] for x in (D1.rows, D1.cols, D1.vals)), D1.shape)
+    moved = [X.replace(vals=X.vals * np.linspace(1.0, 1.001, len(X.vals))) for X in (D0, ctx.dK0)]
+    for D2, right in [(D1, moved[0]), (ctx.dK1, moved[1]), (gapped, D0)]:
+        prod, scale = D2.array @ right.array, np.abs(D2.array) @ np.abs(right.array)
+        want = (np.abs(prod) / scale.max(axis=1, keepdims=True)).max()
+        assert abs(complex_residual(D2, right) - want) <= 1e-13 * want and want > 1e-5
+        got = [np.sum(x ** 2) for x in assembly._products(D2, right)[1:]]     # ‖DB‖ as _proof
+        assert close(np.array(got), np.array([np.sum(prod ** 2), np.sum(scale ** 2)]))
 
 
 # -- exactness ----------------------------------------------------------------------
