@@ -30,16 +30,15 @@ import math
 import weakref
 from collections import namedtuple
 from functools import cached_property
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations
 from typing import NamedTuple
 
 import numpy as np
 
-from .elements import (block_rows, dof_plan, element_def, p_min, shape_coeffs,
-                       single_cell_mesh, tangential_bubble_span, zero_trace_dim)
+from .elements import block_rows, dof_plan, element_def, p_min, shape_coeffs
 from .fronts import LEAF, dense_front, plan
-from .forms import (RANK_RTOL, elevation, exponent_array, exterior_derivative_matrix,
-                    moment_gram, multinomials, nullspace, rank_of, trace_matrix)
+from .forms import (RANK_RTOL, elevation, exterior_derivative_matrix, moment_gram,
+                    multinomials, nullspace, rank_of)
 
 DD_TOL = 1e-10
 CONTAINMENT_TOL = 1e-8
@@ -450,37 +449,6 @@ def assemble_d(src, dst):
 def _d_map(src, dst):
     """d on a stack of cells, from the source's degree to the target's."""
     return lambda grads: exterior_derivative_matrix(grads, src.el.k, src.el.p, dst.el.p)
-
-
-def containment_residual(src, dst, D=None):
-    """Largest coefficient of d(dual_j) minus its target-space interpolant.
-
-    Per cell and for every global source column that the cell or its rows of
-    D reach, the coefficients of the d images of the source duals are
-    compared with the target duals times the cell's rows of D, relative to
-    the largest image coefficient.  All cells are one stack: each holds its
-    columns in ascending order, padded with zero columns to the longest.
-    """
-    if D is None:
-        D = assemble_d(src, dst)
-    images = _d_map(src, dst)(src.mesh.bary_grads) @ src.fields
-    rows, ncells = dst.cell_global, len(dst.cell_global)
-    lo, reps = D.ptr[rows].ravel(), np.diff(D.ptr)[rows].ravel()
-    pos = np.repeat(lo - np.cumsum(reps) + reps, reps) + np.arange(reps.sum())
-    at = np.repeat(np.arange(rows.size), reps)        # (cell, local row) of each entry
-    keys = np.concatenate([at // rows.shape[1] * D.shape[1] + D.cols[pos],
-                           (np.arange(ncells)[:, None] * D.shape[1] + src.cell_global).ravel()])
-    uniq, inv = np.unique(keys, return_inverse=True)
-    cell = uniq // D.shape[1]
-    slot = np.arange(len(uniq)) - np.searchsorted(cell, cell)   # position in its cell
-    block = np.zeros((ncells, rows.shape[1], slot.max(initial=-1) + 1))
-    block[at // rows.shape[1], at % rows.shape[1], slot[inv[:len(pos)]]] = D.vals[pos]
-    image = np.zeros((ncells, images.shape[1], block.shape[2]))
-    image[np.arange(ncells)[:, None], :, slot[inv[len(pos):]].reshape(ncells, -1)] \
-        = images.swapaxes(1, 2)
-    worst = np.abs(image - dst.fields @ block).max(initial=0.0)
-    scale = np.abs(images).max(initial=0.0)
-    return worst / scale if scale > 0.0 else worst
 
 
 # ---------------------------------------------------------------------------
@@ -948,21 +916,6 @@ def verify_exactness(mesh, r, p, expected_betti=None):
     return report
 
 
-def space_equal(space_a, space_b):
-    """True iff the two assembled spaces span the same piecewise functions."""
-    if space_a.mesh is not space_b.mesh or space_a.el.k != space_b.el.k:
-        raise ValueError("spaces must share mesh and form degree")
-    p = max(space_a.el.p, space_b.el.p)
-    A = space_a.broken(p)
-    B = space_b.broken(p)
-    if space_a.dim != space_b.dim:
-        return False, {"dims": (space_a.dim, space_b.dim)}
-    ra = rank_of(A)
-    rboth = rank_of(np.hstack([A, B]))
-    equal = (ra == space_a.dim) and (rboth == ra)
-    return equal, {"dims": (space_a.dim, space_b.dim), "rank_a": ra, "rank_union": rboth}
-
-
 # ---------------------------------------------------------------------------
 # homogeneous boundary conditions
 # ---------------------------------------------------------------------------
@@ -1070,84 +1023,8 @@ def homogeneous_row_report(mesh, p, classification):
 
 
 # ---------------------------------------------------------------------------
-# decompositions, savings
+# savings
 # ---------------------------------------------------------------------------
-
-def verify_decomposition(n, p, mesh):
-    """Nodal space equals continuous part plus trace-free bubbles (span rank)."""
-    if n == 2:
-        if p < 2:
-            raise ValueError("2D decomposition needs p >= 2")
-        target = assemble_space(mesh, 1, p, 1)
-        scalar = assemble_space(mesh, 0, p, 0)
-        # a single-cell copy has the same barycentric coefficients
-        bubbles = [zero_trace_dim(single_cell_mesh(verts), p, 1)[1]
-                   for verts in mesh.vertices[mesh.cells]]
-    elif n == 3:
-        target = assemble_space(mesh, 2, p, 1)
-        scalar = assemble_space(mesh, 1, p, 0)
-        bubbles = [tangential_bubble_span(grads, p) for grads in mesh.bary_grads]
-    else:
-        raise ValueError("decomposition implemented in dimensions 2 and 3")
-    # componentwise vector fields: scalar column j in component c is column
-    # c·dim + j, its coefficients in the cell's key block (c,)
-    ncells = len(mesh.cells)
-    comp_cols = np.zeros((ncells, n, math.comb(p + n, n), n, scalar.dim))
-    comp_cols[:, np.arange(n), :, np.arange(n)] = scalar.broken(p).reshape(ncells, -1, scalar.dim)
-    comp_cols = comp_cols.reshape(-1, n * scalar.dim)
-    bub = Coo.blocks([[Coo.of_dense(b) if i == j else None for j in range(ncells)]
-                      for i, b in enumerate(bubbles)]).array
-    tgt = target.broken(p)
-    both = np.hstack([comp_cols, bub])
-    r_target = rank_of(tgt)
-    r_sum = rank_of(both)
-    r_union = rank_of(np.hstack([tgt, both]))
-    return {
-        "dim_target": target.dim,
-        "rank_target": r_target,
-        "rank_sum": r_sum,
-        "rank_union": r_union,
-        "dim_continuous": n * scalar.dim,
-        "equal": r_target == target.dim == r_sum == r_union,
-        "continuous_strictly_smaller": n * scalar.dim < target.dim,
-    }
-
-
-def interpolation_split_residual(mesh, p):
-    """Max tangential face trace of (u - continuous interpolant of u), 3D.
-
-    Realizes the interpolation onto the vector-Hermite space that copies all
-    shared DoFs of u, keeps interior moments, and zeroes face-normal parts;
-    the remainder must be a tangential-trace-free bubble on every cell.
-    Everything is coefficients stacked over cells: the key blocks of a
-    1-form are its proxy components, scalar DoFs are rows, traces are
-    restriction matrices, one per local face slot.
-    """
-    rng = np.random.default_rng(0)
-    target = assemble_space(mesh, 2, p, 1)
-    scalar = assemble_space(mesh, 1, p, 0)
-    ncells, faces = len(mesh.cells), list(combinations(range(4), 3))
-    normals = mesh.frames(2).normals[:, 0]
-    worst = 0.0
-    for trial in range(2):
-        x = rng.normal(size=target.dim)
-        # 25 sample points per cell and face, drawn in that order
-        lam = rng.dirichlet([2.0] * 3, size=(ncells, len(faces), 25))
-        u = (target.fields @ x[target.cell_global][..., None])[..., 0]
-        # scalar DoFs of the three components; face DoFs see the tangential part
-        y = scalar.gather(scalar.rows @ u.reshape(ncells, 3, -1).swapaxes(1, 2))
-        for g in dof_plan(scalar.el, 2):
-            gi = scalar.dofs(2, np.arange(mesh.count(2)), g.label)
-            y[gi] -= (y[gi] @ normals[:, :, None]) * normals[:, None, :]
-        rest = u - (scalar.fields @ y[scalar.cell_global]).swapaxes(1, 2).reshape(ncells, -1)
-        for j, fverts in enumerate(faces):
-            tangents = mesh.frames(2).tangents[mesh.cell_entities[2][:, j]]
-            trace = trace_matrix(3, fverts, 1, p, tangents) @ rest[..., None]
-            mono = np.prod(lam[:, j, :, None, :] ** exponent_array(3, p), axis=-1)
-            values = mono @ trace.reshape(ncells, 2, -1).swapaxes(1, 2)
-            worst = max(worst, np.abs(values).max())
-    return worst
-
 
 def dof_savings(p, mesh):
     """Comparison of the classical and nodal H(curl) dimensions on a mesh."""

@@ -21,7 +21,7 @@ import numpy as np
 
 from .assembly import (Coo, _dof_coords, assemble_d, assemble_local_operator, assemble_space,
                        prove_ranks)
-from .elements import cell_dofs, smoothness_rows
+from .elements import smoothness_rows
 from .forms import (derivative_matrix, dim_trimmed, eval_row, exterior_derivative_matrix,
                     moment_gram, monomials, multinomials, nullspace, trace_matrix)
 from .mesh import SimplicialMesh
@@ -87,12 +87,6 @@ class BGGContext:
         self.dK0 = None if self.argyris is None else Coo.blocks([[G] for G in pair(
             self.argyris, self.hermite, lambda grads, c: _grad_component(grads, c, p + 3))])
 
-    def _nodal(self, what):
-        """dK0, which needs the nodal skew 0-form space."""
-        if self.dK0 is None:
-            raise ValueError(f"{what} needs p + 3 >= 5")
-        return self.dK0
-
     def identity_residual(self):
         """Max entry of D1 S0 + S1 D0 relative to the term magnitudes."""
         a, b = self.dK1 @ self.S0, self.S1 @ self.dV0
@@ -134,63 +128,6 @@ class BGGContext:
                 "onto_end": r1 == dim_xi2,
                 "exact": (dim_xi0 - r0) == 3 and (dim_xi1 - r1) == r0 and r1 == dim_xi2,
                 "rank_margins": margins}
-
-    def xi_commuting_residual(self):
-        """Residual of the projection squares onto the reduced subcomplex."""
-        dK0, S0inv = self._nodal("projection check"), self.S0.T
-        (A0, A1, _), H2, arg = self.xi_operators(), 2 * self.hermite.dim, self.argyris.dim
-        pi0 = Coo.blocks([[Coo.eye(arg), Coo.zero(arg, H2)], [S0inv @ dK0, None]])
-        pi1 = Coo.blocks([[Coo.zero(H2, H2), None],
-                          [self.dV0 @ S0inv, Coo.eye(self.dV0.shape[0])]])
-        left, right = A0 @ pi0 - pi1 @ A0, A1 @ pi1 - A1
-        return max(left.amax(), right.amax()) / max(A0.amax(), A1.amax(), 1.0)
-
-    def airy(self):
-        """The potential map dV0 S0^-1 dK0: scalars to symmetric matrix fields."""
-        return self.dV0 @ (self.S0.T @ self._nodal("the stress row"))
-
-    def projection_commutes(self):
-        """Residuals of the squares carrying the reduced row to the stress row.
-
-        The vertical maps are the identity, (id - inclusion . S1), and
-        (omega, mu) -> mu + dV1 . inclusion . omega; both squares must commute.
-        """
-        airy, S1, dV1, ih = self.airy(), self.S1, self.dV1, stress_inclusion(self)
-        V = Coo.eye(2 * self.stenberg.dim) - ih @ S1
-        # left square: the potential map composed with the vertical projection
-        left = (V @ airy - airy).amax() / max(airy.amax(), 1.0)
-        # right square: project then take d versus map into the product and project
-        top = Coo.blocks([[-S1], [dV1]])
-        pi_h = Coo.blocks([[dV1 @ ih, Coo.eye(2 * self.dg.dim)]])
-        right = (pi_h @ top - dV1 @ V).amax() / max(dV1.amax(), 1.0)
-        return {"left": left, "right": right, "projection_into_kernel": (S1 @ V).amax(),
-                "trace_right_inverse": (S1 @ ih - Coo.eye(self.pressure.dim)).amax()}
-
-    def huzhang_row_report(self):
-        """Exactness accounting for: smooth scalars -> symmetric stresses -> vectors.
-
-        The stress space is the symmetric kernel of the trace map S1 inside
-        the vector-valued 1-form space; the potential map is dV0 S0^-1 dK0
-        (scalars to symmetric matrix fields).  Ranks alone give the row: a full
-        proof that S1 is onto, then the transposed chain [Mᵀ, airyᵀ] with
-        M = [S1; dV1]; div on ker S1 has rank M - rank S1."""
-        airy = self.airy()
-        # image of the potential map is symmetric: S1 @ airy = -dK1 dK0 = 0
-        sym_resid = (self.S1 @ airy).amax() / max(airy.amax(), 1.0)
-        sc, pc, dc = (_dof_coords(s) for s in (self.stenberg, self.pressure, self.dg))
-        sc = np.vstack([sc, sc])
-        (r_s1,), m_s1 = prove_ranks([self.S1], [sc, pc])
-        M = Coo.blocks([[self.S1], [self.dV1]])
-        (r_m, r_airy), m_row = prove_ranks([M.T, airy.T],
-                                           [np.vstack([pc, dc, dc]), sc, _dof_coords(self.argyris)])
-        dim_hz, r_div, arg = 2 * self.stenberg.dim - r_s1, r_m - r_s1, self.argyris.dim
-        return {"dim_potential": arg, "dim_stress": dim_hz, "dim_load": 2 * self.dg.dim,
-                "rank_potential_map": r_airy, "kernel_potential_map": arg - r_airy,
-                "rank_div": r_div, "image_symmetric_resid": sym_resid,
-                "exact": (arg - r_airy == 3 and dim_hz - r_div == r_airy
-                          and r_div == 2 * self.dg.dim),
-                "rank_margins": m_s1 + m_row}
-
 
 def verify_bgg_identity(mesh, p):
     """Max entry of D1 S0 + S1 D0 relative to the term magnitudes."""
@@ -331,63 +268,3 @@ def _row_normalized(M):
     norms = np.abs(M).max(axis=1)
     norms[norms == 0.0] = 1.0
     return M / norms[:, None]
-
-
-# ---------------------------------------------------------------------------
-# the discrete inclusion of skew data into the matrix-valued space
-# ---------------------------------------------------------------------------
-
-def _matrix_fields(sten):
-    """Every cell's pair dual functions as matrix fields, (cells, 4 nq, 2 local
-    DoFs), row 0's duals first: pair row r is the 1-form w_r, and matrix row
-    r is (m_r0, m_r1) = (-w_r1, w_r0)."""
-    w, nq = sten.fields, sten.fields.shape[1] // 2
-    m = np.concatenate([-w[:, nq:], w[:, :nq]], axis=1)
-    return np.block([[m, np.zeros_like(m)], [np.zeros_like(m), m]])
-
-
-def _positions(space, label):
-    """The local positions of the plan group ``label`` in every cell."""
-    return [i for i, dof in enumerate(cell_dofs(space.el, space.mesh, 0)) if dof.label == label]
-
-
-def stress_inclusion(ctx):
-    """Discrete inclusion of skew 2-form data into the matrix-valued space.
-
-    Defined through the stress DoFs: vertex skew values and interior skew
-    moments are copied from the input, every edge and symmetric-interior DoF
-    is zero.  The vertex and edge DoFs are the pair's own up to sign: a skew
-    value s (m01 = -s, m10 = s) is w00 = w11 = -s, and the pair's edge DoFs
-    stay zero.  Each cell then solves its skew and symmetric rows for its
-    interior pair DoFs, all cells in one batch.  Normalized so that
-    S1 @ inclusion = identity; a ``Coo`` from pressure DoFs to pair DoFs.
-    """
-    mesh, sten, FN = ctx.mesh, ctx.stenberg, ctx.pressure
-    F, slots = zip(*(_stress_rows(mesh, ci, ctx.p + 1) for ci in range(len(mesh.cells))))
-    inner = [s for s, slot in enumerate(slots[0]) if slot[0] in ("skew", "sym")]
-    G = np.array(F)[:, inner] @ _matrix_fields(sten)
-    nloc, interior = sten.cell_global.shape[1], _positions(sten, "interior")
-    # the cell's rows at a unit vertex value: its pair DoFs w00 = w11 = -1
-    vertex = -G[:, :, _positions(sten, "vertex-c0")] \
-        - G[:, :, [nloc + i for i in _positions(sten, "vertex-c1")]]
-    # interior: match the vertex-vanishing moment, doubled (chi:chi); the
-    # tests in plan order are the skew rows' monomials
-    moments = 2.0 * np.eye(len(inner), len(_positions(FN, "interior")))
-    X = np.linalg.solve(G[:, :, interior + [nloc + i for i in interior]], np.concatenate(
-        [-vertex, np.broadcast_to(moments, (len(F),) + moments.shape)], axis=2))
-    rows = np.hstack([sten.cell_global[:, interior], sten.dim + sten.cell_global[:, interior]])
-    cols = FN.cell_global[:, _positions(FN, "vertex-value") + _positions(FN, "interior")]
-    ids = np.arange(mesh.count(0))
-    vrows = [sten.dofs(0, ids, "vertex-c0").ravel(),
-             sten.dim + sten.dofs(0, ids, "vertex-c1").ravel()]
-    vcols = FN.dofs(0, ids, "vertex-value").ravel()
-    raw = Coo.summed(np.concatenate([np.repeat(rows, cols.shape[1]).ravel()] + vrows),
-                     np.concatenate([np.tile(cols, rows.shape[1]).ravel(), vcols, vcols]),
-                     np.concatenate([X.ravel(), -np.ones(2 * len(vcols))]),
-                     (2 * sten.dim, FN.dim))
-    gauge = ctx.S1 @ raw
-    scale = gauge.vals[gauge.rows == gauge.cols].sum() / FN.dim
-    if abs(scale) < 1e-12 or \
-            (gauge.replace(vals=gauge.vals / scale) - Coo.eye(FN.dim)).amax() > 1e-8:
-        raise RuntimeError("inclusion failed to invert the trace map")
-    return raw.replace(vals=raw.vals / scale)

@@ -5,7 +5,7 @@ Nedelec second kind / BDM / DG, 1 = Hermite-grade vertex continuity,
 2 = second-order vertex continuity), plus 'hz' for the edge-continuous
 H(div) element in 3D and 'minus' for the trimmed (first-kind) H(div) space.
 
-Shape bases, DoF rows, dual bases and bubble spans are coefficient arrays
+Shape bases, DoF rows and dual bases are coefficient arrays
 (see ``forms``).  DoFs come in two steps.  ``dof_plan`` says, without any
 geometry, what every d-simplex carries: an ordered list of DoF groups, each
 a label, a kind (point value or moment), a proxy weight and derivative
@@ -31,10 +31,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .forms import (_bernstein_block, bernstein_tests, derivative_matrix, dim_full, dim_trimmed,
-                    eval_row, exponent_array, exponent_rank, exterior_derivative_matrix,
-                    jet_rows, moment_rows, monomials, nullspace, proxy_matrix, rank_of,
-                    trace_matrix, trimmed_coeffs)
-from .mesh import SimplicialMesh, interval_mesh, reference_tet, reference_triangle
+                    eval_row, jet_rows, moment_rows, monomials, proxy_matrix, trace_matrix,
+                    trimmed_coeffs)
+from .mesh import SimplicialMesh
 
 UNISOLVENCE_TOL = 1e-6
 KRONECKER_TOL = 1e-8
@@ -536,121 +535,3 @@ def smoothness_rows(mesh, k, p, orders=(), normal=False, clamp=False):
             if clamp and mesh.boundary[d][e]:
                 place(first)
     return np.vstack(rows) if rows else np.zeros((0, len(mesh.cells) * size))
-
-
-# ---------------------------------------------------------------------------
-# bubbles
-# ---------------------------------------------------------------------------
-
-def tangential_bubble_span(grads, p):
-    """Spanning set q * (product of three barycentrics) * nu_i on the
-    tetrahedron with barycentric gradients ``grads`` (4, 3), as degree-p
-    coefficient columns.
-
-    nu_i = grads[i] / |grads[i]| is the unit normal of the face opposite
-    vertex i.  The span equals the full tangential-trace-free subspace;
-    callers reduce it to a basis.
-    """
-    if grads.shape != (4, 3):
-        raise ValueError("tangential bubbles live on tetrahedra")
-    lifts, size = exponent_array(4, p - 3), math.comb(p + 3, 3)
-    rows = exponent_rank(lifts + 1 - np.eye(4, dtype=int)[:, None])
-    out = np.zeros((3, size, 4, len(lifts)))
-    for i, g in enumerate(grads):
-        out[:, rows[i], i, range(len(lifts))] = (g / np.linalg.norm(g))[:, None]
-    return out.reshape(3 * size, -1)
-
-
-def zero_trace_dim(mesh, p, k):
-    """Dimension of {u in P_p Lambda^k(cell): vanishing boundary traces}.
-
-    On the single cell of ``mesh``, the trace onto every boundary facet must
-    vanish.  Returns (dimension, nullspace basis as coefficient columns).
-    """
-    ns = nullspace(smoothness_rows(mesh, k, p, clamp=True))
-    return ns.shape[1], ns
-
-
-# ---------------------------------------------------------------------------
-# vertex jet sequences and subsimplex bubble counts
-# ---------------------------------------------------------------------------
-
-def jet_complex_ranks(n, r):
-    """Exactness of the vertex jet sequence of order r = 1, 2 in dimension n.
-
-    A jet of order r at a vertex is a Taylor polynomial of degree r, so the
-    sequence is d on P_r Lambda^0 -> P_{r-1} Lambda^1 (-> P_{r-2} Lambda^2
-    for r = 2) of the reference n-simplex; a form degree above n is the zero
-    space.  ``dims`` lead with the constants and end with the 2-form slot.
-    """
-    if r not in (1, 2):
-        raise ValueError("jet sequences defined for r = 1, 2")
-    grads = np.vstack([-np.ones(n), np.eye(n)])
-    mats = [exterior_derivative_matrix(grads, k, r - k, r - k - 1) if k < n
-            else np.zeros((0, math.comb(n, k) * math.comb(r - k + n, n))) for k in range(r)]
-    ranks = [rank_of(m) for m in mats]
-    nullities = [m.shape[1] - rk for m, rk in zip(mats, ranks)]
-    prod = mats[1] @ mats[0] if r == 2 else np.zeros(0)
-    return {
-        "dims": [1, mats[0].shape[1]] + [m.shape[0] for m in mats] + [0] * (2 - r),
-        "ranks": ranks,
-        "kernel_first": nullities[0],
-        "composition_max": float(np.abs(prod).max()) if prod.size else 0.0,
-        "exact": (nullities[0] == 1 and all(nl == rk for nl, rk in zip(nullities[1:], ranks))
-                  and ranks[-1] == mats[-1].shape[0]),
-    }
-
-
-def subsimplex_bubble_dims(n, r, p):
-    """Bubble-sequence dimension report for edges, faces and interiors.
-
-    Dimensions come from explicit trace-constraint ranks (the oracle): the
-    kernel of ``smoothness_rows`` clamped on one cell, with vertex jets up
-    to order s, normal derivatives on the faces' edges, and a zero-mean row
-    on edges where asked.  The report also carries the closed-form counts
-    so callers can assert the alternating-sum exactness identities.
-    """
-    def bubbles(mesh, q, k=0, s=-1, normal=False, zero_mean=False):
-        if q < 0:
-            return 0
-        rows = [smoothness_rows(mesh, k, q, range(s + 1), normal, clamp=True)]
-        if zero_mean:
-            rows.append(moment_rows(1, (0, 0, np.ones((1, 1))), 0, q))
-        return nullspace(np.vstack(rows)).shape[1]
-
-    out = {"edge": {}, "face": {}, "interior": {}}
-    edge = interval_mesh(1)
-    if r == 2:
-        val = bubbles(edge, p, s=2)
-        nder = bubbles(edge, p - 1, s=1)
-        tang = bubbles(edge, p - 1, s=1, zero_mean=True)
-        dim0 = val + (n - 1) * nder
-        dim1 = tang + (n - 1) * nder
-        out["edge"] = {"dim0": dim0, "dim1": dim1,
-                       "formula0": max(p - 5, 0) + (n - 1) * max(p - 4, 0),
-                       "formula1": n * (p - 4) - 1 if p >= 5 else 0,
-                       "exact": dim0 == dim1}
-    elif r == 1:
-        val = bubbles(edge, p, s=1)
-        tang = bubbles(edge, p - 1, s=0, zero_mean=True)
-        out["edge"] = {"dim0": val, "dim1": tang,
-                       "formula0": max(p - 3, 0),
-                       "formula1": p - 3 if p >= 3 else 0,
-                       "exact": val == tang}
-    if n >= 2:
-        tri = reference_triangle()
-        if r == 1:
-            d0, d1 = bubbles(tri, p), bubbles(tri, p - 1, 1)
-            d2 = dim_full(2, p - 2, 2) - 1
-        else:
-            d0 = bubbles(tri, p, s=2, normal=True)
-            d1 = 2 * bubbles(tri, p - 1, s=1)
-            d2 = dim_full(2, p - 2, 2) - 3 - 1
-        out["face"] = {"dims": [d0, d1, d2], "alternating": d0 - d1 + d2}
-    if n >= 3:
-        tet = reference_tet()
-        b0, b1, b2 = (bubbles(tet, p - k, k) for k in range(3))
-        b3 = dim_full(3, p - 3, 3) - 1
-        out["interior"] = {"dims": [b0, b1, b2, b3],
-                           "alternating": b0 - b1 + b2 - b3}
-    return out

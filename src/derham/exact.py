@@ -6,6 +6,7 @@ Simplex, so d(d(u)) cancels at the coefficient level.  No command imports
 this module: the program computes on the float coefficient maps of
 ``derham.forms``, and the tests check those maps against this algebra term
 by term (their converters to the coefficient layout are in the tests).
+Only a cell volume that floats cannot decide loads it, for ``exact_det``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,28 @@ from itertools import combinations
 
 import numpy as np
 
-from .forms import _frozen, _merge_sign, exact_det, nonzero_volume
+from .forms import _frozen, _merge_sign, nonzero_volume
+
+
+def exact_det(vertices):
+    """Exact determinant (Fraction) of the edge vectors v_i - v_0 of a simplex:
+    the measure of a ``Simplex``, and ``forms.nonzero_volume``'s verdict where
+    floats cannot decide."""
+    vf = [[Fraction(float(x)) for x in row] for row in vertices]
+    m = len(vf) - 1
+    rows = [[vf[i + 1][j] - vf[0][j] for j in range(m)] for i in range(m)]
+    if m == 0:
+        return Fraction(1)
+    if m == 1:
+        return rows[0][0]
+    if m == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    if m == 3:
+        a, b, c = rows
+        return (a[0] * (b[1] * c[2] - b[2] * c[1])
+                - a[1] * (b[0] * c[2] - b[2] * c[0])
+                + a[2] * (b[0] * c[1] - b[1] * c[0]))
+    raise ValueError("determinant only needed up to 3x3")
 
 
 def _fraction_matrix_inverse(rows):

@@ -7,7 +7,8 @@ on float barycentric geometry of one simplex or a stack, and the trimmed
 spaces are built in closed form as coefficient columns.  All integrals use
 the closed barycentric formula; there is no quadrature anywhere.  The
 exact form algebra that the tests check these maps against is in
-``derham.exact``, which no command imports.  The module needs only numpy.
+``derham.exact``, which no command imports but for a volume that floats
+cannot decide (``nonzero_volume``).  The module needs only numpy.
 """
 
 from __future__ import annotations
@@ -52,30 +53,6 @@ _ERRBOUND = {2: (3 + 16 * _EPS) * _EPS, 3: (7 + 56 * _EPS) * _EPS}
 _TINY_PERMANENT = 2.0 ** -900
 
 
-def exact_det(vertices):
-    """Exact determinant (Fraction) of the edge vectors v_i - v_0 of a simplex.
-
-    Only a volume that floats cannot decide needs it, so ``fractions`` is
-    loaded here rather than with the module.
-    """
-    from fractions import Fraction
-    vf = [[Fraction(float(x)) for x in row] for row in vertices]
-    m = len(vf) - 1
-    rows = [[vf[i + 1][j] - vf[0][j] for j in range(m)] for i in range(m)]
-    if m == 0:
-        return Fraction(1)
-    if m == 1:
-        return rows[0][0]
-    if m == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    if m == 3:
-        a, b, c = rows
-        return (a[0] * (b[1] * c[2] - b[2] * c[1])
-                - a[1] * (b[0] * c[2] - b[2] * c[0])
-                + a[2] * (b[0] * c[1] - b[1] * c[0]))
-    raise ValueError("determinant only needed up to 3x3")
-
-
 def _float_det(e):
     """Float determinant of edge vectors e[i][j] (floats, or arrays of them
     over a batch) as orient2d/orient3d compute it, and its permanent."""
@@ -97,11 +74,12 @@ def nonzero_volume(simplices):
     nonzero.
 
     The float determinant of the rounded edge vectors decides wherever it
-    clears Shewchuk's error bound; the rest fall back to ``exact_det``, among
-    them any whose products overflowed (an infinite permanent clears no
-    bound).  The sign of a float difference is exact, so m <= 1 never falls
-    back.  One simplex runs on Python floats (the same IEEE arithmetic
-    without numpy's per-call cost), a batch on coordinate columns.
+    clears Shewchuk's error bound; the rest fall back to ``exact.exact_det``,
+    among them any whose products overflowed (an infinite permanent clears no
+    bound), and only they load ``derham.exact``.  The sign of a float
+    difference is exact, so m <= 1 never falls back.  One simplex runs on
+    Python floats (the same IEEE arithmetic without numpy's per-call cost), a
+    batch on coordinate columns.
     """
     s = np.asarray(simplices, dtype=float)
     m = s.shape[2]
@@ -116,8 +94,10 @@ def nonzero_volume(simplices):
             det, permanent = _float_det(e)
             out = (abs(det) > _ERRBOUND[m] * permanent) & (permanent > _TINY_PERMANENT)
     out = np.array(out, dtype=bool, ndmin=1)
-    for i in np.flatnonzero(~out):
-        out[i] = exact_det(s[i]) != 0
+    if not out.all():
+        from .exact import exact_det
+        for i in np.flatnonzero(~out):
+            out[i] = exact_det(s[i]) != 0
     return out
 
 

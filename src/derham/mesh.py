@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import json
 import numbers
-from functools import cached_property
-from itertools import combinations, product
+from functools import cached_property, lru_cache
+from itertools import chain, combinations, product
 from typing import NamedTuple
 
 import numpy as np
@@ -18,6 +18,8 @@ import numpy as np
 from .forms import _frozen, nonzero_volume
 
 COLLINEAR_TOL = 1e-12
+_TINY = np.finfo(float).tiny
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
 class Frame(NamedTuple):
@@ -60,91 +62,159 @@ def _index(i, cell):
     return int(i)
 
 
+def _refuse(cells, dim, nv):
+    """Raise the refusal that a walk over the cells in order meets first:
+    a vertex index that is not an integer in any cell, else no cells, else
+    the first cell that is not a ``dim``-simplex, references an unknown
+    vertex or repeats an earlier cell."""
+    cells = [tuple(sorted(_index(i, c) for i in c)) for c in cells]
+    if not cells:
+        raise ValueError("mesh needs at least one cell")
+    seen = set()
+    for c in cells:
+        if len(c) != dim + 1 or len(set(c)) != dim + 1:
+            raise ValueError(f"cell {c} is not a {dim}-simplex")
+        if any(i < 0 or i >= nv for i in c):
+            raise ValueError(f"cell {c} references an unknown vertex")
+        if c in seen:
+            raise ValueError(f"duplicate cell {c}")
+        seen.add(c)
+
+
+def _cell_rows(cells, dim, nv):
+    """The cells as a new int64 array with each row ascending, and its rows
+    in lexicographic order.  Integer entries (bools are not), arity, range,
+    repeated vertices and duplicate cells are checked on the arrays; a cell
+    that fails is refused as ``_refuse`` names it."""
+    arr = None
+    if isinstance(cells, np.ndarray) and cells.dtype.kind in "iu":
+        arr = cells.astype(np.int64)
+    else:
+        try:
+            if all(issubclass(t, numbers.Integral) and t is not bool
+                   for t in set(map(type, chain.from_iterable(cells)))):
+                arr = np.array(cells, dtype=np.int64)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    if arr is not None and arr.ndim == 2 and arr.shape[1] == dim + 1 and len(arr):
+        arr.sort(axis=1)
+        top = arr[np.lexsort(arr.T[::-1])]
+        # -1 < each row's entries < nv, strictly ascending: in range and distinct
+        fenced = np.empty((len(arr), dim + 3), dtype=np.int64)
+        fenced[:, 0], fenced[:, 1:-1], fenced[:, -1] = -1, arr, nv
+        repeated = (top[1:] == top[:-1]).all(axis=1).any()
+        if (fenced[:, 1:] > fenced[:, :-1]).all() and not repeated:
+            return arr, top
+    _refuse(cells, dim, nv)
+
+
+@lru_cache(maxsize=None)
+def _local(n, d):
+    """An n-simplex's d-subsimplices as local vertex rows in combinations
+    order, and per local facet (combinations order too: facet j lacks
+    vertex n - j) whether it holds each."""
+    subs = list(combinations(range(n + 1), d + 1))
+    inside = [[n - j not in s for s in subs] for j in range(n + 1)]
+    return _frozen(np.array(subs)), _frozen(np.array(inside))
+
+
+def _entities(cells, d):
+    """The d-simplices of the sorted cell rows, by one stable lexsort of the
+    cells' local subsimplices: the distinct rows in lexicographic order, each
+    (cell, local subsimplex)'s position among them, and for each distinct
+    row the cells holding it in ascending order as (owners, starts): its
+    cells are owners[starts[i]:starts[i + 1]]."""
+    subs = _local(cells.shape[1] - 1, d)[0]
+    rows = cells.take(subs, axis=1).reshape(-1, d + 1)
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
+    new = np.empty(len(rows), dtype=bool)
+    new[:1] = True
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    starts = new.nonzero()[0]
+    new[0] = False
+    ids = np.empty(len(rows), dtype=np.int64)
+    ids[order] = new.cumsum()
+    return rows[starts], ids.reshape(len(cells), -1), order // len(subs), starts
+
+
 class SimplicialMesh:
-    """A conforming simplicial complex in dimension 1, 2 or 3."""
+    """A conforming simplicial complex in dimension 1, 2 or 3.
+
+    Cells are stored with their vertex indices ascending, in input order.
+    ``skeleton[d]`` lists the d-simplices as ascending vertex tuples in
+    lexicographic order, and ``_ids[d]`` maps each tuple to its position
+    there.  For d below the mesh dimension, ``cofaces[d][i]`` lists the cells
+    containing simplex i in ascending cell index, and ``cell_entities[d]``
+    holds per cell the ids of its d-simplices in ``itertools.combinations``
+    order of its vertices.  ``boundary[d]`` flags the d-simplices of facets
+    with one coface.  All of it comes from one stable lexsort per dimension.
+    """
 
     def __init__(self, vertices, cells):
         self.vertices = np.asarray(vertices, dtype=float)
         if self.vertices.ndim != 2:
             raise ValueError("vertices must be a 2D coordinate array")
-        self.dim = self.vertices.shape[1]
+        self.dim = n = self.vertices.shape[1]
         if self.dim not in (1, 2, 3):
             raise ValueError("only dimensions 1..3 are supported")
-        nonfinite = np.flatnonzero(~np.isfinite(self.vertices).all(axis=1))
-        if nonfinite.size:
-            vi = int(nonfinite[0])
+        if not np.isfinite(self.vertices).all():
+            vi = int(np.flatnonzero(~np.isfinite(self.vertices).all(axis=1))[0])
             raise ValueError(f"vertex {vi} has a non-finite coordinate "
                              f"{self.vertices[vi].tolist()}")
-        cells = [tuple(sorted(_index(i, c) for i in c)) for c in cells]
-        if not cells:
-            raise ValueError("mesh needs at least one cell")
-        seen = set()
-        for c in cells:
-            if len(c) != self.dim + 1 or len(set(c)) != self.dim + 1:
-                raise ValueError(f"cell {c} is not a {self.dim}-simplex")
-            if any(i < 0 or i >= len(self.vertices) for i in c):
-                raise ValueError(f"cell {c} references an unknown vertex")
-            if c in seen:
-                raise ValueError(f"duplicate cell {c}")
-            seen.add(c)
-        pts = self.vertices[np.array(cells, dtype=int)]
-        flat = np.flatnonzero(~nonzero_volume(pts))
-        if flat.size:
-            raise ValueError(f"degenerate cell {cells[flat[0]]} (zero volume)")
+        if not isinstance(cells, np.ndarray):
+            cells = list(cells)     # walked again by a refusal
+        arr, top = _cell_rows(cells, n, len(self.vertices))
+        pts = self.vertices[arr]
+        solid = nonzero_volume(pts)
+        if not solid.all():
+            flat = tuple(arr[np.argmin(solid)].tolist())
+            raise ValueError(f"degenerate cell {flat} (zero volume)")
         # frames divide by the square root of each edge's squared length and,
         # in 3D, of each face's squared cross-product norm (its lengths to the
         # fourth power): both must be normal floats, neither overflowed nor
         # underflowed
-        for what in ("edge", "face") if self.dim == 3 else ("edge",):
-            subs = np.array(list(combinations(range(self.dim + 1), 2 + (what == "face")))).T
-            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-                vec = pts[:, subs[1:]] - pts[:, subs[:1]]
-                vec = vec[:, 0] if what == "edge" else np.cross(vec[:, 0], vec[:, 1])
-                sq = np.square(vec).sum(axis=2)
-            bad = np.flatnonzero(~((sq >= np.finfo(float).tiny) & (sq < np.inf)).ravel())
-            if bad.size:
-                ci, e = divmod(int(bad[0]), subs.shape[1])
-                quantity = "squared length" if what == "edge" else "squared cross-product norm"
-                raise ValueError(f"{what} {tuple(cells[ci][i] for i in subs[:, e])} has "
-                                 f"{quantity} {sq[ci, e]:.3g}, outside the normal float64 "
-                                 f"range; rescale the coordinates")
-        self.cells = np.array(cells, dtype=int)
+        edges = _local(n, 1)[0]
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            vec = pts[:, edges[:, 1]] - pts[:, edges[:, 0]]
+            scales = [("edge", "squared length", edges, np.square(vec).sum(axis=2))]
+            if n == 3:   # face (a, b, c): edge (a, b) × edge (a, c), term by term as np.cross
+                u, v = vec[:, [0, 0, 1, 3]], vec[:, [1, 2, 2, 4]]
+                cross = u[..., _NEXT] * v[..., _PREV] - u[..., _PREV] * v[..., _NEXT]
+                scales.append(("face", "squared cross-product norm", _local(3, 2)[0],
+                               np.square(cross).sum(axis=2)))
+        for what, quantity, subs, sq in scales:
+            normal = (sq >= _TINY) & (sq < np.inf)
+            if not normal.all():
+                ci, e = divmod(int(np.argmin(normal)), len(subs))
+                raise ValueError(f"{what} {tuple(arr[ci, subs[e]].tolist())} has {quantity} "
+                                 f"{sq[ci, e]:.3g}, outside the normal float64 range; "
+                                 f"rescale the coordinates")
+        self.cells = arr
 
-        # skeleton[d]: sorted list of ascending vertex tuples; ids are indices
-        self.skeleton = {}
-        self._ids = {}
-        for d in range(self.dim + 1):
-            simplices = set()
-            for c in cells:
-                simplices.update(combinations(c, d + 1))
-            ordered = sorted(simplices)
-            self.skeleton[d] = ordered
-            self._ids[d] = {s: i for i, s in enumerate(ordered)}
+        self.skeleton, self.cofaces, self.cell_entities = {}, {}, {}
+        for d in range(n):
+            rows, self.cell_entities[d], owners, starts = _entities(arr, d)
+            self.skeleton[d] = list(map(tuple, rows.tolist()))
+            owners, bounds = owners.tolist(), starts.tolist() + [len(owners)]
+            self.cofaces[d] = [owners[i:j] for i, j in zip(bounds, bounds[1:])]
+        self.skeleton[n] = list(map(tuple, top.tolist()))
+        self._ids = {d: dict(zip(s, range(len(s)))) for d, s in self.skeleton.items()}
 
-        # cofaces: for each simplex, the cells containing it; cell_entities[d]:
-        # per cell, the ids of its d-simplices in combinations order
-        self.cofaces = {d: [[] for _ in self.skeleton[d]] for d in range(self.dim)}
-        self.cell_entities = {}
-        for d in range(self.dim):
-            ids = self._ids[d]
-            table = [[ids[s] for s in combinations(c, d + 1)] for c in cells]
-            for ci, row in enumerate(table):
-                for i in row:
-                    self.cofaces[d][i].append(ci)
-            self.cell_entities[d] = np.array(table, dtype=int)
+        count = np.bincount(self.cell_entities[n - 1].ravel())    # cofaces per facet
+        if count.max() > 2:
+            raise ValueError(f"facet {self.skeleton[n - 1][np.argmax(count > 2)]} "
+                             f"has more than two cofaces")
 
-        facets = self.skeleton[self.dim - 1]
-        for fi, f in enumerate(facets):
-            if len(self.cofaces[self.dim - 1][fi]) > 2:
-                raise ValueError(f"facet {f} has more than two cofaces")
-
-        # boundary flags propagate down from boundary facets
-        self.boundary = {d: [False] * len(self.skeleton[d]) for d in range(self.dim + 1)}
-        for fi, f in enumerate(facets):
-            if len(self.cofaces[self.dim - 1][fi]) == 1:
-                for d in range(self.dim):
-                    for s in combinations(f, d + 1):
-                        self.boundary[d][self._ids[d][s]] = True
+        # boundary flags propagate down from boundary facets, through each
+        # cell's local facets
+        outer = (count == 1)[self.cell_entities[n - 1]][:, :, None]
+        self.boundary = {}
+        for d, simplices in self.skeleton.items():
+            flags = np.zeros(len(simplices), dtype=bool)
+            if d < n:
+                flags[self.cell_entities[d][(outer & _local(n, d)[1]).any(axis=1)]] = True
+            self.boundary[d] = flags.tolist()
 
         self._frames = {}
         self._edge_normal_seed = None

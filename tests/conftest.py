@@ -27,14 +27,21 @@ def random_simplex(n, rng, min_volume=0.08):
             return verts
 
 
-def delaunay_tets(seed, points=9):
-    """A seeded random Delaunay tetrahedrisation of the unit cube's points."""
-    pts = np.random.default_rng(seed).random((points, 3))
+def delaunay_cells(seed, points, dim):
+    """The vertices and cells (scipy's vertex order) of a seeded random
+    Delaunay triangulation of points in the unit square or cube, renumbered
+    to the points it uses."""
+    pts = np.random.default_rng(seed).random((points, dim))
     tri = Delaunay(pts)
     used = np.unique(tri.simplices)
     remap = np.full(points, -1)
     remap[used] = np.arange(len(used))
-    return SimplicialMesh(pts[used], remap[tri.simplices].tolist())
+    return pts[used], remap[tri.simplices].tolist()
+
+
+def delaunay_tets(seed, points=9):
+    """A seeded random Delaunay tetrahedrisation of the unit cube's points."""
+    return SimplicialMesh(*delaunay_cells(seed, points, 3))
 
 
 @pytest.fixture(scope="session")

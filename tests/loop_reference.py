@@ -1,9 +1,10 @@
-"""Loop definitions of the exponent tables and of the DoF rows.
+"""Loop definitions of the exponent tables, the DoF rows and mesh incidence.
 
 The program builds its exponent order, the tables read off it and each
-distinct map of ``block_rows`` by index arithmetic and shared work.  These
-are the same numbers one exponent tuple, one dictionary lookup and one plan
-group at a time, as the definitions read; tests compare the two.
+distinct map of ``block_rows`` by index arithmetic and shared work, and a
+mesh's incidence by one lexsort per dimension.  These are the same numbers
+one exponent tuple, one dictionary lookup, one plan group and one cell at a
+time, as the definitions read; tests compare the two.
 """
 
 import math
@@ -122,3 +123,38 @@ def block_rows(el, mesh, cells, p):
         if blocks:
             out.append(np.concatenate(blocks, axis=2).reshape(len(cells), -1, rows.shape[-1]))
     return np.concatenate(out, axis=1)
+
+
+def mesh_incidence(vertices, cells):
+    """``SimplicialMesh``'s cells, skeleton, ids, cofaces, cell entities and
+    boundary flags, built one cell at a time from set unions, sorts and
+    dictionary lookups (no validation)."""
+    dim = np.asarray(vertices).shape[1]
+    cells = [tuple(sorted(int(i) for i in c)) for c in cells]
+    skeleton, ids = {}, {}
+    for d in range(dim + 1):
+        simplices = set()
+        for c in cells:
+            simplices.update(combinations(c, d + 1))
+        ordered = sorted(simplices)
+        skeleton[d] = ordered
+        ids[d] = {s: i for i, s in enumerate(ordered)}
+
+    cofaces = {d: [[] for _ in skeleton[d]] for d in range(dim)}
+    cell_entities = {}
+    for d in range(dim):
+        table = [[ids[d][s] for s in combinations(c, d + 1)] for c in cells]
+        for ci, row in enumerate(table):
+            for i in row:
+                cofaces[d][i].append(ci)
+        cell_entities[d] = np.array(table, dtype=int)
+
+    facets = skeleton[dim - 1]
+    boundary = {d: [False] * len(skeleton[d]) for d in range(dim + 1)}
+    for fi, f in enumerate(facets):
+        if len(cofaces[dim - 1][fi]) == 1:
+            for d in range(dim):
+                for s in combinations(f, d + 1):
+                    boundary[d][ids[d][s]] = True
+    return {"cells": np.array(cells, dtype=int), "skeleton": skeleton, "_ids": ids,
+            "cofaces": cofaces, "cell_entities": cell_entities, "boundary": boundary}

@@ -18,13 +18,11 @@ import pytest
 from conftest import REF, random_simplex
 from derham.assembly import (assemble_d, assemble_space, dim_formula,
                              dof_savings, family_row, homogeneous_row_report,
-                             rank_of, verify_decomposition,
-                             verify_exactness, verify_row, complex_residual)
+                             rank_of, verify_exactness, verify_row, complex_residual)
 from derham.bgg import huzhang_stress, verify_bgg_identity, xi_complex
-from derham.elements import (dof_matrix, element_def, jet_complex_ranks,
-                             p_min, subsimplex_bubble_dims,
-                             tangential_bubble_span, unisolvence_check,
-                             zero_trace_dim)
+from derham.claims import (jet_complex_ranks, subsimplex_bubble_dims, tangential_bubble_span,
+                           verify_decomposition, zero_trace_dim)
+from derham.elements import dof_matrix, element_def, p_min, unisolvence_check
 from derham.exact import Simplex
 from derham.mesh import SimplicialMesh, cube_center_fan_grid
 
@@ -209,7 +207,7 @@ def test_c09_bubble_lemmas(meshes):
 # -- criterion 10: table box identities ---------------------------------------------------
 
 def test_c10_box_identities(meshes):
-    from derham.assembly import space_equal
+    from derham.claims import space_equal
     two, sq = meshes["tet2"], meshes["square"]
     ok, _ = space_equal(assemble_space(two, 1, 2, 2), assemble_space(two, 0, 2, 2))
     eq2, _ = space_equal(assemble_space(two, 1, 1, 3), assemble_space(two, 0, 1, 3))

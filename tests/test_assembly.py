@@ -7,13 +7,15 @@ import pytest
 from dof_reference import global_dof_values
 from derham import assembly, exact
 from derham.assembly import (CONTAINMENT_TOL, RANK_RTOL, Coo, _dof_coords,
-                             _mean_points, assemble_d, assemble_space, containment_residual,
+                             _mean_points, assemble_d, assemble_space,
                              dim_formula, dof_savings, family_row,
-                             homogeneous_row_report, interpolation_split_residual,
+                             homogeneous_row_report,
                              prove_ranks, rank_of,
-                             restrict_homogeneous, row_p_min, space_equal,
+                             restrict_homogeneous, row_p_min,
                              verify_exactness, verify_row, complex_residual,
-                             verify_decomposition, zero_mean_row)
+                             zero_mean_row)
+from derham.claims import (containment_residual, interpolation_split_residual, space_equal,
+                           verify_decomposition)
 from derham.elements import element_def, p_min
 from derham.exact import Simplex, cell_simplex
 from derham.forms import trace_matrix

@@ -5,8 +5,9 @@ import pytest
 
 from dof_reference import global_dof_values
 from derham.assembly import assemble_space, rank_of
-from derham.bgg import (BGGContext, _matrix_fields, _stress_rows, huzhang_stress,
-                        stress_inclusion, verify_bgg_identity, xi_complex)
+from derham.bgg import BGGContext, _stress_rows, huzhang_stress, verify_bgg_identity, xi_complex
+from derham.claims import (_matrix_fields, airy, huzhang_row_report, projection_commutes,
+                           stress_inclusion, xi_commuting_residual)
 from derham.elements import smoothness_rows
 from derham.exact import cell_simplex
 from derham.forms import dim_trimmed, nullspace
@@ -131,10 +132,10 @@ def test_proved_ranks_match_dense_reference(case, p):
     xi = ctx.xi_complex()
     assert xi["ranks"] == [rank_of(A0.array), rank_of(A1.array)]
     assert xi["exact"] and all(m["proved"] for m in xi["rank_margins"])
-    rep = ctx.huzhang_row_report()
-    airy, N = ctx.airy().array, nullspace(ctx.S1.array)
+    rep = huzhang_row_report(ctx)
+    potential, N = airy(ctx).array, nullspace(ctx.S1.array)
     assert rep["dim_stress"] == N.shape[1]
-    assert rep["rank_potential_map"] == rank_of(airy)
+    assert rep["rank_potential_map"] == rank_of(potential)
     assert rep["rank_div"] == rank_of(ctx.dV1.array @ N)
     assert rep["exact"] and all(m["proved"] for m in rep["rank_margins"])
 
@@ -153,7 +154,7 @@ def test_product_complex_memory():
 
 
 def test_commuting_projections():
-    assert BGGContext(two_triangle_square(), 2).xi_commuting_residual() < 1e-9
+    assert xi_commuting_residual(BGGContext(two_triangle_square(), 2)) < 1e-9
 
 
 def _smooth_slot_rows(mesh, q, orders=(2,)):
@@ -236,7 +237,7 @@ def test_stress_on_random_triangle():
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_stress_row_exact(p):
-    rep = BGGContext(two_triangle_square(), p).huzhang_row_report()
+    rep = huzhang_row_report(BGGContext(two_triangle_square(), p))
     assert rep["image_symmetric_resid"] < 1e-10
     assert rep["kernel_potential_map"] == 3
     assert rep["exact"], rep
@@ -246,7 +247,7 @@ def test_stress_row_exact(p):
                                      (annulus_mesh(), 2), (triangle_grid(8), 2)],
                          ids=["2", "3", "annulus-2", "grid8-2"])
 def test_projection_squares_commute(mesh, p):
-    rep = BGGContext(mesh, p).projection_commutes()
+    rep = projection_commutes(BGGContext(mesh, p))
     assert rep["trace_right_inverse"] < 1e-10
     assert rep["left"] < 1e-10 and rep["right"] < 1e-10
     assert rep["projection_into_kernel"] < 1e-10
@@ -279,7 +280,7 @@ def test_inclusion_reads_vertices_by_skeleton_id():
     # an unused vertex first: mesh vertex indices are one above the skeleton's ids
     grid = triangle_grid(2)
     mesh = SimplicialMesh(np.vstack([[5.0, 5.0], grid.vertices]), grid.cells + 1)
-    rep = BGGContext(mesh, 2).projection_commutes()
+    rep = projection_commutes(BGGContext(mesh, 2))
     assert max(rep.values()) < 1e-10
 
 

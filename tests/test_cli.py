@@ -553,9 +553,22 @@ def test_runtime_loads_no_scipy(square_path):
 
 def test_cold_start_loads_no_generated_or_reference_code(square_path):
     # the records are named tuples (no dataclass code is generated), the
-    # exact-form stack is the tests' alone, and Fractions are loaded only for
-    # a volume that floats cannot decide
-    proc = _fresh_run(square_path, ["dataclasses", "fractions", "decimal", "derham.exact"])
+    # exact-form stack and the claim checks are the tests' alone, and
+    # Fractions are loaded only for a volume that floats cannot decide
+    proc = _fresh_run(square_path, ["dataclasses", "fractions", "decimal", "derham.exact",
+                                    "derham.claims"])
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_smooth_slot_window_loads_no_claim_checks(tmp_path):
+    # bgg --p 1 reaches the smoothness and jet rows that the claim checks
+    # share, but not the checks themselves; nor does a verdict
+    grid = str(tmp_path / "grid4.json")
+    triangle_grid(4).save(grid)
+    commands = [["verify", "--mesh", grid, "--row", "0", "--p", "2"],
+                ["bgg", "--mesh", grid, "--p", "1"]]
+    proc = _fresh("derham.cli", f"for argv in {commands!r}:\n    derham.cli.main(argv)",
+                  ["derham.claims"])
     assert proc.returncode == 0, proc.stderr
 
 

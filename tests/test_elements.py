@@ -4,10 +4,10 @@ import pytest
 from conftest import REF, random_simplex
 from dof_reference import form_from_coeffs, reference_export_lines
 from derham.assembly import dim_formula
+from derham.claims import (jet_complex_ranks, subsimplex_bubble_dims, tangential_bubble_span,
+                           zero_trace_dim)
 from derham.elements import (cell_dofs, dof_matrix, dual_basis, dual_export_lines, element_def,
-                             jet_complex_ranks, p_min,
-                             subsimplex_bubble_dims, tangential_bubble_span,
-                             unisolvence_check, zero_trace_dim)
+                             p_min, unisolvence_check)
 from derham.exact import Simplex, cell_simplex, sub_simplex
 from derham.forms import dim_full, dim_trimmed, eval_row, rank_of, trace_matrix
 from derham.mesh import SimplicialMesh

@@ -5,7 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from derham import elements, exact, forms
+from derham import claims, exact, forms
 from derham.exact import FormPolynomial, Simplex, sub_simplex
 from derham.forms import dim_full, dim_trimmed, rank_of, trimmed_coeffs
 from derham.mesh import SimplicialMesh
@@ -301,7 +301,7 @@ def test_exponent_tables_match_loop_definitions():
                 assert ncols == nref and np.array_equal(pattern, ref), (m, k, p)
     grads = np.random.default_rng(3).normal(size=(4, 3))
     for p in range(3, 8):
-        assert np.array_equal(elements.tangential_bubble_span(grads, p),
+        assert np.array_equal(claims.tangential_bubble_span(grads, p),
                               loop_reference.tangential_bubble_span(grads, p))
 
 

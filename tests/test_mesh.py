@@ -4,12 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import REF
-from derham.exact import Simplex, cell_simplex
-from derham.forms import exact_det, nonzero_volume
+import loop_reference
+from conftest import REF, delaunay_cells
+from derham.exact import Simplex, cell_simplex, exact_det
+from derham.forms import nonzero_volume
 from derham.mesh import (SimplicialMesh, cube_center_fan_grid,
                          interval_mesh, reference_tet, reference_triangle,
-                         split_edge_square, three_tet_fan, two_triangle_square, annulus_mesh)
+                         split_edge_square, three_tet_fan, three_triangle_mesh, triangle_grid,
+                         two_tet_mesh, two_triangle_square, annulus_mesh)
 
 
 def test_single_triangle_skeleton():
@@ -140,6 +142,106 @@ def test_face_cross_products_in_float_range_accepted():
 def test_duplicate_cell_rejected():
     with pytest.raises(ValueError, match="duplicate"):
         SimplicialMesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [(0, 1, 2), (2, 1, 0)])
+
+
+SQUARE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+
+
+@pytest.mark.parametrize("cells,message", [
+    ([(0, 1, 2), (1, 3)], "cell (1, 3) is not a 2-simplex"),
+    ([(0, 1, 2), (1, 3, 2, 0)], "cell (0, 1, 2, 3) is not a 2-simplex"),
+    ([(0, 1, 2), (3, 1, 1)], "cell (1, 1, 3) is not a 2-simplex"),
+    ([(-1, 1, 2)], "cell (-1, 1, 2) references an unknown vertex"),
+    ([(0, 1, 2), (1, 4, 3)], "cell (1, 3, 4) references an unknown vertex"),
+    ([(0, 1, 2 ** 70)], f"cell (0, 1, {2 ** 70}) references an unknown vertex"),
+    ([(0, 1, 2), (2, 0, 1)], "duplicate cell (0, 1, 2)"),
+    ([(0, 1.0, 2)], "cell (0, 1.0, 2) has a vertex index that is not an integer: 1.0"),
+    ([(0, "1", 2)], "cell (0, '1', 2) has a vertex index that is not an integer: '1'"),
+    # np.asarray would turn this cell into int64 [0, 1, 2] without a word
+    ([[0, True, 2]], "cell [0, True, 2] has a vertex index that is not an integer: True"),
+    ([(1, 2, 3), [0, False, 2]],
+     "cell [0, False, 2] has a vertex index that is not an integer: False"),
+    ([], "mesh needs at least one cell"),
+    # the first offender in cell order, whichever check it fails; a
+    # non-integer anywhere comes before them all
+    ([(0, 1, 5), (0, 1, 2), (2, 1, 0)], "cell (0, 1, 5) references an unknown vertex"),
+    ([(0, 1, 2), (0, 2, 1), (1, 2, 7), (1, 2)], "duplicate cell (0, 1, 2)"),
+    ([(0, 1), (0, 1.5, 2)], "cell (0, 1.5, 2) has a vertex index that is not an integer: 1.5"),
+])
+def test_cell_refusals(cells, message):
+    with pytest.raises(ValueError) as err:
+        SimplicialMesh(SQUARE, cells)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("cells", [np.array([[0, 1, 1]], dtype=bool),
+                                   np.array([[0.0, 1.0, 2.0]]), np.zeros((0, 3), dtype=int)])
+def test_cell_array_refusals(cells):
+    with pytest.raises(ValueError, match="not an integer|at least one cell"):
+        SimplicialMesh(SQUARE, cells)
+
+
+def test_facet_with_three_cofaces_rejected():
+    with pytest.raises(ValueError) as err:
+        SimplicialMesh(SQUARE + [[0.0, -1.0]], [(0, 1, 2), (0, 1, 3), (0, 1, 4)])
+    assert str(err.value) == "facet (0, 1) has more than two cofaces"
+
+
+@pytest.mark.parametrize("cells", [
+    [(np.int64(0), np.int32(1), np.uint8(2)), (1, 3, 2)],
+    np.array([[0, 1, 2], [1, 3, 2]], dtype=np.int32),
+    np.array([[2, 1, 0], [1, 3, 2]], dtype=np.uint16),
+    [np.array([0, 1, 2]), np.array([3, 2, 1])],
+])
+def test_numpy_integer_cells_accepted(cells):
+    m = SimplicialMesh(SQUARE, cells)
+    assert m.cells.tolist() == [[0, 1, 2], [1, 2, 3]] and m.cells.dtype == np.int64
+    assert m.counts == (4, 5, 2, 0)
+
+
+def _spread_two_tets():
+    """``two_tet_mesh`` with its five vertices spread over 100 001, the rest
+    unused: packed keys of four indices below 100 001 would pass 2**63."""
+    at = [100_000, 3, 50_000, 99_999, 7]
+    vertices = np.zeros((100_001, 3))
+    vertices[at] = two_tet_mesh().vertices
+    return vertices, [[at[i] for i in c] for c in ([3, 0, 2, 1], [1, 2, 4, 3])]
+
+
+def _incidence_inputs():
+    out = [(name, m.vertices, m.cells) for name, m in [
+        ("interval", interval_mesh(3)), ("tri", reference_triangle()),
+        ("square", two_triangle_square()), ("tri3", three_triangle_mesh()),
+        ("split", split_edge_square()), ("annulus", annulus_mesh()), ("tet", reference_tet()),
+        ("tet2", two_tet_mesh()), ("tet3", three_tet_fan()), ("grid", triangle_grid(5)),
+        ("fan211", cube_center_fan_grid(2, 1, 1))]]
+    out += [(f"delaunay{dim}d-{seed}", *delaunay_cells(seed, 40, dim))
+            for dim in (2, 3) for seed in (3, 11)]
+    out += [("one-interval", [[0.0], [2.0]], [(1, 0)]),
+            ("one-triangle", REF[2], [(2, 0, 1)]),
+            ("one-tet", REF[3], [(3, 1, 0, 2)]),
+            ("circle", [[0.0], [1.0], [2.0]], [(0, 1), (2, 1), (0, 2)]),
+            ("spread", *_spread_two_tets())]
+    return out
+
+
+@pytest.mark.parametrize("vertices,cells", [pytest.param(v, c, id=name)
+                                            for name, v, c in _incidence_inputs()])
+def test_array_incidence_matches_loops(vertices, cells):
+    mesh, ref = SimplicialMesh(vertices, cells), loop_reference.mesh_incidence(vertices, cells)
+    assert mesh.cells.dtype == ref["cells"].dtype and np.array_equal(mesh.cells, ref["cells"])
+    for attr in ("skeleton", "_ids", "cofaces", "boundary"):
+        assert getattr(mesh, attr) == ref[attr], attr
+        assert list(getattr(mesh, attr)) == list(ref[attr]), attr
+    assert list(mesh.cell_entities) == list(ref["cell_entities"])
+    for d, table in ref["cell_entities"].items():
+        assert mesh.cell_entities[d].dtype == table.dtype and np.array_equal(
+            mesh.cell_entities[d], table)
+    # Python ints and bools, as the loops make them
+    assert {type(v) for s in mesh.skeleton.values() for t in s for v in t} == {int}
+    assert {type(v) for ids in mesh._ids.values() for v in ids.values()} == {int}
+    assert {type(c) for cof in mesh.cofaces.values() for cs in cof for c in cs} == {int}
+    assert {type(b) for flags in mesh.boundary.values() for b in flags} == {bool}
 
 
 def test_interior_facets_have_two_cofaces():
